@@ -19,6 +19,9 @@ namespace {
  */
 constexpr double remainingEps = 1e-3;
 
+/** End of an occupant list / chain. */
+constexpr std::uint32_t npos = std::numeric_limits<std::uint32_t>::max();
+
 } // namespace
 
 void
@@ -44,29 +47,86 @@ LinkNetwork::configure(const CompiledTopology *topo,
     overrideIdx_.clear();
     overrideRoutes_.clear();
     linkLoad_.assign(links, 0);
-    linkTouch_.assign(links, 0);
-    touchEpoch_ = 0;
+    linkShare_.assign(links, 0.0);
+    linkHead_.assign(links, npos);
+    occ_.clear();
+    occFree_ = npos;
     flows_.clear();
+    slots_[0].clear();
+    slots_[1].clear();
+    nextSeq_ = 0;
     reschedules_.clear();
 }
 
 void
-LinkNetwork::markTouched(int src, int dst)
+LinkNetwork::refreshShare(std::uint32_t link)
 {
-    ++touchEpoch_;
-    for (const std::uint32_t link : routeOf(src, dst))
-        linkTouch_[link] = touchEpoch_;
+    if (linkLoad_[link] > 0)
+        linkShare_[link] = linkRate_[link] /
+            static_cast<double>(linkLoad_[link]);
 }
 
-bool
-LinkNetwork::touches(const Flow &flow) const
+void
+LinkNetwork::occupy(std::uint32_t slot)
 {
-    for (const std::uint32_t link :
-         routeOf(flow.src, flow.dst)) {
-        if (linkTouch_[link] == touchEpoch_)
-            return true;
+    Flow &flow = flows_[slot];
+    flow.occ = npos;
+    for (const std::uint32_t link : routeOf(flow.src, flow.dst)) {
+        std::uint32_t n = occFree_;
+        if (n == npos) {
+            n = static_cast<std::uint32_t>(occ_.size());
+            occ_.emplace_back();
+        } else {
+            occFree_ = occ_[n].next;
+        }
+        occ_[n] = Occupant{slot, link, npos, linkHead_[link], flow.occ};
+        if (linkHead_[link] != npos)
+            occ_[linkHead_[link]].prev = n;
+        linkHead_[link] = n;
+        flow.occ = n;
+        ++linkLoad_[link];
+        refreshShare(link);
     }
-    return false;
+}
+
+void
+LinkNetwork::vacate(std::uint32_t slot)
+{
+    for (std::uint32_t n = flows_[slot].occ; n != npos;) {
+        const Occupant o = occ_[n];
+        if (o.prev != npos)
+            occ_[o.prev].next = o.next;
+        else
+            linkHead_[o.link] = o.next;
+        if (o.next != npos)
+            occ_[o.next].prev = o.prev;
+        ovlAssert(linkLoad_[o.link] > 0,
+                  "LinkNetwork: link occupancy underflow");
+        --linkLoad_[o.link];
+        refreshShare(o.link);
+        occ_[n].next = occFree_;
+        occFree_ = n;
+        n = o.sibling;
+    }
+    flows_[slot].occ = npos;
+}
+
+void
+LinkNetwork::collect(std::span<const std::uint32_t> links)
+{
+    for (const std::uint32_t link : links) {
+        for (std::uint32_t n = linkHead_[link]; n != npos;
+             n = occ_[n].next) {
+            Flow &flow = flows_[occ_[n].flow];
+            if (flow.collected) {
+                if (stats_)
+                    ++stats_->recomputesSkipped;
+                continue;
+            }
+            flow.collected = true;
+            visit_.push_back(occ_[n].flow);
+        }
+    }
 }
 
 double
@@ -75,10 +135,8 @@ LinkNetwork::bottleneckRate(const Flow &flow) const
     double rate = std::numeric_limits<double>::infinity();
     for (const std::uint32_t link :
          routeOf(flow.src, flow.dst)) {
-        const double share = linkRate_[link] /
-            static_cast<double>(linkLoad_[link]);
-        if (share < rate)
-            rate = share;
+        if (linkShare_[link] < rate)
+            rate = linkShare_[link];
     }
     // Rate 0 is legal: a scenario froze a link on the route and the
     // flow is parked until recovery.
@@ -102,16 +160,19 @@ LinkNetwork::advanceAll(SimTime now)
 }
 
 void
-LinkNetwork::rebalanceTouched(SimTime now)
+LinkNetwork::rebalance(SimTime now)
 {
-    for (Flow &flow : flows_) {
-        if (!touches(flow)) {
-            if (stats_) {
-                ++stats_->recomputesSkipped;
-                ++stats_->rearmsSkipped;
-            }
-            continue;
-        }
+    // Admission order, so the engine pushes reschedules — and its
+    // heap breaks their ties — exactly as a walk over every flow in
+    // admission order would.
+    if (visit_.size() > 1)
+        std::sort(visit_.begin(), visit_.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return flows_[a].seq < flows_[b].seq;
+                  });
+    for (const std::uint32_t slot : visit_) {
+        Flow &flow = flows_[slot];
+        flow.collected = false;
         if (stats_)
             ++stats_->rateRecomputes;
         const double rate = bottleneckRate(flow);
@@ -131,6 +192,7 @@ LinkNetwork::rebalanceTouched(SimTime now)
             ++stats_->rearmsSkipped;
         }
     }
+    visit_.clear();
 }
 
 SimTime
@@ -144,6 +206,17 @@ LinkNetwork::finishTime(const Flow &flow, SimTime now)
     return now + SimTime::fromNs(static_cast<std::int64_t>(ns));
 }
 
+std::uint32_t &
+LinkNetwork::slotOf(std::uint32_t id)
+{
+    const bool background = id >= backgroundIdBase;
+    std::vector<std::uint32_t> &table = slots_[background];
+    const std::uint32_t i = background ? id - backgroundIdBase : id;
+    if (i >= table.size())
+        table.resize(i + 1, npos);
+    return table[i];
+}
+
 SimTime
 LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
                    SimTime now)
@@ -154,35 +227,36 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
               "network");
     // Settle everyone's progress under the pre-admission rates.
     advanceAll(now);
-    for (const std::uint32_t link : routeOf(src, dst))
-        ++linkLoad_[link];
-    markTouched(src, dst);
 
     Flow flow;
     flow.id = id;
     flow.src = src;
     flow.dst = dst;
+    flow.seq = nextSeq_++;
     flow.remaining = static_cast<double>(bytes);
     flow.lastUpdate = now;
+    const auto slot = static_cast<std::uint32_t>(flows_.size());
+    std::uint32_t &entry = slotOf(id);
+    ovlAssert(entry == npos, "LinkNetwork: flow id already in flight");
+    entry = slot;
     flows_.push_back(flow);
+    occupy(slot);
 
     // Occupancy only grew, so rates can only drop: no flow's armed
     // event needs replacing — stale early events re-arm when they
     // fire. (A flow admitted mid-rendezvous-overhead may have
     // lastUpdate ahead of older flows; advanceAll clamps dt >= 0.)
-    // Flows whose routes miss every link the admission loaded keep
-    // their bottleneck share unchanged, so their rate is not even
-    // recomputed.
-    for (Flow &f : flows_) {
-        if (touches(f)) {
-            f.rate = bottleneckRate(f);
-            if (stats_)
-                ++stats_->rateRecomputes;
-        } else if (stats_) {
-            ++stats_->recomputesSkipped;
-        }
+    // Only the flows sharing a link with the admitted one see a
+    // share change; the rest are not even visited.
+    collect(routeOf(src, dst));
+    for (const std::uint32_t s : visit_) {
+        flows_[s].collected = false;
+        flows_[s].rate = bottleneckRate(flows_[s]);
+        if (stats_)
+            ++stats_->rateRecomputes;
     }
-    Flow &admitted = flows_.back();
+    visit_.clear();
+    Flow &admitted = flows_[slot];
     admitted.armed = finishTime(admitted, now);
     return admitted.armed;
 }
@@ -190,16 +264,8 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
 LinkNetwork::FinishCheck
 LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
 {
-    std::size_t slot = flows_.size();
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        if (flows_[i].id == id) {
-            slot = i;
-            break;
-        }
-    }
-    ovlAssert(slot < flows_.size(),
-              "LinkNetwork: finish event for unknown flow");
-
+    const std::uint32_t slot = slotOf(id);
+    ovlAssert(slot != npos, "LinkNetwork: finish event for unknown flow");
     {
         Flow &flow = flows_[slot];
         const std::int64_t dt = (now - flow.lastUpdate).ns();
@@ -229,28 +295,34 @@ LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
     }
 
     // Completed: free the links, settle the survivors under the old
-    // rates, then hand out the speedups. Survivors whose routes
-    // miss every freed link — or whose bottleneck sits on an
-    // untouched link and keeps the same share — skip the re-arm
-    // check entirely: their armed finish event is still exact
-    // (ROADMAP's "O(active flows) per rate change" open item, the
-    // rate-recompute/re-arm half).
-    const Flow done = flows_[slot];
-    advanceAll(now);
-    flows_.erase(flows_.begin() +
-                 static_cast<std::ptrdiff_t>(slot));
-    for (const std::uint32_t link :
-         routeOf(done.src, done.dst)) {
-        ovlAssert(linkLoad_[link] > 0,
-                  "LinkNetwork: link occupancy underflow");
-        --linkLoad_[link];
-    }
-    markTouched(done.src, done.dst);
-    rebalanceTouched(now);
+    // rates, then hand out the speedups to the flows that shared a
+    // freed link — the only ones whose share can have moved.
+    remove(slot, now);
     FinishCheck check;
     check.done = true;
     check.retry = now;
     return check;
+}
+
+void
+LinkNetwork::remove(std::uint32_t slot, SimTime now)
+{
+    advanceAll(now);
+    const int src = flows_[slot].src;
+    const int dst = flows_[slot].dst;
+    vacate(slot);
+    slotOf(flows_[slot].id) = npos;
+    if (slot + 1 != flows_.size()) {
+        Flow &moved = flows_[slot];
+        moved = flows_.back();
+        slotOf(moved.id) = slot;
+        for (std::uint32_t n = moved.occ; n != npos;
+             n = occ_[n].sibling)
+            occ_[n].flow = slot;
+    }
+    flows_.pop_back();
+    collect(routeOf(src, dst));
+    rebalance(now);
 }
 
 void
@@ -266,43 +338,22 @@ LinkNetwork::shiftFlowClocks(SimTime delta)
 void
 LinkNetwork::cancel(std::uint32_t id, SimTime now)
 {
-    std::size_t slot = flows_.size();
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        if (flows_[i].id == id) {
-            slot = i;
-            break;
-        }
-    }
-    ovlAssert(slot < flows_.size(),
-              "LinkNetwork: cancel for unknown flow");
     // Identical bookkeeping to a completion, minus the "bytes hit
     // zero" part: settle everyone under the old rates, free the
     // aborted flow's links, redistribute the shares.
-    const Flow dead = flows_[slot];
-    advanceAll(now);
-    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(slot));
-    for (const std::uint32_t link : routeOf(dead.src, dead.dst)) {
-        ovlAssert(linkLoad_[link] > 0,
-                  "LinkNetwork: link occupancy underflow");
-        --linkLoad_[link];
-    }
-    markTouched(dead.src, dead.dst);
-    rebalanceTouched(now);
+    const std::uint32_t slot = slotOf(id);
+    ovlAssert(slot != npos, "LinkNetwork: cancel for unknown flow");
+    remove(slot, now);
 }
 
 void
 LinkNetwork::cancelAll(SimTime now)
 {
-    // Free links in admission order; no rate recompute is needed
-    // since no survivors remain.
+    // No rate recompute is needed since no survivors remain.
     advanceAll(now);
-    for (const Flow &flow : flows_) {
-        for (const std::uint32_t link :
-             routeOf(flow.src, flow.dst)) {
-            ovlAssert(linkLoad_[link] > 0,
-                      "LinkNetwork: link occupancy underflow");
-            --linkLoad_[link];
-        }
+    for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
+        vacate(slot);
+        slotOf(flows_[slot].id) = npos;
     }
     flows_.clear();
     reschedules_.clear();
@@ -326,6 +377,7 @@ LinkNetwork::setLinkScale(std::uint32_t link, double scale)
         return;
     linkScale_[link] = scale;
     linkRate_[link] = linkBase_[link] * scale;
+    refreshShare(link);
     scaleDirty_.push_back(link);
 }
 
@@ -335,31 +387,19 @@ LinkNetwork::applyScales(SimTime now)
     if (scaleDirty_.empty())
         return;
     advanceAll(now);
-    ++touchEpoch_;
-    for (const std::uint32_t link : scaleDirty_)
-        linkTouch_[link] = touchEpoch_;
+    collect(scaleDirty_);
     scaleDirty_.clear();
     // Speedups (including unfreezes, whose armed is "never")
     // re-arm eagerly; slowdowns wait for their stale event.
-    rebalanceTouched(now);
+    rebalance(now);
 }
 
 LinkNetwork::RerouteReport
 LinkNetwork::rerouteDeadLinks(SimTime now)
 {
     ovlAssert(topo_ != nullptr, "LinkNetwork: not configured");
-    advanceAll(now);
     const int nodes = topo_->nodes();
     const std::uint32_t links = topo_->linkCount();
-
-    // Snapshot the routes whose occupancy the in-flight flows
-    // currently hold, before any override changes underneath them.
-    std::vector<std::vector<std::uint32_t>> held;
-    held.reserve(flows_.size());
-    for (const Flow &flow : flows_) {
-        const auto r = routeOf(flow.src, flow.dst);
-        held.emplace_back(r.begin(), r.end());
-    }
 
     // Adjacency of the surviving directed graph, links in id order
     // so the breadth-first parents — and hence every detour — are
@@ -381,10 +421,13 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
     std::vector<std::uint32_t> parent(topo_->vertexCount());
     std::vector<std::uint32_t> queue;
 
-    overrideRoutes_.clear();
-    overrideIdx_.assign(static_cast<std::size_t>(nodes) *
-                            static_cast<std::size_t>(nodes),
-                        -1);
+    // Build the overrides aside; nothing is committed until every
+    // pair has a surviving path.
+    std::vector<std::int32_t> overrideIdx(
+        static_cast<std::size_t>(nodes) *
+            static_cast<std::size_t>(nodes),
+        -1);
+    std::vector<std::vector<std::uint32_t>> overrideRoutes;
     for (int s = 0; s < nodes; ++s) {
         for (int d = 0; d < nodes; ++d) {
             if (s == d)
@@ -426,55 +469,29 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
                  v = topo_->linkFrom(parent[v]))
                 path.push_back(parent[v]);
             std::reverse(path.begin(), path.end());
-            overrideIdx_[rowOf(s, d)] = static_cast<std::int32_t>(
-                overrideRoutes_.size());
-            overrideRoutes_.push_back(std::move(path));
+            overrideIdx[rowOf(s, d)] = static_cast<std::int32_t>(
+                overrideRoutes.size());
+            overrideRoutes.push_back(std::move(path));
         }
     }
+
+    // Commit: settle progress, move every flow's occupancy from the
+    // route it held to its new effective one, then recompute every
+    // rate — occupancies may have moved anywhere. Total load is
+    // conserved: each flow holds exactly one route's worth at a time.
+    advanceAll(now);
+    for (std::uint32_t slot = 0; slot < flows_.size(); ++slot)
+        vacate(slot);
+    overrideRoutes_ = std::move(overrideRoutes);
     if (overrideRoutes_.empty())
         overrideIdx_.clear();
-
-    // Migrate in-flight flows: move their occupancy from the route
-    // they held to the new effective one, then recompute every
-    // rate. Total load is conserved by construction: each flow
-    // holds exactly one route's worth of occupancy at all times.
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        Flow &flow = flows_[i];
-        const auto fresh = routeOf(flow.src, flow.dst);
-        const auto &old = held[i];
-        if (std::equal(fresh.begin(), fresh.end(), old.begin(),
-                       old.end()))
-            continue;
-        for (const std::uint32_t l : old) {
-            ovlAssert(linkLoad_[l] > 0,
-                      "LinkNetwork: link occupancy underflow");
-            --linkLoad_[l];
-        }
-        for (const std::uint32_t l : fresh)
-            ++linkLoad_[l];
+    else
+        overrideIdx_ = std::move(overrideIdx);
+    for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
+        occupy(slot);
+        visit_.push_back(slot);
     }
-    for (Flow &flow : flows_) {
-        // Occupancies may have moved anywhere: every rate is
-        // recomputed, nothing can be proven untouched.
-        if (stats_)
-            ++stats_->rateRecomputes;
-        const double rate = bottleneckRate(flow);
-        if (rate == flow.rate) {
-            if (stats_)
-                ++stats_->rearmsSkipped;
-            continue;
-        }
-        flow.rate = rate;
-        const SimTime finish = finishTime(flow, now);
-        if (finish < flow.armed) {
-            flow.armed = finish;
-            reschedules_.emplace_back(flow.id, finish);
-            if (stats_)
-                ++stats_->rearmsTaken;
-        } else if (stats_) {
-            ++stats_->rearmsSkipped;
-        }
-    }
+    rebalance(now);
     return RerouteReport{};
 }
 

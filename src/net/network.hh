@@ -21,9 +21,18 @@
  *    re-arms itself) and speed up eagerly (completions emit
  *    reschedules via pendingReschedules()).
  *
- * Scheduling stays deterministic: flows are iterated in admission
- * order, all arithmetic is event-ordered double precision, and equal
- * replays produce equal event sequences on any host or thread.
+ * Every link keeps a list of the flows occupying it, so a join,
+ * leave, cancel or rescale visits only the flows that share a link
+ * with the change; flows elsewhere keep their (still exact) shares
+ * and armed events untouched. Only the progress settle (advanceAll)
+ * walks every flow.
+ *
+ * Scheduling stays deterministic: each flow carries its admission
+ * sequence number and rate changes are handed out in that order,
+ * whatever order the occupant lists yield the flows in (the engine's
+ * heap breaks ties by push order). All arithmetic is event-ordered
+ * double precision, and equal replays produce equal event sequences
+ * on any host or thread.
  */
 
 #ifndef OVLSIM_NET_NETWORK_HH
@@ -43,6 +52,13 @@ namespace ovlsim::net {
 class LinkNetwork
 {
   public:
+    /**
+     * Flow ids are dense from 0 (the engine's transfer indices) or
+     * dense from this base (its background flows); the network
+     * indexes its id -> slot tables directly by them.
+     */
+    static constexpr std::uint32_t backgroundIdBase = 1u << 28;
+
     LinkNetwork() = default;
 
     /**
@@ -91,8 +107,9 @@ class LinkNetwork
     /**
      * A finish event for `id` fired at `now`. Completion frees the
      * flow's links, advances every surviving flow and recomputes
-     * their rates; flows that sped up appear in
-     * pendingReschedules() for the driver to re-arm.
+     * the rates of those that shared a link with it; flows that
+     * sped up appear in pendingReschedules() for the engine to
+     * re-arm, in admission order.
      */
     FinishCheck onFinishEvent(std::uint32_t id, SimTime now);
 
@@ -213,7 +230,8 @@ class LinkNetwork
      * totalLoad() stays equal to the summed effective route
      * lengths. Returns {false, src, dst} for the first pair with no
      * surviving path (the topology has no diversity there); the
-     * caller decides how fatal that is.
+     * caller decides how fatal that is. A failed reroute is a
+     * no-op: routes, loads and flows stay exactly as they were.
      */
     RerouteReport rerouteDeadLinks(SimTime now);
 
@@ -223,6 +241,12 @@ class LinkNetwork
         std::uint32_t id = 0;
         int src = 0;
         int dst = 0;
+        /** First of this flow's occupant nodes (one per route hop,
+         * chained through Occupant::sibling). */
+        std::uint32_t occ = 0;
+        /** Admission sequence number: the order rate changes are
+         * handed out in. */
+        std::uint64_t seq = 0;
         /** Bytes still to serialize through the bottleneck. */
         double remaining = 0.0;
         /** Current bottleneck share, bytes per ns. */
@@ -236,34 +260,61 @@ class LinkNetwork
          * harmlessly.
          */
         SimTime armed;
+        /** Already in visit_ (see collect()); false between calls. */
+        bool collected = false;
+    };
+
+    /**
+     * One hop of one flow: a node of the link's doubly-linked
+     * occupant list. Nodes live in one flat pool (occ_, free list
+     * through `next`) so a snapshot copy stays a few flat vectors.
+     */
+    struct Occupant
+    {
+        std::uint32_t flow = 0; // slot in flows_
+        std::uint32_t link = 0;
+        std::uint32_t prev = 0;
+        std::uint32_t next = 0;
+        std::uint32_t sibling = 0; // next hop of the same flow
     };
 
     /** Bottleneck share of one flow under current occupancies. */
     double bottleneckRate(const Flow &flow) const;
 
+    /** Re-derive the cached per-flow share of `link`. */
+    void refreshShare(std::uint32_t link);
+
+    /** Put flow `slot` on every link of its effective route. */
+    void occupy(std::uint32_t slot);
+
+    /** Take flow `slot` off every link it occupies. */
+    void vacate(std::uint32_t slot);
+
     /**
-     * Recompute the rate of every flow crossing a link of the
-     * current touch epoch and re-arm eagerly the ones that sped up
-     * (emitting reschedules); untouched flows are provably
-     * unaffected and skipped. Shared tail of completion, cancel
-     * and applyScales — the decision counts feed the skip/take
-     * observability counters.
+     * Append to visit_ every flow occupying one of `links`, once
+     * each: the only flows whose bottleneck share a load or rate
+     * change on those links can move. Repeat visits of an
+     * already-collected flow count as recomputesSkipped.
      */
-    void rebalanceTouched(SimTime now);
+    void collect(std::span<const std::uint32_t> links);
+
+    /**
+     * Recompute the rates of the collected flows in admission order
+     * and re-arm eagerly the ones that sped up (emitting
+     * reschedules); clears visit_. Shared tail of completion,
+     * cancel, applyScales and rerouteDeadLinks.
+     */
+    void rebalance(SimTime now);
+
+    /** Settle, drop flow `slot` (completed or cancelled) and hand
+     * its freed capacity to the flows that shared its links. */
+    void remove(std::uint32_t slot, SimTime now);
+
+    /** Slot-table entry of flow `id` (npos when not in flight). */
+    std::uint32_t &slotOf(std::uint32_t id);
 
     /** Progress every flow to `now` at its current rate. */
     void advanceAll(SimTime now);
-
-    /**
-     * Mark the links of a route touched by the current join/leave
-     * (bumps the touch epoch). touches() then answers whether a
-     * flow's route crosses any touched link — flows that do not are
-     * provably unaffected: no load on their route changed, so their
-     * bottleneck share (and armed finish event) is still exact and
-     * both the rate recompute and the re-arm check can be skipped.
-     */
-    void markTouched(int src, int dst);
-    bool touches(const Flow &flow) const;
 
     /**
      * Finish instant of a flow at its current rate (ceil to the
@@ -284,6 +335,12 @@ class LinkNetwork
     /** Per-link capacity in bytes/ns and current occupancy. */
     std::vector<double> linkRate_;
     std::vector<std::uint32_t> linkLoad_;
+    /** linkRate_ / linkLoad_ per occupied link (stale when empty). */
+    std::vector<double> linkShare_;
+    /** Head of each link's occupant list (npos when empty). */
+    std::vector<std::uint32_t> linkHead_;
+    std::vector<Occupant> occ_;
+    std::uint32_t occFree_ = 0;
     /** Configured (scale-1.0) capacity per link. */
     std::vector<double> linkBase_;
     /** Scenario capacity scale per link (1.0 = undisturbed). */
@@ -294,11 +351,15 @@ class LinkNetwork
      * overrideRoutes_. Empty overrideRoutes_ = no overrides. */
     std::vector<std::int32_t> overrideIdx_;
     std::vector<std::vector<std::uint32_t>> overrideRoutes_;
-    /** Links touched in the current epoch (see markTouched). */
-    std::vector<std::uint32_t> linkTouch_;
-    std::uint32_t touchEpoch_ = 0;
-    /** In-flight flows, admission-ordered. */
+    /** In-flight flows, packed: a removal moves the last flow into
+     * the hole and re-points its occupant nodes. */
     std::vector<Flow> flows_;
+    /** Flow id -> slot: [0] by transfer id, [1] by id minus
+     * backgroundIdBase. */
+    std::vector<std::uint32_t> slots_[2];
+    std::uint64_t nextSeq_ = 0;
+    /** Flow slots collected for the current rebalance. */
+    std::vector<std::uint32_t> visit_;
     std::vector<std::pair<std::uint32_t, SimTime>> reschedules_;
     /** Observability sink (see setStats); null = disabled. */
     obs::EngineStats *stats_ = nullptr;

@@ -44,14 +44,18 @@ struct EngineStats
     std::uint64_t channelProbes = 0;
     /** Peak size of the transfer arena (exact-reserve check). */
     std::uint64_t arenaHighWater = 0;
-    /** LinkNetwork bottleneck-rate recomputations performed. */
+    /** LinkNetwork bottleneck-rate recomputations performed: one
+     * per distinct flow on a link that a join, leave, cancel or
+     * rescale changed (every flow on a reroute). */
     std::uint64_t rateRecomputes = 0;
-    /** Rate recomputations skipped by the touched-links filter. */
+    /** LinkNetwork occupant-list visits that found the flow already
+     * collected (it shares several changed links); with
+     * rateRecomputes, the total occupant-list visits. */
     std::uint64_t recomputesSkipped = 0;
     /** Finish re-arms actually scheduled after a rate change. */
     std::uint64_t rearmsTaken = 0;
-    /** Flows examined on a completion/cancel/rescale that needed
-     * no earlier finish event (unchanged or later finish). */
+    /** Recomputed flows on a completion/cancel/rescale/reroute that
+     * needed no earlier finish event (unchanged or later finish). */
     std::uint64_t rearmsSkipped = 0;
     /** Scenario events applied (degrades, stalls, failures, ...). */
     std::uint64_t scenarioEvents = 0;

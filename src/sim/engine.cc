@@ -542,7 +542,8 @@ class Engine
      * indices are capped at Event::targetMask (28 bits), so ids at
      * and above this never collide with a transfer's.
      */
-    static constexpr std::uint32_t bgIdBase = 1u << 28;
+    static constexpr std::uint32_t bgIdBase =
+        net::LinkNetwork::backgroundIdBase;
 
     /** Per-replay constants hoisted out of the hot loop. */
     double mips_ = 1.0;

@@ -18,22 +18,33 @@
  *    full-bisection fabric costs exactly the flat model's
  *    serialization + latency,
  *  - determinism: every topology replays bit-identically across
- *    repeats, sessions and the one-shot entry point.
+ *    repeats, sessions and the one-shot entry point,
+ *  - occupant-list equivalence: seeded operation streams drive the
+ *    production network and the O(F) reference of
+ *    reference_network.hh side by side and must agree on every
+ *    finish time, finish check, reschedule sequence and link load,
+ *  - transactional reroute: a reroute that fails on a severed pair
+ *    leaves routes, loads and occupant lists exactly as they were.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/analysis.hh"
 #include "helpers.hh"
 #include "net/network.hh"
 #include "net/topology.hh"
+#include "reference_network.hh"
 #include "sim/engine.hh"
 #include "sim/platform_file.hh"
+#include "util/counter_rng.hh"
 
 namespace ovlsim {
 namespace {
@@ -532,6 +543,417 @@ TEST(EngineSeamTest, SessionReusesAcrossTopologiesAndBandwidths)
                             simulate(bundle.traces, platform));
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Differential fuzz: occupant lists vs. the O(F) reference.
+// ---------------------------------------------------------------
+
+/**
+ * Everything a fuzz stream mutates, copyable whole so a stream can
+ * snapshot it and roll back the way the checkpoint seam does.
+ */
+struct DiffState
+{
+    LinkNetwork net;
+    testing::ReferenceLinkNetwork ref;
+    /** Pending finish events: (time ns, push order, flow id). */
+    using Ev = std::tuple<std::int64_t, std::uint64_t, std::uint32_t>;
+    std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> events;
+    std::vector<std::uint32_t> live;
+    SimTime now;
+};
+
+/**
+ * Seeded operation stream over one topology: admissions (some with
+ * a future admission instant, some reusing ids), finish events in
+ * time order, stale early finish events, cancels, cancelAll, link
+ * rescales with stalls, reroutes, clock shifts and snapshot/restore.
+ * After every operation both networks must report the same
+ * reschedules, in the same order, and the same link loads.
+ */
+class DiffFuzzer
+{
+  public:
+    DiffFuzzer(const CompiledTopology &topo, std::uint64_t seed)
+        : topo_(topo), rng_(seed, 0x6e6574)
+    {
+        s_.net.configure(&topo_, 1000.0);
+        s_.ref.configure(&topo_, 1000.0);
+    }
+
+    /** Run `steps` random operations, then recover every link and
+     * drain. Stops at the first divergence. */
+    void
+    run(int steps)
+    {
+        for (int step = 0; step < steps && ok_; ++step) {
+            const std::uint64_t roll = rng_.nextBelow(100);
+            if (roll < 30)
+                admit();
+            else if (roll < 60)
+                fireNext();
+            else if (roll < 64)
+                pokeEarly();
+            else if (roll < 70)
+                cancelOne();
+            else if (roll < 71)
+                cancelAll();
+            else if (roll < 79)
+                rescale();
+            else if (roll < 82)
+                reroute();
+            else if (roll < 85)
+                shift(SimTime::fromNs(
+                    static_cast<std::int64_t>(rng_.nextBelow(5000))));
+            else if (roll < 88)
+                saved_ = s_;
+            else if (roll < 91)
+                restore();
+            else
+                tick();
+            if (!ok_)
+                ADD_FAILURE() << "diverged at step " << step;
+        }
+        if (ok_)
+            drain();
+    }
+
+  private:
+    void
+    expect(bool same, const std::string &what)
+    {
+        if (!same && ok_) {
+            ADD_FAILURE() << what;
+            ok_ = false;
+        }
+    }
+
+    void
+    push(std::uint32_t id, SimTime t)
+    {
+        if (t != SimTime::max())
+            s_.events.emplace(t.ns(), pushes_++, id);
+    }
+
+    /** Compare the emitted reschedules and every link's load, then
+     * hand the reschedules to the event heap. */
+    void
+    settle(const char *op)
+    {
+        const auto a = s_.net.pendingReschedules();
+        const auto b = s_.ref.pendingReschedules();
+        expect(std::equal(a.begin(), a.end(), b.begin(), b.end()),
+               std::string(op) + ": reschedules differ");
+        for (const auto &[id, finish] : a)
+            push(id, finish);
+        s_.net.clearPendingReschedules();
+        s_.ref.clearPendingReschedules();
+        expect(s_.net.totalLoad() == s_.ref.totalLoad(),
+               std::string(op) + ": totalLoad differs");
+        expect(s_.net.activeFlows() == s_.ref.activeFlows(),
+               std::string(op) + ": activeFlows differs");
+        for (std::uint32_t l = 0; l < topo_.linkCount(); ++l)
+            expect(s_.net.linkLoad(l) == s_.ref.linkLoad(l),
+                   std::string(op) + ": linkLoad differs on link " +
+                       std::to_string(l));
+    }
+
+    /** Move the clock forward without overtaking a pending event. */
+    void
+    tick()
+    {
+        const auto step =
+            static_cast<std::int64_t>(rng_.nextBelow(2000));
+        SimTime target = s_.now + SimTime::fromNs(step);
+        if (!s_.events.empty()) {
+            const SimTime next =
+                SimTime::fromNs(std::get<0>(s_.events.top()));
+            target = std::max(s_.now, std::min(target, next));
+        }
+        s_.now = target;
+    }
+
+    bool
+    isLive(std::uint32_t id) const
+    {
+        return std::find(s_.live.begin(), s_.live.end(), id) !=
+            s_.live.end();
+    }
+
+    void
+    admit()
+    {
+        tick();
+        if (s_.live.size() >= 40)
+            return;
+        // A small id pool forces reuse (stale events of a finished
+        // flow then fire early for its successor); a quarter are
+        // background-range ids.
+        const std::uint32_t id = rng_.nextBelow(4) == 0
+            ? (1u << 28) + static_cast<std::uint32_t>(rng_.nextBelow(8))
+            : static_cast<std::uint32_t>(rng_.nextBelow(48));
+        if (isLive(id))
+            return;
+        const auto nodes = static_cast<std::uint64_t>(topo_.nodes());
+        const int src = static_cast<int>(rng_.nextBelow(nodes));
+        int dst = static_cast<int>(rng_.nextBelow(nodes - 1));
+        if (dst >= src)
+            ++dst;
+        const Bytes bytes = 1 + rng_.nextBelow(64 * 1024);
+        // Rendezvous-style admission ahead of the clock.
+        const SimTime at = rng_.nextBelow(4) == 0
+            ? s_.now + SimTime::fromNs(static_cast<std::int64_t>(
+                           rng_.nextBelow(800)))
+            : s_.now;
+        const SimTime a = s_.net.start(id, src, dst, bytes, at);
+        const SimTime b = s_.ref.start(id, src, dst, bytes, at);
+        expect(a == b, "start: finish times differ");
+        s_.live.push_back(id);
+        push(id, a);
+        settle("start");
+    }
+
+    void
+    finish(std::uint32_t id, const char *op)
+    {
+        const auto a = s_.net.onFinishEvent(id, s_.now);
+        const auto b = s_.ref.onFinishEvent(id, s_.now);
+        expect(a.done == b.done && a.retry == b.retry &&
+                   a.reschedule == b.reschedule,
+               std::string(op) + ": FinishCheck differs");
+        if (a.done)
+            s_.live.erase(
+                std::find(s_.live.begin(), s_.live.end(), id));
+        else if (a.reschedule)
+            push(id, a.retry);
+        settle(op);
+    }
+
+    /** Fire the earliest pending event; events of flows no longer
+     * in flight drop, as the engine's in-flight flag drops them. */
+    void
+    fireNext()
+    {
+        if (s_.events.empty())
+            return;
+        const auto [ns, order, id] = s_.events.top();
+        s_.events.pop();
+        s_.now = std::max(s_.now, SimTime::fromNs(ns));
+        if (isLive(id))
+            finish(id, "finish");
+    }
+
+    /** An extra finish event for a live flow, typically early. */
+    void
+    pokeEarly()
+    {
+        tick();
+        if (!s_.live.empty())
+            finish(s_.live[rng_.nextBelow(s_.live.size())], "early");
+    }
+
+    void
+    cancelOne()
+    {
+        tick();
+        if (s_.live.empty())
+            return;
+        const std::size_t i = rng_.nextBelow(s_.live.size());
+        const std::uint32_t id = s_.live[i];
+        s_.live.erase(s_.live.begin() + static_cast<std::ptrdiff_t>(i));
+        s_.net.cancel(id, s_.now);
+        s_.ref.cancel(id, s_.now);
+        settle("cancel");
+    }
+
+    void
+    cancelAll()
+    {
+        tick();
+        s_.net.cancelAll(s_.now);
+        s_.ref.cancelAll(s_.now);
+        s_.live.clear();
+        s_.events = {};
+        settle("cancelAll");
+    }
+
+    /** Rescale one to three links (scale 0 stalls), and usually
+     * commit at once; otherwise the change stays pending across the
+     * next operations, as between two scenario handlers. */
+    void
+    rescale()
+    {
+        tick();
+        static constexpr double scales[] = {0.0, 0.25, 0.5, 1.0, 2.0};
+        const std::uint64_t count = 1 + rng_.nextBelow(3);
+        for (std::uint64_t k = 0; k < count; ++k) {
+            const auto link = static_cast<std::uint32_t>(
+                rng_.nextBelow(topo_.linkCount()));
+            const double scale = scales[rng_.nextBelow(5)];
+            s_.net.setLinkScale(link, scale);
+            s_.ref.setLinkScale(link, scale);
+        }
+        if (rng_.nextBelow(4) != 0) {
+            s_.net.applyScales(s_.now);
+            s_.ref.applyScales(s_.now);
+        }
+        settle("applyScales");
+    }
+
+    void
+    reroute()
+    {
+        tick();
+        const auto a = s_.net.rerouteDeadLinks(s_.now);
+        const auto b = s_.ref.rerouteDeadLinks(s_.now);
+        expect(a.ok == b.ok && a.src == b.src && a.dst == b.dst,
+               "rerouteDeadLinks: reports differ");
+        settle("reroute");
+    }
+
+    /** Checkpoint freeze: flows and pending events slide together. */
+    void
+    shift(SimTime delta)
+    {
+        s_.net.shiftFlowClocks(delta);
+        s_.ref.shiftFlowClocks(delta);
+        decltype(s_.events) shifted;
+        for (; !s_.events.empty(); s_.events.pop()) {
+            auto ev = s_.events.top();
+            std::get<0>(ev) += delta.ns();
+            shifted.push(ev);
+        }
+        s_.events = std::move(shifted);
+        s_.now = s_.now + delta;
+        settle("shift");
+    }
+
+    /** Roll back to the snapshot and re-enter at the current time. */
+    void
+    restore()
+    {
+        if (!saved_)
+            return;
+        const SimTime delta = s_.now - saved_->now;
+        s_ = *saved_;
+        shift(delta);
+    }
+
+    void
+    drain()
+    {
+        for (std::uint32_t l = 0; l < topo_.linkCount(); ++l) {
+            s_.net.setLinkScale(l, 1.0);
+            s_.ref.setLinkScale(l, 1.0);
+        }
+        s_.net.applyScales(s_.now);
+        s_.ref.applyScales(s_.now);
+        settle("recover");
+        reroute();
+        for (int guard = 0; ok_ && !s_.events.empty() && guard < 100000;
+             ++guard)
+            fireNext();
+        expect(s_.net.activeFlows() == 0 && s_.net.totalLoad() == 0,
+               "drain: network not empty");
+    }
+
+    const CompiledTopology &topo_;
+    CounterRng rng_;
+    DiffState s_;
+    std::optional<DiffState> saved_;
+    std::uint64_t pushes_ = 0;
+    bool ok_ = true;
+};
+
+void
+fuzzAgainstReference(const CompiledTopology &topo)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        DiffFuzzer(topo, seed).run(600);
+    }
+}
+
+TEST(LinkNetworkDiffTest, FatTreeMatchesReference)
+{
+    fuzzAgainstReference(net::compileTopology(
+        net::topologies::taperedFatTree(2, 0.5), 8));
+}
+
+TEST(LinkNetworkDiffTest, TorusMatchesReference)
+{
+    TopologyConfig torus = net::topologies::torus2d();
+    torus.torusDims = {4, 3};
+    fuzzAgainstReference(net::compileTopology(torus, 12));
+    // Without wrap links many pairs lose their only path to a dead
+    // link: failed reroutes must stay no-ops mid-stream.
+    torus.torusWrap = false;
+    fuzzAgainstReference(net::compileTopology(torus, 12));
+}
+
+TEST(LinkNetworkDiffTest, DragonflyMatchesReference)
+{
+    TopologyConfig fly = net::topologies::dragonfly();
+    fly.dragonflyGroups = 3;
+    fly.dragonflyRoutersPerGroup = 2;
+    fly.dragonflyNodesPerRouter = 2;
+    fuzzAgainstReference(net::compileTopology(fly, 12));
+}
+
+TEST(LinkNetworkTest, FailedRerouteChangesNothing)
+{
+    // 3x2 mesh. Flows 1->0 and 2->0 cross router link r1->r0; once
+    // it dies both reroute around the grid. Then node 5's ejection
+    // link dies: pair (0, 5) is severed, and it comes before (1, 0)
+    // and (2, 0) in pair order — a reroute that rebuilt overrides in
+    // place would drop their detours while the flows still hold
+    // occupancy on them.
+    TopologyConfig mesh = net::topologies::torus2d();
+    mesh.torusDims = {3, 2};
+    mesh.torusWrap = false;
+    const auto topo = net::compileTopology(mesh, 6);
+    NetHarness h(topo, 1000.0);
+    h.start(0, 1, 0, 4096, SimTime::zero());
+    h.start(1, 2, 0, 8192, SimTime::zero());
+
+    const SimTime kill = SimTime::fromNs(1000);
+    h.net.setLinkScale(topo.route(1, 0)[1], 0.0);
+    h.net.applyScales(kill);
+    ASSERT_TRUE(h.net.rerouteDeadLinks(kill).ok);
+    for (const auto &[id, finish] : h.net.pendingReschedules())
+        h.events.push({finish.ns(), id});
+    h.net.clearPendingReschedules();
+
+    const SimTime sever = SimTime::fromNs(2000);
+    h.net.setLinkScale(topo.route(0, 5).back(), 0.0);
+    h.net.applyScales(sever);
+    EXPECT_TRUE(h.net.pendingReschedules().empty());
+    NetHarness twin = h; // never sees the failed reroute
+
+    const auto report = h.net.rerouteDeadLinks(sever);
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.src, 0);
+    EXPECT_EQ(report.dst, 5);
+    EXPECT_TRUE(h.net.pendingReschedules().empty());
+    for (int a = 0; a < topo.nodes(); ++a) {
+        for (int b = 0; b < topo.nodes(); ++b) {
+            const auto got = h.net.routeOf(a, b);
+            const auto want = twin.net.routeOf(a, b);
+            EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                                   want.begin(), want.end()))
+                << "route " << a << "->" << b;
+        }
+    }
+    for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
+        EXPECT_EQ(h.net.linkLoad(l), twin.net.linkLoad(l)) << l;
+
+    // Intact occupant lists hand out the same speedups when the
+    // first flow completes, so both drain identically (and drain()
+    // checks totalLoad() returns to 0).
+    const auto done = h.drain();
+    EXPECT_EQ(done, twin.drain());
+    EXPECT_EQ(done.size(), 2u);
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 
 #include "coll/schedule.hh"
 #include "core/analysis.hh"
+#include "net/network.hh"
+#include "net/topology.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
@@ -126,9 +128,8 @@ TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
 TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
 {
     // Every event pushed drains through the single pop site when no
-    // rollback ever clears the heap; the link network's
-    // touched-links filter splits recompute work into performed +
-    // skipped on a contended fabric.
+    // rollback ever clears the heap; the link network recomputes
+    // rates on a contended fabric.
     const auto bundle = testing::traceOf(
         4, testing::ringExchange(64 * 1024, 500'000, 4));
     auto platform = sim::platforms::defaultCluster();
@@ -144,6 +145,48 @@ TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
     sim::ReplaySession session;
     const auto viaSession = session.run(bundle.traces, platform);
     EXPECT_TRUE(viaSession.stats == result.stats);
+}
+
+TEST(EngineStatsTest, LinkNetworkVisitsOnlyFlowsSharingALink)
+{
+    // Radix-2 fat tree over 8 nodes: 0 -> 1 and 2 -> 3 each stay
+    // under their own leaf (injection + ejection link), so the two
+    // routes are disjoint. An admission walks its own two occupant
+    // lists: one recompute (itself) plus one repeat visit.
+    const auto topo =
+        net::compileTopology(net::topologies::fatTree(2), 8);
+    obs::EngineStats stats;
+    net::LinkNetwork network;
+    network.configure(&topo, 1000.0); // 1 B/ns
+    network.setStats(&stats);
+    network.start(0, 0, 1, 4096, SimTime::zero());
+    network.start(1, 2, 3, 8192, SimTime::zero());
+    EXPECT_EQ(stats.rateRecomputes, 2u);
+    EXPECT_EQ(stats.recomputesSkipped, 2u);
+
+    // Flow 0 completes; flow 1 shares none of its links and is not
+    // visited at all: no recompute, no repeat visit, no re-arm
+    // decision.
+    EXPECT_TRUE(network.onFinishEvent(0, SimTime::fromNs(4096)).done);
+    EXPECT_EQ(stats.rateRecomputes, 2u);
+    EXPECT_EQ(stats.recomputesSkipped, 2u);
+    EXPECT_EQ(stats.rearmsTaken, 0u);
+    EXPECT_EQ(stats.rearmsSkipped, 0u);
+    EXPECT_TRUE(network.pendingReschedules().empty());
+
+    // A flow joining flow 1's route finds both lists holding both
+    // flows: 4 visits, 2 recomputes. Cancelling it at once revisits
+    // flow 1 on both links (1 recompute + 1 repeat); its share
+    // returns to the full link, whose finish its armed event
+    // already covers, so the re-arm is skipped.
+    network.start(2, 2, 3, 4096, SimTime::fromNs(4096));
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 4u);
+    network.cancel(2, SimTime::fromNs(4096));
+    EXPECT_EQ(stats.rateRecomputes, 5u);
+    EXPECT_EQ(stats.recomputesSkipped, 5u);
+    EXPECT_EQ(stats.rearmsTaken, 0u);
+    EXPECT_EQ(stats.rearmsSkipped, 1u);
 }
 
 TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)
