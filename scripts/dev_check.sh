@@ -6,19 +6,21 @@
 #   1. tier-1:  default Release-ish build, full ctest suite
 #   2. ASAN:    OVLSIM_ASAN build, full ctest suite, then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs` and `ctest -L net` passes (the
-#               rollback arenas and snapshot splices are where
-#               lifetime bugs would live; generation builds large
-#               traces from raw loops; the trace exporter serializes
-#               raw span buffers; the link network's occupant pool
-#               is index-linked)
+#               `ctest -L obs`, `ctest -L net` and `ctest -L bus`
+#               passes (the rollback arenas and snapshot splices are
+#               where lifetime bugs would live; generation builds
+#               large traces from raw loops; the trace exporter
+#               serializes raw span buffers; the link network's
+#               occupant pool and the bus/NIC wait lists are
+#               index-linked)
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs` and `ctest -L net` passes (rollback
-#               deltas, generator index/byte arithmetic, the counter
-#               accumulations and the occupant-list indices are
-#               where integer bugs would live)
+#               `ctest -L obs`, `ctest -L net` and `ctest -L bus`
+#               passes (rollback deltas, generator index/byte
+#               arithmetic, the counter accumulations, the
+#               occupant-list and wait-list indices are where integer
+#               bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, parallel sweeps, scenario determinism, and —
 #               via test_obs's parallel label — the span buffers
@@ -64,21 +66,23 @@ if [[ "$FAST" == 1 ]]; then
     exit 0
 fi
 
-echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net labels) =="
+echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/bus labels) =="
 stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-asan" && ctest --output-on-failure -L res)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L gen)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L obs)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L net)
+(cd "$PREFIX-asan" && ctest --output-on-failure -L bus)
 
-echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net labels) =="
+echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/bus labels) =="
 stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L res)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L gen)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L obs)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L net)
+(cd "$PREFIX-ubsan" && ctest --output-on-failure -L bus)
 
 echo "== dev_check: stage 4/4 TSAN (parallel + coll + res + gen labels) =="
 stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_TSAN=ON

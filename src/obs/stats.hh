@@ -42,6 +42,10 @@ struct EngineStats
     std::uint64_t heapPops = 0;
     /** Channel-table accesses (postSend/postRecv FlatMap lookups). */
     std::uint64_t channelProbes = 0;
+    /** Flat-bus wait-list entries visited by admission scans: one
+     * per queued transfer tried (however many of the scanned lists
+     * hold it) plus one per already-started entry unlinked. */
+    std::uint64_t queueScanSteps = 0;
     /** Peak size of the transfer arena (exact-reserve check). */
     std::uint64_t arenaHighWater = 0;
     /** LinkNetwork bottleneck-rate recomputations performed: one
@@ -79,6 +83,7 @@ struct EngineStats
         heapPushes += o.heapPushes;
         heapPops += o.heapPops;
         channelProbes += o.channelProbes;
+        queueScanSteps += o.queueScanSteps;
         if (o.arenaHighWater > arenaHighWater)
             arenaHighWater = o.arenaHighWater;
         rateRecomputes += o.rateRecomputes;

@@ -133,11 +133,12 @@ enum : std::uint16_t {
 };
 
 /**
- * One point-to-point transfer, kept to a single cache line; the
- * arena of these is the engine's hottest memory. Fields needed only
- * for timeline capture (message id, tag, post/start instants) live
- * in the parallel TransferMeta arena, which is populated only when
- * the platform requests a timeline.
+ * One point-to-point transfer, kept to 48 bytes; the arena of these
+ * is the engine's hottest memory. Fields needed only for timeline
+ * capture (message id, tag, post/start instants) live in the
+ * parallel TransferMeta arena, which is populated only when the
+ * platform requests a timeline, and the links of bus/NIC admission
+ * live in the WaitNode pool, which only queued transfers use.
  */
 struct Transfer
 {
@@ -154,8 +155,6 @@ struct Transfer
     Rank dst = 0;
     /** Next unmatched send on the same channel (FIFO order). */
     std::uint32_t chanNext = npos32;
-    /** Next transfer queued for interconnect resources. */
-    std::uint32_t waitNext = npos32;
     std::uint16_t flags = 0;
 
     bool has(std::uint16_t f) const { return (flags & f) != 0; }
@@ -163,7 +162,33 @@ struct Transfer
     void clear(std::uint16_t f) { flags &= static_cast<std::uint16_t>(~f); }
 };
 
-static_assert(sizeof(Transfer) <= 64);
+static_assert(sizeof(Transfer) <= 48);
+
+/** Per-resource wait lists a queued transfer can be linked into. */
+enum : std::uint32_t {
+    waitBus = 0,
+    waitOut = 1,
+    waitIn = 2,
+};
+
+/**
+ * A queued transfer's links into the per-resource wait lists (see
+ * Engine::waitPool_): one successor per list kind, since a transfer
+ * waits on at most one bus list, one out list and one in list.
+ */
+struct WaitNode
+{
+    /** The waiting transfer; npos32 once it started. */
+    std::uint32_t transfer = npos32;
+    std::uint32_t next[3] = {npos32, npos32, npos32};
+};
+
+/** One FIFO wait list as head/tail indices into the WaitNode pool. */
+struct WaitList
+{
+    std::uint32_t head = npos32;
+    std::uint32_t tail = npos32;
+};
 
 /** Timeline-only transfer details (parallel to the transfer arena). */
 struct TransferMeta
@@ -309,7 +334,9 @@ class Engine
                        SimTime post_time);
     bool tryAcquireResources(const Transfer &transfer);
     void makeEligible(std::uint32_t idx, SimTime t);
-    void tryStartQueued(SimTime t);
+    void enqueueWaiting(std::uint32_t idx);
+    void releaseResources(std::size_t src_node, std::size_t dst_node);
+    void admitWaiting(SimTime t);
     void startTransfer(std::uint32_t idx, SimTime t);
     void handleInjected(std::uint32_t idx, SimTime t);
     void handleNetInjected(std::uint32_t idx, SimTime t);
@@ -503,7 +530,8 @@ class Engine
      * timeline (rollbacks splice it instead — wasted work is
      * recorded history, see restartFromCheckpoint) and the
      * consumed-failure marks (which must survive rollbacks) are
-     * deliberately absent.
+     * deliberately absent, as is the release window, which is
+     * always closed between events.
      */
     struct Snapshot
     {
@@ -514,9 +542,10 @@ class Engine
         std::vector<Transfer> transfers;
         std::vector<RecvPost> recvPool;
         std::uint32_t recvPoolFree = npos32;
-        std::uint32_t waitHead = npos32;
-        std::uint32_t waitTail = npos32;
-        bool resourcesFreed = false;
+        std::vector<WaitNode> waitPool;
+        WaitList busWait;
+        std::vector<WaitList> outWait;
+        std::vector<WaitList> inWait;
         FlatMap<ChannelKey, ChannelQueue> channels;
         std::vector<Barrier> barriers;
         int busFree = 0;
@@ -587,18 +616,34 @@ class Engine
     std::vector<RecvPost> recvPool_;
     std::uint32_t recvPoolFree_ = npos32;
 
-    /** Transfers queued for interconnect resources, FIFO. */
-    std::uint32_t waitHead_ = npos32;
-    std::uint32_t waitTail_ = npos32;
     /**
-     * True while resources have been released since the last full
-     * wait-queue scan — i.e. inside handleInjected's window between
-     * freeing capacity and its rescan, where queued entries may have
-     * become startable. Outside that window every queued entry is
-     * provably stuck, so makeEligible may test only its own
+     * Transfers queued for interconnect resources: one FIFO list per
+     * limited resource — the bus, each node's out links, each node's
+     * in links — and a queued transfer sits in the list of every
+     * limited resource it needs, through one WaitNode appended to
+     * waitPool_. Nodes are never reused within a run, so a pool
+     * index is the transfer's global queueing sequence number and
+     * merging lists by index visits waiters in global FIFO order. A
+     * transfer started through one list stays linked in the others
+     * until an admission scan meets it there and unlinks it.
+     */
+    std::vector<WaitNode> waitPool_;
+    WaitList busWait_;
+    std::vector<WaitList> outWait_;
+    std::vector<WaitList> inWait_;
+    /**
+     * Release window: true from the moment a finished injection or
+     * background flow gives back the bus, the out link of
+     * freedSrcNode_ and the in link of freedDstNode_ until the
+     * admission scan of exactly those three lists (admitWaiting)
+     * has run. Outside the window every queued transfer is provably
+     * stuck — one of its resources has no free unit, and only
+     * releases add units — so makeEligible may test only its own
      * transfer without breaking FIFO arbitration.
      */
     bool resourcesFreed_ = false;
+    std::size_t freedSrcNode_ = 0;
+    std::size_t freedDstNode_ = 0;
 
     /** (src, dst, tag) -> unmatched send/receive FIFOs. */
     FlatMap<ChannelKey, ChannelQueue> channels_;
@@ -700,8 +745,8 @@ Engine::reset()
     txMeta_.clear();
     recvPool_.clear();
     recvPoolFree_ = npos32;
-    waitHead_ = npos32;
-    waitTail_ = npos32;
+    waitPool_.clear();
+    busWait_ = WaitList{};
     resourcesFreed_ = false;
     channels_.clear();
     barriers_.clear();
@@ -748,6 +793,8 @@ Engine::run(const ReplayProgram &program,
                     platform_.outLinksPerNode);
     inFree_.assign(static_cast<std::size_t>(nodes),
                    platform_.inLinksPerNode);
+    outWait_.assign(static_cast<std::size_t>(nodes), WaitList{});
+    inWait_.assign(static_cast<std::size_t>(nodes), WaitList{});
     netMode_ = !platform_.topology.isFlat();
     if (netMode_) {
         // Compile-once seam: the route table depends only on the
@@ -1376,52 +1423,155 @@ Engine::makeEligible(std::uint32_t idx, SimTime t)
         startTransfer(idx, t);
         return;
     }
-    // Fast path: when no resources were freed since the last full
-    // scan, every queued transfer is still stuck, so enqueue-then-
-    // scan reduces to checking this transfer's resources directly
-    // (an acquire only shrinks capacity and cannot unstick others).
-    // Inside the release window (resourcesFreed_) older queued
-    // entries may be startable and FIFO demands they go first, so
-    // the full scan must run.
-    if (!resourcesFreed_ && tryAcquireResources(transfer)) {
+    // Inside a release window older waiters of the freed resources
+    // may be startable, and FIFO demands they go first: admit them
+    // before this transfer, which queues behind all of them.
+    if (resourcesFreed_)
+        admitWaiting(t);
+    // Every queued transfer is now stuck, so enqueue-then-scan
+    // reduces to checking this transfer's own resources (an acquire
+    // only shrinks capacity and cannot unstick anyone else).
+    if (tryAcquireResources(transfer)) {
         startTransfer(idx, t);
         return;
     }
-    if (waitTail_ == npos32)
-        waitHead_ = idx;
-    else
-        transfers_[waitTail_].waitNext = idx;
-    waitTail_ = idx;
-    if (resourcesFreed_)
-        tryStartQueued(t);
+    enqueueWaiting(idx);
 }
 
+/** Append transfer `idx` to the wait list of each limited resource. */
 void
-Engine::tryStartQueued(SimTime t)
+Engine::enqueueWaiting(std::uint32_t idx)
 {
-    std::uint32_t prev = npos32;
-    std::uint32_t idx = waitHead_;
-    while (idx != npos32) {
-        Transfer &transfer = transfers_[idx];
-        const std::uint32_t nxt = transfer.waitNext;
-        if (tryAcquireResources(transfer)) {
-            // Unlink from the wait queue.
-            if (prev == npos32)
-                waitHead_ = nxt;
-            else
-                transfers_[prev].waitNext = nxt;
-            if (waitTail_ == idx)
-                waitTail_ = prev;
-            transfer.waitNext = npos32;
-            startTransfer(idx, t);
-        } else {
-            prev = idx;
-        }
-        idx = nxt;
-    }
-    // Every remaining entry was just verified stuck against the
-    // current resource state.
+    const Transfer &transfer = transfers_[idx];
+    const auto node = static_cast<std::uint32_t>(waitPool_.size());
+    waitPool_.push_back(WaitNode{idx});
+    const auto append = [&](WaitList &list, std::uint32_t kind) {
+        if (list.tail == npos32)
+            list.head = node;
+        else
+            waitPool_[list.tail].next[kind] = node;
+        list.tail = node;
+    };
+    if (busesLimited())
+        append(busWait_, waitBus);
+    if (outLimited())
+        append(outWait_[nodeOf(transfer.src)], waitOut);
+    if (inLimited())
+        append(inWait_[nodeOf(transfer.dst)], waitIn);
+}
+
+/**
+ * Give back one bus plus the out link of `src_node` and the in link
+ * of `dst_node`, and open the release window that admitWaiting
+ * closes. A window holds exactly one release: both callers run the
+ * scan before their event handler returns.
+ */
+void
+Engine::releaseResources(std::size_t src_node, std::size_t dst_node)
+{
+    ovlAssert(!resourcesFreed_, "release inside a release window");
+    if (busesLimited())
+        ++busFree_;
+    if (outLimited())
+        ++outFree_[src_node];
+    if (inLimited())
+        ++inFree_[dst_node];
+    resourcesFreed_ = true;
+    freedSrcNode_ = src_node;
+    freedDstNode_ = dst_node;
+}
+
+/**
+ * Start every waiter that the last release made startable, in
+ * global queueing order, exactly as a scan of one global FIFO
+ * would. Only the lists of the freed resources are walked: a waiter
+ * on none of them was stuck at the previous scan (or at its own
+ * enqueue) on a resource nothing has given back since, so a full
+ * scan would skip it too. The walked lists merge by pool index,
+ * each candidate goes through the all-or-nothing
+ * tryAcquireResources, and a list stops as soon as its resource
+ * has no free unit left — every remaining entry needs that unit.
+ * Entries already started through another list are unlinked when
+ * met.
+ */
+void
+Engine::admitWaiting(SimTime t)
+{
     resourcesFreed_ = false;
+    struct Cursor
+    {
+        WaitList *list;
+        const int *free;
+        std::uint32_t kind;
+        std::uint32_t prev;
+        std::uint32_t node;
+    };
+    Cursor cursors[3];
+    int open = 0;
+    const auto add = [&](WaitList &list, const int &free,
+                         std::uint32_t kind) {
+        cursors[open++] = Cursor{&list, &free, kind, npos32, list.head};
+    };
+    if (busesLimited())
+        add(busWait_, busFree_, waitBus);
+    if (outLimited())
+        add(outWait_[freedSrcNode_], outFree_[freedSrcNode_], waitOut);
+    if (inLimited())
+        add(inWait_[freedDstNode_], inFree_[freedDstNode_], waitIn);
+
+    // Drop the cursor's node from its list; the cursor moves on.
+    const auto unlink = [&](Cursor &c) {
+        const std::uint32_t next = waitPool_[c.node].next[c.kind];
+        if (c.prev == npos32)
+            c.list->head = next;
+        else
+            waitPool_[c.prev].next[c.kind] = next;
+        if (c.list->tail == c.node)
+            c.list->tail = c.prev;
+        c.node = next;
+    };
+
+    while (open > 0) {
+        // Settle every open cursor on its next still-waiting entry
+        // and pick the oldest; close exhausted or saturated lists.
+        std::uint32_t oldest = npos32;
+        for (int k = 0; k < open;) {
+            Cursor &c = cursors[k];
+            while (c.node != npos32 && *c.free > 0 &&
+                   waitPool_[c.node].transfer == npos32) {
+                ++stats_.queueScanSteps;
+                unlink(c);
+            }
+            if (c.node == npos32 || *c.free <= 0) {
+                c = cursors[--open];
+                continue;
+            }
+            if (c.node < oldest)
+                oldest = c.node;
+            ++k;
+        }
+        if (oldest == npos32)
+            break;
+
+        ++stats_.queueScanSteps;
+        const std::uint32_t idx = waitPool_[oldest].transfer;
+        const bool admitted = tryAcquireResources(transfers_[idx]);
+        for (int k = 0; k < open; ++k) {
+            Cursor &c = cursors[k];
+            if (c.node != oldest)
+                continue;
+            if (admitted) {
+                unlink(c);
+            } else {
+                c.prev = c.node;
+                c.node = waitPool_[c.node].next[c.kind];
+            }
+        }
+        if (admitted) {
+            waitPool_[oldest].transfer = npos32;
+            startTransfer(idx, t);
+        }
+    }
 }
 
 void
@@ -1517,34 +1667,21 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
         handleNetInjected(idx, t);
         return;
     }
-    Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = transfers_[idx];
     // wakeRank/completeRequest below can re-enter postSend; the
     // exactly-reserved arena keeps `transfer` valid regardless, but
-    // read what the resource release needs first so this does not
-    // lean on the sizing invariant.
-    const bool local = transfer.has(tfLocal);
-    if (!local) {
-        const std::size_t src_node = nodeOf(transfer.src);
-        const std::size_t dst_node = nodeOf(transfer.dst);
-        if (busesLimited())
-            ++busFree_;
-        if (outLimited())
-            ++outFree_[src_node];
-        if (inLimited())
-            ++inFree_[dst_node];
-        // Queued transfers may now be startable; until the rescan
-        // below runs, makeEligible must not bypass the FIFO scan.
-        resourcesFreed_ = true;
-    }
+    // release its resources first so this does not lean on the
+    // sizing invariant.
+    if (!transfer.has(tfLocal))
+        releaseResources(nodeOf(transfer.src), nodeOf(transfer.dst));
 
     finishInjection(idx, t);
 
-    if (!local) {
-        if (waitHead_ != npos32)
-            tryStartQueued(t); // also clears resourcesFreed_
-        else
-            resourcesFreed_ = false; // nothing was waiting
-    }
+    // A rank woken above whose first remote post already ran the
+    // admission scan (makeEligible) closed the window; nothing was
+    // released since, so a second scan could start nothing.
+    if (resourcesFreed_)
+        admitWaiting(t);
 }
 
 /**
@@ -2150,17 +2287,9 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
     }
     scenActive_[i] = 0;
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    if (busesLimited())
-        ++busFree_;
-    if (outLimited())
-        ++outFree_[static_cast<std::size_t>(ev.nodeA)];
-    if (inLimited())
-        ++inFree_[static_cast<std::size_t>(ev.nodeB)];
-    resourcesFreed_ = true;
-    if (waitHead_ != npos32)
-        tryStartQueued(t); // also clears resourcesFreed_
-    else
-        resourcesFreed_ = false;
+    releaseResources(static_cast<std::size_t>(ev.nodeA),
+                     static_cast<std::size_t>(ev.nodeB));
+    admitWaiting(t);
 }
 
 /** Structured where-was-everyone report of a fail-stop at `t`. */
@@ -2271,6 +2400,7 @@ Engine::takeSnapshot(SimTime anchor)
 {
     ovlAssert(broadcastPending_ == 0,
               "checkpoint inside a release broadcast");
+    ovlAssert(!resourcesFreed_, "checkpoint inside a release window");
     Snapshot &s = snapshot_;
     s.anchor = anchor;
     s.events = events_;
@@ -2279,9 +2409,10 @@ Engine::takeSnapshot(SimTime anchor)
     s.transfers.assign(transfers_.begin(), transfers_.end());
     s.recvPool.assign(recvPool_.begin(), recvPool_.end());
     s.recvPoolFree = recvPoolFree_;
-    s.waitHead = waitHead_;
-    s.waitTail = waitTail_;
-    s.resourcesFreed = resourcesFreed_;
+    s.waitPool.assign(waitPool_.begin(), waitPool_.end());
+    s.busWait = busWait_;
+    s.outWait = outWait_;
+    s.inWait = inWait_;
     s.channels = channels_;
     s.barriers.assign(barriers_.begin(), barriers_.end());
     s.busFree = busFree_;
@@ -2428,9 +2559,10 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     std::copy(s.recvPool.begin(), s.recvPool.end(),
               recvPool_.begin());
     recvPoolFree_ = s.recvPoolFree;
-    waitHead_ = s.waitHead;
-    waitTail_ = s.waitTail;
-    resourcesFreed_ = s.resourcesFreed;
+    waitPool_.assign(s.waitPool.begin(), s.waitPool.end());
+    busWait_ = s.busWait;
+    outWait_ = s.outWait;
+    inWait_ = s.inWait;
     channels_ = s.channels;
     barriers_.assign(s.barriers.begin(), s.barriers.end());
     busFree_ = s.busFree;

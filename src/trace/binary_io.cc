@@ -1,5 +1,6 @@
 #include "binary_io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -64,7 +65,20 @@ class Writer
 class Reader
 {
   public:
-    explicit Reader(std::istream &is) : is_(is) {}
+    /** Measures the rest of a seekable stream once, so reservations
+     * sized from untrusted counts can be capped by it. */
+    explicit Reader(std::istream &is) : is_(is)
+    {
+        const auto here = is_.tellg();
+        if (here == std::istream::pos_type(-1))
+            return;
+        is_.seekg(0, std::ios::end);
+        const auto end = is_.tellg();
+        if (is_ && end != std::istream::pos_type(-1) && end >= here)
+            left_ = static_cast<std::uint64_t>(end - here);
+        is_.clear();
+        is_.seekg(here);
+    }
 
     void
     raw(void *data, std::size_t len)
@@ -73,6 +87,20 @@ class Reader
                  static_cast<std::streamsize>(len));
         if (!is_)
             fatal("binary trace: truncated stream");
+        left_ -= std::min<std::uint64_t>(left_, len);
+    }
+
+    /**
+     * How many of `count` claimed items of at least `item_bytes`
+     * each the rest of the stream can hold — what a reservation may
+     * ask for. 0 when the stream's size is unknown (not seekable):
+     * the containers then grow as items actually arrive, and a
+     * lying count ends in the truncated-stream error either way.
+     */
+    std::uint64_t
+    reservable(std::uint64_t count, std::size_t item_bytes) const
+    {
+        return std::min<std::uint64_t>(count, left_ / item_bytes);
     }
 
     template <typename T>
@@ -100,6 +128,8 @@ class Reader
 
   private:
     std::istream &is_;
+    /** Bytes left in the stream; 0 if unknown. */
+    std::uint64_t left_ = 0;
 };
 
 struct RecordBinWriter
@@ -289,7 +319,8 @@ readTraceBinary(std::istream &is)
             fatal("binary trace: rank ", rank, " out of range");
         const auto count = r.value<std::uint64_t>();
         auto &rt = traces.rankTrace(static_cast<Rank>(rank));
-        rt.records().reserve(count);
+        // The smallest record is its one-byte kind tag.
+        rt.records().reserve(r.reservable(count, 1));
         for (std::uint64_t k = 0; k < count; ++k)
             rt.append(readRecord(r));
     }
@@ -312,7 +343,11 @@ readTraceBinaryFile(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         fatal("cannot open binary trace '", path, "'");
-    return readTraceBinary(is);
+    try {
+        return readTraceBinary(is);
+    } catch (const FatalError &err) {
+        fatal(path, ": ", err.what());
+    }
 }
 
 void
@@ -369,14 +404,16 @@ readOverlapBinary(std::istream &is)
         const auto stores = r.value<std::uint64_t>();
         if (stores > (1ull << 32))
             fatal("binary overlap: implausible profile size");
-        info.blockLastStore.reserve(stores);
+        info.blockLastStore.reserve(
+            r.reservable(stores, sizeof(std::uint64_t)));
         for (std::uint64_t b = 0; b < stores; ++b)
             info.blockLastStore.push_back(
                 r.value<std::uint64_t>());
         const auto loads = r.value<std::uint64_t>();
         if (loads > (1ull << 32))
             fatal("binary overlap: implausible profile size");
-        info.blockFirstLoad.reserve(loads);
+        info.blockFirstLoad.reserve(
+            r.reservable(loads, sizeof(std::uint64_t)));
         for (std::uint64_t b = 0; b < loads; ++b)
             info.blockFirstLoad.push_back(
                 r.value<std::uint64_t>());
@@ -401,7 +438,11 @@ readOverlapBinaryFile(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         fatal("cannot open binary overlap '", path, "'");
-    return readOverlapBinary(is);
+    try {
+        return readOverlapBinary(is);
+    } catch (const FatalError &err) {
+        fatal(path, ": ", err.what());
+    }
 }
 
 } // namespace ovlsim::trace

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "tests/helpers.hh"
 #include "trace/binary_io.hh"
@@ -148,6 +153,101 @@ TEST(BinaryIoTest, RejectsCorruptedCollectiveOp)
     data[pos] = static_cast<char>(0x7f);
     std::istringstream is(data, std::ios::binary);
     EXPECT_THROW(readTraceBinary(is), FatalError);
+}
+
+/** Append the raw bytes of `v` (the format is little-endian, as is
+ * every supported host). */
+template <typename T>
+void
+put(std::string &out, T v)
+{
+    char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    out.append(bytes, sizeof(T));
+}
+
+/** A 44-byte trace: one rank whose header claims 2^40 records. */
+std::string
+hostileTraceHeader()
+{
+    std::string data = "OVLB";
+    put<std::uint32_t>(data, 1); // version
+    put<std::uint32_t>(data, 8); // name length
+    data += "hostile!";
+    put<double>(data, 1000.0);       // MIPS
+    put<std::uint32_t>(data, 1);     // ranks
+    put<std::uint32_t>(data, 0);     // rank
+    put<std::uint64_t>(data, 1ull << 40); // record count
+    return data;
+}
+
+TEST(BinaryIoTest, LyingRecordCountIsATruncationNotAnAllocation)
+{
+    const std::string data = hostileTraceHeader();
+    ASSERT_EQ(data.size(), 44u);
+    std::istringstream is(data, std::ios::binary);
+    try {
+        readTraceBinary(is);
+        FAIL() << "a 44-byte trace claiming 2^40 records parsed";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("truncated stream"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(BinaryIoTest, LyingProfileSizeIsATruncationNotAnAllocation)
+{
+    // One overlap entry whose block-store profile claims 2^32
+    // positions, the largest count the size check lets through.
+    std::string data = "OVLO";
+    put<std::uint32_t>(data, 1);  // version
+    put<std::uint64_t>(data, 1);  // message count
+    put<std::uint64_t>(data, 7);  // id
+    put<std::int32_t>(data, 0);   // src
+    put<std::int32_t>(data, 1);   // dst
+    put<std::int32_t>(data, 3);   // tag
+    for (int field = 0; field < 6; ++field)
+        put<std::uint64_t>(data, 64); // bytes .. blockBytes
+    put<std::uint64_t>(data, 1ull << 32); // stores
+    std::istringstream is(data, std::ios::binary);
+    try {
+        readOverlapBinary(is);
+        FAIL() << "an overlap entry claiming 2^32 stores parsed";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("truncated stream"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(BinaryIoTest, FileReadErrorsNameThePath)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string trace_path = dir + "ovl_bin_hostile_trace.bin";
+    const std::string overlap_path = dir + "ovl_bin_hostile_overlap.bin";
+    {
+        std::ofstream os(trace_path, std::ios::binary);
+        const std::string data = hostileTraceHeader();
+        os.write(data.data(), static_cast<std::streamsize>(data.size()));
+        std::ofstream overlap(overlap_path, std::ios::binary);
+        overlap.write("OVLO", 4); // the version field is cut off
+    }
+    for (const auto &[path, read] :
+         {std::pair<std::string, void (*)(const std::string &)>{
+              trace_path,
+              [](const std::string &p) { readTraceBinaryFile(p); }},
+          {overlap_path,
+           [](const std::string &p) { readOverlapBinaryFile(p); }}}) {
+        try {
+            read(path);
+            FAIL() << path << " parsed";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(path),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(BinaryIoTest, LargeTraceRoundTrips)

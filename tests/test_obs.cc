@@ -76,11 +76,13 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     a.heapPushes = 10;
     a.heapPops = 10;
     a.channelProbes = 4;
+    a.queueScanSteps = 6;
     a.arenaHighWater = 3;
     a.rollbackReworkNs = 100;
     obs::EngineStats b;
     b.heapPushes = 5;
     b.heapPops = 5;
+    b.queueScanSteps = 3;
     b.arenaHighWater = 7;
     b.collSteps = 2;
 
@@ -89,6 +91,7 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     EXPECT_EQ(ab.heapPushes, 15u);
     EXPECT_EQ(ab.heapPops, 15u);
     EXPECT_EQ(ab.channelProbes, 4u);
+    EXPECT_EQ(ab.queueScanSteps, 9u);
     EXPECT_EQ(ab.arenaHighWater, 7u);
     EXPECT_EQ(ab.collSteps, 2u);
     EXPECT_EQ(ab.rollbackReworkNs, 100u);
@@ -97,6 +100,7 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     obs::EngineStats ba = b;
     ba.merge(a);
     EXPECT_TRUE(ab == ba);
+    EXPECT_NE(ab.toString().find("queue_scan=9"), std::string::npos);
 }
 
 TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
@@ -112,6 +116,7 @@ TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
 
     const obs::EngineStats &stats = result.stats;
     EXPECT_EQ(stats.channelProbes, 2u);
+    EXPECT_EQ(stats.queueScanSteps, 0u);
     EXPECT_EQ(stats.arenaHighWater, 1u);
     EXPECT_EQ(stats.heapPops, stats.heapPushes);
     EXPECT_GT(stats.heapPushes, 0u);
@@ -123,6 +128,46 @@ TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
     const auto again =
         sim::simulate(traces, sim::platforms::defaultCluster());
     EXPECT_TRUE(again.stats == stats);
+}
+
+TEST(EngineStatsTest, AdmissionScansVisitOnlyTheFreedLists)
+{
+    // The single-bus FIFO scenario of test_engine_determinism, on
+    // one rank per node. Rank 0's 1 MB rendezvous to rank 1 takes
+    // the bus at t = 0; rank 3's 1 MB rendezvous to rank 2 (T1)
+    // queues on the bus, out[3] and in[2] lists.
+    //  - T0 injects: its release frees the bus, out[0] and in[1].
+    //    Woken rank 0 posts a 1 KB eager send to rank 2 (T2), which
+    //    first runs the scan: the bus list holds T1 (1 visit, it
+    //    starts); out[0] and in[1] are empty. T2 then finds the bus
+    //    taken and queues on the bus, out[0] and in[2] lists.
+    //  - T1 injects, freeing the bus, out[3] and in[2]: out[3] and
+    //    in[2] still hold the started T1 (2 unlink visits), then T2
+    //    heads both the bus and in[2] lists (1 visit, it starts).
+    //  - T2 injects, freeing the bus, out[0] and in[2]: out[0]
+    //    still holds the started T2 (1 unlink visit).
+    // 5 visits in all.
+    TraceSet traces("fifo", 4);
+    traces.rankTrace(0).append(SendRec{1, 1, 1'000'000, 1});
+    traces.rankTrace(0).append(SendRec{2, 2, 1'000, 2});
+    traces.rankTrace(1).append(RecvRec{0, 1, 1'000'000, 1});
+    traces.rankTrace(3).append(SendRec{2, 3, 1'000'000, 3});
+    traces.rankTrace(2).append(RecvRec{3, 3, 1'000'000, 3});
+    traces.rankTrace(2).append(RecvRec{0, 2, 1'000, 2});
+
+    auto platform = sim::platforms::defaultCluster();
+    platform.buses = 1;
+    platform.eagerThreshold = 4096;
+    const auto result = sim::simulate(traces, platform);
+    EXPECT_EQ(result.stats.queueScanSteps, 5u);
+    EXPECT_EQ(result.totalTime.ns(), 7'824'406);
+
+    // Unlimited links and bus: nothing ever queues.
+    platform.buses = 0;
+    platform.outLinksPerNode = 0;
+    platform.inLinksPerNode = 0;
+    EXPECT_EQ(sim::simulate(traces, platform).stats.queueScanSteps,
+              0u);
 }
 
 TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
