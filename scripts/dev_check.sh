@@ -11,16 +11,16 @@
 #               where lifetime bugs would live; generation builds
 #               large traces from raw loops; the trace exporter
 #               serializes raw span buffers; the link network's
-#               occupant pool and the bus/NIC wait lists are
-#               index-linked)
+#               occupant pool, the bus/NIC wait lists and the
+#               message-slot table are index-linked)
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net` and `ctest -L bus`
 #               passes (rollback deltas, generator index/byte
 #               arithmetic, the counter accumulations, the
-#               occupant-list and wait-list indices are where integer
-#               bugs would live)
+#               occupant-list, wait-list and message-slot indices are
+#               where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, parallel sweeps, scenario determinism, and —
 #               via test_obs's parallel label — the span buffers

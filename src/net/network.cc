@@ -335,6 +335,22 @@ LinkNetwork::shiftFlowClocks(SimTime delta)
     }
 }
 
+std::size_t
+LinkNetwork::stateBytes() const
+{
+    const auto bytes = [](const auto &v) {
+        return v.size() * sizeof(v[0]);
+    };
+    std::size_t total = bytes(linkRate_) + bytes(linkLoad_) +
+        bytes(linkShare_) + bytes(linkHead_) + bytes(occ_) +
+        bytes(linkBase_) + bytes(linkScale_) + bytes(scaleDirty_) +
+        bytes(overrideIdx_) + bytes(flows_) + bytes(slots_[0]) +
+        bytes(slots_[1]) + bytes(visit_) + bytes(reschedules_);
+    for (const auto &route : overrideRoutes_)
+        total += bytes(route);
+    return total;
+}
+
 void
 LinkNetwork::cancel(std::uint32_t id, SimTime now)
 {

@@ -197,6 +197,10 @@ class LinkNetwork
      */
     void shiftFlowClocks(SimTime delta);
 
+    /** Bytes of state a copy of this network moves (a checkpoint
+     * image or its restore), nested route overrides included. */
+    std::size_t stateBytes() const;
+
     /**
      * Resilience seam: abort in-flight flow `id` at `now` without
      * completing it (a fail-stop rollback cancels the transfer).

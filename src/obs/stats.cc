@@ -10,7 +10,7 @@ EngineStats::toString() const
     return strformat(
         "heap=%llu/%llu probes=%llu queue_scan=%llu arena_hw=%llu "
         "recompute=%llu/%llu rearm=%llu/%llu scen=%llu "
-        "coll_steps=%llu rework_ns=%llu",
+        "coll_steps=%llu rework_ns=%llu snapshot_bytes=%llu",
         static_cast<unsigned long long>(heapPushes),
         static_cast<unsigned long long>(heapPops),
         static_cast<unsigned long long>(channelProbes),
@@ -22,7 +22,8 @@ EngineStats::toString() const
         static_cast<unsigned long long>(rearmsSkipped),
         static_cast<unsigned long long>(scenarioEvents),
         static_cast<unsigned long long>(collSteps),
-        static_cast<unsigned long long>(rollbackReworkNs));
+        static_cast<unsigned long long>(rollbackReworkNs),
+        static_cast<unsigned long long>(snapshotBytes));
 }
 
 namespace {

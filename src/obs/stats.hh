@@ -40,7 +40,7 @@ struct EngineStats
     /** Events popped off the heap. Equal to heapPushes once a
      * replay drains; the pair pins the invariant cheaply. */
     std::uint64_t heapPops = 0;
-    /** Channel-table accesses (postSend/postRecv FlatMap lookups). */
+    /** Message-slot probes, one per posted send or receive. */
     std::uint64_t channelProbes = 0;
     /** Flat-bus wait-list entries visited by admission scans: one
      * per queued transfer tried (however many of the scanned lists
@@ -68,6 +68,9 @@ struct EngineStats
     /** Simulated time re-executed or paid as restart cost across
      * all rollbacks (sum of restore deltas), in nanoseconds. */
     std::uint64_t rollbackReworkNs = 0;
+    /** Bytes of engine state copied into checkpoint images (the
+     * t = 0 image included) plus bytes copied back out on restore. */
+    std::uint64_t snapshotBytes = 0;
 
     bool operator==(const EngineStats &) const = default;
 
@@ -93,6 +96,7 @@ struct EngineStats
         scenarioEvents += o.scenarioEvents;
         collSteps += o.collSteps;
         rollbackReworkNs += o.rollbackReworkNs;
+        snapshotBytes += o.snapshotBytes;
         return *this;
     }
 

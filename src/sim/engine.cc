@@ -15,7 +15,6 @@
 #include "sim/program.hh"
 #include "trace/record.hh"
 #include "util/dary_heap.hh"
-#include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/thread_pool.hh"
@@ -153,8 +152,6 @@ struct Transfer
     std::uint32_t recvReq = noRequest;
     Rank src = 0;
     Rank dst = 0;
-    /** Next unmatched send on the same channel (FIFO order). */
-    std::uint32_t chanNext = npos32;
     std::uint16_t flags = 0;
 
     bool has(std::uint16_t f) const { return (flags & f) != 0; }
@@ -199,26 +196,23 @@ struct TransferMeta
     Tag tag = 0;
 };
 
-/** An unmatched posted receive, pooled in Engine::recvPool_. */
+/** A receive waiting for its send, pooled in Engine::recvPool_. */
 struct RecvPost
 {
     std::uint32_t req = noRequest;
     SimTime postTime;
+    /** Next free pool entry (free list only). */
     std::uint32_t next = npos32;
 };
 
 /**
- * Both FIFO queues of one (src, dst, tag) channel as list heads into
- * the transfer arena (unmatched sends) and the receive-post pool
- * (unmatched receives). At most one side is non-empty at a time.
+ * Message-slot table entries (Engine::slots_): empty, the index of a
+ * posted send's transfer, or a RecvPost pool index tagged with
+ * slotRecv. Transfer indices stay below 2^28 (the event packing, see
+ * Event), so bit 31 is free for the tag.
  */
-struct ChannelQueue
-{
-    std::uint32_t sendHead = npos32;
-    std::uint32_t sendTail = npos32;
-    std::uint32_t recvHead = npos32;
-    std::uint32_t recvTail = npos32;
-};
+constexpr std::uint32_t slotEmpty = npos32;
+constexpr std::uint32_t slotRecv = 1u << 31;
 
 struct RankCtx
 {
@@ -233,6 +227,9 @@ struct RankCtx
     bool done = false;
     RankState blockState = RankState::idle;
     SimTime blockStart;
+    /** P2p side-table index of the next point-to-point op (advanced
+     * only under timeline capture, which reads message ids). */
+    std::uint32_t p2p = 0;
 
     /**
      * Request registers, pre-sized from the program. The compiler
@@ -377,6 +374,7 @@ class Engine
     void handleCheckpoint(std::uint32_t level, SimTime t);
     void freezeMachine(SimTime cost);
     void takeSnapshot(SimTime anchor);
+    void refreshGlobalImage();
     void restartFromCheckpoint(std::uint32_t i, SimTime t);
 
     bool
@@ -531,7 +529,9 @@ class Engine
      * recorded history, see restartFromCheckpoint) and the
      * consumed-failure marks (which must survive rollbacks) are
      * deliberately absent, as is the release window, which is
-     * always closed between events.
+     * always closed between events. Point-to-point matching state
+     * is the message-slot table, 4 bytes per paired message of the
+     * program, and the pool of receives waiting in it.
      */
     struct Snapshot
     {
@@ -546,7 +546,7 @@ class Engine
         WaitList busWait;
         std::vector<WaitList> outWait;
         std::vector<WaitList> inWait;
-        FlatMap<ChannelKey, ChannelQueue> channels;
+        std::vector<std::uint32_t> slots;
         std::vector<Barrier> barriers;
         int busFree = 0;
         std::vector<int> outFree;
@@ -565,6 +565,9 @@ class Engine
      * refreshed by every global checkpoint, restored by `all`
      * failures). */
     Snapshot snapshotGlobal_;
+
+    /** Bytes one copy of image `s` moves (stats_.snapshotBytes). */
+    std::uint64_t imageBytes(const Snapshot &s) const;
 
     /**
      * LinkNetwork flow-id offset of background flows. Transfer
@@ -612,7 +615,14 @@ class Engine
     /** Timeline-only fields, parallel to transfers_ (capture only). */
     std::vector<TransferMeta> txMeta_;
 
-    /** Pool backing the per-channel unmatched-receive lists. */
+    /**
+     * Message slots: one entry per send/receive pair the compiler
+     * made (sim/program.hh), holding whichever endpoint was posted
+     * first until the other meets it. Empty at the start of every
+     * replay.
+     */
+    std::vector<std::uint32_t> slots_;
+    /** Receives waiting in slots_, recycled through a free list. */
     std::vector<RecvPost> recvPool_;
     std::uint32_t recvPoolFree_ = npos32;
 
@@ -644,9 +654,6 @@ class Engine
     bool resourcesFreed_ = false;
     std::size_t freedSrcNode_ = 0;
     std::size_t freedDstNode_ = 0;
-
-    /** (src, dst, tag) -> unmatched send/receive FIFOs. */
-    FlatMap<ChannelKey, ChannelQueue> channels_;
 
     std::vector<Barrier> barriers_;
 
@@ -748,19 +755,18 @@ Engine::reset()
     waitPool_.clear();
     busWait_ = WaitList{};
     resourcesFreed_ = false;
-    channels_.clear();
     barriers_.clear();
-    // Every pooled CollExec is free at the start of a run (a
-    // previous run that threw may have left some marked busy).
+    // The CollExec pool starts empty, so what a run pools (and
+    // images) does not depend on the runs before it.
+    collExecs_.clear();
     collExecFree_.clear();
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(collExecs_.size()); ++i)
-        collExecFree_.push_back(i);
     doneRanks_ = 0;
     checkpointsTaken_ = 0;
     restarts_ = 0;
     scenNextIdx_ = 0;
     scenShift_ = SimTime::zero();
+    scenActive_.clear();
+    linkLatScale_.clear();
     scenConsumed_.clear();
     lastBurstInstr_ = 0;
     lastBurstDur_ = SimTime::zero();
@@ -894,23 +900,20 @@ Engine::run(const ReplayProgram &program,
     // The compiler counted the sends, so the transfer arena (one
     // entry per transfer ever posted, indices stable) can be sized
     // exactly: no growth mid-replay (collective schedule steps
-    // included — each send step posts exactly one transfer). The
-    // recv-post pool is left to grow on demand: posts are recycled
-    // through its free list, so it only ever holds the maximum
-    // number of simultaneously unmatched receives — usually a tiny
-    // fraction of the total.
-    transfers_.reserve(program.totalSends() + coll_sends);
+    // included — each send step posts exactly one transfer). Every
+    // index fits an event target, which also keeps bit 31 of the
+    // slot entries free. The recv-post pool is left to grow on
+    // demand: posts are recycled through its free list, so it only
+    // ever holds the maximum number of simultaneously waiting
+    // receives — usually a tiny fraction of the total.
+    const std::size_t sends = program.totalSends() + coll_sends;
+    ovlAssert(sends <= std::size_t{Event::targetMask} + 1,
+              "too many transfers for the event packing: ", sends);
+    transfers_.reserve(sends);
     if (capture_)
-        txMeta_.reserve(program.totalSends() + coll_sends);
+        txMeta_.reserve(sends);
     events_.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
-    // Scale the channel table with the program so big replays do
-    // not pay rehash churn.
-    std::size_t chan_guess = program.totalOps() / 8;
-    if (chan_guess < 256)
-        chan_guess = 256;
-    if (chan_guess > (1u << 16))
-        chan_guess = 1u << 16;
-    channels_.reserve(chan_guess);
+    slots_.assign(program.messageSlots(), slotEmpty);
 
     barriers_.assign(program.collectives().size(), Barrier{});
 
@@ -920,6 +923,7 @@ Engine::run(const ReplayProgram &program,
         ctx.kinds = program.kindsOf(r);
         ctx.ops = program.opsOf(r);
         ctx.end = static_cast<std::uint32_t>(program.opCount(r));
+        ctx.p2p = program.p2pBegin(r);
         ctx.regs.assign(program.registerCount(r), 0);
         ctx.result.rank = r;
         schedule(SimTime::zero(), EventKind::rankResume,
@@ -941,7 +945,7 @@ Engine::run(const ReplayProgram &program,
             schedule(ckptGlobalInterval_, EventKind::checkpoint, 1);
         takeSnapshot(SimTime::zero());
         if (ckptGlobalMode_)
-            snapshotGlobal_ = snapshot_;
+            refreshGlobalImage();
     }
 
     while (!events_.empty()) {
@@ -1264,7 +1268,8 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
                  std::uint32_t send_req)
 {
     // The compiler already rejected wildcard sentinels and
-    // out-of-range peers, and pre-packed the channel key.
+    // out-of-range peers, pre-packed the channel key and paired the
+    // send with its receive.
     const ChannelKey key = op.a;
     const Bytes bytes = op.b;
     const Rank dst = trace::channelDstOf(key);
@@ -1286,7 +1291,7 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     t.sendReq = send_req;
     if (capture_) {
         TransferMeta &meta = txMeta_.emplace_back();
-        meta.message = program_->p2pMeta(op.d).message;
+        meta.message = program_->p2pMeta(ctx.p2p++).message;
         meta.sendPost = ctx.now;
         meta.tag = trace::channelTagOf(key);
     }
@@ -1294,24 +1299,23 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     ++ctx.result.messagesSent;
     ctx.result.bytesSent += bytes;
 
-    // Match against an already-posted receive, FIFO per channel.
+    // Meet the paired receive if it was posted first; otherwise wait
+    // in the slot for it. A send without a partner never matches.
     ++stats_.channelProbes;
-    ChannelQueue &q = channels_[key];
-    if (q.recvHead != npos32) {
-        const std::uint32_t post_idx = q.recvHead;
-        q.recvHead = recvPool_[post_idx].next;
-        if (q.recvHead == npos32)
-            q.recvTail = npos32;
-        const RecvPost post = recvPool_[post_idx];
-        recvPool_[post_idx].next = recvPoolFree_;
-        recvPoolFree_ = post_idx;
-        matchTransfer(idx, post.req, post.postTime);
-    } else {
-        if (q.sendTail == npos32)
-            q.sendHead = idx;
-        else
-            transfers_[q.sendTail].chanNext = idx;
-        q.sendTail = idx;
+    if (op.d != noSlot) {
+        std::uint32_t &entry = slots_[op.d];
+        if (entry == slotEmpty) {
+            entry = idx;
+        } else {
+            ovlAssert((entry & slotRecv) != 0,
+                      "message slot holds two sends");
+            const std::uint32_t post_idx = entry & ~slotRecv;
+            entry = slotEmpty;
+            const RecvPost post = recvPool_[post_idx];
+            recvPool_[post_idx].next = recvPoolFree_;
+            recvPoolFree_ = post_idx;
+            matchTransfer(idx, post.req, post.postTime);
+        }
     }
 
     Transfer &stored = transfers_[idx];
@@ -1324,42 +1328,33 @@ void
 Engine::postRecv(RankCtx &ctx, const PackedOp &op,
                  std::uint32_t req)
 {
-    const ChannelKey key = op.a;
-    const Bytes bytes = op.b;
+    if (capture_)
+        ++ctx.p2p;
+    // Meet the paired send if it was posted first; otherwise wait in
+    // the slot for it. A receive without a partner never completes,
+    // and the replay ends in the deadlock diagnosis.
     ++stats_.channelProbes;
-    ChannelQueue &q = channels_[key];
-    if (q.sendHead != npos32) {
-        const std::uint32_t idx = q.sendHead;
-        q.sendHead = transfers_[idx].chanNext;
-        if (q.sendHead == npos32)
-            q.sendTail = npos32;
-        Transfer &t = transfers_[idx];
-        t.chanNext = npos32;
-        if (t.bytes != bytes) {
-            fatal("rank ", ctx.rank, ": recv of ", bytes,
-                  " bytes matches send of ", t.bytes,
-                  " bytes on channel ", trace::channelSrcOf(key),
-                  "->", ctx.rank, " tag ",
-                  trace::channelTagOf(key));
-        }
+    if (op.d == noSlot)
+        return;
+    std::uint32_t &entry = slots_[op.d];
+    if (entry != slotEmpty) {
+        ovlAssert((entry & slotRecv) == 0,
+                  "message slot holds two receives");
+        const std::uint32_t idx = entry;
+        entry = slotEmpty;
         matchTransfer(idx, req, ctx.now);
-    } else {
-        std::uint32_t post_idx;
-        if (recvPoolFree_ != npos32) {
-            post_idx = recvPoolFree_;
-            recvPoolFree_ = recvPool_[post_idx].next;
-        } else {
-            post_idx =
-                static_cast<std::uint32_t>(recvPool_.size());
-            recvPool_.emplace_back();
-        }
-        recvPool_[post_idx] = RecvPost{req, ctx.now, npos32};
-        if (q.recvTail == npos32)
-            q.recvHead = post_idx;
-        else
-            recvPool_[q.recvTail].next = post_idx;
-        q.recvTail = post_idx;
+        return;
     }
+    std::uint32_t post_idx;
+    if (recvPoolFree_ != npos32) {
+        post_idx = recvPoolFree_;
+        recvPoolFree_ = recvPool_[post_idx].next;
+    } else {
+        post_idx = static_cast<std::uint32_t>(recvPool_.size());
+        recvPool_.emplace_back();
+    }
+    recvPool_[post_idx] = RecvPost{req, ctx.now, npos32};
+    entry = post_idx | slotRecv;
 }
 
 void
@@ -2365,7 +2360,7 @@ Engine::handleCheckpoint(std::uint32_t level, SimTime t)
     // newest restartable image is always at least as recent at the
     // cheap level as at the expensive one.
     if (global)
-        snapshotGlobal_ = snapshot_;
+        refreshGlobalImage();
 }
 
 void
@@ -2413,7 +2408,7 @@ Engine::takeSnapshot(SimTime anchor)
     s.busWait = busWait_;
     s.outWait = outWait_;
     s.inWait = inWait_;
-    s.channels = channels_;
+    s.slots = slots_;
     s.barriers.assign(barriers_.begin(), barriers_.end());
     s.busFree = busFree_;
     s.outFree = outFree_;
@@ -2429,6 +2424,46 @@ Engine::takeSnapshot(SimTime anchor)
         s.collExecs.assign(collExecs_.begin(), collExecs_.end());
         s.collExecFree = collExecFree_;
     }
+    stats_.snapshotBytes += imageBytes(s);
+}
+
+/** Copy the image just taken to the global level (two-level mode). */
+void
+Engine::refreshGlobalImage()
+{
+    snapshotGlobal_ = snapshot_;
+    stats_.snapshotBytes += imageBytes(snapshot_);
+}
+
+/**
+ * The payload of every container image `s` holds; the fixed-size
+ * scalars are noise next to them. The network and collective
+ * members count only on the paths that image them.
+ */
+std::uint64_t
+Engine::imageBytes(const Snapshot &s) const
+{
+    const auto bytes = [](const auto &v) -> std::uint64_t {
+        return v.size() * sizeof(v[0]);
+    };
+    std::uint64_t total = bytes(s.events) + bytes(s.ranks) +
+        bytes(s.transfers) + bytes(s.recvPool) + bytes(s.waitPool) +
+        bytes(s.outWait) + bytes(s.inWait) + bytes(s.slots) +
+        bytes(s.barriers) + bytes(s.outFree) + bytes(s.inFree) +
+        bytes(s.scenActive) + bytes(s.linkLatScale);
+    for (const RankCtx &ctx : s.ranks)
+        total += bytes(ctx.regs);
+    if (netMode_)
+        total += s.network.stateBytes();
+    if (algorithmic_) {
+        total += bytes(s.collExecs) + bytes(s.collExecFree);
+        for (const CollExec &ex : s.collExecs) {
+            total += bytes(ex.slotTime) + bytes(ex.slotArrived) +
+                bytes(ex.cursor) + bytes(ex.rankTime) +
+                bytes(ex.rankState);
+        }
+    }
+    return total;
 }
 
 /**
@@ -2563,7 +2598,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     busWait_ = s.busWait;
     outWait_ = s.outWait;
     inWait_ = s.inWait;
-    channels_ = s.channels;
+    slots_ = s.slots;
     barriers_.assign(s.barriers.begin(), s.barriers.end());
     busFree_ = s.busFree;
     outFree_ = s.outFree;
@@ -2592,6 +2627,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // restart cost itself — the rework this rollback added.
     stats_.rollbackReworkNs +=
         static_cast<std::uint64_t>(delta.ns());
+    stats_.snapshotBytes += imageBytes(s);
 
     // The machine pays the restart: every rank alive in the
     // restored image spends [t, restore_at] rolling back.

@@ -4,20 +4,20 @@
  *
  * The engine executes compiled replay programs (sim/program.hh): the
  * trace's record streams lowered once into a flat instruction stream
- * with pre-packed channel keys, pre-linked request registers and
- * pre-resolved collective cost inputs. Replay converts instruction
- * bursts into time via the platform's MIPS rate and resolves MPI
- * semantics (blocking/non-blocking point-to-point with eager and
- * rendezvous protocols, FIFO per-channel matching, collectives) while
- * transfers contend for the platform's finite buses and per-node
- * links. The result is the application's reconstructed time-behaviour
- * on the configured platform.
+ * with pre-packed channel keys, sends pre-paired with their receives
+ * (FIFO per channel), pre-linked request registers and pre-resolved
+ * collective cost inputs. Replay converts instruction bursts into
+ * time via the platform's MIPS rate and resolves MPI semantics
+ * (blocking/non-blocking point-to-point with eager and rendezvous
+ * protocols, collectives) while transfers contend for the platform's
+ * finite buses and per-node links. The result is the application's
+ * reconstructed time-behaviour on the configured platform.
  *
  * Entry points:
  *  - simulate(traces, platform) compiles on entry and replays once —
  *    the right call for one-off replays.
  *  - ReplaySession replays many jobs back-to-back, keeping the
- *    engine's arenas (channel hash table, transfer pool, request
+ *    engine's arenas (message-slot table, transfer pool, request
  *    registers, event heap) alive between runs so steady-state
  *    replays allocate nothing. Its ReplayProgram overload skips
  *    compilation entirely — study campaigns compile each trace

@@ -158,6 +158,11 @@ checkPeer(Rank rank, std::size_t record, const char *what,
         fatal("rank ", rank, " record ", record, ": ", what,
               " peer rank ", peer, " outside [0, ", nranks, ")");
     }
+    constexpr Tag tagLimit = Tag(1) << trace::channelTagBits;
+    if (tag < 0 || tag >= tagLimit) {
+        fatal("rank ", rank, " record ", record, ": ", what, " tag ",
+              tag, " outside [0, ", tagLimit, ")");
+    }
 }
 
 void
@@ -169,6 +174,118 @@ checkRequest(Rank rank, std::size_t record, const char *what,
               " request id ", id, " out of range");
     }
 }
+
+bool
+isPointToPoint(std::uint8_t kind)
+{
+    const auto k = static_cast<RecordKind>(kind);
+    return k == RecordKind::send || k == RecordKind::isend ||
+        k == RecordKind::recv || k == RecordKind::irecv;
+}
+
+bool
+isSendKind(std::uint8_t kind)
+{
+    const auto k = static_cast<RecordKind>(kind);
+    return k == RecordKind::send || k == RecordKind::isend;
+}
+
+/**
+ * One-pass send/receive pairing. The endpoints of a channel still
+ * waiting for a partner are all of one side (sends or receives) and
+ * form a circular FIFO threaded through the `d` operands of the
+ * waiting ops: each points to the next newer one, and the newest
+ * back to the oldest. An endpoint that finds the other side waiting
+ * pairs with the oldest — the k-th send with the k-th receive,
+ * exactly the engine's historical run-time FIFO matching, since
+ * every rank posts in program order — and both get the next dense
+ * message slot. Only channels with endpoints waiting are mapped (to
+ * their newest one), so the table holds the unpaired frontier, not
+ * every channel. Endpoints still waiting when the program ends have
+ * no partner and get noSlot.
+ */
+class MessagePairer
+{
+  public:
+    /** Pairs endpoints of the streams compileTrace is emitting. */
+    MessagePairer(const std::vector<std::uint8_t> &kinds,
+                  std::vector<PackedOp> &ops,
+                  const std::vector<std::uint32_t> &rank_begin)
+        : kinds_(kinds), ops_(ops), rankBegin_(rank_begin)
+    {}
+
+    /** Pair the point-to-point op at stream position `at`. */
+    void
+    add(std::uint32_t at)
+    {
+        PackedOp &op = ops_[at];
+        std::uint32_t *newest = waiting_.find(op.a);
+        if (newest == nullptr) {
+            op.d = at;
+            waiting_.insertOrAssign(op.a, at);
+            return;
+        }
+        const std::uint32_t oldest = ops_[*newest].d;
+        if (isSendKind(kinds_[oldest]) == isSendKind(kinds_[at])) {
+            op.d = oldest;
+            ops_[*newest].d = at;
+            *newest = at;
+            return;
+        }
+        checkBytes(oldest, at);
+        if (oldest == *newest)
+            waiting_.erase(op.a);
+        else
+            ops_[*newest].d = ops_[oldest].d;
+        ops_[oldest].d = slots_;
+        op.d = slots_++;
+    }
+
+    /** Clear the links of every endpoint left without a partner;
+     * returns the number of message slots handed out. */
+    std::uint32_t
+    finish()
+    {
+        waiting_.forEach([&](trace::ChannelKey, std::uint32_t newest) {
+            std::uint32_t at = newest;
+            do {
+                const std::uint32_t next = ops_[at].d;
+                ops_[at].d = noSlot;
+                at = next;
+            } while (at != newest);
+        });
+        return slots_;
+    }
+
+  private:
+    /** Both ends of a message must carry the same byte count. */
+    void
+    checkBytes(std::uint32_t first, std::uint32_t second) const
+    {
+        const std::uint32_t send =
+            isSendKind(kinds_[first]) ? first : second;
+        const std::uint32_t recv = send == first ? second : first;
+        if (ops_[send].b == ops_[recv].b)
+            return;
+        const trace::ChannelKey key = ops_[send].a;
+        const Rank src = trace::channelSrcOf(key);
+        const Rank dst = trace::channelDstOf(key);
+        fatal("channel ", src, "->", dst, " tag ",
+              trace::channelTagOf(key), ": rank ", src, " record ",
+              send - rankBegin_[static_cast<std::size_t>(src)],
+              " sends ", ops_[send].b, " bytes but rank ", dst,
+              " record ",
+              recv - rankBegin_[static_cast<std::size_t>(dst)],
+              " receives ", ops_[recv].b, " bytes");
+    }
+
+    const std::vector<std::uint8_t> &kinds_;
+    std::vector<PackedOp> &ops_;
+    const std::vector<std::uint32_t> &rankBegin_;
+    /** Channel -> stream position of its newest waiting endpoint. */
+    FlatMap<trace::ChannelKey, std::uint32_t> waiting_;
+    std::uint32_t slots_ = 0;
+};
 
 } // namespace
 
@@ -210,11 +327,14 @@ compileTrace(const trace::TraceSet &traces)
     p.waitReqs_.reserve(wait_ops);
     p.rankBegin_.reserve(static_cast<std::size_t>(nranks) + 1);
     p.rankRegs_.reserve(static_cast<std::size_t>(nranks));
+    p.rankP2p_.reserve(static_cast<std::size_t>(nranks));
 
     RegisterAllocator regs;
+    MessagePairer pairer(p.kinds_, p.ops_, p.rankBegin_);
     for (Rank rank = 0; rank < nranks; ++rank) {
         p.rankBegin_.push_back(
             static_cast<std::uint32_t>(p.kinds_.size()));
+        p.rankP2p_.push_back(static_cast<std::uint32_t>(p.p2p_.size()));
         regs.reset();
         std::size_t coll_index = 0;
 
@@ -233,7 +353,6 @@ compileTrace(const trace::TraceSet &traces)
                 op.a = trace::channelKey(rank, s->dst, s->tag);
                 op.b = s->bytes;
                 op.c = noRegister;
-                op.d = static_cast<std::uint32_t>(p.p2p_.size());
                 p.p2p_.push_back(P2pMeta{s->message, 0});
                 ++p.totalSends_;
                 break;
@@ -247,7 +366,6 @@ compileTrace(const trace::TraceSet &traces)
                 op.a = trace::channelKey(rank, s->dst, s->tag);
                 op.b = s->bytes;
                 op.c = regs.allocate(rank, i, s->request);
-                op.d = static_cast<std::uint32_t>(p.p2p_.size());
                 p.p2p_.push_back(P2pMeta{s->message, s->request});
                 ++p.totalSends_;
                 break;
@@ -259,7 +377,6 @@ compileTrace(const trace::TraceSet &traces)
                 op.a = trace::channelKey(r->src, rank, r->tag);
                 op.b = r->bytes;
                 op.c = noRegister;
-                op.d = static_cast<std::uint32_t>(p.p2p_.size());
                 p.p2p_.push_back(P2pMeta{r->message, 0});
                 break;
               }
@@ -272,7 +389,6 @@ compileTrace(const trace::TraceSet &traces)
                 op.a = trace::channelKey(r->src, rank, r->tag);
                 op.b = r->bytes;
                 op.c = regs.allocate(rank, i, r->request);
-                op.d = static_cast<std::uint32_t>(p.p2p_.size());
                 p.p2p_.push_back(P2pMeta{r->message, r->request});
                 break;
               }
@@ -319,14 +435,18 @@ compileTrace(const trace::TraceSet &traces)
                 break;
               }
             }
+            const auto at = static_cast<std::uint32_t>(p.ops_.size());
             p.kinds_.push_back(
                 static_cast<std::uint8_t>(rec.index()));
             p.ops_.push_back(op);
+            if (isPointToPoint(p.kinds_.back()))
+                pairer.add(at);
         }
         p.rankRegs_.push_back(regs.tableSize());
     }
     p.rankBegin_.push_back(
         static_cast<std::uint32_t>(p.kinds_.size()));
+    p.messageSlots_ = pairer.finish();
     return p;
 }
 
@@ -338,11 +458,8 @@ compileShared(const trace::TraceSet &traces)
 }
 
 trace::Record
-ReplayProgram::decodeOp(Rank r, std::size_t i) const
+ReplayProgram::decodeAt(std::size_t at, std::uint32_t p2p) const
 {
-    ovlAssert(i < opCount(r), "decodeOp: op index out of range");
-    const std::size_t at =
-        rankBegin_[static_cast<std::size_t>(r)] + i;
     const PackedOp &op = ops_[at];
     switch (static_cast<RecordKind>(kinds_[at])) {
       case RecordKind::burst:
@@ -350,19 +467,19 @@ ReplayProgram::decodeOp(Rank r, std::size_t i) const
       case RecordKind::send:
         return SendRec{trace::channelDstOf(op.a),
                        trace::channelTagOf(op.a), op.b,
-                       p2p_[op.d].message};
+                       p2p_[p2p].message};
       case RecordKind::isend:
         return ISendRec{trace::channelDstOf(op.a),
                         trace::channelTagOf(op.a), op.b,
-                        p2p_[op.d].message, p2p_[op.d].request};
+                        p2p_[p2p].message, p2p_[p2p].request};
       case RecordKind::recv:
         return RecvRec{trace::channelSrcOf(op.a),
                        trace::channelTagOf(op.a), op.b,
-                       p2p_[op.d].message};
+                       p2p_[p2p].message};
       case RecordKind::irecv:
         return IRecvRec{trace::channelSrcOf(op.a),
                         trace::channelTagOf(op.a), op.b,
-                        p2p_[op.d].message, p2p_[op.d].request};
+                        p2p_[p2p].message, p2p_[p2p].request};
       case RecordKind::wait:
         return WaitRec{waitReqs_[op.d]};
       case RecordKind::waitAll:
@@ -371,18 +488,24 @@ ReplayProgram::decodeOp(Rank r, std::size_t i) const
         return CollectiveRec{collectives_[op.c].op, op.a, op.b,
                              static_cast<Rank>(op.d)};
     }
-    panic("decodeOp: corrupt op kind");
+    panic("decode: corrupt op kind");
 }
 
 trace::TraceSet
 ReplayProgram::decode() const
 {
     trace::TraceSet traces(name_, ranks(), mips_);
+    // The p2p side table follows the op stream, so one cursor walks
+    // both.
+    std::uint32_t p2p = 0;
     for (Rank r = 0; r < ranks(); ++r) {
         auto &rank_trace = traces.rankTrace(r);
-        const std::size_t count = opCount(r);
-        for (std::size_t i = 0; i < count; ++i)
-            rank_trace.append(decodeOp(r, i));
+        const std::size_t begin = rankBegin_[static_cast<std::size_t>(r)];
+        for (std::size_t at = begin; at < begin + opCount(r); ++at) {
+            rank_trace.append(decodeAt(at, p2p));
+            if (isPointToPoint(kinds_[at]))
+                ++p2p;
+        }
     }
     return traces;
 }

@@ -17,8 +17,15 @@
  * everything the replay loop does not touch per event:
  *
  *  - point-to-point ops carry their pre-packed trace::ChannelKey,
- *    payload bytes and a pre-linked request register inline; message
- *    and request ids (capture/decode only) live in a side table,
+ *    payload bytes, a pre-linked request register and a pre-paired
+ *    message slot inline; message and request ids (capture/decode
+ *    only) live in a side table,
+ *  - sends are paired with receives here, once: under MPI's
+ *    non-overtaking rule the k-th send on a (src, dst, tag) channel
+ *    matches the k-th receive on it whichever is posted first, so
+ *    both endpoints get one dense message slot and the engine meets
+ *    them through a per-replay slot table instead of matching
+ *    channels at run time,
  *  - Wait ops are pre-linked to the register their request was
  *    assigned, replacing the engine's per-replay request hash map
  *    with a direct array index,
@@ -29,12 +36,14 @@
  *
  * Compilation also front-loads validation the engine previously
  * repeated every replay (wildcard sentinels, peer-rank ranges,
- * request discipline, collective-sequence agreement), so the replay
- * loop runs a dense kind-switch with no variant access and no string
- * or hash work. Structural *completeness* (every send matched, every
+ * request discipline, collective-sequence agreement, equal byte
+ * counts on both ends of every message), so the replay loop runs a
+ * dense kind-switch with no variant access and no string or hash
+ * work. Structural *completeness* (every send matched, every
  * collective reached by all ranks) is deliberately not enforced here:
- * an incomplete trace compiles fine and the replay engine still
- * reports the deadlock with its usual per-rank diagnosis.
+ * an endpoint without a partner gets no message slot, so an
+ * incomplete trace compiles fine and the replay engine still reports
+ * the deadlock with its usual per-rank diagnosis.
  *
  * Programs are immutable after compilation and freely shared: study
  * campaigns hold one std::shared_ptr<const ReplayProgram> per trace
@@ -59,6 +68,9 @@ namespace ovlsim::sim {
 /** "No request register" marker in packed ops. */
 inline constexpr std::uint32_t noRegister = 0xFFFFFFFFu;
 
+/** "No message slot" marker: a point-to-point op without a partner. */
+inline constexpr std::uint32_t noSlot = 0xFFFFFFFFu;
+
 /**
  * One packed operand slot, 24 bytes. Interpretation by op kind
  * (kinds reuse trace::RecordKind, one byte in the parallel kind
@@ -67,10 +79,12 @@ inline constexpr std::uint32_t noRegister = 0xFFFFFFFFu;
  *   burst       a = instruction count
  *   send/isend  a = channel key (this rank -> dst), b = bytes,
  *               c = request register (noRegister for send),
- *               d = p2p side-table index (message/request ids)
+ *               d = message slot shared with the paired receive
+ *               (noSlot if none)
  *   recv/irecv  a = channel key (src -> this rank), b = bytes,
  *               c = request register (noRegister for recv),
- *               d = p2p side-table index
+ *               d = message slot shared with the paired send
+ *               (noSlot if none)
  *   wait        c = request register, d = wait side-table index
  *               (original request id, decode only)
  *   waitAll     (no operands)
@@ -79,6 +93,9 @@ inline constexpr std::uint32_t noRegister = 0xFFFFFFFFu;
  *
  * The per-rank byte counts of collective ops are decode-only; the
  * engine charges costs from the cross-rank-maxed CollectiveSpec.
+ * The message and request ids of point-to-point ops sit in the p2p
+ * side table in program order (rank r's k-th point-to-point op at
+ * p2pBegin(r) + k), so a packed op needs no index into it.
  */
 struct PackedOp
 {
@@ -86,6 +103,8 @@ struct PackedOp
     std::uint64_t b = 0;
     std::uint32_t c = 0;
     std::uint32_t d = 0;
+
+    bool operator==(const PackedOp &) const = default;
 };
 
 static_assert(sizeof(PackedOp) == 24);
@@ -116,6 +135,8 @@ struct P2pMeta
     trace::MessageId message = trace::invalidMessageId;
     /** Original trace request id; 0 for blocking ops. */
     trace::RequestId request = 0;
+
+    bool operator==(const P2pMeta &) const = default;
 };
 
 /**
@@ -148,6 +169,9 @@ class ReplayProgram
 
     /** Total point-to-point sends; sizes the transfer arena. */
     std::size_t totalSends() const { return totalSends_; }
+
+    /** Paired messages; sizes the engine's per-replay slot table. */
+    std::uint32_t messageSlots() const { return messageSlots_; }
 
     /** Number of ops in rank `r`'s stream. */
     std::size_t
@@ -185,27 +209,32 @@ class ReplayProgram
         return collectives_;
     }
 
+    /** Side-table index of rank `r`'s first point-to-point op. */
+    std::uint32_t
+    p2pBegin(Rank r) const
+    {
+        return rankP2p_[static_cast<std::size_t>(r)];
+    }
+
     const P2pMeta &
     p2pMeta(std::uint32_t index) const
     {
         return p2p_[index];
     }
 
-    /** Heap footprint of the compiled streams (cache accounting). */
+    /** Heap footprint of the compiled streams (cache accounting).
+     * Message slots ride in the point-to-point ops' `d` operands. */
     std::size_t
     memoryBytes() const
     {
         return kinds_.size() * sizeof(std::uint8_t) +
             ops_.size() * sizeof(PackedOp) +
-            (rankBegin_.size() + rankRegs_.size()) *
+            (rankBegin_.size() + rankRegs_.size() + rankP2p_.size()) *
                 sizeof(std::uint32_t) +
             collectives_.size() * sizeof(CollectiveSpec) +
             p2p_.size() * sizeof(P2pMeta) +
             waitReqs_.size() * sizeof(trace::RequestId);
     }
-
-    /** Decode op `i` of rank `r` back into the source record. */
-    trace::Record decodeOp(Rank r, std::size_t i) const;
 
     /**
      * Reconstruct the whole source trace set (name, MIPS rate and
@@ -214,8 +243,15 @@ class ReplayProgram
      */
     trace::TraceSet decode() const;
 
+    /** Two compiles of the same trace set are equal. */
+    bool operator==(const ReplayProgram &) const = default;
+
   private:
     friend ReplayProgram compileTrace(const trace::TraceSet &traces);
+
+    /** Decode the op at stream position `at`; `p2p` is its side-table
+     * index if it is a point-to-point op. */
+    trace::Record decodeAt(std::size_t at, std::uint32_t p2p) const;
 
     std::string name_;
     double mips_ = 1000.0;
@@ -227,6 +263,8 @@ class ReplayProgram
 
     /** Request-register table size per rank. */
     std::vector<std::uint32_t> rankRegs_;
+    /** First p2p side-table index per rank. */
+    std::vector<std::uint32_t> rankP2p_;
 
     std::vector<CollectiveSpec> collectives_;
     std::vector<P2pMeta> p2p_;
@@ -234,19 +272,21 @@ class ReplayProgram
     std::vector<trace::RequestId> waitReqs_;
 
     std::size_t totalSends_ = 0;
+    std::uint32_t messageSlots_ = 0;
 };
 
 /**
  * Lower `traces` into a ReplayProgram.
  *
- * Throws FatalError on traces the engine would reject during replay
- * (wildcard sentinels, peer ranks out of range, collective sequences
+ * Throws FatalError on traces the engine cannot replay (wildcard
+ * sentinels, peer ranks or tags out of range, collective sequences
  * whose operations disagree between ranks, a request id reposted
- * while still live) and PanicError on a Wait naming an unknown
- * request, matching the engine's historical error taxonomy.
- * Incomplete traces (unmatched sends/receives, missing collective
- * participants) compile successfully and deadlock at replay with the
- * engine's diagnosis.
+ * while still live, a send and its paired receive naming different
+ * byte counts) and PanicError on a Wait naming an unknown request,
+ * matching the engine's historical error taxonomy. Incomplete traces
+ * (unmatched sends/receives, missing collective participants)
+ * compile successfully and deadlock at replay with the engine's
+ * diagnosis.
  */
 ReplayProgram compileTrace(const trace::TraceSet &traces);
 

@@ -1,7 +1,9 @@
 #include "trace_io.hh"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -88,6 +90,29 @@ requireTokens(const std::vector<std::string> &tokens,
     }
 }
 
+/**
+ * Numeric field `i` of a line as a T. A field that is not a number,
+ * does not fit T, or is negative where T is unsigned (byte and
+ * instruction counts, ids) fails naming the line.
+ */
+template <typename T>
+T
+field(const std::vector<std::string> &tokens, std::size_t i,
+      std::size_t line_no)
+{
+    const std::string &text = tokens[i];
+    if (std::is_unsigned_v<T> && text.starts_with('-'))
+        parseError(line_no, "negative value '" + text + "'");
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range)
+        parseError(line_no, "value '" + text + "' out of range");
+    if (ec != std::errc() || stop != end)
+        parseError(line_no, "cannot parse '" + text + "' as a number");
+    return value;
+}
+
 } // namespace
 
 void
@@ -147,12 +172,14 @@ readTraceText(std::istream &is)
         }
         if (kind == "mips") {
             requireTokens(tokens, 2, line_no);
-            mips = parseDouble(tokens[1]);
+            mips = field<double>(tokens, 1, line_no);
+            if (!(mips > 0.0))
+                parseError(line_no, "MIPS rate must be positive");
             continue;
         }
         if (kind == "ranks") {
             requireTokens(tokens, 2, line_no);
-            ranks = static_cast<int>(parseInt(tokens[1]));
+            ranks = field<int>(tokens, 1, line_no);
             if (ranks <= 0)
                 parseError(line_no, "rank count must be positive");
             traces = TraceSet(name, ranks, mips);
@@ -162,7 +189,7 @@ readTraceText(std::istream &is)
             requireTokens(tokens, 2, line_no);
             if (ranks < 0)
                 parseError(line_no, "'rank' before 'ranks'");
-            const auto r = static_cast<Rank>(parseInt(tokens[1]));
+            const auto r = field<Rank>(tokens, 1, line_no);
             if (r < 0 || r >= ranks)
                 parseError(line_no, "rank out of range");
             current = &traces.rankTrace(r);
@@ -174,42 +201,35 @@ readTraceText(std::istream &is)
 
         if (kind == "c") {
             requireTokens(tokens, 2, line_no);
-            current->append(CpuBurst{
-                static_cast<Instr>(parseInt(tokens[1]))});
-        } else if (kind == "s") {
-            requireTokens(tokens, 5, line_no);
-            current->append(SendRec{
-                static_cast<Rank>(parseInt(tokens[1])),
-                static_cast<Tag>(parseInt(tokens[2])),
-                static_cast<Bytes>(parseInt(tokens[3])),
-                static_cast<MessageId>(parseInt(tokens[4]))});
-        } else if (kind == "is") {
-            requireTokens(tokens, 6, line_no);
-            current->append(ISendRec{
-                static_cast<Rank>(parseInt(tokens[1])),
-                static_cast<Tag>(parseInt(tokens[2])),
-                static_cast<Bytes>(parseInt(tokens[3])),
-                static_cast<MessageId>(parseInt(tokens[4])),
-                static_cast<RequestId>(parseInt(tokens[5]))});
-        } else if (kind == "r") {
-            requireTokens(tokens, 5, line_no);
-            current->append(RecvRec{
-                static_cast<Rank>(parseInt(tokens[1])),
-                static_cast<Tag>(parseInt(tokens[2])),
-                static_cast<Bytes>(parseInt(tokens[3])),
-                static_cast<MessageId>(parseInt(tokens[4]))});
-        } else if (kind == "ir") {
-            requireTokens(tokens, 6, line_no);
-            current->append(IRecvRec{
-                static_cast<Rank>(parseInt(tokens[1])),
-                static_cast<Tag>(parseInt(tokens[2])),
-                static_cast<Bytes>(parseInt(tokens[3])),
-                static_cast<MessageId>(parseInt(tokens[4])),
-                static_cast<RequestId>(parseInt(tokens[5]))});
+            current->append(
+                CpuBurst{field<Instr>(tokens, 1, line_no)});
+        } else if (kind == "s" || kind == "is" || kind == "r" ||
+                   kind == "ir") {
+            const bool nonblocking = kind.size() == 2;
+            requireTokens(tokens, nonblocking ? 6 : 5, line_no);
+            const auto peer = field<Rank>(tokens, 1, line_no);
+            const auto tag = field<Tag>(tokens, 2, line_no);
+            const auto bytes = field<Bytes>(tokens, 3, line_no);
+            const auto message = field<MessageId>(tokens, 4, line_no);
+            if (kind == "s") {
+                current->append(SendRec{peer, tag, bytes, message});
+            } else if (kind == "r") {
+                current->append(RecvRec{peer, tag, bytes, message});
+            } else {
+                const auto request =
+                    field<RequestId>(tokens, 5, line_no);
+                if (kind == "is") {
+                    current->append(
+                        ISendRec{peer, tag, bytes, message, request});
+                } else {
+                    current->append(
+                        IRecvRec{peer, tag, bytes, message, request});
+                }
+            }
         } else if (kind == "w") {
             requireTokens(tokens, 2, line_no);
-            current->append(WaitRec{
-                static_cast<RequestId>(parseInt(tokens[1]))});
+            current->append(
+                WaitRec{field<RequestId>(tokens, 1, line_no)});
         } else if (kind == "wa") {
             requireTokens(tokens, 1, line_no);
             current->append(WaitAllRec{});
@@ -217,9 +237,9 @@ readTraceText(std::istream &is)
             requireTokens(tokens, 5, line_no);
             current->append(CollectiveRec{
                 collOpFromName(tokens[1]),
-                static_cast<Bytes>(parseInt(tokens[2])),
-                static_cast<Bytes>(parseInt(tokens[3])),
-                static_cast<Rank>(parseInt(tokens[4]))});
+                field<Bytes>(tokens, 2, line_no),
+                field<Bytes>(tokens, 3, line_no),
+                field<Rank>(tokens, 4, line_no)});
         } else {
             parseError(line_no, "unknown record kind '" + kind + "'");
         }
@@ -236,7 +256,11 @@ readTraceFile(const std::string &path)
     std::ifstream is(path);
     if (!is)
         fatal("cannot open trace file '", path, "'");
-    return readTraceText(is);
+    try {
+        return readTraceText(is);
+    } catch (const FatalError &err) {
+        fatal(path, ": ", err.what());
+    }
 }
 
 void

@@ -2,13 +2,14 @@
  * @file
  * Open-addressing flat hash map for simulator hot paths.
  *
- * The replay engine keys per-channel FIFOs and per-rank request
- * tables by small integers; node-based std::map/unordered_map spend
- * most of their time chasing pointers and hitting the allocator. This
- * map stores key/value slots contiguously in one power-of-two array,
- * probes linearly (one cache line covers several probes) and erases
- * by backward shifting, so steady-state insert/find/erase never
- * allocate and never leave tombstones behind.
+ * The trace compiler keys its per-channel pairing frontier and
+ * per-rank request tables by small integers; node-based
+ * std::map/unordered_map spend most of their time chasing pointers
+ * and hitting the allocator. This map stores key/value slots
+ * contiguously in one power-of-two array, probes linearly (one cache
+ * line covers several probes) and erases by backward shifting, so
+ * steady-state insert/find/erase never allocate and never leave
+ * tombstones behind.
  *
  * Intentional non-goals: iterator/reference stability across
  * mutation, and allocator support. Iteration order is unspecified;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "sim/platform.hh"
@@ -17,6 +18,22 @@
 #include "vm/vm.hh"
 
 namespace ovlsim::testing {
+
+/** FNV-1a over the little-endian bytes of every rank's end time. */
+inline std::uint64_t
+endTimeHash(const sim::SimResult &result)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &rank : result.perRank) {
+        auto v = static_cast<std::uint64_t>(rank.endTime.ns());
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= v & 0xffu;
+            h *= 0x100000001b3ULL;
+            v >>= 8;
+        }
+    }
+    return h;
+}
 
 /**
  * Assert full structural equality of two replay results — the

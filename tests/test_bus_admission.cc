@@ -37,6 +37,8 @@
 #include "sim/platform.hh"
 #include "tracer/tracer.hh"
 
+#include "helpers.hh"
+
 namespace ovlsim {
 namespace {
 
@@ -48,29 +50,13 @@ struct Pin
     std::uint64_t endHash;
 };
 
-/** FNV-1a over the little-endian bytes of every rank's end time. */
-std::uint64_t
-endTimeHash(const sim::SimResult &result)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto &rank : result.perRank) {
-        auto v = static_cast<std::uint64_t>(rank.endTime.ns());
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= v & 0xffu;
-            h *= 0x100000001b3ULL;
-            v >>= 8;
-        }
-    }
-    return h;
-}
-
 void
 expectPin(const sim::SimResult &run, const Pin &pin,
           const std::string &what)
 {
     EXPECT_EQ(run.totalTime.ns(), pin.totalNs) << what;
     EXPECT_EQ(run.eventsProcessed, pin.events) << what;
-    EXPECT_EQ(endTimeHash(run), pin.endHash) << what;
+    EXPECT_EQ(testing::endTimeHash(run), pin.endHash) << what;
 }
 
 const std::vector<std::string> paperApps = {

@@ -79,12 +79,14 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     a.queueScanSteps = 6;
     a.arenaHighWater = 3;
     a.rollbackReworkNs = 100;
+    a.snapshotBytes = 4'096;
     obs::EngineStats b;
     b.heapPushes = 5;
     b.heapPops = 5;
     b.queueScanSteps = 3;
     b.arenaHighWater = 7;
     b.collSteps = 2;
+    b.snapshotBytes = 1'024;
 
     obs::EngineStats ab = a;
     ab.merge(b);
@@ -95,12 +97,15 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     EXPECT_EQ(ab.arenaHighWater, 7u);
     EXPECT_EQ(ab.collSteps, 2u);
     EXPECT_EQ(ab.rollbackReworkNs, 100u);
+    EXPECT_EQ(ab.snapshotBytes, 5'120u);
 
     // Commutative: fold order cannot matter for campaign rows.
     obs::EngineStats ba = b;
     ba.merge(a);
     EXPECT_TRUE(ab == ba);
     EXPECT_NE(ab.toString().find("queue_scan=9"), std::string::npos);
+    EXPECT_NE(ab.toString().find("snapshot_bytes=5120"),
+              std::string::npos);
 }
 
 TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
@@ -257,6 +262,72 @@ TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)
     EXPECT_GT(result.stats.scenarioEvents, 0u);
 }
 
+/**
+ * `messages` eager messages around a ring of four ranks, each on tag
+ * 7 or, with `tag_per_message`, on a tag of its own. Every channel
+ * carries its messages in posting order, so both forms pair and
+ * replay identically.
+ */
+TraceSet
+ringMessages(int messages, bool tag_per_message)
+{
+    TraceSet traces("ring", 4);
+    for (int m = 0; m < messages; ++m) {
+        const Rank src = m % 4;
+        const Rank dst = (src + 1) % 4;
+        const Tag tag = tag_per_message ? m : 7;
+        const auto id = static_cast<trace::MessageId>(m + 1);
+        traces.rankTrace(src).append(trace::CpuBurst{20'000});
+        traces.rankTrace(src).append(SendRec{dst, tag, 1'024, id});
+        traces.rankTrace(dst).append(RecvRec{src, tag, 1'024, id});
+    }
+    return traces;
+}
+
+/** ckptPlatform with a fail-stop of node 1 at `fail_us`. */
+sim::PlatformConfig
+failStopPlatform(double fail_us)
+{
+    auto platform = ckptPlatform(500.0, 5.0, 7.0);
+    platform.scenario.events.push_back(nodeFail(fail_us, 1));
+    return platform;
+}
+
+TEST(EngineStatsTest, SnapshotBytesCountImagesAndRestores)
+{
+    const auto traces = ringMessages(300, false);
+    EXPECT_EQ(sim::simulate(traces, sim::platforms::defaultCluster())
+                  .stats.snapshotBytes,
+              0u);
+
+    const auto platform = failStopPlatform(2'000.0);
+    const auto result = sim::simulate(traces, platform);
+    ASSERT_GE(result.checkpoints, 2u);
+    ASSERT_EQ(result.restarts, 1u);
+    EXPECT_GT(result.stats.snapshotBytes, 0u);
+
+    // A session that replayed other work first, and repeats, image
+    // exactly as much as the one-shot replay.
+    sim::ReplaySession session;
+    session.run(ringMessages(40, true), failStopPlatform(300.0));
+    for (int repeat = 0; repeat < 2; ++repeat) {
+        EXPECT_EQ(session.run(traces, platform).stats.snapshotBytes,
+                  result.stats.snapshotBytes);
+    }
+}
+
+TEST(EngineStatsTest, SnapshotBytesDoNotGrowWithTheTagCount)
+{
+    // Matching state is one slot per paired message, so giving
+    // every message a tag of its own images nothing extra.
+    const auto platform = failStopPlatform(2'000.0);
+    const auto shared = sim::simulate(ringMessages(300, false), platform);
+    const auto unique = sim::simulate(ringMessages(300, true), platform);
+    ASSERT_EQ(unique.totalTime, shared.totalTime);
+    ASSERT_GE(shared.checkpoints, 2u);
+    EXPECT_EQ(unique.stats.snapshotBytes, shared.stats.snapshotBytes);
+}
+
 // ---------------------------------------------------------------
 // Cache introspection.
 // ---------------------------------------------------------------
@@ -357,6 +428,31 @@ TEST(ObsCampaignTest, SweepStatsBitIdenticalAcrossThreadCounts)
     const auto again =
         core::bandwidthSweep(bundle, base, grid, variants, 1);
     EXPECT_TRUE(again.stats == reference.stats);
+}
+
+TEST(ObsCampaignTest, SnapshotBytesBitIdenticalAcrossThreadCounts)
+{
+    // Checkpointed sweep points land on different pooled sessions
+    // at each thread count; the image work must not depend on what
+    // a session replayed before.
+    const auto bundle = testing::traceOf(
+        4, testing::ringExchange(64 * 1024, 500'000, 4));
+    const auto base = failStopPlatform(1'500.0);
+    const auto grid = core::logBandwidthGrid(1.0, 4096.0, 2);
+    const auto variants = core::standardVariants(8);
+
+    const auto reference =
+        core::bandwidthSweep(bundle, base, grid, variants, 1);
+    EXPECT_GT(reference.stats.snapshotBytes, 0u);
+    for (const int threads : {2, 8}) {
+        const auto sweep = core::bandwidthSweep(
+            bundle, base, grid, variants, threads);
+        EXPECT_EQ(sweep.stats.snapshotBytes,
+                  reference.stats.snapshotBytes)
+            << "threads " << threads;
+        EXPECT_TRUE(sweep.stats == reference.stats)
+            << "threads " << threads;
+    }
 }
 
 TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)

@@ -10,10 +10,11 @@
  * equivalence: replaying a compiled program is bit-identical to the
  * compile-on-entry simulate() path on fresh engines and reused
  * sessions alike. (3) Compile-time validation: the lowering rejects
- * exactly what the engine used to reject at replay (wildcards, bad
- * peers, disagreeing collectives, request misuse) with the same
- * error taxonomy, while incomplete traces still compile and
- * deadlock at replay with the engine's diagnosis.
+ * what the engine used to reject at replay (wildcards, bad peers,
+ * disagreeing collectives, request misuse) with the same error
+ * taxonomy, plus tags outside the channel key and byte-count
+ * mismatches between paired endpoints, while incomplete traces still
+ * compile and deadlock at replay with the engine's diagnosis.
  */
 
 #include <gtest/gtest.h>
@@ -227,6 +228,54 @@ TEST(ProgramCompileTest, RejectsWildcardsAndBadPeers)
         traces.rankTrace(0).append(SendRec{5, 1, 64, 1});
         EXPECT_THROW(compile(traces), FatalError);
     }
+}
+
+TEST(ProgramCompileTest, RejectsTagsOutsideTheChannelKey)
+{
+    // Channel keys hold 30 tag bits; a tag outside them is a trace
+    // error naming the record, not a failed internal assertion.
+    for (const Tag tag : {Tag(1) << 30, Tag(-5)}) {
+        TraceSet traces("bad-tag", 2);
+        traces.rankTrace(0).append(CpuBurst{10});
+        traces.rankTrace(0).append(SendRec{1, tag, 64, 1});
+        traces.rankTrace(1).append(RecvRec{0, tag, 64, 1});
+        try {
+            sim::compileTrace(traces);
+            FAIL() << "tag " << tag << " compiled";
+        } catch (const FatalError &err) {
+            EXPECT_EQ(std::string(err.what()),
+                      "rank 0 record 1: send tag " +
+                          std::to_string(tag) +
+                          " outside [0, 1073741824)");
+        }
+    }
+}
+
+TEST(ProgramCompileTest, RejectsByteMismatchWhicheverSidePostsFirst)
+{
+    // Rank 0 sends 8 bytes that rank 1 receives as 16. A compute
+    // burst on one side decides which end posts first at run time;
+    // both orders fail the same way, before any replay.
+    const auto mismatch = [](bool recv_first) {
+        TraceSet traces("mismatch", 2);
+        auto &sender = traces.rankTrace(0);
+        auto &receiver = traces.rankTrace(1);
+        (recv_first ? sender : receiver).append(CpuBurst{1'000'000});
+        sender.append(SendRec{1, 0, 8, 1});
+        receiver.append(RecvRec{0, 0, 16, 1});
+        try {
+            simulate(traces, testing::platformAt(256.0));
+        } catch (const FatalError &err) {
+            return std::string(err.what());
+        }
+        return std::string("replayed");
+    };
+    EXPECT_EQ(mismatch(true),
+              "channel 0->1 tag 0: rank 0 record 1 sends 8 bytes but "
+              "rank 1 record 0 receives 16 bytes");
+    EXPECT_EQ(mismatch(false),
+              "channel 0->1 tag 0: rank 0 record 0 sends 8 bytes but "
+              "rank 1 record 1 receives 16 bytes");
 }
 
 TEST(ProgramCompileTest, RejectsRequestMisuse)

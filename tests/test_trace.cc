@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "trace/link.hh"
 #include "trace/record.hh"
@@ -160,6 +162,58 @@ TEST(TraceIoTest, RejectsRankOutOfRange)
 {
     std::stringstream stream("#OVLSIM-TRACE 1\nranks 1\nrank 3\n");
     EXPECT_THROW(readTraceText(stream), FatalError);
+}
+
+/** The FatalError message reading `records` (as rank 0 of a
+ * two-rank trace, from line 4 on) raises. */
+std::string
+readError(const std::string &records)
+{
+    std::stringstream stream("#OVLSIM-TRACE 1\nranks 2\nrank 0\n" +
+                             records);
+    try {
+        readTraceText(stream);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "parsed";
+}
+
+TEST(TraceIoTest, RejectsNegativeByteCounts)
+{
+    EXPECT_EQ(readError("s 1 0 -8 0\n"),
+              "trace parse error at line 4: negative value '-8'");
+}
+
+TEST(TraceIoTest, RejectsNegativeInstructionCounts)
+{
+    EXPECT_EQ(readError("c -1\n"),
+              "trace parse error at line 4: negative value '-1'");
+}
+
+TEST(TraceIoTest, NonNumericFieldsNameTheLine)
+{
+    EXPECT_EQ(readError("c 10\ns 1 x 8 0\n"),
+              "trace parse error at line 5: cannot parse 'x' as a "
+              "number");
+}
+
+TEST(TraceIoTest, FileReadErrorsNameThePath)
+{
+    const std::string path =
+        ::testing::TempDir() + "ovl_bad_trace.txt";
+    {
+        std::ofstream os(path);
+        os << "#OVLSIM-TRACE 1\nranks 1\nrank 0\nc 1x\n";
+    }
+    try {
+        readTraceFile(path);
+        FAIL() << path << " parsed";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  path + ": trace parse error at line 4: cannot "
+                         "parse '1x' as a number");
+    }
 }
 
 TEST(OverlapIoTest, RoundTrip)
