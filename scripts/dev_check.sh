@@ -6,20 +6,23 @@
 #   1. tier-1:  default Release-ish build, full ctest suite
 #   2. ASAN:    OVLSIM_ASAN build, full ctest suite, then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs`, `ctest -L net` and `ctest -L bus`
-#               passes (the rollback arenas and snapshot splices are
-#               where lifetime bugs would live; generation builds
-#               large traces from raw loops; the trace exporter
-#               serializes raw span buffers; the link network's
-#               occupant pool, the bus/NIC wait lists and the
-#               message-slot table are index-linked)
+#               `ctest -L obs`, `ctest -L net`, `ctest -L scale` and
+#               `ctest -L bus` passes (the rollback arenas and
+#               snapshot splices are where lifetime bugs would live;
+#               generation builds large traces from raw loops; the
+#               trace exporter serializes raw span buffers; the link
+#               network's occupant pool and per-flow hop slots, the
+#               bus/NIC wait lists and the message-slot table are
+#               index-linked, and only the 4096-node scale tests
+#               reach the large link and hop-slot indices)
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs`, `ctest -L net` and `ctest -L bus`
-#               passes (rollback deltas, generator index/byte
-#               arithmetic, the counter accumulations, the
-#               occupant-list, wait-list and message-slot indices are
+#               `ctest -L obs`, `ctest -L net`, `ctest -L scale` and
+#               `ctest -L bus` passes (rollback deltas, generator
+#               index/byte arithmetic, the counter accumulations, the
+#               occupant-list, hop-slot, wait-list and message-slot
+#               indices and the computed-route index arithmetic are
 #               where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, parallel sweeps, scenario determinism, and —
@@ -66,22 +69,24 @@ if [[ "$FAST" == 1 ]]; then
     exit 0
 fi
 
-echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/bus labels) =="
+echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/scale/bus labels) =="
 stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-asan" && ctest --output-on-failure -L res)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L gen)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L obs)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L net)
+(cd "$PREFIX-asan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L bus)
 
-echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/bus labels) =="
+echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/scale/bus labels) =="
 stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L res)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L gen)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L obs)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L net)
+(cd "$PREFIX-ubsan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L bus)
 
 echo "== dev_check: stage 4/4 TSAN (parallel + coll + res + gen labels) =="

@@ -44,18 +44,52 @@ LinkNetwork::configure(const CompiledTopology *topo,
     }
     linkScale_.assign(links, 1.0);
     scaleDirty_.clear();
-    overrideIdx_.clear();
-    overrideRoutes_.clear();
+    overrideKeys_.clear();
+    overrideBegin_.clear();
+    overrideLinks_.clear();
     linkLoad_.assign(links, 0);
     linkShare_.assign(links, 0.0);
     linkHead_.assign(links, npos);
     occ_.clear();
     occFree_ = npos;
     flows_.clear();
+    hops_.clear();
+    stride_ = topo->maxRouteLength();
+    gone_.clear();
     slots_[0].clear();
     slots_[1].clear();
     nextSeq_ = 0;
     reschedules_.clear();
+}
+
+std::uint32_t
+LinkNetwork::resolve(int src, int dst, std::uint32_t *out) const
+{
+    if (!overrideKeys_.empty()) {
+        const std::uint64_t key = pairKey(src, dst);
+        const auto it = std::lower_bound(overrideKeys_.begin(),
+                                         overrideKeys_.end(), key);
+        if (it != overrideKeys_.end() && *it == key) {
+            const auto i =
+                static_cast<std::size_t>(it - overrideKeys_.begin());
+            const std::uint32_t *begin =
+                overrideLinks_.data() + overrideBegin_[i];
+            const std::uint32_t *end =
+                overrideLinks_.data() + overrideBegin_[i + 1];
+            std::copy(begin, end, out);
+            return static_cast<std::uint32_t>(end - begin);
+        }
+    }
+    return static_cast<std::uint32_t>(
+        topo_->route(src, dst, {out, stride_}).size());
+}
+
+std::vector<std::uint32_t>
+LinkNetwork::routeOf(int src, int dst) const
+{
+    std::vector<std::uint32_t> route(stride_);
+    route.resize(resolve(src, dst, route.data()));
+    return route;
 }
 
 void
@@ -71,7 +105,9 @@ LinkNetwork::occupy(std::uint32_t slot)
 {
     Flow &flow = flows_[slot];
     flow.occ = npos;
-    for (const std::uint32_t link : routeOf(flow.src, flow.dst)) {
+    flow.hops = resolve(flow.src, flow.dst,
+                        hops_.data() + std::size_t{slot} * stride_);
+    for (const std::uint32_t link : hopsOf(slot)) {
         std::uint32_t n = occFree_;
         if (n == npos) {
             n = static_cast<std::uint32_t>(occ_.size());
@@ -130,11 +166,10 @@ LinkNetwork::collect(std::span<const std::uint32_t> links)
 }
 
 double
-LinkNetwork::bottleneckRate(const Flow &flow) const
+LinkNetwork::bottleneckRate(std::uint32_t slot) const
 {
     double rate = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t link :
-         routeOf(flow.src, flow.dst)) {
+    for (const std::uint32_t link : hopsOf(slot)) {
         if (linkShare_[link] < rate)
             rate = linkShare_[link];
     }
@@ -175,7 +210,7 @@ LinkNetwork::rebalance(SimTime now)
         flow.collected = false;
         if (stats_)
             ++stats_->rateRecomputes;
-        const double rate = bottleneckRate(flow);
+        const double rate = bottleneckRate(slot);
         if (rate == flow.rate) {
             if (stats_)
                 ++stats_->rearmsSkipped;
@@ -240,6 +275,7 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     ovlAssert(entry == npos, "LinkNetwork: flow id already in flight");
     entry = slot;
     flows_.push_back(flow);
+    hops_.resize(flows_.size() * stride_);
     occupy(slot);
 
     // Occupancy only grew, so rates can only drop: no flow's armed
@@ -248,10 +284,10 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     // lastUpdate ahead of older flows; advanceAll clamps dt >= 0.)
     // Only the flows sharing a link with the admitted one see a
     // share change; the rest are not even visited.
-    collect(routeOf(src, dst));
+    collect(hopsOf(slot));
     for (const std::uint32_t s : visit_) {
         flows_[s].collected = false;
-        flows_[s].rate = bottleneckRate(flows_[s]);
+        flows_[s].rate = bottleneckRate(s);
         if (stats_)
             ++stats_->rateRecomputes;
     }
@@ -301,6 +337,7 @@ LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
     FinishCheck check;
     check.done = true;
     check.retry = now;
+    check.route = gone_;
     return check;
 }
 
@@ -308,20 +345,27 @@ void
 LinkNetwork::remove(std::uint32_t slot, SimTime now)
 {
     advanceAll(now);
-    const int src = flows_[slot].src;
-    const int dst = flows_[slot].dst;
+    // The hole is refilled below; the freed links are kept aside
+    // for the rebalance (and the caller's arrival pricing).
+    const auto route = hopsOf(slot);
+    gone_.assign(route.begin(), route.end());
     vacate(slot);
     slotOf(flows_[slot].id) = npos;
-    if (slot + 1 != flows_.size()) {
+    const auto last = static_cast<std::uint32_t>(flows_.size() - 1);
+    if (slot != last) {
         Flow &moved = flows_[slot];
-        moved = flows_.back();
+        moved = flows_[last];
         slotOf(moved.id) = slot;
         for (std::uint32_t n = moved.occ; n != npos;
              n = occ_[n].sibling)
             occ_[n].flow = slot;
+        std::copy_n(hops_.data() + std::size_t{last} * stride_,
+                    moved.hops,
+                    hops_.data() + std::size_t{slot} * stride_);
     }
     flows_.pop_back();
-    collect(routeOf(src, dst));
+    hops_.resize(flows_.size() * stride_);
+    collect(gone_);
     rebalance(now);
 }
 
@@ -341,14 +385,13 @@ LinkNetwork::stateBytes() const
     const auto bytes = [](const auto &v) {
         return v.size() * sizeof(v[0]);
     };
-    std::size_t total = bytes(linkRate_) + bytes(linkLoad_) +
-        bytes(linkShare_) + bytes(linkHead_) + bytes(occ_) +
-        bytes(linkBase_) + bytes(linkScale_) + bytes(scaleDirty_) +
-        bytes(overrideIdx_) + bytes(flows_) + bytes(slots_[0]) +
-        bytes(slots_[1]) + bytes(visit_) + bytes(reschedules_);
-    for (const auto &route : overrideRoutes_)
-        total += bytes(route);
-    return total;
+    return bytes(linkRate_) + bytes(linkLoad_) + bytes(linkShare_) +
+        bytes(linkHead_) + bytes(occ_) + bytes(linkBase_) +
+        bytes(linkScale_) + bytes(scaleDirty_) +
+        bytes(overrideKeys_) + bytes(overrideBegin_) +
+        bytes(overrideLinks_) + bytes(flows_) + bytes(hops_) +
+        bytes(gone_) + bytes(slots_[0]) + bytes(slots_[1]) +
+        bytes(visit_) + bytes(reschedules_);
 }
 
 void
@@ -372,6 +415,7 @@ LinkNetwork::cancelAll(SimTime now)
         slotOf(flows_[slot].id) = npos;
     }
     flows_.clear();
+    hops_.clear();
     reschedules_.clear();
 }
 
@@ -436,21 +480,19 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
         std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> parent(topo_->vertexCount());
     std::vector<std::uint32_t> queue;
+    std::vector<std::uint32_t> computed(topo_->maxRouteLength());
 
-    // Build the overrides aside; nothing is committed until every
-    // pair has a surviving path.
-    std::vector<std::int32_t> overrideIdx(
-        static_cast<std::size_t>(nodes) *
-            static_cast<std::size_t>(nodes),
-        -1);
-    std::vector<std::vector<std::uint32_t>> overrideRoutes;
+    // Build the overrides aside, in pair order (so the keys come out
+    // sorted); nothing is committed until every pair has a
+    // surviving path.
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> detours;
+    std::size_t stride = topo_->maxRouteLength();
     for (int s = 0; s < nodes; ++s) {
         for (int d = 0; d < nodes; ++d) {
-            if (s == d)
-                continue;
-            const auto compiled = topo_->route(s, d);
-            if (!isDead(compiled))
-                continue; // compiled route survives; no override
+            if (s == d || !isDead(topo_->route(s, d, computed)))
+                continue; // computed route survives; no override
             // Shortest surviving path s -> d by hop count.
             parent.assign(parent.size(), noParent);
             queue.clear();
@@ -479,30 +521,37 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
                 report.dst = d;
                 return report;
             }
-            std::vector<std::uint32_t> path;
+            const std::size_t first = detours.size();
             for (std::uint32_t v = static_cast<std::uint32_t>(d);
                  v != static_cast<std::uint32_t>(s);
                  v = topo_->linkFrom(parent[v]))
-                path.push_back(parent[v]);
-            std::reverse(path.begin(), path.end());
-            overrideIdx[rowOf(s, d)] = static_cast<std::int32_t>(
-                overrideRoutes.size());
-            overrideRoutes.push_back(std::move(path));
+                detours.push_back(parent[v]);
+            std::reverse(detours.begin() +
+                             static_cast<std::ptrdiff_t>(first),
+                         detours.end());
+            stride = std::max(stride, detours.size() - first);
+            keys.push_back(pairKey(s, d));
+            offsets.push_back(
+                static_cast<std::uint32_t>(detours.size()));
         }
     }
 
     // Commit: settle progress, move every flow's occupancy from the
-    // route it held to its new effective one, then recompute every
-    // rate — occupancies may have moved anywhere. Total load is
-    // conserved: each flow holds exactly one route's worth at a time.
+    // route it held to its new effective one (re-resolved into hop
+    // slots of the new stride), then recompute every rate —
+    // occupancies may have moved anywhere. Total load is conserved:
+    // each flow holds exactly one route's worth at a time.
     advanceAll(now);
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot)
         vacate(slot);
-    overrideRoutes_ = std::move(overrideRoutes);
-    if (overrideRoutes_.empty())
-        overrideIdx_.clear();
+    overrideKeys_ = std::move(keys);
+    overrideLinks_ = std::move(detours);
+    if (overrideKeys_.empty())
+        overrideBegin_.clear();
     else
-        overrideIdx_ = std::move(overrideIdx);
+        overrideBegin_ = std::move(offsets);
+    stride_ = stride;
+    hops_.resize(flows_.size() * stride_);
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
         occupy(slot);
         visit_.push_back(slot);

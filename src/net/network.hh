@@ -3,8 +3,8 @@
  * Link-level contention model over compiled topologies.
  *
  * LinkNetwork tracks the set of in-flight transfers (flows) of one
- * replay. A flow occupies every link of its compiled route for its
- * whole serialization; each link's capacity is shared equally among
+ * replay. A flow occupies every link of its route for its whole
+ * serialization; each link's capacity is shared equally among
  * its occupants, and a flow progresses at the bandwidth of its
  * bottleneck link share — a simplified fluid model re-evaluated at
  * event granularity, in the spirit of SimGrid's flow-level network
@@ -21,11 +21,16 @@
  *    re-arms itself) and speed up eagerly (completions emit
  *    reschedules via pendingReschedules()).
  *
- * Every link keeps a list of the flows occupying it, so a join,
- * leave, cancel or rescale visits only the flows that share a link
- * with the change; flows elsewhere keep their (still exact) shares
- * and armed events untouched. Only the progress settle (advanceAll)
- * walks every flow.
+ * Each flow carries its own hops: its effective route (the
+ * topology's computed route, or a scenario reroute detour) is
+ * resolved once at admission and at every reroute into a per-flow
+ * slot of one flat hop array, and everything after reads it there.
+ * The network holds no per-(src, dst) state: reroute overrides exist
+ * only for pairs a dead link severed. Every link keeps a list of the
+ * flows occupying it, so a join, leave, cancel or rescale visits only
+ * the flows that share a link with the change; flows elsewhere keep
+ * their (still exact) shares and armed events untouched. Only the
+ * progress settle (advanceAll) walks every flow.
  *
  * Scheduling stays deterministic: each flow carries its admission
  * sequence number and rate changes are handed out in that order,
@@ -102,6 +107,12 @@ class LinkNetwork
          * pending event may already cover the corrected finish).
          */
         bool reschedule = false;
+        /**
+         * When done: the completed flow's effective route (arrival
+         * pricing reads its hop count and links). Valid until the
+         * next call that admits, removes or reroutes a flow.
+         */
+        std::span<const std::uint32_t> route;
     };
 
     /**
@@ -173,19 +184,12 @@ class LinkNetwork
     void applyScales(SimTime now);
 
     /**
-     * Effective route of a (src, dst) pair: the scenario reroute
-     * override when one is active, else the compiled route.
+     * Effective route of a (src, dst) pair, copied out: the scenario
+     * reroute override when one is active, else the topology's
+     * route. For tests and diagnostics; admission resolves the same
+     * route into the flow's own hop slot without allocating.
      */
-    std::span<const std::uint32_t>
-    routeOf(int src, int dst) const
-    {
-        if (!overrideRoutes_.empty()) {
-            const std::int32_t o = overrideIdx_[rowOf(src, dst)];
-            if (o >= 0)
-                return overrideRoutes_[static_cast<std::size_t>(o)];
-        }
-        return topo_->route(src, dst);
-    }
+    std::vector<std::uint32_t> routeOf(int src, int dst) const;
 
     /**
      * Resilience seam: slide every in-flight flow's clock forward
@@ -198,7 +202,7 @@ class LinkNetwork
     void shiftFlowClocks(SimTime delta);
 
     /** Bytes of state a copy of this network moves (a checkpoint
-     * image or its restore), nested route overrides included. */
+     * image or its restore), hop slots and overrides included. */
     std::size_t stateBytes() const;
 
     /**
@@ -224,18 +228,20 @@ class LinkNetwork
     };
 
     /**
-     * Re-resolve every (src, dst) pair whose effective route
+     * Re-resolve every (src, dst) pair whose computed route
      * crosses a dead (scale == 0) link: breadth-first shortest path
      * over the surviving directed links of the topology graph,
-     * deterministic (links expand in id order). Pairs whose
-     * compiled route no longer crosses a dead link drop back to it.
-     * In-flight flows migrate — their occupancy moves from the old
-     * route to the new one and every rate is recomputed, so
-     * totalLoad() stays equal to the summed effective route
-     * lengths. Returns {false, src, dst} for the first pair with no
-     * surviving path (the topology has no diversity there); the
-     * caller decides how fatal that is. A failed reroute is a
-     * no-op: routes, loads and flows stay exactly as they were.
+     * deterministic (links expand in id order). Only those severed
+     * pairs get an override; the rest follow their computed route.
+     * Visits every pair, but holds no per-pair memory. In-flight
+     * flows re-resolve their hops and migrate — their occupancy
+     * moves from the old route to the new one and every rate is
+     * recomputed, so totalLoad() stays equal to the summed
+     * effective route lengths. Returns {false, src, dst} for the
+     * first pair with no surviving path (the topology has no
+     * diversity there); the caller decides how fatal that is. A
+     * failed reroute is a no-op: routes, loads and flows stay
+     * exactly as they were.
      */
     RerouteReport rerouteDeadLinks(SimTime now);
 
@@ -266,7 +272,11 @@ class LinkNetwork
         SimTime armed;
         /** Already in visit_ (see collect()); false between calls. */
         bool collected = false;
+        /** Route length: the flow's links are the first `hops`
+         * entries of its slot in hops_. */
+        std::uint32_t hops = 0;
     };
+    static_assert(sizeof(Flow) == 64, "Flow spans one cache line");
 
     /**
      * One hop of one flow: a node of the link's doubly-linked
@@ -282,13 +292,29 @@ class LinkNetwork
         std::uint32_t sibling = 0; // next hop of the same flow
     };
 
-    /** Bottleneck share of one flow under current occupancies. */
-    double bottleneckRate(const Flow &flow) const;
+    /** Bottleneck share of flow `slot` under current occupancies. */
+    double bottleneckRate(std::uint32_t slot) const;
 
     /** Re-derive the cached per-flow share of `link`. */
     void refreshShare(std::uint32_t link);
 
-    /** Put flow `slot` on every link of its effective route. */
+    /** Links of flow `slot` (its hop slot's used prefix). */
+    std::span<const std::uint32_t>
+    hopsOf(std::uint32_t slot) const
+    {
+        return {hops_.data() + std::size_t{slot} * stride_,
+                flows_[slot].hops};
+    }
+
+    /**
+     * Write the effective route of (src, dst) — its reroute
+     * override, else the topology's route — into `out` (room for
+     * stride_ ids); returns the length.
+     */
+    std::uint32_t resolve(int src, int dst, std::uint32_t *out) const;
+
+    /** Resolve flow `slot`'s route into its hop slot, then put the
+     * flow on every one of those links. */
     void occupy(std::uint32_t slot);
 
     /** Take flow `slot` off every link it occupies. */
@@ -327,12 +353,13 @@ class LinkNetwork
      */
     static SimTime finishTime(const Flow &flow, SimTime now);
 
-    std::size_t
-    rowOf(int src, int dst) const
+    /** Override-map key of a (src, dst) pair (row-major order). */
+    std::uint64_t
+    pairKey(int src, int dst) const
     {
-        return static_cast<std::size_t>(src) *
-            static_cast<std::size_t>(topo_->nodes()) +
-            static_cast<std::size_t>(dst);
+        return static_cast<std::uint64_t>(src) *
+            static_cast<std::uint64_t>(topo_->nodes()) +
+            static_cast<std::uint64_t>(dst);
     }
 
     const CompiledTopology *topo_ = nullptr;
@@ -351,13 +378,23 @@ class LinkNetwork
     std::vector<double> linkScale_;
     /** Links changed since the last applyScales(). */
     std::vector<std::uint32_t> scaleDirty_;
-    /** Reroute overrides: per (src, dst) row, -1 or an index into
-     * overrideRoutes_. Empty overrideRoutes_ = no overrides. */
-    std::vector<std::int32_t> overrideIdx_;
-    std::vector<std::vector<std::uint32_t>> overrideRoutes_;
-    /** In-flight flows, packed: a removal moves the last flow into
-     * the hole and re-points its occupant nodes. */
+    /** Reroute overrides, one per severed pair: sorted pairKey()s,
+     * each with its detour at overrideLinks_[overrideBegin_[i],
+     * overrideBegin_[i + 1]). Empty = no overrides. */
+    std::vector<std::uint64_t> overrideKeys_;
+    std::vector<std::uint32_t> overrideBegin_;
+    std::vector<std::uint32_t> overrideLinks_;
+    /** In-flight flows, packed: a removal moves the last flow (and
+     * its hop slot) into the hole and re-points its occupant
+     * nodes. */
     std::vector<Flow> flows_;
+    /** Hop slots, stride_ ids per flow slot: the topology's
+     * maxRouteLength(), or the longest override when one is
+     * longer. */
+    std::vector<std::uint32_t> hops_;
+    std::size_t stride_ = 0;
+    /** Route of the last removed flow (FinishCheck::route). */
+    std::vector<std::uint32_t> gone_;
     /** Flow id -> slot: [0] by transfer id, [1] by id minus
      * backgroundIdBase. */
     std::vector<std::uint32_t> slots_[2];

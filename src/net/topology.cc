@@ -81,20 +81,26 @@ TopologyConfig::validate() const
 }
 
 /**
- * Route accumulator: links are registered with a capacity factor
- * and routes appended row-by-row in (src, dst) order, then sealed
- * into the CSR arrays of a CompiledTopology.
+ * Lowers one TopologyConfig into a CompiledTopology: registers links
+ * with a capacity factor (link ids follow registration order) and
+ * fills the per-kind tables that CompiledTopology::route() walks.
  */
 class TopologyBuilder
 {
   public:
-    explicit TopologyBuilder(int nodes)
-        : nodes_(nodes), vertices_(static_cast<std::uint32_t>(nodes))
+    TopologyBuilder(TopologyKind kind, int nodes)
     {
-        routes_.resize(static_cast<std::size_t>(nodes) *
-                       static_cast<std::size_t>(nodes));
+        topo_.kind_ = kind;
+        topo_.nodes_ = nodes;
+        topo_.vertices_ = static_cast<std::uint32_t>(nodes);
     }
 
+    CompiledTopology flat() && { return std::move(topo_); }
+    CompiledTopology fatTree(const TopologyConfig &config) &&;
+    CompiledTopology torus(const TopologyConfig &config) &&;
+    CompiledTopology dragonfly(const TopologyConfig &config) &&;
+
+  private:
     /**
      * Register a directed link `from` -> `to`. Vertex ids below the
      * node count denote nodes; callers allocate switch/router
@@ -104,93 +110,43 @@ class TopologyBuilder
     addLink(double factor, std::uint32_t from, std::uint32_t to)
     {
         ovlAssert(factor > 0.0, "link factor must be positive");
-        factors_.push_back(factor);
-        from_.push_back(from);
-        to_.push_back(to);
-        if (from + 1 > vertices_)
-            vertices_ = from + 1;
-        if (to + 1 > vertices_)
-            vertices_ = to + 1;
-        return static_cast<std::uint32_t>(factors_.size() - 1);
+        topo_.linkFactor_.push_back(factor);
+        topo_.linkFrom_.push_back(from);
+        topo_.linkTo_.push_back(to);
+        if (from + 1 > topo_.vertices_)
+            topo_.vertices_ = from + 1;
+        if (to + 1 > topo_.vertices_)
+            topo_.vertices_ = to + 1;
+        return static_cast<std::uint32_t>(topo_.linkFactor_.size() - 1);
     }
 
-    std::vector<std::uint32_t> &
-    route(int src, int dst)
+    /**
+     * Per-node injection/reception links shared by all fabric kinds.
+     * `attachOf(n)` names the switch/router vertex node n hangs off;
+     * the injection link runs node -> switch, reception the reverse.
+     */
+    template <typename AttachOf>
+    void
+    addHostLinks(AttachOf &&attachOf)
     {
-        return routes_[static_cast<std::size_t>(src) *
-                           static_cast<std::size_t>(nodes_) +
-                       static_cast<std::size_t>(dst)];
-    }
-
-    CompiledTopology
-    seal() &&
-    {
-        CompiledTopology topo;
-        topo.nodes_ = nodes_;
-        topo.vertices_ = vertices_;
-        topo.linkFactor_ = std::move(factors_);
-        topo.linkFrom_ = std::move(from_);
-        topo.linkTo_ = std::move(to_);
-        topo.routeBegin_.reserve(routes_.size() + 1);
-        std::size_t total = 0;
-        for (const auto &r : routes_)
-            total += r.size();
-        topo.linkIds_.reserve(total);
-        topo.routeBegin_.push_back(0);
-        for (const auto &r : routes_) {
-            topo.linkIds_.insert(topo.linkIds_.end(), r.begin(),
-                                 r.end());
-            topo.routeBegin_.push_back(
-                static_cast<std::uint32_t>(topo.linkIds_.size()));
-            if (r.size() > topo.maxRoute_)
-                topo.maxRoute_ = r.size();
+        const auto nodes = static_cast<std::size_t>(topo_.nodes_);
+        topo_.hostUp_.reserve(nodes);
+        topo_.hostDown_.reserve(nodes);
+        for (int n = 0; n < topo_.nodes_; ++n) {
+            const std::uint32_t node = static_cast<std::uint32_t>(n);
+            const std::uint32_t attach = attachOf(n);
+            topo_.hostUp_.push_back(addLink(1.0, node, attach));
+            topo_.hostDown_.push_back(addLink(1.0, attach, node));
         }
-        return topo;
     }
 
-  private:
-    int nodes_;
-    std::uint32_t vertices_;
-    std::vector<double> factors_;
-    std::vector<std::uint32_t> from_;
-    std::vector<std::uint32_t> to_;
-    std::vector<std::vector<std::uint32_t>> routes_;
+    CompiledTopology topo_;
 };
-
-namespace {
-
-
-
-/** Per-node injection/reception links shared by all fabric kinds. */
-struct HostLinks
-{
-    std::vector<std::uint32_t> up;
-    std::vector<std::uint32_t> down;
-};
-
-/**
- * `attachOf(n)` names the switch/router vertex node n hangs off;
- * the injection link runs node -> switch, reception the reverse.
- */
-template <typename AttachOf>
-HostLinks
-addHostLinks(TopologyBuilder &b, int nodes, AttachOf &&attachOf)
-{
-    HostLinks host;
-    host.up.reserve(static_cast<std::size_t>(nodes));
-    host.down.reserve(static_cast<std::size_t>(nodes));
-    for (int n = 0; n < nodes; ++n) {
-        const std::uint32_t node = static_cast<std::uint32_t>(n);
-        const std::uint32_t attach = attachOf(n);
-        host.up.push_back(b.addLink(1.0, node, attach));
-        host.down.push_back(b.addLink(1.0, attach, node));
-    }
-    return host;
-}
 
 CompiledTopology
-compileFatTree(const TopologyConfig &config, int nodes)
+TopologyBuilder::fatTree(const TopologyConfig &config) &&
 {
+    const int nodes = topo_.nodes_;
     const int radix = config.fatTreeRadix;
 
     // Aggregate tree: level-0 switches attach `radix` nodes each;
@@ -227,67 +183,40 @@ compileFatTree(const TopologyConfig &config, int nodes)
             static_cast<std::uint32_t>(s);
     };
 
-    TopologyBuilder b(nodes);
-    const HostLinks host = addHostLinks(b, nodes, [&](int n) {
+    addHostLinks([&](int n) {
         return switchVertex(0, static_cast<std::size_t>(n / radix));
     });
 
-    // up[l][s] / down[l][s]: links between level-l switch s and its
-    // level-(l+1) parent (absent for the top level).
-    std::vector<std::vector<std::uint32_t>> up(
-        static_cast<std::size_t>(levels));
-    std::vector<std::vector<std::uint32_t>> down(
-        static_cast<std::size_t>(levels));
+    // Links between level-l switch s and its level-(l+1) parent
+    // (absent for the top level) at levelBegin_[l] + s.
+    topo_.radix_ = radix;
+    topo_.levelBegin_.push_back(0);
     for (int l = 0; l + 1 < levels; ++l) {
         const double factor = std::pow(
             static_cast<double>(radix) * config.fatTreeTaper,
             static_cast<double>(l + 1));
         const auto switches =
             static_cast<std::size_t>(levelCounts[l]);
-        up[l].reserve(switches);
-        down[l].reserve(switches);
         for (std::size_t s = 0; s < switches; ++s) {
             const std::uint32_t child = switchVertex(l, s);
             const std::uint32_t parent =
                 switchVertex(l + 1,
                              s / static_cast<std::size_t>(radix));
-            up[l].push_back(b.addLink(factor, child, parent));
-            down[l].push_back(b.addLink(factor, parent, child));
+            topo_.up_.push_back(addLink(factor, child, parent));
+            topo_.down_.push_back(addLink(factor, parent, child));
         }
+        topo_.levelBegin_.push_back(
+            static_cast<std::uint32_t>(topo_.up_.size()));
     }
-
-    for (int src = 0; src < nodes; ++src) {
-        for (int dst = 0; dst < nodes; ++dst) {
-            if (src == dst)
-                continue;
-            auto &route = b.route(src, dst);
-            route.push_back(host.up[static_cast<std::size_t>(src)]);
-            // Climb until both endpoints share a switch.
-            int s = src / radix;
-            int d = dst / radix;
-            int level = 0;
-            std::vector<std::uint32_t> descent;
-            while (s != d) {
-                route.push_back(
-                    up[level][static_cast<std::size_t>(s)]);
-                descent.push_back(
-                    down[level][static_cast<std::size_t>(d)]);
-                s /= radix;
-                d /= radix;
-                ++level;
-            }
-            route.insert(route.end(), descent.rbegin(),
-                         descent.rend());
-            route.push_back(
-                host.down[static_cast<std::size_t>(dst)]);
-        }
-    }
-    return std::move(b).seal();
+    // At most up to the root and back, plus the two NIC links.
+    topo_.maxRoute_ = 2 * static_cast<std::size_t>(levels);
+    return std::move(topo_);
 }
 
 CompiledTopology
-compileTorus(const TopologyConfig &config, int nodes)
+TopologyBuilder::torus(const TopologyConfig &config) &&
 {
+    const int nodes = topo_.nodes_;
     std::vector<int> dims = config.torusDims;
     if (dims.empty()) {
         // Auto: near-square 2-D grid covering the node count.
@@ -307,14 +236,13 @@ compileTorus(const TopologyConfig &config, int nodes)
     }
     const int ndims = static_cast<int>(dims.size());
 
-    TopologyBuilder b(nodes);
     // Vertex scheme: the router at grid position p is nodes + p;
     // node n attaches to the router at its own position (p == n).
     const auto routerVertex = [&](std::size_t pos) {
         return static_cast<std::uint32_t>(nodes) +
             static_cast<std::uint32_t>(pos);
     };
-    const HostLinks host = addHostLinks(b, nodes, [&](int n) {
+    addHostLinks([&](int n) {
         return routerVertex(static_cast<std::size_t>(n));
     });
 
@@ -337,99 +265,35 @@ compileTorus(const TopologyConfig &config, int nodes)
 
     // One router per grid position; per position, per dimension,
     // one directed link each way (dir 0 = +, dir 1 = -).
-    std::vector<std::uint32_t> grid(capacity *
-                                    static_cast<std::size_t>(ndims) *
-                                    2);
+    topo_.grid_.resize(capacity * static_cast<std::size_t>(ndims) * 2);
     for (std::size_t p = 0; p < capacity; ++p) {
         for (int dim = 0; dim < ndims; ++dim) {
             for (int dir = 0; dir < 2; ++dir) {
-                grid[(p * static_cast<std::size_t>(ndims) +
-                      static_cast<std::size_t>(dim)) *
-                         2 +
-                     static_cast<std::size_t>(dir)] =
-                    b.addLink(1.0, routerVertex(p),
-                              routerVertex(neighborOf(p, dim, dir)));
+                topo_.grid_[(p * static_cast<std::size_t>(ndims) +
+                             static_cast<std::size_t>(dim)) *
+                                2 +
+                            static_cast<std::size_t>(dir)] =
+                    addLink(1.0, routerVertex(p),
+                            routerVertex(neighborOf(p, dim, dir)));
             }
         }
     }
-    const auto linkAt = [&](std::size_t pos, int dim, int dir) {
-        return grid[(pos * static_cast<std::size_t>(ndims) +
-                     static_cast<std::size_t>(dim)) *
-                        2 +
-                    static_cast<std::size_t>(dir)];
-    };
-    const auto coordsOf = [&](int node) {
-        std::vector<int> c(static_cast<std::size_t>(ndims));
-        int rest = node;
-        for (int dim = 0; dim < ndims; ++dim) {
-            c[static_cast<std::size_t>(dim)] =
-                rest % dims[static_cast<std::size_t>(dim)];
-            rest /= dims[static_cast<std::size_t>(dim)];
-        }
-        return c;
-    };
-    const auto indexOf = [&](const std::vector<int> &c) {
-        std::size_t index = 0;
-        for (int dim = ndims - 1; dim >= 0; --dim) {
-            index = index * static_cast<std::size_t>(
-                                dims[static_cast<std::size_t>(dim)]) +
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(dim)]);
-        }
-        return index;
-    };
-
-    for (int src = 0; src < nodes; ++src) {
-        for (int dst = 0; dst < nodes; ++dst) {
-            if (src == dst)
-                continue;
-            auto &route = b.route(src, dst);
-            route.push_back(host.up[static_cast<std::size_t>(src)]);
-            // Dimension-ordered routing; on a wrapped ring the
-            // shorter way wins and exact ties go positive.
-            std::vector<int> pos = coordsOf(src);
-            const std::vector<int> goal = coordsOf(dst);
-            for (int dim = 0; dim < ndims; ++dim) {
-                const int size = dims[static_cast<std::size_t>(dim)];
-                int delta = goal[static_cast<std::size_t>(dim)] -
-                    pos[static_cast<std::size_t>(dim)];
-                int dir; // 0 = +, 1 = -
-                int steps;
-                if (config.torusWrap) {
-                    int forward = delta >= 0 ? delta : delta + size;
-                    const int backward = size - forward;
-                    if (forward <= backward) {
-                        dir = 0;
-                        steps = forward;
-                    } else {
-                        dir = 1;
-                        steps = backward;
-                    }
-                } else {
-                    dir = delta >= 0 ? 0 : 1;
-                    steps = delta >= 0 ? delta : -delta;
-                }
-                for (int i = 0; i < steps; ++i) {
-                    route.push_back(
-                        linkAt(indexOf(pos), dim, dir));
-                    int &coord = pos[static_cast<std::size_t>(dim)];
-                    coord += dir == 0 ? 1 : -1;
-                    if (coord < 0)
-                        coord += size;
-                    if (coord >= size)
-                        coord -= size;
-                }
-            }
-            route.push_back(
-                host.down[static_cast<std::size_t>(dst)]);
-        }
+    // The longest dimension-ordered walk crosses half of every
+    // wrapped ring (all of every mesh line), plus the NIC links.
+    topo_.maxRoute_ = 2;
+    for (const int dim : dims) {
+        topo_.maxRoute_ += static_cast<std::size_t>(
+            config.torusWrap ? dim / 2 : dim - 1);
     }
-    return std::move(b).seal();
+    topo_.dims_ = std::move(dims);
+    topo_.wrap_ = config.torusWrap;
+    return std::move(topo_);
 }
 
 CompiledTopology
-compileDragonfly(const TopologyConfig &config, int nodes)
+TopologyBuilder::dragonfly(const TopologyConfig &config) &&
 {
+    const int nodes = topo_.nodes_;
     const int a = config.dragonflyRoutersPerGroup;
     const int p = config.dragonflyNodesPerRouter;
     int groups = config.dragonflyGroups;
@@ -450,93 +314,206 @@ compileDragonfly(const TopologyConfig &config, int nodes)
               " nodes");
     }
 
-    TopologyBuilder b(nodes);
     // Vertex scheme: router r lives at nodes + r; node n attaches
     // to router n / p.
     const auto routerVertex = [&](int r) {
         return static_cast<std::uint32_t>(nodes) +
             static_cast<std::uint32_t>(r);
     };
-    const HostLinks host = addHostLinks(b, nodes, [&](int n) {
-        return routerVertex(n / p);
-    });
+    addHostLinks([&](int n) { return routerVertex(n / p); });
 
     // Local links: one directed link per ordered router pair inside
     // each group. Global links: one directed aggregate link per
     // ordered group pair, attached at deterministic gateways.
     const int routers = groups * a;
-    std::vector<std::uint32_t> local(
-        static_cast<std::size_t>(routers) *
-        static_cast<std::size_t>(a));
+    topo_.local_.resize(static_cast<std::size_t>(routers) *
+                        static_cast<std::size_t>(a));
     for (int r = 0; r < routers; ++r) {
         const int group = r / a;
         for (int other = 0; other < a; ++other) {
             if (group * a + other == r)
                 continue;
-            local[static_cast<std::size_t>(r) *
-                      static_cast<std::size_t>(a) +
-                  static_cast<std::size_t>(other)] =
-                b.addLink(1.0, routerVertex(r),
-                          routerVertex(group * a + other));
+            topo_.local_[static_cast<std::size_t>(r) *
+                             static_cast<std::size_t>(a) +
+                         static_cast<std::size_t>(other)] =
+                addLink(1.0, routerVertex(r),
+                        routerVertex(group * a + other));
         }
     }
-    std::vector<std::uint32_t> global(
-        static_cast<std::size_t>(groups) *
-        static_cast<std::size_t>(groups));
+    topo_.global_.resize(static_cast<std::size_t>(groups) *
+                         static_cast<std::size_t>(groups));
     for (int g1 = 0; g1 < groups; ++g1) {
         for (int g2 = 0; g2 < groups; ++g2) {
             if (g1 == g2)
                 continue;
-            global[static_cast<std::size_t>(g1) *
-                       static_cast<std::size_t>(groups) +
-                   static_cast<std::size_t>(g2)] =
-                b.addLink(1.0, routerVertex(g1 * a + g2 % a),
-                          routerVertex(g2 * a + g1 % a));
+            topo_.global_[static_cast<std::size_t>(g1) *
+                              static_cast<std::size_t>(groups) +
+                          static_cast<std::size_t>(g2)] =
+                addLink(1.0, routerVertex(g1 * a + g2 % a),
+                        routerVertex(g2 * a + g1 % a));
         }
     }
-    const auto localLink = [&](int from_router, int to_local) {
-        return local[static_cast<std::size_t>(from_router) *
-                         static_cast<std::size_t>(a) +
-                     static_cast<std::size_t>(to_local)];
-    };
-    const auto globalLink = [&](int g1, int g2) {
-        return global[static_cast<std::size_t>(g1) *
-                          static_cast<std::size_t>(groups) +
-                      static_cast<std::size_t>(g2)];
-    };
-
-    for (int src = 0; src < nodes; ++src) {
-        for (int dst = 0; dst < nodes; ++dst) {
-            if (src == dst)
-                continue;
-            auto &route = b.route(src, dst);
-            route.push_back(host.up[static_cast<std::size_t>(src)]);
-            const int r1 = src / p;
-            const int r2 = dst / p;
-            const int g1 = r1 / a;
-            const int g2 = r2 / a;
-            if (g1 == g2) {
-                if (r1 != r2)
-                    route.push_back(localLink(r1, r2 % a));
-            } else {
-                // Minimal route through the gateway routers that
-                // hold the (g1, g2) aggregate global link.
-                const int gw1 = g1 * a + g2 % a;
-                const int gw2 = g2 * a + g1 % a;
-                if (r1 != gw1)
-                    route.push_back(localLink(r1, gw1 % a));
-                route.push_back(globalLink(g1, g2));
-                if (gw2 != r2)
-                    route.push_back(localLink(gw2, r2 % a));
-            }
-            route.push_back(
-                host.down[static_cast<std::size_t>(dst)]);
-        }
-    }
-    return std::move(b).seal();
+    topo_.radix_ = a;
+    topo_.perRouter_ = p;
+    topo_.groups_ = groups;
+    // NIC links around local, global, local.
+    topo_.maxRoute_ = groups > 1 ? 5 : 3;
+    return std::move(topo_);
 }
 
-} // namespace
+std::span<const std::uint32_t>
+CompiledTopology::route(int src, int dst,
+                        std::span<std::uint32_t> out) const
+{
+    if (src == dst || kind_ == TopologyKind::flatBus)
+        return {};
+    ovlAssert(out.size() >= maxRoute_,
+              "CompiledTopology::route: buffer below maxRouteLength()");
+    std::size_t length = 0;
+    switch (kind_) {
+      case TopologyKind::fatTree:
+        length = fatTreeRoute(src, dst, out.data());
+        break;
+      case TopologyKind::torus:
+        length = torusRoute(src, dst, out.data());
+        break;
+      case TopologyKind::dragonfly:
+        length = dragonflyRoute(src, dst, out.data());
+        break;
+      case TopologyKind::flatBus:
+        break;
+    }
+    return out.first(length);
+}
+
+std::size_t
+CompiledTopology::fatTreeRoute(int src, int dst,
+                               std::uint32_t *out) const
+{
+    // Climb until both endpoints share a switch: `height` up links
+    // on the source side, as many down links (in reverse level
+    // order) on the destination side.
+    std::size_t height = 0;
+    for (int s = src / radix_, d = dst / radix_; s != d;
+         s /= radix_, d /= radix_)
+        ++height;
+    const std::size_t length = 2 * height + 2;
+    out[0] = hostUp_[static_cast<std::size_t>(src)];
+    int s = src / radix_;
+    int d = dst / radix_;
+    for (std::size_t level = 0; level < height; ++level) {
+        out[1 + level] =
+            up_[levelBegin_[level] + static_cast<std::size_t>(s)];
+        out[length - 2 - level] =
+            down_[levelBegin_[level] + static_cast<std::size_t>(d)];
+        s /= radix_;
+        d /= radix_;
+    }
+    out[length - 1] = hostDown_[static_cast<std::size_t>(dst)];
+    return length;
+}
+
+std::size_t
+CompiledTopology::torusRoute(int src, int dst,
+                             std::uint32_t *out) const
+{
+    std::size_t length = 0;
+    out[length++] = hostUp_[static_cast<std::size_t>(src)];
+    // Dimension-ordered routing from src's grid position (node n
+    // sits at position n, dim 0 fastest); on a wrapped ring the
+    // shorter way wins and exact ties go positive.
+    const std::size_t ndims = dims_.size();
+    std::size_t pos = static_cast<std::size_t>(src);
+    std::size_t stride = 1;
+    for (std::size_t dim = 0; dim < ndims; ++dim) {
+        const int size = dims_[dim];
+        const auto extent = static_cast<std::size_t>(size);
+        int coord = static_cast<int>((pos / stride) % extent);
+        const int goal = static_cast<int>(
+            (static_cast<std::size_t>(dst) / stride) % extent);
+        const int delta = goal - coord;
+        int dir; // 0 = +, 1 = -
+        int steps;
+        if (wrap_) {
+            const int forward = delta >= 0 ? delta : delta + size;
+            const int backward = size - forward;
+            if (forward <= backward) {
+                dir = 0;
+                steps = forward;
+            } else {
+                dir = 1;
+                steps = backward;
+            }
+        } else {
+            dir = delta >= 0 ? 0 : 1;
+            steps = delta >= 0 ? delta : -delta;
+        }
+        for (int i = 0; i < steps; ++i) {
+            out[length++] =
+                grid_[(pos * ndims + dim) * 2 +
+                      static_cast<std::size_t>(dir)];
+            int next = coord + (dir == 0 ? 1 : -1);
+            if (next < 0)
+                next += size;
+            if (next >= size)
+                next -= size;
+            pos = pos - static_cast<std::size_t>(coord) * stride +
+                static_cast<std::size_t>(next) * stride;
+            coord = next;
+        }
+        stride *= extent;
+    }
+    out[length++] = hostDown_[static_cast<std::size_t>(dst)];
+    return length;
+}
+
+std::size_t
+CompiledTopology::dragonflyRoute(int src, int dst,
+                                 std::uint32_t *out) const
+{
+    const int a = radix_;
+    const auto localLink = [&](int from_router, int to_local) {
+        return local_[static_cast<std::size_t>(from_router) *
+                          static_cast<std::size_t>(a) +
+                      static_cast<std::size_t>(to_local)];
+    };
+    std::size_t length = 0;
+    out[length++] = hostUp_[static_cast<std::size_t>(src)];
+    const int r1 = src / perRouter_;
+    const int r2 = dst / perRouter_;
+    const int g1 = r1 / a;
+    const int g2 = r2 / a;
+    if (g1 == g2) {
+        if (r1 != r2)
+            out[length++] = localLink(r1, r2 % a);
+    } else {
+        // Minimal route through the gateway routers that hold the
+        // (g1, g2) aggregate global link.
+        const int gw1 = g1 * a + g2 % a;
+        const int gw2 = g2 * a + g1 % a;
+        if (r1 != gw1)
+            out[length++] = localLink(r1, gw1 % a);
+        out[length++] = global_[static_cast<std::size_t>(g1) *
+                                    static_cast<std::size_t>(groups_) +
+                                static_cast<std::size_t>(g2)];
+        if (gw2 != r2)
+            out[length++] = localLink(gw2, r2 % a);
+    }
+    out[length++] = hostDown_[static_cast<std::size_t>(dst)];
+    return length;
+}
+
+std::size_t
+CompiledTopology::memoryBytes() const
+{
+    const auto bytes = [](const auto &v) {
+        return v.size() * sizeof(v[0]);
+    };
+    return bytes(linkFactor_) + bytes(linkFrom_) + bytes(linkTo_) +
+        bytes(hostUp_) + bytes(hostDown_) + bytes(levelBegin_) +
+        bytes(up_) + bytes(down_) + bytes(dims_) + bytes(grid_) +
+        bytes(local_) + bytes(global_);
+}
 
 CompiledTopology
 compileTopology(const TopologyConfig &config, int nodes)
@@ -544,17 +521,18 @@ compileTopology(const TopologyConfig &config, int nodes)
     config.validate();
     ovlAssert(nodes > 0, "compileTopology: node count must be "
                          "positive");
+    TopologyBuilder builder(config.kind, nodes);
     switch (config.kind) {
       case TopologyKind::flatBus:
         // The engine's classic bus pool handles flat platforms;
-        // compile to an empty table so route() is well-defined.
-        return std::move(TopologyBuilder(nodes)).seal();
+        // compile to no links so route() is well-defined (empty).
+        return std::move(builder).flat();
       case TopologyKind::fatTree:
-        return compileFatTree(config, nodes);
+        return std::move(builder).fatTree(config);
       case TopologyKind::torus:
-        return compileTorus(config, nodes);
+        return std::move(builder).torus(config);
       case TopologyKind::dragonfly:
-        return compileDragonfly(config, nodes);
+        return std::move(builder).dragonfly(config);
     }
     panic("compileTopology: corrupt topology kind");
 }

@@ -18,17 +18,19 @@
  *    global link per group pair).
  *
  * A TopologyConfig is a pure description. compileTopology() lowers it
- * once per (topology, node count) into a CompiledTopology: flat
- * per-(srcNode, dstNode) link-id sequences in CSR layout plus a
- * per-link capacity factor — the same compile-once philosophy as
- * sim/program.hh, so the replay hot path never walks a graph. The
- * link-level contention model that consumes these routes lives in
- * net/network.hh.
+ * once per (topology, node count) into a CompiledTopology: per-link
+ * capacity factors and endpoints plus the small per-kind link-id
+ * tables its routing walk needs, O(links) state in all. Routes are
+ * not tabulated per node pair; route() derives one on demand from
+ * the topology's structure (the SimGrid approach to large
+ * platforms), allocation-free, into a caller buffer. The link-level
+ * contention model that consumes these routes lives in
+ * net/network.hh; each in-flight flow there carries its own hops.
  *
  * Every route is directed and includes a per-node injection link at
  * the source and a reception link at the destination, so NIC
  * contention falls out of the same link-sharing model as switch
- * contention. The flat-bus kind compiles to an empty table: the
+ * contention. The flat-bus kind compiles to no links at all: the
  * engine keeps its classic (bit-identical) bus path for it, and the
  * Dimemas bus/out-link/in-link counts only apply there.
  */
@@ -119,13 +121,15 @@ struct TopologyConfig
 };
 
 /**
- * A topology lowered into flat per-(srcNode, dstNode) routes.
+ * A topology lowered into links plus the shape its routes follow.
  *
- * Routes are CSR windows into one shared link-id array; link
- * capacities are stored as factors relative to the platform's base
- * link bandwidth. Immutable after compilation; the engine caches one
- * per (topology, node count) and replays any number of platforms
- * against it.
+ * Link capacities are stored as factors relative to the platform's
+ * base link bandwidth. Routes are computed per call from per-kind
+ * link-id tables (fat tree: host and per-level up/down links; torus:
+ * dims, wrap flag and grid links; dragonfly: host, local and global
+ * links), so the whole object is O(links). Immutable after
+ * compilation; the engine caches one per (topology, node count) and
+ * replays any number of platforms against it.
  */
 class CompiledTopology
 {
@@ -138,7 +142,12 @@ class CompiledTopology
         return static_cast<std::uint32_t>(linkFactor_.size());
     }
 
-    /** Longest compiled route, in links. */
+    /**
+     * Upper bound on a route's length in links, from the shape
+     * alone (tree height, torus half-extents, the dragonfly's
+     * local-global-local walk): size route() buffers with it. A
+     * scenario reroute detour can be longer (net/network.hh).
+     */
     std::size_t maxRouteLength() const { return maxRoute_; }
 
     /** Capacity multiplier of a link vs the base bandwidth. */
@@ -183,55 +192,67 @@ class CompiledTopology
     }
 
     /**
-     * Link ids a (src, dst) transfer occupies, in traversal order:
-     * injection link, fabric links, reception link. Empty when
-     * src == dst (intra-node traffic bypasses the network) and for
-     * the flat-bus kind.
+     * Write the link ids a (src, dst) transfer occupies into `out`
+     * (room for maxRouteLength() ids) in traversal order: injection
+     * link, fabric links, reception link. Returns the written
+     * prefix: empty when src == dst (intra-node traffic bypasses
+     * the network) and for the flat-bus kind. Allocation-free; the
+     * same inputs always yield the same route.
      */
-    std::span<const std::uint32_t>
-    route(int src, int dst) const
-    {
-        const std::size_t row =
-            static_cast<std::size_t>(src) *
-                static_cast<std::size_t>(nodes_) +
-            static_cast<std::size_t>(dst);
-        return {linkIds_.data() + routeBegin_[row],
-                linkIds_.data() + routeBegin_[row + 1]};
-    }
+    std::span<const std::uint32_t> route(
+        int src, int dst, std::span<std::uint32_t> out) const;
 
     /** Heap footprint of the compiled tables (cache accounting). */
-    std::size_t
-    memoryBytes() const
-    {
-        return linkFactor_.size() * sizeof(double) +
-            (linkFrom_.size() + linkTo_.size() +
-             routeBegin_.size() + linkIds_.size()) *
-            sizeof(std::uint32_t);
-    }
+    std::size_t memoryBytes() const;
 
   private:
-    friend CompiledTopology compileTopology(
-        const TopologyConfig &config, int nodes);
-    /** Route accumulator (topology.cc) that seals into this. */
+    /** Lowers a TopologyConfig into this (topology.cc). */
     friend class TopologyBuilder;
 
+    /** Per-kind walks behind route(); each returns the length. */
+    std::size_t fatTreeRoute(int src, int dst, std::uint32_t *out) const;
+    std::size_t torusRoute(int src, int dst, std::uint32_t *out) const;
+    std::size_t dragonflyRoute(int src, int dst,
+                               std::uint32_t *out) const;
+
+    TopologyKind kind_ = TopologyKind::flatBus;
     int nodes_ = 0;
     std::size_t maxRoute_ = 0;
     std::uint32_t vertices_ = 0;
     std::vector<double> linkFactor_;
     std::vector<std::uint32_t> linkFrom_;
     std::vector<std::uint32_t> linkTo_;
-    /** CSR offsets, nodes_^2 + 1 entries. */
-    std::vector<std::uint32_t> routeBegin_;
-    std::vector<std::uint32_t> linkIds_;
+    /** Per-node injection (node -> switch) and reception links. */
+    std::vector<std::uint32_t> hostUp_;
+    std::vector<std::uint32_t> hostDown_;
+    /** Fat tree: radix; dragonfly: routers per group. */
+    int radix_ = 0;
+    /** Fat tree: up_/down_ hold level l's switches from
+     * levelBegin_[l]; each links a switch to its parent. */
+    std::vector<std::uint32_t> levelBegin_;
+    std::vector<std::uint32_t> up_;
+    std::vector<std::uint32_t> down_;
+    /** Torus: extents (dim 0 fastest), whether routes may wrap,
+     * and the link per (position, dim, dir) at
+     * ((pos * dims + dim) * 2 + dir). */
+    std::vector<int> dims_;
+    bool wrap_ = false;
+    std::vector<std::uint32_t> grid_;
+    /** Dragonfly: nodes per router, groups, the link from each
+     * router to each local router index and per group pair. */
+    int perRouter_ = 0;
+    int groups_ = 0;
+    std::vector<std::uint32_t> local_;
+    std::vector<std::uint32_t> global_;
 };
 
 /**
- * Lower `config` into per-node-pair link routes for a machine of
- * `nodes` nodes. Throws FatalError when the topology cannot host
- * the node count (torus dims or dragonfly sizing too small) — the
- * auto-sized variants (empty torusDims, dragonflyGroups == 0) always
- * fit. Deterministic: equal inputs compile to equal tables.
+ * Lower `config` into the links and routing tables of a machine of
+ * `nodes` nodes, in O(links) time and memory. Throws FatalError when
+ * the topology cannot host the node count (torus dims or dragonfly
+ * sizing too small) — the auto-sized variants (empty torusDims,
+ * dragonflyGroups == 0) always fit. Deterministic: equal inputs
+ * compile to equal tables, and link ids follow registration order.
  */
 CompiledTopology compileTopology(const TopologyConfig &config,
                                  int nodes);

@@ -137,6 +137,15 @@ struct CacheCounters
         bytes.fetch_add(entry_bytes, std::memory_order_relaxed);
     }
 
+    /** A live entry of `entry_bytes` left the cache (replaced or
+     * dropped with its owner). */
+    void
+    recordEvict(std::uint64_t entry_bytes)
+    {
+        entries.fetch_sub(1, std::memory_order_relaxed);
+        bytes.fetch_sub(entry_bytes, std::memory_order_relaxed);
+    }
+
     /** The cache was emptied (clear hook); totals stay. */
     void
     recordClear()
@@ -149,7 +158,8 @@ struct CacheCounters
 /** core/study.cc variant + original ReplayProgram cache. */
 CacheCounters &studyCache();
 
-/** net::compileTopology per-session route-table cache. */
+/** net::compileTopology per-session cache: one compiled topology
+ * (links and routing tables, O(links)) per live session. */
 CacheCounters &topologyCache();
 
 /** coll::compileSchedule process-wide schedule cache. */

@@ -375,6 +375,7 @@ compileScenario(const ScenarioConfig &config,
 
     // Resolve link sets against the compiled topology.
     compiled.linkBegin_.assign(1, 0);
+    std::vector<std::uint32_t> route(flat ? 0 : topo->maxRouteLength());
     for (const ScenarioEvent &ev : compiled.events_) {
         if (!flat && ev.kind != ScenEventKind::background) {
             std::vector<std::uint32_t> links;
@@ -395,9 +396,8 @@ compileScenario(const ScenarioConfig &config,
                 break;
               case ScenTarget::route:
               case ScenTarget::link: {
-                const auto route =
-                    topo->route(ev.nodeA, ev.nodeB);
-                for (const std::uint32_t l : route) {
+                for (const std::uint32_t l :
+                     topo->route(ev.nodeA, ev.nodeB, route)) {
                     if (ev.target == ScenTarget::link &&
                         topo->isHostLink(l))
                         continue;

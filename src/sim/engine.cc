@@ -306,6 +306,15 @@ class Engine
 {
   public:
     Engine() = default;
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
+
+    /** Drops the cached topology from the cache counters. */
+    ~Engine()
+    {
+        if (topoNodes_ >= 0)
+            obs::topologyCache().recordEvict(topo_.memoryBytes());
+    }
 
     SimResult run(const ReplayProgram &program,
                   const PlatformConfig &platform);
@@ -447,7 +456,7 @@ class Engine
      * Topology-network seam. False keeps the classic Dimemas bus
      * path (bit-identical to the pre-topology engine); true routes
      * every remote transfer over the compiled topology with
-     * link-shared contention. The compiled routes are cached
+     * link-shared contention. The compiled topology is cached
      * across replays of a session: sweeps vary bandwidth against
      * one (topology, node count) compilation.
      */
@@ -803,13 +812,20 @@ Engine::run(const ReplayProgram &program,
     inWait_.assign(static_cast<std::size_t>(nodes), WaitList{});
     netMode_ = !platform_.topology.isFlat();
     if (netMode_) {
-        // Compile-once seam: the route table depends only on the
-        // topology description and the node count, so back-to-back
-        // replays (bandwidth sweeps, bisections) reuse it.
+        // Compile-once seam: the compiled topology depends only on
+        // the topology description and the node count, so
+        // back-to-back replays (bandwidth sweeps, bisections) reuse
+        // it.
         if (topoNodes_ != nodes ||
             !(topoKey_ == platform_.topology)) {
             obs::topologyCache().recordMiss();
-            topo_ = net::compileTopology(platform_.topology, nodes);
+            // Compile before dropping the old table: a topology
+            // that cannot host the machine throws and keeps it.
+            net::CompiledTopology compiled =
+                net::compileTopology(platform_.topology, nodes);
+            if (topoNodes_ >= 0)
+                obs::topologyCache().recordEvict(topo_.memoryBytes());
+            topo_ = std::move(compiled);
             obs::topologyCache().recordInsert(topo_.memoryBytes());
             topoKey_ = platform_.topology;
             topoNodes_ = nodes;
@@ -1706,11 +1722,10 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
         transfer.clear(tfInNet);
         drainNetReschedules();
 
-        // The effective route: a scenario reroute may have moved
-        // the pair off its compiled path, changing the hop count.
-        const auto route = network_.routeOf(
-            static_cast<int>(nodeOf(transfer.src)),
-            static_cast<int>(nodeOf(transfer.dst)));
+        // The flow's effective route: a scenario reroute may have
+        // moved the pair off its computed path, changing the hop
+        // count.
+        const auto route = check.route;
         SimTime flight = latencyRemote_;
         if (route.size() > 1) {
             flight += hopLatency_ *

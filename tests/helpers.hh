@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "net/topology.hh"
 #include "sim/platform.hh"
 #include "sim/result.hh"
 #include "trace/trace.hh"
@@ -18,6 +20,15 @@
 #include "vm/vm.hh"
 
 namespace ovlsim::testing {
+
+/** The (src, dst) route of a compiled topology, copied out. */
+inline std::vector<std::uint32_t>
+routeOf(const net::CompiledTopology &topo, int src, int dst)
+{
+    std::vector<std::uint32_t> out(topo.maxRouteLength());
+    out.resize(topo.route(src, dst, out).size());
+    return out;
+}
 
 /** FNV-1a over the little-endian bytes of every rank's end time. */
 inline std::uint64_t

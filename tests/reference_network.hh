@@ -13,6 +13,9 @@
  * rerouteDeadLinks() is transactional here as in production (a pair
  * with no surviving path leaves every route, load and flow
  * untouched), so fuzz streams may keep going after a failed reroute.
+ * Routes are looked up per pair on every use, through a per-pair
+ * override index (production resolves each flow's hops once and
+ * keeps overrides only for severed pairs).
  */
 
 #ifndef OVLSIM_TESTS_REFERENCE_NETWORK_HH
@@ -26,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "helpers.hh"
 #include "net/network.hh"
 #include "net/topology.hh"
 #include "util/logging.hh"
@@ -189,7 +193,7 @@ class ReferenceLinkNetwork
             for (int d = 0; d < nodes; ++d) {
                 if (s == d)
                     continue;
-                const auto compiled = topo_->route(s, d);
+                const auto compiled = testing::routeOf(*topo_, s, d);
                 if (std::none_of(compiled.begin(), compiled.end(),
                                  [&](std::uint32_t l) {
                                      return linkScale_[l] <= 0.0;
@@ -275,7 +279,7 @@ class ReferenceLinkNetwork
         return linkLoad_[link];
     }
 
-    std::span<const std::uint32_t>
+    std::vector<std::uint32_t>
     routeOf(int src, int dst) const
     {
         if (!overrideRoutes_.empty()) {
@@ -283,7 +287,7 @@ class ReferenceLinkNetwork
             if (o >= 0)
                 return overrideRoutes_[static_cast<std::size_t>(o)];
         }
-        return topo_->route(src, dst);
+        return testing::routeOf(*topo_, src, dst);
     }
 
   private:

@@ -10,6 +10,9 @@
  *    drained network holds zero load,
  *  - route symmetry: route(a, b) and route(b, a) traverse the same
  *    number of links in every compiled topology,
+ *  - route pins: the computed routes, link ids and link tables hash
+ *    to the values recorded from the all-pairs route table they
+ *    replaced, for every kind across node counts up to 1024,
  *  - bus-model bit-identity: a platform carrying the default
  *    flat-bus topology replays exactly like the pre-topology
  *    engine path (same struct, same code path — pinned against the
@@ -30,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <queue>
 #include <sstream>
@@ -149,8 +153,8 @@ expectRouteSymmetry(const CompiledTopology &topo)
 {
     for (int a = 0; a < topo.nodes(); ++a) {
         for (int b = 0; b < topo.nodes(); ++b) {
-            EXPECT_EQ(topo.route(a, b).size(),
-                      topo.route(b, a).size())
+            EXPECT_EQ(testing::routeOf(topo, a, b).size(),
+                      testing::routeOf(topo, b, a).size())
                 << "pair " << a << "<->" << b;
         }
     }
@@ -162,11 +166,11 @@ TEST(RouteCompilerTest, FatTreeRoutes)
         net::topologies::fatTree(2), 8);
     EXPECT_EQ(topo.nodes(), 8);
     // Same leaf: injection + reception only.
-    EXPECT_EQ(topo.route(0, 1).size(), 2u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 1).size(), 2u);
     // Opposite halves of an 8-node radix-2 tree: 2 up, 2 down.
-    EXPECT_EQ(topo.route(0, 7).size(), 6u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 7).size(), 6u);
     // Intra-node traffic never touches the network.
-    EXPECT_TRUE(topo.route(3, 3).empty());
+    EXPECT_TRUE(testing::routeOf(topo, 3, 3).empty());
     expectRouteSymmetry(topo);
 }
 
@@ -177,15 +181,15 @@ TEST(RouteCompilerTest, TorusRoutesUseShortestDirection)
     const auto topo = net::compileTopology(config, 4);
     // Ring of 4: 0 -> 1 is one hop (+ inject/eject), 0 -> 3 wraps
     // backwards in one hop, 0 -> 2 ties and takes two.
-    EXPECT_EQ(topo.route(0, 1).size(), 3u);
-    EXPECT_EQ(topo.route(0, 3).size(), 3u);
-    EXPECT_EQ(topo.route(0, 2).size(), 4u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 1).size(), 3u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 3).size(), 3u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 2).size(), 4u);
     expectRouteSymmetry(topo);
 
     config.torusWrap = false;
     const auto mesh = net::compileTopology(config, 4);
     // Mesh: no wrap, 0 -> 3 walks the full line.
-    EXPECT_EQ(mesh.route(0, 3).size(), 5u);
+    EXPECT_EQ(testing::routeOf(mesh, 0, 3).size(), 5u);
     expectRouteSymmetry(mesh);
 }
 
@@ -197,15 +201,16 @@ TEST(RouteCompilerTest, DragonflyRoutes)
     config.dragonflyNodesPerRouter = 2;
     const auto topo = net::compileTopology(config, 12);
     // Same router: inject + eject.
-    EXPECT_EQ(topo.route(0, 1).size(), 2u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 1).size(), 2u);
     // Same group, different router: one local hop.
-    EXPECT_EQ(topo.route(0, 2).size(), 3u);
+    EXPECT_EQ(testing::routeOf(topo, 0, 2).size(), 3u);
     expectRouteSymmetry(topo);
     // Cross-group routes take at most local-global-local + NIC.
     for (int a = 0; a < 12; ++a) {
         for (int b = 0; b < 12; ++b) {
             if (a != b) {
-                EXPECT_LE(topo.route(a, b).size(), 5u);
+                EXPECT_LE(testing::routeOf(topo, a, b).size(),
+                          5u);
             }
         }
     }
@@ -230,6 +235,109 @@ TEST(RouteCompilerTest, AutoSizingCoversTheNodeCount)
     EXPECT_THROW(net::compileTopology(fly, 5), FatalError);
 }
 
+/** FNV-1a over little-endian bytes, fed value by value. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= v & 0xffu;
+            h *= 0x100000001b3ULL;
+            v >>= 8;
+        }
+    }
+};
+
+/** Fold one compiled topology into `hash`: node, link and vertex
+ * counts, every link's factor bits and endpoints, and every ordered
+ * pair's route (length, then link ids). */
+void
+hashTopology(Fnv1a &hash, const CompiledTopology &topo)
+{
+    hash.add(static_cast<std::uint64_t>(topo.nodes()), 4);
+    hash.add(topo.linkCount(), 4);
+    hash.add(topo.vertexCount(), 4);
+    for (std::uint32_t l = 0; l < topo.linkCount(); ++l) {
+        hash.add(std::bit_cast<std::uint64_t>(topo.linkFactor(l)), 8);
+        hash.add(topo.linkFrom(l), 4);
+        hash.add(topo.linkTo(l), 4);
+    }
+    for (int s = 0; s < topo.nodes(); ++s) {
+        for (int d = 0; d < topo.nodes(); ++d) {
+            const auto route = testing::routeOf(topo, s, d);
+            hash.add(route.size(), 4);
+            for (const std::uint32_t link : route)
+                hash.add(link, 4);
+        }
+    }
+}
+
+TEST(RouteCompilerTest, RoutesMatchTheAllPairsTablePins)
+{
+    // Recorded from the all-pairs route table that route() replaced:
+    // per configuration, one hash over every node count it can host
+    // of {1, 2, 3, 5, 16, 17, 64, 100, 257} (plus 1024 for the
+    // gen-scale tapered tree). Same links, same ids, same hop order.
+    struct Pin
+    {
+        const char *name;
+        TopologyConfig config;
+        int capacity;
+        bool large;
+        std::uint64_t hash;
+    };
+    constexpr int any = 1 << 30;
+    std::vector<Pin> pins;
+    const std::uint64_t treeHashes[] = {
+        0x16ee61e4853feedeULL, 0x7bc2e5036f29645eULL,
+        0xf705cc7e57e1bd4bULL, 0x34569b55b39bb1e7ULL,
+        0xa728bc061f509704ULL, 0xe7da1b787a3c0424ULL};
+    const std::uint64_t *treeHash = treeHashes;
+    for (const int radix : {2, 4, 8}) {
+        pins.push_back({"fat tree", net::topologies::fatTree(radix),
+                        any, false, *treeHash++});
+        pins.push_back({"tapered fat tree",
+                        net::topologies::taperedFatTree(radix, 0.5),
+                        any, radix == 4, *treeHash++});
+    }
+    pins.push_back({"torus auto", net::topologies::torus2d(), any,
+                    false, 0x7100b94907013d93ULL});
+    TopologyConfig small = net::topologies::torus2d();
+    small.torusDims = {4, 2, 2};
+    pins.push_back({"torus 4x2x2", small, 16, false,
+                    0xac3ca1b030410378ULL});
+    small.torusWrap = false;
+    pins.push_back({"mesh 4x2x2", small, 16, false,
+                    0x2cf720d9d9ecb660ULL});
+    TopologyConfig mesh = net::topologies::torus2d();
+    mesh.torusWrap = false;
+    pins.push_back({"mesh auto", mesh, any, false,
+                    0x9e516545cd081467ULL});
+    pins.push_back({"dragonfly auto", net::topologies::dragonfly(),
+                    any, false, 0xcc5a2f083a8d2b05ULL});
+    TopologyConfig fly = net::topologies::dragonfly();
+    fly.dragonflyGroups = 9;
+    fly.dragonflyRoutersPerGroup = 4;
+    fly.dragonflyNodesPerRouter = 8;
+    pins.push_back({"dragonfly 9x4x8", fly, 288, false,
+                    0x88bb728b6ca836f1ULL});
+
+    for (const Pin &pin : pins) {
+        Fnv1a hash;
+        for (const int nodes :
+             {1, 2, 3, 5, 16, 17, 64, 100, 257, 1024}) {
+            if (nodes > pin.capacity || (nodes == 1024 && !pin.large))
+                continue;
+            hashTopology(hash, net::compileTopology(pin.config, nodes));
+        }
+        EXPECT_EQ(hash.h, pin.hash)
+            << pin.name << " radix " << pin.config.fatTreeRadix;
+    }
+}
+
 /**
  * Mini event loop over a LinkNetwork: drives every armed finish
  * event in time order, checking occupancy conservation throughout.
@@ -247,7 +355,8 @@ struct NetHarness
     start(std::uint32_t id, int src, int dst, Bytes bytes,
           SimTime now)
     {
-        expectedLoad += topo_.route(src, dst).size();
+        expectedLoad +=
+            testing::routeOf(topo_, src, dst).size();
         const SimTime finish = net.start(id, src, dst, bytes, now);
         events.push({finish.ns(), id});
         EXPECT_EQ(net.totalLoad(), expectedLoad);
@@ -360,13 +469,13 @@ TEST(LinkNetworkTest, CancelFreesOccupancyAndSpeedsSurvivors)
     net.configure(&topo, 1000.0);
     net.start(0, 0, 2, 4096, SimTime::zero());
     net.start(1, 1, 3, 4096, SimTime::zero());
-    const std::uint64_t both =
-        topo.route(0, 2).size() + topo.route(1, 3).size();
+    const std::uint64_t both = testing::routeOf(topo, 0, 2).size() +
+        testing::routeOf(topo, 1, 3).size();
     EXPECT_EQ(net.totalLoad(), both);
 
     net.cancel(1, SimTime::fromNs(2048));
     EXPECT_EQ(net.activeFlows(), 1u);
-    EXPECT_EQ(net.totalLoad(), topo.route(0, 2).size());
+    EXPECT_EQ(net.totalLoad(), testing::routeOf(topo, 0, 2).size());
     // The survivor's stale armed event (4096, from its 1 B/ns
     // admission) already covers the speedup, so no reschedule is
     // emitted; firing it reports the corrected finish instead.
@@ -918,7 +1027,7 @@ TEST(LinkNetworkTest, FailedRerouteChangesNothing)
     h.start(1, 2, 0, 8192, SimTime::zero());
 
     const SimTime kill = SimTime::fromNs(1000);
-    h.net.setLinkScale(topo.route(1, 0)[1], 0.0);
+    h.net.setLinkScale(testing::routeOf(topo, 1, 0)[1], 0.0);
     h.net.applyScales(kill);
     ASSERT_TRUE(h.net.rerouteDeadLinks(kill).ok);
     for (const auto &[id, finish] : h.net.pendingReschedules())
@@ -926,7 +1035,7 @@ TEST(LinkNetworkTest, FailedRerouteChangesNothing)
     h.net.clearPendingReschedules();
 
     const SimTime sever = SimTime::fromNs(2000);
-    h.net.setLinkScale(topo.route(0, 5).back(), 0.0);
+    h.net.setLinkScale(testing::routeOf(topo, 0, 5).back(), 0.0);
     h.net.applyScales(sever);
     EXPECT_TRUE(h.net.pendingReschedules().empty());
     NetHarness twin = h; // never sees the failed reroute

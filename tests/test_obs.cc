@@ -21,6 +21,7 @@
 
 #include "coll/schedule.hh"
 #include "core/analysis.hh"
+#include "gen/gen.hh"
 #include "net/network.hh"
 #include "net/topology.hh"
 #include "obs/chrome_trace.hh"
@@ -390,6 +391,46 @@ TEST(CacheStatsTest, ReportCoversAllThreeCachesInOrder)
     EXPECT_NE(text.find("study"), std::string::npos);
     EXPECT_NE(text.find("topology"), std::string::npos);
     EXPECT_NE(text.find("schedule"), std::string::npos);
+}
+
+TEST(CacheStatsTest, TopologyCacheCountsLiveTablesOnly)
+{
+    // A session holds at most one compiled topology: a miss that
+    // recompiles replaces the session's table, and destroying the
+    // session drops it. Three rounds of sessions, each replaying a
+    // 16-, a 32- and again a 16-rank stencil, leave nothing behind.
+    obs::resetCacheStats();
+    const auto platform = sim::platforms::topologyCluster(
+        net::topologies::taperedFatTree(4, 0.5));
+    const auto tableBytes = [&](int ranks) {
+        const int nodes = (ranks + platform.cpusPerNode - 1) /
+            platform.cpusPerNode;
+        return static_cast<std::uint64_t>(
+            net::compileTopology(platform.topology, nodes)
+                .memoryBytes());
+    };
+    gen::WorkloadConfig stencil;
+    stencil.iterations = 1;
+    for (std::uint64_t round = 1; round <= 3; ++round) {
+        {
+            sim::ReplaySession session;
+            for (const int ranks : {16, 32, 16}) {
+                session.run(gen::generateTrace(
+                                gen::withRankCount(stencil, ranks), 1),
+                            platform);
+                const auto row = obs::cacheReport()[1];
+                EXPECT_EQ(row.entries, 1u) << ranks << " ranks";
+                EXPECT_EQ(row.bytes, tableBytes(ranks))
+                    << ranks << " ranks";
+            }
+        }
+        const auto row = obs::cacheReport()[1];
+        EXPECT_EQ(row.name, "topology");
+        EXPECT_EQ(row.entries, 0u) << "round " << round;
+        EXPECT_EQ(row.bytes, 0u) << "round " << round;
+        EXPECT_EQ(row.misses, 3 * round);
+        EXPECT_EQ(row.hits, 0u);
+    }
 }
 
 // ---------------------------------------------------------------

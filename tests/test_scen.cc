@@ -335,7 +335,8 @@ TEST(ScenCompileTest, ResolvesLinkSetsAgainstTheTopology)
     for (const std::uint32_t link : compiled.linksOf(2))
         EXPECT_FALSE(topo.isHostLink(link)) << "link " << link;
     // ...while `route` includes the NICs too.
-    EXPECT_EQ(compiled.linksOf(3).size(), topo.route(0, 2).size());
+    EXPECT_EQ(compiled.linksOf(3).size(),
+              testing::routeOf(topo, 0, 2).size());
     EXPECT_GT(compiled.linksOf(3).size(),
               compiled.linksOf(2).size());
 
@@ -454,7 +455,7 @@ TEST(LinkNetworkScenTest, RerouteConservesOccupancy)
     net.configure(&topo, 1000.0);
 
     net.start(0, 0, 1, 100'000, SimTime::zero());
-    const auto compiled = topo.route(0, 1);
+    const auto compiled = testing::routeOf(topo, 0, 1);
     EXPECT_EQ(net.totalLoad(), compiled.size());
 
     // Kill the fabric leg of the direct 0 -> 1 route.
@@ -512,7 +513,7 @@ TEST(LinkNetworkScenTest, RerouteFailsWithoutDiversity)
         net::compileTopology(net::topologies::fatTree(2), 4);
     LinkNetwork net;
     net.configure(&topo, 1000.0);
-    const auto route = topo.route(0, 2);
+    const auto route = testing::routeOf(topo, 0, 2);
     ASSERT_TRUE(topo.isHostLink(route.front()));
     net.setLinkScale(route.front(), 0.0);
     net.applyScales(SimTime::zero());
