@@ -16,7 +16,10 @@
 #               index-linked, and only the 4096-node scale tests
 #               reach the large link and hop-slot indices)
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
-#               overflow and friends in the event/cost arithmetic),
+#               overflow and friends in the event/cost arithmetic,
+#               plus float-to-integer casts such as a non-finite
+#               time reaching SimTime, which GCC's
+#               -fsanitize=undefined leaves out),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale` and
 #               `ctest -L bus` passes (rollback deltas, generator

@@ -457,15 +457,12 @@ readFaultModel(std::istream &in, const std::string &source,
             } else if (t == "node") {
                 need(1, "node id");
                 proc.target = scen::ScenTarget::node;
-                proc.nodeA =
-                    static_cast<int>(parseInt(tokens[pos++]));
+                proc.nodeA = checkedInt(parseInt(tokens[pos++]));
             } else if (t == "link") {
                 need(2, "node pair");
                 proc.target = scen::ScenTarget::link;
-                proc.nodeA =
-                    static_cast<int>(parseInt(tokens[pos++]));
-                proc.nodeB =
-                    static_cast<int>(parseInt(tokens[pos++]));
+                proc.nodeA = checkedInt(parseInt(tokens[pos++]));
+                proc.nodeB = checkedInt(parseInt(tokens[pos++]));
             } else {
                 fatal("unknown process target '", t,
                       "' (expected all, node or link)");

@@ -1,6 +1,7 @@
 #include "scenario.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <numeric>
@@ -97,49 +98,6 @@ ScenarioEvent::describe() const
     return "unknown scenario event";
 }
 
-void
-ScenarioConfig::validate() const
-{
-    for (const ScenarioEvent &ev : events) {
-        if (ev.time < SimTime::zero()) {
-            fatal("scenario: event times must be non-negative (",
-                  ev.describe(), ")");
-        }
-        switch (ev.kind) {
-          case ScenEventKind::degrade:
-            if (ev.bandwidthFactor <= 0.0 || ev.latencyFactor <= 0.0) {
-                fatal("scenario: degrade factors must be positive "
-                      "(", ev.describe(),
-                      "); use `fail ... stall` to freeze a link");
-            }
-            break;
-          case ScenEventKind::background:
-            if (ev.bytes == 0) {
-                fatal("scenario: background flows need a payload (",
-                      ev.describe(), ")");
-            }
-            if (ev.nodeA == ev.nodeB) {
-                fatal("scenario: background flows must cross the "
-                      "network (", ev.describe(), ")");
-            }
-            break;
-          case ScenEventKind::recover:
-          case ScenEventKind::fail:
-            break;
-        }
-        if (ev.target != ScenTarget::all && ev.nodeA < 0) {
-            fatal("scenario: event names no target node (",
-                  ev.describe(), ")");
-        }
-        if ((ev.target == ScenTarget::route ||
-             ev.target == ScenTarget::link) &&
-            (ev.nodeB < 0 || ev.nodeA == ev.nodeB)) {
-            fatal("scenario: route/link targets need two distinct "
-                  "nodes (", ev.describe(), ")");
-        }
-    }
-}
-
 namespace {
 
 /** Tokenize one event line on arbitrary whitespace. */
@@ -154,7 +112,60 @@ tokensOf(const std::string &line)
     return tokens;
 }
 
+/** One event's checks; the reader runs them per line. */
+void
+validateEvent(const ScenarioEvent &ev)
+{
+    if (ev.time < SimTime::zero()) {
+        fatal("scenario: event times must be non-negative (",
+              ev.describe(), ")");
+    }
+    switch (ev.kind) {
+      case ScenEventKind::degrade:
+        // Written so that NaN fails too.
+        if (!(ev.bandwidthFactor > 0.0) ||
+            !std::isfinite(ev.bandwidthFactor) ||
+            !(ev.latencyFactor > 0.0) ||
+            !std::isfinite(ev.latencyFactor)) {
+            fatal("scenario: degrade factors must be positive "
+                  "and finite (", ev.describe(),
+                  "); use `fail ... stall` to freeze a link");
+        }
+        break;
+      case ScenEventKind::background:
+        if (ev.bytes == 0) {
+            fatal("scenario: background flows need a payload (",
+                  ev.describe(), ")");
+        }
+        if (ev.nodeA == ev.nodeB) {
+            fatal("scenario: background flows must cross the "
+                  "network (", ev.describe(), ")");
+        }
+        break;
+      case ScenEventKind::recover:
+      case ScenEventKind::fail:
+        break;
+    }
+    if (ev.target != ScenTarget::all && ev.nodeA < 0) {
+        fatal("scenario: event names no target node (",
+              ev.describe(), ")");
+    }
+    if ((ev.target == ScenTarget::route ||
+         ev.target == ScenTarget::link) &&
+        (ev.nodeB < 0 || ev.nodeA == ev.nodeB)) {
+        fatal("scenario: route/link targets need two distinct "
+              "nodes (", ev.describe(), ")");
+    }
+}
+
 } // namespace
+
+void
+ScenarioConfig::validate() const
+{
+    for (const ScenarioEvent &ev : events)
+        validateEvent(ev);
+}
 
 ScenarioConfig
 readScenario(std::istream &in, const std::string &source)
@@ -185,7 +196,13 @@ readScenario(std::istream &in, const std::string &source)
                 ev.time = SimTime::fromNs(
                     parseInt(when.substr(0, when.size() - 2)));
             } else {
-                ev.time = SimTime::fromUs(parseDouble(when));
+                // fromUs truncates into int64 ns: anything that is
+                // not finite or does not fit the clock is undefined.
+                const double us = parseDouble(when);
+                if (!(std::fabs(us) * 1e3 < 0x1p63))
+                    fatal("event time '", when,
+                          "' does not fit the ns clock");
+                ev.time = SimTime::fromUs(us);
             }
             const std::string &verb = tokens[2];
             std::size_t pos = 3;
@@ -203,16 +220,13 @@ readScenario(std::istream &in, const std::string &source)
                 } else if (t == "node") {
                     need(1, "node id");
                     ev.target = ScenTarget::node;
-                    ev.nodeA = static_cast<int>(
-                        parseInt(tokens[pos++]));
+                    ev.nodeA = checkedInt(parseInt(tokens[pos++]));
                 } else if (t == "route" || t == "link") {
                     need(2, "node pair");
                     ev.target = t == "route" ? ScenTarget::route
                                              : ScenTarget::link;
-                    ev.nodeA = static_cast<int>(
-                        parseInt(tokens[pos++]));
-                    ev.nodeB = static_cast<int>(
-                        parseInt(tokens[pos++]));
+                    ev.nodeA = checkedInt(parseInt(tokens[pos++]));
+                    ev.nodeB = checkedInt(parseInt(tokens[pos++]));
                 } else {
                     fatal("unknown target '", t,
                           "' (expected all, node, route or link)");
@@ -248,10 +262,13 @@ readScenario(std::istream &in, const std::string &source)
                 ev.kind = ScenEventKind::background;
                 ev.target = ScenTarget::route;
                 need(3, "src dst bytes");
-                ev.nodeA = static_cast<int>(parseInt(tokens[pos++]));
-                ev.nodeB = static_cast<int>(parseInt(tokens[pos++]));
-                ev.bytes = static_cast<Bytes>(
-                    parseInt(tokens[pos++]));
+                ev.nodeA = checkedInt(parseInt(tokens[pos++]));
+                ev.nodeB = checkedInt(parseInt(tokens[pos++]));
+                const std::int64_t bytes = parseInt(tokens[pos++]);
+                if (bytes < 0)
+                    fatal("background bytes must be non-negative, "
+                          "got ", bytes);
+                ev.bytes = static_cast<Bytes>(bytes);
             } else {
                 fatal("unknown event '", verb,
                       "' (expected degrade, recover, fail or "
@@ -259,12 +276,12 @@ readScenario(std::istream &in, const std::string &source)
             }
             if (pos != tokens.size())
                 fatal("trailing tokens after event");
+            validateEvent(ev);
             config.events.push_back(ev);
         } catch (const FatalError &err) {
             fatal(source, " line ", line_no, ": ", err.what());
         }
     }
-    config.validate();
     return config;
 }
 

@@ -49,18 +49,30 @@ parseCollectiveAlgorithm(PlatformConfig &config,
     config.collectiveAlgorithms.set(op, algorithm);
 }
 
+/** An integer of the current key narrowed by checkedInt; an
+ * out-of-range value fails with the file, line and key. */
+int
+intOf(const KeyValueReader &reader, std::int64_t value)
+{
+    try {
+        return checkedInt(value);
+    } catch (const FatalError &err) {
+        reader.fail("key '", reader.key(), "': ", err.what());
+    }
+}
+
 /** Parse torus dimensions of the form "4x4x2". */
 std::vector<int>
 parseTorusDims(const KeyValueReader &reader)
 {
     std::vector<int> dims;
     for (const auto &field : split(reader.value(), 'x')) {
-        const auto dim = parseInt(trim(field));
+        const int dim = intOf(reader, parseInt(trim(field)));
         if (dim < 1) {
             reader.fail("torus dimensions must be positive, got '",
                         reader.value(), "'");
         }
-        dims.push_back(static_cast<int>(dim));
+        dims.push_back(dim);
     }
     return dims;
 }
@@ -102,8 +114,8 @@ readPlatformConfig(std::istream &is, const std::string &source)
             config.cpuRatio =
                 reader.positiveDouble();
         } else if (key == "cpus_per_node") {
-            config.cpusPerNode = static_cast<int>(
-                reader.nonNegativeInt());
+            config.cpusPerNode =
+                intOf(reader, reader.nonNegativeInt());
         } else if (key == "bandwidth_mbps") {
             config.bandwidthMBps =
                 reader.positiveDouble();
@@ -117,14 +129,14 @@ readPlatformConfig(std::istream &is, const std::string &source)
             config.localLatencyUs =
                 reader.nonNegativeDouble();
         } else if (key == "buses") {
-            config.buses = static_cast<int>(
-                reader.nonNegativeInt());
+            config.buses =
+                intOf(reader, reader.nonNegativeInt());
         } else if (key == "out_links_per_node") {
-            config.outLinksPerNode = static_cast<int>(
-                reader.nonNegativeInt());
+            config.outLinksPerNode =
+                intOf(reader, reader.nonNegativeInt());
         } else if (key == "in_links_per_node") {
-            config.inLinksPerNode = static_cast<int>(
-                reader.nonNegativeInt());
+            config.inLinksPerNode =
+                intOf(reader, reader.nonNegativeInt());
         } else if (key == "eager_threshold") {
             config.eagerThreshold = static_cast<Bytes>(
                 reader.nonNegativeInt());
@@ -150,8 +162,8 @@ readPlatformConfig(std::istream &is, const std::string &source)
             config.topology.kind =
                 net::topologyKindFromName(value);
         } else if (key == "fat_tree_radix") {
-            config.topology.fatTreeRadix = static_cast<int>(
-                reader.nonNegativeInt());
+            config.topology.fatTreeRadix =
+                intOf(reader, reader.nonNegativeInt());
         } else if (key == "fat_tree_taper") {
             config.topology.fatTreeTaper =
                 reader.nonNegativeDouble();
@@ -162,17 +174,17 @@ readPlatformConfig(std::istream &is, const std::string &source)
             config.topology.torusWrap = parseBool(value);
         } else if (key == "dragonfly_groups") {
             config.topology.dragonflyGroups =
-                static_cast<int>(parseInt(value));
+                intOf(reader, reader.integer());
         } else if (key == "dragonfly_routers_per_group") {
             config.topology.dragonflyRoutersPerGroup =
-                static_cast<int>(parseInt(value));
+                intOf(reader, reader.integer());
         } else if (key == "dragonfly_nodes_per_router") {
             config.topology.dragonflyNodesPerRouter =
-                static_cast<int>(parseInt(value));
+                intOf(reader, reader.integer());
         } else if (key == "link_bandwidth_mbps") {
             // Inheriting the platform bandwidth is spelled by
             // omitting the key, so an explicit zero is nonsense.
-            const double mbps = parseDouble(value);
+            const double mbps = reader.finiteDouble();
             if (mbps <= 0.0) {
                 reader.fail(
                     "link_bandwidth_mbps must be positive "

@@ -139,6 +139,22 @@ TEST(PlatformFileTest, RejectsUnknownKeysAndGarbage)
 
     std::stringstream invalid("bandwidth_mbps = -4\n");
     EXPECT_THROW(sim::readPlatformConfig(invalid), FatalError);
+
+    // 64-bit values must not wrap into small valid-looking ints; the
+    // error names the file and line.
+    for (const char *wide :
+         {"buses = 4294967298\n", "cpus_per_node = 4294967298\n",
+          "out_links_per_node = 4294967297\n"}) {
+        std::stringstream in(std::string("name = wide\n") + wide);
+        try {
+            sim::readPlatformConfig(in, "wide.cfg");
+            ADD_FAILURE() << "accepted " << wide;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("wide.cfg line 2"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(PlatformFileTest, FileRoundTrip)

@@ -145,6 +145,30 @@ TEST(PlatformFileTopologyTest, RejectsBadTopologyValues)
     std::stringstream dims("topology = torus\n"
                            "torus_dims = 4x0\n");
     EXPECT_THROW(sim::readPlatformConfig(dims), FatalError);
+
+    // 64-bit values must not wrap into small valid-looking ints, and
+    // a non-finite link bandwidth is no bandwidth; each error names
+    // the file and line.
+    for (const char *bad :
+         {"topology = fat-tree\nfat_tree_radix = 4294967304\n",
+          "topology = torus\ntorus_dims = 4294967298x2\n",
+          "topology = dragonfly\ndragonfly_groups = 4294967298\n",
+          "topology = dragonfly\n"
+          "dragonfly_routers_per_group = 4294967298\n",
+          "topology = dragonfly\n"
+          "dragonfly_nodes_per_router = 4294967298\n",
+          "topology = torus\nlink_bandwidth_mbps = nan\n",
+          "topology = torus\nlink_bandwidth_mbps = inf\n"}) {
+        std::stringstream in(bad);
+        try {
+            sim::readPlatformConfig(in, "bad.cfg");
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("bad.cfg line 2"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 /** Route length of every ordered pair, for symmetry checks. */

@@ -231,6 +231,32 @@ TEST(FaultModelTest, ModelFileRoundTrips)
     EXPECT_TRUE(parsed == model);
 }
 
+TEST(FaultModelTest, ReaderRejectsMalformedLinesNamingSourceAndLine)
+{
+    const auto expectError = [](const std::string &text,
+                                const std::string &needle) {
+        std::istringstream in(text);
+        try {
+            res::readFaultModel(in, "test.faults");
+            ADD_FAILURE() << "expected a parse error for: " << text;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(needle),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    // 64-bit node ids must not wrap into small valid ones.
+    expectError("process node 4294967299 fail-stop mtbf_us 100\n",
+                "test.faults line 1");
+    expectError("seed = 1\n"
+                "process link 0 4294967297 fail-stop mtbf_us 100\n",
+                "test.faults line 2");
+    expectError("process node 0 explode mtbf_us 100\n",
+                "test.faults line 1");
+    expectError("process node x fail-stop mtbf_us 100\n",
+                "test.faults line 1");
+}
+
 TEST(FaultModelTest, MachineWideProcessesAreFailStopOnlyAndRoundTrip)
 {
     // `process all` is the machine-wide crash the global level of

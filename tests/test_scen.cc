@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <queue>
 #include <sstream>
 #include <string>
@@ -239,6 +240,22 @@ TEST(ScenParserTest, ErrorsNameSourceAndLine)
                 "test.scen line 2");
     expectError("at 5 explode all\n", "test.scen line 1");
     expectError("degrade all bw 0.5\n", "test.scen line 1");
+    // 64-bit node ids must not wrap into small valid ones, byte
+    // counts must not go negative, and times and factors must be
+    // finite numbers that fit the ns clock; each names its line.
+    expectError("at 10 fail node 4294967297 stall\n",
+                "test.scen line 1");
+    expectError("at 10 fail link 0 4294967297 stall\n",
+                "test.scen line 1");
+    expectError("at 10 background 0 1 -5\n", "test.scen line 1");
+    expectError("at nan degrade all bw 0.5\n", "test.scen line 1");
+    expectError("at 1e300 degrade all bw 0.5\n", "test.scen line 1");
+    expectError("at -inf degrade all bw 0.5\n", "test.scen line 1");
+    expectError("at 0 degrade all bw nan\n", "test.scen line 1");
+    expectError("at 0 degrade all bw inf\n", "test.scen line 1");
+    expectError("# fine\nat 0 degrade all lat nan\n",
+                "test.scen line 2");
+    expectError("at 0 degrade all bw 0\n", "test.scen line 1");
 }
 
 TEST(ScenParserTest, ValidateRejectsNonsense)
@@ -259,6 +276,35 @@ TEST(ScenParserTest, ValidateRejectsNonsense)
     pair.events.push_back(failEvent(1.0, ScenTarget::link, 3, 3,
                                     FailSemantics::stall));
     EXPECT_THROW(pair.validate(), FatalError);
+
+    // Non-finite factors, which a `<= 0` test lets through. Replayed,
+    // they used to return a wrong total on the flat bus and panic on
+    // a fat tree; now the replay stops with a FatalError naming the
+    // event.
+    const auto bundle = testing::traceOf(
+        2, testing::producerConsumer(1'000'000, 0, 1));
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        for (const bool on_bw : {true, false}) {
+            auto platform = testing::platformAt(1000.0);
+            platform.scenario.events.push_back(
+                on_bw ? degradeAll(0.0, bad) : degradeAll(0.0, 0.5, bad));
+            EXPECT_THROW(platform.scenario.validate(), FatalError);
+            for (const bool fat_tree : {false, true}) {
+                if (fat_tree)
+                    platform.topology = net::topologies::fatTree(4);
+                try {
+                    sim::simulate(bundle.traces, platform);
+                    ADD_FAILURE() << "replayed factor " << bad;
+                } catch (const FatalError &err) {
+                    EXPECT_NE(std::string(err.what()).find("degrade"),
+                              std::string::npos)
+                        << err.what();
+                }
+            }
+        }
+    }
 }
 
 TEST(ScenCompileTest, MatchesRecoversByScope)
