@@ -204,6 +204,13 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def remove_worktree(path):
+    subprocess.run(["git", "worktree", "remove", "--force", path], cwd=ROOT,
+                   capture_output=True)
+    shutil.rmtree(path, ignore_errors=True)
+    git("worktree", "prune")
+
+
 def build_micro(tree, side):
     build_dir = os.path.join(WORK, f"build-{side}")
     for command in (["cmake", "-S", tree, "-B", build_dir,
@@ -232,9 +239,10 @@ def measure_micro(binaries):
                     return last_json(run([binaries[side], row], ROOT))
                 except Abort as err:
                     if side == "parent":
-                        raise Abort(f"the BASE bench_micro does not accept "
-                                    f"row '{row}': BASE predates the "
-                                    f"four-row runner\n{err}") from err
+                        raise Abort(f"the BASE bench_micro failed on row "
+                                    f"'{row}'; one that predates the "
+                                    f"four-row runner does not accept row "
+                                    f"names\n{err}") from err
                     raise
             parent, change = paired(i, one)
             pairs[row].append((parent["ns_per_unit"], change["ns_per_unit"]))
@@ -253,11 +261,7 @@ def check(base):
     benchmark = load_benchmark()
     sha = git("rev-parse", "--verify", f"{base}^{{commit}}")
     parent_tree = os.path.join(WORK, "parent")
-    if os.path.exists(parent_tree):
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        parent_tree], cwd=ROOT, capture_output=True)
-        shutil.rmtree(parent_tree, ignore_errors=True)
-        git("worktree", "prune")
+    remove_worktree(parent_tree)  # left over from an interrupted run
     git("worktree", "add", "--detach", parent_tree, sha)
     try:
         trees = {"parent": parent_tree, "change": ROOT}
@@ -276,9 +280,7 @@ def check(base):
         layers = {w["name"]: perfbench(benchmark, trees, w["name"], 1, j)
                   for j, w in enumerate(benchmark["workloads"])}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        parent_tree], cwd=ROOT, capture_output=True)
-        git("worktree", "prune")
+        remove_worktree(parent_tree)
 
     print(f"ab_check: parent {base} ({sha[:12]}), change = working tree")
     print_table(rows)
