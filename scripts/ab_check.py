@@ -22,13 +22,15 @@ gates on medians of paired ratios, never on absolute figures:
               > 1 means worse, exceeds 1 + its BENCHMARK.json bound.
   layers      One alternating `--trace 1` pair per workload prints
               every per-layer metric's change/parent ratio, largest
-              deviation first. It is not gated: it names the layer
-              behind a failure.
+              deviation first. It is not gated: on unchanged code
+              one traced pair moves single layers by up to 35%, so
+              it can point at the layer behind a large end-to-end
+              failure but cannot place a 15% one.
 
 BASE is checked out with `git worktree add` under .ab_check/ and
 removed on exit. Both sides build bench_micro in Release under
-.ab_check/; perfbench builds itself in each tree. A run takes about
-25-30 minutes on 4 vCPUs: ~6 micro, 15-20 end to end, ~4 traced.
+.ab_check/; perfbench builds itself in each tree. A run took 17-24
+minutes on a 4-vCPU host, about 6 of them on the micro rows.
 Exit status 1 on any FAIL, 2 when the run cannot be made.
 """
 
