@@ -30,7 +30,8 @@
  *    back, conserve link occupancy (engine-internal assert) and
  *    stay bit-identical across runs; a seeded fuzz harness pits
  *    checkpointing against random fault streams and asserts the
- *    same, 200 streams deep,
+ *    same, 200 streams deep, each round's time and end-time hash
+ *    pinned,
  *  - a platform that fails faster than it recovers exhausts the
  *    (platform-keyed) restart_budget and surfaces as a
  *    FailureError naming the budget, not a hang,
@@ -707,6 +708,122 @@ TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
 // Seeded fuzz: checkpoints against random fault streams.
 // ---------------------------------------------------------------
 
+/** totalTime (ns) and end-time hash of one fuzz round's first
+ * replay. */
+struct FuzzPin
+{
+    std::int64_t totalNs;
+    std::uint64_t endHash;
+};
+
+/**
+ * The 200 rounds of CheckpointFuzzTest in round order, recorded from
+ * the engine whose flat-bus pricing rescanned the whole compiled
+ * scenario on every transfer.
+ */
+const FuzzPin fuzzPins[200] = {
+    {125276, 0xcc09fa5fec6aef1dULL}, {611726, 0xe45b52fab4bd31faULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {236738, 0x791ccd2fa7366bf5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {243972, 0x9084744b2297c425ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {167943, 0xefab0d030a549bc9ULL}, {251923, 0xffd97c485701faa5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {217374, 0x4f0bfc5b45d375b5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {271019, 0x01c5054a3eb753e9ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {184329, 0x7e57cce2b0db27a5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {128276, 0xd7b3807df020b69dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {139276, 0xc662970aa2c5c325ULL}, {209211, 0xeff8bee45b4da385ULL},
+    {276160, 0x4e47ab0a3ca497c5ULL}, {129276, 0xae2d4918c3529885ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {130276, 0x518d9b8a60e05585ULL},
+    {193025, 0xe113bdb50d7f60a9ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {132276, 0x8deec35bf0043405ULL}, {133276, 0x6447024a787149e5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {148548, 0xff15cac452c993c5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {137664, 0xd3744d47257ea855ULL}, {232067, 0xd878bfdecde55ce5ULL},
+    {127276, 0x5d80371e63d7cccdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {347773, 0x2f014d52335a5d99ULL},
+    {225379, 0xda09b01f03e6b179ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {234014, 0x00f1dbab3bd37f7cULL},
+    {127276, 0x5d80371e63d7cccdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {134276, 0x2d8183ea1483fac5ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {325806, 0x27208b90865ba685ULL}, {126276, 0xffe7abd5bea21dcdULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {127276, 0x5d80371e63d7cccdULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {272734, 0xf8a5cb06819512fdULL}, {334644, 0xa40314791ea3f825ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {194609, 0x9028622e9a3c1b39ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {165615, 0xd1fb3d3214c4775dULL},
+    {126276, 0xffe7abd5bea21dcdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {146862, 0xdb103d44ad05d661ULL}, {218820, 0xc679ff3a21f8b1b5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {133276, 0x6447024a787149e5ULL}, {307021, 0x050a02bd11fd9fc5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {133276, 0x6447024a787149e5ULL},
+    {134276, 0x2d8183ea1483fac5ULL}, {151621, 0x74891f47f1fe09f4ULL},
+    {132276, 0x8deec35bf0043405ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {218809, 0x18fd69272d9c1ab5ULL}, {364936, 0x59fa13ce48666501ULL},
+    {171621, 0xffb461cc46287285ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {132276, 0x8deec35bf0043405ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {318363, 0x66872001edbf98fdULL},
+    {218556, 0xd6518f88df073a75ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {174001, 0x027799e95337fcf5ULL},
+    {133276, 0x6447024a787149e5ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {291141, 0xf6d61a4b59b26a8dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {184353, 0x4702fb14db3de029ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {127276, 0x5d80371e63d7cccdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {134276, 0x2d8183ea1483fac5ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {182183, 0x6cdc6f864a233d51ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {127276, 0x5d80371e63d7cccdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {248468, 0x99ad7585bf191fbdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {200910, 0xd1bc86c485aeb8c5ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {291893, 0x6882d375e8518fa9ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {246773, 0x8b09a6712c1fa93dULL}, {143276, 0x72d330d79dad5c7dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {184197, 0xd2b8b673ef3f4195ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {133276, 0x6447024a787149e5ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {270216, 0x1d63a1426fc48405ULL},
+    {146276, 0xfa674ca3e420e19dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {129276, 0xae2d4918c3529885ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {182205, 0x5bf0c68b85b9580dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {172344, 0xa978de53d4f0130dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {128276, 0xd7b3807df020b69dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {179321, 0xb53376e974065329ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {130276, 0x518d9b8a60e05585ULL},
+    {149621, 0xa6d3b89c30d888e9ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {131276, 0x6849a9d467aacd25ULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {126276, 0xffe7abd5bea21dcdULL}, {134276, 0x2d8183ea1483fac5ULL},
+    {328905, 0x64d022f563eaac75ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {133276, 0x6447024a787149e5ULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {127276, 0x5d80371e63d7cccdULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {210310, 0xa9ee0ad9177c67bdULL},
+    {125276, 0xcc09fa5fec6aef1dULL}, {125276, 0xcc09fa5fec6aef1dULL},
+    {257757, 0x732d4683ccff55c5ULL}, {181174, 0x7655e21863088751ULL}
+};
+
 TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
 {
     // 200 seeded rounds of random fault models (fail-stop, stall,
@@ -716,7 +833,8 @@ TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
     // always-on conservation asserts (occupancy drained to zero on
     // cancel, restored occupancy equal to the snapshot's, sent
     // bytes never increased by a rollback) fire on every rollback;
-    // the test adds the bit-identity contract on top.
+    // the test adds the bit-identity contract on top and pins each
+    // round's first replay against fuzzPins.
     const auto bundle = testing::traceOf(
         4, testing::ringExchange(16 * 1024, 50'000, 1));
     const auto routed_base = sim::platforms::topologyCluster(
@@ -793,6 +911,8 @@ TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
         const auto b = sim::simulate(bundle.traces, platform);
         SCOPED_TRACE("fuzz round " + std::to_string(round));
         expectIdentical(a, b);
+        EXPECT_EQ(a.totalTime.ns(), fuzzPins[round].totalNs);
+        EXPECT_EQ(testing::endTimeHash(a), fuzzPins[round].endHash);
     }
 }
 
