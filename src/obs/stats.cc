@@ -8,13 +8,14 @@ std::string
 EngineStats::toString() const
 {
     return strformat(
-        "heap=%llu/%llu probes=%llu queue_scan=%llu arena_hw=%llu "
-        "recompute=%llu/%llu rearm=%llu/%llu scen=%llu "
+        "heap=%llu/%llu probes=%llu queue_scan=%llu scen_scan=%llu "
+        "arena_hw=%llu recompute=%llu/%llu rearm=%llu/%llu scen=%llu "
         "coll_steps=%llu rework_ns=%llu snapshot_bytes=%llu",
         static_cast<unsigned long long>(heapPushes),
         static_cast<unsigned long long>(heapPops),
         static_cast<unsigned long long>(channelProbes),
         static_cast<unsigned long long>(queueScanSteps),
+        static_cast<unsigned long long>(scenarioScanSteps),
         static_cast<unsigned long long>(arenaHighWater),
         static_cast<unsigned long long>(rateRecomputes),
         static_cast<unsigned long long>(recomputesSkipped),

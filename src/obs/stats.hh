@@ -46,6 +46,10 @@ struct EngineStats
      * per queued transfer tried (however many of the scanned lists
      * hold it) plus one per already-started entry unlinked. */
     std::uint64_t queueScanSteps = 0;
+    /** Scenario entries flat-bus pricing read: per remote transfer
+     * or background flow, the live entries plus the pending events
+     * visited, once for degrades and once for stalls. */
+    std::uint64_t scenarioScanSteps = 0;
     /** Peak size of the transfer arena (exact-reserve check). */
     std::uint64_t arenaHighWater = 0;
     /** LinkNetwork bottleneck-rate recomputations performed: one
@@ -87,6 +91,7 @@ struct EngineStats
         heapPops += o.heapPops;
         channelProbes += o.channelProbes;
         queueScanSteps += o.queueScanSteps;
+        scenarioScanSteps += o.scenarioScanSteps;
         if (o.arenaHighWater > arenaHighWater)
             arenaHighWater = o.arenaHighWater;
         rateRecomputes += o.rateRecomputes;

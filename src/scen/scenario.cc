@@ -474,6 +474,86 @@ compileScenario(const ScenarioConfig &config,
     return compiled;
 }
 
+void
+ActiveScenario::flatDegrade(const CompiledScenario &scenario, int src,
+                            int dst, SimTime begin, double &bw,
+                            double &lat, std::uint64_t &steps) const
+{
+    const auto apply = [&](std::uint32_t i) {
+        const ScenarioEvent &ev = scenario.event(i);
+        if (ev.kind == ScenEventKind::degrade &&
+            effective(ev.time) <= begin &&
+            begin < effective(scenario.recoveryTimeOf(i)) &&
+            ev.matchesPair(src, dst)) {
+            bw *= ev.bandwidthFactor;
+            lat *= ev.latencyFactor;
+        }
+    };
+    steps += live.size();
+    for (const std::uint32_t i : live)
+        apply(i);
+    for (auto i = cursor; i < scenario.eventCount(); ++i) {
+        ++steps;
+        if (effective(scenario.event(i).time) > begin)
+            break;
+        apply(i);
+    }
+}
+
+SimTime
+ActiveScenario::flatStallFinish(const CompiledScenario &scenario,
+                                int src, int dst, SimTime begin,
+                                SimTime finish,
+                                std::uint64_t &steps) const
+{
+    // The open window (merged overlapping stalls); closing it
+    // charges its part after `begin` if that starts before `finish`.
+    bool open = false;
+    SimTime winStart, winEnd;
+    const auto close = [&]() {
+        open = false;
+        const SimTime eff = std::max(winStart, begin);
+        if (finish != SimTime::max() && winEnd > begin && eff < finish)
+            finish = winEnd == SimTime::max() ? winEnd
+                                              : finish + (winEnd - eff);
+    };
+    const auto visit = [&](std::uint32_t i) {
+        const ScenarioEvent &ev = scenario.event(i);
+        if (ev.kind != ScenEventKind::fail ||
+            ev.semantics != FailSemantics::stall ||
+            !ev.matchesPair(src, dst))
+            return;
+        const SimTime start = effective(ev.time);
+        const SimTime end = effective(scenario.recoveryTimeOf(i));
+        if (open && start <= winEnd) {
+            winEnd = std::max(winEnd, end);
+            return;
+        }
+        if (open)
+            close();
+        winStart = start;
+        winEnd = end;
+        open = true;
+    };
+    steps += live.size();
+    for (const std::uint32_t i : live)
+        visit(i);
+    for (auto i = cursor; i < scenario.eventCount(); ++i) {
+        ++steps;
+        const SimTime start = effective(scenario.event(i).time);
+        if (!open || start > winEnd) {
+            if (open)
+                close();
+            if (finish == SimTime::max() || start >= finish)
+                break;
+        }
+        visit(i);
+    }
+    if (open)
+        close();
+    return finish;
+}
+
 std::string
 FailureDiagnosis::toString() const
 {

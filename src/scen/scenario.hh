@@ -258,6 +258,73 @@ CompiledScenario compileScenario(const ScenarioConfig &config,
                                  const net::CompiledTopology *topo,
                                  int nodes);
 
+/**
+ * What a replay has made of a CompiledScenario so far, the one
+ * representation of active scenario state: the engine's scenario
+ * events update it, both cost paths read it, and a checkpoint
+ * images it as one value.
+ *
+ * One effective-time rule: an event takes effect at its compiled
+ * time plus `shift`, and ends at its recovery's compiled time plus
+ * `shift`. The shift stays zero unless a checkpoint freeze or a
+ * rollback moved the machine; both move every pending event alike,
+ * so effective order is stream order.
+ */
+struct ActiveScenario
+{
+    /** Index of the next event to fire; lower indices have fired. */
+    std::uint32_t cursor = 0;
+    SimTime shift;
+    /** Fired degrades and stall/reroute failures not yet recovered
+     * and background flows in flight, ascending: firing appends, a
+     * recover or a background finish erases. */
+    std::vector<std::uint32_t> live;
+
+    /** Compiled instant `t` in effective time (max stays max). */
+    SimTime
+    effective(SimTime t) const
+    {
+        return t == SimTime::max() ? t : t + shift;
+    }
+
+    bool
+    isLive(std::uint32_t i) const
+    {
+        return std::binary_search(live.begin(), live.end(), i);
+    }
+
+    void
+    erase(std::uint32_t i)
+    {
+        live.erase(std::lower_bound(live.begin(), live.end(), i));
+    }
+
+    /**
+     * Flat-bus pricing of a src -> dst transfer starting at `begin`
+     * reads only the live entries and the pending events inside its
+     * own window, adding how many it read to `steps`.
+     *
+     * flatDegrade multiplies into `bw` and `lat` the factors of the
+     * matching degrades in effect at `begin`, in index order, so the
+     * products round in stream order.
+     */
+    void flatDegrade(const CompiledScenario &scenario, int src,
+                     int dst, SimTime begin, double &bw, double &lat,
+                     std::uint64_t &steps) const;
+
+    /**
+     * flatStallFinish stretches a serialization from `begin` to
+     * `finish` across the matching stall windows, merging overlaps
+     * so concurrent stalls do not double-charge. It stops at the
+     * first pending event past the open window and at or after the
+     * finish so far: nothing later in the time-sorted stream can
+     * move it. SimTime::max() means a stall that never recovers.
+     */
+    SimTime flatStallFinish(const CompiledScenario &scenario, int src,
+                            int dst, SimTime begin, SimTime finish,
+                            std::uint64_t &steps) const;
+};
+
 /** One unfinished rank at the instant a fail-stop event fired. */
 struct BlockedRank
 {

@@ -371,13 +371,10 @@ class Engine
     void scheduleNetFinish(std::uint32_t flow, SimTime t);
     void startBackgroundFlow(std::uint32_t i, SimTime t);
     void handleBackgroundFinish(std::uint32_t i, SimTime t);
-    [[noreturn]] void reportFailStop(std::uint32_t i, SimTime t);
     scen::FailureDiagnosis failStopDiagnosis(std::uint32_t i,
                                              SimTime t) const;
-    void flatScenCost(int src, int dst, Bytes bytes, SimTime begin,
-                      SimTime &ser, SimTime &lat) const;
-    SimTime applyFlatStalls(int src, int dst, SimTime begin,
-                            SimTime finish) const;
+    SimTime flatScenPrice(int src, int dst, Bytes bytes,
+                          SimTime begin, SimTime &lat);
 
     /** Checkpoint/restart seam (see handleCheckpoint). */
     void handleCheckpoint(std::uint32_t level, SimTime t);
@@ -470,36 +467,27 @@ class Engine
     /**
      * Dynamic-scenario seam, next to netMode_. False keeps both
      * cost paths bit-identical to the scenario-free engine; true
-     * merges the compiled event stream (compiled per run — the
-     * lists are tiny) into the heap: one scenario event is armed at
-     * a time and its handler chains the next. scenActive_ marks
-     * events whose effect is currently live (and doubles as the
-     * in-flight flag of background flows); on the LinkNetwork path
-     * linkLatScale_ carries the per-link latency multiplier that
-     * the capacity-only LinkNetwork cannot.
+     * merges the compiled event stream into the heap: one scenario
+     * event is armed at a time and its handler chains the next.
+     * active_ (cursor, effective-time shift, live entries) is the
+     * one representation of what the stream has done: scenario
+     * events update it, both cost paths read it, and a checkpoint
+     * images it whole. On the LinkNetwork path linkLatScale_
+     * carries the per-link latency multiplier that the
+     * capacity-only LinkNetwork cannot.
      */
     bool scenMode_ = false;
     scen::CompiledScenario scenario_;
-    std::vector<std::uint8_t> scenActive_;
+    scen::ActiveScenario active_;
     std::vector<double> linkLatScale_;
 
     /**
-     * Scenario bookkeeping the checkpoint seam needs. The stream
-     * fires strictly in index order (each handler arms its
-     * successor), so scenNextIdx_ — the index of the next event to
-     * fire — says which events are history (i < scenNextIdx_) and
-     * which are pending. Under ckptMode_ pending events live in the
-     * heap at their compiled time plus scenShift_, the accumulated
-     * uniform shift of every freeze and rollback, so the flat-bus
-     * pricing can place pending stall/degrade windows in effective
-     * time. scenConsumed_ marks fail-stop events whose rollback was
-     * already paid; it deliberately survives rollbacks (it is not
-     * part of the snapshot) — a consumed failure replayed out of
-     * the restored heap re-fires as a no-op that just chains its
-     * successor, so one fault never charges two restarts.
+     * Fail-stop events whose rollback was already paid. They
+     * deliberately survive rollbacks (they are not part of the
+     * snapshot): a consumed failure replayed out of the restored
+     * heap re-fires as a no-op that just chains its successor, so
+     * one fault never charges two restarts.
      */
-    std::uint32_t scenNextIdx_ = 0;
-    SimTime scenShift_;
     std::vector<std::uint8_t> scenConsumed_;
 
     /**
@@ -562,10 +550,8 @@ class Engine
         std::vector<int> inFree;
         int doneRanks = 0;
         net::LinkNetwork network;
-        std::vector<std::uint8_t> scenActive;
+        scen::ActiveScenario scenario;
         std::vector<double> linkLatScale;
-        std::uint32_t scenNextIdx = 0;
-        SimTime scenShift;
         std::vector<CollExec> collExecs;
         std::vector<std::uint32_t> collExecFree;
     };
@@ -772,9 +758,9 @@ Engine::reset()
     doneRanks_ = 0;
     checkpointsTaken_ = 0;
     restarts_ = 0;
-    scenNextIdx_ = 0;
-    scenShift_ = SimTime::zero();
-    scenActive_.clear();
+    active_.cursor = 0;
+    active_.shift = SimTime::zero();
+    active_.live.clear();
     linkLatScale_.clear();
     scenConsumed_.clear();
     lastBurstInstr_ = 0;
@@ -843,13 +829,13 @@ Engine::run(const ReplayProgram &program,
     }
     scenMode_ = !platform_.scenario.empty();
     if (scenMode_) {
-        // Compiled fresh each run: scenarios are a handful of
-        // events, so unlike routes and collective schedules there
-        // is nothing worth caching.
+        // Compiled fresh each run, unlike routes and collective
+        // schedules: generated fault streams reach hundreds of
+        // events, but compiling them costs one sort and one pass,
+        // little next to the replay that reads them.
         scenario_ = scen::compileScenario(
             platform_.scenario, netMode_ ? &topo_ : nullptr,
             nodes);
-        scenActive_.assign(scenario_.eventCount(), 0);
         if (netMode_)
             linkLatScale_.assign(topo_.linkCount(), 1.0);
     }
@@ -1622,14 +1608,11 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
         // that begin mid-serialization are charged from the start —
         // a coarser model than the link network's mid-flight
         // re-sharing, by design of the flat path).
-        SimTime ser, lat;
-        flatScenCost(static_cast<int>(nodeOf(transfer.src)),
-                     static_cast<int>(nodeOf(transfer.dst)),
-                     transfer.bytes, begin, ser, lat);
-        const SimTime inject = applyFlatStalls(
+        SimTime lat;
+        const SimTime inject = flatScenPrice(
             static_cast<int>(nodeOf(transfer.src)),
-            static_cast<int>(nodeOf(transfer.dst)), begin,
-            begin + ser);
+            static_cast<int>(nodeOf(transfer.dst)), transfer.bytes,
+            begin, lat);
         if (inject == SimTime::max())
             return; // stalled with no recovery: never finishes
         transfer.arriveTime = inject + lat;
@@ -2090,43 +2073,31 @@ Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
  * of the stream first, so exactly one scenario event is pending at
  * any instant, then applies this one to whichever cost path the
  * replay runs on: on the link network by scaling link capacities
- * (and rerouting around dead links), on the flat bus by flipping
- * the active flags the analytic pricing in startTransfer reads.
+ * (and rerouting around dead links), on the flat bus through the
+ * live entries of active_ that the analytic pricing in
+ * startTransfer reads.
  */
 void
 Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
 {
-    // Checkpointed replays interpret the compiled stream as
-    // machine-progress time: the freeze of every checkpoint (and
-    // the delta of every rollback) shifted this event along with
-    // the rest of the machine, so its successor is armed by the
-    // compiled inter-event gap from the instant this one actually
-    // fired — identical to the absolute times of the plain path
-    // when nothing froze, and exactly compiled(i+1) + scenShift_.
+    // Every freeze and rollback moved this event along with the
+    // rest of the machine and grew the shift by as much, so it
+    // fires at its effective time and arms its successor at its
+    // own.
+    ovlAssert(t == active_.effective(scenario_.event(i).time),
+              "scenario event fired off its effective time");
     if (i + 1 < scenario_.eventCount()) {
-        schedule(ckptMode_
-                     ? t + (scenario_.event(i + 1).time -
-                            scenario_.event(i).time)
-                     : scenario_.event(i + 1).time,
+        schedule(active_.effective(scenario_.event(i + 1).time),
                  EventKind::scenario, i + 1);
     }
-    scenNextIdx_ = i + 1;
+    active_.cursor = i + 1;
     ++stats_.scenarioEvents;
     const scen::ScenarioEvent &ev = scenario_.event(i);
     switch (ev.kind) {
-      case scen::ScenEventKind::degrade:
-        scenActive_[i] = 1;
-        if (netMode_) {
-            applyScenLinkScales(i);
-            network_.applyScales(t);
-            drainNetReschedules();
-        }
-        break;
-
       case scen::ScenEventKind::recover: {
         const std::uint32_t m = scenario_.matchOf(i);
         const scen::ScenarioEvent &undone = scenario_.event(m);
-        scenActive_[m] = 0;
+        active_.erase(m);
         if (netMode_) {
             applyScenLinkScales(m);
             network_.applyScales(t);
@@ -2153,8 +2124,10 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             // events.
             if (doneRanks_ >= nranks_)
                 break;
+            // Without checkpointing the replay ends here, with the
+            // failure-semantics mirror of reportDeadlock.
             if (!ckptMode_)
-                reportFailStop(i, t);
+                throw scen::FailureError(failStopDiagnosis(i, t));
             // A rollback replays the stream from the snapshot's
             // cursor, so this failure fires again out of the
             // restored heap; the consumed mark makes the re-fire a
@@ -2165,11 +2138,15 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             }
             break;
         }
-        scenActive_[i] = 1;
+        [[fallthrough]];
+
+      case scen::ScenEventKind::degrade:
+        active_.live.push_back(i);
         if (netMode_) {
             applyScenLinkScales(i);
             network_.applyScales(t);
-            if (ev.semantics == scen::FailSemantics::reroute) {
+            if (ev.kind == scen::ScenEventKind::fail &&
+                ev.semantics == scen::FailSemantics::reroute) {
                 const auto report =
                     network_.rerouteDeadLinks(t);
                 if (!report.ok) {
@@ -2192,10 +2169,11 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
 
 /**
  * Recompute the capacity and latency scales of every link named by
- * scenario event `i` from the full set of currently active events:
- * concurrent degrades multiply, any active failure pins the
- * capacity to zero. Changes are staged in the network and committed
- * by the caller's applyScales().
+ * scenario event `i` from the live entries that contain it:
+ * concurrent degrades multiply (in index order), any live failure
+ * pins the capacity to zero. Background flows own no link set.
+ * Changes are staged in the network and committed by the caller's
+ * applyScales().
  */
 void
 Engine::applyScenLinkScales(std::size_t i)
@@ -2203,9 +2181,8 @@ Engine::applyScenLinkScales(std::size_t i)
     for (const std::uint32_t link : scenario_.linksOf(i)) {
         double bw = 1.0;
         double lat = 1.0;
-        for (std::size_t j = 0; j < scenario_.eventCount(); ++j) {
-            if (!scenActive_[j] ||
-                !scenario_.linkSetContains(j, link))
+        for (const std::uint32_t j : active_.live) {
+            if (!scenario_.linkSetContains(j, link))
                 continue;
             const scen::ScenarioEvent &ej = scenario_.event(j);
             if (ej.kind == scen::ScenEventKind::degrade) {
@@ -2253,7 +2230,7 @@ void
 Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 {
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    scenActive_[i] = 1;
+    active_.live.push_back(i);
     if (netMode_) {
         const SimTime finish = network_.start(
             bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t);
@@ -2267,10 +2244,9 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
         --outFree_[static_cast<std::size_t>(ev.nodeA)];
     if (inLimited())
         --inFree_[static_cast<std::size_t>(ev.nodeB)];
-    SimTime ser, lat;
-    flatScenCost(ev.nodeA, ev.nodeB, ev.bytes, t, ser, lat);
+    SimTime lat;
     const SimTime finish =
-        applyFlatStalls(ev.nodeA, ev.nodeB, t, t + ser);
+        flatScenPrice(ev.nodeA, ev.nodeB, ev.bytes, t, lat);
     if (finish == SimTime::max())
         return; // stalled forever; the resources stay held
     schedule(finish, EventKind::backgroundFinish, i);
@@ -2279,7 +2255,7 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 void
 Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
 {
-    if (!scenActive_[i])
+    if (!active_.isLive(i))
         return; // stale event after completion
     if (netMode_) {
         const auto check =
@@ -2291,11 +2267,11 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
             }
             return;
         }
-        scenActive_[i] = 0;
+        active_.erase(i);
         drainNetReschedules();
         return;
     }
-    scenActive_[i] = 0;
+    active_.erase(i);
     const scen::ScenarioEvent &ev = scenario_.event(i);
     releaseResources(static_cast<std::size_t>(ev.nodeA),
                      static_cast<std::size_t>(ev.nodeB));
@@ -2322,17 +2298,6 @@ Engine::failStopDiagnosis(std::uint32_t i, SimTime t) const
         diag.blockedRanks.push_back(std::move(blocked));
     }
     return diag;
-}
-
-/**
- * A fail-stop event fired with ranks unfinished: terminate the
- * replay with the structured diagnosis — the failure-semantics
- * mirror of reportDeadlock.
- */
-void
-Engine::reportFailStop(std::uint32_t i, SimTime t)
-{
-    throw scen::FailureError(failStopDiagnosis(i, t));
 }
 
 /**
@@ -2389,14 +2354,13 @@ Engine::freezeMachine(SimTime cost)
     // future ones (the arriveTime of an in-flight transfer) are
     // overwritten from the shifted event when it fires, and past
     // ones must stay where history put them. The pending scenario
-    // event moved with the rest of the machine, so the accumulated
+    // event moved with the rest of the machine, so the scenario's
     // compiled-to-effective shift grows by the same cost.
     for (std::size_t k = 0; k < events_.size(); ++k)
         events_[k].time += cost;
     if (netMode_)
         network_.shiftFlowClocks(cost);
-    if (scenMode_)
-        scenShift_ += cost;
+    active_.shift += cost;
 }
 
 /**
@@ -2431,10 +2395,8 @@ Engine::takeSnapshot(SimTime anchor)
     s.doneRanks = doneRanks_;
     if (netMode_)
         s.network = network_;
-    s.scenActive = scenActive_;
+    s.scenario = active_;
     s.linkLatScale = linkLatScale_;
-    s.scenNextIdx = scenNextIdx_;
-    s.scenShift = scenShift_;
     if (algorithmic_) {
         s.collExecs.assign(collExecs_.begin(), collExecs_.end());
         s.collExecFree = collExecFree_;
@@ -2465,7 +2427,7 @@ Engine::imageBytes(const Snapshot &s) const
         bytes(s.transfers) + bytes(s.recvPool) + bytes(s.waitPool) +
         bytes(s.outWait) + bytes(s.inWait) + bytes(s.slots) +
         bytes(s.barriers) + bytes(s.outFree) + bytes(s.inFree) +
-        bytes(s.scenActive) + bytes(s.linkLatScale);
+        bytes(s.scenario.live) + bytes(s.linkLatScale);
     for (const RankCtx &ctx : s.ranks)
         total += bytes(ctx.regs);
     if (netMode_)
@@ -2619,10 +2581,9 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     outFree_ = s.outFree;
     inFree_ = s.inFree;
     doneRanks_ = s.doneRanks;
-    scenActive_ = s.scenActive;
+    active_ = s.scenario;
+    active_.shift += delta;
     linkLatScale_ = s.linkLatScale;
-    scenNextIdx_ = s.scenNextIdx;
-    scenShift_ = s.scenShift + delta;
     if (algorithmic_) {
         collExecs_.assign(s.collExecs.begin(), s.collExecs.end());
         collExecFree_ = s.collExecFree;
@@ -2659,127 +2620,30 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
 /**
  * Flat-bus scenario pricing of a remote src -> dst node transfer
  * starting at `begin`: serialization and flight latency under the
- * product of the multipliers of every degrade event active at that
- * instant.
+ * product of the multipliers of every degrade in effect at that
+ * instant, then the serialization stretched across the stall
+ * windows it meets. Returns the injection instant (SimTime::max()
+ * when a stall never recovers) and sets the flight latency.
  */
-void
-Engine::flatScenCost(int src, int dst, Bytes bytes, SimTime begin,
-                     SimTime &ser, SimTime &lat) const
+SimTime
+Engine::flatScenPrice(int src, int dst, Bytes bytes, SimTime begin,
+                      SimTime &lat)
 {
     double bw = 1.0;
     double latm = 1.0;
-    for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
-        const scen::ScenarioEvent &ev = scenario_.event(i);
-        if (ev.kind != scen::ScenEventKind::degrade)
-            continue;
-        if (ckptMode_) {
-            // Effective-time window test: a fired degrade applies
-            // while its activity flag is up (its pending recovery
-            // is necessarily in the future); a pending one applies
-            // only at the boundary instant where its shifted
-            // compiled time has been reached but the event has not
-            // popped yet.
-            if (i < scenNextIdx_) {
-                if (!scenActive_[i])
-                    continue;
-            } else {
-                const SimTime rec = scenario_.recoveryTimeOf(i);
-                if (ev.time + scenShift_ > begin ||
-                    (rec != SimTime::max() &&
-                     begin >= rec + scenShift_))
-                    continue;
-            }
-        } else if (!(ev.time <= begin &&
-                     begin < scenario_.recoveryTimeOf(i))) {
-            continue;
-        }
-        if (!ev.matchesPair(src, dst))
-            continue;
-        bw *= ev.bandwidthFactor;
-        latm *= ev.latencyFactor;
-    }
+    active_.flatDegrade(scenario_, src, dst, begin, bw, latm,
+                        stats_.scenarioScanSteps);
     const double ser_ns = static_cast<double>(bytes) * 1e3 /
         (platform_.bandwidthMBps * bw);
-    ser = SimTime::fromNs(
+    const SimTime ser = SimTime::fromNs(
         static_cast<std::int64_t>(std::llround(ser_ns)));
     lat = latm == 1.0
         ? latencyRemote_
         : SimTime::fromNs(static_cast<std::int64_t>(std::llround(
               static_cast<double>(latencyRemote_.ns()) * latm)));
-}
-
-/**
- * Extend a flat-bus serialization ending at `finish` across every
- * stall window that covers the src -> dst pair: while a window is
- * open the payload makes no progress, so each window starting
- * before the (already extended) finish pushes it out by the
- * window's remaining length. Windows are visited in start order
- * (the stream is time-sorted) and overlapping ones are merged so
- * concurrent stalls do not double-charge. Returns SimTime::max()
- * for a transfer caught by a stall that never recovers.
- */
-SimTime
-Engine::applyFlatStalls(int src, int dst, SimTime begin,
-                        SimTime finish) const
-{
-    bool have = false;
-    SimTime winStart, winEnd;
-    const auto apply = [&]() {
-        if (finish == SimTime::max() || winEnd <= begin)
-            return;
-        const SimTime eff =
-            winStart > begin ? winStart : begin;
-        if (eff >= finish)
-            return;
-        if (winEnd == SimTime::max()) {
-            finish = SimTime::max();
-            return;
-        }
-        finish += winEnd - eff;
-    };
-    for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
-        const scen::ScenarioEvent &ev = scenario_.event(i);
-        if (ev.kind != scen::ScenEventKind::fail ||
-            ev.semantics != scen::FailSemantics::stall)
-            continue;
-        if (!ev.matchesPair(src, dst))
-            continue;
-        SimTime s = ev.time;
-        SimTime r = scenario_.recoveryTimeOf(i);
-        if (ckptMode_) {
-            // Effective-time windows, mirroring flatScenCost: a
-            // fired-and-active stall reaches the present (only its
-            // remainder past `begin` matters, so `begin` is as good
-            // a start as the historical one), a fired-and-recovered
-            // one is spent, and a pending one sits at its shifted
-            // compiled instants. Index order still visits windows
-            // in non-decreasing start order: fired-active windows
-            // collapse to `begin` and pending ones keep the
-            // compiled time order under a uniform shift.
-            if (i < scenNextIdx_) {
-                if (!scenActive_[i])
-                    continue;
-                s = begin;
-            } else {
-                s = s + scenShift_;
-            }
-            if (r != SimTime::max())
-                r = r + scenShift_;
-        }
-        if (have && s <= winEnd) {
-            if (r > winEnd)
-                winEnd = r;
-            continue;
-        }
-        if (have)
-            apply();
-        winStart = s;
-        winEnd = r;
-        have = true;
-    }
-    if (have)
-        apply();
-    return finish;
+    return active_.flatStallFinish(scenario_, src, dst, begin,
+                                   begin + ser,
+                                   stats_.scenarioScanSteps);
 }
 
 void
@@ -2826,19 +2690,16 @@ Engine::reportDeadlock() const
             break;
         }
     }
-    if (scenMode_) {
-        // Frozen traffic with no recovery in the stream is the
-        // likely culprit; say so.
-        for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
-            const scen::ScenarioEvent &ev = scenario_.event(i);
-            if (scenActive_[i] &&
-                ev.kind == scen::ScenEventKind::fail &&
-                ev.semantics == scen::FailSemantics::stall &&
-                scenario_.matchOf(i) == scen::CompiledScenario::npos) {
-                detail += strformat(
-                    "\n  note: scenario event `%s` never recovers",
-                    ev.describe().c_str());
-            }
+    // Frozen traffic with no recovery in the stream is the likely
+    // culprit; say so.
+    for (const std::uint32_t i : active_.live) {
+        const scen::ScenarioEvent &ev = scenario_.event(i);
+        if (ev.kind == scen::ScenEventKind::fail &&
+            ev.semantics == scen::FailSemantics::stall &&
+            scenario_.matchOf(i) == scen::CompiledScenario::npos) {
+            detail += strformat(
+                "\n  note: scenario event `%s` never recovers",
+                ev.describe().c_str());
         }
     }
     fatal("replay deadlocked with ", nranks_ - doneRanks_,

@@ -78,6 +78,7 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     a.heapPops = 10;
     a.channelProbes = 4;
     a.queueScanSteps = 6;
+    a.scenarioScanSteps = 8;
     a.arenaHighWater = 3;
     a.rollbackReworkNs = 100;
     a.snapshotBytes = 4'096;
@@ -95,6 +96,7 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     EXPECT_EQ(ab.heapPops, 15u);
     EXPECT_EQ(ab.channelProbes, 4u);
     EXPECT_EQ(ab.queueScanSteps, 9u);
+    EXPECT_EQ(ab.scenarioScanSteps, 8u);
     EXPECT_EQ(ab.arenaHighWater, 7u);
     EXPECT_EQ(ab.collSteps, 2u);
     EXPECT_EQ(ab.rollbackReworkNs, 100u);
@@ -105,6 +107,7 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     ba.merge(a);
     EXPECT_TRUE(ab == ba);
     EXPECT_NE(ab.toString().find("queue_scan=9"), std::string::npos);
+    EXPECT_NE(ab.toString().find("scen_scan=8"), std::string::npos);
     EXPECT_NE(ab.toString().find("snapshot_bytes=5120"),
               std::string::npos);
 }
@@ -174,6 +177,48 @@ TEST(EngineStatsTest, AdmissionScansVisitOnlyTheFreedLists)
     platform.inLinksPerNode = 0;
     EXPECT_EQ(sim::simulate(traces, platform).stats.queueScanSteps,
               0u);
+}
+
+TEST(EngineStatsTest, FlatScenarioPricingCostDoesNotGrowWithTheStream)
+{
+    // A flat ping-pong under N fail-stop events placed after the app
+    // ends. Each remote transfer's pricing reads the live entries
+    // (none) and, per pass, the first pending event, which already
+    // lies past the transfer's window: 2 entries per transfer for
+    // every N, where a rescan of the stream would read 2N. The
+    // fail-stops fire after every rank finished, so rank times equal
+    // the scenario-free replay's.
+    TraceSet traces("t", 2);
+    traces.rankTrace(0).append(SendRec{1, 1, 256'000, 1});
+    traces.rankTrace(0).append(RecvRec{1, 2, 64'000, 2});
+    traces.rankTrace(1).append(RecvRec{0, 1, 256'000, 1});
+    traces.rankTrace(1).append(SendRec{0, 2, 64'000, 2});
+    const auto base = sim::platforms::defaultCluster();
+    const auto nominal = sim::simulate(traces, base);
+    EXPECT_EQ(nominal.stats.scenarioScanSteps, 0u);
+
+    for (const int n : {1, 64, 1024}) {
+        SCOPED_TRACE("fail-stops: " + std::to_string(n));
+        auto platform = base;
+        for (int k = 0; k < n; ++k) {
+            platform.scenario.events.push_back(
+                nodeFail(1e6 + static_cast<double>(k), k % 2));
+        }
+        const auto result = sim::simulate(traces, platform);
+        ASSERT_EQ(result.transfers, 2u);
+        EXPECT_EQ(result.stats.scenarioScanSteps, 2u * 2u);
+        EXPECT_EQ(result.stats.scenarioEvents,
+                  static_cast<std::uint64_t>(n));
+        ASSERT_EQ(result.perRank.size(), nominal.perRank.size());
+        for (std::size_t r = 0; r < nominal.perRank.size(); ++r) {
+            const auto &got = result.perRank[r];
+            const auto &want = nominal.perRank[r];
+            EXPECT_EQ(got.endTime, want.endTime);
+            EXPECT_EQ(got.sendBlockedTime, want.sendBlockedTime);
+            EXPECT_EQ(got.recvBlockedTime, want.recvBlockedTime);
+        }
+        EXPECT_EQ(result.totalTime, nominal.totalTime);
+    }
 }
 
 TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)

@@ -50,6 +50,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hh"
@@ -565,25 +566,51 @@ TEST(CheckpointRestartTest, UnfiredCheckpointLeavesRankTimesUntouched)
 {
     // An interval beyond the completion time takes no checkpoint
     // and perturbs no rank observable (the pending checkpoint event
-    // itself is the only extra event processed).
-    const auto bundle = testing::traceOf(
+    // itself is the only extra event processed). The second input
+    // is a rendezvous transfer matched at 200 us whose handshake
+    // puts its begin at 210 us, on a fabric degraded from 198 us to
+    // 205 us: the degrade has ended by the begin, so the 1 MB at
+    // 1000 MB/s pays nominal time, 210 + 1000 + 8 us.
+    const auto ring = testing::traceOf(
         4, testing::ringExchange(64 * 1024, 400'000, 3));
-    const auto base = testing::platformAt(512.0);
-    auto late = base;
-    late.checkpointIntervalUs = 1e9;
+    trace::TraceSet late("late-recover", 2);
+    late.rankTrace(0).append(trace::SendRec{1, 1, 1'000'000, 1});
+    late.rankTrace(1).append(trace::CpuBurst{200'000});
+    late.rankTrace(1).append(trace::RecvRec{0, 1, 1'000'000, 1});
+    auto rendezvous = testing::platformAt(1000.0);
+    rendezvous.eagerThreshold = 1024;
+    rendezvous.rendezvousOverheadUs = 10.0;
+    ScenarioEvent degrade;
+    degrade.kind = ScenEventKind::degrade;
+    degrade.time = SimTime::fromUs(198.0);
+    degrade.bandwidthFactor = 0.5;
+    ScenarioEvent recover;
+    recover.kind = ScenEventKind::recover;
+    recover.time = SimTime::fromUs(205.0);
+    rendezvous.scenario.events = {degrade, recover};
 
-    const auto a = sim::simulate(bundle.traces, base);
-    const auto b = sim::simulate(bundle.traces, late);
-    EXPECT_EQ(b.checkpoints, 0u);
-    EXPECT_EQ(a.totalTime.ns(), b.totalTime.ns());
-    ASSERT_EQ(a.perRank.size(), b.perRank.size());
-    for (std::size_t r = 0; r < a.perRank.size(); ++r) {
-        EXPECT_EQ(a.perRank[r].endTime.ns(),
-                  b.perRank[r].endTime.ns());
-        EXPECT_EQ(a.perRank[r].computeTime.ns(),
-                  b.perRank[r].computeTime.ns());
-        EXPECT_EQ(a.perRank[r].bytesSent, b.perRank[r].bytesSent);
+    const std::pair<const trace::TraceSet *, sim::PlatformConfig>
+        inputs[] = {{&ring.traces, testing::platformAt(512.0)},
+                    {&late, rendezvous}};
+    for (const auto &[traces, base] : inputs) {
+        SCOPED_TRACE(traces->name());
+        auto unfired = base;
+        unfired.checkpointIntervalUs = 1e9;
+        const auto a = sim::simulate(*traces, base);
+        const auto b = sim::simulate(*traces, unfired);
+        EXPECT_EQ(b.checkpoints, 0u);
+        EXPECT_EQ(a.totalTime.ns(), b.totalTime.ns());
+        ASSERT_EQ(a.perRank.size(), b.perRank.size());
+        for (std::size_t r = 0; r < a.perRank.size(); ++r) {
+            EXPECT_EQ(a.perRank[r].endTime.ns(),
+                      b.perRank[r].endTime.ns());
+            EXPECT_EQ(a.perRank[r].computeTime.ns(),
+                      b.perRank[r].computeTime.ns());
+            EXPECT_EQ(a.perRank[r].bytesSent, b.perRank[r].bytesSent);
+        }
     }
+    EXPECT_EQ(sim::simulate(late, rendezvous).totalTime.ns(),
+              1'218'000);
 }
 
 // ---------------------------------------------------------------

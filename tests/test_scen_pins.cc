@@ -441,20 +441,20 @@ TEST(ScenarioPinTest, ProducerConsumer)
         {4324250, 8, 1, 0, 0, 0x30ad355c14d539adULL,
          7, 7, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous degrade-recover-all ckpt
-        {8633500, 91, 1, 82, 0, 0xd48c78a61ff95bbcULL,
-         91, 91, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
+        {4524250, 52, 1, 43, 0, 0xff374a80987a2bfeULL,
+         52, 52, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous overlapping-node-degrades
         {4324250, 10, 1, 0, 0, 0x30ad355c14d539adULL,
          9, 9, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous overlapping-node-degrades ckpt
-        {33249000, 327, 1, 316, 0, 0x7f8893605cb618b4ULL,
-         327, 327, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
+        {4524250, 54, 1, 43, 0, 0xff374a80987a2bfeULL,
+         54, 54, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous node-stall
         {4474250, 8, 1, 0, 0, 0x8cad5604165e9419ULL,
          7, 7, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous node-stall ckpt
-        {4999250, 56, 1, 47, 0, 0x6d8032a7d98f839cULL,
-         56, 56, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
+        {4679250, 53, 1, 44, 0, 0xae4787406e49ee32ULL,
+         53, 53, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous background
         {5548250, 10, 1, 0, 0, 0xf2154dd7bf3dffdeULL,
          9, 9, 2, 1, 1, 0, 0, 0, 0, 2, 0, 0},
@@ -562,23 +562,23 @@ TEST(ScenarioPinTest, Sweep3dOneIteration)
         {9919968, 1047, 384, 6, 0, 0xe0def107f36528d2ULL,
          956, 956, 768, 0, 384, 0, 0, 0, 0, 1, 0, 0},
         // flat-rendezvous degrade-recover-all
-        {10771968, 1041, 384, 0, 0, 0xd40dfea421274f62ULL,
-         964, 964, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {10771968, 1041, 384, 0, 0, 0xa04524192a3a9652ULL,
+         966, 966, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous degrade-recover-all ckpt
-        {11105968, 1049, 384, 7, 0, 0x49606522ab7e535cULL,
-         964, 964, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {10981968, 1049, 384, 7, 0, 0xd7958ab7f33f1fd3ULL,
+         953, 953, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous overlapping-node-degrades
-        {11829744, 1043, 384, 0, 0, 0x1f34842145231c8dULL,
+        {11829744, 1043, 384, 0, 0, 0x2e79b56c59e463c8ULL,
          967, 967, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous overlapping-node-degrades ckpt
-        {12477744, 1052, 384, 8, 0, 0xc5ec454531edcdd9ULL,
+        {12392496, 1052, 384, 8, 0, 0xe0c535a5d2b85845ULL,
          973, 973, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous node-stall
-        {11719232, 1041, 384, 0, 0, 0xe23ff0b31ffdab0dULL,
+        {11719232, 1041, 384, 0, 0, 0x2f2f188dbaaf71d6ULL,
          954, 954, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous node-stall ckpt
-        {12165008, 1050, 384, 8, 0, 0x4bfd4bdf3c8d30ccULL,
-         953, 953, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {12209232, 1050, 384, 8, 0, 0x139332d583ccd8b3ULL,
+         960, 960, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous background
         {14497536, 1043, 384, 0, 0, 0x4c074b8f9654ddb7ULL,
          993, 993, 768, 2, 384, 0, 0, 0, 0, 2, 0, 0},
@@ -586,11 +586,11 @@ TEST(ScenarioPinTest, Sweep3dOneIteration)
         {15127536, 1054, 384, 10, 0, 0x645ed9a3fcfcbc49ULL,
          1000, 1000, 768, 2, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous faults-seed-1 ckpt
-        {11863784, 1185, 384, 7, 1, 0xfc096293a71a7829ULL,
-         1130, 1125, 844, 0, 384, 0, 0, 0, 0, 38, 0, 1103414},
+        {11233382, 1184, 384, 6, 1, 0x9e4057c01e189a73ULL,
+         1106, 1101, 844, 0, 384, 0, 0, 0, 0, 38, 0, 1103414},
         // flat-rendezvous faults-seed-2 ckpt
-        {13804051, 1220, 384, 8, 2, 0x1ff8f5b4a3b486f9ULL,
-         1142, 1134, 864, 0, 384, 0, 0, 0, 0, 44, 0, 1828309},
+        {13804051, 1267, 384, 8, 2, 0xa7764e340c93e735ULL,
+         1187, 1179, 900, 0, 384, 0, 0, 0, 0, 44, 0, 1828309},
         // flat-rendezvous faults-seed-3 ckpt
         {9919968, 1073, 384, 6, 0, 0xe0def107f36528d2ULL,
          982, 982, 768, 0, 384, 0, 0, 0, 0, 27, 0, 0},
