@@ -1320,6 +1320,8 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
         }
     }
 
+    // An eager send is eligible at once; a rendezvous send that met
+    // its receive here becomes eligible at the match, which is now.
     Transfer &stored = transfers_[idx];
     if (stored.has(tfEager) || stored.has(tfRecvPosted))
         makeEligible(idx, ctx.now);
@@ -1345,6 +1347,9 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
         const std::uint32_t idx = entry;
         entry = slotEmpty;
         matchTransfer(idx, req, ctx.now);
+        // A rendezvous send becomes eligible at the match, which
+        // is now; an eager one already is.
+        makeEligible(idx, ctx.now);
         return;
     }
     std::uint32_t post_idx;
@@ -1373,11 +1378,6 @@ Engine::matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
         const SimTime done =
             t.arriveTime > post_time ? t.arriveTime : post_time;
         completeTransferRecv(idx, done);
-        return;
-    }
-    if (!t.has(tfEager) && !t.has(tfQueued) && !t.has(tfStarted)) {
-        // Rendezvous transfer becomes eligible at the match.
-        makeEligible(idx, post_time);
     }
 }
 

@@ -216,6 +216,8 @@ TEST(BusAdmissionPinTest, RendezvousPostsInsideTheReleaseWindow)
     // waiters, some on lists the release did not touch. The
     // originals except sweep3d deadlock on send-send cycles under
     // rendezvous, so only their variants (non-blocking posts) run.
+    // A send posted after its receive becomes eligible at the match,
+    // its own post, not at the receive's.
     auto links = sim::platforms::defaultCluster();
     auto buses = sim::platforms::contendedCluster(2, 2);
     const std::vector<std::vector<Pin>> pins = {
@@ -232,7 +234,7 @@ TEST(BusAdmissionPinTest, RendezvousPostsInsideTheReleaseWindow)
             {2092332800, 17040, 0xdafd681b748c3d45ULL},
             {2115468800, 16528, 0x486a76acd2bf2da5ULL},
             // sweep3d: original, then both variants
-            {283039744, 8193, 0x26f5cfda415cfd7aULL},
+            {660302208, 8193, 0x7c3031c48e925df5ULL},
             {401634624, 98433, 0xf8abffa45cf281c6ULL},
             {269284487, 114494, 0x9f5cb587d5757572ULL},
         },
@@ -248,7 +250,7 @@ TEST(BusAdmissionPinTest, RendezvousPostsInsideTheReleaseWindow)
             {1419117568, 21904, 0x902bed47fdf66425ULL},
             {8231417600, 17040, 0x9fef573c850473a5ULL},
             {8195392000, 16528, 0x7cdae0ce600b5325ULL},
-            {361142164, 8193, 0x5c60dd70c2341eb8ULL},
+            {950166080, 8193, 0x25981a89a0a5a799ULL},
             {1004866336, 98433, 0x640e98c39b93942bULL},
             {967437690, 114494, 0x3c027e96753ae35fULL},
         },

@@ -15,7 +15,9 @@
  * receives, receives posted before their sends, a rank sending to
  * itself, a leftover unmatched eager send, a seeded many-channel
  * exchange, and an incomplete trace's deadlock diagnosis, compared
- * verbatim.
+ * verbatim. The two pins with rendezvous sends posted after their
+ * receives (receives first, seeded exchange) start those transfers
+ * at the match, the send's post, not at the receive's.
  */
 
 #include <gtest/gtest.h>
@@ -288,7 +290,7 @@ TEST(MatchingPinTest, ReceivesPostedBeforeTheirSends)
     r2.append(SendRec{1, 5, 2'048, 5});
 
     expectPin(sim::simulate(traces, rendezvousPlatform()),
-              {2'120'391, 18, 12, 0xff4fa01c8042f30eULL});
+              {3'682'891, 18, 12, 0x8970f4dd3f6cbfb8ULL});
 }
 
 TEST(MatchingPinTest, RankSendingToItself)
@@ -345,7 +347,7 @@ TEST(MatchingPinTest, SeededManyChannelExchange)
     const auto traces = seededExchange(4, 300, 11);
     sim::ReplaySession session;
     const auto result = session.run(traces, rendezvousPlatform());
-    expectPin(result, {33'533'045, 1'204, 600, 0xd95ad7a3ec48e007ULL});
+    expectPin(result, {33'475'632, 1'204, 600, 0x402f14a11e9d8318ULL});
     // Session reuse replays identically.
     testing::expectIdentical(
         session.run(traces, rendezvousPlatform()), result);

@@ -432,29 +432,29 @@ TEST(ScenarioPinTest, ProducerConsumer)
         {5372908, 85, 1, 50, 1, 0x03e417ef47a3ccacULL,
          89, 85, 2, 0, 1, 0, 0, 0, 0, 28, 0, 104226},
         // flat-rendezvous unfired-degrade
-        {4324250, 7, 1, 0, 0, 0x30ad355c14d539adULL,
+        {4724250, 7, 1, 0, 0, 0x15fa92067c97f072ULL,
          6, 6, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0},
         // flat-rendezvous unfired-degrade ckpt
-        {4524250, 51, 1, 43, 0, 0xff374a80987a2bfeULL,
-         51, 51, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0},
+        {4959250, 55, 1, 47, 0, 0x7bb0beaa5f17b293ULL,
+         55, 55, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0},
         // flat-rendezvous degrade-recover-all
-        {4324250, 8, 1, 0, 0, 0x30ad355c14d539adULL,
+        {8638500, 8, 1, 0, 0, 0xab75665c5018def6ULL,
          7, 7, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous degrade-recover-all ckpt
-        {4524250, 52, 1, 43, 0, 0xff374a80987a2bfeULL,
-         52, 52, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
+        {9068500, 95, 1, 86, 0, 0x88c796c829d79b55ULL,
+         95, 95, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous overlapping-node-degrades
-        {4324250, 10, 1, 0, 0, 0x30ad355c14d539adULL,
+        {32084000, 10, 1, 0, 0, 0x992a70d9a6ed9f6eULL,
          9, 9, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous overlapping-node-degrades ckpt
-        {4524250, 54, 1, 43, 0, 0xff374a80987a2bfeULL,
-         54, 54, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
+        {33684000, 331, 1, 320, 0, 0xfa2d9449aa9e63b1ULL,
+         331, 331, 2, 0, 1, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous node-stall
-        {4474250, 8, 1, 0, 0, 0x8cad5604165e9419ULL,
+        {4764250, 8, 1, 0, 0, 0xfb606281dfc8ab5dULL,
          7, 7, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous node-stall ckpt
-        {4679250, 53, 1, 44, 0, 0xae4787406e49ee32ULL,
-         53, 53, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
+        {4999250, 56, 1, 47, 0, 0x6d8032a7d98f839cULL,
+         56, 56, 2, 0, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous background
         {5548250, 10, 1, 0, 0, 0xf2154dd7bf3dffdeULL,
          9, 9, 2, 1, 1, 0, 0, 0, 0, 2, 0, 0},
@@ -462,14 +462,14 @@ TEST(ScenarioPinTest, ProducerConsumer)
         {5823250, 66, 1, 55, 0, 0xc4ce29e27d5d40f7ULL,
          66, 66, 2, 1, 1, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous faults-seed-1 ckpt
-        {5067383, 97, 1, 44, 7, 0x4cb290ce8b394a1aULL,
-         124, 97, 2, 0, 1, 0, 0, 0, 0, 46, 0, 353861},
+        {5586198, 102, 1, 49, 7, 0xa01d38ffd1549f6eULL,
+         129, 102, 2, 0, 1, 0, 0, 0, 0, 46, 0, 353861},
         // flat-rendezvous faults-seed-2 ckpt
-        {4935800, 98, 1, 44, 4, 0xfa26c6de7ba0677aULL,
-         112, 98, 2, 0, 1, 0, 0, 0, 0, 47, 0, 307293},
+        {5506392, 103, 1, 49, 4, 0x2092752e2e2984d0ULL,
+         117, 103, 2, 0, 1, 0, 0, 0, 0, 47, 0, 307293},
         // flat-rendezvous faults-seed-3 ckpt
-        {4947908, 81, 1, 46, 1, 0x3595fb445b79375aULL,
-         85, 81, 2, 0, 1, 0, 0, 0, 0, 28, 0, 104226},
+        {5382908, 85, 1, 50, 1, 0x87a62f8d09be3307ULL,
+         89, 85, 2, 0, 1, 0, 0, 0, 0, 28, 0, 104226},
         // fat-tree unfired-degrade
         {4714250, 7, 1, 0, 0, 0x3005258eb5ec6d45ULL,
          6, 6, 2, 0, 1, 1, 1, 0, 0, 1, 0, 0},
@@ -556,44 +556,44 @@ TEST(ScenarioPinTest, Sweep3dOneIteration)
         {16670246, 1222, 384, 10, 1, 0xf3318f560923efd6ULL,
          1235, 1221, 872, 438, 384, 0, 0, 0, 0, 28, 0, 1459166},
         // flat-rendezvous unfired-degrade
-        {9779968, 1040, 384, 0, 0, 0xb43b528bee7dc2d5ULL,
-         967, 967, 768, 0, 384, 0, 0, 0, 0, 1, 0, 0},
+        {18537776, 1040, 384, 0, 0, 0xffddc77b2e6637feULL,
+         1038, 1038, 768, 0, 384, 0, 0, 0, 0, 1, 0, 0},
         // flat-rendezvous unfired-degrade ckpt
-        {9919968, 1047, 384, 6, 0, 0xe0def107f36528d2ULL,
-         956, 956, 768, 0, 384, 0, 0, 0, 0, 1, 0, 0},
+        {19447776, 1054, 384, 13, 0, 0x8babe9c624e27658ULL,
+         1053, 1053, 768, 0, 384, 0, 0, 0, 0, 1, 0, 0},
         // flat-rendezvous degrade-recover-all
-        {10771968, 1041, 384, 0, 0, 0xa04524192a3a9652ULL,
-         966, 966, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {20048248, 1041, 384, 0, 0, 0x4cdcbc6f7c154efdULL,
+         1039, 1039, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous degrade-recover-all ckpt
-        {10981968, 1049, 384, 7, 0, 0xd7958ab7f33f1fd3ULL,
-         953, 953, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {21028248, 1056, 384, 14, 0, 0x9528ab239be8e313ULL,
+         1056, 1056, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous overlapping-node-degrades
-        {11829744, 1043, 384, 0, 0, 0x2e79b56c59e463c8ULL,
-         967, 967, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
+        {20807776, 1043, 384, 0, 0, 0x9eec5c8da5c2e2dfULL,
+         1042, 1042, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous overlapping-node-degrades ckpt
-        {12392496, 1052, 384, 8, 0, 0xe0c535a5d2b85845ULL,
-         973, 973, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
+        {21787776, 1058, 384, 14, 0, 0x1243f6f0c5c06b55ULL,
+         1057, 1057, 768, 0, 384, 0, 0, 0, 0, 4, 0, 0},
         // flat-rendezvous node-stall
-        {11719232, 1041, 384, 0, 0, 0x2f2f188dbaaf71d6ULL,
-         954, 954, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {20637776, 1041, 384, 0, 0, 0xcda5a616b81e25a4ULL,
+         1039, 1039, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous node-stall ckpt
-        {12209232, 1050, 384, 8, 0, 0x139332d583ccd8b3ULL,
-         960, 960, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
+        {21617776, 1056, 384, 14, 0, 0x2d8e8b237f2237dfULL,
+         1055, 1055, 768, 0, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous background
-        {14497536, 1043, 384, 0, 0, 0x4c074b8f9654ddb7ULL,
-         993, 993, 768, 2, 384, 0, 0, 0, 0, 2, 0, 0},
+        {22719792, 1043, 384, 0, 0, 0x5428499639dbccf5ULL,
+         1040, 1040, 768, 3, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous background ckpt
-        {15127536, 1054, 384, 10, 0, 0x645ed9a3fcfcbc49ULL,
-         1000, 1000, 768, 2, 384, 0, 0, 0, 0, 2, 0, 0},
+        {23839792, 1060, 384, 16, 0, 0x139f6d80410ad243ULL,
+         1058, 1058, 768, 3, 384, 0, 0, 0, 0, 2, 0, 0},
         // flat-rendezvous faults-seed-1 ckpt
-        {11233382, 1184, 384, 6, 1, 0x9e4057c01e189a73ULL,
-         1106, 1101, 844, 0, 384, 0, 0, 0, 0, 38, 0, 1103414},
+        {20804606, 1168, 384, 13, 1, 0xdb7a2abb80a225f5ULL,
+         1184, 1167, 825, 0, 384, 0, 0, 0, 0, 38, 0, 1103414},
         // flat-rendezvous faults-seed-2 ckpt
-        {13804051, 1267, 384, 8, 2, 0xa7764e340c93e735ULL,
-         1187, 1179, 900, 0, 384, 0, 0, 0, 0, 44, 0, 1828309},
+        {25186111, 1199, 384, 15, 2, 0x075dbcccdc93f888ULL,
+         1228, 1197, 842, 0, 384, 0, 0, 0, 0, 44, 0, 1828309},
         // flat-rendezvous faults-seed-3 ckpt
-        {9919968, 1073, 384, 6, 0, 0xe0def107f36528d2ULL,
-         982, 982, 768, 0, 384, 0, 0, 0, 0, 27, 0, 0},
+        {21117414, 1160, 384, 13, 1, 0x6eba5ec5b5e6a8e0ULL,
+         1172, 1159, 825, 0, 384, 0, 0, 0, 0, 28, 0, 1459166},
         // fat-tree unfired-degrade
         {14441776, 1232, 384, 0, 0, 0x55aa6a4babc211c9ULL,
          1230, 1230, 768, 0, 384, 960, 1600, 0, 288, 1, 0, 0},

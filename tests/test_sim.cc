@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/topology.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
 #include "trace/trace.hh"
@@ -146,6 +147,32 @@ TEST(EngineTest, RendezvousSenderBlocksUntilReceivePosted)
               1'000'000 + serNs(256'000) + latNs);
     EXPECT_EQ(result.perRank[0].sendBlockedTime.ns(),
               1'000'000 + serNs(256'000));
+}
+
+TEST(EngineTest, RendezvousSendPostedAfterItsReceiveStartsAtTheMatch)
+{
+    // The receive is posted at 0 and the 2 KB rendezvous send at
+    // 200 us, so the transfer starts when the send meets the
+    // receive: 2,048 ns of serialization at 1000 MB/s and 8 us of
+    // latency later the receiver completes, exactly as under an
+    // eager send, and the sender is blocked for the serialization.
+    TraceSet traces("t", 2);
+    traces.rankTrace(0).append(CpuBurst{200'000});
+    traces.rankTrace(0).append(SendRec{1, 1, 2'048, 1});
+    traces.rankTrace(1).append(RecvRec{0, 1, 2'048, 1});
+
+    for (auto platform :
+         {platforms::defaultCluster(),
+          platforms::topologyCluster(net::topologies::fatTree(4))}) {
+        SCOPED_TRACE(platform.name);
+        platform.bandwidthMBps = 1000.0;
+        platform.eagerThreshold = 1024;
+        const auto result = simulate(traces, platform);
+        EXPECT_EQ(result.perRank[1].endTime.ns(), 210'048);
+        EXPECT_EQ(result.perRank[0].sendBlockedTime.ns(), 2'048);
+        platform.eagerThreshold = 4096;
+        EXPECT_EQ(simulate(traces, platform).totalTime.ns(), 210'048);
+    }
 }
 
 TEST(EngineTest, NonBlockingSendOverlapsCompute)
