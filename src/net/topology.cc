@@ -41,6 +41,13 @@ topologyKindFromName(const std::string &name)
 void
 TopologyConfig::validate() const
 {
+    // Written so that NaN fails too: every double must be finite.
+    const auto nonNegative = [](const char *key, double v) {
+        if (!(v >= 0.0) || !std::isfinite(v)) {
+            fatal("topology: ", key,
+                  " must be finite and non-negative, got ", v);
+        }
+    };
     if (kind == TopologyKind::fatTree) {
         if (fatTreeRadix < 2) {
             fatal("topology: fat-tree radix must be at least 2, "
@@ -50,8 +57,10 @@ TopologyConfig::validate() const
             fatal("topology: fat-tree radix must be a power of "
                   "two, got ", fatTreeRadix);
         }
-        if (fatTreeTaper <= 0.0)
-            fatal("topology: fat-tree taper must be positive");
+        if (!(fatTreeTaper > 0.0) || !std::isfinite(fatTreeTaper)) {
+            fatal("topology: fat_tree_taper must be positive and "
+                  "finite, got ", fatTreeTaper);
+        }
     }
     if (kind == TopologyKind::torus) {
         for (const int dim : torusDims) {
@@ -72,12 +81,9 @@ TopologyConfig::validate() const
                   "nodes/router must be positive");
         }
     }
-    if (linkBandwidthMBps < 0.0) {
-        fatal("topology: link bandwidth must not be negative "
-              "(0 = inherit platform bandwidth)");
-    }
-    if (hopLatencyUs < 0.0)
-        fatal("topology: hop latency must be non-negative");
+    // link_bandwidth_mbps 0 inherits the platform bandwidth.
+    nonNegative("link_bandwidth_mbps", linkBandwidthMBps);
+    nonNegative("hop_latency_us", hopLatencyUs);
 }
 
 /**

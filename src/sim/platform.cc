@@ -40,22 +40,32 @@ PlatformConfig::flightLatency(bool local) const
 void
 PlatformConfig::validate() const
 {
-    if (cpuRatio <= 0.0)
-        fatal("platform: cpuRatio must be positive");
+    // Written so that NaN fails too: every double must be finite.
+    const auto positive = [](const char *key, double v) {
+        if (!(v > 0.0) || !std::isfinite(v))
+            fatal("platform: ", key, " must be positive and finite, got ", v);
+    };
+    const auto nonNegative = [](const char *key, double v) {
+        if (!(v >= 0.0) || !std::isfinite(v)) {
+            fatal("platform: ", key,
+                  " must be finite and non-negative, got ", v);
+        }
+    };
+    positive("cpu_ratio", cpuRatio);
     if (cpusPerNode <= 0)
-        fatal("platform: cpusPerNode must be positive");
-    if (bandwidthMBps <= 0.0 || localBandwidthMBps <= 0.0)
-        fatal("platform: bandwidths must be positive");
-    if (latencyUs < 0.0 || localLatencyUs < 0.0)
-        fatal("platform: latencies must be non-negative");
-    if (buses < 0 || outLinksPerNode < 0 || inLinksPerNode < 0)
-        fatal("platform: resource counts must be non-negative");
-    if (rendezvousOverheadUs < 0.0)
-        fatal("platform: rendezvousOverheadUs must be >= 0");
-    if (collectives.latencyFactor < 0.0 ||
-        collectives.bandwidthFactor < 0.0) {
-        fatal("platform: collective factors must be >= 0");
+        fatal("platform: cpus_per_node must be positive");
+    positive("bandwidth_mbps", bandwidthMBps);
+    positive("local_bandwidth_mbps", localBandwidthMBps);
+    nonNegative("latency_us", latencyUs);
+    nonNegative("local_latency_us", localLatencyUs);
+    if (buses < 0 || outLinksPerNode < 0 || inLinksPerNode < 0) {
+        fatal("platform: buses, out_links_per_node and "
+              "in_links_per_node must be non-negative");
     }
+    nonNegative("rendezvous_overhead_us", rendezvousOverheadUs);
+    nonNegative("collective_latency_factor", collectives.latencyFactor);
+    nonNegative("collective_bandwidth_factor",
+                collectives.bandwidthFactor);
     if (collectiveModel == coll::CollectiveModel::algorithmic &&
         (collectives.latencyFactor != 1.0 ||
          collectives.bandwidthFactor != 1.0)) {
@@ -65,23 +75,13 @@ PlatformConfig::validate() const
               "collective_bandwidth_factor apply only to the "
               "analytic model (collective_model = analytic)");
     }
-    if (!std::isfinite(checkpointIntervalUs) ||
-        !std::isfinite(checkpointCostUs) ||
-        !std::isfinite(restartCostUs) ||
-        checkpointIntervalUs < 0.0 || checkpointCostUs < 0.0 ||
-        restartCostUs < 0.0) {
-        fatal("platform: checkpoint interval/cost and restart cost "
-              "must be finite and non-negative");
-    }
-    if (!std::isfinite(checkpointGlobalIntervalUs) ||
-        !std::isfinite(checkpointGlobalCostUs) ||
-        !std::isfinite(restartGlobalCostUs) ||
-        checkpointGlobalIntervalUs < 0.0 ||
-        checkpointGlobalCostUs < 0.0 ||
-        restartGlobalCostUs < 0.0) {
-        fatal("platform: global checkpoint interval/cost and global "
-              "restart cost must be finite and non-negative");
-    }
+    nonNegative("checkpoint_interval_us", checkpointIntervalUs);
+    nonNegative("checkpoint_cost_us", checkpointCostUs);
+    nonNegative("restart_cost_us", restartCostUs);
+    nonNegative("checkpoint_global_interval_us",
+                checkpointGlobalIntervalUs);
+    nonNegative("checkpoint_global_cost_us", checkpointGlobalCostUs);
+    nonNegative("restart_global_cost_us", restartGlobalCostUs);
     if (checkpointGlobalIntervalUs > 0.0 &&
         checkpointIntervalUs <= 0.0) {
         fatal("platform: checkpoint_global_interval_us requires a "

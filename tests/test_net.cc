@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <sstream>
@@ -97,6 +98,29 @@ TEST(TopologyConfigTest, ValidateRejectsNonsense)
     bad = net::topologies::fatTree();
     bad.hopLatencyUs = -0.5;
     EXPECT_THROW(bad.validate(), FatalError);
+
+    // NaN and infinity fail too, each naming its key: a NaN hop
+    // latency used to price every transfer at zero, and a NaN taper
+    // or link bandwidth was accepted silently.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        for (const char *key :
+             {"fat_tree_taper", "link_bandwidth_mbps", "hop_latency_us"}) {
+            TopologyConfig tree = net::topologies::fatTree(4);
+            const std::string k = key;
+            (k == "fat_tree_taper"        ? tree.fatTreeTaper
+             : k == "link_bandwidth_mbps" ? tree.linkBandwidthMBps
+                                          : tree.hopLatencyUs) = bad;
+            try {
+                tree.validate();
+                ADD_FAILURE() << key << " = " << bad << " passed";
+            } catch (const FatalError &err) {
+                EXPECT_NE(std::string(err.what()).find(key),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+    }
 }
 
 TEST(TopologyConfigTest, PlatformValidateCoversTopology)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "net/topology.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
@@ -71,6 +74,62 @@ TEST(PlatformTest, ValidateRejectsNonsense)
     platform = PlatformConfig{};
     platform.latencyUs = -2.0;
     EXPECT_THROW(platform.validate(), FatalError);
+
+    // NaN compares false with every bound, and a NaN bandwidth or
+    // latency used to price every transfer at zero. Each double is
+    // checked in a form NaN and infinity fail, naming its key.
+    const auto rejects = [](const char *key, auto field) {
+        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+            PlatformConfig p;
+            field(p) = bad;
+            try {
+                p.validate();
+                ADD_FAILURE() << key << " = " << bad << " passed";
+            } catch (const FatalError &err) {
+                EXPECT_NE(std::string(err.what()).find(key),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+    };
+    using P = PlatformConfig;
+    rejects("cpu_ratio", [](P &p) -> double & { return p.cpuRatio; });
+    rejects("bandwidth_mbps",
+            [](P &p) -> double & { return p.bandwidthMBps; });
+    rejects("local_bandwidth_mbps",
+            [](P &p) -> double & { return p.localBandwidthMBps; });
+    rejects("latency_us", [](P &p) -> double & { return p.latencyUs; });
+    rejects("local_latency_us",
+            [](P &p) -> double & { return p.localLatencyUs; });
+    rejects("rendezvous_overhead_us",
+            [](P &p) -> double & { return p.rendezvousOverheadUs; });
+    rejects("collective_latency_factor",
+            [](P &p) -> double & { return p.collectives.latencyFactor; });
+    rejects("collective_bandwidth_factor", [](P &p) -> double & {
+        return p.collectives.bandwidthFactor;
+    });
+    rejects("checkpoint_interval_us",
+            [](P &p) -> double & { return p.checkpointIntervalUs; });
+    rejects("checkpoint_cost_us",
+            [](P &p) -> double & { return p.checkpointCostUs; });
+    rejects("restart_cost_us",
+            [](P &p) -> double & { return p.restartCostUs; });
+    rejects("checkpoint_global_interval_us", [](P &p) -> double & {
+        return p.checkpointGlobalIntervalUs;
+    });
+    rejects("checkpoint_global_cost_us",
+            [](P &p) -> double & { return p.checkpointGlobalCostUs; });
+    rejects("restart_global_cost_us",
+            [](P &p) -> double & { return p.restartGlobalCostUs; });
+
+    // A replay validates first: a NaN CPU ratio is a user error, not
+    // an internal one.
+    TraceSet traces("t", 1);
+    traces.rankTrace(0).append(CpuBurst{1'000});
+    platform = platforms::defaultCluster();
+    platform.cpuRatio = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(simulate(traces, platform), FatalError);
 }
 
 TEST(PlatformTest, CollectiveCostFormulas)
