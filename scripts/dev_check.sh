@@ -6,27 +6,30 @@
 #   1. tier-1:  default Release-ish build, full ctest suite
 #   2. ASAN:    OVLSIM_ASAN build, full ctest suite, then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs`, `ctest -L net`, `ctest -L scale` and
-#               `ctest -L bus` passes (the rollback arenas and
-#               snapshot splices are where lifetime bugs would live;
-#               generation builds large traces from raw loops; the
-#               trace exporter serializes raw span buffers; the link
-#               network's occupant pool and per-flow hop slots, the
-#               bus/NIC wait lists and the message-slot table are
-#               index-linked, and only the 4096-node scale tests
-#               reach the large link and hop-slot indices)
+#               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
+#               `ctest -L bus` and `ctest -L scen` passes (the
+#               rollback arenas and snapshot splices are where
+#               lifetime bugs would live; generation builds large
+#               traces from raw loops; the trace exporter serializes
+#               raw span buffers; the link network's occupant pool
+#               and per-flow hop slots, the bus/NIC wait lists, the
+#               message-slot table and the active scenario's live
+#               list and its rollback restore are index-linked, and
+#               only the 4096-node scale tests reach the large link
+#               and hop-slot indices)
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic,
 #               plus float-to-integer casts such as a non-finite
 #               time reaching SimTime, which GCC's
 #               -fsanitize=undefined leaves out),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
-#               `ctest -L obs`, `ctest -L net`, `ctest -L scale` and
-#               `ctest -L bus` passes (rollback deltas, generator
-#               index/byte arithmetic, the counter accumulations, the
-#               occupant-list, hop-slot, wait-list and message-slot
-#               indices and the computed-route index arithmetic are
-#               where integer bugs would live)
+#               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
+#               `ctest -L bus` and `ctest -L scen` passes (rollback
+#               deltas, generator index/byte arithmetic, the counter
+#               accumulations, the occupant-list, hop-slot,
+#               wait-list, message-slot and live-list indices, the
+#               effective-time shifts and the computed-route index
+#               arithmetic are where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, parallel sweeps, scenario determinism, and —
 #               via test_obs's parallel label — the span buffers
@@ -72,7 +75,7 @@ if [[ "$FAST" == 1 ]]; then
     exit 0
 fi
 
-echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/scale/bus labels) =="
+echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/scale/bus/scen labels) =="
 stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-asan" && ctest --output-on-failure -L res)
@@ -81,8 +84,9 @@ stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -L net)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L bus)
+(cd "$PREFIX-asan" && ctest --output-on-failure -L scen)
 
-echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/scale/bus labels) =="
+echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/scale/bus/scen labels) =="
 stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L res)
@@ -91,6 +95,7 @@ stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L net)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L bus)
+(cd "$PREFIX-ubsan" && ctest --output-on-failure -L scen)
 
 echo "== dev_check: stage 4/4 TSAN (parallel + coll + res + gen labels) =="
 stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_TSAN=ON
