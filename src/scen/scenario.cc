@@ -506,51 +506,41 @@ ActiveScenario::flatStallFinish(const CompiledScenario &scenario,
                                 SimTime finish,
                                 std::uint64_t &steps) const
 {
-    // The open window (merged overlapping stalls); closing it
-    // charges its part after `begin` if that starts before `finish`.
-    bool open = false;
-    SimTime winStart, winEnd;
-    const auto close = [&]() {
-        open = false;
-        const SimTime eff = std::max(winStart, begin);
-        if (finish != SimTime::max() && winEnd > begin && eff < finish)
-            finish = winEnd == SimTime::max() ? winEnd
-                                              : finish + (winEnd - eff);
-    };
-    const auto visit = [&](std::uint32_t i) {
+    // Entries come in start order and `covered` is the latest
+    // recovery charged so far, so a window overlapping an earlier
+    // one charges only its part past it. Nothing from `finish` on
+    // can move the finish, so the walk stops there.
+    SimTime covered = begin;
+    const auto charge = [&](std::uint32_t i) {
         const ScenarioEvent &ev = scenario.event(i);
-        if (ev.kind != ScenEventKind::fail ||
-            ev.semantics != FailSemantics::stall ||
-            !ev.matchesPair(src, dst))
-            return;
-        const SimTime start = effective(ev.time);
-        const SimTime end = effective(scenario.recoveryTimeOf(i));
-        if (open && start <= winEnd) {
-            winEnd = std::max(winEnd, end);
-            return;
+        const SimTime from = std::max(effective(ev.time), covered);
+        if (from >= finish)
+            return false;
+        if (ev.kind == ScenEventKind::fail &&
+            ev.semantics == FailSemantics::stall &&
+            ev.matchesPair(src, dst)) {
+            const SimTime to = effective(scenario.recoveryTimeOf(i));
+            if (to == SimTime::max()) {
+                finish = to;
+                return false;
+            }
+            if (to > from) {
+                finish += to - from;
+                covered = to;
+            }
         }
-        if (open)
-            close();
-        winStart = start;
-        winEnd = end;
-        open = true;
+        return true;
     };
-    steps += live.size();
-    for (const std::uint32_t i : live)
-        visit(i);
+    for (const std::uint32_t i : live) {
+        ++steps;
+        if (!charge(i))
+            return finish;
+    }
     for (auto i = cursor; i < scenario.eventCount(); ++i) {
         ++steps;
-        const SimTime start = effective(scenario.event(i).time);
-        if (!open || start > winEnd) {
-            if (open)
-                close();
-            if (finish == SimTime::max() || start >= finish)
-                break;
-        }
-        visit(i);
+        if (!charge(i))
+            break;
     }
-    if (open)
-        close();
     return finish;
 }
 

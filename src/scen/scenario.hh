@@ -301,8 +301,8 @@ struct ActiveScenario
 
     /**
      * Flat-bus pricing of a src -> dst transfer starting at `begin`
-     * reads only the live entries and the pending events inside its
-     * own window, adding how many it read to `steps`.
+     * reads the live entries, then the pending events up to the
+     * transfer's own window, adding how many it read to `steps`.
      *
      * flatDegrade multiplies into `bw` and `lat` the factors of the
      * matching degrades in effect at `begin`, in index order, so the
@@ -314,11 +314,9 @@ struct ActiveScenario
 
     /**
      * flatStallFinish stretches a serialization from `begin` to
-     * `finish` across the matching stall windows, merging overlaps
-     * so concurrent stalls do not double-charge. It stops at the
-     * first pending event past the open window and at or after the
-     * finish so far: nothing later in the time-sorted stream can
-     * move it. SimTime::max() means a stall that never recovers.
+     * `finish` across the matching stall windows; overlapping
+     * windows charge their union once. SimTime::max() means a stall
+     * that never recovers.
      */
     SimTime flatStallFinish(const CompiledScenario &scenario, int src,
                             int dst, SimTime begin, SimTime finish,
