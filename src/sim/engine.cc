@@ -830,9 +830,9 @@ Engine::run(const ReplayProgram &program,
     scenMode_ = !platform_.scenario.empty();
     if (scenMode_) {
         // Compiled fresh each run, unlike routes and collective
-        // schedules: generated fault streams reach hundreds of
-        // events, but compiling them costs one sort and one pass,
-        // little next to the replay that reads them.
+        // schedules: compiling costs little next to the replay that
+        // reads the stream, even at the hundreds of events that
+        // generated fault scenarios reach.
         scenario_ = scen::compileScenario(
             platform_.scenario, netMode_ ? &topo_ : nullptr,
             nodes);
