@@ -287,12 +287,6 @@ struct ActiveScenario
         return t == SimTime::max() ? t : t + shift;
     }
 
-    bool
-    isLive(std::uint32_t i) const
-    {
-        return std::binary_search(live.begin(), live.end(), i);
-    }
-
     void
     erase(std::uint32_t i)
     {

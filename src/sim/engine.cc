@@ -1600,6 +1600,7 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
             schedule(finish, EventKind::transferInjected, idx);
         return;
     }
+    SimTime inject, lat;
     if (scenMode_ && !local) {
         // Flat-bus scenario pricing: the compiled stream is static,
         // so the multipliers active at the transfer's start and
@@ -1608,23 +1609,17 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
         // that begin mid-serialization are charged from the start —
         // a coarser model than the link network's mid-flight
         // re-sharing, by design of the flat path).
-        SimTime lat;
-        const SimTime inject = flatScenPrice(
-            static_cast<int>(nodeOf(transfer.src)),
-            static_cast<int>(nodeOf(transfer.dst)), transfer.bytes,
-            begin, lat);
+        inject = flatScenPrice(static_cast<int>(nodeOf(transfer.src)),
+                               static_cast<int>(nodeOf(transfer.dst)),
+                               transfer.bytes, begin, lat);
         if (inject == SimTime::max())
             return; // stalled with no recovery: never finishes
-        transfer.arriveTime = inject + lat;
-        schedule(inject, EventKind::transferInjected, idx);
-        schedule(transfer.arriveTime, EventKind::transferArrived,
-                 idx);
-        return;
+    } else {
+        inject = begin + serializationTime(transfer.bytes, local);
+        lat = local ? latencyLocal_ : latencyRemote_;
     }
-    const SimTime ser = serializationTime(transfer.bytes, local);
-    const SimTime lat = local ? latencyLocal_ : latencyRemote_;
-    transfer.arriveTime = begin + ser + lat;
-    schedule(begin + ser, EventKind::transferInjected, idx);
+    transfer.arriveTime = inject + lat;
+    schedule(inject, EventKind::transferInjected, idx);
     schedule(transfer.arriveTime, EventKind::transferArrived, idx);
 }
 
@@ -2231,31 +2226,30 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 {
     const scen::ScenarioEvent &ev = scenario_.event(i);
     active_.live.push_back(i);
+    SimTime finish;
     if (netMode_) {
-        const SimTime finish = network_.start(
-            bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t);
-        if (finish != SimTime::max())
-            schedule(finish, EventKind::backgroundFinish, i);
-        return;
+        finish = network_.start(bgIdBase + i, ev.nodeA, ev.nodeB,
+                                ev.bytes, t);
+    } else {
+        if (busesLimited())
+            --busFree_;
+        if (outLimited())
+            --outFree_[static_cast<std::size_t>(ev.nodeA)];
+        if (inLimited())
+            --inFree_[static_cast<std::size_t>(ev.nodeB)];
+        SimTime lat;
+        finish = flatScenPrice(ev.nodeA, ev.nodeB, ev.bytes, t, lat);
     }
-    if (busesLimited())
-        --busFree_;
-    if (outLimited())
-        --outFree_[static_cast<std::size_t>(ev.nodeA)];
-    if (inLimited())
-        --inFree_[static_cast<std::size_t>(ev.nodeB)];
-    SimTime lat;
-    const SimTime finish =
-        flatScenPrice(ev.nodeA, ev.nodeB, ev.bytes, t, lat);
-    if (finish == SimTime::max())
-        return; // stalled forever; the resources stay held
-    schedule(finish, EventKind::backgroundFinish, i);
+    // A flow stalled forever never finishes; on the flat bus its
+    // resources stay held.
+    if (finish != SimTime::max())
+        schedule(finish, EventKind::backgroundFinish, i);
 }
 
 void
 Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
 {
-    if (!active_.isLive(i))
+    if (!std::binary_search(active_.live.begin(), active_.live.end(), i))
         return; // stale event after completion
     if (netMode_) {
         const auto check =
