@@ -40,6 +40,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hh"
@@ -102,15 +103,15 @@ TEST(TopologyConfigTest, ValidateRejectsNonsense)
     // NaN and infinity fail too, each naming its key: a NaN hop
     // latency used to price every transfer at zero, and a NaN taper
     // or link bandwidth was accepted silently.
-    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::infinity()}) {
-        for (const char *key :
-             {"fat_tree_taper", "link_bandwidth_mbps", "hop_latency_us"}) {
+    for (const auto &[key, field] :
+         {std::pair{"fat_tree_taper", &TopologyConfig::fatTreeTaper},
+          std::pair{"link_bandwidth_mbps",
+                    &TopologyConfig::linkBandwidthMBps},
+          std::pair{"hop_latency_us", &TopologyConfig::hopLatencyUs}}) {
+        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
             TopologyConfig tree = net::topologies::fatTree(4);
-            const std::string k = key;
-            (k == "fat_tree_taper"        ? tree.fatTreeTaper
-             : k == "link_bandwidth_mbps" ? tree.linkBandwidthMBps
-                                          : tree.hopLatencyUs) = bad;
+            tree.*field = bad;
             try {
                 tree.validate();
                 ADD_FAILURE() << key << " = " << bad << " passed";
