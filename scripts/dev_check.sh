@@ -4,7 +4,9 @@
 # sanitizer toggles never contaminate the normal configuration.
 #
 #   1. tier-1:  default Release-ish build, full ctest suite
-#   2. ASAN:    OVLSIM_ASAN build, full ctest suite, then
+#   2. ASAN:    OVLSIM_ASAN build (with libstdc++ assertions,
+#               _GLIBCXX_ASSERTIONS: checked operator[], std::clamp
+#               bounds and friends), full ctest suite, then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
 #               `ctest -L bus` and `ctest -L scen` passes (the
@@ -17,7 +19,8 @@
 #               list and its rollback restore are index-linked, and
 #               only the 4096-node scale tests reach the large link
 #               and hop-slot indices)
-#   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
+#   3. UBSAN:   OVLSIM_UBSAN build, also with libstdc++
+#               assertions, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic,
 #               plus float-to-integer casts such as a non-finite
 #               time reaching SimTime, which GCC's
@@ -31,14 +34,15 @@
 #               effective-time shifts and the computed-route index
 #               arithmetic are where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
-#               pool, parallel sweeps, scenario determinism, and —
-#               via test_obs's parallel label — the span buffers
-#               and campaign stats folds), `ctest -L coll` (the
-#               algorithmic collective engine), `ctest -L res`
-#               (resilience campaigns fanning seeded fault
-#               scenarios over the pool) and `ctest -L gen`
-#               (scaling sweeps fanning whole generate+lower+replay
-#               pipelines over the pool)
+#               pool, the campaign lane runner's sweeps and their
+#               pin table, scenario determinism, and — via
+#               test_obs's parallel label — the span buffers,
+#               progress ticks and campaign stats folds), `ctest -L
+#               coll` (the algorithmic collective engine), `ctest
+#               -L res` (resilience campaigns fanning seeded fault
+#               scenarios over the lanes) and `ctest -L gen`
+#               (scaling sweeps: prepare tasks generating and
+#               lowering points, then costliest-first replays)
 #
 # Usage:
 #   scripts/dev_check.sh            # run all four stages

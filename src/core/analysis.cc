@@ -1,7 +1,10 @@
 #include "analysis.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 #include "res/fault_model.hh"
 #include "util/counter_rng.hh"
@@ -13,35 +16,226 @@ namespace ovlsim::core {
 
 namespace {
 
+using Program = std::shared_ptr<const sim::ReplayProgram>;
+
 /**
- * Drain `pool`'s recorded spans into the hook, shifting them past
- * the latest span already collected: campaigns chaining sweeps
- * (topologySweep) run their inner pools sequentially, so the shift
- * keeps the merged host track in wall order even though every pool
- * restarts its span clock at zero.
+ * The lane runner under every campaign driver (see analysis.hh): it
+ * owns the lane count, the pool, one ReplaySession per lane, a span
+ * around every task and the progress tick. Replay stages run
+ * costliest first (Graham's longest-processing-time rule), so the
+ * largest replays start early instead of running alone at the end.
  */
-void
-collectSpans(CampaignObs *cobs, ThreadPool &pool)
+class LaneRunner
 {
-    if (cobs == nullptr || !cobs->recordSpans)
-        return;
-    std::uint64_t base = 0;
-    for (const ThreadPool::LaneSpan &span : cobs->spans) {
-        if (span.endNs > base)
-            base = span.endNs;
+  public:
+    using Cost = std::function<std::size_t(std::size_t)>;
+    using Label = std::function<std::string(std::size_t)>;
+    using Task = std::function<void(std::size_t, sim::ReplaySession &)>;
+
+    LaneRunner(int threads, std::size_t widest,
+               CampaignObs *cobs = nullptr)
+        : pool_(static_cast<int>(std::clamp<std::size_t>(
+              widest, 1, ThreadPool::resolveThreads(threads)))),
+          sessions_(static_cast<std::size_t>(pool_.size())),
+          cobs_(cobs),
+          progress_(cobs != nullptr ? cobs->progress : nullptr)
+    {
+        if (cobs_ == nullptr || !cobs_->recordSpans)
+            return;
+        pool_.enableSpans();
+        // Every pool restarts its span clock at zero: shift past
+        // earlier chained sweeps' spans to keep wall order.
+        for (const ThreadPool::LaneSpan &span : cobs_->spans)
+            spanBase_ = std::max(spanBase_, span.endNs);
     }
-    for (ThreadPool::LaneSpan &span : pool.takeSpans()) {
-        span.beginNs += base;
-        span.endNs += base;
-        cobs->spans.push_back(std::move(span));
+
+    /**
+     * Run task(i, session) for every i in [0, count) on its lane's
+     * session, costliest first (a null cost or a tie keeps index
+     * order), in a span named label(i) unless label is null. With
+     * `per_point` > 0, tasks [p * per_point, (p + 1) * per_point)
+     * make up point p, and the task retiring its last one ticks
+     * progress.
+     */
+    void
+    run(std::size_t count, const Cost &cost, const Label &label,
+        const Task &task, std::size_t per_point = 0)
+    {
+        std::vector<std::size_t> order(count);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        if (cost) {
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::size_t a, std::size_t b) {
+                                 return cost(a) > cost(b);
+                             });
+        }
+        std::vector<std::atomic<std::size_t>> retired(
+            per_point > 0 ? count / per_point : 0);
+
+        pool_.parallelFor(count, [&](std::size_t k, int lane) {
+            const std::size_t i = order[k];
+            if (label && pool_.spansEnabled())
+                pool_.spanBegin(lane, label(i));
+            task(i, sessions_[static_cast<std::size_t>(lane)]);
+            pool_.spanEnd(lane);
+            if (per_point > 0 && progress_ != nullptr &&
+                retired[i / per_point].fetch_add(
+                    1, std::memory_order_acq_rel) + 1 == per_point)
+                progress_->tick();
+        });
+
+        if (!pool_.spansEnabled())
+            return;
+        for (ThreadPool::LaneSpan &span : pool_.takeSpans()) {
+            span.beginNs += spanBase_;
+            span.endNs += spanBase_;
+            cobs_->spans.push_back(std::move(span));
+        }
     }
+
+  private:
+    ThreadPool pool_;
+    std::vector<sim::ReplaySession> sessions_;
+    CampaignObs *cobs_;
+    obs::Progress *progress_;
+    std::uint64_t spanBase_ = 0;
+};
+
+/** Replay cost of programs[i]: its compiled op count. */
+LaneRunner::Cost
+opCount(const std::vector<Program> &programs)
+{
+    return [&programs](std::size_t i) {
+        return programs[i]->totalOps();
+    };
 }
 
-void
-tickProgress(CampaignObs *cobs)
+/** Program v's name: 0 is the original, v > 0 variant v - 1. */
+std::string
+programName(const std::vector<VariantSpec> &variants, std::size_t v)
 {
-    if (cobs != nullptr && cobs->progress != nullptr)
-        cobs->progress->tick();
+    return v == 0 ? "original" : variants[v - 1].name;
+}
+
+/** Lower program v of `bundle` (numbered as in programName); a
+ * variant's TraceSet dies at compile. */
+Program
+compileProgram(const tracer::TraceBundle &bundle,
+               const std::vector<VariantSpec> &variants, std::size_t v)
+{
+    if (v == 0)
+        return sim::compileShared(bundle.traces);
+    return sim::compileShared(
+        buildOverlappedTrace(bundle.traces, bundle.overlap,
+                             variants[v - 1].config)
+            .traces);
+}
+
+/** The prepare stage of a traced bundle: compile the original and
+ * every variant once, one task each. */
+std::vector<Program>
+compileAll(LaneRunner &lanes, const tracer::TraceBundle &bundle,
+           const std::vector<VariantSpec> &variants)
+{
+    std::vector<Program> programs(variants.size() + 1);
+    lanes.run(
+        programs.size(), nullptr,
+        [&](std::size_t v) {
+            return "compile " + programName(variants, v);
+        },
+        [&](std::size_t v, sim::ReplaySession &) {
+            programs[v] = compileProgram(bundle, variants, v);
+        });
+    return programs;
+}
+
+/**
+ * The replay stage of bandwidthSweep and scalingSweep: one task per
+ * (point, program), programs[i * width + v] replaying on
+ * platforms[i]. A task drops its program reference when done, so a
+ * program dies with its last replay. Stats fold in task order.
+ */
+template <typename Point>
+void
+replayGrid(LaneRunner &lanes, std::vector<Program> programs,
+           std::size_t width,
+           const std::vector<sim::PlatformConfig> &platforms,
+           const LaneRunner::Label &label, std::vector<Point> &points,
+           obs::EngineStats &folded)
+{
+    std::vector<obs::EngineStats> stats(programs.size());
+    for (Point &point : points)
+        point.variantTimes.resize(width - 1);
+    lanes.run(
+        programs.size(), opCount(programs), label,
+        [&](std::size_t t, sim::ReplaySession &session) {
+            Point &point = points[t / width];
+            const auto run =
+                session.run(*programs[t], platforms[t / width]);
+            programs[t].reset();
+            if (t % width == 0) {
+                point.originalTime = run.totalTime;
+                point.originalCommFraction = run.commFraction();
+            } else {
+                point.variantTimes[t % width - 1] = run.totalTime;
+            }
+            stats[t] = run.stats;
+        },
+        width);
+    for (std::size_t t = 0; t < stats.size(); ++t)
+        points[t / width].stats.merge(stats[t]);
+    for (const Point &point : points)
+        folded.merge(point.stats);
+}
+
+/** Fold one cell's per-seed outcomes into its aggregates. */
+void
+aggregateCell(ResilienceCell &cell)
+{
+    std::vector<SimTime> alive;
+    alive.reserve(cell.seedTimes.size());
+    for (const SimTime t : cell.seedTimes) {
+        if (t != SimTime::max())
+            alive.push_back(t);
+    }
+    cell.failedFraction =
+        static_cast<double>(cell.seedTimes.size() - alive.size()) /
+        static_cast<double>(cell.seedTimes.size());
+    if (alive.empty()) {
+        cell.meanTime = SimTime::zero();
+        cell.p95Time = SimTime::zero();
+        return;
+    }
+    // Integer arithmetic end to end (ns sums fit: 2^63 ns is ~292
+    // years of simulated time) so the aggregates are bit-identical
+    // across hosts and thread counts.
+    std::int64_t sum = 0;
+    for (const SimTime t : alive)
+        sum += t.ns();
+    cell.meanTime = SimTime::fromNs(
+        sum / static_cast<std::int64_t>(alive.size()));
+    std::sort(alive.begin(), alive.end());
+    // Nearest-rank percentile: ceil(0.95 n) as (19n + 19) / 20.
+    const std::size_t n = alive.size();
+    const std::size_t rank = (19 * n + 19) / 20;
+    cell.p95Time = alive[rank - 1];
+}
+
+/** One fail-stop exponential process at `mtbf_us` per node. */
+res::FaultModel
+nodeFailStops(int nodes, double mtbf_us)
+{
+    res::FaultModel model;
+    model.processes.reserve(static_cast<std::size_t>(nodes) + 1);
+    for (int n = 0; n < nodes; ++n) {
+        res::FaultProcess proc;
+        proc.target = scen::ScenTarget::node;
+        proc.nodeA = n;
+        proc.effect = res::FaultEffect::failStop;
+        proc.mtbfUs = mtbf_us;
+        model.processes.push_back(std::move(proc));
+    }
+    return model;
 }
 
 } // namespace
@@ -101,84 +295,26 @@ bandwidthSweep(const tracer::TraceBundle &bundle,
 {
     SweepResult result;
     result.variants = variants;
-
-    // Lanes beyond the widest phase (usually the per-point fan-out)
-    // would only idle; clamp so tiny sweeps don't pay for a
-    // hardware-sized pool.
-    const std::size_t widest =
-        bandwidths.size() > variants.size() ? bandwidths.size()
-                                            : variants.size();
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (widest > 0 && static_cast<std::size_t>(lanes) > widest)
-        lanes = static_cast<int>(widest);
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
-
-    // Compile the original and every overlapped variant once into
-    // shared immutable replay programs; every sweep point replays
-    // from them. The variant TraceSets are dropped as soon as they
-    // are compiled, so the campaign's footprint is one packed
-    // program per variant instead of one fat record vector per
-    // variant, and no lane ever re-lowers a trace. Slot 0 is the
-    // original; the constructions are independent, so they fan out
-    // too (they dominate setup for many-chunk variants).
-    std::vector<std::shared_ptr<const sim::ReplayProgram>> programs(
-        variants.size() + 1);
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int lane) {
-            pool.spanBegin(
-                lane,
-                v == 0 ? "compile original"
-                       : "compile " + variants[v - 1].name);
-            if (v == 0) {
-                programs[0] = sim::compileShared(bundle.traces);
-            } else {
-                const auto built = buildOverlappedTrace(
-                    bundle.traces, bundle.overlap,
-                    variants[v - 1].config);
-                programs[v] = sim::compileShared(built.traces);
-            }
-            pool.spanEnd(lane);
-        });
-
-    // One replay session per lane: replays reuse the engine arenas
-    // across points, and point i writes only slot i, so the sweep is
-    // bit-identical to the sequential loop at any thread count.
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
+    const std::size_t width = variants.size() + 1;
+    LaneRunner lanes(threads, bandwidths.size() * width, cobs);
+    const auto compiled = compileAll(lanes, bundle, variants);
+    std::vector<Program> programs;
+    std::vector<sim::PlatformConfig> platforms(bandwidths.size(), base);
     result.points.resize(bandwidths.size());
-    pool.parallelFor(
-        bandwidths.size(), [&](std::size_t i, int lane) {
-            pool.spanBegin(lane, strformat("point bw=%.4g",
-                                           bandwidths[i]));
-            auto &session =
-                sessions[static_cast<std::size_t>(lane)];
-            sim::PlatformConfig platform = base;
-            platform.bandwidthMBps = bandwidths[i];
-
-            SweepPoint &point = result.points[i];
-            point.bandwidthMBps = bandwidths[i];
-            const auto original =
-                session.run(*programs[0], platform);
-            point.originalTime = original.totalTime;
-            point.originalCommFraction = original.commFraction();
-            point.stats = original.stats;
-            point.variantTimes.reserve(variants.size());
-            for (std::size_t v = 1; v < programs.size(); ++v) {
-                const auto run =
-                    session.run(*programs[v], platform);
-                point.variantTimes.push_back(run.totalTime);
-                point.stats.merge(run.stats);
-            }
-            pool.spanEnd(lane);
-            tickProgress(cobs);
-        });
-    // Sequential fold (merge is commutative anyway), so the
-    // aggregate is bit-identical at any thread count.
-    for (const SweepPoint &point : result.points)
-        result.stats.merge(point.stats);
-    collectSpans(cobs, pool);
+    for (std::size_t i = 0; i < bandwidths.size(); ++i) {
+        programs.insert(programs.end(), compiled.begin(),
+                        compiled.end());
+        platforms[i].bandwidthMBps = bandwidths[i];
+        result.points[i].bandwidthMBps = bandwidths[i];
+    }
+    replayGrid(
+        lanes, std::move(programs), width, platforms,
+        [&](std::size_t t) {
+            return strformat("replay bw=%.4g ",
+                             bandwidths[t / width]) +
+                programName(variants, t % width);
+        },
+        result.points, result.stats);
     return result;
 }
 
@@ -203,61 +339,43 @@ scalingSweep(const gen::WorkloadConfig &workload,
 {
     ScalingResult result;
     result.variants = variants;
+    const std::size_t width = variants.size() + 1;
+    LaneRunner lanes(threads, rank_grid.size() * width, cobs);
 
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (!rank_grid.empty() &&
-        static_cast<std::size_t>(lanes) > rank_grid.size())
-        lanes = static_cast<int>(rank_grid.size());
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
-
-    // Unlike the bandwidth sweep there is no shared compiled
-    // program: every point is a different trace (its own rank
-    // count), so the whole pipeline — generate, transform, compile,
-    // replay — fans out per point. Generation is a pure function of
-    // (workload, seed), and point i writes only slot i, so the
-    // sweep is bit-identical to the sequential loop at any thread
-    // count.
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
+    // Prepare: every point is its own trace, generated once and
+    // lowered per program; generation cost grows with the rank
+    // count, which therefore orders the stage.
+    std::vector<Program> programs(rank_grid.size() * width);
     result.points.resize(rank_grid.size());
-    pool.parallelFor(
-        rank_grid.size(), [&](std::size_t i, int lane) {
-            pool.spanBegin(lane, strformat("point ranks=%d",
-                                           rank_grid[i]));
-            auto &session =
-                sessions[static_cast<std::size_t>(lane)];
-            const auto config =
-                gen::withRankCount(workload, rank_grid[i]);
-            const auto bundle =
-                gen::generateWorkload(config, seed);
-
+    lanes.run(
+        rank_grid.size(),
+        [&](std::size_t i) {
+            return static_cast<std::size_t>(rank_grid[i]);
+        },
+        [&](std::size_t i) {
+            return strformat("prepare ranks=%d", rank_grid[i]);
+        },
+        [&](std::size_t i, sim::ReplaySession &) {
+            const auto bundle = gen::generateWorkload(
+                gen::withRankCount(workload, rank_grid[i]), seed);
             ScalingPoint &point = result.points[i];
             point.ranks = rank_grid[i];
             point.sentBytes = bundle.traces.totalSentBytes();
             point.messages = bundle.traces.totalMessages();
-            const auto original =
-                session.run(bundle.traces, base);
-            point.originalTime = original.totalTime;
-            point.originalCommFraction = original.commFraction();
-            point.stats = original.stats;
-            point.variantTimes.reserve(variants.size());
-            for (const auto &variant : variants) {
-                const auto built = buildOverlappedTrace(
-                    bundle.traces, bundle.overlap,
-                    variant.config);
-                const auto run =
-                    session.run(built.traces, base);
-                point.variantTimes.push_back(run.totalTime);
-                point.stats.merge(run.stats);
-            }
-            pool.spanEnd(lane);
-            tickProgress(cobs);
+            for (std::size_t v = 0; v < width; ++v)
+                programs[i * width + v] =
+                    compileProgram(bundle, variants, v);
         });
-    for (const ScalingPoint &point : result.points)
-        result.stats.merge(point.stats);
-    collectSpans(cobs, pool);
+
+    replayGrid(
+        lanes, std::move(programs), width,
+        std::vector<sim::PlatformConfig>(rank_grid.size(), base),
+        [&](std::size_t t) {
+            return strformat("replay ranks=%d ",
+                             rank_grid[t / width]) +
+                programName(variants, t % width);
+        },
+        result.points, result.stats);
     return result;
 }
 
@@ -285,11 +403,8 @@ topologySweep(const tracer::TraceBundle &bundle,
     TopologySweepResult result;
     result.topologies = topologies;
     result.sweeps.reserve(topologies.size());
-    // Topologies run one after another: each inner sweep already
-    // fans its variant construction and grid points over the worker
-    // pool, and sequential outer order keeps every sweep's lane
-    // layout — and therefore the whole campaign — bit-identical to
-    // a one-topology run.
+    // Each inner sweep fans out over its own lanes; the fixed outer
+    // order keeps the campaign bit-identical to one-topology runs.
     for (const auto &spec : topologies) {
         sim::PlatformConfig platform = base;
         platform.topology = spec.topology;
@@ -312,10 +427,7 @@ degradedSweep(const tracer::TraceBundle &bundle,
     DegradedSweepResult result;
     result.scenarios = scenarios;
     result.sweeps.reserve(scenarios.size());
-    // Sequential outer loop for the same reason as topologySweep:
-    // the inner sweep owns the fan-out, and a fixed outer order
-    // keeps the campaign bit-identical to one-scenario runs at any
-    // thread count.
+    // Sequential outer loop for the same reason as topologySweep.
     for (const auto &spec : scenarios) {
         sim::PlatformConfig platform = base;
         platform.scenario = spec.scenario;
@@ -326,43 +438,6 @@ degradedSweep(const tracer::TraceBundle &bundle,
     }
     return result;
 }
-
-namespace {
-
-/** Fold one cell's per-seed outcomes into its aggregates. */
-void
-aggregateCell(ResilienceCell &cell)
-{
-    std::vector<SimTime> alive;
-    alive.reserve(cell.seedTimes.size());
-    for (const SimTime t : cell.seedTimes) {
-        if (t != SimTime::max())
-            alive.push_back(t);
-    }
-    cell.failedFraction =
-        static_cast<double>(cell.seedTimes.size() - alive.size()) /
-        static_cast<double>(cell.seedTimes.size());
-    if (alive.empty()) {
-        cell.meanTime = SimTime::zero();
-        cell.p95Time = SimTime::zero();
-        return;
-    }
-    // Integer arithmetic end to end (ns sums fit: 2^63 ns is ~292
-    // years of simulated time) so the aggregates are bit-identical
-    // across hosts and thread counts.
-    std::int64_t sum = 0;
-    for (const SimTime t : alive)
-        sum += t.ns();
-    cell.meanTime = SimTime::fromNs(
-        sum / static_cast<std::int64_t>(alive.size()));
-    std::sort(alive.begin(), alive.end());
-    // Nearest-rank percentile: ceil(0.95 n) as (19n + 19) / 20.
-    const std::size_t n = alive.size();
-    const std::size_t rank = (19 * n + 19) / 20;
-    cell.p95Time = alive[rank - 1];
-}
-
-} // namespace
 
 ResilienceResult
 resilienceSweep(const tracer::TraceBundle &bundle,
@@ -384,29 +459,9 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     result.seedCount = seed_count;
 
     const std::size_t jobs = mtbf_grid_us.size() * seed_count;
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (jobs > 0 && static_cast<std::size_t>(lanes) > jobs)
-        lanes = static_cast<int>(jobs);
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
-
-    // Programs compile once into shared immutable replay programs,
-    // exactly like bandwidthSweep; every (rate, seed, variant) job
-    // replays from them.
-    std::vector<std::shared_ptr<const sim::ReplayProgram>> programs(
-        variants.size() + 1);
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int) {
-            if (v == 0) {
-                programs[0] = sim::compileShared(bundle.traces);
-                return;
-            }
-            const auto built = buildOverlappedTrace(
-                bundle.traces, bundle.overlap,
-                variants[v - 1].config);
-            programs[v] = sim::compileShared(built.traces);
-        });
+    LaneRunner lanes(threads, std::max(jobs, variants.size() + 1),
+                     cobs);
+    const auto programs = compileAll(lanes, bundle, variants);
 
     // Failure-free pre-pass: nominal completion under the base
     // platform (checkpoint overhead included, faults excluded) sets
@@ -416,24 +471,20 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     sim::PlatformConfig nominal = base;
     nominal.scenario = scen::ScenarioConfig{};
     nominal.faultModelFile.clear();
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
     std::vector<SimTime> nominalTimes(programs.size());
     std::vector<obs::EngineStats> nominalStats(programs.size());
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int lane) {
-            const auto run =
-                sessions[static_cast<std::size_t>(lane)].run(
-                    *programs[v], nominal);
+    lanes.run(
+        programs.size(), opCount(programs),
+        [&](std::size_t v) {
+            return "nominal " + programName(variants, v);
+        },
+        [&](std::size_t v, sim::ReplaySession &session) {
+            const auto run = session.run(*programs[v], nominal);
             nominalTimes[v] = run.totalTime;
             nominalStats[v] = run.stats;
         });
-    SimTime slowest;
-    for (const SimTime t : nominalTimes) {
-        if (t > slowest)
-            slowest = t;
-    }
-    result.horizon = slowest * 4;
+    result.horizon =
+        *std::max_element(nominalTimes.begin(), nominalTimes.end()) * 4;
 
     const int nodes = (programs[0]->ranks() + base.cpusPerNode - 1) /
         base.cpusPerNode;
@@ -450,39 +501,24 @@ resilienceSweep(const tracer::TraceBundle &bundle,
         }
     }
 
-    // One (rate, seed) job per row: the generated scenario is
-    // shared across the row's variants, so cells compare under
-    // identical fault sequences. Every job writes only its own
-    // seedTimes slots and the scenario expansion is a pure function
-    // of (seed, i, s) through the counter RNG, so the sweep is
-    // bit-identical to the sequential loop at any thread count.
-    // Jobs of one grid point race on that point, so per-job stats
-    // land in a private slot and fold sequentially below.
+    // One (rate, seed) job per row, run whole and in grid order: the
+    // generated scenario is shared across the row's programs, so
+    // cells compare under identical fault sequences. Jobs of one
+    // grid point race on that point, so per-job stats land in a
+    // private slot and fold sequentially below.
     std::vector<obs::EngineStats> jobStats(jobs);
-    pool.parallelFor(jobs, [&](std::size_t job, int lane) {
+    const auto replayRow = [&](std::size_t job,
+                               sim::ReplaySession &session) {
         const std::size_t i = job / seed_count;
         const std::size_t s = job % seed_count;
-        pool.spanBegin(lane,
-                       strformat("job mtbf=%.4g seed=%zu",
-                                 mtbf_grid_us[i], s));
-
-        res::FaultModel model;
-        model.processes.reserve(static_cast<std::size_t>(nodes));
-        for (int n = 0; n < nodes; ++n) {
-            res::FaultProcess proc;
-            proc.target = scen::ScenTarget::node;
-            proc.nodeA = n;
-            proc.effect = res::FaultEffect::failStop;
-            proc.mtbfUs = mtbf_grid_us[i];
-            model.processes.push_back(std::move(proc));
-        }
+        const res::FaultModel model =
+            nodeFailStops(nodes, mtbf_grid_us[i]);
         const std::uint64_t row_seed =
             CounterRng(seed, static_cast<std::uint64_t>(i)).at(s);
         sim::PlatformConfig platform = nominal;
         platform.scenario =
             res::generateScenario(model, row_seed, result.horizon);
 
-        auto &session = sessions[static_cast<std::size_t>(lane)];
         ResiliencePoint &point = result.points[i];
         for (std::size_t v = 0; v < programs.size(); ++v) {
             try {
@@ -500,9 +536,15 @@ resilienceSweep(const tracer::TraceBundle &bundle,
                 point.cells[v].seedDiagnoses[s] = err.diagnosis();
             }
         }
-        pool.spanEnd(lane);
-        tickProgress(cobs);
-    });
+    };
+    lanes.run(
+        jobs, nullptr,
+        [&](std::size_t job) {
+            return strformat("job mtbf=%.4g seed=%zu",
+                             mtbf_grid_us[job / seed_count],
+                             job % seed_count);
+        },
+        replayRow, 1);
 
     for (ResiliencePoint &point : result.points) {
         for (ResilienceCell &cell : point.cells)
@@ -512,7 +554,6 @@ resilienceSweep(const tracer::TraceBundle &bundle,
         result.stats.merge(stats);
     for (const obs::EngineStats &stats : jobStats)
         result.stats.merge(stats);
-    collectSpans(cobs, pool);
     return result;
 }
 
@@ -545,10 +586,7 @@ protocolSweep(const tracer::TraceBundle &bundle,
 
     const std::size_t jobs =
         protocols.size() * interval_grid_us.size() * seed_count;
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (static_cast<std::size_t>(lanes) > jobs)
-        lanes = static_cast<int>(jobs);
-    ThreadPool pool(lanes);
+    LaneRunner lanes(threads, jobs);
 
     // Protocols compare checkpointing cost models over one fixed
     // workload, so only the original program replays — overlap
@@ -568,10 +606,7 @@ protocolSweep(const tracer::TraceBundle &bundle,
     nominal.checkpointGlobalIntervalUs = 0.0;
     nominal.checkpointGlobalCostUs = 0.0;
     nominal.restartGlobalCostUs = 0.0;
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
-    result.horizon =
-        sessions[0].run(*program, nominal).totalTime * 4;
+    result.horizon = sim::simulate(*program, nominal).totalTime * 4;
 
     const int nodes = (program->ranks() + base.cpusPerNode - 1) /
         base.cpusPerNode;
@@ -604,29 +639,19 @@ protocolSweep(const tracer::TraceBundle &bundle,
     // One job per (protocol, interval, seed) cell slot. The fault
     // scenario is a pure function of the seed index alone — every
     // protocol and interval of seed s replays the exact same fault
-    // sequence, so the comparison isolates the cost model. Each job
-    // writes only its own slots; bit-identical at any thread count.
+    // sequence, so the comparison isolates the cost model. Jobs
+    // run in grid order.
     const std::size_t perProtocol =
         interval_grid_us.size() * seed_count;
-    pool.parallelFor(jobs, [&](std::size_t job, int lane) {
+    const auto replayCell = [&](std::size_t job,
+                                sim::ReplaySession &session) {
         const std::size_t p = job / perProtocol;
         const std::size_t k = (job % perProtocol) / seed_count;
         const std::size_t s = job % seed_count;
         const CheckpointProtocol &proto = protocols[p];
         const double interval = interval_grid_us[k];
 
-        res::FaultModel model;
-        model.processes.reserve(
-            static_cast<std::size_t>(nodes) +
-            (machine_mtbf_us > 0.0 ? 1u : 0u));
-        for (int n = 0; n < nodes; ++n) {
-            res::FaultProcess proc;
-            proc.target = scen::ScenTarget::node;
-            proc.nodeA = n;
-            proc.effect = res::FaultEffect::failStop;
-            proc.mtbfUs = mtbf_us;
-            model.processes.push_back(std::move(proc));
-        }
+        res::FaultModel model = nodeFailStops(nodes, mtbf_us);
         if (machine_mtbf_us > 0.0) {
             // Machine-wide crashes restore from the global snapshot
             // under two-level protocols and from the local one
@@ -654,14 +679,14 @@ protocolSweep(const tracer::TraceBundle &bundle,
         }
 
         ResilienceCell &cell = result.rows[p].cells[k].cell;
-        auto &session = sessions[static_cast<std::size_t>(lane)];
         try {
             cell.seedTimes[s] =
                 session.run(*program, platform).totalTime;
         } catch (const scen::FailureError &err) {
             cell.seedDiagnoses[s] = err.diagnosis();
         }
-    });
+    };
+    lanes.run(jobs, nullptr, nullptr, replayCell);
 
     for (ProtocolSweepRow &row : result.rows) {
         SimTime best = SimTime::max();
@@ -821,43 +846,31 @@ isoPerformance(const tracer::TraceBundle &bundle,
     result.referenceBandwidth = reference_mbps;
     result.tolerance = tolerance;
 
-    // One compiled program of the original serves the reference
-    // replay and every iteration of its bisection below.
-    const auto original = sim::compileShared(bundle.traces);
-
+    // Prepare the original and the overlapped program; the
+    // original serves the reference replay and its own bisection.
+    LaneRunner lanes(threads, 2);
+    const auto programs =
+        compileAll(lanes, bundle, {{"overlapped", variant}});
     sim::PlatformConfig reference = base;
     reference.bandwidthMBps = reference_mbps;
     result.originalTime =
-        sim::simulate(*original, reference).totalTime;
+        sim::simulate(*programs[0], reference).totalTime;
 
     const auto target = SimTime::fromNs(static_cast<std::int64_t>(
         static_cast<double>(result.originalTime.ns()) *
         (1.0 + tolerance)));
 
     // The two bisections are independent searches against the same
-    // target; each writes its own result field, so running them
-    // concurrently cannot change the outcome. The overlapped-trace
-    // construction and lowering stay inside their task to overlap
-    // with the original's search; the TraceSet dies at compile.
-    const int lanes = ThreadPool::resolveThreads(threads);
-    ThreadPool pool(lanes > 2 ? 2 : lanes);
-    pool.parallelFor(2, [&](std::size_t task, int) {
-        if (task == 0) {
-            result.originalRequiredBandwidth = minBandwidthForTime(
-                *original, base, target, search_lo_mbps,
-                reference_mbps);
-        } else {
-            const auto overlapped =
-                sim::compileTrace(buildOverlappedTrace(
-                                      bundle.traces,
-                                      bundle.overlap, variant)
-                                      .traces);
-            result.overlappedRequiredBandwidth =
-                minBandwidthForTime(overlapped, base, target,
-                                    search_lo_mbps,
-                                    reference_mbps);
-        }
-    });
+    // target, each writing its own result field, so running them
+    // concurrently cannot change the outcome.
+    double *required[] = {&result.originalRequiredBandwidth,
+                          &result.overlappedRequiredBandwidth};
+    lanes.run(2, opCount(programs), nullptr,
+              [&](std::size_t v, sim::ReplaySession &) {
+                  *required[v] = minBandwidthForTime(
+                      *programs[v], base, target, search_lo_mbps,
+                      reference_mbps);
+              });
     return result;
 }
 

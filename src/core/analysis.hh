@@ -9,6 +9,13 @@
  * and the iso-performance bandwidth-relaxation analysis showing how
  * much less bandwidth the overlapped execution needs to match the
  * original's performance at high bandwidth (R3).
+ *
+ * Every campaign driver below runs on `threads` lanes (<= 0 means
+ * all hardware cores; never more than its widest stage has tasks).
+ * It prepares first (generates each point and lowers each program
+ * once, sim/program.hh), then replays, costliest compiled program
+ * first. Every task writes only its own result slots and stats fold
+ * sequentially, so results are bit-identical at any thread count.
  */
 
 #ifndef OVLSIM_CORE_ANALYSIS_HH
@@ -38,10 +45,12 @@ namespace ovlsim::core {
 struct CampaignObs
 {
     /** Ticked once per completed sweep point (or per (rate, seed)
-     * job of a resilience campaign); null = no progress output. */
+     * job of a resilience campaign), by the task that retires the
+     * point's last replay; null = no progress output. */
     obs::Progress *progress = nullptr;
-    /** Record per-lane host-time spans (compile/point phases) for
-     * Chrome-trace export via obs::writeChromeTrace. */
+    /** Record one host-time span per lane task (compile, prepare,
+     * replay, job) for Chrome-trace export via
+     * obs::writeChromeTrace. */
     bool recordSpans = false;
     /**
      * Filled on return when recordSpans: the drained lane spans.
@@ -96,17 +105,11 @@ struct SweepResult
  * Simulate the original and every variant across a bandwidth grid.
  * All other platform parameters are taken from `base`.
  *
- * The original and every overlapped variant are lowered once into
- * shared compiled replay programs (sim/program.hh); all sweep points
- * replay from them, so per-point cost is pure engine time and the
- * campaign never holds more than one packed program per variant.
- *
- * With `threads` > 1 the variant construction/lowering and the sweep
- * points are fanned over a fixed thread pool, one ReplaySession per
- * worker (`threads` <= 0 means all hardware cores). Points are
- * independent replays and every point writes its own slot, so the
- * result is bit-identical to the sequential path at any thread
- * count.
+ * The original and every variant compile once into shared programs
+ * that every point replays, one task per (point, program), the
+ * variants (more compiled ops) before the original. A replay that
+ * throws ends the sweep; at one thread the first to fail in that
+ * order is rethrown.
  */
 SweepResult bandwidthSweep(const tracer::TraceBundle &bundle,
                            const sim::PlatformConfig &base,
@@ -151,13 +154,12 @@ struct ScalingResult
  * recorded traces cannot answer — how the overlap benefit moves as
  * the machine grows — and the reason the generators exist.
  *
- * Each point generates its own trace set, so points fan out over
- * the thread pool whole (generation + transform + compile +
- * replay), one ReplaySession per lane, every point writing only
- * its own slot. Generation is a pure function of (workload, seed)
- * through the counter-based RNG, so the result is bit-identical to
- * the sequential path at any thread count (`threads` as in
- * bandwidthSweep).
+ * Prepare generates each point once (largest rank count first)
+ * and lowers its original and every variant; the trace set dies
+ * there. Replay then runs one task per (point, program), costliest
+ * first, so the largest point's replays start first instead of
+ * running alone at the end. Generation is a pure function of
+ * (workload, seed) through the counter-based RNG.
  */
 ScalingResult scalingSweep(const gen::WorkloadConfig &workload,
                            std::uint64_t seed,
@@ -194,10 +196,8 @@ struct TopologySweepResult
  * The R1 bandwidth sweep repeated per interconnect: for every
  * topology, replay the original and every overlapped variant across
  * the bandwidth grid with that topology installed in the platform
- * (`base`'s other parameters are kept). Each per-topology sweep
- * runs on the parallel sweep engine (`threads` as in
- * bandwidthSweep) and the result is bit-identical to the
- * sequential path at any thread count.
+ * (`base`'s other parameters are kept); the sweeps run one after
+ * another.
  */
 TopologySweepResult
 topologySweep(const tracer::TraceBundle &bundle,
@@ -232,9 +232,7 @@ struct DegradedSweepResult
  * question: how much of the overlap benefit survives a degraded
  * machine. Scenarios containing fail-stop events terminate their
  * sweep by design; campaigns use degrade/stall/reroute/background
- * events. Each per-scenario sweep runs on the parallel sweep engine
- * (`threads` as in bandwidthSweep) and the result is bit-identical
- * to the sequential path at any thread count.
+ * events. The sweeps run one after another.
  */
 DegradedSweepResult
 degradedSweep(const tracer::TraceBundle &bundle,
@@ -307,12 +305,10 @@ struct ResilienceResult
  * checkpointing, or restart budget exhausted) are reported as data
  * in failedFraction rather than thrown.
  *
- * Deterministic by construction: scenario expansion is a pure
- * function of (seed, grid index, seed index) through the
- * counter-based RNG, every (rate, seed) job writes only its own
- * slots, and the aggregates use integer arithmetic — the result is
- * bit-identical to the sequential path at any thread count
- * (`threads` as in bandwidthSweep).
+ * A (rate, seed) job is one task replaying every program, and
+ * jobs run in grid order. Scenario expansion is a pure function of
+ * (seed, grid index, seed index) through the counter-based RNG and
+ * the aggregates use integer arithmetic.
  */
 ResilienceResult
 resilienceSweep(const tracer::TraceBundle &bundle,
@@ -406,9 +402,7 @@ struct ProtocolSweepResult
  * A failure-free pre-pass sets the horizon at 4x the nominal run,
  * as in resilienceSweep, and cells that die (budget exhausted) are
  * reported in failedFraction/seedDiagnoses rather than thrown.
- *
- * Deterministic by construction, bit-identical at any thread count
- * (`threads` as in bandwidthSweep).
+ * Each (protocol, interval, seed) cell is one task.
  */
 ProtocolSweepResult
 protocolSweep(const tracer::TraceBundle &bundle,
@@ -437,10 +431,7 @@ struct CollectiveSweepResult
  * point-to-point schedules that contend on the fabric's links
  * (src/coll/). The gap between the paired sweeps is the topology
  * effect the analytic model cannot see — the interesting read for
- * collective-heavy applications (nas-cg, alya). Each inner sweep
- * runs on the parallel sweep engine (`threads` as in
- * bandwidthSweep) and the result is bit-identical to the
- * sequential path at any thread count.
+ * collective-heavy applications (nas-cg, alya).
  */
 CollectiveSweepResult
 collectiveSweep(const tracer::TraceBundle &bundle,
@@ -516,12 +507,8 @@ struct IsoPerformanceResult
  * The paper's network-relaxation experiment: measure the original's
  * performance at a high reference bandwidth, then find the minimal
  * bandwidth at which (a) the original and (b) the overlapped variant
- * still deliver that performance within `tolerance`.
- *
- * With `threads` > 1 the two bisections — original and overlapped
- * (including the overlapped-trace construction) — run concurrently;
- * they are independent searches, so the result is bit-identical to
- * the sequential path.
+ * still deliver that performance within `tolerance`. The two
+ * bisections are independent searches and run as two tasks.
  */
 IsoPerformanceResult
 isoPerformance(const tracer::TraceBundle &bundle,

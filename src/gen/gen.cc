@@ -624,7 +624,10 @@ generateWorkload(const WorkloadConfig &config, std::uint64_t seed)
 WorkloadConfig
 withRankCount(WorkloadConfig config, int ranks)
 {
-    if (config.kind == WorkloadKind::fanIn) {
+    // Below two ranks there is no server share to keep (the clamp
+    // range [1, ranks - 1] would be empty); validate() names the
+    // rank count instead.
+    if (config.kind == WorkloadKind::fanIn && ranks >= 2) {
         const double ratio = static_cast<double>(config.servers) /
             static_cast<double>(config.ranks);
         config.servers = std::clamp(

@@ -329,39 +329,60 @@ TEST(Gen, ScalingSweepIsBitIdenticalAcrossThreadCounts)
 {
     WorkloadConfig config = configOfKind(WorkloadKind::stencil);
     config.iterations = 2;
-    const auto platform = sim::platforms::defaultCluster();
-    const std::vector<int> grid{8, 12, 16, 24};
+    // The gen-scale platform: a 2:1 tapered fat tree with
+    // algorithmic collectives.
+    auto tapered = sim::platforms::topologyCluster(
+        net::topologies::taperedFatTree(4, 0.5));
+    tapered.bandwidthMBps = 4096.0;
+    tapered.collectiveModel = coll::CollectiveModel::algorithmic;
+    tapered.collectiveAlgorithms.set(
+        trace::CollOp::allReduce, coll::Algorithm::recursiveDoubling);
+    // Neither ascending nor distinct: replays run costliest first,
+    // out of grid order, and the slots must not follow them.
+    const std::vector<int> grid{16, 8, 24, 8, 12};
     const auto variants = core::standardVariants(4);
 
-    const auto t1 = core::scalingSweep(config, 9, platform, grid,
-                                       variants, 1);
-    for (const int threads : {2, 8}) {
-        const auto tn = core::scalingSweep(config, 9, platform,
-                                           grid, variants,
-                                           threads);
-        ASSERT_EQ(tn.points.size(), t1.points.size());
-        for (std::size_t i = 0; i < t1.points.size(); ++i) {
-            EXPECT_EQ(tn.points[i].ranks, t1.points[i].ranks);
-            EXPECT_EQ(tn.points[i].messages,
-                      t1.points[i].messages);
-            EXPECT_EQ(tn.points[i].originalTime.ns(),
-                      t1.points[i].originalTime.ns())
-                << "threads=" << threads << " point " << i;
-            ASSERT_EQ(tn.points[i].variantTimes.size(),
-                      t1.points[i].variantTimes.size());
-            for (std::size_t v = 0;
-                 v < t1.points[i].variantTimes.size(); ++v) {
-                EXPECT_EQ(tn.points[i].variantTimes[v].ns(),
-                          t1.points[i].variantTimes[v].ns())
-                    << "threads=" << threads << " point " << i
-                    << " variant " << v;
+    for (const auto &platform :
+         {sim::platforms::defaultCluster(), tapered}) {
+        const auto t1 = core::scalingSweep(config, 9, platform, grid,
+                                           variants, 1);
+        ASSERT_EQ(t1.points.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(t1.points[i].ranks, grid[i]);
+        // The repeated rank count is the same workload twice.
+        EXPECT_EQ(t1.points[1].originalTime.ns(),
+                  t1.points[3].originalTime.ns());
+        EXPECT_TRUE(t1.points[1].stats == t1.points[3].stats);
+        // The sweep grows the machine; the original time must move
+        // with it (the points are genuinely different workloads).
+        EXPECT_NE(t1.points[1].originalTime.ns(),
+                  t1.points[2].originalTime.ns());
+
+        for (const int threads : {2, 8}) {
+            const auto tn = core::scalingSweep(config, 9, platform,
+                                               grid, variants,
+                                               threads);
+            EXPECT_TRUE(tn.stats == t1.stats)
+                << "threads=" << threads;
+            ASSERT_EQ(tn.points.size(), t1.points.size());
+            for (std::size_t i = 0; i < t1.points.size(); ++i) {
+                const auto &a = t1.points[i];
+                const auto &b = tn.points[i];
+                EXPECT_EQ(b.ranks, a.ranks);
+                EXPECT_EQ(b.sentBytes, a.sentBytes);
+                EXPECT_EQ(b.messages, a.messages);
+                EXPECT_EQ(b.originalTime.ns(), a.originalTime.ns())
+                    << "threads=" << threads << " point " << i;
+                EXPECT_EQ(b.originalCommFraction,
+                          a.originalCommFraction)
+                    << "threads=" << threads << " point " << i;
+                EXPECT_EQ(b.variantTimes, a.variantTimes)
+                    << "threads=" << threads << " point " << i;
+                EXPECT_TRUE(b.stats == a.stats)
+                    << "threads=" << threads << " point " << i;
             }
         }
     }
-    // The sweep grows the machine; the original time must move
-    // with it (the points are genuinely different workloads).
-    EXPECT_NE(t1.points.front().originalTime.ns(),
-              t1.points.back().originalTime.ns());
 }
 
 // -- campaign drivers ------------------------------------------------
@@ -574,6 +595,28 @@ TEST(GenConfig, WithRankCountPreservesShape)
     const auto traces = generateTrace(withRankCount(stencil, 36),
                                       1);
     EXPECT_EQ(traces.ranks(), 36);
+}
+
+TEST(GenConfig, ScalingBelowTwoRanksNamesTheRankCount)
+{
+    // A fan-in re-targeted below two ranks has no server share to
+    // keep: the sweep fails in validate(), naming `ranks`, instead
+    // of rescaling the servers over an empty range.
+    WorkloadConfig config = configOfKind(WorkloadKind::fanIn);
+    config.ranks = 16;
+    config.servers = 4;
+    for (const int ranks : {1, 0}) {
+        try {
+            core::scalingSweep(config, 1,
+                               sim::platforms::defaultCluster(),
+                               {ranks}, core::standardVariants(4));
+            FAIL() << "expected FatalError at ranks " << ranks;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'ranks'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 } // namespace

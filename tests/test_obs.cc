@@ -541,34 +541,82 @@ TEST(ObsCampaignTest, SnapshotBytesBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)
+/** Every span closed, named and on a lane of a `threads`-lane pool. */
+void
+expectWellFormedSpans(const core::CampaignObs &cobs, int threads)
 {
-    const auto bundle = testing::traceOf(
-        2, testing::packedExchange(64 * 1024, 200'000));
-    const auto base = sim::platforms::defaultCluster();
-    const auto grid = core::logBandwidthGrid(16.0, 1024.0, 1);
-    const auto variants = core::standardVariants(4);
-
-    obs::Progress progress("test sweep", grid.size());
-    core::CampaignObs cobs;
-    cobs.progress = &progress;
-    cobs.recordSpans = true;
-
-    const auto sweep = core::bandwidthSweep(
-        bundle, base, grid, variants, 2, &cobs);
-    ASSERT_EQ(sweep.points.size(), grid.size());
-    EXPECT_EQ(progress.done(), grid.size());
-    progress.finish();
-
-    // Compile spans plus one span per sweep point, all closed and
-    // well-formed.
-    EXPECT_GE(cobs.spans.size(), grid.size());
+    EXPECT_FALSE(cobs.spans.empty());
     for (const ThreadPool::LaneSpan &span : cobs.spans) {
         EXPECT_GE(span.endNs, span.beginNs);
         EXPECT_GE(span.lane, 0);
-        EXPECT_LT(span.lane, 2);
+        EXPECT_LT(span.lane, threads);
         EXPECT_FALSE(span.name.empty());
     }
+}
+
+/** The hook tests' campaigns: a packed exchange swept over
+ * bandwidths and failure rates, and a small stencil swept over a
+ * rank grid that is neither ascending nor distinct. */
+struct HookCampaigns
+{
+    tracer::TraceBundle bundle = testing::traceOf(
+        2, testing::packedExchange(64 * 1024, 200'000));
+    sim::PlatformConfig base = sim::platforms::defaultCluster();
+    std::vector<double> grid = core::logBandwidthGrid(16.0, 1024.0, 1);
+    std::vector<core::VariantSpec> variants = core::standardVariants(4);
+    std::vector<int> ranks{16, 8, 12, 8};
+    std::vector<double> mtbf{8000.0, 1000.0};
+    std::uint32_t seeds = 3;
+
+    core::SweepResult
+    bandwidth(core::CampaignObs *cobs) const
+    {
+        return core::bandwidthSweep(bundle, base, grid, variants, 2,
+                                    cobs);
+    }
+
+    core::ScalingResult
+    scaling(core::CampaignObs *cobs) const
+    {
+        gen::WorkloadConfig stencil;
+        stencil.iterations = 2;
+        return core::scalingSweep(stencil, 1, base, ranks, variants, 2,
+                                  cobs);
+    }
+
+    core::ResilienceResult
+    resilience(core::CampaignObs *cobs) const
+    {
+        return core::resilienceSweep(bundle, ckptPlatform(300.0, 5.0, 10.0),
+                                     mtbf, variants, seeds, 1, 2, cobs);
+    }
+};
+
+TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)
+{
+    // Progress ticks once per sweep point (once per (rate, seed)
+    // job of the resilience campaign); every driver's spans are
+    // closed and well-formed.
+    const HookCampaigns c;
+    const auto observe = [](const char *name, std::size_t points,
+                            const auto &campaign) {
+        obs::Progress progress(name, points);
+        core::CampaignObs cobs;
+        cobs.progress = &progress;
+        cobs.recordSpans = true;
+        campaign(&cobs);
+        EXPECT_EQ(progress.done(), points) << name;
+        progress.finish();
+        // Prepare/compile spans plus at least one per point.
+        EXPECT_GE(cobs.spans.size(), points) << name;
+        expectWellFormedSpans(cobs, 2);
+    };
+    observe("bandwidth", c.grid.size(),
+            [&](core::CampaignObs *cobs) { c.bandwidth(cobs); });
+    observe("scaling", c.ranks.size(),
+            [&](core::CampaignObs *cobs) { c.scaling(cobs); });
+    observe("resilience", c.mtbf.size() * c.seeds,
+            [&](core::CampaignObs *cobs) { c.resilience(cobs); });
 }
 
 TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)
@@ -576,29 +624,62 @@ TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)
     // The observability hooks must not perturb results: a sweep
     // with progress + spans on returns the same points and stats
     // as the plain call.
-    const auto bundle = testing::traceOf(
-        2, testing::packedExchange(64 * 1024, 200'000));
-    const auto base = sim::platforms::defaultCluster();
-    const auto grid = core::logBandwidthGrid(16.0, 1024.0, 1);
-    const auto variants = core::standardVariants(4);
+    const HookCampaigns c;
+    const auto observed = [](obs::Progress &progress) {
+        core::CampaignObs cobs;
+        cobs.progress = &progress;
+        cobs.recordSpans = true;
+        return cobs;
+    };
 
-    const auto plain =
-        core::bandwidthSweep(bundle, base, grid, variants, 2);
-    obs::Progress progress("test sweep", grid.size());
-    core::CampaignObs cobs;
-    cobs.progress = &progress;
-    cobs.recordSpans = true;
-    const auto observed = core::bandwidthSweep(
-        bundle, base, grid, variants, 2, &cobs);
-
-    ASSERT_EQ(observed.points.size(), plain.points.size());
+    obs::Progress progress("test sweep", c.grid.size());
+    auto cobs = observed(progress);
+    const auto plain = c.bandwidth(nullptr);
+    const auto seen = c.bandwidth(&cobs);
+    ASSERT_EQ(seen.points.size(), plain.points.size());
     for (std::size_t i = 0; i < plain.points.size(); ++i) {
-        EXPECT_EQ(observed.points[i].originalTime.ns(),
+        EXPECT_EQ(seen.points[i].originalTime.ns(),
                   plain.points[i].originalTime.ns());
-        EXPECT_TRUE(observed.points[i].stats ==
-                    plain.points[i].stats);
+        EXPECT_EQ(seen.points[i].variantTimes,
+                  plain.points[i].variantTimes);
+        EXPECT_TRUE(seen.points[i].stats == plain.points[i].stats);
     }
-    EXPECT_TRUE(observed.stats == plain.stats);
+    EXPECT_TRUE(seen.stats == plain.stats);
+
+    obs::Progress scaling("test scaling", c.ranks.size());
+    cobs = observed(scaling);
+    const auto plainScaling = c.scaling(nullptr);
+    const auto seenScaling = c.scaling(&cobs);
+    ASSERT_EQ(seenScaling.points.size(), plainScaling.points.size());
+    for (std::size_t i = 0; i < plainScaling.points.size(); ++i) {
+        const auto &a = plainScaling.points[i];
+        const auto &b = seenScaling.points[i];
+        EXPECT_EQ(b.ranks, a.ranks);
+        EXPECT_EQ(b.sentBytes, a.sentBytes);
+        EXPECT_EQ(b.originalTime.ns(), a.originalTime.ns());
+        EXPECT_EQ(b.originalCommFraction, a.originalCommFraction);
+        EXPECT_EQ(b.variantTimes, a.variantTimes);
+        EXPECT_TRUE(b.stats == a.stats) << "point " << i;
+    }
+    EXPECT_TRUE(seenScaling.stats == plainScaling.stats);
+
+    obs::Progress res("test resilience", c.mtbf.size() * c.seeds);
+    cobs = observed(res);
+    const auto plainRes = c.resilience(nullptr);
+    const auto seenRes = c.resilience(&cobs);
+    EXPECT_EQ(seenRes.horizon.ns(), plainRes.horizon.ns());
+    ASSERT_EQ(seenRes.points.size(), plainRes.points.size());
+    for (std::size_t i = 0; i < plainRes.points.size(); ++i) {
+        ASSERT_EQ(seenRes.points[i].cells.size(),
+                  plainRes.points[i].cells.size());
+        for (std::size_t v = 0; v < plainRes.points[i].cells.size();
+             ++v) {
+            EXPECT_EQ(seenRes.points[i].cells[v].seedTimes,
+                      plainRes.points[i].cells[v].seedTimes)
+                << "point " << i << " cell " << v;
+        }
+    }
+    EXPECT_TRUE(seenRes.stats == plainRes.stats);
 }
 
 TEST(ProgressTest, TicksAccumulateAndFinishIsIdempotent)

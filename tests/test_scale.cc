@@ -15,7 +15,11 @@
  *    the tapered tree);
  *  - occupancy conservation with hundreds of flows in flight: the
  *    summed link loads equal the summed route lengths, and a
- *    drained network holds zero load.
+ *    drained network holds zero load;
+ *  - a scaling sweep of the same ml-training at 512 and 1024 ranks
+ *    on the tapered fat tree, bit-identical on one lane and on two,
+ *    where costliest-first scheduling replays two 1024-rank
+ *    programs at once.
  *
  * Labeled `scale`; the sanitizer stages run it serially, since only
  * these node counts reach the large link and hop-slot indices.
@@ -28,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/analysis.hh"
 #include "gen/gen.hh"
 #include "helpers.hh"
 #include "net/network.hh"
@@ -49,16 +54,23 @@ struct ReplayPin
     std::uint64_t repeatVisits;
 };
 
-void
-expectReplayPinned(const net::TopologyConfig &topology,
-                   const ReplayPin &pin)
+/** The gen-scale platform around `topology`: 4096 MB/s, algorithmic
+ * collectives, recursive-doubling allreduce. */
+sim::PlatformConfig
+genScalePlatform(const net::TopologyConfig &topology)
 {
     auto platform = sim::platforms::topologyCluster(topology);
     platform.bandwidthMBps = 4096.0;
     platform.collectiveModel = coll::CollectiveModel::algorithmic;
     platform.collectiveAlgorithms.set(
         trace::CollOp::allReduce, coll::Algorithm::recursiveDoubling);
+    return platform;
+}
 
+/** One iteration, one 64 MiB gradient bucket, 50M-instruction steps. */
+gen::WorkloadConfig
+mlTraining()
+{
     gen::WorkloadConfig ml;
     ml.kind = gen::WorkloadKind::mlTraining;
     ml.name = "gen-ml";
@@ -66,10 +78,18 @@ expectReplayPinned(const net::TopologyConfig &topology,
     ml.gradientBuckets = 1;
     ml.gradientBytes = Bytes(64) * 1024 * 1024;
     ml.stepInstr = 50'000'000;
-    const auto traces =
-        gen::generateTrace(gen::withRankCount(ml, kRanks), 1);
+    return ml;
+}
 
-    const auto result = sim::simulate(traces, platform);
+void
+expectReplayPinned(const net::TopologyConfig &topology,
+                   const ReplayPin &pin)
+{
+    const auto traces = gen::generateTrace(
+        gen::withRankCount(mlTraining(), kRanks), 1);
+
+    const auto result =
+        sim::simulate(traces, genScalePlatform(topology));
     EXPECT_EQ(result.totalTime.ns(), pin.totalNs);
     EXPECT_EQ(result.eventsProcessed, pin.events);
     EXPECT_EQ(result.stats.rateRecomputes, pin.rateRecomputes);
@@ -87,6 +107,29 @@ TEST(ScalePinTest, MlTrainingOnDragonfly)
 {
     expectReplayPinned(net::topologies::dragonfly(),
                        {754'608'000, 139'264, 176'128, 176'128});
+}
+
+TEST(ScaleCampaignTest, TwoLaneScalingSweepMatchesOneLane)
+{
+    const auto platform =
+        genScalePlatform(net::topologies::taperedFatTree(4, 0.5));
+    const std::vector<int> grid{512, 1024};
+    const auto variants = core::standardVariants(16);
+    const auto one = core::scalingSweep(mlTraining(), 1, platform,
+                                        grid, variants, 1);
+    const auto two = core::scalingSweep(mlTraining(), 1, platform,
+                                        grid, variants, 2);
+    ASSERT_EQ(two.points.size(), one.points.size());
+    for (std::size_t i = 0; i < one.points.size(); ++i) {
+        const auto &a = one.points[i];
+        const auto &b = two.points[i];
+        EXPECT_EQ(b.ranks, grid[i]);
+        EXPECT_EQ(b.originalTime.ns(), a.originalTime.ns());
+        EXPECT_EQ(b.originalCommFraction, a.originalCommFraction);
+        EXPECT_EQ(b.variantTimes, a.variantTimes);
+        EXPECT_TRUE(b.stats == a.stats) << "point " << i;
+    }
+    EXPECT_TRUE(two.stats == one.stats);
 }
 
 TEST(ScaleTopologyTest, CompiledStateIsLinearInLinks)
