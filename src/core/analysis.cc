@@ -34,9 +34,9 @@ class LaneRunner
 
     LaneRunner(int threads, std::size_t widest,
                CampaignObs *cobs = nullptr)
-        : pool_(static_cast<int>(std::clamp<std::size_t>(
-              widest, 1, ThreadPool::resolveThreads(threads)))),
-          sessions_(static_cast<std::size_t>(pool_.size())),
+        : sessions_(std::clamp<std::size_t>(
+              widest, 1, ThreadPool::resolveThreads(threads))),
+          pool_(static_cast<int>(sessions_.size())),
           cobs_(cobs),
           progress_(cobs != nullptr ? cobs->progress : nullptr)
     {
@@ -63,12 +63,11 @@ class LaneRunner
     {
         std::vector<std::size_t> order(count);
         std::iota(order.begin(), order.end(), std::size_t{0});
-        if (cost) {
+        if (cost)
             std::stable_sort(order.begin(), order.end(),
                              [&](std::size_t a, std::size_t b) {
                                  return cost(a) > cost(b);
                              });
-        }
         std::vector<std::atomic<std::size_t>> retired(
             per_point > 0 ? count / per_point : 0);
 
@@ -94,8 +93,9 @@ class LaneRunner
     }
 
   private:
-    ThreadPool pool_;
+    // One per lane, before pool_ so its workers join first.
     std::vector<sim::ReplaySession> sessions_;
+    ThreadPool pool_;
     CampaignObs *cobs_;
     obs::Progress *progress_;
     std::uint64_t spanBase_ = 0;

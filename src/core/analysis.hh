@@ -107,9 +107,9 @@ struct SweepResult
  *
  * The original and every variant compile once into shared programs
  * that every point replays, one task per (point, program), the
- * variants (more compiled ops) before the original. A replay that
- * throws ends the sweep; at one thread the first to fail in that
- * order is rethrown.
+ * costliest program (usually a variant) first. A replay that throws
+ * ends the sweep; at one thread the first to fail in that order is
+ * rethrown.
  */
 SweepResult bandwidthSweep(const tracer::TraceBundle &bundle,
                            const sim::PlatformConfig &base,
