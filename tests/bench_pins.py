@@ -1,0 +1,258 @@
+#!/usr/bin/env python3
+"""Output pins of the eight paper benches and two examples.
+
+    python3 tests/bench_pins.py BINARY...           # check against PINS
+    python3 tests/bench_pins.py --print BINARY...   # print a new table
+
+Each BINARY is a path to one of the binaries named in CASES (ctest
+passes them with $<TARGET_FILE:...>). Every case runs in a fresh
+temporary directory. Its stdout, with the "N threads" count
+normalised, and every file the run writes are hashed with SHA-256
+and compared against PINS. A bench runs at --threads 1 and at
+--threads 2 against the same pins, so the check also holds each
+bench's output to be independent of its lane count. On a mismatch
+the moved case's stdout is printed and each moved file is named.
+
+PINS was recorded from a Release build of the code in which the
+benches still replayed through sim::simulateBatch and the examples
+through core::OverlapStudy, before both moved onto the campaign
+drivers and sim::simulate.
+"""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+BENCHES = [
+    "bench_intermediate_speedup",
+    "bench_scaling",
+    "bench_mechanism_ablation",
+    "bench_chunk_granularity",
+    "bench_platform_sensitivity",
+    "bench_pipeline_fig1",
+    "bench_real_vs_ideal",
+    "bench_bandwidth_relaxation",
+]
+
+# (case name, binary, arguments). The examples take no --threads.
+CASES = [(f"{b} --threads {n}", b, ["--threads", str(n)])
+         for b in BENCHES for n in (1, 2)] + [
+    ("quickstart", "quickstart", []),
+    ("timeline_gallery", "timeline_gallery", []),
+    ("timeline_gallery --app sweep3d --bandwidth 64", "timeline_gallery",
+     ["--app", "sweep3d", "--bandwidth", "64"]),
+]
+
+THREADS = re.compile(rb"\b\d+ threads\b")
+
+PINS = {
+    'bench_intermediate_speedup': {
+        "stdout": '626e28b72a1176c6bc840dcb52a9c2620b289046efbe8b1447c02e96dd59b57d',
+        "files": {
+            'bench_intermediate_speedup.csv':
+                'c8c6cb033df6b0ec37c6c753918d6e8be96ea3ac0dff801eb3d0fc894b2e5530',
+        },
+    },
+    'bench_scaling': {
+        "stdout": 'aa2f9d00fda8a97fce6b02fd4df39a6d3c2c83ce482752961ec119c4f21a21b6',
+        "files": {
+            'bench_scaling.csv':
+                '79cf1c958924415d38bf0d42e5654a3ca464ed16c9bfa6ea182b68adda886c7f',
+        },
+    },
+    'bench_mechanism_ablation': {
+        "stdout": 'c67a8651e504057bfb1892b769f84ea0cd6d44079a58103e38137a4ccc4b792d',
+        "files": {
+            'bench_mechanism_ablation.csv':
+                'c8c70cec8d09bdcd2cd39b55753b2a7e045807abb9725e5aebf9cf78a43bff55',
+        },
+    },
+    'bench_chunk_granularity': {
+        "stdout": '22b4ca834d6696b2482ed497da6512f324c194ffa6138b3edecc18e7332bdcca',
+        "files": {
+            'bench_chunk_granularity.csv':
+                '2bd05038350c858f377c89b4e3fe94fa96d0d9ca67481dcd64436a25719c90f9',
+        },
+    },
+    'bench_platform_sensitivity': {
+        "stdout": '867affcbe74505cac07d314f8afe56d1ccd189dd67c09929bfc021b29c27197a',
+        "files": {
+            'bench_platform_sensitivity.csv':
+                '9795a6b54941d8047535dd5453a75549002985d53405ed93cac12ffdf442ad10',
+        },
+    },
+    'bench_pipeline_fig1': {
+        "stdout": '91d456ba528038e11921f1441c074ad7694cfb3b921ea358bb041bbef28edfb0',
+        "files": {
+            'fig1_original.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'fig1_original.prv':
+                '62521ca8c5b46bb0663ee1736eece7897c93fda63acf417e0983f15acabdabd2',
+            'fig1_original.trace':
+                '85199b6915491a833c56c9f014e3352cffd750cac0e3f6428c2bd51df2866b4f',
+            'fig1_overlap.meta':
+                '7cdc559bdbcc429b2ef77b7a04e13d586309875ead584b6caa15c82526e1991c',
+            'fig1_overlapped.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'fig1_overlapped.prv':
+                '1f2003e64b69240af55ed2e24de66a1eb5517bfa4d3eec2cc74c4c84969e61e0',
+        },
+    },
+    'bench_real_vs_ideal': {
+        "stdout": 'dec1355bc115a962ef168d367560ba7fed3459ddbd683bdec5af2455b5297b39',
+        "files": {
+            'bench_real_vs_ideal.csv':
+                'de052292c2673db58ca26ba7ef3bb439ba83255bea6ed9325e475a8eba791e14',
+        },
+    },
+    'bench_bandwidth_relaxation': {
+        "stdout": 'f05444059bb73a3b020d733b4fc568a0ac0fa7edc44fe5768c783d1782ccd770',
+        "files": {
+            'bench_bandwidth_relaxation.csv':
+                'a4236d6bea0c7ded92e8db0f7b319053b29b1848608c467a92ceb054b14b5561',
+        },
+    },
+    'quickstart': {
+        "stdout": '8b60eb2c7581274daeaab20b1ab7c1ce213447ce0cb45394d19a4ac9460103c0',
+        "files": {
+        },
+    },
+    'timeline_gallery': {
+        "stdout": '80d9c0c95678ed8953314fcccf6cf45828a82031be9e15cea74b2d88f43d416a',
+        "files": {
+            'gallery_original.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_original.prv':
+                '62521ca8c5b46bb0663ee1736eece7897c93fda63acf417e0983f15acabdabd2',
+            'gallery_overlap-ideal.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_overlap-ideal.prv':
+                '1f2003e64b69240af55ed2e24de66a1eb5517bfa4d3eec2cc74c4c84969e61e0',
+            'gallery_overlap-real.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_overlap-real.prv':
+                'c021fdca0ad9c826986189ea923f585eef9e8ff8a1fe69e824e38f6a369a591c',
+        },
+    },
+    'timeline_gallery --app sweep3d --bandwidth 64': {
+        "stdout": 'dcd7e144a2c708ff2ebba30338aaad4e294cba4ddd2bb763ed8e8df4558bf419',
+        "files": {
+            'gallery_original.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_original.prv':
+                '86f57c9ba89598bd63ce4f010af68a806ea790a1afcdd3ffba8fcaeb36848c5c',
+            'gallery_overlap-ideal.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_overlap-ideal.prv':
+                '681d947be1feeb6958b1fe57371032ee19140a2b116fbc0e7ec1e8e34f401701',
+            'gallery_overlap-real.pcf':
+                'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
+            'gallery_overlap-real.prv':
+                'ee2d7dd0f9607c6bd198b23f1d3bfe0c13bd241598984b90e15606dde370ed92',
+        },
+    },
+}
+
+
+def pin_key(case):
+    """The PINS entry of a case: thread counts share one entry."""
+    return re.sub(r" --threads \d+$", "", case)
+
+
+def run_case(binary, args):
+    """Run binary in a fresh directory; return (stdout, {file: sha})."""
+    with tempfile.TemporaryDirectory(prefix="bench_pins.") as cwd:
+        proc = subprocess.run([binary] + args, cwd=cwd,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, timeout=600)
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"{os.path.basename(binary)} {' '.join(args)} exited "
+                f"{proc.returncode}:\n{proc.stderr.decode(errors='replace')}")
+        files = {}
+        for name in sorted(os.listdir(cwd)):
+            with open(os.path.join(cwd, name), "rb") as f:
+                files[name] = hashlib.sha256(f.read()).hexdigest()
+    return THREADS.sub(b"N threads", proc.stdout), files
+
+
+def measure(binaries):
+    """{case: (stdout, pin)} for every case whose binary was passed."""
+    by_name = {os.path.basename(b): os.path.abspath(b) for b in binaries}
+    missing = sorted({b for _, b, _ in CASES} - by_name.keys())
+    if missing:
+        sys.exit(f"bench_pins: no path given for {', '.join(missing)}")
+    out = {}
+    for case, binary, args in CASES:
+        stdout, files = run_case(by_name[binary], args)
+        out[case] = (stdout, {
+            "stdout": hashlib.sha256(stdout).hexdigest(),
+            "files": files})
+    return out
+
+
+def print_table(measured):
+    table = {}
+    for case, (_, pin) in measured.items():
+        if table.setdefault(pin_key(case), pin) != pin:
+            sys.exit(f"bench_pins: {case} differs from its other "
+                     "thread count")
+    print("PINS = {")
+    for key, pin in table.items():
+        print(f"    {key!r}: {{")
+        print(f"        \"stdout\": {pin['stdout']!r},")
+        print("        \"files\": {")
+        for name, sha in pin["files"].items():
+            print(f"            {name!r}:")
+            print(f"                {sha!r},")
+        print("        },")
+        print("    },")
+    print("}")
+
+
+def check(measured):
+    moved = 0
+    for case, (stdout, pin) in measured.items():
+        want = PINS.get(pin_key(case))
+        if want is None:
+            print(f"MOVED {case}: no pin recorded")
+            moved += 1
+            continue
+        problems = []
+        if pin["stdout"] != want["stdout"]:
+            problems.append("stdout")
+        for name in sorted(want["files"].keys() | pin["files"].keys()):
+            if name not in pin["files"]:
+                problems.append(f"{name} (not written)")
+            elif name not in want["files"]:
+                problems.append(f"{name} (not pinned)")
+            elif pin["files"][name] != want["files"][name]:
+                problems.append(name)
+        if problems:
+            moved += 1
+            print(f"MOVED {case}: {', '.join(problems)}")
+            print(stdout.decode(errors="replace"))
+        else:
+            print(f"ok    {case}")
+    if moved:
+        print(f"bench_pins: {moved} of {len(measured)} cases moved")
+        return 1
+    print(f"bench_pins: all {len(measured)} cases match their pins")
+    return 0
+
+
+def main(argv):
+    printing = "--print" in argv
+    binaries = [a for a in argv if a != "--print"]
+    measured = measure(binaries)
+    if printing:
+        print_table(measured)
+        return 0
+    return check(measured)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
