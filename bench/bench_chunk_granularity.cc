@@ -9,7 +9,6 @@
  * diminishing returns and the per-chunk latency penalty.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -31,38 +30,30 @@ main(int argc, char **argv)
                   {"app", "chunks", "speedup_pct"});
 
     for (const std::string name : {"nas-bt", "sweep3d"}) {
-        core::OverlapStudy study(traceApp(name));
+        const auto bundle = traceApp(name);
         auto platform = sim::platforms::defaultCluster();
-        platform.bandwidthMBps = core::findIntermediateBandwidth(
-            *study.originalProgram(), platform);
-        const auto original = study.simulateOriginal(platform);
+        platform.bandwidthMBps =
+            core::findIntermediateBandwidth(bundle.traces, platform);
 
-        // One job per chunk granularity; the variant constructions
-        // and lowerings fan over the pool and each job carries the
-        // study's cached compiled program (no re-lowering in the
-        // batch).
-        std::vector<sim::SimJob> jobs(chunk_counts.size());
-        {
-            ThreadPool pool(std::min(
-                threads, static_cast<int>(chunk_counts.size())));
-            pool.parallelFor(
-                chunk_counts.size(), [&](std::size_t i, int) {
-                    core::TransformConfig config;
-                    config.pattern =
-                        core::PatternModel::idealLinear;
-                    config.chunks = chunk_counts[i];
-                    jobs[i] = {study.overlappedProgram(config),
-                               platform};
-                });
+        // One variant per chunk granularity, as a one-point sweep.
+        std::vector<core::VariantSpec> variants;
+        for (const std::size_t chunks : chunk_counts) {
+            core::TransformConfig config;
+            config.pattern = core::PatternModel::idealLinear;
+            config.chunks = chunks;
+            variants.push_back({config.label(), config});
         }
-        const auto results = sim::simulateBatch(jobs, threads);
+        const auto sweep = core::bandwidthSweep(
+            bundle, platform, {platform.bandwidthMBps}, variants,
+            threads);
+        const auto &point = sweep.points[0];
 
         TablePrinter table({"chunks", "t overlap-ideal",
                             "speedup"});
         for (std::size_t i = 0; i < chunk_counts.size(); ++i) {
-            const auto t = results[i].totalTime;
+            const auto t = point.variantTimes[i];
             const double speedup =
-                speedupPct(original.totalTime, t);
+                speedupPct(point.originalTime, t);
             table.addRow({strformat("%zu", chunk_counts[i]),
                           humanTime(t), pct(speedup)});
             csv.addRow({name,

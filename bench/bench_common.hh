@@ -10,12 +10,12 @@
 #ifndef OVLSIM_BENCH_BENCH_COMMON_HH
 #define OVLSIM_BENCH_BENCH_COMMON_HH
 
+#include <climits>
 #include <string>
 #include <vector>
 
 #include "apps/app.hh"
 #include "core/analysis.hh"
-#include "core/study.hh"
 #include "sim/engine.hh"
 #include "tracer/tracer.hh"
 #include "util/options.hh"
@@ -26,8 +26,8 @@
 namespace ovlsim::bench {
 
 /**
- * Parse the shared bench command line and return the worker count
- * for sweeps/bisections/batches: `--threads N`, where 0 (the
+ * Parse the shared bench command line and return the lane count for
+ * the campaign drivers: `--threads N` in [0, INT_MAX], where 0 (the
  * default) means all hardware cores. Every experiment driver runs
  * the same campaign regardless of N — parallelism never changes
  * results, only wall-clock.
@@ -41,7 +41,7 @@ parseThreads(int argc, const char *const *argv)
                     "(0 = all hardware cores)");
     options.parse(argc, argv);
     return ThreadPool::resolveThreads(
-        static_cast<int>(options.getInt("threads")));
+        static_cast<int>(options.getInt("threads", 0, INT_MAX)));
 }
 
 /** The six applications of the paper's evaluation, in its order. */

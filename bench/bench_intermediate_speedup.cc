@@ -42,10 +42,10 @@ main(int argc, char **argv)
                    "paper_pct", "speedup_real_pct"});
 
     for (const auto &name : paperApps()) {
-        core::OverlapStudy study(traceApp(name));
+        const auto bundle = traceApp(name);
         auto platform = sim::platforms::defaultCluster();
-        const double ib = core::findIntermediateBandwidth(
-            *study.originalProgram(), platform);
+        const double ib =
+            core::findIntermediateBandwidth(bundle.traces, platform);
         platform.bandwidthMBps = ib;
 
         core::TransformConfig ideal;
@@ -53,34 +53,29 @@ main(int argc, char **argv)
         core::TransformConfig real;
         real.pattern = core::PatternModel::real;
 
-        // The three replays at the operating point are independent;
-        // batch the study's cached compiled programs over the pool
-        // (the bisection above already paid the original's
-        // lowering).
-        const std::vector<sim::SimJob> jobs{
-            {study.originalProgram(), platform},
-            {study.overlappedProgram(ideal), platform},
-            {study.overlappedProgram(real), platform},
-        };
-        const auto results = sim::simulateBatch(jobs, threads);
-        const auto &original = results[0];
-        const auto t_ideal = results[1].totalTime;
-        const auto t_real = results[2].totalTime;
+        // The original and both variants at the operating point: a
+        // one-point sweep.
+        const auto sweep = core::bandwidthSweep(
+            bundle, platform, {ib},
+            {{"overlap-ideal", ideal}, {"overlap-real", real}},
+            threads);
+        const auto &point = sweep.points[0];
+        const auto t_original = point.originalTime;
+        const auto t_ideal = point.variantTimes[0];
+        const auto t_real = point.variantTimes[1];
 
-        const double ideal_pct =
-            speedupPct(original.totalTime, t_ideal);
-        const double real_pct =
-            speedupPct(original.totalTime, t_real);
+        const double ideal_pct = speedupPct(t_original, t_ideal);
+        const double real_pct = speedupPct(t_original, t_real);
 
         table.addRow({name, mbps(ib),
-                      humanTime(original.totalTime),
+                      humanTime(t_original),
                       humanTime(t_ideal), pct(ideal_pct),
                       strformat("+%.0f%%",
                                 paperIntermediateSpeedupPct(
                                     name)),
                       pct(real_pct)});
         csv.addRow({name, strformat("%.3f", ib),
-                    strformat("%.3f", original.totalTime.toUs()),
+                    strformat("%.3f", t_original.toUs()),
                     strformat("%.3f", t_ideal.toUs()),
                     strformat("%.2f", ideal_pct),
                     strformat("%.0f",

@@ -36,15 +36,14 @@ main(int argc, char **argv)
                    "speedup_recv_side_pct", "speedup_both_pct"});
 
     for (const auto &name : paperApps()) {
-        core::OverlapStudy study(traceApp(name));
+        const auto bundle = traceApp(name);
         auto platform = sim::platforms::defaultCluster();
-        platform.bandwidthMBps = core::findIntermediateBandwidth(
-            *study.originalProgram(), platform);
+        platform.bandwidthMBps =
+            core::findIntermediateBandwidth(bundle.traces, platform);
 
-        // Original plus the three mechanism variants, batched over
-        // the study's cached compiled programs.
-        std::vector<sim::SimJob> jobs{
-            {study.originalProgram(), platform}};
+        // Original plus the three mechanism variants, as a one-point
+        // sweep.
+        std::vector<core::VariantSpec> variants;
         for (const auto mechanism :
              {core::Mechanism::sendSide,
               core::Mechanism::recvSide,
@@ -52,16 +51,15 @@ main(int argc, char **argv)
             core::TransformConfig config;
             config.pattern = core::PatternModel::idealLinear;
             config.mechanism = mechanism;
-            jobs.push_back(
-                {study.overlappedProgram(config), platform});
+            variants.push_back({config.label(), config});
         }
-        const auto results = sim::simulateBatch(jobs, threads);
-        const auto &original = results[0];
+        const auto sweep = core::bandwidthSweep(
+            bundle, platform, {platform.bandwidthMBps}, variants,
+            threads);
+        const auto &point = sweep.points[0];
         std::vector<double> speedups;
-        for (std::size_t v = 1; v < results.size(); ++v) {
-            speedups.push_back(speedupPct(
-                original.totalTime, results[v].totalTime));
-        }
+        for (const SimTime t : point.variantTimes)
+            speedups.push_back(speedupPct(point.originalTime, t));
         table.addRow({name, mbps(platform.bandwidthMBps),
                       pct(speedups[0]), pct(speedups[1]),
                       pct(speedups[2])});

@@ -28,7 +28,9 @@ using namespace ovlsim::bench;
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
+    // Accepts --threads like every bench; its two replays need no
+    // lanes.
+    parseThreads(argc, argv);
     std::printf("F1: the simulation environment of Figure 1, end "
                 "to end (NAS-BT proxy, 1 iteration)\n\n");
 
@@ -61,16 +63,12 @@ main(int argc, char **argv)
                 overlapped.totalChunks, ideal.label().c_str());
 
     // Stage 3: Dimemas-like reconstruction on a configurable
-    // platform, near the intermediate bandwidth. Both traces are
-    // lowered once into shared compiled programs; the bisection
-    // and the replays below all run from them.
-    const auto original_program =
-        sim::compileShared(bundle.traces);
-    const auto overlapped_program =
-        sim::compileShared(overlapped.traces);
+    // platform, near the intermediate bandwidth. The original is
+    // lowered once for the bisection and its replay.
+    const auto original_program = sim::compileTrace(bundle.traces);
     auto platform = sim::platforms::defaultCluster();
     platform.bandwidthMBps = core::findIntermediateBandwidth(
-        *original_program, platform);
+        original_program, platform);
     platform.captureTimeline = true;
     std::printf("[replay] platform: %.2f MB/s, %.1f us latency, "
                 "%s buses\n\n",
@@ -79,16 +77,10 @@ main(int argc, char **argv)
                     ? "unlimited"
                     : strformat("%d", platform.buses).c_str());
 
-    // The original and overlapped replays are independent; batch
-    // them over the worker pool like every other driver, sharing
-    // the pre-compiled programs.
-    const std::vector<sim::SimJob> jobs{
-        {original_program, platform},
-        {overlapped_program, platform},
-    };
-    const auto results = sim::simulateBatch(jobs, threads);
-    const auto &original_result = results[0];
-    const auto &overlapped_result = results[1];
+    const auto original_result =
+        sim::simulate(original_program, platform);
+    const auto overlapped_result =
+        sim::simulate(overlapped.traces, platform);
 
     // Stage 4: Paraver-like visualization of both behaviours.
     viz::GanttOptions options;

@@ -20,21 +20,16 @@ using namespace ovlsim::bench;
 namespace {
 
 double
-idealSpeedupOn(core::OverlapStudy &study,
+idealSpeedupOn(const tracer::TraceBundle &bundle,
                const sim::PlatformConfig &platform, int threads)
 {
     core::TransformConfig ideal;
     ideal.pattern = core::PatternModel::idealLinear;
-    // The study caches one compiled program per variant; handing
-    // those to the batch replays them directly instead of
-    // re-lowering both trace sets on every sweep step.
-    const std::vector<sim::SimJob> jobs{
-        {study.originalProgram(), platform},
-        {study.overlappedProgram(ideal), platform},
-    };
-    const auto results = sim::simulateBatch(jobs, threads);
-    return speedupPct(results[0].totalTime,
-                      results[1].totalTime);
+    const auto sweep = core::bandwidthSweep(
+        bundle, platform, {platform.bandwidthMBps},
+        {{"overlap-ideal", ideal}}, threads);
+    const auto &point = sweep.points[0];
+    return speedupPct(point.originalTime, point.variantTimes[0]);
 }
 
 } // namespace
@@ -46,10 +41,10 @@ main(int argc, char **argv)
     std::printf("A3: platform sensitivity of the ideal-pattern "
                 "benefit (NAS-BT; %d threads)\n\n", threads);
 
-    core::OverlapStudy study(traceApp("nas-bt"));
+    const auto bundle = traceApp("nas-bt");
     auto base = sim::platforms::defaultCluster();
-    base.bandwidthMBps = core::findIntermediateBandwidth(
-        *study.originalProgram(), base);
+    base.bandwidthMBps =
+        core::findIntermediateBandwidth(bundle.traces, base);
     std::printf("operating point: %.2f MB/s\n\n",
                 base.bandwidthMBps);
 
@@ -62,7 +57,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.latencyUs = latency;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(bundle, platform, threads);
             table.addRow({strformat("%.1f", latency),
                           pct(speedup)});
             csv.addRow({"latency_us",
@@ -80,7 +75,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.buses = buses;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(bundle, platform, threads);
             table.addRow({buses == 0 ? "unlimited"
                                      : strformat("%d", buses),
                           pct(speedup)});
@@ -102,7 +97,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.cpuRatio = ratio;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(bundle, platform, threads);
             table.addRow({strformat("%.2fx", ratio),
                           pct(speedup)});
             csv.addRow({"cpu_ratio", strformat("%.2f", ratio),

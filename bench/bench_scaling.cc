@@ -41,29 +41,26 @@ main(int argc, char **argv)
                 std::min(params.iterations, 2);
             tracer::TracerConfig config;
             config.appName = name;
-            core::OverlapStudy study(tracer::traceApplication(
-                ranks, app.program(params), config));
+            const auto bundle = tracer::traceApplication(
+                ranks, app.program(params), config);
 
             auto platform = sim::platforms::defaultCluster();
             platform.bandwidthMBps =
-                core::findIntermediateBandwidth(
-                    *study.originalProgram(), platform);
+                core::findIntermediateBandwidth(bundle.traces,
+                                                platform);
 
             core::TransformConfig ideal;
             ideal.pattern = core::PatternModel::idealLinear;
-            const std::vector<sim::SimJob> jobs{
-                {study.originalProgram(), platform},
-                {study.overlappedProgram(ideal), platform},
-            };
-            const auto results =
-                sim::simulateBatch(jobs, threads);
-            const auto &original = results[0];
+            const auto sweep = core::bandwidthSweep(
+                bundle, platform, {platform.bandwidthMBps},
+                {{"overlap-ideal", ideal}}, threads);
+            const auto &point = sweep.points[0];
             const double speedup = speedupPct(
-                original.totalTime, results[1].totalTime);
+                point.originalTime, point.variantTimes[0]);
 
             table.addRow({strformat("%d", ranks),
                           mbps(platform.bandwidthMBps),
-                          humanTime(original.totalTime),
+                          humanTime(point.originalTime),
                           pct(speedup)});
             csv.addRow({name, strformat("%d", ranks),
                         strformat("%.3f",

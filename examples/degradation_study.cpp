@@ -25,6 +25,7 @@
  *                       [--csv out.csv]
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 
@@ -74,11 +75,11 @@ main(int argc, char **argv)
         net::topologies::taperedFatTree(4, 0.5));
     const auto grid = core::logBandwidthGrid(
         options.getDouble("lo"), options.getDouble("hi"),
-        static_cast<int>(options.getInt("per-decade")));
+        static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     const auto variants = core::standardVariants(
-        static_cast<std::size_t>(options.getInt("chunks")));
+        static_cast<std::size_t>(options.getInt("chunks", 1)));
     const int threads = ThreadPool::resolveThreads(
-        static_cast<int>(options.getInt("threads")));
+        static_cast<int>(options.getInt("threads", 0, INT_MAX)));
 
     // Scale the scenarios to the run: one nominal replay at the
     // middle of the bandwidth range measures how long the app runs

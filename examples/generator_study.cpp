@@ -23,6 +23,7 @@
  * config of that family.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -94,11 +95,11 @@ main(int argc, char **argv)
     const auto grid =
         parseRankGrid(options.getString("ranks"));
     const auto variants = core::standardVariants(
-        static_cast<std::size_t>(options.getInt("chunks")));
+        static_cast<std::size_t>(options.getInt("chunks", 1)));
     const auto seed =
-        static_cast<std::uint64_t>(options.getInt("seed"));
+        static_cast<std::uint64_t>(options.getInt("seed", 0));
     const int threads = ThreadPool::resolveThreads(
-        static_cast<int>(options.getInt("threads")));
+        static_cast<int>(options.getInt("threads", 0, INT_MAX)));
 
     std::printf("workload %s (%s), seed %llu, tapered fat tree "
                 "@ %.0f MB/s\n",

@@ -42,7 +42,7 @@ main(int argc, char **argv)
     core::TransformConfig ideal;
     ideal.pattern = core::PatternModel::idealLinear;
     ideal.chunks =
-        static_cast<std::size_t>(options.getInt("chunks"));
+        static_cast<std::size_t>(options.getInt("chunks", 1));
 
     const auto iso = core::isoPerformance(
         bundle, sim::platforms::defaultCluster(), ideal,

@@ -8,6 +8,7 @@
  *                   [--hi 65536] [--per-decade 2] [--csv out.csv]
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 
@@ -50,9 +51,9 @@ main(int argc, char **argv)
     const auto bundle = bench::traceApp(app.name());
     const auto grid = core::logBandwidthGrid(
         options.getDouble("lo"), options.getDouble("hi"),
-        static_cast<int>(options.getInt("per-decade")));
+        static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     const auto variants = core::standardVariants(
-        static_cast<std::size_t>(options.getInt("chunks")));
+        static_cast<std::size_t>(options.getInt("chunks", 1)));
     const auto sweep = core::bandwidthSweep(
         bundle, base, grid,
         variants);

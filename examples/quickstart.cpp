@@ -13,8 +13,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/study.hh"
-#include "sim/platform.hh"
+#include "core/transform.hh"
+#include "sim/engine.hh"
+#include "tracer/tracer.hh"
 #include "util/options.hh"
 #include "viz/ascii_gantt.hh"
 #include "viz/profile.hh"
@@ -56,7 +57,7 @@ main(int argc, char **argv)
 
     // 2. Trace it (original trace + production/consumption
     //    profiles from one run).
-    auto study = core::OverlapStudy::fromProgram(2, program);
+    const auto bundle = tracer::traceApplication(2, program);
 
     // 3. Configure the platform and replay the original and the
     //    overlapped execution.
@@ -66,11 +67,14 @@ main(int argc, char **argv)
 
     core::TransformConfig overlap; // real measured pattern
     overlap.chunks =
-        static_cast<std::size_t>(options.getInt("chunks"));
+        static_cast<std::size_t>(options.getInt("chunks", 1));
 
-    const auto original = study.simulateOriginal(platform);
-    const auto overlapped =
-        study.simulateOverlapped(overlap, platform);
+    const auto original = sim::simulate(bundle.traces, platform);
+    const auto overlapped = sim::simulate(
+        core::buildOverlappedTrace(bundle.traces, bundle.overlap,
+                                   overlap)
+            .traces,
+        platform);
 
     // 4. Compare, quantitatively and visually.
     std::printf("platform: %.1f MB/s, %.1f us latency\n\n",

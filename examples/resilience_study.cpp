@@ -49,6 +49,7 @@
  * is a brutal machine, a 200x-nominal one is merely flaky.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -120,9 +121,13 @@ main(int argc, char **argv)
     auto base = sim::platforms::topologyCluster(
         net::topologies::taperedFatTree(4, 0.5));
     const auto variants = core::standardVariants(
-        static_cast<std::size_t>(options.getInt("chunks")));
+        static_cast<std::size_t>(options.getInt("chunks", 1)));
     const int threads = ThreadPool::resolveThreads(
-        static_cast<int>(options.getInt("threads")));
+        static_cast<int>(options.getInt("threads", 0, INT_MAX)));
+    const auto seeds = static_cast<std::uint32_t>(
+        options.getInt("seeds", 1, UINT32_MAX));
+    const auto seed =
+        static_cast<std::uint64_t>(options.getInt("seed", 0));
 
     // Scale the cost model and the MTBF grid to this app's nominal
     // run on this fabric.
@@ -151,7 +156,7 @@ main(int argc, char **argv)
     auto grid = core::logBandwidthGrid(
         options.getDouble("mtbf-lo") * nominal.toUs(),
         options.getDouble("mtbf-hi") * nominal.toUs(),
-        static_cast<int>(options.getInt("per-decade")));
+        static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     std::reverse(grid.begin(), grid.end());
 
     core::CampaignObs cobs;
@@ -160,16 +165,12 @@ main(int argc, char **argv)
         // One tick per (rate, seed) job of the campaign.
         progress = std::make_unique<obs::Progress>(
             "resilience sweep",
-            grid.size() *
-                static_cast<std::size_t>(options.getInt("seeds")));
+            grid.size() * seeds);
         cobs.progress = progress.get();
     }
 
     const auto campaign = core::resilienceSweep(
-        bundle, base, grid, variants,
-        static_cast<std::uint32_t>(options.getInt("seeds")),
-        static_cast<std::uint64_t>(options.getInt("seed")),
-        threads, &cobs);
+        bundle, base, grid, variants, seeds, seed, threads, &cobs);
     if (progress != nullptr)
         progress->finish();
 
@@ -255,10 +256,8 @@ main(int argc, char **argv)
          4.0 * ckpt_cost_us, 4.0 * restart_cost_us},
     };
     const auto proto = core::protocolSweep(
-        bundle, base, proto_mtbf_us, intervalGrid, protocols,
-        static_cast<std::uint32_t>(options.getInt("seeds")),
-        static_cast<std::uint64_t>(options.getInt("seed")),
-        machine_mtbf_us, threads);
+        bundle, base, proto_mtbf_us, intervalGrid, protocols, seeds,
+        seed, machine_mtbf_us, threads);
 
     std::printf("\nprotocol comparison at per-node MTBF %.0f us"
                 " (machine-wide %.0f us):\n",

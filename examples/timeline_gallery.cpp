@@ -16,7 +16,6 @@
 
 #include "apps/app.hh"
 #include "bench/bench_common.hh"
-#include "core/study.hh"
 #include "util/options.hh"
 #include "viz/ascii_gantt.hh"
 #include "viz/paraver.hh"
@@ -37,17 +36,14 @@ main(int argc, char **argv)
     options.parse(argc, argv);
 
     const auto &app = apps::findApp(options.getString("app"));
-    core::OverlapStudy study(bench::traceApp(app.name(), 1));
+    const auto bundle = bench::traceApp(app.name(), 1);
 
     auto platform = sim::platforms::defaultCluster();
     platform.captureTimeline = true;
     double bandwidth = options.getDouble("bandwidth");
-    if (bandwidth <= 0.0) {
-        // The study's cached compiled program serves the bisection
-        // and the replays below — the trace is lowered exactly once.
-        bandwidth = core::findIntermediateBandwidth(
-            *study.originalProgram(), platform);
-    }
+    if (bandwidth <= 0.0)
+        bandwidth =
+            core::findIntermediateBandwidth(bundle.traces, platform);
     platform.bandwidthMBps = bandwidth;
     std::printf("%s at %.2f MB/s\n\n", app.name().c_str(),
                 bandwidth);
@@ -62,17 +58,22 @@ main(int argc, char **argv)
         std::string name;
         sim::SimResult result;
     };
+    const auto overlapped = [&](const core::TransformConfig &config) {
+        return sim::simulate(
+            core::buildOverlappedTrace(bundle.traces, bundle.overlap,
+                                       config)
+                .traces,
+            platform);
+    };
     const Entry entries[] = {
-        {"original", study.simulateOriginal(platform)},
-        {"overlap-real",
-         study.simulateOverlapped(real, platform)},
-        {"overlap-ideal",
-         study.simulateOverlapped(ideal, platform)},
+        {"original", sim::simulate(bundle.traces, platform)},
+        {"overlap-real", overlapped(real)},
+        {"overlap-ideal", overlapped(ideal)},
     };
 
     viz::GanttOptions gantt;
-    gantt.width = static_cast<std::size_t>(
-        options.getInt("width"));
+    gantt.width =
+        static_cast<std::size_t>(options.getInt("width", 1, 10000));
     const std::string prefix = options.getString("prefix");
 
     for (const auto &entry : entries) {

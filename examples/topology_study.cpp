@@ -24,6 +24,7 @@
  * campaign's host-side lane spans.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -65,12 +66,12 @@ main(int argc, char **argv)
     const auto base = sim::platforms::defaultCluster();
     const auto grid = core::logBandwidthGrid(
         options.getDouble("lo"), options.getDouble("hi"),
-        static_cast<int>(options.getInt("per-decade")));
+        static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     const auto variants = core::standardVariants(
-        static_cast<std::size_t>(options.getInt("chunks")));
+        static_cast<std::size_t>(options.getInt("chunks", 1)));
     const auto topologies = core::standardTopologies();
     const int threads = ThreadPool::resolveThreads(
-        static_cast<int>(options.getInt("threads")));
+        static_cast<int>(options.getInt("threads", 0, INT_MAX)));
 
     core::CampaignObs cobs;
     cobs.recordSpans = !options.getString("trace-out").empty();

@@ -6,7 +6,10 @@
 #   1. tier-1:  default Release-ish build, full ctest suite
 #   2. ASAN:    OVLSIM_ASAN build (with libstdc++ assertions,
 #               _GLIBCXX_ASSERTIONS: checked operator[], std::clamp
-#               bounds and friends), full ctest suite, then
+#               bounds and friends), full ctest suite (which runs
+#               the eight paper benches and quickstart and
+#               timeline_gallery end to end through the bench_pins
+#               entry, label `bench`), then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
 #               `ctest -L bus` and `ctest -L scen` passes (the
@@ -20,10 +23,10 @@
 #               only the 4096-node scale tests reach the large link
 #               and hop-slot indices)
 #   3. UBSAN:   OVLSIM_UBSAN build, also with libstdc++
-#               assertions, full ctest suite (signed
-#               overflow and friends in the event/cost arithmetic,
-#               plus float-to-integer casts such as a non-finite
-#               time reaching SimTime, which GCC's
+#               assertions, full ctest suite (the bench pins again;
+#               signed overflow and friends in the event/cost
+#               arithmetic, plus float-to-integer casts such as a
+#               non-finite time reaching SimTime, which GCC's
 #               -fsanitize=undefined leaves out),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
@@ -35,7 +38,8 @@
 #               arithmetic are where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, the campaign lane runner's sweeps and their
-#               pin table, scenario determinism, and — via
+#               pin table, the paper benches' two-lane sweeps in
+#               bench_pins, scenario determinism, and — via
 #               test_obs's parallel label — the span buffers,
 #               progress ticks and campaign stats folds), `ctest -L
 #               coll` (the algorithmic collective engine), `ctest
@@ -43,6 +47,10 @@
 #               scenarios over the lanes) and `ctest -L gen`
 #               (scaling sweeps: prepare tasks generating and
 #               lowering points, then costliest-first replays)
+#
+# After touching bench/ or an example, run `ctest -L bench` in a
+# build tree: bench_pins hashes the benches' and two examples'
+# stdout and written files against pins recorded before the change.
 #
 # Usage:
 #   scripts/dev_check.sh            # run all four stages

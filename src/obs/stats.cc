@@ -29,7 +29,6 @@ EngineStats::toString() const
 
 namespace {
 
-CacheCounters studyCounters;
 CacheCounters topologyCounters;
 CacheCounters scheduleCounters;
 
@@ -57,12 +56,6 @@ zero(CacheCounters &c)
 } // namespace
 
 CacheCounters &
-studyCache()
-{
-    return studyCounters;
-}
-
-CacheCounters &
 topologyCache()
 {
     return topologyCounters;
@@ -77,8 +70,7 @@ scheduleCache()
 std::vector<CacheReportRow>
 cacheReport()
 {
-    return {snapshotRow("study", studyCounters),
-            snapshotRow("topology", topologyCounters),
+    return {snapshotRow("topology", topologyCounters),
             snapshotRow("schedule", scheduleCounters)};
 }
 
@@ -103,7 +95,6 @@ cacheReportString()
 void
 resetCacheStats()
 {
-    zero(studyCounters);
     zero(topologyCounters);
     zero(scheduleCounters);
 }

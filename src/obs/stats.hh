@@ -9,16 +9,15 @@
  * benchmarked Release configuration. One replay fills one instance
  * (the engine is single-threaded per session); the result is copied
  * into sim::SimResult::stats at the end of run() and merged per
- * campaign row by the study runtime. Like eventsProcessed, the
+ * campaign row by the campaign drivers. Like eventsProcessed, the
  * counters are monotone across checkpoint rollbacks: rolled-back
  * events were still simulated work, so a restarted replay reports
  * the work it actually performed, not the work that survived.
  *
- * Cache counters cover the three process-wide compile caches
- * (core/study.cc ReplayProgram sharing, the per-session
- * net::compileTopology cache, the coll::compileSchedule cache).
- * They are shared across sweep lanes, hence atomic; cacheReport()
- * snapshots all three for reports and tests.
+ * Cache counters cover the two compile caches (the per-session
+ * net::compileTopology cache, the process-wide coll::compileSchedule
+ * cache). They are shared across sweep lanes, hence atomic;
+ * cacheReport() snapshots both for reports and tests.
  */
 
 #ifndef OVLSIM_OBS_STATS_HH
@@ -160,9 +159,6 @@ struct CacheCounters
     }
 };
 
-/** core/study.cc variant + original ReplayProgram cache. */
-CacheCounters &studyCache();
-
 /** net::compileTopology per-session cache: one compiled topology
  * (links and routing tables, O(links)) per live session. */
 CacheCounters &topologyCache();
@@ -191,8 +187,8 @@ struct CacheReportRow
     }
 };
 
-/** Snapshot all three compile caches ("study", "topology",
- * "schedule", in that order). */
+/** Snapshot both compile caches, one row each, named "topology"
+ * and "schedule"; look rows up by name. */
 std::vector<CacheReportRow> cacheReport();
 
 /** Multi-line rendering of cacheReport() for reports. */

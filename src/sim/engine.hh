@@ -20,19 +20,15 @@
  *    engine's arenas (message-slot table, transfer pool, request
  *    registers, event heap) alive between runs so steady-state
  *    replays allocate nothing. Its ReplayProgram overload skips
- *    compilation entirely — study campaigns compile each trace
- *    variant once and share the program across all sweep points.
- *  - simulateBatch() fans a batch of independent jobs over a thread
- *    pool with one session per lane, compiling each distinct trace
- *    set once.
+ *    compilation entirely — the campaign drivers (core/analysis.hh)
+ *    compile each trace variant once and replay the shared program
+ *    at every sweep point, one session per lane.
  */
 
 #ifndef OVLSIM_SIM_ENGINE_HH
 #define OVLSIM_SIM_ENGINE_HH
 
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "sim/platform.hh"
 #include "sim/program.hh"
@@ -73,9 +69,9 @@ SimResult simulate(const ReplayProgram &program,
  * Results are bit-identical to simulate() — a session carries no
  * state between runs other than memory reservations.
  *
- * A session is single-threaded; use one session per thread (see
- * simulateBatch) for parallel campaigns. One const ReplayProgram
- * may be shared by any number of concurrent sessions.
+ * A session is single-threaded; parallel campaigns use one session
+ * per thread (the campaign drivers keep one per lane). One const
+ * ReplayProgram may be shared by any number of concurrent sessions.
  */
 class ReplaySession
 {
@@ -97,45 +93,6 @@ class ReplaySession
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * One replay of a batch: what to replay and the platform to run it
- * on. Either `program` (preferred; shared, pre-compiled) or
- * `traces` (compiled once per distinct pointer inside
- * simulateBatch) must be set; `program` wins when both are. A
- * referenced trace set must outlive the simulateBatch call.
- */
-struct SimJob
-{
-    SimJob() = default;
-
-    SimJob(const trace::TraceSet *traces_in,
-           PlatformConfig platform_in)
-        : traces(traces_in), platform(std::move(platform_in))
-    {}
-
-    SimJob(std::shared_ptr<const ReplayProgram> program_in,
-           PlatformConfig platform_in)
-        : platform(std::move(platform_in)),
-          program(std::move(program_in))
-    {}
-
-    const trace::TraceSet *traces = nullptr;
-    PlatformConfig platform;
-    std::shared_ptr<const ReplayProgram> program;
-};
-
-/**
- * Replay every job of a batch and return the results in job order.
- *
- * Jobs are independent; with `threads` > 1 they are fanned over a
- * fixed thread pool with one ReplaySession per lane, and the result
- * vector is bit-identical to running the jobs sequentially
- * (`threads` <= 0 means all hardware cores). The first error raised
- * by any job is rethrown after in-flight jobs drain.
- */
-std::vector<SimResult> simulateBatch(std::span<const SimJob> jobs,
-                                     int threads = 1);
 
 } // namespace ovlsim::sim
 

@@ -91,6 +91,17 @@ Options::getInt(const std::string &name) const
     return parseInt(lookup(name));
 }
 
+std::int64_t
+Options::getInt(const std::string &name, std::int64_t lo,
+                std::int64_t hi) const
+{
+    const std::int64_t value = getInt(name);
+    if (value < lo || value > hi)
+        fatal("option --", name, " must be in [", lo, ", ", hi,
+              "], got ", value);
+    return value;
+}
+
 double
 Options::getDouble(const std::string &name) const
 {

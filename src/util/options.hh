@@ -10,6 +10,7 @@
 #define OVLSIM_UTIL_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,6 +40,17 @@ class Options
 
     std::string getString(const std::string &name) const;
     std::int64_t getInt(const std::string &name) const;
+
+    /**
+     * getInt() checked against [lo, hi]: a value outside raises
+     * FatalError naming the option, the range and the value. Every
+     * read that narrows the result or changes its sign goes through
+     * here, so no typo wraps silently.
+     */
+    std::int64_t
+    getInt(const std::string &name, std::int64_t lo,
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max())
+        const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
 

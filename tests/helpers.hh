@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/topology.hh"
+#include "obs/stats.hh"
 #include "sim/platform.hh"
 #include "sim/result.hh"
 #include "trace/trace.hh"
@@ -28,6 +29,19 @@ routeOf(const net::CompiledTopology &topo, int src, int dst)
     std::vector<std::uint32_t> out(topo.maxRouteLength());
     out.resize(topo.route(src, dst, out).size());
     return out;
+}
+
+/** The obs::cacheReport() row named `name` (rows are looked up by
+ * name, never by position). */
+inline obs::CacheReportRow
+cacheRow(const std::string &name)
+{
+    for (const obs::CacheReportRow &row : obs::cacheReport()) {
+        if (row.name == name)
+            return row;
+    }
+    ADD_FAILURE() << "no cache row named " << name;
+    return {};
 }
 
 /** FNV-1a over the little-endian bytes of every rank's end time. */

@@ -362,9 +362,7 @@ TEST(ScheduleTest, CacheSharesOneScheduleAcrossCallers)
     const auto r3 = coll::compileSchedule(CollOp::broadcast, 8, 3,
                                           4096);
     EXPECT_NE(r0.get(), r3.get());
-    const obs::CacheReportRow sched_cache = obs::cacheReport()[2];
-    EXPECT_EQ(sched_cache.name, "schedule");
-    EXPECT_GT(sched_cache.entries, 0u);
+    EXPECT_GT(testing::cacheRow("schedule").entries, 0u);
 }
 
 TEST(CollPlatformFileTest, ModelAndPinsRoundTrip)

@@ -1,6 +1,9 @@
 /**
  * @file
- * Tests for the analysis layer and the study facade.
+ * Tests for the analysis layer: bandwidth grids, variants, sweeps,
+ * the bisections and iso-performance. The overlap speedup at the
+ * intermediate bandwidth is read from a one-point bandwidthSweep,
+ * the way the paper benches read it.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +11,6 @@
 #include <cmath>
 
 #include "core/analysis.hh"
-#include "core/study.hh"
 #include "tests/helpers.hh"
 #include "util/logging.hh"
 
@@ -137,52 +139,20 @@ TEST(IsoPerformanceTest, OverlappedNeedsLessBandwidth)
     EXPECT_GE(iso.reductionFactor(), 1.0);
 }
 
-TEST(StudyTest, FacadeMatchesDirectPipeline)
-{
-    auto study = OverlapStudy::fromProgram(
-        2, testing::producerConsumer(256 * 1024, 1'000'000, 8));
-    const auto platform = testing::platformAt(256.0);
-
-    const auto original = study.simulateOriginal(platform);
-    EXPECT_GT(original.totalTime.ns(), 0);
-
-    TransformConfig ideal;
-    ideal.pattern = PatternModel::idealLinear;
-    const auto overlapped =
-        study.simulateOverlapped(ideal, platform);
-    const double speedup = study.speedup(ideal, platform);
-    EXPECT_NEAR(speedup,
-                static_cast<double>(original.totalTime.ns()) /
-                    static_cast<double>(
-                        overlapped.totalTime.ns()),
-                1e-9);
-}
-
-TEST(StudyTest, VariantTracesAreCached)
-{
-    auto study = OverlapStudy::fromProgram(
-        2, testing::producerConsumer(64 * 1024, 100'000, 8));
-    TransformConfig config;
-    const auto &first = study.overlappedTrace(config);
-    const auto &second = study.overlappedTrace(config);
-    EXPECT_EQ(&first, &second);
-
-    config.chunks = 4;
-    const auto &third = study.overlappedTrace(config);
-    EXPECT_NE(&first, &third);
-}
-
 TEST(StudyTest, SpeedupAboveOneAtIntermediateBandwidth)
 {
-    auto study = OverlapStudy::fromProgram(
+    const auto bundle = testing::traceOf(
         2, testing::producerConsumer(256 * 1024, 1'000'000, 16));
     auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = findIntermediateBandwidth(
-        study.originalTrace(), platform);
+    platform.bandwidthMBps =
+        findIntermediateBandwidth(bundle.traces, platform);
 
     TransformConfig ideal;
     ideal.pattern = PatternModel::idealLinear;
-    EXPECT_GT(study.speedup(ideal, platform), 1.2);
+    const auto sweep = bandwidthSweep(bundle, platform,
+                                      {platform.bandwidthMBps},
+                                      {{"overlap-ideal", ideal}});
+    EXPECT_GT(sweep.points[0].speedup(0), 1.2);
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 
 #include "apps/app.hh"
 #include "core/analysis.hh"
-#include "core/study.hh"
 #include "sim/engine.hh"
 #include "tests/helpers.hh"
 #include "trace/trace_io.hh"
@@ -37,18 +36,21 @@ traceApp(const std::string &name, int iterations = 2)
 
 TEST(PipelineTest, BtIdealOverlapSpeedsUpAtIntermediateBandwidth)
 {
-    core::OverlapStudy study(traceApp("nas-bt"));
+    const auto bundle = traceApp("nas-bt");
     auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = core::findIntermediateBandwidth(
-        study.originalTrace(), platform);
+    platform.bandwidthMBps =
+        core::findIntermediateBandwidth(bundle.traces, platform);
 
     core::TransformConfig ideal;
     ideal.pattern = core::PatternModel::idealLinear;
     core::TransformConfig real;
     real.pattern = core::PatternModel::real;
 
-    const double ideal_speedup = study.speedup(ideal, platform);
-    const double real_speedup = study.speedup(real, platform);
+    const auto sweep = core::bandwidthSweep(
+        bundle, platform, {platform.bandwidthMBps},
+        {{"overlap-ideal", ideal}, {"overlap-real", real}});
+    const double ideal_speedup = sweep.points[0].speedup(0);
+    const double real_speedup = sweep.points[0].speedup(1);
     // Paper R1/R2: ideal restructuring achieves a significant
     // speedup, the measured (real) pattern is negligible.
     EXPECT_GT(ideal_speedup, 1.2);
@@ -58,10 +60,10 @@ TEST(PipelineTest, BtIdealOverlapSpeedsUpAtIntermediateBandwidth)
 
 TEST(PipelineTest, SweepBenefitsGrowThenShrinkWithBandwidth)
 {
-    core::OverlapStudy study(traceApp("specfem"));
+    const auto bundle = traceApp("specfem");
     const auto base = sim::platforms::defaultCluster();
     const auto sweep = core::bandwidthSweep(
-        study.bundle(), base,
+        bundle, base,
         core::logBandwidthGrid(1.0, 65536.0, 1),
         core::standardVariants());
 
@@ -129,16 +131,18 @@ TEST(PipelineTest, WholePipelineIsDeterministic)
 
 TEST(PipelineTest, TimelinesVisualizeBothExecutions)
 {
-    core::OverlapStudy study(traceApp("nas-bt", 1));
+    const auto bundle = traceApp("nas-bt", 1);
     auto platform = sim::platforms::defaultCluster();
     platform.bandwidthMBps = 64.0;
     platform.captureTimeline = true;
 
-    const auto original = study.simulateOriginal(platform);
+    const auto original = sim::simulate(bundle.traces, platform);
     core::TransformConfig ideal;
     ideal.pattern = core::PatternModel::idealLinear;
-    const auto overlapped =
-        study.simulateOverlapped(ideal, platform);
+    const auto overlapped = sim::simulate(
+        core::buildOverlappedTrace(bundle.traces, bundle.overlap, ideal)
+            .traces,
+        platform);
 
     viz::GanttOptions options;
     options.width = 72;
@@ -163,20 +167,20 @@ TEST(PipelineTest, EveryAppSupportsTheFullStudy)
         params.iterations = 1;
         tracer::TracerConfig config;
         config.appName = app->name();
-        core::OverlapStudy study(tracer::traceApplication(
-            params.ranks, app->program(params), config));
+        const auto bundle = tracer::traceApplication(
+            params.ranks, app->program(params), config);
 
-        const auto platform = testing::platformAt(128.0);
-        const auto original = study.simulateOriginal(platform);
         core::TransformConfig ideal;
         ideal.pattern = core::PatternModel::idealLinear;
-        const auto overlapped =
-            study.simulateOverlapped(ideal, platform);
+        const auto point =
+            core::bandwidthSweep(bundle, testing::platformAt(128.0),
+                                 {128.0}, {{"overlap-ideal", ideal}})
+                .points[0];
 
-        EXPECT_GT(original.totalTime.ns(), 0) << app->name();
-        EXPECT_GT(overlapped.totalTime.ns(), 0) << app->name();
-        EXPECT_LE(overlapped.totalTime.ns(),
-                  original.totalTime.ns() * 11 / 10)
+        EXPECT_GT(point.originalTime.ns(), 0) << app->name();
+        EXPECT_GT(point.variantTimes[0].ns(), 0) << app->name();
+        EXPECT_LE(point.variantTimes[0].ns(),
+                  point.originalTime.ns() * 11 / 10)
             << app->name();
     }
 }

@@ -2,15 +2,16 @@
  * @file
  * Determinism and correctness of the parallel study runtime.
  *
- * The study layer fans independent replays over a thread pool with
- * one reusable ReplaySession per lane. Nothing about a campaign's
- * results may depend on the thread count or on scheduling: every
- * parallel path must produce output bit-identical to the sequential
- * path, and repeated runs must be bit-identical to each other. These
- * tests pin that contract for simulateBatch, bandwidthSweep and
- * isoPerformance across thread counts {1, 2, 8}, and cover the
- * ThreadPool primitive itself (full task coverage, worker-local
- * lanes, exception propagation).
+ * The campaign drivers fan independent replays over a thread pool
+ * with one reusable ReplaySession per lane. Nothing about a
+ * campaign's results may depend on the thread count or on
+ * scheduling: every parallel path must produce output bit-identical
+ * to the sequential path, and repeated runs must be bit-identical to
+ * each other. These tests pin that contract for bandwidthSweep,
+ * topologySweep, collectiveSweep, isoPerformance and one compiled
+ * program shared by concurrent sessions across thread counts
+ * {1, 2, 8}, and cover the ThreadPool primitive itself (full task
+ * coverage, worker-local lanes, exception propagation).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "core/analysis.hh"
-#include "core/study.hh"
 #include "helpers.hh"
 #include "sim/engine.hh"
 #include "util/thread_pool.hh"
@@ -200,36 +200,6 @@ TEST(ReplaySessionTest, ReuseMatchesFreshEngineAcrossJobs)
     }
 }
 
-TEST(SimulateBatchTest, MatchesSequentialAcrossThreadCounts)
-{
-    const auto ring = testing::traceOf(
-        4, testing::ringExchange(32 * 1024, 300'000, 4));
-    const auto pc = testing::traceOf(
-        2, testing::packedExchange(128 * 1024, 600'000));
-
-    std::vector<sim::SimJob> jobs;
-    for (const double bandwidth : {8.0, 64.0, 512.0, 4096.0}) {
-        jobs.push_back(
-            {&ring.traces, testing::platformAt(bandwidth)});
-        jobs.push_back(
-            {&pc.traces, testing::platformAt(bandwidth)});
-    }
-
-    const auto sequential = simulateBatch(jobs, 1);
-    ASSERT_EQ(sequential.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdentical(sequential[i],
-                        simulate(*jobs[i].traces,
-                                 jobs[i].platform));
-    }
-    for (const int threads : threadCounts) {
-        const auto parallel = simulateBatch(jobs, threads);
-        ASSERT_EQ(parallel.size(), sequential.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            expectIdentical(parallel[i], sequential[i]);
-    }
-}
-
 TEST(ParallelSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
 {
     const auto bundle = testing::traceOf(
@@ -387,7 +357,7 @@ TEST(ParallelIsoPerformanceTest, ConcurrentBisectionsMatch)
 TEST(ParallelProgramSharingTest, OneProgramServesAllLanes)
 {
     // Campaigns compile each trace variant once and hand the same
-    // immutable ReplayProgram to every sweep lane. Replaying one
+    // immutable ReplayProgram to every lane's session. Replaying one
     // shared program concurrently from many sessions must be
     // bit-identical to sequential and to the compile-on-entry path
     // (TSAN builds race-check the sharing).
@@ -395,85 +365,29 @@ TEST(ParallelProgramSharingTest, OneProgramServesAllLanes)
         4, testing::ringExchange(48 * 1024, 350'000, 5));
     const auto program = sim::compileShared(bundle.traces);
 
-    std::vector<sim::SimJob> jobs;
+    std::vector<sim::PlatformConfig> platforms;
     for (const double bandwidth :
-         {4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0}) {
-        jobs.emplace_back(program,
-                          testing::platformAt(bandwidth));
-    }
+         {4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0})
+        platforms.push_back(testing::platformAt(bandwidth));
 
-    const auto sequential = simulateBatch(jobs, 1);
-    ASSERT_EQ(sequential.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdentical(sequential[i],
-                        simulate(bundle.traces,
-                                 jobs[i].platform));
+    std::vector<SimResult> sequential;
+    sim::ReplaySession session;
+    for (const auto &platform : platforms) {
+        sequential.push_back(session.run(*program, platform));
+        expectIdentical(sequential.back(),
+                        simulate(bundle.traces, platform));
     }
     for (const int threads : threadCounts) {
-        const auto parallel = simulateBatch(jobs, threads);
-        ASSERT_EQ(parallel.size(), sequential.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
+        ThreadPool pool(threads);
+        std::vector<sim::ReplaySession> sessions(
+            static_cast<std::size_t>(pool.size()));
+        std::vector<SimResult> parallel(platforms.size());
+        pool.parallelFor(platforms.size(), [&](std::size_t i, int lane) {
+            parallel[i] = sessions[static_cast<std::size_t>(lane)].run(
+                *program, platforms[i]);
+        });
+        for (std::size_t i = 0; i < platforms.size(); ++i)
             expectIdentical(parallel[i], sequential[i]);
-    }
-}
-
-TEST(ParallelProgramSharingTest, StudyProgramsAreShared)
-{
-    // The study cache must hand out the *same* compiled program for
-    // repeated requests of one variant, from any number of lanes.
-    core::OverlapStudy study(testing::traceOf(
-        2, testing::producerConsumer(128 * 1024, 500'000)));
-    core::TransformConfig ideal;
-    ideal.pattern = core::PatternModel::idealLinear;
-
-    std::vector<std::shared_ptr<const sim::ReplayProgram>>
-        programs(16);
-    ThreadPool pool(8);
-    pool.parallelFor(programs.size(), [&](std::size_t i, int) {
-        programs[i] = i % 2 == 0 ? study.originalProgram()
-                                 : study.overlappedProgram(ideal);
-    });
-    for (std::size_t i = 2; i < programs.size(); ++i)
-        EXPECT_EQ(programs[i], programs[i % 2]) << "slot " << i;
-    EXPECT_NE(programs[0], programs[1]);
-
-    // And the served programs replay identically to their traces.
-    const auto platform = testing::platformAt(128.0);
-    expectIdentical(
-        simulate(*programs[0], platform),
-        simulate(study.bundle().traces, platform));
-    expectIdentical(
-        simulate(*programs[1], platform),
-        simulate(study.overlappedTrace(ideal), platform));
-}
-
-TEST(ParallelStudyTest, VariantCacheIsThreadSafe)
-{
-    core::OverlapStudy study(testing::traceOf(
-        2, testing::producerConsumer(128 * 1024, 500'000)));
-
-    // Hammer the cache from many lanes with a mix of distinct and
-    // identical variants; every caller must observe a stable,
-    // complete trace (TSAN builds race-check this path).
-    std::vector<core::TransformConfig> configs;
-    for (const std::size_t chunks : {2u, 4u, 8u, 16u}) {
-        core::TransformConfig config;
-        config.pattern = core::PatternModel::idealLinear;
-        config.chunks = chunks;
-        configs.push_back(config);
-    }
-    std::vector<std::size_t> records(32, 0);
-    ThreadPool pool(8);
-    pool.parallelFor(records.size(), [&](std::size_t i, int) {
-        const auto &traces =
-            study.overlappedTrace(configs[i % configs.size()]);
-        records[i] = traces.totalRecords();
-    });
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(records[i],
-                  records[i % configs.size()])
-            << "slot " << i;
-        EXPECT_GT(records[i], 0u) << "slot " << i;
     }
 }
 

@@ -184,30 +184,6 @@ TEST(ProgramReplayTest, CompiledReplayMatchesCompileOnEntry)
     }
 }
 
-TEST(ProgramReplayTest, BatchAcceptsPreCompiledPrograms)
-{
-    const auto bundle = testing::traceOf(
-        2, testing::producerConsumer(256 * 1024, 800'000));
-    const auto program = sim::compileShared(bundle.traces);
-
-    std::vector<sim::SimJob> jobs;
-    for (const double bandwidth : {32.0, 512.0}) {
-        jobs.emplace_back(program,
-                          testing::platformAt(bandwidth));
-        jobs.emplace_back(&bundle.traces,
-                          testing::platformAt(bandwidth));
-    }
-    const auto results = simulateBatch(jobs, 2);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); i += 2) {
-        // Program-carrying and trace-carrying jobs of the same
-        // platform must agree exactly.
-        expectIdentical(results[i], results[i + 1]);
-        expectIdentical(results[i],
-                        simulate(*program, jobs[i].platform));
-    }
-}
-
 TEST(ProgramCompileTest, RejectsWildcardsAndBadPeers)
 {
     const auto compile = [](const TraceSet &traces) {

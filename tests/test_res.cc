@@ -40,9 +40,9 @@
  *    structured FailureDiagnosis per dead seed), never throws;
  *    protocolSweep's swept optimal interval lands within one grid
  *    step of res::dalyInterval's analytic prediction,
- *  - FailureError propagates through simulateBatch and
- *    bandwidthSweep without wedging the thread pool (satellite:
- *    failure propagation).
+ *  - FailureError propagates through bandwidthSweep without
+ *    wedging the thread pool, also when only the slow points of a
+ *    grid fail and the fast ones finish first.
  */
 
 #include <gtest/gtest.h>
@@ -1022,22 +1022,6 @@ TEST(CheckpointRestartTest, LiftedModeRestrictionsReplayToCompletion)
 // Failure propagation through the campaign drivers (satellite).
 // ---------------------------------------------------------------
 
-TEST(FailurePropagationTest, SimulateBatchRethrowsFailureError)
-{
-    const auto bundle = testing::traceOf(
-        2, testing::producerConsumer(256 * 1024, 400'000));
-    auto healthy = testing::platformAt(256.0);
-    auto doomed = healthy;
-    doomed.scenario.events.push_back(nodeFail(10.0, 0));
-
-    std::vector<sim::SimJob> jobs;
-    jobs.emplace_back(&bundle.traces, healthy);
-    jobs.emplace_back(&bundle.traces, doomed);
-    jobs.emplace_back(&bundle.traces, healthy);
-    jobs.emplace_back(&bundle.traces, healthy);
-    EXPECT_THROW(sim::simulateBatch(jobs, 2), scen::FailureError);
-}
-
 TEST(FailurePropagationTest, BandwidthSweepRethrowsFailureError)
 {
     const auto bundle = testing::traceOf(
@@ -1047,6 +1031,38 @@ TEST(FailurePropagationTest, BandwidthSweepRethrowsFailureError)
     EXPECT_THROW(core::bandwidthSweep(bundle, doomed, {256.0, 512.0},
                                       core::standardVariants(), 2),
                  scen::FailureError);
+}
+
+TEST(FailurePropagationTest, SweepRethrowsWhenOnlySlowPointsFail)
+{
+    // A fail-stop at 2 ms: every replay at 4096 and 16384 MB/s ends
+    // by 0.9 ms, before it fires; every replay at 16 MB/s runs past
+    // 16 ms and dies. Healthy and doomed replays share the lanes,
+    // and the doomed ones must still surface.
+    const auto bundle = testing::traceOf(
+        2, testing::producerConsumer(256 * 1024, 400'000));
+    auto platform = testing::platformAt(256.0);
+    platform.scenario.events.push_back(nodeFail(2000.0, 0));
+    const auto variants = core::standardVariants();
+    const std::vector<double> fast{4096.0, 16384.0};
+    const auto healthy = core::bandwidthSweep(
+        bundle, testing::platformAt(256.0), fast, variants);
+    for (const int threads : {1, 2, 8}) {
+        EXPECT_THROW(core::bandwidthSweep(bundle, platform,
+                                          {16.0, 4096.0, 16384.0},
+                                          variants, threads),
+                     scen::FailureError)
+            << threads << " threads";
+        const auto survived = core::bandwidthSweep(
+            bundle, platform, fast, variants, threads);
+        ASSERT_EQ(survived.points.size(), fast.size());
+        for (std::size_t i = 0; i < fast.size(); ++i) {
+            EXPECT_EQ(survived.points[i].originalTime,
+                      healthy.points[i].originalTime);
+            EXPECT_EQ(survived.points[i].variantTimes,
+                      healthy.points[i].variantTimes);
+        }
+    }
 }
 
 // ---------------------------------------------------------------

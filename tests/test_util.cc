@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -366,6 +369,48 @@ TEST(OptionsTest, MissingValueFails)
     options.declare("count", "1", "a count");
     const char *argv[] = {"prog", "--count"};
     EXPECT_THROW(options.parse(2, argv), FatalError);
+}
+
+TEST(OptionsTest, BoundedIntRejectsOutOfRange)
+{
+    // The repros of silent narrowing: a thread count past INT_MAX
+    // (4294967298 used to become 2), and a chunk count of 0 or -1
+    // (an internal assertion, and SIZE_MAX).
+    const auto bounded = [](const char *value, std::int64_t lo,
+                            std::int64_t hi) {
+        Options options;
+        options.declare("n", "1", "a bounded count");
+        const std::string arg = std::string("--n=") + value;
+        const char *argv[] = {"prog", arg.c_str()};
+        options.parse(2, argv);
+        return options.getInt("n", lo, hi);
+    };
+    EXPECT_EQ(bounded("0", 0, INT_MAX), 0);
+    EXPECT_EQ(bounded("2147483647", 0, INT_MAX), INT_MAX);
+    EXPECT_EQ(bounded("9223372036854775807", 1,
+                      std::numeric_limits<std::int64_t>::max()),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_THROW(bounded("4294967298", 0, INT_MAX), FatalError);
+    EXPECT_THROW(bounded("2147483648", 0, INT_MAX), FatalError);
+    EXPECT_THROW(bounded("-1", 0, INT_MAX), FatalError);
+    EXPECT_THROW(bounded("0", 1, INT_MAX), FatalError);
+
+    // The error names the option, its range and the value.
+    try {
+        bounded("-1", 1, 16);
+        FAIL() << "-1 passed a [1, 16] bound";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "option --n must be in [1, 16], got -1"),
+                  std::string::npos)
+            << err.what();
+    }
+
+    // The default upper bound is the int64 range.
+    Options options;
+    options.declare("chunks", "-3", "chunks per message");
+    EXPECT_THROW(options.getInt("chunks", 1), FatalError);
+    EXPECT_EQ(options.getInt("chunks", -3), -3);
 }
 
 TEST(OptionsTest, UsageMentionsAllOptions)
