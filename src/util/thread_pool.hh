@@ -3,13 +3,13 @@
  * Fixed-size thread pool for fanning independent replays across
  * cores.
  *
- * The study layer runs campaigns of dozens-to-hundreds of mutually
- * independent replays (bandwidth sweeps, bisections, variant
- * construction). This pool runs such index-addressed task sets with
- * one long-lived worker per lane, so callers can keep one reusable
- * ReplaySession per lane and results stay bit-identical to the
- * sequential path: task i always writes slot i, and no task observes
- * another's state.
+ * The campaign drivers' lane runner (core/analysis.cc) runs
+ * dozens-to-hundreds of mutually independent tasks (replays,
+ * bisections, variant construction). This pool runs such
+ * index-addressed task sets with one long-lived worker per lane, so
+ * callers can keep one reusable ReplaySession per lane and results
+ * stay bit-identical to the sequential path: task i always writes
+ * slot i, and no task observes another's state.
  *
  * The calling thread participates as lane 0, so a pool of size 1
  * spawns no threads at all and parallelFor degenerates to a plain
