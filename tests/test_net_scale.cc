@@ -1,19 +1,26 @@
 /**
  * @file
- * Golden pins of the link-network contention core at scale.
+ * Golden pins of the link-network contention core at scale, on the
+ * gen-scale platform: a 4-ary tapered fat tree at 4096 MB/s with
+ * algorithmic recursive-doubling allreduce.
  *
- * Generated ml-training (two iterations, four gradient buckets of a
- * 64 MiB gradient, 50M-instruction steps) on a 4-ary tapered fat tree
- * at 4096 MB/s, with algorithmic recursive-doubling allreduce — the
- * configuration whose 1024-rank replay is dominated by the network's
- * join/leave bookkeeping. The original and both standardVariants(16)
- * are pinned at 64, 256 and 1024 ranks: total simulated time and the
- * number of events processed. Any change to the order in which the
- * network hands out rate changes (and hence the event heap's
- * tie-breaks) or to the per-flow double arithmetic moves these.
- * The traffic is allreduce schedules only, so the overlapped
- * variants replay to the original's figures; they are pinned anyway
- * because they run through their own transformed programs.
+ *  - Generated ml-training (two iterations, four gradient buckets of
+ *    a 64 MiB gradient, 50M-instruction steps) at 64, 256 and 1024
+ *    ranks: the configuration whose 1024-rank replay is dominated by
+ *    the network's join/leave bookkeeping. Its traffic is allreduce
+ *    schedules only, so the overlapped variants replay to the
+ *    original's figures; they are pinned anyway because they run
+ *    through their own transformed programs.
+ *  - A generated stencil with family defaults at 128 ranks, the
+ *    largest stencil point of the gen-scale campaign, whose halo
+ *    exchanges keep many flows in flight between collectives.
+ *
+ * Each point pins the original and both standardVariants(16): total
+ * simulated time and the number of events processed (the stencil's
+ * recorded from the eager-settle network). Any change to
+ * the order in which the network hands out rate changes (and hence
+ * the event heap's tie-breaks) or to the per-flow double arithmetic
+ * moves these.
  */
 
 #include <gtest/gtest.h>
@@ -37,9 +44,35 @@ struct Pin
     std::uint64_t events;
 };
 
-/** Original, then the two standardVariants(16), at one rank count. */
+/** ml-training: two iterations, four buckets of a 64 MiB gradient. */
+gen::WorkloadConfig
+mlTraining()
+{
+    gen::WorkloadConfig ml;
+    ml.kind = gen::WorkloadKind::mlTraining;
+    ml.name = "gen-ml";
+    ml.iterations = 2;
+    ml.gradientBuckets = 4;
+    ml.gradientBytes = Bytes(64) * 1024 * 1024;
+    ml.stepInstr = 50'000'000;
+    return ml;
+}
+
+/** A stencil with family defaults. */
+gen::WorkloadConfig
+stencil()
+{
+    gen::WorkloadConfig config;
+    config.kind = gen::WorkloadKind::stencil;
+    config.name = "gen-stencil";
+    return config;
+}
+
+/** Original, then the two standardVariants(16), of `workload` at one
+ * rank count. */
 void
-expectPinned(int ranks, const std::array<Pin, 3> &pins)
+expectPinned(const gen::WorkloadConfig &workload, int ranks,
+             const std::array<Pin, 3> &pins)
 {
     auto platform = sim::platforms::topologyCluster(
         net::topologies::taperedFatTree(4, 0.5));
@@ -48,15 +81,8 @@ expectPinned(int ranks, const std::array<Pin, 3> &pins)
     platform.collectiveAlgorithms.set(
         trace::CollOp::allReduce, coll::Algorithm::recursiveDoubling);
 
-    gen::WorkloadConfig ml;
-    ml.kind = gen::WorkloadKind::mlTraining;
-    ml.name = "gen-ml";
-    ml.iterations = 2;
-    ml.gradientBuckets = 4;
-    ml.gradientBytes = Bytes(64) * 1024 * 1024;
-    ml.stepInstr = 50'000'000;
     const auto bundle =
-        gen::generateWorkload(gen::withRankCount(ml, ranks), 1);
+        gen::generateWorkload(gen::withRankCount(workload, ranks), 1);
 
     sim::ReplaySession session;
     const auto original = session.run(bundle.traces, platform);
@@ -80,23 +106,30 @@ expectPinned(int ranks, const std::array<Pin, 3> &pins)
 
 TEST(NetScalePinTest, MlTraining64Ranks)
 {
-    expectPinned(64, {{{559136000, 8448},
-                      {559136000, 8448},
-                      {559136000, 8448}}});
+    expectPinned(mlTraining(), 64, {{{559136000, 8448},
+                                     {559136000, 8448},
+                                     {559136000, 8448}}});
 }
 
 TEST(NetScalePinTest, MlTraining256Ranks)
 {
-    expectPinned(256, {{{1083552000, 46016},
-                      {1083552000, 46016},
-                      {1083552000, 46016}}});
+    expectPinned(mlTraining(), 256, {{{1083552000, 46016},
+                                      {1083552000, 46016},
+                                      {1083552000, 46016}}});
 }
 
 TEST(NetScalePinTest, MlTraining1024Ranks)
 {
-    expectPinned(1024, {{{2132256000, 233152},
-                      {2132256000, 233152},
-                      {2132256000, 233152}}});
+    expectPinned(mlTraining(), 1024, {{{2132256000, 233152},
+                                       {2132256000, 233152},
+                                       {2132256000, 233152}}});
+}
+
+TEST(NetScalePinTest, Stencil128Ranks)
+{
+    expectPinned(stencil(), 128, {{{4464502, 5537},
+                                   {4171547, 401657},
+                                   {4171547, 401657}}});
 }
 
 } // namespace

@@ -10,6 +10,11 @@
  *    total simulated time, events, rate recomputes and repeat
  *    occupant visits, recorded from the all-pairs route-table
  *    network;
+ *  - the original of a generated stencil with family defaults on
+ *    the tapered fat tree: the same four figures plus a hash of
+ *    per-rank end times, recorded from the eager-settle network,
+ *    and byte conservation (every byte and message the trace sends
+ *    is received once);
  *  - memory: a compiled 4096-node topology is O(links), at most 64
  *    bytes per link (the route table it replaced held 828 MB for
  *    the tapered tree);
@@ -81,19 +86,38 @@ mlTraining()
     return ml;
 }
 
-void
-expectReplayPinned(const net::TopologyConfig &topology,
-                   const ReplayPin &pin)
+/** A stencil with family defaults (the gen-scale campaign's second
+ * family). */
+gen::WorkloadConfig
+stencil()
 {
-    const auto traces = gen::generateTrace(
-        gen::withRankCount(mlTraining(), kRanks), 1);
+    gen::WorkloadConfig config;
+    config.kind = gen::WorkloadKind::stencil;
+    config.name = "gen-stencil";
+    return config;
+}
 
-    const auto result =
-        sim::simulate(traces, genScalePlatform(topology));
+/** Replay `traces` on the gen-scale platform around `topology` and
+ * check the pin; returns the result for further checks. */
+sim::SimResult
+replayPinned(const trace::TraceSet &traces,
+             const net::TopologyConfig &topology, const ReplayPin &pin)
+{
+    auto result = sim::simulate(traces, genScalePlatform(topology));
     EXPECT_EQ(result.totalTime.ns(), pin.totalNs);
     EXPECT_EQ(result.eventsProcessed, pin.events);
     EXPECT_EQ(result.stats.rateRecomputes, pin.rateRecomputes);
     EXPECT_EQ(result.stats.recomputesSkipped, pin.repeatVisits);
+    return result;
+}
+
+void
+expectReplayPinned(const net::TopologyConfig &topology,
+                   const ReplayPin &pin)
+{
+    replayPinned(gen::generateTrace(
+                     gen::withRankCount(mlTraining(), kRanks), 1),
+                 topology, pin);
 }
 
 TEST(ScalePinTest, MlTrainingOnTaperedFatTree)
@@ -107,6 +131,30 @@ TEST(ScalePinTest, MlTrainingOnDragonfly)
 {
     expectReplayPinned(net::topologies::dragonfly(),
                        {754'608'000, 139'264, 176'128, 176'128});
+}
+
+TEST(ScalePinTest, StencilOnTaperedFatTree)
+{
+    const auto traces =
+        gen::generateTrace(gen::withRankCount(stencil(), kRanks), 1);
+    const auto result =
+        replayPinned(traces, net::topologies::taperedFatTree(4, 0.5),
+                     {5'015'008, 687'329, 4'348'390, 5'160'764});
+    EXPECT_EQ(testing::endTimeHash(result), 0x20c513ad0883193cULL);
+
+    // Byte conservation: every payload byte and message the trace
+    // sends is delivered once.
+    Bytes sent = 0;
+    std::uint64_t messagesSent = 0;
+    std::uint64_t messagesReceived = 0;
+    for (const auto &rank : result.perRank) {
+        sent += rank.bytesSent;
+        messagesSent += rank.messagesSent;
+        messagesReceived += rank.messagesReceived;
+    }
+    EXPECT_EQ(sent, traces.totalSentBytes());
+    EXPECT_EQ(messagesSent, messagesReceived);
+    EXPECT_EQ(messagesReceived, traces.totalMessages());
 }
 
 TEST(ScaleCampaignTest, TwoLaneScalingSweepMatchesOneLane)
