@@ -25,7 +25,9 @@
  *  - occupant-list equivalence: seeded operation streams drive the
  *    production network and the O(F) reference of
  *    reference_network.hh side by side and must agree on every
- *    finish time, finish check, reschedule sequence and link load,
+ *    finish time, finish check, reschedule sequence and link load;
+ *    one shape moves the clock between operations, the other admits
+ *    and completes collective rounds at one instant each,
  *  - transactional reroute: a reroute that fails on a severed pair
  *    leaves routes, loads and occupant lists exactly as they were.
  */
@@ -723,18 +725,26 @@ struct DiffState
 };
 
 /**
- * Seeded operation stream over one topology: admissions (some with
- * a future admission instant, some reusing ids), finish events in
- * time order, stale early finish events, cancels, cancelAll, link
- * rescales with stalls, reroutes, clock shifts and snapshot/restore.
- * After every operation both networks must report the same
- * reschedules, in the same order, and the same link loads.
+ * Seeded operation stream over one topology. The mixed shape:
+ * admissions (some with a future admission instant, some reusing
+ * ids), finish events in time order, stale early finish events,
+ * cancels, cancelAll, link rescales with stalls, reroutes, clock
+ * shifts and snapshot/restore, with the clock moving between
+ * operations. The burst shape is a collective round's: a dozen
+ * equal flows admitted at one instant, then every event of the
+ * earliest instant fired together, mixed with single and
+ * future-instant admissions, cancels, rescales, clock shifts and
+ * snapshot/restore. After every operation both networks must report
+ * the same reschedules, in the same order, and the same link loads.
  */
 class DiffFuzzer
 {
   public:
-    DiffFuzzer(const CompiledTopology &topo, std::uint64_t seed)
-        : topo_(topo), rng_(seed, 0x6e6574)
+    enum class Shape { mixed, bursts };
+
+    DiffFuzzer(const CompiledTopology &topo, std::uint64_t seed,
+               Shape shape = Shape::mixed)
+        : topo_(topo), rng_(seed, 0x6e6574), shape_(shape)
     {
         s_.net.configure(&topo_, 1000.0);
         s_.ref.configure(&topo_, 1000.0);
@@ -747,29 +757,10 @@ class DiffFuzzer
     {
         for (int step = 0; step < steps && ok_; ++step) {
             const std::uint64_t roll = rng_.nextBelow(100);
-            if (roll < 30)
-                admit();
-            else if (roll < 60)
-                fireNext();
-            else if (roll < 64)
-                pokeEarly();
-            else if (roll < 70)
-                cancelOne();
-            else if (roll < 71)
-                cancelAll();
-            else if (roll < 79)
-                rescale();
-            else if (roll < 82)
-                reroute();
-            else if (roll < 85)
-                shift(SimTime::fromNs(
-                    static_cast<std::int64_t>(rng_.nextBelow(5000))));
-            else if (roll < 88)
-                saved_ = s_;
-            else if (roll < 91)
-                restore();
+            if (shape_ == Shape::bursts)
+                burstStep(roll);
             else
-                tick();
+                mixedStep(roll);
             if (!ok_)
                 ADD_FAILURE() << "diverged at step " << step;
         }
@@ -778,6 +769,60 @@ class DiffFuzzer
     }
 
   private:
+    void
+    mixedStep(std::uint64_t roll)
+    {
+        if (roll < 30)
+            admit();
+        else if (roll < 60)
+            fireNext();
+        else if (roll < 64)
+            pokeEarly();
+        else if (roll < 70)
+            cancelOne();
+        else if (roll < 71)
+            cancelAll();
+        else if (roll < 79)
+            rescale();
+        else if (roll < 82)
+            reroute();
+        else if (roll < 85)
+            shift(SimTime::fromNs(
+                static_cast<std::int64_t>(rng_.nextBelow(5000))));
+        else if (roll < 88)
+            saved_ = s_;
+        else if (roll < 91)
+            restore();
+        else
+            tick();
+    }
+
+    void
+    burstStep(std::uint64_t roll)
+    {
+        if (roll < 25)
+            burst();
+        else if (roll < 60)
+            fireInstant();
+        else if (roll < 66)
+            admit();
+        else if (roll < 70)
+            cancelOne();
+        else if (roll < 73)
+            rescale();
+        else if (roll < 78)
+            shift(SimTime::fromNs(
+                static_cast<std::int64_t>(rng_.nextBelow(5000))));
+        else if (roll < 83)
+            saved_ = s_;
+        else if (roll < 88)
+            restore();
+        else if (roll < 90)
+            pokeEarly();
+        else
+            tick();
+    }
+
     void
     expect(bool same, const std::string &what)
     {
@@ -859,17 +904,54 @@ class DiffFuzzer
         if (dst >= src)
             ++dst;
         const Bytes bytes = 1 + rng_.nextBelow(64 * 1024);
-        // Rendezvous-style admission ahead of the clock.
-        const SimTime at = rng_.nextBelow(4) == 0
+        start(id, src, dst, bytes, admissionInstant());
+    }
+
+    /** Now, or for a quarter of draws a rendezvous-style admission
+     * ahead of the clock. */
+    SimTime
+    admissionInstant()
+    {
+        return rng_.nextBelow(4) == 0
             ? s_.now + SimTime::fromNs(static_cast<std::int64_t>(
                            rng_.nextBelow(800)))
             : s_.now;
+    }
+
+    void
+    start(std::uint32_t id, int src, int dst, Bytes bytes, SimTime at)
+    {
         const SimTime a = s_.net.start(id, src, dst, bytes, at);
         const SimTime b = s_.ref.start(id, src, dst, bytes, at);
         expect(a == b, "start: finish times differ");
         s_.live.push_back(id);
         push(id, a);
         settle("start");
+    }
+
+    /**
+     * One collective round without moving the clock: 2-12 flows of
+     * one size admitted at one instant, node i sending to node
+     * i + offset, so equal flows on mirrored routes finish together.
+     */
+    void
+    burst()
+    {
+        const auto nodes = static_cast<std::uint64_t>(topo_.nodes());
+        const Bytes bytes = 1 + rng_.nextBelow(64 * 1024);
+        const SimTime at = admissionInstant();
+        const std::uint64_t first = rng_.nextBelow(nodes);
+        const std::uint64_t offset = 1 + rng_.nextBelow(nodes - 1);
+        const std::uint64_t count = 2 + rng_.nextBelow(11);
+        std::uint32_t id = static_cast<std::uint32_t>(rng_.nextBelow(48));
+        for (std::uint64_t k = 0; k < count && s_.live.size() < 40 && ok_;
+             ++k) {
+            while (isLive(id))
+                id = (id + 1) % 48;
+            const std::uint64_t src = (first + k) % nodes;
+            start(id, static_cast<int>(src),
+                  static_cast<int>((src + offset) % nodes), bytes, at);
+        }
     }
 
     void
@@ -900,6 +982,19 @@ class DiffFuzzer
         s_.now = std::max(s_.now, SimTime::fromNs(ns));
         if (isLive(id))
             finish(id, "finish");
+    }
+
+    /** Fire every pending event of the earliest instant, as the
+     * engine drains one timestamp. */
+    void
+    fireInstant()
+    {
+        if (s_.events.empty())
+            return;
+        const std::int64_t ns = std::get<0>(s_.events.top());
+        while (ok_ && !s_.events.empty() &&
+               std::get<0>(s_.events.top()) == ns)
+            fireNext();
     }
 
     /** An extra finish event for a live flow, typically early. */
@@ -1018,6 +1113,7 @@ class DiffFuzzer
 
     const CompiledTopology &topo_;
     CounterRng rng_;
+    Shape shape_;
     DiffState s_;
     std::optional<DiffState> saved_;
     std::uint64_t pushes_ = 0;
@@ -1030,6 +1126,16 @@ fuzzAgainstReference(const CompiledTopology &topo)
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         DiffFuzzer(topo, seed).run(600);
+    }
+}
+
+/** The burst shape, on seeds of its own. */
+void
+fuzzBurstsAgainstReference(const CompiledTopology &topo)
+{
+    for (std::uint64_t seed = 101; seed <= 116; ++seed) {
+        SCOPED_TRACE("burst seed " + std::to_string(seed));
+        DiffFuzzer(topo, seed, DiffFuzzer::Shape::bursts).run(600);
     }
 }
 
@@ -1057,6 +1163,28 @@ TEST(LinkNetworkDiffTest, DragonflyMatchesReference)
     fly.dragonflyRoutersPerGroup = 2;
     fly.dragonflyNodesPerRouter = 2;
     fuzzAgainstReference(net::compileTopology(fly, 12));
+}
+
+TEST(LinkNetworkDiffTest, FatTreeBurstsMatchReference)
+{
+    fuzzBurstsAgainstReference(net::compileTopology(
+        net::topologies::taperedFatTree(2, 0.5), 8));
+}
+
+TEST(LinkNetworkDiffTest, TorusBurstsMatchReference)
+{
+    TopologyConfig torus = net::topologies::torus2d();
+    torus.torusDims = {4, 3};
+    fuzzBurstsAgainstReference(net::compileTopology(torus, 12));
+}
+
+TEST(LinkNetworkDiffTest, DragonflyBurstsMatchReference)
+{
+    TopologyConfig fly = net::topologies::dragonfly();
+    fly.dragonflyGroups = 3;
+    fly.dragonflyRoutersPerGroup = 2;
+    fly.dragonflyNodesPerRouter = 2;
+    fuzzBurstsAgainstReference(net::compileTopology(fly, 12));
 }
 
 TEST(LinkNetworkTest, FailedRerouteChangesNothing)
