@@ -59,6 +59,7 @@ LinkNetwork::configure(const CompiledTopology *topo,
     slots_[0].clear();
     slots_[1].clear();
     nextSeq_ = 0;
+    settleFloor_ = SimTime::max();
     reschedules_.clear();
 }
 
@@ -183,6 +184,11 @@ LinkNetwork::bottleneckRate(std::uint32_t slot) const
 void
 LinkNetwork::advanceAll(SimTime now)
 {
+    // No flow's clock is behind the floor, so a settle at or before
+    // it would advance none: the usual case when a round admits and
+    // retires many flows at one instant.
+    if (now <= settleFloor_)
+        return;
     for (Flow &flow : flows_) {
         const std::int64_t dt = (now - flow.lastUpdate).ns();
         if (dt <= 0)
@@ -192,19 +198,19 @@ LinkNetwork::advanceAll(SimTime now)
             flow.remaining = 0.0;
         flow.lastUpdate = now;
     }
+    settleFloor_ = now;
 }
 
 void
 LinkNetwork::rebalance(SimTime now)
 {
-    // Admission order, so the engine pushes reschedules — and its
-    // heap breaks their ties — exactly as a walk over every flow in
-    // admission order would.
-    if (visit_.size() > 1)
-        std::sort(visit_.begin(), visit_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return flows_[a].seq < flows_[b].seq;
-                  });
+    // A flow's new rate reads link shares this loop never writes,
+    // and its re-arm reads only the flow itself, so the flows are
+    // recomputed in collection order. The re-arms are compacted to
+    // the front of visit_ and handed out in admission order, so the
+    // engine pushes reschedules — and its heap breaks their ties —
+    // exactly as a walk over every flow in admission order would.
+    std::size_t rearms = 0;
     for (const std::uint32_t slot : visit_) {
         Flow &flow = flows_[slot];
         flow.collected = false;
@@ -220,13 +226,21 @@ LinkNetwork::rebalance(SimTime now)
         const SimTime finish = finishTime(flow, now);
         if (finish < flow.armed) {
             flow.armed = finish;
-            reschedules_.emplace_back(flow.id, finish);
+            visit_[rearms++] = slot;
             if (stats_)
                 ++stats_->rearmsTaken;
         } else if (stats_) {
             ++stats_->rearmsSkipped;
         }
     }
+    visit_.resize(rearms);
+    if (rearms > 1)
+        std::sort(visit_.begin(), visit_.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return flows_[a].seq < flows_[b].seq;
+                  });
+    for (const std::uint32_t slot : visit_)
+        reschedules_.emplace_back(flows_[slot].id, flows_[slot].armed);
     visit_.clear();
 }
 
@@ -270,6 +284,7 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     flow.seq = nextSeq_++;
     flow.remaining = static_cast<double>(bytes);
     flow.lastUpdate = now;
+    settleFloor_ = std::min(settleFloor_, now);
     const auto slot = static_cast<std::uint32_t>(flows_.size());
     std::uint32_t &entry = slotOf(id);
     ovlAssert(entry == npos, "LinkNetwork: flow id already in flight");
@@ -377,6 +392,8 @@ LinkNetwork::shiftFlowClocks(SimTime delta)
         if (flow.armed != SimTime::max())
             flow.armed = flow.armed + delta;
     }
+    if (settleFloor_ != SimTime::max())
+        settleFloor_ = settleFloor_ + delta;
 }
 
 std::size_t
@@ -406,16 +423,16 @@ LinkNetwork::cancel(std::uint32_t id, SimTime now)
 }
 
 void
-LinkNetwork::cancelAll(SimTime now)
+LinkNetwork::cancelAll(SimTime)
 {
-    // No rate recompute is needed since no survivors remain.
-    advanceAll(now);
+    // No settle or rate recompute is needed: no survivors remain.
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
         vacate(slot);
         slotOf(flows_[slot].id) = npos;
     }
     flows_.clear();
     hops_.clear();
+    settleFloor_ = SimTime::max();
     reschedules_.clear();
 }
 

@@ -30,7 +30,11 @@
  * flows occupying it, so a join, leave, cancel or rescale visits only
  * the flows that share a link with the change; flows elsewhere keep
  * their (still exact) shares and armed events untouched. Only the
- * progress settle (advanceAll) walks every flow.
+ * progress settle (advanceAll) walks every flow, and only when some
+ * flow's clock can be behind the settle instant: the network keeps a
+ * floor under every flow's clock, so the settles of a round that
+ * admits and retires many flows at one instant cost one comparison
+ * each.
  *
  * Scheduling stays deterministic: each flow carries its admission
  * sequence number and rate changes are handed out in that order,
@@ -216,7 +220,8 @@ class LinkNetwork
     void cancel(std::uint32_t id, SimTime now);
 
     /** Cancel every in-flight flow (rollback of a whole replay
-     * region). Afterwards activeFlows() and totalLoad() are 0. */
+     * region); dropped flows are not settled, so `now` is unused.
+     * Afterwards activeFlows() and totalLoad() are 0. */
     void cancelAll(SimTime now);
 
     /** First unroutable pair when rerouteDeadLinks() fails. */
@@ -329,10 +334,11 @@ class LinkNetwork
     void collect(std::span<const std::uint32_t> links);
 
     /**
-     * Recompute the rates of the collected flows in admission order
-     * and re-arm eagerly the ones that sped up (emitting
-     * reschedules); clears visit_. Shared tail of completion,
-     * cancel, applyScales and rerouteDeadLinks.
+     * Recompute the rates of the collected flows in collection order
+     * and re-arm eagerly the ones that sped up; only those re-arms
+     * are sorted into admission order and emitted as reschedules.
+     * Clears visit_. Shared tail of completion, cancel, applyScales
+     * and rerouteDeadLinks.
      */
     void rebalance(SimTime now);
 
@@ -343,7 +349,11 @@ class LinkNetwork
     /** Slot-table entry of flow `id` (npos when not in flight). */
     std::uint32_t &slotOf(std::uint32_t id);
 
-    /** Progress every flow to `now` at its current rate. */
+    /**
+     * Progress every flow to `now` at its current rate. Returns at
+     * once when `now` is not past settleFloor_: no flow's clock is
+     * behind it, so the walk would advance none.
+     */
     void advanceAll(SimTime now);
 
     /**
@@ -399,7 +409,16 @@ class LinkNetwork
      * backgroundIdBase. */
     std::vector<std::uint32_t> slots_[2];
     std::uint64_t nextSeq_ = 0;
-    /** Flow slots collected for the current rebalance. */
+    /**
+     * Lower bound on every in-flight flow's lastUpdate (max() when
+     * none is in flight): a settle walk raises it to its instant,
+     * an admission lowers it to the admitted flow's, a clock shift
+     * moves it with the flows, and a removal or a single flow's
+     * progress cannot take a clock below it.
+     */
+    SimTime settleFloor_ = SimTime::max();
+    /** Flow slots collected for the current rebalance (its re-arms
+     * once the rates are recomputed). */
     std::vector<std::uint32_t> visit_;
     std::vector<std::pair<std::uint32_t, SimTime>> reschedules_;
     /** Observability sink (see setStats); null = disabled. */
