@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/logging.hh"
+#include "util/mathutil.hh"
 
 namespace ovlsim::net {
 
@@ -251,8 +252,7 @@ LinkNetwork::finishTime(const Flow &flow, SimTime now)
         return now;
     if (flow.rate <= 0.0)
         return SimTime::max(); // frozen: only a recovery re-arms
-    const double ns = std::ceil(flow.remaining / flow.rate);
-    return now + SimTime::fromNs(static_cast<std::int64_t>(ns));
+    return now + roundNs(std::ceil(flow.remaining / flow.rate));
 }
 
 std::uint32_t &

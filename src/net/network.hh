@@ -359,7 +359,8 @@ class LinkNetwork
     /**
      * Finish instant of a flow at its current rate (ceil to the
      * integer-ns clock, so the event never fires with bytes left
-     * from rounding alone).
+     * from rounding alone). A rate so small that the count passes
+     * the clock raises FatalError (roundNs).
      */
     static SimTime finishTime(const Flow &flow, SimTime now);
 

@@ -15,6 +15,7 @@
 #include "trace/record.hh"
 #include "util/dary_heap.hh"
 #include "util/logging.hh"
+#include "util/mathutil.hh"
 #include "util/strings.hh"
 #include "util/types.hh"
 
@@ -414,11 +415,9 @@ class Engine
     {
         if (instructions == lastBurstInstr_)
             return lastBurstDur_;
-        const double ns =
-            static_cast<double>(instructions) * 1e3 / mips_;
+        lastBurstDur_ =
+            roundNs(static_cast<double>(instructions) * 1e3 / mips_);
         lastBurstInstr_ = instructions;
-        lastBurstDur_ = SimTime::fromNs(
-            static_cast<std::int64_t>(std::llround(ns)));
         return lastBurstDur_;
     }
 
@@ -434,10 +433,9 @@ class Engine
             return lastSerDelay_[cls];
         const double mbps = local ? platform_.localBandwidthMBps
                                   : platform_.bandwidthMBps;
-        const double ns = static_cast<double>(bytes) * 1e3 / mbps;
+        lastSerDelay_[cls] =
+            roundNs(static_cast<double>(bytes) * 1e3 / mbps);
         lastSerBytes_[cls] = bytes;
-        lastSerDelay_[cls] = SimTime::fromNs(
-            static_cast<std::int64_t>(std::llround(ns)));
         return lastSerDelay_[cls];
     }
 
@@ -1716,10 +1714,8 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
                     scale = linkLatScale_[link];
             }
             if (scale != 1.0) {
-                flight = SimTime::fromNs(
-                    static_cast<std::int64_t>(std::llround(
-                        static_cast<double>(flight.ns()) *
-                        scale)));
+                flight = roundNs(static_cast<double>(flight.ns()) *
+                                 scale);
             }
         }
         transfer.arriveTime = t + flight;
@@ -2627,12 +2623,10 @@ Engine::flatScenPrice(int src, int dst, Bytes bytes, SimTime begin,
                         stats_.scenarioScanSteps);
     const double ser_ns = static_cast<double>(bytes) * 1e3 /
         (platform_.bandwidthMBps * bw);
-    const SimTime ser = SimTime::fromNs(
-        static_cast<std::int64_t>(std::llround(ser_ns)));
+    const SimTime ser = roundNs(ser_ns);
     lat = latm == 1.0
         ? latencyRemote_
-        : SimTime::fromNs(static_cast<std::int64_t>(std::llround(
-              static_cast<double>(latencyRemote_.ns()) * latm)));
+        : roundNs(static_cast<double>(latencyRemote_.ns()) * latm);
     return active_.flatStallFinish(scenario_, src, dst, begin,
                                    begin + ser,
                                    stats_.scenarioScanSteps);

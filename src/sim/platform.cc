@@ -14,10 +14,7 @@ PlatformConfig::burstDuration(Instr instructions,
     const double mips = effectiveMips(trace_mips);
     ovlAssert(mips > 0.0, "platform MIPS rate must be positive");
     // MIPS = 1e6 instructions per second, i.e. instructions per us.
-    const double ns =
-        static_cast<double>(instructions) * 1e3 / mips;
-    return SimTime::fromNs(static_cast<std::int64_t>(
-        std::llround(ns)));
+    return roundNs(static_cast<double>(instructions) * 1e3 / mips);
 }
 
 SimTime
@@ -26,9 +23,7 @@ PlatformConfig::serializationDelay(Bytes bytes, bool local) const
     const double mbps = local ? localBandwidthMBps : bandwidthMBps;
     ovlAssert(mbps > 0.0, "bandwidth must be positive");
     // MB/s = 1e6 bytes per second = 1e-3 bytes per ns.
-    const double ns = static_cast<double>(bytes) * 1e3 / mbps;
-    return SimTime::fromNs(static_cast<std::int64_t>(
-        std::llround(ns)));
+    return roundNs(static_cast<double>(bytes) * 1e3 / mbps);
 }
 
 SimTime
@@ -138,8 +133,7 @@ collectiveCost(const PlatformConfig &platform, trace::CollOp op,
         cost_ns = pm1 * (lat_ns * lf + ser_ns * bf);
         break;
     }
-    return SimTime::fromNs(static_cast<std::int64_t>(
-        std::llround(cost_ns)));
+    return roundNs(cost_ns);
 }
 
 namespace platforms {

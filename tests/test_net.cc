@@ -479,6 +479,23 @@ TEST(LinkNetworkTest, UncontendedFlowMatchesSerialization)
     EXPECT_EQ(done[0].second.ns(), 4096);
 }
 
+TEST(LinkNetworkTest, FinishPastTheClockIsFatal)
+{
+    // 1e-12 MB/s is 1e-15 B/ns: 64 KiB would take ~6.6e19 ns, past
+    // 2^63. A rate that small is positive, not frozen, so its finish
+    // time raises instead of wrapping; 1000x faster still fits.
+    const auto topo = net::compileTopology(
+        net::topologies::fatTree(2), 4);
+    LinkNetwork slow;
+    slow.configure(&topo, 1e-12);
+    EXPECT_THROW(slow.start(0, 0, 3, 64 * 1024, SimTime::zero()),
+                 FatalError);
+    LinkNetwork fits;
+    fits.configure(&topo, 1e-9);
+    EXPECT_GT(fits.start(0, 0, 3, 64 * 1024, SimTime::zero()).ns(),
+              std::int64_t{65'535} * 1'000'000'000'000);
+}
+
 TEST(LinkNetworkTest, SharedBottleneckHalvesTheRate)
 {
     // Radix-2 tapered tree over 4 nodes: flows 0->2 and 1->3 both
@@ -617,6 +634,30 @@ TEST(EngineSeamTest, UncontendedFatTreeMatchesFlatModel)
     const auto a = simulate(bundle.traces, flat);
     const auto b = simulate(bundle.traces, tree);
     EXPECT_EQ(a.totalTime.ns(), b.totalTime.ns());
+}
+
+TEST(EngineSeamTest, OverflowingDurationIsFatal)
+{
+    // 256 KiB at 1e-300 MB/s overflows even a double's nanoseconds.
+    // The flat bus's serialization and the network's finish time
+    // each raise a FatalError naming the count, where the unchecked
+    // conversion priced the transfer as free.
+    const auto bundle = testing::traceOf(
+        2, testing::producerConsumer(256 * 1024, 1'000'000));
+    auto flat = testing::platformAt(1e-300);
+    auto tree = flat;
+    tree.topology = net::topologies::fatTree(4);
+    for (const auto &platform : {flat, tree}) {
+        try {
+            simulate(bundle.traces, platform);
+            ADD_FAILURE() << "replay finished";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "overflows the 64-bit nanosecond clock"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(EngineSeamTest, HopLatencyAddsPerHop)

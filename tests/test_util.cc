@@ -451,5 +451,26 @@ TEST(MathUtilTest, PowerOfTwoAndRoundUp)
     EXPECT_EQ(roundUp(16, 8), 16u);
 }
 
+TEST(MathUtilTest, RoundNsChecksTheClockRange)
+{
+    EXPECT_EQ(roundNs(2.5).ns(), 3); // halves round away from zero
+    EXPECT_EQ(roundNs(2.4).ns(), 2);
+    EXPECT_EQ(roundNs(0x1p62).ns(), std::int64_t{1} << 62);
+    EXPECT_EQ(roundNs(std::nextafter(0x1p63, 0.0)).ns(),
+              std::numeric_limits<std::int64_t>::max() - 1023);
+    EXPECT_THROW(roundNs(0x1p63), FatalError);
+    EXPECT_THROW(roundNs(1e300), FatalError);
+    EXPECT_THROW(roundNs(std::numeric_limits<double>::infinity()),
+                 FatalError);
+    EXPECT_THROW(roundNs(std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
+    try {
+        roundNs(1e300);
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(), "a duration of 1e+300 ns overflows "
+                                 "the 64-bit nanosecond clock");
+    }
+}
+
 } // namespace
 } // namespace ovlsim
