@@ -24,8 +24,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     constexpr double reference = 65536.0; // MB/s
@@ -77,4 +79,12 @@ main(int argc, char **argv)
     std::printf(
         "CSV written to bench_bandwidth_relaxation.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

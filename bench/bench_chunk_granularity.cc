@@ -17,8 +17,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("A2: ideal-pattern speedup vs chunks per "
@@ -67,4 +69,12 @@ main(int argc, char **argv)
     }
     std::printf("CSV written to bench_chunk_granularity.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -22,8 +22,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("R2: ideal-pattern overlap speedup at the "
@@ -90,4 +92,12 @@ main(int argc, char **argv)
         "negligible real-pattern column.\n");
     std::printf("CSV written to bench_intermediate_speedup.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -20,8 +20,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("A1: mechanism ablation at the intermediate "
@@ -73,4 +75,12 @@ main(int argc, char **argv)
     std::printf(
         "\nCSV written to bench_mechanism_ablation.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

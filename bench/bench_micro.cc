@@ -201,10 +201,8 @@ toJson(const Figure &f)
         static_cast<unsigned long long>(f.runs));
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     if (argc == 2) {
         for (const Row &row : rows) {
@@ -236,4 +234,12 @@ main(int argc, char **argv)
     }
     std::printf("%s]\n", json.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -25,8 +25,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     // Accepts --threads like every bench; its two replays need no
     // lanes.
@@ -112,4 +114,12 @@ main(int argc, char **argv)
     std::printf("[paraver] wrote fig1_original.prv/.pcf and "
                 "fig1_overlapped.prv/.pcf\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -32,10 +32,8 @@ idealSpeedupOn(const tracer::TraceBundle &bundle,
     return speedupPct(point.originalTime, point.variantTimes[0]);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("A3: platform sensitivity of the ideal-pattern "
@@ -110,4 +108,12 @@ main(int argc, char **argv)
     std::printf(
         "CSV written to bench_platform_sensitivity.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -25,8 +25,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("R1: real vs ideal computation patterns across "
@@ -80,4 +82,12 @@ main(int argc, char **argv)
     }
     std::printf("CSV written to bench_real_vs_ideal.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -19,8 +19,10 @@
 using namespace ovlsim;
 using namespace ovlsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     const int threads = parseThreads(argc, argv);
     std::printf("S1: ideal-pattern benefit vs machine size "
@@ -73,4 +75,12 @@ main(int argc, char **argv)
     }
     std::printf("CSV written to bench_scaling.csv\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -35,8 +35,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "nas-cg",
@@ -127,4 +129,12 @@ main(int argc, char **argv)
                     options.getString("csv").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -46,10 +46,8 @@ fractionOf(SimTime total, double fraction)
         static_cast<double>(total.ns()) * fraction));
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "sweep3d",
@@ -197,4 +195,12 @@ main(int argc, char **argv)
                     options.getString("csv").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

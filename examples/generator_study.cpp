@@ -53,10 +53,8 @@ parseRankGrid(const std::string &text)
     return grid;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("kind", "stencil",
@@ -163,4 +161,12 @@ main(int argc, char **argv)
                     options.getString("csv").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

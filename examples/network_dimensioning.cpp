@@ -24,8 +24,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "specfem", "application to dimension");
@@ -70,4 +72,12 @@ main(int argc, char **argv)
                 iso.reductionFactor(),
                 std::log10(iso.reductionFactor()));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

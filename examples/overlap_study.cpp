@@ -20,8 +20,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "nas-bt",
@@ -98,4 +100,12 @@ main(int argc, char **argv)
                     options.getString("csv").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -22,8 +22,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("bandwidth", "64", "network bandwidth, MB/s");
@@ -97,4 +99,12 @@ main(int argc, char **argv)
                 viz::renderGantt(overlapped.timeline, gantt)
                     .c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

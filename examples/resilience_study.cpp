@@ -75,10 +75,8 @@ meanSpeedup(const core::ResiliencePoint &point, std::size_t variant)
     return overlapped > 0.0 ? original / overlapped : 0.0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "sweep3d",
@@ -302,4 +300,12 @@ main(int argc, char **argv)
                     options.getString("csv").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

@@ -23,8 +23,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "nas-bt", "application to visualize");
@@ -94,4 +96,12 @@ main(int argc, char **argv)
                 viz::renderStateProfile(entries[0].result)
                     .c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

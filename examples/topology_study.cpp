@@ -38,8 +38,10 @@
 
 using namespace ovlsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+toolMain(int argc, char **argv)
 {
     Options options;
     options.declare("app", "sweep3d",
@@ -144,4 +146,12 @@ main(int argc, char **argv)
                     options.getString("trace-out").c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(toolMain, argc, argv);
 }

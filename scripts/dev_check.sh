@@ -9,7 +9,9 @@
 #               bounds and friends), full ctest suite (which runs
 #               the eight paper benches and quickstart and
 #               timeline_gallery end to end through the bench_pins
-#               entry, label `bench`), then
+#               entry, label `bench`, and its error rows: four user
+#               errors that must exit 1 with the message once,
+#               never through std::terminate), then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
 #               `ctest -L bus` and `ctest -L scen` passes (the
@@ -23,11 +25,14 @@
 #               only the 4096-node scale tests reach the large link
 #               and hop-slot indices)
 #   3. UBSAN:   OVLSIM_UBSAN build, also with libstdc++
-#               assertions, full ctest suite (the bench pins again;
-#               signed overflow and friends in the event/cost
-#               arithmetic, plus float-to-integer casts such as a
-#               non-finite time reaching SimTime, which GCC's
-#               -fsanitize=undefined leaves out),
+#               assertions, full ctest suite (the bench pins and
+#               their error rows again; signed overflow and friends
+#               in the event/cost arithmetic, plus float-to-integer
+#               casts such as a non-finite time reaching SimTime,
+#               which GCC's -fsanitize=undefined leaves out; the
+#               std::llround duration conversions, library calls
+#               it cannot see, go through the range-checked
+#               roundNs helper instead),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
 #               `ctest -L bus` and `ctest -L scen` passes (rollback
@@ -38,15 +43,16 @@
 #               arithmetic are where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, the campaign lane runner's sweeps and their
-#               pin table, the paper benches' two-lane sweeps in
-#               bench_pins, scenario determinism, and — via
-#               test_obs's parallel label — the span buffers,
-#               progress ticks and campaign stats folds), `ctest -L
-#               coll` (the algorithmic collective engine), `ctest
-#               -L res` (resilience campaigns fanning seeded fault
-#               scenarios over the lanes) and `ctest -L gen`
-#               (scaling sweeps: prepare tasks generating and
-#               lowering points, then costliest-first replays)
+#               pin table, the paper benches' two-lane sweeps and
+#               the error rows in bench_pins, scenario determinism,
+#               and — via test_obs's parallel label — the span
+#               buffers, progress ticks and campaign stats folds),
+#               `ctest -L coll` (the algorithmic collective
+#               engine), `ctest -L res` (resilience campaigns
+#               fanning seeded fault scenarios over the lanes) and
+#               `ctest -L gen` (scaling sweeps: prepare tasks
+#               generating and lowering points, then
+#               costliest-first replays)
 #
 # After touching bench/ or an example, run `ctest -L bench` in a
 # build tree: bench_pins hashes the benches' and two examples'

@@ -55,6 +55,18 @@ logLevelName(LogLevel level)
     panic("logLevelName: bad level");
 }
 
+int
+runMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &err) {
+        if (!err.reported())
+            detail::emitLog(LogLevel::quiet, "fatal: ", err.what());
+        return 1;
+    }
+}
+
 void
 initLogLevelFromEnv()
 {

@@ -7,8 +7,8 @@
  * continuing impossible (bad configuration, malformed traces), and
  * warn()/inform() for non-fatal status messages. panic() and fatal()
  * throw typed exceptions so that library users (and the test suite)
- * can intercept them; the provided main() wrappers turn them into
- * abort()/exit(1) at the process boundary.
+ * can intercept them; at the process boundary runMain() turns a
+ * FatalError into exit status 1, and a PanicError still aborts.
  */
 
 #ifndef OVLSIM_UTIL_LOGGING_HH
@@ -31,10 +31,26 @@ class PanicError : public std::logic_error
 class FatalError : public std::runtime_error
 {
   public:
-    explicit FatalError(const std::string &msg)
-        : std::runtime_error(msg)
+    explicit FatalError(const std::string &msg, bool reported = false)
+        : std::runtime_error(msg), reported_(reported)
     {}
+
+    /** Whether the message already reached stderr (fatal() prints
+     * it before throwing). */
+    bool reported() const { return reported_; }
+
+  private:
+    bool reported_;
 };
+
+/**
+ * The body of every command-line tool's main(): returns
+ * body(argc, argv), or 1 when it throws a FatalError, whose message
+ * then appears on stderr exactly once (fatal() printed its own; an
+ * error thrown directly, such as a scen::FailureError, is printed
+ * here). Any other exception still ends the process abnormally.
+ */
+int runMain(int (*body)(int, char **), int argc, char **argv);
 
 /** Verbosity levels for non-fatal messages. */
 enum class LogLevel { quiet = 0, warn = 1, inform = 2, debug = 3 };
@@ -96,7 +112,7 @@ fatal(Args &&...args)
     const std::string msg =
         detail::foldMessage(std::forward<Args>(args)...);
     detail::emitLog(LogLevel::quiet, "fatal: ", msg);
-    throw FatalError(msg);
+    throw FatalError(msg, true);
 }
 
 /** Warn about suspicious but survivable conditions. */

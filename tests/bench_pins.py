@@ -13,6 +13,10 @@ and compared against PINS. A bench runs at --threads 1 and at
 bench's output to be independent of its lane count. On a mismatch
 the moved case's stdout is printed and each moved file is named.
 
+ERRORS holds user errors: each must end in exit status 1 with its
+message on stderr exactly once, never in std::terminate. They run
+in check mode only; --print leaves them out of the table.
+
 PINS was recorded from a Release build of the code in which the
 benches still replayed through sim::simulateBatch and the examples
 through core::OverlapStudy, before both moved onto the campaign
@@ -44,6 +48,24 @@ CASES = [(f"{b} --threads {n}", b, ["--threads", str(n)])
     ("timeline_gallery", "timeline_gallery", []),
     ("timeline_gallery --app sweep3d --bandwidth 64", "timeline_gallery",
      ["--app", "sweep3d", "--bandwidth", "64"]),
+]
+
+# (case name, binary, arguments, message on stderr).
+ERRORS = [
+    ("quickstart --bandwidth 1e-300", "quickstart",
+     ["--bandwidth", "1e-300"],
+     "fatal: a duration of inf ns overflows the 64-bit nanosecond "
+     "clock"),
+    ("quickstart --chunks 0", "quickstart", ["--chunks", "0"],
+     "fatal: option --chunks must be in [1, 9223372036854775807], "
+     "got 0"),
+    ("bench_scaling --threads 4294967298", "bench_scaling",
+     ["--threads", "4294967298"],
+     "fatal: option --threads must be in [0, 2147483647], "
+     "got 4294967298"),
+    ("timeline_gallery --prefix no-such-dir/x", "timeline_gallery",
+     ["--prefix", "no-such-dir/x"],
+     "fatal: cannot open 'no-such-dir/x_original.prv' for writing"),
 ]
 
 THREADS = re.compile(rb"\b\d+ threads\b")
@@ -179,12 +201,17 @@ def run_case(binary, args):
     return THREADS.sub(b"N threads", proc.stdout), files
 
 
-def measure(binaries):
-    """{case: (stdout, pin)} for every case whose binary was passed."""
-    by_name = {os.path.basename(b): os.path.abspath(b) for b in binaries}
-    missing = sorted({b for _, b, _ in CASES} - by_name.keys())
+def paths_by_name(binaries):
+    """{binary name: absolute path} for every binary CASES names."""
+    paths = {os.path.basename(b): os.path.abspath(b) for b in binaries}
+    missing = sorted({b for _, b, _ in CASES} - paths.keys())
     if missing:
         sys.exit(f"bench_pins: no path given for {', '.join(missing)}")
+    return paths
+
+
+def measure(by_name):
+    """{case: (stdout, pin)} for every case in CASES."""
     out = {}
     for case, binary, args in CASES:
         stdout, files = run_case(by_name[binary], args)
@@ -244,14 +271,45 @@ def check(measured):
     return 0
 
 
+def check_errors(by_name):
+    """Run every ERRORS case; return how many ended wrongly."""
+    wrong = 0
+    for case, binary, args, message in ERRORS:
+        with tempfile.TemporaryDirectory(prefix="bench_pins.") as cwd:
+            proc = subprocess.run([by_name[binary]] + args, cwd=cwd,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, timeout=600)
+        stderr = proc.stderr.decode(errors="replace")
+        problems = []
+        if proc.returncode != 1:
+            problems.append(f"exit status {proc.returncode}, not 1")
+        if stderr.count(message) != 1:
+            problems.append(f"message printed {stderr.count(message)} "
+                            "times, not once")
+        if "terminate called" in stderr:
+            problems.append("std::terminate")
+        if problems:
+            wrong += 1
+            print(f"WRONG {case}: {', '.join(problems)}")
+            print(stderr)
+        else:
+            print(f"ok    {case} (exit 1)")
+    if wrong:
+        print(f"bench_pins: {wrong} of {len(ERRORS)} error cases "
+              "ended wrongly")
+    return wrong
+
+
 def main(argv):
     printing = "--print" in argv
-    binaries = [a for a in argv if a != "--print"]
-    measured = measure(binaries)
+    paths = paths_by_name([a for a in argv if a != "--print"])
+    measured = measure(paths)
     if printing:
         print_table(measured)
         return 0
-    return check(measured)
+    moved = check(measured)
+    wrong = check_errors(paths)
+    return 1 if moved or wrong else 0
 
 
 if __name__ == "__main__":

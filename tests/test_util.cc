@@ -73,6 +73,36 @@ TEST(LoggingTest, AssertPassesAndFails)
     EXPECT_THROW(ovlAssert(false, "nope"), PanicError);
 }
 
+TEST(LoggingTest, RunMainEndsAFatalErrorInStatusOne)
+{
+    char name[] = "tool";
+    char *argv[] = {name, nullptr};
+    EXPECT_EQ(runMain([](int argc, char **) { return argc + 6; }, 1,
+                      argv),
+              7);
+
+    // fatal() prints its own message; runMain adds nothing.
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(runMain([](int, char **) -> int { fatal("bad ", 1); }, 1,
+                      argv),
+              1);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "fatal: bad 1\n");
+
+    // An error thrown without fatal() is printed once, here.
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(runMain([](int, char **) -> int {
+                  throw FatalError("direct");
+              },
+                      1, argv),
+              1);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "fatal: direct\n");
+
+    EXPECT_THROW(runMain([](int, char **) -> int { panic("bug"); }, 1,
+                         argv),
+                 PanicError);
+}
+
 TEST(LoggingTest, LevelsRoundTrip)
 {
     const auto old = logLevel();
