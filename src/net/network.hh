@@ -411,11 +411,11 @@ class LinkNetwork
     std::vector<std::uint32_t> slots_[2];
     std::uint64_t nextSeq_ = 0;
     /**
-     * Lower bound on every in-flight flow's lastUpdate (max() when
-     * none is in flight): a settle walk raises it to its instant,
-     * an admission lowers it to the admitted flow's, a clock shift
-     * moves it with the flows, and a removal or a single flow's
-     * progress cannot take a clock below it.
+     * Lower bound on every in-flight flow's lastUpdate (max() after
+     * configure() and cancelAll()): a settle walk raises it to its
+     * instant, an admission lowers it to the admitted flow's, a
+     * clock shift moves it with the flows, and a removal or a single
+     * flow's progress cannot take a clock below it.
      */
     SimTime settleFloor_ = SimTime::max();
     /** Flow slots collected for the current rebalance (its re-arms
