@@ -771,8 +771,8 @@ struct DiffState
  * ids), finish events in time order, stale early finish events,
  * cancels, cancelAll, link rescales with stalls, reroutes, clock
  * shifts and snapshot/restore, with the clock moving between
- * operations. The burst shape is a collective round's: a dozen
- * equal flows admitted at one instant, then every event of the
+ * operations. The burst shape is a collective round's: up to a
+ * dozen equal flows admitted at one instant, then every event of the
  * earliest instant fired together, mixed with single and
  * future-instant admissions, cancels, rescales, clock shifts and
  * snapshot/restore. After every operation both networks must report
