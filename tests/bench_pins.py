@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Output pins of the eight paper benches and two examples.
+"""Output pins of the eight paper benches and three examples.
 
     python3 tests/bench_pins.py BINARY...           # check against PINS
     python3 tests/bench_pins.py --print BINARY...   # print a new table
@@ -10,8 +10,11 @@ temporary directory. Its stdout, with the "N threads" count
 normalised, and every file the run writes are hashed with SHA-256
 and compared against PINS. A bench runs at --threads 1 and at
 --threads 2 against the same pins, so the check also holds each
-bench's output to be independent of its lane count. On a mismatch
-the moved case's stdout is printed and each moved file is named.
+bench's output to be independent of its lane count. So does
+resilience_study, the one tool that drives checkpoint/restart
+(resilienceSweep and protocolSweep on the tapered fat tree). On a
+mismatch the moved case's stdout is printed and each moved file is
+named.
 
 ERRORS holds user errors: each must end in exit status 1 with its
 message on stderr exactly once, never in std::terminate. They run
@@ -20,7 +23,9 @@ in check mode only; --print leaves them out of the table.
 PINS was recorded from a Release build of the code in which the
 benches still replayed through sim::simulateBatch and the examples
 through core::OverlapStudy, before both moved onto the campaign
-drivers and sim::simulate.
+drivers and sim::simulate. The resilience_study row was recorded
+from the engine whose checkpoint image mirrored the imaged members
+field by field.
 """
 
 import hashlib
@@ -48,7 +53,8 @@ CASES = [(f"{b} --threads {n}", b, ["--threads", str(n)])
     ("timeline_gallery", "timeline_gallery", []),
     ("timeline_gallery --app sweep3d --bandwidth 64", "timeline_gallery",
      ["--app", "sweep3d", "--bandwidth", "64"]),
-]
+] + [(f"resilience_study --seeds 4 --threads {n}", "resilience_study",
+      ["--seeds", "4", "--threads", str(n)]) for n in (1, 2)]
 
 # (case name, binary, arguments, message on stderr).
 ERRORS = [
@@ -174,6 +180,11 @@ PINS = {
                 'a299235f5e3c449332907a3edfdff115e8437e487ce9972e443c3456e051efd1',
             'gallery_overlap-real.prv':
                 'ee2d7dd0f9607c6bd198b23f1d3bfe0c13bd241598984b90e15606dde370ed92',
+        },
+    },
+    'resilience_study --seeds 4': {
+        "stdout": '094719273dcaf69af97e223debcacf5a7a788048f4cc13ea958afd8952e68e1e',
+        "files": {
         },
     },
 }

@@ -30,8 +30,12 @@
  *    back, conserve link occupancy (engine-internal assert) and
  *    stay bit-identical across runs; a seeded fuzz harness pits
  *    checkpointing against random fault streams and asserts the
- *    same, 200 streams deep, each round's time and end-time hash
- *    pinned,
+ *    same, 200 streams deep, each round's time, end-time hash
+ *    and counters pinned,
+ *  - the everything-on combination pins time, events, checkpoint
+ *    counts, end-time hash and all 14 EngineStats counters on the
+ *    tapered fat tree and the flat bus, and one session replaying
+ *    routed, flat, routed meets the fresh-session pins each time,
  *  - a platform that fails faster than it recovers exhausts the
  *    (platform-keyed) restart_budget and surfaces as a
  *    FailureError naming the budget, not a hang,
@@ -56,6 +60,7 @@
 #include "core/analysis.hh"
 #include "helpers.hh"
 #include "net/topology.hh"
+#include "obs/stats.hh"
 #include "res/fault_model.hh"
 #include "scen/scenario.hh"
 #include "sim/engine.hh"
@@ -658,21 +663,27 @@ TEST(CheckpointRestartTest, FlatBusRollbackIsDeterministicToo)
     expectIdentical(a, b);
 }
 
-TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
+/** Four ranks: compute, barrier, a long compute, barrier. */
+tracer::TraceBundle
+everythingOnBundle()
 {
-    // The acceptance combination: checkpointing + algorithmic
-    // collectives + degrade/recover + stall/recover + background
-    // traffic + timeline capture, with a fail-stop mid-run. Every
-    // one of these was a run-start fatal under PR 7.
-    const auto bundle =
-        testing::traceOf(4, [](vm::VmContext &ctx) {
-            ctx.compute(200'000);
-            ctx.barrier();
-            ctx.compute(1'000'000);
-            ctx.barrier();
-        });
-    auto platform = sim::platforms::topologyCluster(
-        net::topologies::taperedFatTree(2));
+    return testing::traceOf(4, [](vm::VmContext &ctx) {
+        ctx.compute(200'000);
+        ctx.barrier();
+        ctx.compute(1'000'000);
+        ctx.barrier();
+    });
+}
+
+/**
+ * `base` with every feature a checkpoint images turned on:
+ * checkpointing, algorithmic collectives, degrade/recover,
+ * stall/recover, background traffic and timeline capture, with a
+ * fail-stop at 700 us.
+ */
+sim::PlatformConfig
+everythingOnPlatform(sim::PlatformConfig platform)
+{
     platform.checkpointIntervalUs = 150.0;
     platform.checkpointCostUs = 5.0;
     platform.restartCostUs = 15.0;
@@ -713,6 +724,30 @@ TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
     recover_stall.time = SimTime::fromUs(550.0);
     events.push_back(recover_stall);
     events.push_back(nodeFail(700.0, 1));
+    return platform;
+}
+
+sim::PlatformConfig
+routedEverythingOn()
+{
+    return everythingOnPlatform(sim::platforms::topologyCluster(
+        net::topologies::taperedFatTree(2)));
+}
+
+sim::PlatformConfig
+flatEverythingOn()
+{
+    return everythingOnPlatform(sim::platforms::defaultCluster());
+}
+
+TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
+{
+    // The acceptance combination: checkpointing + algorithmic
+    // collectives + degrade/recover + stall/recover + background
+    // traffic + timeline capture, with a fail-stop mid-run. Every
+    // one of these was a run-start fatal under PR 7.
+    const auto bundle = everythingOnBundle();
+    const auto platform = routedEverythingOn();
 
     const auto a = sim::simulate(bundle.traces, platform);
     EXPECT_GE(a.restarts, 1u);
@@ -729,6 +764,109 @@ TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
     // session, so this is also the cross-session guarantee).
     const auto b = sim::simulate(bundle.traces, platform);
     expectIdentical(a, b);
+}
+
+// ---------------------------------------------------------------
+// Counter pins of the checkpoint path.
+// ---------------------------------------------------------------
+
+/** FNV-1a over the little-endian bytes of the 14 EngineStats
+ * counters, in declaration order. */
+std::uint64_t
+countersHash(const obs::EngineStats &s)
+{
+    const std::uint64_t counters[] = {
+        s.heapPushes,        s.heapPops,          s.channelProbes,
+        s.queueScanSteps,    s.scenarioScanSteps, s.arenaHighWater,
+        s.rateRecomputes,    s.recomputesSkipped, s.rearmsTaken,
+        s.rearmsSkipped,     s.scenarioEvents,    s.collSteps,
+        s.rollbackReworkNs,  s.snapshotBytes};
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t v : counters) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= v & 0xffu;
+            h *= 0x100000001b3ULL;
+            v >>= 8;
+        }
+    }
+    return h;
+}
+
+/** What a checkpointed replay computed, down to every counter. */
+struct CkptPin
+{
+    std::int64_t totalNs;
+    std::uint64_t events;
+    std::uint64_t checkpoints;
+    std::uint64_t restarts;
+    std::uint64_t endHash;
+    obs::EngineStats stats;
+};
+
+void
+expectPinned(const sim::SimResult &r, const CkptPin &pin)
+{
+    EXPECT_EQ(r.totalTime.ns(), pin.totalNs);
+    EXPECT_EQ(r.eventsProcessed, pin.events);
+    EXPECT_EQ(r.checkpoints, pin.checkpoints);
+    EXPECT_EQ(r.restarts, pin.restarts);
+    EXPECT_EQ(testing::endTimeHash(r), pin.endHash);
+    EXPECT_TRUE(r.stats == pin.stats) << r.stats.toString();
+}
+
+/**
+ * The everything-on combination on the tapered fat tree and on the
+ * flat bus, each replayed in a fresh session. Recorded from the
+ * engine whose checkpoint image mirrored the imaged members field
+ * by field. snapshotBytes pins how much state every image and
+ * restore copies, so a member that leaves or joins the image, or a
+ * network left over from an earlier replay, moves it.
+ */
+const CkptPin routedEverythingOnPin = {
+    1387000, 62, 8, 1, 0xe70cd2e675cedbddULL,
+    {69, 62, 0, 0, 0, 16, 36, 64, 1, 9, 7, 32, 115000, 24504}};
+const CkptPin flatEverythingOnPin = {
+    2504000, 68, 15, 1, 0x060a54533a9de82dULL,
+    {74, 68, 0, 4, 37, 16, 0, 0, 0, 0, 7, 32, 115000, 27416}};
+
+TEST(CheckpointPinTest, EverythingOnCombinationMatchesItsPins)
+{
+    const auto bundle = everythingOnBundle();
+    {
+        SCOPED_TRACE("tapered fat tree");
+        expectPinned(sim::simulate(bundle.traces, routedEverythingOn()),
+                     routedEverythingOnPin);
+    }
+    {
+        SCOPED_TRACE("flat bus");
+        expectPinned(sim::simulate(bundle.traces, flatEverythingOn()),
+                     flatEverythingOnPin);
+    }
+}
+
+TEST(CheckpointPinTest, OneSessionReplaysRoutedFlatRoutedAtFreshPins)
+{
+    // A session keeps its engine, and with it the link network the
+    // routed replay configured. The flat-bus replay in between must
+    // image no trace of that network, and the routed replay after
+    // it must image exactly what a fresh session does.
+    const auto bundle = everythingOnBundle();
+    sim::ReplaySession session;
+    {
+        SCOPED_TRACE("routed, first");
+        expectPinned(session.run(bundle.traces, routedEverythingOn()),
+                     routedEverythingOnPin);
+    }
+    {
+        SCOPED_TRACE("flat bus, second");
+        expectPinned(session.run(bundle.traces, flatEverythingOn()),
+                     flatEverythingOnPin);
+    }
+    {
+        SCOPED_TRACE("routed, third");
+        expectPinned(session.run(bundle.traces, routedEverythingOn()),
+                     routedEverythingOnPin);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -851,6 +989,82 @@ const FuzzPin fuzzPins[200] = {
     {257757, 0x732d4683ccff55c5ULL}, {181174, 0x7655e21863088751ULL}
 };
 
+/**
+ * countersHash of each CheckpointFuzzTest round's first replay, in
+ * round order: all 14 counters, snapshotBytes and heapPushes
+ * included. Recorded from the engine whose checkpoint image
+ * mirrored the imaged members field by field.
+ */
+const std::uint64_t fuzzCounterPins[200] = {
+    0xe89f862d6388a704ULL, 0x8122866378f5d16dULL, 0x841d2f66205ae9acULL,
+    0xffc4089c66feccf7ULL, 0x56deed0dcd8d24a8ULL, 0x3c6dffd64b6f0ef7ULL,
+    0x8b5d16b0a5c8abb2ULL, 0xcee0890b089e95bdULL, 0x060cbab9dcfbd706ULL,
+    0x64882a618431af07ULL, 0xe89f862d6388a704ULL, 0x2a1a815e4c422719ULL,
+    0x11d9a6089d329fa5ULL, 0x0aae2a28b8a74835ULL, 0x7dbbb388add67926ULL,
+    0x5df0fa5e1f00e878ULL, 0x99981692b9acbf78ULL, 0x1a50b46eb5dadcecULL,
+    0x17f25aecb00b13e7ULL, 0x2a1a815e4c422719ULL, 0xe89f862d6388a704ULL,
+    0xcaa0018e1c7b50ecULL, 0x8631c1cd1a0f918bULL, 0x783ba0f3fb77c16fULL,
+    0x5151ecead643d233ULL, 0x2a1a815e4c422719ULL, 0x098ef14c6eb6b1d7ULL,
+    0x36bf35ed372f85abULL, 0xd64e7859f575b3ceULL, 0x9d74d8df360b3ee0ULL,
+    0xa7d607dc2a4f6f9dULL, 0x46446ae4960a6d56ULL, 0xb7b5cc85e89fc2d4ULL,
+    0x9e5fcdec3a462bfaULL, 0x3b028a03c1b6de56ULL, 0x6308c5c3089d0651ULL,
+    0x9677e9ca741cbe78ULL, 0x95298b3f988cdde2ULL, 0x1c6f7b8743cc841eULL,
+    0x6e6a506052a020f0ULL, 0xb72bed7610887a85ULL, 0x80b467c0ac35e4d0ULL,
+    0xf6c82d5b6417e68aULL, 0x0f9a321adc20b685ULL, 0xfe69a98948f889aaULL,
+    0x939bb1c2e2aaff09ULL, 0x126cd5c20dc8c036ULL, 0x605bc3321f2c52faULL,
+    0x63737e687cf463d6ULL, 0xac65de871cfb63f4ULL, 0x6356f112c0639007ULL,
+    0x0b0ffb2ddb53949fULL, 0x379ab05b5f7fa8d6ULL, 0x31513ab33bc1350aULL,
+    0x858c6121ea27aad1ULL, 0x866b7a913ab0dc53ULL, 0x6f3487ffb79a50ceULL,
+    0x2a1a815e4c422719ULL, 0x1c6f7b8743cc841eULL, 0xb0bf8c8fa446043dULL,
+    0x6b75242a1a375a74ULL, 0x0711f0adeb3fbd7eULL, 0x8aaa67f258761ffcULL,
+    0x2a1a815e4c422719ULL, 0xcb77159cfe158252ULL, 0xa59ea71b10075f47ULL,
+    0x5fb5e18ab3027eb2ULL, 0xd4f3af1149f0c094ULL, 0x1c6f7b8743cc841eULL,
+    0x31513ab33bc1350aULL, 0x166225ca92ab01c6ULL, 0x67ec4bbc8a847be4ULL,
+    0x22d0f764b650f4a4ULL, 0xd00502b1d1b74002ULL, 0x599647d80c26dd98ULL,
+    0x37637a61622798b6ULL, 0xd06df38e5822bd52ULL, 0xc2684450ef90bc69ULL,
+    0xf0c65f5d05a5182fULL, 0x37637a61622798b6ULL, 0x5fb5e18ab3027eb2ULL,
+    0x8fc0870a87dae5c7ULL, 0x35da74b29f5f2e61ULL, 0xae0fa2da9d2d6aa2ULL,
+    0x55dfb574a67e857dULL, 0x783ba0f3fb77c16fULL, 0x126cd5c20dc8c036ULL,
+    0x52182b9aaebb4cedULL, 0xe89f862d6388a704ULL, 0x19032fedbcbdea4aULL,
+    0x8aaa67f258761ffcULL, 0x7e8e4327d8a79319ULL, 0x3000ad458bc565e2ULL,
+    0x2a9ab690ea62be53ULL, 0x0a9fca161e7d07d5ULL, 0x857710daa538cfd7ULL,
+    0x98e016a22925178cULL, 0x7aa2281285cf8124ULL, 0xb72bed7610887a85ULL,
+    0xba4f06a72fd5da52ULL, 0x56deed0dcd8d24a8ULL, 0xf69282ae8e908fc4ULL,
+    0x22d0f764b650f4a4ULL, 0xcfb68861bcaa15f8ULL, 0x22d0f764b650f4a4ULL,
+    0xbee4d94ab55a2f34ULL, 0xe7612718a06a132dULL, 0x2a9ab690ea62be53ULL,
+    0x790662d5a48f8b29ULL, 0xa77d09b797b9c5c0ULL, 0x3b028a03c1b6de56ULL,
+    0x06761e3a8b3ee5daULL, 0xce344011839ad9a0ULL, 0x976875838d14789aULL,
+    0x437b97fdec7f630fULL, 0x31513ab33bc1350aULL, 0xd41075e65038adc0ULL,
+    0xf69282ae8e908fc4ULL, 0x1e38726217647867ULL, 0x37637a61622798b6ULL,
+    0xb0b41e81173058e4ULL, 0xc6b3d22b328ebe59ULL, 0x3b028a03c1b6de56ULL,
+    0x95d2c6b8ae414973ULL, 0x5fb5e18ab3027eb2ULL, 0x3c6dffd64b6f0ef7ULL,
+    0xfc01c9e5cdf43ee5ULL, 0x3c6dffd64b6f0ef7ULL, 0xe9a4faeb30c64f75ULL,
+    0xc9a448b39643b24cULL, 0xf1d137dfe38d3bf5ULL, 0x6e6a506052a020f0ULL,
+    0x939d5d07a5b2e4d2ULL, 0x4e0995a68f857701ULL, 0x098ef14c6eb6b1d7ULL,
+    0xde47a38fdf18c482ULL, 0xfe69a98948f889aaULL, 0x1851ed6374b81b5cULL,
+    0xa739b2c72a58ba6fULL, 0x7e65b864797cb91cULL, 0xc588e1e0656acbffULL,
+    0xd00502b1d1b74002ULL, 0xb82b250f379719b0ULL, 0x9d74d8df360b3ee0ULL,
+    0x22d0f764b650f4a4ULL, 0x19f6a3bc6db10cf9ULL, 0x60c4b40ea597d04aULL,
+    0xcee0890b089e95bdULL, 0x01c06396798c531fULL, 0x2a1a815e4c422719ULL,
+    0x1c6f7b8743cc841eULL, 0x3d1b9476515e13c7ULL, 0xe772adf50722fb2eULL,
+    0xafd602da97b00343ULL, 0x098ef14c6eb6b1d7ULL, 0x9ad85528accc672eULL,
+    0x92a02aa81a7149f3ULL, 0x37637a61622798b6ULL, 0x56deed0dcd8d24a8ULL,
+    0x685810b22c39bd44ULL, 0xc27cde2e00366f5aULL, 0x89050be34bc0168aULL,
+    0x15e966336d607a43ULL, 0x37637a61622798b6ULL, 0x841d2f66205ae9acULL,
+    0xc9a448b39643b24cULL, 0x2a7fc929193af1dbULL, 0xa9c3c32c71499f97ULL,
+    0x22d0f764b650f4a4ULL, 0x203ded67889b5547ULL, 0x56deed0dcd8d24a8ULL,
+    0x5df0fa5e1f00e878ULL, 0xb0b41e81173058e4ULL, 0x9e5fcdec3a462bfaULL,
+    0xed65b8845b2dc40cULL, 0xa77d09b797b9c5c0ULL, 0x31ba2b8fc22cb25aULL,
+    0xabeb8ff49efc6d66ULL, 0xfae44e9423b6b480ULL, 0x36bf35ed372f85abULL,
+    0xe8c9b7fe5ab05d15ULL, 0x1788ee03219af59cULL, 0x5209ced2a242b43eULL,
+    0xd00502b1d1b74002ULL, 0x57bc04af370f0910ULL, 0x37637a61622798b6ULL,
+    0xb0cdd301899db149ULL, 0x6e6a506052a020f0ULL, 0x3000ad458bc565e2ULL,
+    0xa77d09b797b9c5c0ULL, 0xd06df38e5822bd52ULL, 0xa9c3c32c71499f97ULL,
+    0xcb6966ac02bdc27bULL, 0x9d82846298831b65ULL, 0x3b028a03c1b6de56ULL,
+    0x224f41c2632f6152ULL, 0x89fdb431bdade028ULL, 0xb21302a499f60c49ULL,
+    0x4f8524c755aa0803ULL, 0xe93569c60f0b78f8ULL
+};
+
 TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
 {
     // 200 seeded rounds of random fault models (fail-stop, stall,
@@ -861,7 +1075,7 @@ TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
     // cancel, restored occupancy equal to the snapshot's, sent
     // bytes never increased by a rollback) fire on every rollback;
     // the test adds the bit-identity contract on top and pins each
-    // round's first replay against fuzzPins.
+    // round's first replay against fuzzPins and fuzzCounterPins.
     const auto bundle = testing::traceOf(
         4, testing::ringExchange(16 * 1024, 50'000, 1));
     const auto routed_base = sim::platforms::topologyCluster(
@@ -940,6 +1154,7 @@ TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)
         expectIdentical(a, b);
         EXPECT_EQ(a.totalTime.ns(), fuzzPins[round].totalNs);
         EXPECT_EQ(testing::endTimeHash(a), fuzzPins[round].endHash);
+        EXPECT_EQ(countersHash(a.stats), fuzzCounterPins[round]);
     }
 }
 
