@@ -169,8 +169,9 @@ enum : std::uint32_t {
 
 /**
  * A queued transfer's links into the per-resource wait lists (see
- * Engine::waitPool_): one successor per list kind, since a transfer
- * waits on at most one bus list, one out list and one in list.
+ * Engine::Machine::waitPool): one successor per list kind, since a
+ * transfer waits on at most one bus list, one out list and one in
+ * list.
  */
 struct WaitNode
 {
@@ -195,7 +196,7 @@ struct TransferMeta
     Tag tag = 0;
 };
 
-/** A receive waiting for its send, pooled in Engine::recvPool_. */
+/** A receive waiting for its send, pooled in Machine::recvPool. */
 struct RecvPost
 {
     std::uint32_t req = noRequest;
@@ -205,10 +206,10 @@ struct RecvPost
 };
 
 /**
- * Message-slot table entries (Engine::slots_): empty, the index of a
- * posted send's transfer, or a RecvPost pool index tagged with
- * slotRecv. Transfer indices stay below 2^28 (the event packing, see
- * Event), so bit 31 is free for the tag.
+ * Message-slot table entries (Engine::Machine::slots): empty, the
+ * index of a posted send's transfer, or a RecvPost pool index tagged
+ * with slotRecv. Transfer indices stay below 2^28 (the event
+ * packing, see Event), so bit 31 is free for the tag.
  */
 constexpr std::uint32_t slotEmpty = npos32;
 constexpr std::uint32_t slotRecv = 1u << 31;
@@ -446,6 +447,78 @@ class Engine
     bool capture_ = false;
 
     /**
+     * Everything a checkpoint images, and nothing else: an image is
+     * one copy of it and a rollback one copy-assignment back, so
+     * replay state is imaged by being declared here. Outside stay
+     * configuration and per-run constants, pure caches (compiled
+     * topology and schedules, memoized conversions), history that
+     * survives a rollback (timeline_, stats_, processed_,
+     * scenConsumed_, the checkpoint and restart counts), txMeta_
+     * (resized on restore) and the release window and broadcast,
+     * always closed between events.
+     */
+    struct Machine
+    {
+        DaryHeap<Event, 4, std::greater<Event>> events;
+        std::uint32_t nextSeq = 0;
+        std::vector<RankCtx> ranks;
+        int doneRanks = 0;
+        /** Transfer arena; indices are stable, growth is amortized. */
+        std::vector<Transfer> transfers;
+
+        /**
+         * Message slots: one entry per send/receive pair the
+         * compiler made (sim/program.hh), holding whichever endpoint
+         * was posted first until the other meets it. Empty at the
+         * start of every replay.
+         */
+        std::vector<std::uint32_t> slots;
+        /** Receives waiting in slots, recycled through a free list. */
+        std::vector<RecvPost> recvPool;
+        std::uint32_t recvPoolFree = npos32;
+
+        /** Free units of the bus and of each node's out/in links. */
+        int busFree = 0;
+        std::vector<int> outFree;
+        std::vector<int> inFree;
+        /**
+         * Transfers queued for interconnect resources: one FIFO list
+         * per limited resource — the bus, each node's out links,
+         * each node's in links — and a queued transfer sits in the
+         * list of every limited resource it needs, through one
+         * WaitNode appended to waitPool. Nodes are never reused
+         * within a run, so a pool index is the transfer's global
+         * queueing sequence number and merging lists by index visits
+         * waiters in global FIFO order. A transfer started through
+         * one list stays linked in the others until an admission
+         * scan meets it there and unlinks it.
+         */
+        std::vector<WaitNode> waitPool;
+        WaitList busWait;
+        std::vector<WaitList> outWait;
+        std::vector<WaitList> inWait;
+
+        std::vector<Barrier> barriers;
+        /** In-flight algorithmic collectives, pooled (empty under
+         * the analytic model). A run starts with an empty pool, so
+         * what it pools does not depend on the runs before it. */
+        std::vector<CollExec> collExecs;
+        std::vector<std::uint32_t> collExecFree;
+
+        /** The link network's flows and link state (net mode);
+         * empty on the flat bus (see run()). */
+        net::LinkNetwork network;
+        /** What the scenario stream has done (see scenMode_). */
+        scen::ActiveScenario active;
+        /** Per-link latency multipliers (net mode scenarios). */
+        std::vector<double> linkLatScale;
+
+        void shift(SimTime delta);
+        std::uint64_t imageBytes() const;
+    };
+    Machine m_;
+
+    /**
      * Topology-network seam. False keeps the classic Dimemas bus
      * path (bit-identical to the pre-topology engine); true routes
      * every remote transfer over the compiled topology with
@@ -457,7 +530,6 @@ class Engine
     net::CompiledTopology topo_;
     net::TopologyConfig topoKey_;
     int topoNodes_ = -1;
-    net::LinkNetwork network_;
     SimTime hopLatency_;
 
     /**
@@ -465,17 +537,14 @@ class Engine
      * cost paths bit-identical to the scenario-free engine; true
      * merges the compiled event stream into the heap: one scenario
      * event is armed at a time and its handler chains the next.
-     * active_ (cursor, effective-time shift, live entries) is the
+     * m_.active (cursor, effective-time shift, live entries) is the
      * one representation of what the stream has done: scenario
-     * events update it, both cost paths read it, and a checkpoint
-     * images it whole. On the LinkNetwork path linkLatScale_
-     * carries the per-link latency multiplier that the
-     * capacity-only LinkNetwork cannot.
+     * events update it and both cost paths read it. On the
+     * LinkNetwork path m_.linkLatScale carries the per-link latency
+     * multiplier that the capacity-only LinkNetwork cannot.
      */
     bool scenMode_ = false;
     scen::CompiledScenario scenario_;
-    scen::ActiveScenario active_;
-    std::vector<double> linkLatScale_;
 
     /**
      * Fail-stop events whose rollback was already paid. They
@@ -493,10 +562,8 @@ class Engine
      * coordinated-checkpoint chain whose handler freezes the whole
      * machine for ckptCost_ per checkpoint and snapshots it, and
      * reroutes fail-stop scenario events from FailureError into a
-     * rollback to the last snapshot plus restartCost_. Features
-     * whose state the snapshot does not cover (timeline capture,
-     * algorithmic collectives, non-fail-stop scenario events) are
-     * rejected at run() start.
+     * rollback to the last snapshot plus restartCost_. Every
+     * feature replays under it: the image is the whole Machine.
      */
     bool ckptMode_ = false;
     SimTime ckptInterval_;
@@ -515,50 +582,19 @@ class Engine
     /**
      * Machine image captured between two events at the last
      * checkpoint (and once at t = 0 before the event loop, so a
-     * failure before the first checkpoint restarts from scratch).
-     * Every member mirrors its engine counterpart; pure caches
-     * (memoized conversions, compiled routes/schedules), the
-     * timeline (rollbacks splice it instead — wasted work is
-     * recorded history, see restartFromCheckpoint) and the
-     * consumed-failure marks (which must survive rollbacks) are
-     * deliberately absent, as is the release window, which is
-     * always closed between events. Point-to-point matching state
-     * is the message-slot table, 4 bytes per paired message of the
-     * program, and the pool of receives waiting in it.
+     * failure before the first checkpoint restarts from scratch),
+     * anchored at the instant it became restartable.
      */
     struct Snapshot
     {
         SimTime anchor;
-        DaryHeap<Event, 4, std::greater<Event>> events;
-        std::uint32_t nextSeq = 0;
-        std::vector<RankCtx> ranks;
-        std::vector<Transfer> transfers;
-        std::vector<RecvPost> recvPool;
-        std::uint32_t recvPoolFree = npos32;
-        std::vector<WaitNode> waitPool;
-        WaitList busWait;
-        std::vector<WaitList> outWait;
-        std::vector<WaitList> inWait;
-        std::vector<std::uint32_t> slots;
-        std::vector<Barrier> barriers;
-        int busFree = 0;
-        std::vector<int> outFree;
-        std::vector<int> inFree;
-        int doneRanks = 0;
-        net::LinkNetwork network;
-        scen::ActiveScenario scenario;
-        std::vector<double> linkLatScale;
-        std::vector<CollExec> collExecs;
-        std::vector<std::uint32_t> collExecFree;
+        Machine machine;
     };
     Snapshot snapshot_;
     /** Image of the last global-level checkpoint (two-level mode;
      * refreshed by every global checkpoint, restored by `all`
      * failures). */
     Snapshot snapshotGlobal_;
-
-    /** Bytes one copy of image `s` moves (stats_.snapshotBytes). */
-    std::uint64_t imageBytes(const Snapshot &s) const;
 
     /**
      * LinkNetwork flow-id offset of background flows. Transfer
@@ -584,8 +620,6 @@ class Engine
     Bytes lastSerBytes_[2] = {0, 0};
     SimTime lastSerDelay_[2];
 
-    DaryHeap<Event, 4, std::greater<Event>> events_;
-    std::uint32_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
 
     /**
@@ -597,41 +631,12 @@ class Engine
      */
     int broadcastPending_ = 0;
 
-    std::vector<RankCtx> ranks_;
     /** Pre-computed node of each rank (avoids a division per use). */
     std::vector<std::uint32_t> nodeOf_;
 
-    /** Transfer arena; indices are stable, growth is amortized. */
-    std::vector<Transfer> transfers_;
-    /** Timeline-only fields, parallel to transfers_ (capture only). */
+    /** Timeline-only fields, parallel to m_.transfers (capture). */
     std::vector<TransferMeta> txMeta_;
 
-    /**
-     * Message slots: one entry per send/receive pair the compiler
-     * made (sim/program.hh), holding whichever endpoint was posted
-     * first until the other meets it. Empty at the start of every
-     * replay.
-     */
-    std::vector<std::uint32_t> slots_;
-    /** Receives waiting in slots_, recycled through a free list. */
-    std::vector<RecvPost> recvPool_;
-    std::uint32_t recvPoolFree_ = npos32;
-
-    /**
-     * Transfers queued for interconnect resources: one FIFO list per
-     * limited resource — the bus, each node's out links, each node's
-     * in links — and a queued transfer sits in the list of every
-     * limited resource it needs, through one WaitNode appended to
-     * waitPool_. Nodes are never reused within a run, so a pool
-     * index is the transfer's global queueing sequence number and
-     * merging lists by index visits waiters in global FIFO order. A
-     * transfer started through one list stays linked in the others
-     * until an admission scan meets it there and unlinks it.
-     */
-    std::vector<WaitNode> waitPool_;
-    WaitList busWait_;
-    std::vector<WaitList> outWait_;
-    std::vector<WaitList> inWait_;
     /**
      * Release window: true from the moment a finished injection or
      * background flow gives back the bus, the out link of
@@ -646,30 +651,19 @@ class Engine
     std::size_t freedSrcNode_ = 0;
     std::size_t freedDstNode_ = 0;
 
-    std::vector<Barrier> barriers_;
-
     /**
-     * Algorithmic-collective state. collSched_ holds one shared
+     * Algorithmic-collective seam. collSched_ holds one shared
      * compiled schedule per program collective, resolved once per
      * (program collectives, rank count, algorithm pins) and cached
      * across replays — a bandwidth sweep resolves its schedules
-     * once, like the compiled-topology cache. The CollExec pool is
-     * engine-lifetime; acquire re-initializes, so sessions replay
-     * with warmed-up arrays.
+     * once, like the compiled-topology cache.
      */
     bool algorithmic_ = false;
     std::vector<std::shared_ptr<const coll::Schedule>> collSched_;
     std::vector<CollectiveSpec> collSchedKey_;
     int collSchedRanks_ = -1;
     coll::AlgorithmOverrides collSchedPins_;
-    std::vector<CollExec> collExecs_;
-    std::vector<std::uint32_t> collExecFree_;
 
-    int busFree_ = 0;
-    std::vector<int> outFree_;
-    std::vector<int> inFree_;
-
-    int doneRanks_ = 0;
     Timeline timeline_;
 
     /**
@@ -677,7 +671,7 @@ class Engine
      * increments on the paths they watch, zeroed per run, copied
      * into SimResult::stats at the end. Monotone across rollbacks
      * — rework is precisely what they exist to expose — so they
-     * are NOT part of Snapshot.
+     * are NOT part of the Machine.
      */
     obs::EngineStats stats_;
 };
@@ -688,8 +682,8 @@ Engine::schedule(SimTime t, EventKind kind, std::uint32_t target)
     ovlAssert(target <= Event::targetMask,
               "event target overflows the packed representation");
     ++stats_.heapPushes;
-    events_.push(Event{
-        t, nextSeq_++,
+    m_.events.push(Event{
+        t, m_.nextSeq++,
         (static_cast<std::uint32_t>(kind) << Event::kindShift) |
             target});
 }
@@ -718,12 +712,12 @@ Engine::countEvent()
 void
 Engine::reset()
 {
-    events_.clear();
-    nextSeq_ = 0;
+    m_.events.clear();
+    m_.nextSeq = 0;
     processed_ = 0;
     broadcastPending_ = 0;
-    ranks_.resize(static_cast<std::size_t>(nranks_));
-    for (auto &ctx : ranks_) {
+    m_.ranks.resize(static_cast<std::size_t>(nranks_));
+    for (auto &ctx : m_.ranks) {
         ctx.kinds = nullptr;
         ctx.ops = nullptr;
         ctx.pc = 0;
@@ -739,25 +733,25 @@ Engine::reset()
         ctx.awaitingBlockingRecv = false;
         ctx.result = RankResult{};
     }
-    transfers_.clear();
+    m_.transfers.clear();
     txMeta_.clear();
-    recvPool_.clear();
-    recvPoolFree_ = npos32;
-    waitPool_.clear();
-    busWait_ = WaitList{};
+    m_.recvPool.clear();
+    m_.recvPoolFree = npos32;
+    m_.waitPool.clear();
+    m_.busWait = WaitList{};
     resourcesFreed_ = false;
-    barriers_.clear();
+    m_.barriers.clear();
     // The CollExec pool starts empty, so what a run pools (and
     // images) does not depend on the runs before it.
-    collExecs_.clear();
-    collExecFree_.clear();
-    doneRanks_ = 0;
+    m_.collExecs.clear();
+    m_.collExecFree.clear();
+    m_.doneRanks = 0;
     checkpointsTaken_ = 0;
     restarts_ = 0;
-    active_.cursor = 0;
-    active_.shift = SimTime::zero();
-    active_.live.clear();
-    linkLatScale_.clear();
+    m_.active.cursor = 0;
+    m_.active.shift = SimTime::zero();
+    m_.active.live.clear();
+    m_.linkLatScale.clear();
     scenConsumed_.clear();
     lastBurstInstr_ = 0;
     lastBurstDur_ = SimTime::zero();
@@ -785,13 +779,13 @@ Engine::run(const ReplayProgram &program,
         nodeOf_[static_cast<std::size_t>(r)] =
             static_cast<std::uint32_t>(r / platform_.cpusPerNode);
     }
-    busFree_ = platform_.buses;
-    outFree_.assign(static_cast<std::size_t>(nodes),
-                    platform_.outLinksPerNode);
-    inFree_.assign(static_cast<std::size_t>(nodes),
-                   platform_.inLinksPerNode);
-    outWait_.assign(static_cast<std::size_t>(nodes), WaitList{});
-    inWait_.assign(static_cast<std::size_t>(nodes), WaitList{});
+    m_.busFree = platform_.buses;
+    m_.outFree.assign(static_cast<std::size_t>(nodes),
+                      platform_.outLinksPerNode);
+    m_.inFree.assign(static_cast<std::size_t>(nodes),
+                     platform_.inLinksPerNode);
+    m_.outWait.assign(static_cast<std::size_t>(nodes), WaitList{});
+    m_.inWait.assign(static_cast<std::size_t>(nodes), WaitList{});
     netMode_ = !platform_.topology.isFlat();
     if (netMode_) {
         // Compile-once seam: the compiled topology depends only on
@@ -818,10 +812,15 @@ Engine::run(const ReplayProgram &program,
             platform_.topology.linkBandwidthMBps > 0.0
                 ? platform_.topology.linkBandwidthMBps
                 : platform_.bandwidthMBps;
-        network_.configure(&topo_, base_mbps);
-        network_.setStats(&stats_);
+        m_.network.configure(&topo_, base_mbps);
+        m_.network.setStats(&stats_);
         hopLatency_ =
             SimTime::fromUs(platform_.topology.hopLatencyUs);
+    } else {
+        // Off the link network the machine carries an empty network,
+        // so no image copies one an earlier replay of this session
+        // configured.
+        m_.network = net::LinkNetwork();
     }
     scenMode_ = !platform_.scenario.empty();
     if (scenMode_) {
@@ -833,7 +832,7 @@ Engine::run(const ReplayProgram &program,
             platform_.scenario, netMode_ ? &topo_ : nullptr,
             nodes);
         if (netMode_)
-            linkLatScale_.assign(topo_.linkCount(), 1.0);
+            m_.linkLatScale.assign(topo_.linkCount(), 1.0);
     }
     capture_ = platform_.captureTimeline;
     if (capture_)
@@ -907,16 +906,16 @@ Engine::run(const ReplayProgram &program,
     const std::size_t sends = program.totalSends() + coll_sends;
     ovlAssert(sends <= std::size_t{Event::targetMask} + 1,
               "too many transfers for the event packing: ", sends);
-    transfers_.reserve(sends);
+    m_.transfers.reserve(sends);
     if (capture_)
         txMeta_.reserve(sends);
-    events_.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
-    slots_.assign(program.messageSlots(), slotEmpty);
+    m_.events.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
+    m_.slots.assign(program.messageSlots(), slotEmpty);
 
-    barriers_.assign(program.collectives().size(), Barrier{});
+    m_.barriers.assign(program.collectives().size(), Barrier{});
 
     for (Rank r = 0; r < nranks; ++r) {
-        auto &ctx = ranks_[static_cast<std::size_t>(r)];
+        auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
         ctx.rank = r;
         ctx.kinds = program.kindsOf(r);
         ctx.ops = program.opsOf(r);
@@ -946,9 +945,9 @@ Engine::run(const ReplayProgram &program,
             refreshGlobalImage();
     }
 
-    while (!events_.empty()) {
-        const Event ev = events_.top();
-        events_.pop();
+    while (!m_.events.empty()) {
+        const Event ev = m_.events.top();
+        m_.events.pop();
         ++stats_.heapPops;
         countEvent();
 
@@ -977,19 +976,19 @@ Engine::run(const ReplayProgram &program,
         }
     }
 
-    if (doneRanks_ < nranks)
+    if (m_.doneRanks < nranks)
         reportDeadlock();
 
     SimResult result;
-    result.perRank.reserve(ranks_.size());
-    for (auto &ctx : ranks_) {
+    result.perRank.reserve(m_.ranks.size());
+    for (auto &ctx : m_.ranks) {
         ctx.result.endTime = ctx.now;
         if (ctx.result.endTime > result.totalTime)
             result.totalTime = ctx.result.endTime;
         result.perRank.push_back(ctx.result);
     }
     result.eventsProcessed = processed_;
-    result.transfers = transfers_.size();
+    result.transfers = m_.transfers.size();
     result.checkpoints = checkpointsTaken_;
     result.restarts = restarts_;
     result.timeline = std::move(timeline_);
@@ -1000,7 +999,7 @@ Engine::run(const ReplayProgram &program,
 void
 Engine::wakeRank(Rank r, SimTime t)
 {
-    auto &ctx = ranks_[static_cast<std::size_t>(r)];
+    auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
     if (ctx.done)
         return;
     if (ctx.blocked) {
@@ -1093,8 +1092,8 @@ Engine::runRank(RankCtx &ctx)
             // the heap top at the release instant, so the historical
             // engine never coalesced here (see handleRelease).
             if (broadcastPending_ == 0 &&
-                (events_.empty() ||
-                 events_.top().time > ctx.now)) {
+                (m_.events.empty() ||
+                 m_.events.top().time > ctx.now)) {
                 countEvent();
                 continue;
             }
@@ -1107,7 +1106,7 @@ Engine::runRank(RankCtx &ctx)
             ++ctx.pc;
             const std::uint32_t idx =
                 postSend(ctx, op, noRequest);
-            Transfer &t = transfers_[idx];
+            Transfer &t = m_.transfers[idx];
             if (!t.has(tfEager)) {
                 // Rendezvous blocking send: stay blocked until the
                 // payload has fully left this node.
@@ -1123,7 +1122,7 @@ Engine::runRank(RankCtx &ctx)
             const std::uint32_t reg = op.c;
             activateRegister(ctx, reg);
             const std::uint32_t idx = postSend(ctx, op, reg);
-            Transfer &t = transfers_[idx];
+            Transfer &t = m_.transfers[idx];
             if (t.has(tfEager)) {
                 // Buffered: the request completes at the call.
                 t.sendReq = noRequest;
@@ -1206,14 +1205,14 @@ Engine::runRank(RankCtx &ctx)
 
     if (!ctx.done) {
         ctx.done = true;
-        ++doneRanks_;
+        ++m_.doneRanks;
     }
 }
 
 void
 Engine::completeRequest(Rank r, std::uint32_t req, SimTime t)
 {
-    auto &ctx = ranks_[static_cast<std::size_t>(r)];
+    auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
     if (req == blockingRecvReq) {
         // Blocking receives bypass the request table: either the
         // rank is blocked on this receive (wake it) or the receive
@@ -1245,10 +1244,10 @@ Engine::completeRequest(Rank r, std::uint32_t req, SimTime t)
 void
 Engine::completeTransferRecv(std::uint32_t idx, SimTime done)
 {
-    Transfer &t = transfers_[idx];
+    Transfer &t = m_.transfers[idx];
     if (capture_)
         recordCommEvent(idx, done);
-    ++ranks_[static_cast<std::size_t>(t.dst)]
+    ++m_.ranks[static_cast<std::size_t>(t.dst)]
           .result.messagesReceived;
     const Rank dst = t.dst;
     const std::uint32_t req = t.recvReq;
@@ -1272,10 +1271,10 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     const Bytes bytes = op.b;
     const Rank dst = trace::channelDstOf(key);
     const auto idx =
-        static_cast<std::uint32_t>(transfers_.size());
-    Transfer &t = transfers_.emplace_back();
-    if (transfers_.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = transfers_.size();
+        static_cast<std::uint32_t>(m_.transfers.size());
+    Transfer &t = m_.transfers.emplace_back();
+    if (m_.transfers.size() > stats_.arenaHighWater)
+        stats_.arenaHighWater = m_.transfers.size();
     t.bytes = bytes;
     t.src = ctx.rank;
     t.dst = dst;
@@ -1301,7 +1300,7 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     // in the slot for it. A send without a partner never matches.
     ++stats_.channelProbes;
     if (op.d != noSlot) {
-        std::uint32_t &entry = slots_[op.d];
+        std::uint32_t &entry = m_.slots[op.d];
         if (entry == slotEmpty) {
             entry = idx;
         } else {
@@ -1309,16 +1308,16 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
                       "message slot holds two sends");
             const std::uint32_t post_idx = entry & ~slotRecv;
             entry = slotEmpty;
-            const RecvPost post = recvPool_[post_idx];
-            recvPool_[post_idx].next = recvPoolFree_;
-            recvPoolFree_ = post_idx;
+            const RecvPost post = m_.recvPool[post_idx];
+            m_.recvPool[post_idx].next = m_.recvPoolFree;
+            m_.recvPoolFree = post_idx;
             matchTransfer(idx, post.req, post.postTime);
         }
     }
 
     // An eager send is eligible at once; a rendezvous send that met
     // its receive here becomes eligible at the match, which is now.
-    Transfer &stored = transfers_[idx];
+    Transfer &stored = m_.transfers[idx];
     if (stored.has(tfEager) || stored.has(tfRecvPosted))
         makeEligible(idx, ctx.now);
     return idx;
@@ -1336,7 +1335,7 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
     ++stats_.channelProbes;
     if (op.d == noSlot)
         return;
-    std::uint32_t &entry = slots_[op.d];
+    std::uint32_t &entry = m_.slots[op.d];
     if (entry != slotEmpty) {
         ovlAssert((entry & slotRecv) == 0,
                   "message slot holds two receives");
@@ -1349,14 +1348,14 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
         return;
     }
     std::uint32_t post_idx;
-    if (recvPoolFree_ != npos32) {
-        post_idx = recvPoolFree_;
-        recvPoolFree_ = recvPool_[post_idx].next;
+    if (m_.recvPoolFree != npos32) {
+        post_idx = m_.recvPoolFree;
+        m_.recvPoolFree = m_.recvPool[post_idx].next;
     } else {
-        post_idx = static_cast<std::uint32_t>(recvPool_.size());
-        recvPool_.emplace_back();
+        post_idx = static_cast<std::uint32_t>(m_.recvPool.size());
+        m_.recvPool.emplace_back();
     }
-    recvPool_[post_idx] = RecvPost{req, ctx.now, npos32};
+    m_.recvPool[post_idx] = RecvPost{req, ctx.now, npos32};
     entry = post_idx | slotRecv;
 }
 
@@ -1364,7 +1363,7 @@ void
 Engine::matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
                       SimTime post_time)
 {
-    Transfer &t = transfers_[idx];
+    Transfer &t = m_.transfers[idx];
     ovlAssert(!t.has(tfRecvPosted), "transfer matched twice");
     t.set(tfRecvPosted);
     t.recvPostTime = post_time;
@@ -1383,24 +1382,24 @@ Engine::tryAcquireResources(const Transfer &transfer)
 {
     const std::size_t src_node = nodeOf(transfer.src);
     const std::size_t dst_node = nodeOf(transfer.dst);
-    const bool bus_ok = !busesLimited() || busFree_ > 0;
-    const bool out_ok = !outLimited() || outFree_[src_node] > 0;
-    const bool in_ok = !inLimited() || inFree_[dst_node] > 0;
+    const bool bus_ok = !busesLimited() || m_.busFree > 0;
+    const bool out_ok = !outLimited() || m_.outFree[src_node] > 0;
+    const bool in_ok = !inLimited() || m_.inFree[dst_node] > 0;
     if (!(bus_ok && out_ok && in_ok))
         return false;
     if (busesLimited())
-        --busFree_;
+        --m_.busFree;
     if (outLimited())
-        --outFree_[src_node];
+        --m_.outFree[src_node];
     if (inLimited())
-        --inFree_[dst_node];
+        --m_.inFree[dst_node];
     return true;
 }
 
 void
 Engine::makeEligible(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (transfer.has(tfQueued) || transfer.has(tfStarted))
         return;
     transfer.set(tfQueued);
@@ -1435,22 +1434,22 @@ Engine::makeEligible(std::uint32_t idx, SimTime t)
 void
 Engine::enqueueWaiting(std::uint32_t idx)
 {
-    const Transfer &transfer = transfers_[idx];
-    const auto node = static_cast<std::uint32_t>(waitPool_.size());
-    waitPool_.push_back(WaitNode{idx});
+    const Transfer &transfer = m_.transfers[idx];
+    const auto node = static_cast<std::uint32_t>(m_.waitPool.size());
+    m_.waitPool.push_back(WaitNode{idx});
     const auto append = [&](WaitList &list, std::uint32_t kind) {
         if (list.tail == npos32)
             list.head = node;
         else
-            waitPool_[list.tail].next[kind] = node;
+            m_.waitPool[list.tail].next[kind] = node;
         list.tail = node;
     };
     if (busesLimited())
-        append(busWait_, waitBus);
+        append(m_.busWait, waitBus);
     if (outLimited())
-        append(outWait_[nodeOf(transfer.src)], waitOut);
+        append(m_.outWait[nodeOf(transfer.src)], waitOut);
     if (inLimited())
-        append(inWait_[nodeOf(transfer.dst)], waitIn);
+        append(m_.inWait[nodeOf(transfer.dst)], waitIn);
 }
 
 /**
@@ -1464,11 +1463,11 @@ Engine::releaseResources(std::size_t src_node, std::size_t dst_node)
 {
     ovlAssert(!resourcesFreed_, "release inside a release window");
     if (busesLimited())
-        ++busFree_;
+        ++m_.busFree;
     if (outLimited())
-        ++outFree_[src_node];
+        ++m_.outFree[src_node];
     if (inLimited())
-        ++inFree_[dst_node];
+        ++m_.inFree[dst_node];
     resourcesFreed_ = true;
     freedSrcNode_ = src_node;
     freedDstNode_ = dst_node;
@@ -1506,19 +1505,20 @@ Engine::admitWaiting(SimTime t)
         cursors[open++] = Cursor{&list, &free, kind, npos32, list.head};
     };
     if (busesLimited())
-        add(busWait_, busFree_, waitBus);
+        add(m_.busWait, m_.busFree, waitBus);
     if (outLimited())
-        add(outWait_[freedSrcNode_], outFree_[freedSrcNode_], waitOut);
+        add(m_.outWait[freedSrcNode_], m_.outFree[freedSrcNode_],
+            waitOut);
     if (inLimited())
-        add(inWait_[freedDstNode_], inFree_[freedDstNode_], waitIn);
+        add(m_.inWait[freedDstNode_], m_.inFree[freedDstNode_], waitIn);
 
     // Drop the cursor's node from its list; the cursor moves on.
     const auto unlink = [&](Cursor &c) {
-        const std::uint32_t next = waitPool_[c.node].next[c.kind];
+        const std::uint32_t next = m_.waitPool[c.node].next[c.kind];
         if (c.prev == npos32)
             c.list->head = next;
         else
-            waitPool_[c.prev].next[c.kind] = next;
+            m_.waitPool[c.prev].next[c.kind] = next;
         if (c.list->tail == c.node)
             c.list->tail = c.prev;
         c.node = next;
@@ -1531,7 +1531,7 @@ Engine::admitWaiting(SimTime t)
         for (int k = 0; k < open;) {
             Cursor &c = cursors[k];
             while (c.node != npos32 && *c.free > 0 &&
-                   waitPool_[c.node].transfer == npos32) {
+                   m_.waitPool[c.node].transfer == npos32) {
                 ++stats_.queueScanSteps;
                 unlink(c);
             }
@@ -1547,8 +1547,8 @@ Engine::admitWaiting(SimTime t)
             break;
 
         ++stats_.queueScanSteps;
-        const std::uint32_t idx = waitPool_[oldest].transfer;
-        const bool admitted = tryAcquireResources(transfers_[idx]);
+        const std::uint32_t idx = m_.waitPool[oldest].transfer;
+        const bool admitted = tryAcquireResources(m_.transfers[idx]);
         for (int k = 0; k < open; ++k) {
             Cursor &c = cursors[k];
             if (c.node != oldest)
@@ -1557,11 +1557,11 @@ Engine::admitWaiting(SimTime t)
                 unlink(c);
             } else {
                 c.prev = c.node;
-                c.node = waitPool_[c.node].next[c.kind];
+                c.node = m_.waitPool[c.node].next[c.kind];
             }
         }
         if (admitted) {
-            waitPool_[oldest].transfer = npos32;
+            m_.waitPool[oldest].transfer = npos32;
             startTransfer(idx, t);
         }
     }
@@ -1570,7 +1570,7 @@ Engine::admitWaiting(SimTime t)
 void
 Engine::startTransfer(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     transfer.set(tfStarted);
     SimTime begin = t;
     if (!transfer.has(tfEager)) {
@@ -1585,7 +1585,7 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
         // contention model owns (and may move as flows come and
         // go). Arrival is scheduled at injection completion.
         transfer.set(tfInNet);
-        const SimTime finish = network_.start(
+        const SimTime finish = m_.network.start(
             idx, static_cast<int>(nodeOf(transfer.src)),
             static_cast<int>(nodeOf(transfer.dst)),
             transfer.bytes, begin);
@@ -1627,7 +1627,7 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
 void
 Engine::finishInjection(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (transfer.has(tfColl)) {
         onCollSendInjected(idx, t);
         return;
@@ -1652,7 +1652,7 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
         handleNetInjected(idx, t);
         return;
     }
-    const Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = m_.transfers[idx];
     // wakeRank/completeRequest below can re-enter postSend; the
     // exactly-reserved arena keeps `transfer` valid regardless, but
     // release its resources first so this does not lean on the
@@ -1681,11 +1681,11 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
 void
 Engine::handleNetInjected(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (!transfer.has(tfLocal)) {
         if (!transfer.has(tfInNet))
             return; // stale event after completion
-        const auto check = network_.onFinishEvent(idx, t);
+        const auto check = m_.network.onFinishEvent(idx, t);
         if (!check.done) {
             if (check.reschedule) {
                 schedule(check.retry,
@@ -1710,8 +1710,8 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
             // worst multiplier on the route at arrival pricing.
             double scale = 1.0;
             for (const std::uint32_t link : route) {
-                if (linkLatScale_[link] > scale)
-                    scale = linkLatScale_[link];
+                if (m_.linkLatScale[link] > scale)
+                    scale = m_.linkLatScale[link];
             }
             if (scale != 1.0) {
                 flight = roundNs(static_cast<double>(flight.ns()) *
@@ -1728,7 +1728,7 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
 void
 Engine::handleArrived(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     transfer.set(tfArrived);
     transfer.arriveTime = t;
     if (transfer.has(tfColl)) {
@@ -1750,7 +1750,7 @@ Engine::handleCollective(RankCtx &ctx, const PackedOp &op)
     // The compiler verified op agreement across ranks and resolved
     // the cross-rank byte maxima into the collective table, so
     // arrival is pure counting.
-    Barrier &barrier = barriers_[op.c];
+    Barrier &barrier = m_.barriers[op.c];
     ++barrier.arrived;
     if (ctx.now > barrier.latest)
         barrier.latest = ctx.now;
@@ -1854,15 +1854,15 @@ std::uint32_t
 Engine::acquireCollExec(std::uint32_t c)
 {
     std::uint32_t slot;
-    if (!collExecFree_.empty()) {
-        slot = collExecFree_.back();
-        collExecFree_.pop_back();
+    if (!m_.collExecFree.empty()) {
+        slot = m_.collExecFree.back();
+        m_.collExecFree.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(collExecs_.size());
-        collExecs_.emplace_back();
+        slot = static_cast<std::uint32_t>(m_.collExecs.size());
+        m_.collExecs.emplace_back();
     }
     const coll::Schedule &sched = *collSched_[c];
-    CollExec &ex = collExecs_[slot];
+    CollExec &ex = m_.collExecs[slot];
     ex.slotTime.assign(sched.recvSlots(), SimTime());
     ex.slotArrived.assign(sched.recvSlots(), 0);
     ex.cursor.assign(static_cast<std::size_t>(nranks_), 0);
@@ -1877,12 +1877,12 @@ Engine::acquireCollExec(std::uint32_t c)
 void
 Engine::startCollRank(std::uint32_t c, Rank r)
 {
-    Barrier &barrier = barriers_[c];
+    Barrier &barrier = m_.barriers[c];
     if (barrier.exec == npos32)
         barrier.exec = acquireCollExec(c);
-    CollExec &ex = collExecs_[barrier.exec];
+    CollExec &ex = m_.collExecs[barrier.exec];
     ex.rankTime[static_cast<std::size_t>(r)] =
-        ranks_[static_cast<std::size_t>(r)].now;
+        m_.ranks[static_cast<std::size_t>(r)].now;
     ex.rankState[static_cast<std::size_t>(r)] = collRunning;
     advanceCollRank(c, r);
 }
@@ -1898,11 +1898,11 @@ Engine::startCollRank(std::uint32_t c, Rank r)
 void
 Engine::advanceCollRank(std::uint32_t c, Rank r)
 {
-    const std::uint32_t exec = barriers_[c].exec;
+    const std::uint32_t exec = m_.barriers[c].exec;
     const auto steps = collSched_[c]->stepsOf(r);
     const auto ri = static_cast<std::size_t>(r);
     for (;;) {
-        CollExec &ex = collExecs_[exec];
+        CollExec &ex = m_.collExecs[exec];
         const std::uint32_t cur = ex.cursor[ri];
         if (cur >= steps.size())
             break;
@@ -1929,10 +1929,10 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
                          const coll::Step &step, SimTime t)
 {
     const Rank dst = step.peer;
-    const auto idx = static_cast<std::uint32_t>(transfers_.size());
-    Transfer &transfer = transfers_.emplace_back();
-    if (transfers_.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = transfers_.size();
+    const auto idx = static_cast<std::uint32_t>(m_.transfers.size());
+    Transfer &transfer = m_.transfers.emplace_back();
+    if (m_.transfers.size() > stats_.arenaHighWater)
+        stats_.arenaHighWater = m_.transfers.size();
     transfer.bytes = step.bytes;
     transfer.src = r;
     transfer.dst = dst;
@@ -1951,7 +1951,7 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
         TransferMeta &meta = txMeta_.emplace_back();
         meta.sendPost = t;
     }
-    auto &result = ranks_[static_cast<std::size_t>(r)].result;
+    auto &result = m_.ranks[static_cast<std::size_t>(r)].result;
     ++result.messagesSent;
     result.bytesSent += step.bytes;
     makeEligible(idx, t);
@@ -1966,11 +1966,11 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
 void
 Engine::onCollSendInjected(std::uint32_t idx, SimTime t)
 {
-    const Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = m_.transfers[idx];
     const std::uint32_t c = transfer.sendReq;
     const Rank r = transfer.src;
     const auto ri = static_cast<std::size_t>(r);
-    CollExec &ex = collExecs_[barriers_[c].exec];
+    CollExec &ex = m_.collExecs[m_.barriers[c].exec];
     ovlAssert(ex.rankState[ri] == collWaitInject,
               "collective injection for a rank not waiting on one");
     if (t > ex.rankTime[ri])
@@ -1991,17 +1991,17 @@ Engine::onCollSendInjected(std::uint32_t idx, SimTime t)
 void
 Engine::onCollArrived(std::uint32_t idx, SimTime t)
 {
-    const Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = m_.transfers[idx];
     const std::uint32_t c = transfer.sendReq;
     const std::uint32_t slot = transfer.recvReq;
     const Rank dst = transfer.dst;
     const auto di = static_cast<std::size_t>(dst);
-    CollExec &ex = collExecs_[barriers_[c].exec];
+    CollExec &ex = m_.collExecs[m_.barriers[c].exec];
     ovlAssert(!ex.slotArrived[slot],
               "collective slot arrived twice");
     ex.slotArrived[slot] = 1;
     ex.slotTime[slot] = t;
-    ++ranks_[di].result.messagesReceived;
+    ++m_.ranks[di].result.messagesReceived;
     if (ex.rankState[di] != collWaitRecv)
         return;
     const auto steps = collSched_[c]->stepsOf(dst);
@@ -2027,13 +2027,13 @@ Engine::onCollArrived(std::uint32_t idx, SimTime t)
 void
 Engine::finishCollRank(std::uint32_t c, Rank r)
 {
-    Barrier &barrier = barriers_[c];
-    CollExec &ex = collExecs_[barrier.exec];
+    Barrier &barrier = m_.barriers[c];
+    CollExec &ex = m_.collExecs[barrier.exec];
     const auto ri = static_cast<std::size_t>(r);
     ex.rankState[ri] = collDone;
     const SimTime done = ex.rankTime[ri];
     if (--ex.remaining == 0) {
-        collExecFree_.push_back(barrier.exec);
+        m_.collExecFree.push_back(barrier.exec);
         barrier.exec = npos32;
     }
     wakeRank(r, done);
@@ -2042,7 +2042,7 @@ Engine::finishCollRank(std::uint32_t c, Rank r)
 void
 Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
 {
-    const Transfer &t = transfers_[idx];
+    const Transfer &t = m_.transfers[idx];
     const TransferMeta &meta = txMeta_[idx];
     CommEvent event;
     event.message = meta.message;
@@ -2063,7 +2063,7 @@ Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
  * any instant, then applies this one to whichever cost path the
  * replay runs on: on the link network by scaling link capacities
  * (and rerouting around dead links), on the flat bus through the
- * live entries of active_ that the analytic pricing in
+ * live entries of m_.active that the analytic pricing in
  * startTransfer reads.
  */
 void
@@ -2073,23 +2073,23 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
     // rest of the machine and grew the shift by as much, so it
     // fires at its effective time and arms its successor at its
     // own.
-    ovlAssert(t == active_.effective(scenario_.event(i).time),
+    ovlAssert(t == m_.active.effective(scenario_.event(i).time),
               "scenario event fired off its effective time");
     if (i + 1 < scenario_.eventCount()) {
-        schedule(active_.effective(scenario_.event(i + 1).time),
+        schedule(m_.active.effective(scenario_.event(i + 1).time),
                  EventKind::scenario, i + 1);
     }
-    active_.cursor = i + 1;
+    m_.active.cursor = i + 1;
     ++stats_.scenarioEvents;
     const scen::ScenarioEvent &ev = scenario_.event(i);
     switch (ev.kind) {
       case scen::ScenEventKind::recover: {
         const std::uint32_t m = scenario_.matchOf(i);
         const scen::ScenarioEvent &undone = scenario_.event(m);
-        active_.erase(m);
+        m_.active.erase(m);
         if (netMode_) {
             applyScenLinkScales(m);
-            network_.applyScales(t);
+            m_.network.applyScales(t);
             if (undone.kind == scen::ScenEventKind::fail &&
                 undone.semantics ==
                     scen::FailSemantics::reroute) {
@@ -2097,7 +2097,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
                 // whose compiled route is alive again drop their
                 // detours.
                 const auto report =
-                    network_.rerouteDeadLinks(t);
+                    m_.network.rerouteDeadLinks(t);
                 ovlAssert(report.ok,
                           "recovery cannot remove paths");
             }
@@ -2111,7 +2111,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             // Nothing left to kill once every rank finished; the
             // stream keeps chaining for any later background
             // events.
-            if (doneRanks_ >= nranks_)
+            if (m_.doneRanks >= nranks_)
                 break;
             // Without checkpointing the replay ends here, with the
             // failure-semantics mirror of reportDeadlock.
@@ -2130,14 +2130,14 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
         [[fallthrough]];
 
       case scen::ScenEventKind::degrade:
-        active_.live.push_back(i);
+        m_.active.live.push_back(i);
         if (netMode_) {
             applyScenLinkScales(i);
-            network_.applyScales(t);
+            m_.network.applyScales(t);
             if (ev.kind == scen::ScenEventKind::fail &&
                 ev.semantics == scen::FailSemantics::reroute) {
                 const auto report =
-                    network_.rerouteDeadLinks(t);
+                    m_.network.rerouteDeadLinks(t);
                 if (!report.ok) {
                     fatal("scenario event `", ev.describe(),
                           "`: no surviving route from node ",
@@ -2170,7 +2170,7 @@ Engine::applyScenLinkScales(std::size_t i)
     for (const std::uint32_t link : scenario_.linksOf(i)) {
         double bw = 1.0;
         double lat = 1.0;
-        for (const std::uint32_t j : active_.live) {
+        for (const std::uint32_t j : m_.active.live) {
             if (!scenario_.linkSetContains(j, link))
                 continue;
             const scen::ScenarioEvent &ej = scenario_.event(j);
@@ -2181,8 +2181,8 @@ Engine::applyScenLinkScales(std::size_t i)
                 bw = 0.0; // active stall/reroute failure
             }
         }
-        network_.setLinkScale(link, bw);
-        linkLatScale_[link] = lat;
+        m_.network.setLinkScale(link, bw);
+        m_.linkLatScale[link] = lat;
     }
 }
 
@@ -2190,9 +2190,9 @@ void
 Engine::drainNetReschedules()
 {
     for (const auto &[flow, finish] :
-         network_.pendingReschedules())
+         m_.network.pendingReschedules())
         scheduleNetFinish(flow, finish);
-    network_.clearPendingReschedules();
+    m_.network.clearPendingReschedules();
 }
 
 /** Map a LinkNetwork flow id back to its finish event kind. */
@@ -2219,18 +2219,18 @@ void
 Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 {
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    active_.live.push_back(i);
+    m_.active.live.push_back(i);
     SimTime finish;
     if (netMode_) {
-        finish = network_.start(bgIdBase + i, ev.nodeA, ev.nodeB,
-                                ev.bytes, t);
+        finish = m_.network.start(bgIdBase + i, ev.nodeA, ev.nodeB,
+                                  ev.bytes, t);
     } else {
         if (busesLimited())
-            --busFree_;
+            --m_.busFree;
         if (outLimited())
-            --outFree_[static_cast<std::size_t>(ev.nodeA)];
+            --m_.outFree[static_cast<std::size_t>(ev.nodeA)];
         if (inLimited())
-            --inFree_[static_cast<std::size_t>(ev.nodeB)];
+            --m_.inFree[static_cast<std::size_t>(ev.nodeB)];
         SimTime lat;
         finish = flatScenPrice(ev.nodeA, ev.nodeB, ev.bytes, t, lat);
     }
@@ -2243,11 +2243,12 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 void
 Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
 {
-    if (!std::binary_search(active_.live.begin(), active_.live.end(), i))
+    const auto &live = m_.active.live;
+    if (!std::binary_search(live.begin(), live.end(), i))
         return; // stale event after completion
     if (netMode_) {
         const auto check =
-            network_.onFinishEvent(bgIdBase + i, t);
+            m_.network.onFinishEvent(bgIdBase + i, t);
         if (!check.done) {
             if (check.reschedule) {
                 schedule(check.retry,
@@ -2255,11 +2256,11 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
             }
             return;
         }
-        active_.erase(i);
+        m_.active.erase(i);
         drainNetReschedules();
         return;
     }
-    active_.erase(i);
+    m_.active.erase(i);
     const scen::ScenarioEvent &ev = scenario_.event(i);
     releaseResources(static_cast<std::size_t>(ev.nodeA),
                      static_cast<std::size_t>(ev.nodeB));
@@ -2273,7 +2274,7 @@ Engine::failStopDiagnosis(std::uint32_t i, SimTime t) const
     scen::FailureDiagnosis diag;
     diag.event = scenario_.event(i).describe();
     diag.time = t;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         if (ctx.done)
             continue;
         scen::BlockedRank blocked;
@@ -2307,7 +2308,7 @@ Engine::handleCheckpoint(std::uint32_t level, SimTime t)
 {
     // The application finished (only drain events remain): stop
     // chaining and let the heap empty.
-    if (doneRanks_ >= nranks_)
+    if (m_.doneRanks >= nranks_)
         return;
     ++checkpointsTaken_;
     const bool global = level == 1;
@@ -2336,19 +2337,28 @@ Engine::freezeMachine(SimTime cost)
 {
     if (cost.ns() == 0)
         return;
-    // A uniform shift keeps every pair of heap keys ordered as
-    // before, which is exactly the contract DaryHeap::operator[]
-    // mutation demands. Stored per-transfer instants need no shift:
-    // future ones (the arriveTime of an in-flight transfer) are
-    // overwritten from the shifted event when it fires, and past
-    // ones must stay where history put them. The pending scenario
-    // event moved with the rest of the machine, so the scenario's
-    // compiled-to-effective shift grows by the same cost.
-    for (std::size_t k = 0; k < events_.size(); ++k)
-        events_[k].time += cost;
-    if (netMode_)
-        network_.shiftFlowClocks(cost);
-    active_.shift += cost;
+    m_.shift(cost);
+}
+
+/**
+ * Move every pending instant of the machine `delta` later. A uniform
+ * shift keeps every pair of heap keys ordered as before, which is
+ * exactly the contract DaryHeap::operator[] mutation demands. Stored
+ * per-transfer instants need no shift: future ones (the arriveTime
+ * of an in-flight transfer) are overwritten from the shifted event
+ * when it fires, and past ones must stay where history put them.
+ * Link-network flow clocks move with their armed events (an empty
+ * network has none). The pending scenario event moved with the rest
+ * of the machine, so the scenario's compiled-to-effective shift
+ * grows by the same delta.
+ */
+void
+Engine::Machine::shift(SimTime delta)
+{
+    for (std::size_t k = 0; k < events.size(); ++k)
+        events[k].time += delta;
+    network.shiftFlowClocks(delta);
+    active.shift += delta;
 }
 
 /**
@@ -2363,33 +2373,9 @@ Engine::takeSnapshot(SimTime anchor)
     ovlAssert(broadcastPending_ == 0,
               "checkpoint inside a release broadcast");
     ovlAssert(!resourcesFreed_, "checkpoint inside a release window");
-    Snapshot &s = snapshot_;
-    s.anchor = anchor;
-    s.events = events_;
-    s.nextSeq = nextSeq_;
-    s.ranks = ranks_;
-    s.transfers.assign(transfers_.begin(), transfers_.end());
-    s.recvPool.assign(recvPool_.begin(), recvPool_.end());
-    s.recvPoolFree = recvPoolFree_;
-    s.waitPool.assign(waitPool_.begin(), waitPool_.end());
-    s.busWait = busWait_;
-    s.outWait = outWait_;
-    s.inWait = inWait_;
-    s.slots = slots_;
-    s.barriers.assign(barriers_.begin(), barriers_.end());
-    s.busFree = busFree_;
-    s.outFree = outFree_;
-    s.inFree = inFree_;
-    s.doneRanks = doneRanks_;
-    if (netMode_)
-        s.network = network_;
-    s.scenario = active_;
-    s.linkLatScale = linkLatScale_;
-    if (algorithmic_) {
-        s.collExecs.assign(collExecs_.begin(), collExecs_.end());
-        s.collExecFree = collExecFree_;
-    }
-    stats_.snapshotBytes += imageBytes(s);
+    snapshot_.anchor = anchor;
+    snapshot_.machine = m_;
+    stats_.snapshotBytes += m_.imageBytes();
 }
 
 /** Copy the image just taken to the global level (two-level mode). */
@@ -2397,36 +2383,33 @@ void
 Engine::refreshGlobalImage()
 {
     snapshotGlobal_ = snapshot_;
-    stats_.snapshotBytes += imageBytes(snapshot_);
+    stats_.snapshotBytes += snapshot_.machine.imageBytes();
 }
 
 /**
- * The payload of every container image `s` holds; the fixed-size
- * scalars are noise next to them. The network and collective
- * members count only on the paths that image them.
+ * The payload of every container the machine holds; the fixed-size
+ * scalars are noise next to them. Off the link network the network
+ * is empty, and under the analytic collective model so is the
+ * CollExec pool, so both count zero there.
  */
 std::uint64_t
-Engine::imageBytes(const Snapshot &s) const
+Engine::Machine::imageBytes() const
 {
     const auto bytes = [](const auto &v) -> std::uint64_t {
         return v.size() * sizeof(v[0]);
     };
-    std::uint64_t total = bytes(s.events) + bytes(s.ranks) +
-        bytes(s.transfers) + bytes(s.recvPool) + bytes(s.waitPool) +
-        bytes(s.outWait) + bytes(s.inWait) + bytes(s.slots) +
-        bytes(s.barriers) + bytes(s.outFree) + bytes(s.inFree) +
-        bytes(s.scenario.live) + bytes(s.linkLatScale);
-    for (const RankCtx &ctx : s.ranks)
+    std::uint64_t total = bytes(events) + bytes(ranks) +
+        bytes(transfers) + bytes(recvPool) + bytes(waitPool) +
+        bytes(outWait) + bytes(inWait) + bytes(slots) +
+        bytes(barriers) + bytes(outFree) + bytes(inFree) +
+        bytes(active.live) + bytes(linkLatScale) +
+        bytes(collExecs) + bytes(collExecFree) + network.stateBytes();
+    for (const RankCtx &ctx : ranks)
         total += bytes(ctx.regs);
-    if (netMode_)
-        total += s.network.stateBytes();
-    if (algorithmic_) {
-        total += bytes(s.collExecs) + bytes(s.collExecFree);
-        for (const CollExec &ex : s.collExecs) {
-            total += bytes(ex.slotTime) + bytes(ex.slotArrived) +
-                bytes(ex.cursor) + bytes(ex.rankTime) +
-                bytes(ex.rankState);
-        }
+    for (const CollExec &ex : collExecs) {
+        total += bytes(ex.slotTime) + bytes(ex.slotArrived) +
+            bytes(ex.cursor) + bytes(ex.rankTime) +
+            bytes(ex.rankState);
     }
     return total;
 }
@@ -2500,7 +2483,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // discard work, never invent traffic.
     std::uint64_t bytes_before = 0;
     std::uint64_t msgs_before = 0;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         bytes_before += ctx.result.bytesSent;
         msgs_before += ctx.result.messagesSent;
     }
@@ -2512,7 +2495,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // wasted work, recorded as such).
     if (capture_) {
         timeline_.truncateAt(t);
-        for (const auto &ctx : ranks_) {
+        for (const auto &ctx : m_.ranks) {
             if (!ctx.done && ctx.blocked && ctx.blockStart < t) {
                 timeline_.addInterval(ctx.rank, ctx.blockStart, t,
                                       ctx.blockState);
@@ -2520,66 +2503,32 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
         }
     }
 
-    if (netMode_) {
-        // Cancel what the failure caught mid-flight; occupancy must
-        // return to zero before the snapshot's flows take over.
-        network_.cancelAll(t);
-        ovlAssert(network_.totalLoad() == 0,
-                  "cancelled in-flight flows left link occupancy "
-                  "behind");
-        network_.clearPendingReschedules();
-        network_ = s.network;
-        // The snapshot was imaged with the stats pointer embedded;
-        // re-aim it at this run's live counters (monotone across
-        // rollbacks, never restored).
-        network_.setStats(&stats_);
-        network_.shiftFlowClocks(delta);
-        ovlAssert(network_.totalLoad() == s.network.totalLoad(),
-                  "restore changed link occupancy");
-    }
+    // Cancel what the failure caught mid-flight; occupancy must
+    // return to zero before the image's flows take over.
+    m_.network.cancelAll(t);
+    ovlAssert(m_.network.totalLoad() == 0,
+              "cancelled in-flight flows left link occupancy behind");
 
-    // Rebuild the heap from the snapshot whole, shifted into the
-    // restarted time frame. The vectors shrink back onto their
-    // reserved arenas — restores never reallocate.
-    events_.clear();
-    for (std::size_t k = 0; k < s.events.size(); ++k) {
-        Event ev = s.events[k];
-        ev.time += delta;
-        ++stats_.heapPushes;
-        events_.push(ev);
-    }
-    nextSeq_ = s.nextSeq;
-    ranks_ = s.ranks;
-    transfers_.resize(s.transfers.size());
-    std::copy(s.transfers.begin(), s.transfers.end(),
-              transfers_.begin());
+    // Restore the image whole and shift it into the restarted time
+    // frame. The containers copy back onto their retained arenas,
+    // so restores do not reallocate. Copying a valid heap array
+    // builds the same array as pushing its entries in array order,
+    // so the copy counts as that many pushes.
+    m_ = s.machine;
+    stats_.heapPushes += m_.events.size();
+    // The image was taken with the stats pointer embedded; re-aim it
+    // at this run's live counters (monotone across rollbacks, never
+    // restored).
+    m_.network.setStats(&stats_);
+    m_.shift(delta);
+    ovlAssert(m_.network.totalLoad() == s.machine.network.totalLoad(),
+              "restore changed link occupancy");
     if (capture_)
-        txMeta_.resize(s.transfers.size());
-    recvPool_.resize(s.recvPool.size());
-    std::copy(s.recvPool.begin(), s.recvPool.end(),
-              recvPool_.begin());
-    recvPoolFree_ = s.recvPoolFree;
-    waitPool_.assign(s.waitPool.begin(), s.waitPool.end());
-    busWait_ = s.busWait;
-    outWait_ = s.outWait;
-    inWait_ = s.inWait;
-    slots_ = s.slots;
-    barriers_.assign(s.barriers.begin(), s.barriers.end());
-    busFree_ = s.busFree;
-    outFree_ = s.outFree;
-    inFree_ = s.inFree;
-    doneRanks_ = s.doneRanks;
-    active_ = s.scenario;
-    active_.shift += delta;
-    linkLatScale_ = s.linkLatScale;
-    if (algorithmic_) {
-        collExecs_.assign(s.collExecs.begin(), s.collExecs.end());
-        collExecFree_ = s.collExecFree;
-    }
+        txMeta_.resize(m_.transfers.size());
 
     std::uint64_t bytes_after = 0;
     std::uint64_t msgs_after = 0;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         bytes_after += ctx.result.bytesSent;
         msgs_after += ctx.result.messagesSent;
     }
@@ -2591,12 +2540,12 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // restart cost itself — the rework this rollback added.
     stats_.rollbackReworkNs +=
         static_cast<std::uint64_t>(delta.ns());
-    stats_.snapshotBytes += imageBytes(s);
+    stats_.snapshotBytes += s.machine.imageBytes();
 
     // The machine pays the restart: every rank alive in the
     // restored image spends [t, restore_at] rolling back.
     if (capture_) {
-        for (const auto &ctx : ranks_) {
+        for (const auto &ctx : m_.ranks) {
             if (!ctx.done) {
                 timeline_.addInterval(ctx.rank, t, restore_at,
                                       RankState::restart);
@@ -2619,24 +2568,24 @@ Engine::flatScenPrice(int src, int dst, Bytes bytes, SimTime begin,
 {
     double bw = 1.0;
     double latm = 1.0;
-    active_.flatDegrade(scenario_, src, dst, begin, bw, latm,
-                        stats_.scenarioScanSteps);
+    m_.active.flatDegrade(scenario_, src, dst, begin, bw, latm,
+                          stats_.scenarioScanSteps);
     const double ser_ns = static_cast<double>(bytes) * 1e3 /
         (platform_.bandwidthMBps * bw);
     const SimTime ser = roundNs(ser_ns);
     lat = latm == 1.0
         ? latencyRemote_
         : roundNs(static_cast<double>(latencyRemote_.ns()) * latm);
-    return active_.flatStallFinish(scenario_, src, dst, begin,
-                                   begin + ser,
-                                   stats_.scenarioScanSteps);
+    return m_.active.flatStallFinish(scenario_, src, dst, begin,
+                                     begin + ser,
+                                     stats_.scenarioScanSteps);
 }
 
 void
 Engine::reportDeadlock() const
 {
     std::string detail;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         if (ctx.done)
             continue;
         detail += strformat(
@@ -2655,12 +2604,12 @@ Engine::reportDeadlock() const
             continue;
         const auto ri = static_cast<std::size_t>(ctx.rank);
         for (std::uint32_t c = 0;
-             c < static_cast<std::uint32_t>(barriers_.size());
+             c < static_cast<std::uint32_t>(m_.barriers.size());
              ++c) {
-            const std::uint32_t exec = barriers_[c].exec;
+            const std::uint32_t exec = m_.barriers[c].exec;
             if (exec == npos32)
                 continue;
-            const CollExec &ex = collExecs_[exec];
+            const CollExec &ex = m_.collExecs[exec];
             const std::uint8_t st = ex.rankState[ri];
             if (st != collWaitInject && st != collWaitRecv)
                 continue;
@@ -2678,7 +2627,7 @@ Engine::reportDeadlock() const
     }
     // Frozen traffic with no recovery in the stream is the likely
     // culprit; say so.
-    for (const std::uint32_t i : active_.live) {
+    for (const std::uint32_t i : m_.active.live) {
         const scen::ScenarioEvent &ev = scenario_.event(i);
         if (ev.kind == scen::ScenEventKind::fail &&
             ev.semantics == scen::FailSemantics::stall &&
@@ -2688,7 +2637,7 @@ Engine::reportDeadlock() const
                 ev.describe().c_str());
         }
     }
-    fatal("replay deadlocked with ", nranks_ - doneRanks_,
+    fatal("replay deadlocked with ", nranks_ - m_.doneRanks,
           " rank(s) unfinished:", detail);
 }
 
