@@ -423,7 +423,7 @@ LinkNetwork::cancel(std::uint32_t id, SimTime now)
 }
 
 void
-LinkNetwork::cancelAll(SimTime)
+LinkNetwork::cancelAll()
 {
     // No settle or rate recompute is needed: no survivors remain.
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {

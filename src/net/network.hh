@@ -220,9 +220,9 @@ class LinkNetwork
     void cancel(std::uint32_t id, SimTime now);
 
     /** Cancel every in-flight flow (rollback of a whole replay
-     * region); dropped flows are not settled, so `now` is unused.
-     * Afterwards activeFlows() and totalLoad() are 0. */
-    void cancelAll(SimTime now);
+     * region) without settling it. Afterwards activeFlows() and
+     * totalLoad() are 0. */
+    void cancelAll();
 
     /** First unroutable pair when rerouteDeadLinks() fails. */
     struct RerouteReport

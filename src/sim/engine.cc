@@ -2505,7 +2505,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
 
     // Cancel what the failure caught mid-flight; occupancy must
     // return to zero before the image's flows take over.
-    m_.network.cancelAll(t);
+    m_.network.cancelAll();
     ovlAssert(m_.network.totalLoad() == 0,
               "cancelled in-flight flows left link occupancy behind");
 

@@ -126,9 +126,8 @@ class ReferenceLinkNetwork
     void cancel(std::uint32_t id, SimTime now) { remove(find(id), now); }
 
     void
-    cancelAll(SimTime now)
+    cancelAll()
     {
-        advanceAll(now);
         for (const Flow &flow : flows_) {
             for (const std::uint32_t link : routeOf(flow.src, flow.dst))
                 --linkLoad_[link];

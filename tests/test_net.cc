@@ -572,7 +572,7 @@ TEST(LinkNetworkTest, CancelAllDrainsTheNetwork)
     net.start(2, 4, 3, 16 * 1024, SimTime::fromNs(200));
     EXPECT_EQ(net.activeFlows(), 3u);
 
-    net.cancelAll(SimTime::fromNs(300));
+    net.cancelAll();
     EXPECT_EQ(net.activeFlows(), 0u);
     EXPECT_EQ(net.totalLoad(), 0u);
     EXPECT_TRUE(net.pendingReschedules().empty());
@@ -1065,8 +1065,8 @@ class DiffFuzzer
     cancelAll()
     {
         tick();
-        s_.net.cancelAll(s_.now);
-        s_.ref.cancelAll(s_.now);
+        s_.net.cancelAll();
+        s_.ref.cancelAll();
         s_.live.clear();
         s_.events = {};
         settle("cancelAll");
