@@ -1,8 +1,10 @@
 #include "fault_model.hh"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -356,6 +358,21 @@ dirOf(const std::string &path)
                                       : path.substr(0, slash);
 }
 
+/** A seed as writeFaultModel writes it: any unsigned 64-bit
+ * integer, with no sign. */
+std::uint64_t
+parseSeed(const std::string &text)
+{
+    std::uint64_t seed = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+    if (ec != std::errc() || ptr != end) {
+        fatal("seed must be an unsigned 64-bit integer, got '",
+              text, "'");
+    }
+    return seed;
+}
+
 } // namespace
 
 std::vector<AvailabilityPoint>
@@ -416,6 +433,9 @@ readFaultModel(std::istream &in, const std::string &source,
                const std::string &dir)
 {
     FaultModel model;
+    // A model describes one machine, so a repeated key is a typo:
+    // fatal at its second occurrence, naming the first line.
+    std::map<std::string, std::size_t> key_lines;
     std::string line;
     std::size_t line_no = 0;
     while (std::getline(in, line)) {
@@ -428,15 +448,22 @@ readFaultModel(std::istream &in, const std::string &source,
             continue;
         try {
             if (tokens.size() == 3 && tokens[1] == "=") {
-                if (tokens[0] == "seed") {
-                    model.seed = static_cast<std::uint64_t>(
-                        parseInt(tokens[2]));
-                } else if (tokens[0] == "horizon_us") {
-                    model.horizonUs = parseDouble(tokens[2]);
-                } else {
-                    fatal("unknown fault model key '", tokens[0],
+                const std::string &key = tokens[0];
+                if (key != "seed" && key != "horizon_us") {
+                    fatal("unknown fault model key '", key,
                           "' (expected seed or horizon_us)");
                 }
+                const auto [first, fresh] =
+                    key_lines.emplace(key, line_no);
+                if (!fresh) {
+                    fatal("duplicate key '", key,
+                          "' (first set on line ", first->second,
+                          ")");
+                }
+                if (key == "seed")
+                    model.seed = parseSeed(tokens[2]);
+                else
+                    model.horizonUs = parseDouble(tokens[2]);
                 continue;
             }
             if (tokens[0] != "process") {
@@ -488,17 +515,22 @@ readFaultModel(std::istream &in, const std::string &source,
                       "' (expected fail-stop, stall, degrade or "
                       "trace)");
             }
+            const std::size_t first_key = pos;
             while (pos < tokens.size()) {
                 const std::string &key = tokens[pos++];
                 need(1, "value");
-                if (key == "mtbf_us") {
-                    proc.mtbfUs = parseDouble(tokens[pos++]);
-                } else if (key == "mttr_us") {
-                    proc.mttrUs = parseDouble(tokens[pos++]);
-                } else {
+                if (key != "mtbf_us" && key != "mttr_us") {
                     fatal("unknown process key '", key,
                           "' (expected mtbf_us or mttr_us)");
                 }
+                for (std::size_t k = first_key; k + 2 < pos; k += 2) {
+                    if (tokens[k] == key) {
+                        fatal("duplicate process key '", key,
+                              "' (first set on line ", line_no, ")");
+                    }
+                }
+                (key == "mtbf_us" ? proc.mtbfUs : proc.mttrUs) =
+                    parseDouble(tokens[pos++]);
             }
             model.processes.push_back(std::move(proc));
         } catch (const FatalError &err) {

@@ -37,6 +37,10 @@
  *     # machine-wide crash (fail-stop only; drives the global
  *     # restore level of two-level checkpointing)
  *     process all fail-stop mtbf_us 50000
+ *
+ * The seed is any unsigned 64-bit integer. A key repeated in the
+ * file, or within one process line, is a FatalError naming the
+ * line and the first one.
  */
 
 #ifndef OVLSIM_RES_FAULT_MODEL_HH

@@ -2,14 +2,16 @@
  * @file
  * Line-oriented `key = value` configuration reader.
  *
- * Platform files, fault-model files and workload files all share the
- * same surface syntax and the same robustness guarantees: comments
- * and blank lines are skipped, malformed lines and duplicate keys
- * are fatal with the file and line number, and every numeric value
- * is domain-checked (NaN, inf and out-of-domain signs rejected)
- * right at the parse with the offending key in the error. This
- * reader factors those guarantees out so every new file format gets
- * them by construction instead of re-implementing them.
+ * Platform files and workload files share the same surface syntax
+ * and the same robustness guarantees: comments and blank lines are
+ * skipped, malformed lines and duplicate keys are fatal with the
+ * file and line number, and every numeric value is domain-checked
+ * (NaN, inf and out-of-domain signs rejected) right at the parse
+ * with the offending key in the error. This reader factors those
+ * guarantees out so every new file format gets them by construction
+ * instead of re-implementing them. Fault-model files
+ * (res/fault_model.hh) have their own `process ...` lines and do
+ * not use it; their reader rejects repeated keys by hand.
  */
 
 #ifndef OVLSIM_UTIL_KEYVALUE_HH

@@ -227,15 +227,21 @@ TEST(FaultModelTest, FailStopProcessesEmitEveryRenewalUpToTheHorizon)
 
 TEST(FaultModelTest, ModelFileRoundTrips)
 {
-    auto model = mixedModel();
-    model.seed = 77;
-    model.horizonUs = 12345.0;
+    // Seeds span the whole unsigned 64-bit range, 2^63 and up too.
+    for (const std::uint64_t seed :
+         {std::uint64_t{77}, std::uint64_t{1} << 63,
+          ~std::uint64_t{0}}) {
+        SCOPED_TRACE(seed);
+        auto model = mixedModel();
+        model.seed = seed;
+        model.horizonUs = 12345.0;
 
-    std::ostringstream out;
-    res::writeFaultModel(model, out);
-    std::istringstream in(out.str());
-    const auto parsed = res::readFaultModel(in);
-    EXPECT_TRUE(parsed == model);
+        std::ostringstream out;
+        res::writeFaultModel(model, out);
+        std::istringstream in(out.str());
+        const auto parsed = res::readFaultModel(in);
+        EXPECT_TRUE(parsed == model);
+    }
 }
 
 TEST(FaultModelTest, ReaderRejectsMalformedLinesNamingSourceAndLine)
@@ -262,6 +268,24 @@ TEST(FaultModelTest, ReaderRejectsMalformedLinesNamingSourceAndLine)
                 "test.faults line 1");
     expectError("process node x fail-stop mtbf_us 100\n",
                 "test.faults line 1");
+    // A repeated key is a typo, not last-one-wins.
+    expectError("seed = 1\nseed = 2\n",
+                "test.faults line 2: duplicate key 'seed' (first set "
+                "on line 1)");
+    expectError("horizon_us = 5\n\nhorizon_us = 7\n",
+                "test.faults line 3: duplicate key 'horizon_us' "
+                "(first set on line 1)");
+    expectError("process node 0 fail-stop mtbf_us 100 mtbf_us 200\n",
+                "test.faults line 1: duplicate process key 'mtbf_us'");
+    expectError("process node 0 stall mttr_us 5 mtbf_us 100 "
+                "mttr_us 6\n",
+                "test.faults line 1: duplicate process key 'mttr_us'");
+    // Seeds are unsigned: no sign, nothing past 2^64 - 1.
+    expectError("seed = -1\n",
+                "test.faults line 1: seed must be an unsigned 64-bit "
+                "integer, got '-1'");
+    expectError("seed = 18446744073709551616\n", "test.faults line 1");
+    expectError("seed = +7\n", "test.faults line 1");
 }
 
 TEST(FaultModelTest, MachineWideProcessesAreFailStopOnlyAndRoundTrip)
