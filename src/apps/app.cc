@@ -91,30 +91,6 @@ pairExchange(vm::VmContext &ctx, Rank partner, vm::Buffer send_buf,
 }
 
 void
-axisHaloExchange(vm::VmContext &ctx, int coord, Rank lo, Rank hi,
-                 vm::Buffer send_lo, vm::Buffer recv_lo,
-                 vm::Buffer send_hi, vm::Buffer recv_hi,
-                 Bytes bytes, Tag tag)
-{
-    // Pair (c, c+1) is active in phase c % 2; within a pair the
-    // lower coordinate leads. Every phase consists of disjoint
-    // pairs, so blocking rendezvous sends never chain.
-    for (int phase = 0; phase < 2; ++phase) {
-        const bool hi_active = hi >= 0 && coord % 2 == phase;
-        const bool lo_active =
-            lo >= 0 && (((coord - 1) % 2) + 2) % 2 == phase;
-        if (hi_active) {
-            ctx.send(send_hi, 0, bytes, hi, tag);
-            ctx.recv(recv_hi, 0, bytes, hi, tag + 1);
-        }
-        if (lo_active) {
-            ctx.recv(recv_lo, 0, bytes, lo, tag);
-            ctx.send(send_lo, 0, bytes, lo, tag + 1);
-        }
-    }
-}
-
-void
 haloExchange(vm::VmContext &ctx, const std::vector<HaloOp> &ops)
 {
     for (const auto &op : ops) {

@@ -101,27 +101,15 @@ struct Grid2D
 };
 
 /**
- * Deadlock-free blocking exchange with one partner: the lower rank
- * sends first, the higher rank receives first. Both payloads cover
- * the full given buffers.
+ * Blocking exchange with one partner, nas-cg's: both sides send
+ * `bytes` first, then receive them. Under the buffered (eager) send
+ * model both transfers are in flight at once; above the rendezvous
+ * threshold each send waits for a receive its partner has not yet
+ * posted, so the exchange deadlocks.
  */
 void pairExchange(vm::VmContext &ctx, Rank partner,
                   vm::Buffer send_buf, vm::Buffer recv_buf,
                   Bytes bytes, Tag tag);
-
-/**
- * One axis of a halo exchange with optional low/high neighbours,
- * organized in two parity phases of disjoint pairs so no blocking
- * send ever waits on a chain of ranks.
- *
- * @param coord this rank's coordinate along the axis
- * @param lo rank of the coord-1 neighbour, or -1
- * @param hi rank of the coord+1 neighbour, or -1
- */
-void axisHaloExchange(vm::VmContext &ctx, int coord, Rank lo,
-                      Rank hi, vm::Buffer send_lo,
-                      vm::Buffer recv_lo, vm::Buffer send_hi,
-                      vm::Buffer recv_hi, Bytes bytes, Tag tag);
 
 /** One leg of a grouped halo exchange. */
 struct HaloOp
