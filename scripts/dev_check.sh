@@ -7,9 +7,10 @@
 #   2. ASAN:    OVLSIM_ASAN build (with libstdc++ assertions,
 #               _GLIBCXX_ASSERTIONS: checked operator[], std::clamp
 #               bounds and friends), full ctest suite (which runs
-#               the eight paper benches and quickstart and
-#               timeline_gallery end to end through the bench_pins
-#               entry, label `bench`, and its error rows: four user
+#               the eight paper benches, quickstart,
+#               timeline_gallery and resilience_study end to end
+#               through the bench_pins entry, label `bench`, and
+#               its error rows: four user
 #               errors that must exit 1 with the message once,
 #               never through std::terminate), then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
@@ -55,7 +56,7 @@
 #               costliest-first replays)
 #
 # After touching bench/ or an example, run `ctest -L bench` in a
-# build tree: bench_pins hashes the benches' and two examples'
+# build tree: bench_pins hashes the benches' and three examples'
 # stdout and written files against pins recorded before the change.
 #
 # Usage:

@@ -33,8 +33,8 @@ namespace ovlsim::obs {
 /** Fixed-slot per-replay counters (see file comment). */
 struct EngineStats
 {
-    /** Events pushed onto the engine's event heap (includes the
-     * heap rebuild of a checkpoint restore). */
+    /** Events pushed onto the engine's event heap; a checkpoint
+     * restore counts one push per event of the restored heap. */
     std::uint64_t heapPushes = 0;
     /** Events popped off the heap. Equal to heapPushes once a
      * replay drains; the pair pins the invariant cheaply. */

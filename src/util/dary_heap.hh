@@ -66,11 +66,10 @@ class DaryHeap
     /**
      * Raw element access in storage (not priority) order, for
      * whole-heap transforms: the checkpoint seam shifts every
-     * pending event's time by one constant, and snapshot restore
-     * walks a saved heap to rebuild a filtered copy. A mutating
-     * visitor must preserve the relative ordering of every element
-     * pair (e.g. add the same offset to each key), otherwise the
-     * heap invariant silently breaks.
+     * pending event's time by one constant. A mutating visitor must
+     * preserve the relative ordering of every element pair (e.g.
+     * add the same offset to each key), otherwise the heap
+     * invariant silently breaks.
      */
     T &operator[](std::size_t i) { return items_[i]; }
     const T &operator[](std::size_t i) const { return items_[i]; }
