@@ -700,7 +700,7 @@ everythingOnBundle()
 }
 
 /**
- * `base` with every feature a checkpoint images turned on:
+ * `platform` with every feature a checkpoint images turned on:
  * checkpointing, algorithmic collectives, degrade/recover,
  * stall/recover, background traffic and timeline capture, with a
  * fail-stop at 700 us.
