@@ -582,8 +582,8 @@ class Engine
     /**
      * Machine image captured between two events at the last
      * checkpoint (and once at t = 0 before the event loop, so a
-     * failure before the first checkpoint restarts from scratch),
-     * anchored at the instant it became restartable.
+     * failure before the first checkpoint restarts from the
+     * beginning), anchored at the instant it became restartable.
      */
     struct Snapshot
     {

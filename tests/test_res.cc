@@ -769,7 +769,8 @@ TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
     // The acceptance combination: checkpointing + algorithmic
     // collectives + degrade/recover + stall/recover + background
     // traffic + timeline capture, with a fail-stop mid-run. Every
-    // one of these was a run-start fatal under PR 7.
+    // one of these was a run-start fatal before checkpoints imaged
+    // the whole machine.
     const auto bundle = everythingOnBundle();
     const auto platform = routedEverythingOn();
 
