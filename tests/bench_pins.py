@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Output pins of the eight paper benches and three examples.
+"""Output pins of the eight paper benches and six examples.
 
     python3 tests/bench_pins.py BINARY...           # check against PINS
     python3 tests/bench_pins.py --print BINARY...   # print a new table
@@ -10,11 +10,14 @@ temporary directory. Its stdout, with the "N threads" count
 normalised, and every file the run writes are hashed with SHA-256
 and compared against PINS. A bench runs at --threads 1 and at
 --threads 2 against the same pins, so the check also holds each
-bench's output to be independent of its lane count. So does
+bench's output to be independent of its lane count. So do
 resilience_study, the one tool that drives checkpoint/restart
-(resilienceSweep and protocolSweep on the tapered fat tree). On a
-mismatch the moved case's stdout is printed and each moved file is
-named.
+(resilienceSweep and protocolSweep on the tapered fat tree), and
+the three platform campaigns in STUDIES: topology_study (topology x
+bandwidth), collective_study (collective model x topology x
+bandwidth) and degradation_study (scenario x bandwidth on the
+tapered fat tree), each with its CSV. On a mismatch the moved
+case's stdout is printed and each moved file is named.
 
 ERRORS holds user errors: each must end in exit status 1 with its
 message on stderr exactly once, never in std::terminate. They run
@@ -25,7 +28,9 @@ benches still replayed through sim::simulateBatch and the examples
 through core::OverlapStudy, before both moved onto the campaign
 drivers and sim::simulate. The resilience_study row was recorded
 from the engine whose checkpoint image mirrored the imaged members
-field by field.
+field by field. The STUDIES rows were recorded from the drivers that
+ran one bandwidth sweep per topology, scenario or collective model,
+lowering every program again for each.
 """
 
 import hashlib
@@ -55,6 +60,16 @@ CASES = [(f"{b} --threads {n}", b, ["--threads", str(n)])
      ["--app", "sweep3d", "--bandwidth", "64"]),
 ] + [(f"resilience_study --seeds 4 --threads {n}", "resilience_study",
       ["--seeds", "4", "--threads", str(n)]) for n in (1, 2)]
+
+# The platform campaigns, each at --threads 1 and 2 like the benches.
+STUDIES = [
+    ("topology_study", ["--app", "nas-cg", "--csv", "t.csv"]),
+    ("collective_study", ["--per-decade", "1", "--csv", "c.csv"]),
+    ("degradation_study", ["--app", "nas-bt", "--per-decade", "1",
+                           "--csv", "d.csv"]),
+]
+CASES += [(f"{b} {' '.join(a)} --threads {n}", b, a + ["--threads", str(n)])
+          for b, a in STUDIES for n in (1, 2)]
 
 # (case name, binary, arguments, message on stderr).
 ERRORS = [
@@ -185,6 +200,27 @@ PINS = {
     'resilience_study --seeds 4': {
         "stdout": '094719273dcaf69af97e223debcacf5a7a788048f4cc13ea958afd8952e68e1e',
         "files": {
+        },
+    },
+    'topology_study --app nas-cg --csv t.csv': {
+        "stdout": 'd50e0ad5b9d949b55073810ad2853b6b45e3883de2dc6bdf7145f14626fe35f4',
+        "files": {
+            't.csv':
+                '6f6b46d2873b6dfb70335bba53f980e4fdda6631b9dd4683694f55d069b4e387',
+        },
+    },
+    'collective_study --per-decade 1 --csv c.csv': {
+        "stdout": '19f9078fc0347278918cb290be8b171e0be227384e3cf0951569cf0794922605',
+        "files": {
+            'c.csv':
+                '49fc10b26ec7d613e966e43f3aade456029ad71001e9bab00c2e3965ca2edc18',
+        },
+    },
+    'degradation_study --app nas-bt --per-decade 1 --csv d.csv': {
+        "stdout": 'e453abf4880900879d2d05eceba2e6a8589d9bc971514163c7c5692846d38e83',
+        "files": {
+            'd.csv':
+                'dd111a8e80b2c03bf494a2eb317152d1fa682a83fcdb7fd05d23d47f53b55582',
         },
     },
 }
