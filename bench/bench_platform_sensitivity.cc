@@ -19,19 +19,6 @@ using namespace ovlsim::bench;
 
 namespace {
 
-double
-idealSpeedupOn(const tracer::TraceBundle &bundle,
-               const sim::PlatformConfig &platform, int threads)
-{
-    core::TransformConfig ideal;
-    ideal.pattern = core::PatternModel::idealLinear;
-    const auto sweep = core::bandwidthSweep(
-        bundle, platform, {platform.bandwidthMBps},
-        {{"overlap-ideal", ideal}}, threads);
-    const auto &point = sweep.points[0];
-    return speedupPct(point.originalTime, point.variantTimes[0]);
-}
-
 int
 toolMain(int argc, char **argv)
 {
@@ -46,20 +33,37 @@ toolMain(int argc, char **argv)
     std::printf("operating point: %.2f MB/s\n\n",
                 base.bandwidthMBps);
 
+    // One campaign over the 15 operating points: five latencies,
+    // then five bus counts, then five CPU ratios.
+    const double latencies[] = {0.1, 1.0, 8.0, 50.0, 200.0};
+    const int bus_counts[] = {1, 2, 4, 8, 0};
+    const double ratios[] = {0.25, 0.5, 1.0, 2.0, 4.0};
+    std::vector<sim::PlatformConfig> platforms(15, base);
+    for (std::size_t k = 0; k < 5; ++k) {
+        platforms[k].latencyUs = latencies[k];
+        platforms[5 + k].buses = bus_counts[k];
+        platforms[10 + k].cpuRatio = ratios[k];
+    }
+    core::TransformConfig ideal;
+    ideal.pattern = core::PatternModel::idealLinear;
+    const auto sweep = core::platformSweep(
+        bundle, platforms, {{"overlap-ideal", ideal}}, threads);
+    const auto idealSpeedup = [&](std::size_t k) {
+        const auto &point = sweep.points[k];
+        return speedupPct(point.originalTime, point.variantTimes[0]);
+    };
+
     CsvWriter csv("bench_platform_sensitivity.csv",
                   {"dimension", "value", "speedup_ideal_pct"});
 
     {
         TablePrinter table({"latency us", "ideal speedup"});
-        for (const double latency : {0.1, 1.0, 8.0, 50.0, 200.0}) {
-            auto platform = base;
-            platform.latencyUs = latency;
-            const double speedup =
-                idealSpeedupOn(bundle, platform, threads);
-            table.addRow({strformat("%.1f", latency),
+        for (std::size_t k = 0; k < 5; ++k) {
+            const double speedup = idealSpeedup(k);
+            table.addRow({strformat("%.1f", latencies[k]),
                           pct(speedup)});
             csv.addRow({"latency_us",
-                        strformat("%.1f", latency),
+                        strformat("%.1f", latencies[k]),
                         strformat("%.2f", speedup)});
         }
         std::printf("--- latency sweep ---\n");
@@ -69,11 +73,9 @@ toolMain(int argc, char **argv)
 
     {
         TablePrinter table({"buses", "ideal speedup"});
-        for (const int buses : {1, 2, 4, 8, 0}) {
-            auto platform = base;
-            platform.buses = buses;
-            const double speedup =
-                idealSpeedupOn(bundle, platform, threads);
+        for (std::size_t k = 0; k < 5; ++k) {
+            const int buses = bus_counts[k];
+            const double speedup = idealSpeedup(5 + k);
             table.addRow({buses == 0 ? "unlimited"
                                      : strformat("%d", buses),
                           pct(speedup)});
@@ -91,14 +93,11 @@ toolMain(int argc, char **argv)
         // Faster CPUs shrink the computation that overlap hides
         // behind; slower CPUs hide the network entirely.
         TablePrinter table({"cpu ratio", "ideal speedup"});
-        for (const double ratio : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-            auto platform = base;
-            platform.cpuRatio = ratio;
-            const double speedup =
-                idealSpeedupOn(bundle, platform, threads);
-            table.addRow({strformat("%.2fx", ratio),
+        for (std::size_t k = 0; k < 5; ++k) {
+            const double speedup = idealSpeedup(10 + k);
+            table.addRow({strformat("%.2fx", ratios[k]),
                           pct(speedup)});
-            csv.addRow({"cpu_ratio", strformat("%.2f", ratio),
+            csv.addRow({"cpu_ratio", strformat("%.2f", ratios[k]),
                         strformat("%.2f", speedup)});
         }
         std::printf("--- CPU-speed sweep ---\n");

@@ -11,9 +11,11 @@
  * into its classic point-to-point schedule (binomial trees,
  * recursive doubling, rings, pairwise exchange) and executes it on
  * the engine's transfer path, so collective traffic occupies links
- * and contends in the src/net/ model like any other message. For
- * every topology of the standard set the campaign prints the two
- * sweeps side by side; the interesting read is the "coll delta"
+ * and contends in the src/net/ model like any other message. One
+ * model x topology x bandwidth platform campaign
+ * (core::platformSweep) replays both models on every topology of
+ * the standard set, and each topology's table prints the two models
+ * side by side; the interesting read is the "coll delta"
  * column — how much slower (or faster) the original run gets when
  * its collectives become real traffic, which is exactly the
  * topology effect collective-heavy apps (nas-cg, alya) cannot show
@@ -68,20 +70,38 @@ toolMain(int argc, char **argv)
     const int threads = ThreadPool::resolveThreads(
         static_cast<int>(options.getInt("threads", 0, INT_MAX)));
 
-    const auto campaign = core::collectiveSweep(
-        bundle, base, grid, variants, topologies, threads);
+    // Model m's topology t has point i at platform
+    // (m * topologies.size() + t) * grid.size() + i.
+    std::vector<sim::PlatformConfig> platforms;
+    for (const auto model : {coll::CollectiveModel::analytic,
+                             coll::CollectiveModel::algorithmic}) {
+        for (const auto &spec : topologies) {
+            for (const double bandwidth : grid) {
+                auto platform = base;
+                platform.name = base.name + "/" + spec.name;
+                platform.topology = spec.topology;
+                platform.collectiveModel = model;
+                platform.bandwidthMBps = bandwidth;
+                platforms.push_back(std::move(platform));
+            }
+        }
+    }
+    const auto campaign =
+        core::platformSweep(bundle, platforms, variants, threads);
+    const std::size_t algorithmic = topologies.size() * grid.size();
+    const auto point = [&](std::size_t t, std::size_t i) {
+        return t * grid.size() + i;
+    };
 
-    for (std::size_t t = 0; t < campaign.topologies.size(); ++t) {
-        const auto &spec = campaign.topologies[t];
-        const auto &analytic = campaign.analytic[t];
-        const auto &algorithmic = campaign.algorithmic[t];
-        std::printf("\n== %s ==\n", spec.name.c_str());
+    for (std::size_t t = 0; t < topologies.size(); ++t) {
+        std::printf("\n== %s ==\n", topologies[t].name.c_str());
         TablePrinter table({"MB/s", "analytic", "algorithmic",
                             "coll delta", "real speedup",
                             "ideal speedup"});
-        for (std::size_t i = 0; i < analytic.points.size(); ++i) {
-            const auto &pa = analytic.points[i];
-            const auto &pb = algorithmic.points[i];
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const auto &pa = campaign.points[point(t, i)];
+            const auto &pb =
+                campaign.points[algorithmic + point(t, i)];
             table.addRow(
                 {strformat("%.2f", pa.bandwidthMBps),
                  humanTime(pa.originalTime),
@@ -99,30 +119,18 @@ toolMain(int argc, char **argv)
                       {"topology", "bandwidth_mbps",
                        "t_analytic_us", "t_algorithmic_us",
                        "t_algo_real_us", "t_algo_ideal_us"});
-        for (std::size_t t = 0; t < campaign.topologies.size();
-             ++t) {
-            const auto &analytic = campaign.analytic[t];
-            const auto &algorithmic = campaign.algorithmic[t];
-            for (std::size_t i = 0; i < analytic.points.size();
-                 ++i) {
+        for (std::size_t t = 0; t < topologies.size(); ++t) {
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                const auto &pa = campaign.points[point(t, i)];
+                const auto &pb =
+                    campaign.points[algorithmic + point(t, i)];
                 csv.addRow(
-                    {campaign.topologies[t].name,
-                     strformat(
-                         "%.4f",
-                         analytic.points[i].bandwidthMBps),
-                     strformat(
-                         "%.3f",
-                         analytic.points[i].originalTime.toUs()),
-                     strformat("%.3f", algorithmic.points[i]
-                                           .originalTime.toUs()),
-                     strformat("%.3f",
-                               algorithmic.points[i]
-                                   .variantTimes[0]
-                                   .toUs()),
-                     strformat("%.3f",
-                               algorithmic.points[i]
-                                   .variantTimes[1]
-                                   .toUs())});
+                    {topologies[t].name,
+                     strformat("%.4f", pa.bandwidthMBps),
+                     strformat("%.3f", pa.originalTime.toUs()),
+                     strformat("%.3f", pb.originalTime.toUs()),
+                     strformat("%.3f", pb.variantTimes[0].toUs()),
+                     strformat("%.3f", pb.variantTimes[1].toUs())});
             }
         }
         std::printf("\nCSV written to %s\n",

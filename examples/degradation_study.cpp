@@ -4,8 +4,9 @@
  * overlap still pay off when the machine degrades mid-run?
  *
  * A nominal replay on the chosen topology measures the run length,
- * then three scenarios (src/scen/) are scaled to it and the sweep
- * repeats per scenario on the same fabric:
+ * then three scenarios (src/scen/) are scaled to it, and one scenario
+ * x bandwidth platform campaign (core::platformSweep) replays the
+ * sweep under each of them and without one, on the same fabric:
  *
  *  - mid-degrade: every link drops to a fraction of its capacity
  *    (and doubles its latency) over the middle half of the run,
@@ -28,6 +29,8 @@
 #include <climits>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "apps/app.hh"
 #include "bench/bench_common.hh"
@@ -90,7 +93,7 @@ toolMain(int argc, char **argv)
                 base.name.c_str(), probe.bandwidthMBps,
                 nominal.toUs());
 
-    std::vector<core::ScenarioSpec> scenarios;
+    std::vector<std::pair<std::string, scen::ScenarioConfig>> scenarios;
     scenarios.push_back({"nominal", {}});
 
     {
@@ -149,16 +152,26 @@ toolMain(int argc, char **argv)
         scenarios.push_back({"background", cfg});
     }
 
-    const auto campaign = core::degradedSweep(
-        bundle, base, grid, variants, scenarios, threads);
+    // Scenario s's point i is platform s * grid.size() + i.
+    std::vector<sim::PlatformConfig> platforms;
+    for (const auto &[name, scenario] : scenarios) {
+        for (const double bandwidth : grid) {
+            auto platform = base;
+            platform.name = base.name + "/" + name;
+            platform.scenario = scenario;
+            platform.bandwidthMBps = bandwidth;
+            platforms.push_back(std::move(platform));
+        }
+    }
+    const auto campaign =
+        core::platformSweep(bundle, platforms, variants, threads);
 
-    for (std::size_t s = 0; s < campaign.scenarios.size(); ++s) {
-        const auto &spec = campaign.scenarios[s];
-        const auto &sweep = campaign.sweeps[s];
-        std::printf("\n== %s ==\n", spec.name.c_str());
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+        std::printf("\n== %s ==\n", scenarios[s].first.c_str());
         TablePrinter table({"MB/s", "original", "comm%",
                             "real speedup", "ideal speedup"});
-        for (const auto &point : sweep.points) {
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const auto &point = campaign.points[s * grid.size() + i];
             table.addRow(
                 {strformat("%.2f", point.bandwidthMBps),
                  humanTime(point.originalTime),
@@ -177,19 +190,15 @@ toolMain(int argc, char **argv)
                       {"scenario", "bandwidth_mbps",
                        "t_original_us", "t_real_us",
                        "t_ideal_us"});
-        for (std::size_t s = 0; s < campaign.scenarios.size();
-             ++s) {
-            for (const auto &point : campaign.sweeps[s].points) {
-                csv.addRow(
-                    {campaign.scenarios[s].name,
-                     strformat("%.4f", point.bandwidthMBps),
-                     strformat("%.3f",
-                               point.originalTime.toUs()),
-                     strformat("%.3f",
-                               point.variantTimes[0].toUs()),
-                     strformat("%.3f",
-                               point.variantTimes[1].toUs())});
-            }
+        for (std::size_t k = 0; k < campaign.points.size(); ++k) {
+            const auto &point = campaign.points[k];
+            csv.addRow({scenarios[k / grid.size()].first,
+                        strformat("%.4f", point.bandwidthMBps),
+                        strformat("%.3f", point.originalTime.toUs()),
+                        strformat("%.3f",
+                                  point.variantTimes[0].toUs()),
+                        strformat("%.3f",
+                                  point.variantTimes[1].toUs())});
         }
         std::printf("\nCSV written to %s\n",
                     options.getString("csv").c_str());

@@ -7,7 +7,8 @@
  * For every topology of the standard set (flat bus, full-bisection
  * fat tree, 2:1 tapered fat tree, wrapped 2-D torus, dragonfly) the
  * original execution and the real/ideal overlapped variants are
- * replayed across a log bandwidth grid, with remote transfers
+ * replayed across a log bandwidth grid, in one topology x bandwidth
+ * platform campaign (core::platformSweep), with remote transfers
  * routed over compiled per-link routes and link-shared contention
  * (src/net/). The interesting read is the rightmost columns: on a
  * congested fabric the overlapped variants keep their edge longer
@@ -84,18 +85,28 @@ toolMain(int argc, char **argv)
         cobs.progress = progress.get();
     }
 
-    const auto campaign = core::topologySweep(
-        bundle, base, grid, variants, topologies, threads, &cobs);
+    // Topology t's point i is platform t * grid.size() + i.
+    std::vector<sim::PlatformConfig> platforms;
+    for (const auto &spec : topologies) {
+        for (const double bandwidth : grid) {
+            auto platform = base;
+            platform.name = base.name + "/" + spec.name;
+            platform.topology = spec.topology;
+            platform.bandwidthMBps = bandwidth;
+            platforms.push_back(std::move(platform));
+        }
+    }
+    const auto campaign = core::platformSweep(
+        bundle, platforms, variants, threads, &cobs);
     if (progress != nullptr)
         progress->finish();
 
-    for (std::size_t t = 0; t < campaign.topologies.size(); ++t) {
-        const auto &spec = campaign.topologies[t];
-        const auto &sweep = campaign.sweeps[t];
-        std::printf("\n== %s ==\n", spec.name.c_str());
+    for (std::size_t t = 0; t < topologies.size(); ++t) {
+        std::printf("\n== %s ==\n", topologies[t].name.c_str());
         TablePrinter table({"MB/s", "original", "comm%",
                             "real speedup", "ideal speedup"});
-        for (const auto &point : sweep.points) {
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const auto &point = campaign.points[t * grid.size() + i];
             table.addRow(
                 {strformat("%.2f", point.bandwidthMBps),
                  humanTime(point.originalTime),
@@ -114,19 +125,15 @@ toolMain(int argc, char **argv)
                       {"topology", "bandwidth_mbps",
                        "t_original_us", "t_real_us",
                        "t_ideal_us"});
-        for (std::size_t t = 0; t < campaign.topologies.size();
-             ++t) {
-            for (const auto &point : campaign.sweeps[t].points) {
-                csv.addRow(
-                    {campaign.topologies[t].name,
-                     strformat("%.4f", point.bandwidthMBps),
-                     strformat("%.3f",
-                               point.originalTime.toUs()),
-                     strformat("%.3f",
-                               point.variantTimes[0].toUs()),
-                     strformat("%.3f",
-                               point.variantTimes[1].toUs())});
-            }
+        for (std::size_t k = 0; k < campaign.points.size(); ++k) {
+            const auto &point = campaign.points[k];
+            csv.addRow({topologies[k / grid.size()].name,
+                        strformat("%.4f", point.bandwidthMBps),
+                        strformat("%.3f", point.originalTime.toUs()),
+                        strformat("%.3f",
+                                  point.variantTimes[0].toUs()),
+                        strformat("%.3f",
+                                  point.variantTimes[1].toUs())});
         }
         std::printf("\nCSV written to %s\n",
                     options.getString("csv").c_str());

@@ -40,13 +40,8 @@ class LaneRunner
           cobs_(cobs),
           progress_(cobs != nullptr ? cobs->progress : nullptr)
     {
-        if (cobs_ == nullptr || !cobs_->recordSpans)
-            return;
-        pool_.enableSpans();
-        // Every pool restarts its span clock at zero: shift past
-        // earlier chained sweeps' spans to keep wall order.
-        for (const ThreadPool::LaneSpan &span : cobs_->spans)
-            spanBase_ = std::max(spanBase_, span.endNs);
+        if (cobs_ != nullptr && cobs_->recordSpans)
+            pool_.enableSpans();
     }
 
     /**
@@ -85,11 +80,8 @@ class LaneRunner
 
         if (!pool_.spansEnabled())
             return;
-        for (ThreadPool::LaneSpan &span : pool_.takeSpans()) {
-            span.beginNs += spanBase_;
-            span.endNs += spanBase_;
+        for (ThreadPool::LaneSpan &span : pool_.takeSpans())
             cobs_->spans.push_back(std::move(span));
-        }
     }
 
   private:
@@ -98,7 +90,6 @@ class LaneRunner
     ThreadPool pool_;
     CampaignObs *cobs_;
     obs::Progress *progress_;
-    std::uint64_t spanBase_ = 0;
 };
 
 /** Replay cost of programs[i]: its compiled op count. */
@@ -150,7 +141,7 @@ compileAll(LaneRunner &lanes, const tracer::TraceBundle &bundle,
 }
 
 /**
- * The replay stage of bandwidthSweep and scalingSweep: one task per
+ * The replay stage of platformSweep and scalingSweep: one task per
  * (point, program), programs[i * width + v] replaying on
  * platforms[i]. A task drops its program reference when done, so a
  * program dies with its last replay. Stats fold in task order.
@@ -287,35 +278,47 @@ SweepPoint::speedup(std::size_t v) const
 }
 
 SweepResult
+platformSweep(const tracer::TraceBundle &bundle,
+              const std::vector<sim::PlatformConfig> &platforms,
+              const std::vector<VariantSpec> &variants, int threads,
+              CampaignObs *cobs)
+{
+    SweepResult result;
+    result.variants = variants;
+    const std::size_t width = variants.size() + 1;
+    LaneRunner lanes(threads, platforms.size() * width, cobs);
+    const auto compiled = compileAll(lanes, bundle, variants);
+    std::vector<Program> programs;
+    result.points.resize(platforms.size());
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+        programs.insert(programs.end(), compiled.begin(),
+                        compiled.end());
+        result.points[i].bandwidthMBps = platforms[i].bandwidthMBps;
+    }
+    replayGrid(
+        lanes, std::move(programs), width, platforms,
+        [&](std::size_t t) {
+            const sim::PlatformConfig &platform = platforms[t / width];
+            return strformat("replay %s bw=%.4g ",
+                             platform.name.c_str(),
+                             platform.bandwidthMBps) +
+                programName(variants, t % width);
+        },
+        result.points, result.stats);
+    return result;
+}
+
+SweepResult
 bandwidthSweep(const tracer::TraceBundle &bundle,
                const sim::PlatformConfig &base,
                const std::vector<double> &bandwidths,
                const std::vector<VariantSpec> &variants,
                int threads, CampaignObs *cobs)
 {
-    SweepResult result;
-    result.variants = variants;
-    const std::size_t width = variants.size() + 1;
-    LaneRunner lanes(threads, bandwidths.size() * width, cobs);
-    const auto compiled = compileAll(lanes, bundle, variants);
-    std::vector<Program> programs;
     std::vector<sim::PlatformConfig> platforms(bandwidths.size(), base);
-    result.points.resize(bandwidths.size());
-    for (std::size_t i = 0; i < bandwidths.size(); ++i) {
-        programs.insert(programs.end(), compiled.begin(),
-                        compiled.end());
+    for (std::size_t i = 0; i < bandwidths.size(); ++i)
         platforms[i].bandwidthMBps = bandwidths[i];
-        result.points[i].bandwidthMBps = bandwidths[i];
-    }
-    replayGrid(
-        lanes, std::move(programs), width, platforms,
-        [&](std::size_t t) {
-            return strformat("replay bw=%.4g ",
-                             bandwidths[t / width]) +
-                programName(variants, t % width);
-        },
-        result.points, result.stats);
-    return result;
+    return platformSweep(bundle, platforms, variants, threads, cobs);
 }
 
 double
@@ -390,53 +393,6 @@ standardTopologies()
         {"torus-2d", torus2d()},
         {"dragonfly", dragonfly()},
     };
-}
-
-TopologySweepResult
-topologySweep(const tracer::TraceBundle &bundle,
-              const sim::PlatformConfig &base,
-              const std::vector<double> &bandwidths,
-              const std::vector<VariantSpec> &variants,
-              const std::vector<TopologySpec> &topologies,
-              int threads, CampaignObs *cobs)
-{
-    TopologySweepResult result;
-    result.topologies = topologies;
-    result.sweeps.reserve(topologies.size());
-    // Each inner sweep fans out over its own lanes; the fixed outer
-    // order keeps the campaign bit-identical to one-topology runs.
-    for (const auto &spec : topologies) {
-        sim::PlatformConfig platform = base;
-        platform.topology = spec.topology;
-        platform.name = base.name + "/" + spec.name;
-        result.sweeps.push_back(bandwidthSweep(
-            bundle, platform, bandwidths, variants, threads,
-            cobs));
-    }
-    return result;
-}
-
-DegradedSweepResult
-degradedSweep(const tracer::TraceBundle &bundle,
-              const sim::PlatformConfig &base,
-              const std::vector<double> &bandwidths,
-              const std::vector<VariantSpec> &variants,
-              const std::vector<ScenarioSpec> &scenarios,
-              int threads, CampaignObs *cobs)
-{
-    DegradedSweepResult result;
-    result.scenarios = scenarios;
-    result.sweeps.reserve(scenarios.size());
-    // Sequential outer loop for the same reason as topologySweep.
-    for (const auto &spec : scenarios) {
-        sim::PlatformConfig platform = base;
-        platform.scenario = spec.scenario;
-        platform.name = base.name + "/" + spec.name;
-        result.sweeps.push_back(bandwidthSweep(
-            bundle, platform, bandwidths, variants, threads,
-            cobs));
-    }
-    return result;
 }
 
 ResilienceResult
@@ -701,39 +657,6 @@ protocolSweep(const tracer::TraceBundle &bundle,
             }
         }
     }
-    return result;
-}
-
-CollectiveSweepResult
-collectiveSweep(const tracer::TraceBundle &bundle,
-                const sim::PlatformConfig &base,
-                const std::vector<double> &bandwidths,
-                const std::vector<VariantSpec> &variants,
-                const std::vector<TopologySpec> &topologies,
-                int threads)
-{
-    // One topology campaign per collective model: topologySweep
-    // already owns the per-topology platform setup and the
-    // bit-identical sequential ordering, and the sweeps are
-    // independent replays, so running the models back to back is
-    // equivalent to interleaving them. The collective schedules
-    // are shared through the process-wide cache, so the
-    // algorithmic pass compiles each collective shape once across
-    // all topologies.
-    CollectiveSweepResult result;
-    result.topologies = topologies;
-    sim::PlatformConfig model_base = base;
-    model_base.collectiveModel = coll::CollectiveModel::analytic;
-    result.analytic =
-        topologySweep(bundle, model_base, bandwidths, variants,
-                      topologies, threads)
-            .sweeps;
-    model_base.collectiveModel =
-        coll::CollectiveModel::algorithmic;
-    result.algorithmic =
-        topologySweep(bundle, model_base, bandwidths, variants,
-                      topologies, threads)
-            .sweeps;
     return result;
 }
 

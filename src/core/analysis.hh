@@ -8,7 +8,10 @@
  * where communication time is comparable to computation time (R2),
  * and the iso-performance bandwidth-relaxation analysis showing how
  * much less bandwidth the overlapped execution needs to match the
- * original's performance at high bandwidth (R3).
+ * original's performance at high bandwidth (R3). The R1 sweep is one
+ * case of the platform campaign (platformSweep), which replays the
+ * same programs on any list of platforms: bandwidths, topologies,
+ * collective models, dynamic scenarios or a mix of them.
  *
  * Every campaign driver below runs on `threads` lanes (<= 0 means
  * all hardware cores; never more than its widest stage has tasks).
@@ -52,12 +55,8 @@ struct CampaignObs
      * replay, job) for Chrome-trace export via
      * obs::writeChromeTrace. */
     bool recordSpans = false;
-    /**
-     * Filled on return when recordSpans: the drained lane spans.
-     * Campaigns chaining several sweeps (topologySweep) append,
-     * shifting each inner sweep past the previous one's end so the
-     * merged track reads in wall order.
-     */
+    /** Filled on return when recordSpans: the drained lane spans,
+     * in the campaign pool's clock. */
     std::vector<ThreadPool::LaneSpan> spans;
 };
 
@@ -76,9 +75,10 @@ std::vector<VariantSpec> standardVariants(std::size_t chunks = 16);
 std::vector<double> logBandwidthGrid(double lo_mbps, double hi_mbps,
                                      int points_per_decade = 2);
 
-/** One bandwidth sample of a sweep. */
+/** One platform's sample of a sweep. */
 struct SweepPoint
 {
+    /** The platform's link bandwidth. */
     double bandwidthMBps = 0.0;
     SimTime originalTime;
     double originalCommFraction = 0.0;
@@ -92,25 +92,36 @@ struct SweepPoint
     double speedup(std::size_t v) const;
 };
 
-/** Bandwidth sweep outcome. */
+/** Platform campaign outcome. */
 struct SweepResult
 {
     std::vector<VariantSpec> variants;
+    /** Parallel to the campaign's platform list. */
     std::vector<SweepPoint> points;
     /** Point stats folded over the whole sweep. */
     obs::EngineStats stats;
 };
 
 /**
- * Simulate the original and every variant across a bandwidth grid.
- * All other platform parameters are taken from `base`.
+ * The platform campaign: simulate the original and every variant on
+ * every platform of the list, point i on platforms[i]. A campaign
+ * over several platform groups (say topologies x bandwidths) lists
+ * them group-major and reads each group as a slice of `points`.
  *
  * The original and every variant compile once into shared programs
  * that every point replays, one task per (point, program), the
  * costliest program (usually a variant) first. A replay that throws
- * ends the sweep; at one thread the first to fail in that order is
- * rethrown.
+ * ends the campaign, and at one thread the first to fail in that
+ * order is rethrown: a fail-stop on a platform without checkpointing
+ * is an error here, where resilienceSweep reports it as data.
  */
+SweepResult
+platformSweep(const tracer::TraceBundle &bundle,
+              const std::vector<sim::PlatformConfig> &platforms,
+              const std::vector<VariantSpec> &variants,
+              int threads = 1, CampaignObs *cobs = nullptr);
+
+/** platformSweep on `base` at every bandwidth of the grid. */
 SweepResult bandwidthSweep(const tracer::TraceBundle &bundle,
                            const sim::PlatformConfig &base,
                            const std::vector<double> &bandwidths,
@@ -169,7 +180,7 @@ ScalingResult scalingSweep(const gen::WorkloadConfig &workload,
                            int threads = 1,
                            CampaignObs *cobs = nullptr);
 
-/** A named interconnect to include in a topology campaign. */
+/** A named interconnect to include in a platform campaign. */
 struct TopologySpec
 {
     std::string name;
@@ -183,64 +194,6 @@ struct TopologySpec
  * the node count at route compilation).
  */
 std::vector<TopologySpec> standardTopologies();
-
-/** One topology's outcome inside a topology campaign. */
-struct TopologySweepResult
-{
-    std::vector<TopologySpec> topologies;
-    /** Parallel to `topologies`: one full R1-style sweep each. */
-    std::vector<SweepResult> sweeps;
-};
-
-/**
- * The R1 bandwidth sweep repeated per interconnect: for every
- * topology, replay the original and every overlapped variant across
- * the bandwidth grid with that topology installed in the platform
- * (`base`'s other parameters are kept); the sweeps run one after
- * another.
- */
-TopologySweepResult
-topologySweep(const tracer::TraceBundle &bundle,
-              const sim::PlatformConfig &base,
-              const std::vector<double> &bandwidths,
-              const std::vector<VariantSpec> &variants,
-              const std::vector<TopologySpec> &topologies,
-              int threads = 1, CampaignObs *cobs = nullptr);
-
-/** A named dynamic scenario to include in a degradation campaign. */
-struct ScenarioSpec
-{
-    std::string name;
-    scen::ScenarioConfig scenario;
-};
-
-/** One scenario's outcome inside a degradation campaign. */
-struct DegradedSweepResult
-{
-    std::vector<ScenarioSpec> scenarios;
-    /** Parallel to `scenarios`: one full R1-style sweep each. */
-    std::vector<SweepResult> sweeps;
-};
-
-/**
- * The R1 bandwidth sweep repeated per dynamic scenario: for every
- * scenario (src/scen/ — link degradations, stalls, reroutes,
- * background traffic), replay the original and every overlapped
- * variant across the bandwidth grid with the scenario installed in
- * the platform (`base`'s other parameters, including its topology,
- * are kept). The gap against a no-scenario sweep is the resilience
- * question: how much of the overlap benefit survives a degraded
- * machine. Scenarios containing fail-stop events terminate their
- * sweep by design; campaigns use degrade/stall/reroute/background
- * events. The sweeps run one after another.
- */
-DegradedSweepResult
-degradedSweep(const tracer::TraceBundle &bundle,
-              const sim::PlatformConfig &base,
-              const std::vector<double> &bandwidths,
-              const std::vector<VariantSpec> &variants,
-              const std::vector<ScenarioSpec> &scenarios,
-              int threads = 1, CampaignObs *cobs = nullptr);
 
 /** Aggregates of one (failure rate x variant) campaign cell. */
 struct ResilienceCell
@@ -411,35 +364,6 @@ protocolSweep(const tracer::TraceBundle &bundle,
               const std::vector<CheckpointProtocol> &protocols,
               std::uint32_t seed_count, std::uint64_t seed = 1,
               double machine_mtbf_us = 0.0, int threads = 1);
-
-/** One topology's analytic-vs-algorithmic outcome. */
-struct CollectiveSweepResult
-{
-    std::vector<TopologySpec> topologies;
-    /** Parallel to `topologies`: analytic-collective sweeps. */
-    std::vector<SweepResult> analytic;
-    /** Parallel to `topologies`: algorithmic-collective sweeps. */
-    std::vector<SweepResult> algorithmic;
-};
-
-/**
- * The R1 bandwidth sweep repeated per interconnect under both
- * collective models: for every topology, the original and every
- * overlapped variant replay across the bandwidth grid twice — once
- * with the analytic closed-form collective costs (the classic
- * Dimemas path) and once with collectives lowered into
- * point-to-point schedules that contend on the fabric's links
- * (src/coll/). The gap between the paired sweeps is the topology
- * effect the analytic model cannot see — the interesting read for
- * collective-heavy applications (nas-cg, alya).
- */
-CollectiveSweepResult
-collectiveSweep(const tracer::TraceBundle &bundle,
-                const sim::PlatformConfig &base,
-                const std::vector<double> &bandwidths,
-                const std::vector<VariantSpec> &variants,
-                const std::vector<TopologySpec> &topologies,
-                int threads = 1);
 
 /**
  * Find the "intermediate" bandwidth: the point where the original

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis.hh"
 #include "net/topology.hh"
 #include "obs/stats.hh"
 #include "sim/platform.hh"
@@ -184,6 +185,38 @@ platformAt(double bandwidth_mbps)
     auto platform = sim::platforms::defaultCluster();
     platform.bandwidthMBps = bandwidth_mbps;
     return platform;
+}
+
+/** `base` with each topology of the list installed, in list order. */
+inline std::vector<sim::PlatformConfig>
+withTopologies(const sim::PlatformConfig &base,
+               const std::vector<core::TopologySpec> &topologies)
+{
+    std::vector<sim::PlatformConfig> platforms;
+    for (const core::TopologySpec &spec : topologies) {
+        platforms.push_back(base);
+        platforms.back().topology = spec.topology;
+    }
+    return platforms;
+}
+
+/**
+ * Every platform of `groups` at every bandwidth of `grid`, group
+ * major, as a platform campaign over several groups lists them:
+ * group g's point i is entry g * grid.size() + i.
+ */
+inline std::vector<sim::PlatformConfig>
+atBandwidths(const std::vector<sim::PlatformConfig> &groups,
+             const std::vector<double> &grid)
+{
+    std::vector<sim::PlatformConfig> platforms;
+    for (const sim::PlatformConfig &group : groups) {
+        for (const double bandwidth : grid) {
+            platforms.push_back(group);
+            platforms.back().bandwidthMBps = bandwidth;
+        }
+    }
+    return platforms;
 }
 
 } // namespace ovlsim::testing

@@ -711,8 +711,8 @@ TEST(CollEngineTest, TimelineCaptureCoversAlgorithmicReplays)
 TEST(CollEngineTest, SessionSweepsAcrossModelsAndTopologies)
 {
     // One session alternating models, topologies and bandwidths
-    // (the collectiveSweep pattern): the schedule cache must never
-    // leak state between runs.
+    // (as a lane of collective_study's campaign may): the schedule
+    // cache must never leak state between runs.
     const auto bundle =
         testing::traceOf(4, collectiveMix(32 * 1024, 200'000));
     sim::ReplaySession session;
@@ -742,25 +742,20 @@ TEST(CollEngineTest, CollectiveSweepPairsAnalyticAndAlgorithmic)
         {"flat-bus", net::topologies::flatBus()},
         {"tapered", net::topologies::taperedFatTree(2, 0.5)},
     };
-    const auto campaign = core::collectiveSweep(
-        bundle, base, grid, variants, topologies, 1);
-    ASSERT_EQ(campaign.analytic.size(), topologies.size());
-    ASSERT_EQ(campaign.algorithmic.size(), topologies.size());
-    for (std::size_t t = 0; t < topologies.size(); ++t) {
-        ASSERT_EQ(campaign.analytic[t].points.size(),
-                  grid.size());
-        ASSERT_EQ(campaign.algorithmic[t].points.size(),
-                  grid.size());
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            EXPECT_GT(campaign.analytic[t]
-                          .points[i]
-                          .originalTime.ns(),
-                      0);
-            EXPECT_GT(campaign.algorithmic[t]
-                          .points[i]
-                          .originalTime.ns(),
-                      0);
-        }
+    // Analytic topology t's point i is platform t * grid.size() + i;
+    // the algorithmic twin follows all analytic points.
+    auto algorithmic = base;
+    algorithmic.collectiveModel = CollectiveModel::algorithmic;
+    auto groups = testing::withTopologies(base, topologies);
+    const auto more = testing::withTopologies(algorithmic, topologies);
+    groups.insert(groups.end(), more.begin(), more.end());
+    const auto campaign = core::platformSweep(
+        bundle, testing::atBandwidths(groups, grid), variants, 1);
+    const std::size_t twin = topologies.size() * grid.size();
+    ASSERT_EQ(campaign.points.size(), 2 * twin);
+    for (std::size_t k = 0; k < twin; ++k) {
+        EXPECT_GT(campaign.points[k].originalTime.ns(), 0);
+        EXPECT_GT(campaign.points[twin + k].originalTime.ns(), 0);
     }
 }
 

@@ -17,6 +17,7 @@
 #include "core/analysis.hh"
 #include "core/transform.hh"
 #include "gen/gen.hh"
+#include "helpers.hh"
 #include "gen/workload_file.hh"
 #include "net/topology.hh"
 #include "sim/engine.hh"
@@ -412,11 +413,12 @@ TEST(Gen, GeneratedWorkloadsRunThroughExistingCampaignDrivers)
         {"fat-tree-taper2",
          net::topologies::taperedFatTree(4, 0.5)},
     };
-    const auto topo = core::topologySweep(
-        dht, platform, bandwidths, variants, topologies);
-    ASSERT_EQ(topo.sweeps.size(), topologies.size());
-    for (const auto &s : topo.sweeps)
-        EXPECT_EQ(s.points.size(), bandwidths.size());
+    const auto topo = core::platformSweep(
+        dht,
+        testing::atBandwidths(
+            testing::withTopologies(platform, topologies), bandwidths),
+        variants);
+    EXPECT_EQ(topo.points.size(), topologies.size() * bandwidths.size());
 }
 
 // -- config validation and file round trips --------------------------

@@ -619,6 +619,33 @@ TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)
             [&](core::CampaignObs *cobs) { c.resilience(cobs); });
 }
 
+TEST(ObsCampaignTest, PlatformCampaignCompilesEachProgramOnce)
+{
+    // A campaign over every standard topology at every bandwidth
+    // lowers the original and each variant once, then spans one
+    // replay per (platform, program).
+    const HookCampaigns c;
+    const auto platforms = testing::atBandwidths(
+        testing::withTopologies(c.base, core::standardTopologies()),
+        c.grid);
+    core::CampaignObs cobs;
+    cobs.recordSpans = true;
+    core::platformSweep(c.bundle, platforms, c.variants, 2, &cobs);
+
+    std::map<std::string, int> compiles;
+    for (const ThreadPool::LaneSpan &span : cobs.spans) {
+        if (span.name.rfind("compile ", 0) == 0)
+            ++compiles[span.name];
+    }
+    const std::map<std::string, int> once{{"compile original", 1},
+                                          {"compile overlap-real", 1},
+                                          {"compile overlap-ideal", 1}};
+    EXPECT_EQ(compiles, once);
+    EXPECT_EQ(cobs.spans.size(),
+              once.size() + platforms.size() * once.size());
+    expectWellFormedSpans(cobs, 2);
+}
+
 TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)
 {
     // The observability hooks must not perturb results: a sweep

@@ -8,10 +8,11 @@
  * scheduling: every parallel path must produce output bit-identical
  * to the sequential path, and repeated runs must be bit-identical to
  * each other. These tests pin that contract for bandwidthSweep,
- * topologySweep, collectiveSweep, isoPerformance and one compiled
- * program shared by concurrent sessions across thread counts
- * {1, 2, 8}, and cover the ThreadPool primitive itself (full task
- * coverage, worker-local lanes, exception propagation).
+ * platformSweep over topologies, collective models and a mixed
+ * platform list, isoPerformance and one compiled program shared by
+ * concurrent sessions across thread counts {1, 2, 8}, and cover the
+ * ThreadPool primitive itself (full task coverage, worker-local
+ * lanes, exception propagation).
  */
 
 #include <gtest/gtest.h>
@@ -19,12 +20,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/analysis.hh"
 #include "helpers.hh"
+#include "scen/scenario.hh"
 #include "sim/engine.hh"
+#include "sim/program.hh"
 #include "util/thread_pool.hh"
 
 namespace ovlsim {
@@ -236,25 +240,41 @@ TEST(TopologySweepTest, BitIdenticalAcrossThreadCountsAndRuns)
     const auto grid = core::logBandwidthGrid(4.0, 1024.0, 1);
     const auto variants = core::standardVariants(4);
     const auto topologies = core::standardTopologies();
+    const auto platforms = testing::atBandwidths(
+        testing::withTopologies(base, topologies), grid);
 
-    const auto sequential = core::topologySweep(
-        bundle, base, grid, variants, topologies, 1);
-    ASSERT_EQ(sequential.sweeps.size(), topologies.size());
-    for (const auto &sweep : sequential.sweeps)
-        ASSERT_EQ(sweep.points.size(), grid.size());
+    const auto sequential =
+        core::platformSweep(bundle, platforms, variants, 1);
+    ASSERT_EQ(sequential.points.size(),
+              topologies.size() * grid.size());
     for (const int threads : threadCounts) {
         for (int run = 0; run < 2; ++run) {
-            const auto parallel = core::topologySweep(
-                bundle, base, grid, variants, topologies,
-                threads);
-            ASSERT_EQ(parallel.sweeps.size(),
-                      sequential.sweeps.size());
-            for (std::size_t t = 0; t < topologies.size(); ++t) {
-                expectIdenticalSweep(parallel.sweeps[t],
-                                     sequential.sweeps[t]);
-            }
+            expectIdenticalSweep(
+                core::platformSweep(bundle, platforms, variants,
+                                    threads),
+                sequential);
         }
     }
+}
+
+/** A ring halo exchange with an allreduce and a barrier per
+ * iteration and a closing broadcast. */
+void
+haloAndCollectives(vm::VmContext &ctx)
+{
+    const Rank right = (ctx.rank() + 1) % ctx.ranks();
+    const Rank left = (ctx.rank() + ctx.ranks() - 1) % ctx.ranks();
+    const auto sbuf = ctx.allocBuffer("halo", 32 * 1024);
+    const auto rbuf = ctx.allocBuffer("halo-in", 32 * 1024);
+    for (int it = 0; it < 3; ++it) {
+        ctx.compute(200'000);
+        ctx.computeStore(sbuf, 0, 32 * 1024, 0.2, 4);
+        ctx.send(sbuf, 0, 32 * 1024, right, 5);
+        ctx.recv(rbuf, 0, 32 * 1024, left, 5);
+        ctx.allReduce(16 * 1024);
+        ctx.barrier();
+    }
+    ctx.broadcast(64 * 1024, 0);
 }
 
 TEST(CollectiveSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
@@ -264,25 +284,7 @@ TEST(CollectiveSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
     // programs and compiled topologies, nothing about them may
     // depend on thread count or scheduling (TSAN builds race-check
     // the schedule cache and the per-lane executors).
-    const auto bundle = testing::traceOf(
-        4, [](vm::VmContext &ctx) {
-            const Rank right = (ctx.rank() + 1) % ctx.ranks();
-            const Rank left =
-                (ctx.rank() + ctx.ranks() - 1) % ctx.ranks();
-            const auto sbuf =
-                ctx.allocBuffer("halo", 32 * 1024);
-            const auto rbuf =
-                ctx.allocBuffer("halo-in", 32 * 1024);
-            for (int it = 0; it < 3; ++it) {
-                ctx.compute(200'000);
-                ctx.computeStore(sbuf, 0, 32 * 1024, 0.2, 4);
-                ctx.send(sbuf, 0, 32 * 1024, right, 5);
-                ctx.recv(rbuf, 0, 32 * 1024, left, 5);
-                ctx.allReduce(16 * 1024);
-                ctx.barrier();
-            }
-            ctx.broadcast(64 * 1024, 0);
-        });
+    const auto bundle = testing::traceOf(4, haloAndCollectives);
     const auto base = sim::platforms::defaultCluster();
     const auto grid = core::logBandwidthGrid(4.0, 1024.0, 1);
     const auto variants = core::standardVariants(4);
@@ -291,22 +293,24 @@ TEST(CollectiveSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
         {"tapered", net::topologies::taperedFatTree(2, 0.5)},
         {"torus", net::topologies::torus2d()},
     };
+    // Both collective models in one list: analytic first.
+    auto algorithmic = base;
+    algorithmic.collectiveModel = coll::CollectiveModel::algorithmic;
+    auto groups = testing::withTopologies(base, topologies);
+    const auto more = testing::withTopologies(algorithmic, topologies);
+    groups.insert(groups.end(), more.begin(), more.end());
+    const auto platforms = testing::atBandwidths(groups, grid);
 
-    const auto sequential = core::collectiveSweep(
-        bundle, base, grid, variants, topologies, 1);
-    ASSERT_EQ(sequential.analytic.size(), topologies.size());
-    ASSERT_EQ(sequential.algorithmic.size(), topologies.size());
+    const auto sequential =
+        core::platformSweep(bundle, platforms, variants, 1);
+    ASSERT_EQ(sequential.points.size(),
+              2 * topologies.size() * grid.size());
     for (const int threads : threadCounts) {
         for (int run = 0; run < 2; ++run) {
-            const auto parallel = core::collectiveSweep(
-                bundle, base, grid, variants, topologies,
-                threads);
-            for (std::size_t t = 0; t < topologies.size(); ++t) {
-                expectIdenticalSweep(parallel.analytic[t],
-                                     sequential.analytic[t]);
-                expectIdenticalSweep(parallel.algorithmic[t],
-                                     sequential.algorithmic[t]);
-            }
+            expectIdenticalSweep(
+                core::platformSweep(bundle, platforms, variants,
+                                    threads),
+                sequential);
         }
     }
 }
@@ -325,11 +329,110 @@ TEST(TopologySweepTest, TopologiesActuallyDiverge)
         {"flat-bus", net::topologies::flatBus()},
         {"tapered", net::topologies::taperedFatTree(2, 0.25)},
     };
-    const auto result = core::topologySweep(
-        bundle, base, grid, variants, topologies, 2);
-    ASSERT_EQ(result.sweeps.size(), 2u);
-    EXPECT_GT(result.sweeps[1].points[0].originalTime.ns(),
-              result.sweeps[0].points[0].originalTime.ns());
+    const auto result = core::platformSweep(
+        bundle,
+        testing::atBandwidths(testing::withTopologies(base, topologies),
+                              grid),
+        variants, 2);
+    ASSERT_EQ(result.points.size(), 2u);
+    EXPECT_GT(result.points[1].originalTime.ns(),
+              result.points[0].originalTime.ns());
+}
+
+scen::ScenarioEvent
+scenarioEvent(double us, scen::ScenEventKind kind,
+              scen::ScenTarget target)
+{
+    scen::ScenarioEvent ev;
+    ev.time = SimTime::fromUs(us);
+    ev.kind = kind;
+    ev.target = target;
+    return ev;
+}
+
+TEST(PlatformSweepTest, MixedPlatformsMatchFreshReplays)
+{
+    // One campaign over unlike platforms: a lane's session switches
+    // fabric, scenario, collective model and checkpointing between
+    // tasks (TSAN builds race-check the switches). Every point must
+    // equal fresh replays of the same programs on its platform.
+    using scen::ScenEventKind;
+    using scen::ScenTarget;
+    const auto bundle = testing::traceOf(4, haloAndCollectives);
+    const auto variants = core::standardVariants(4);
+
+    const auto flat = testing::platformAt(256.0);
+    auto degraded = testing::platformAt(64.0);
+    degraded.topology = net::topologies::taperedFatTree(2, 0.5);
+    degraded.scenario.events.push_back(
+        scenarioEvent(100.0, ScenEventKind::degrade, ScenTarget::all));
+    degraded.scenario.events.back().bandwidthFactor = 0.25;
+    degraded.scenario.events.push_back(
+        scenarioEvent(900.0, ScenEventKind::recover, ScenTarget::all));
+    auto torus = testing::platformAt(1024.0);
+    torus.topology = net::topologies::torus2d();
+    torus.collectiveModel = coll::CollectiveModel::algorithmic;
+    auto checkpointed = testing::platformAt(256.0);
+    checkpointed.checkpointIntervalUs = 200.0;
+    checkpointed.checkpointCostUs = 5.0;
+    checkpointed.restartCostUs = 7.0;
+    checkpointed.scenario.events.push_back(
+        scenarioEvent(700.0, ScenEventKind::fail, ScenTarget::node));
+    checkpointed.scenario.events.back().nodeA = 1;
+    checkpointed.scenario.events.back().semantics =
+        scen::FailSemantics::failStop;
+    const std::vector<sim::PlatformConfig> platforms{
+        flat, degraded, torus, checkpointed, flat};
+
+    // Fresh replays: program 0 is the original, v > 0 variant v - 1.
+    std::vector<std::shared_ptr<const sim::ReplayProgram>> programs{
+        sim::compileShared(bundle.traces)};
+    for (const auto &variant : variants) {
+        programs.push_back(sim::compileShared(
+            core::buildOverlappedTrace(bundle.traces, bundle.overlap,
+                                       variant.config)
+                .traces));
+    }
+    std::vector<std::vector<SimResult>> fresh(platforms.size());
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+        for (const auto &program : programs)
+            fresh[i].push_back(sim::simulate(*program, platforms[i]));
+    }
+    // Each platform does what it is named for.
+    EXPECT_GT(fresh[1][0].stats.scenarioEvents, 0u);
+    EXPECT_GT(fresh[2][0].stats.collSteps, 0u);
+    EXPECT_EQ(fresh[3][0].restarts, 1u);
+
+    for (const int threads : threadCounts) {
+        const auto sweep =
+            core::platformSweep(bundle, platforms, variants, threads);
+        ASSERT_EQ(sweep.points.size(), platforms.size());
+        obs::EngineStats folded;
+        for (std::size_t i = 0; i < platforms.size(); ++i) {
+            const core::SweepPoint &point = sweep.points[i];
+            const auto where = ::testing::Message()
+                << threads << " threads, point " << i;
+            EXPECT_EQ(point.bandwidthMBps, platforms[i].bandwidthMBps)
+                << where;
+            EXPECT_EQ(point.originalTime.ns(),
+                      fresh[i][0].totalTime.ns())
+                << where;
+            EXPECT_EQ(point.originalCommFraction,
+                      fresh[i][0].commFraction())
+                << where;
+            ASSERT_EQ(point.variantTimes.size(), variants.size());
+            obs::EngineStats stats = fresh[i][0].stats;
+            for (std::size_t v = 0; v < variants.size(); ++v) {
+                EXPECT_EQ(point.variantTimes[v].ns(),
+                          fresh[i][v + 1].totalTime.ns())
+                    << where << ", variant " << v;
+                stats.merge(fresh[i][v + 1].stats);
+            }
+            EXPECT_TRUE(point.stats == stats) << where;
+            folded.merge(stats);
+        }
+        EXPECT_TRUE(sweep.stats == folded) << threads << " threads";
+    }
 }
 
 TEST(ParallelIsoPerformanceTest, ConcurrentBisectionsMatch)

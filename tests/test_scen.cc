@@ -17,7 +17,8 @@
  *    stall deadlocks with the scenario named in the diagnosis,
  *  - a scenario-free or not-yet-fired scenario leaves the replay
  *    untouched (the bit-identity seam),
- *  - degradedSweep campaigns are bit-identical across thread counts,
+ *  - platform campaigns over scenarios are bit-identical across
+ *    thread counts,
  *  - platform files reject duplicate keys and name the file and
  *    line in every parse error (the scenario_file key included).
  */
@@ -887,37 +888,28 @@ TEST(ScenSweepTest, DegradedSweepMatchesSequentialAcrossThreads)
     const std::vector<double> grid = {64.0, 512.0};
     const auto variants = core::standardVariants(4);
 
-    std::vector<core::ScenarioSpec> scenarios;
-    scenarios.push_back({"nominal", {}});
-    {
-        ScenarioConfig mid;
-        mid.events.push_back(degradeAll(50.0, 0.25, 2.0));
-        mid.events.push_back(recoverAll(500.0));
-        scenarios.push_back({"mid-degrade", mid});
-    }
-    {
-        ScenarioConfig bg;
-        bg.events.push_back(backgroundFlow(10.0, 0, 2, 1 << 20));
-        bg.events.push_back(backgroundFlow(20.0, 1, 3, 1 << 20));
-        scenarios.push_back({"background", bg});
-    }
+    // Nominal, mid-degrade and background, each across the grid.
+    std::vector<sim::PlatformConfig> scenarios(3, base);
+    scenarios[1].scenario.events.push_back(degradeAll(50.0, 0.25, 2.0));
+    scenarios[1].scenario.events.push_back(recoverAll(500.0));
+    scenarios[2].scenario.events.push_back(
+        backgroundFlow(10.0, 0, 2, 1 << 20));
+    scenarios[2].scenario.events.push_back(
+        backgroundFlow(20.0, 1, 3, 1 << 20));
+    const auto platforms = testing::atBandwidths(scenarios, grid);
 
-    const auto sequential = core::degradedSweep(
-        bundle, base, grid, variants, scenarios, 1);
-    ASSERT_EQ(sequential.sweeps.size(), scenarios.size());
+    const auto sequential =
+        core::platformSweep(bundle, platforms, variants, 1);
+    ASSERT_EQ(sequential.points.size(), scenarios.size() * grid.size());
     // The degraded scenarios actually bite: at least one sweep
     // point must be slower than its nominal twin.
-    EXPECT_GT(sequential.sweeps[1].points[0].originalTime.ns(),
-              sequential.sweeps[0].points[0].originalTime.ns());
+    EXPECT_GT(sequential.points[grid.size()].originalTime.ns(),
+              sequential.points[0].originalTime.ns());
 
     for (const int threads : {2, 8}) {
-        const auto parallel = core::degradedSweep(
-            bundle, base, grid, variants, scenarios, threads);
-        ASSERT_EQ(parallel.sweeps.size(), sequential.sweeps.size())
-            << threads << " threads";
-        for (std::size_t s = 0; s < parallel.sweeps.size(); ++s)
-            expectIdenticalSweep(parallel.sweeps[s],
-                                 sequential.sweeps[s]);
+        expectIdenticalSweep(
+            core::platformSweep(bundle, platforms, variants, threads),
+            sequential);
     }
 }
 
