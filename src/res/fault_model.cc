@@ -381,7 +381,9 @@ readAvailabilityTrace(std::istream &in, const std::string &source,
 {
     std::vector<AvailabilityPoint> trace;
     periodicity_us = 0.0;
-    bool have_period = false;
+    // A trace has one period: a second header is a typo, fatal at
+    // its line, naming the first.
+    std::size_t period_line = 0;
     std::string line;
     std::size_t line_no = 0;
     while (std::getline(in, line)) {
@@ -394,12 +396,16 @@ readAvailabilityTrace(std::istream &in, const std::string &source,
             continue;
         try {
             if (tokens[0] == "PERIODICITY") {
+                if (period_line != 0) {
+                    fatal("duplicate PERIODICITY (first set on line ",
+                          period_line, ")");
+                }
                 if (tokens.size() != 2)
                     fatal("expected `PERIODICITY <us>`");
                 periodicity_us = parseDouble(tokens[1]);
-                have_period = true;
+                period_line = line_no;
             } else {
-                if (!have_period)
+                if (period_line == 0)
                     fatal("availability trace must start with "
                           "`PERIODICITY <us>`");
                 if (tokens.size() != 2)
@@ -413,7 +419,7 @@ readAvailabilityTrace(std::istream &in, const std::string &source,
             fatal(source, " line ", line_no, ": ", err.what());
         }
     }
-    if (!have_period || trace.empty())
+    if (period_line == 0 || trace.empty())
         fatal(source, ": availability trace has no points");
     return trace;
 }

@@ -200,7 +200,8 @@ void writeFaultModel(const FaultModel &model, std::ostream &out);
  *
  * Times are microseconds into the period, strictly increasing and
  * below the periodicity; values are capacity fractions in [0, 1].
- * The pattern repeats every PERIODICITY microseconds.
+ * The pattern repeats every PERIODICITY microseconds. A second
+ * PERIODICITY line is a FatalError naming its line and the first.
  */
 std::vector<AvailabilityPoint>
 readAvailabilityTrace(std::istream &in, const std::string &source,

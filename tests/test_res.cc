@@ -9,7 +9,11 @@
  *    access equals sequential draws and substreams are independent
  *    of caller order,
  *  - generateScenario is a pure function of (model, seed, horizon)
- *    and fail-stop processes emit every renewal up to the horizon,
+ *    and fail-stop processes emit every renewal up to the horizon;
+ *    an availability trace expands to a pinned event list, its
+ *    reader names the file and line of every malformed line (a
+ *    repeated PERIODICITY included), and a model's `trace` process
+ *    resolves next to the model file and round-trips,
  *  - closed-form restart accounting: with interval I, cost C and
  *    restart cost R, one fail-stop at t costs exactly the work
  *    since the last checkpoint plus R on top of the failure-free
@@ -52,6 +56,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -316,6 +322,146 @@ TEST(FaultModelTest, MachineWideProcessesAreFailStopOnlyAndRoundTrip)
     bad.processes[0].effect = res::FaultEffect::stall;
     bad.processes[0].mttrUs = 10.0;
     EXPECT_THROW(bad.validate(), FatalError);
+}
+
+/** The message of the FatalError reading `text` as availability
+ * trace `t.trace` raises; empty if it parses. */
+std::string
+availabilityTraceError(const std::string &text)
+{
+    std::istringstream in(text);
+    double period = 0.0;
+    try {
+        res::readAvailabilityTrace(in, "t.trace", period);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(FaultModelTest, AvailabilityTraceErrorsNameSourceAndLine)
+{
+    const auto expectError = [](const std::string &text,
+                                const std::string &needle) {
+        const std::string what = availabilityTraceError(text);
+        EXPECT_NE(what.find(needle), std::string::npos)
+            << "for: " << text << "got: " << what;
+    };
+    expectError("0 1.0\nPERIODICITY 1000\n",
+                "t.trace line 1: availability trace must start with "
+                "`PERIODICITY <us>`");
+    expectError("PERIODICITY\n", "t.trace line 1: expected "
+                                 "`PERIODICITY <us>`");
+    expectError("PERIODICITY 1000\n0 1.0\n500 0.5 7\n",
+                "t.trace line 3: expected `<time_us> <value>`");
+    expectError("# comment\nPERIODICITY 1000\n\n0 up\n",
+                "t.trace line 4");
+    expectError("PERIODICITY often\n0 1.0\n", "t.trace line 1");
+    expectError("PERIODICITY 1000\n",
+                "t.trace: availability trace has no points");
+
+    // Through a model file, the error names the model's line and
+    // the trace file's.
+    const std::string dir = ::testing::TempDir() + "res_bad_trace";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/bad.trace") << "PERIODICITY 1000\n0 1 1\n";
+    std::ofstream(dir + "/m.faults")
+        << "seed = 1\nprocess node 0 trace bad.trace\n";
+    try {
+        res::readFaultModelFile(dir + "/m.faults");
+        ADD_FAILURE() << "expected the malformed trace to be fatal";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      dir + "/m.faults line 2: " + dir +
+                      "/bad.trace line 2: expected"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(FaultModelTest, AvailabilityTraceRejectsARepeatedPeriodicity)
+{
+    // Not last-one-wins: the second header would silently reshape
+    // every point before it.
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 1.0\n"
+                                     "PERIODICITY 600\n500 0.5\n"),
+              "t.trace line 3: duplicate PERIODICITY (first set on "
+              "line 1)");
+}
+
+TEST(FaultModelTest, TraceProcessResolvesNextToTheModelAndRoundTrips)
+{
+    const std::string dir = ::testing::TempDir() + "res_trace_model";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/link.trace")
+        << "PERIODICITY 1000\n0 1.0\n500 0.5\n700 0\n";
+    std::ofstream(dir + "/m.faults")
+        << "process link 0 1 trace link.trace\n";
+
+    const auto model = res::readFaultModelFile(dir + "/m.faults");
+    ASSERT_EQ(model.processes.size(), 1u);
+    const res::FaultProcess &proc = model.processes[0];
+    EXPECT_EQ(proc.target, ScenTarget::link);
+    EXPECT_EQ(proc.nodeA, 0);
+    EXPECT_EQ(proc.nodeB, 1);
+    EXPECT_EQ(proc.tracePath, "link.trace");
+    EXPECT_EQ(proc.periodicityUs, 1000.0);
+    const std::vector<res::AvailabilityPoint> points{
+        {0.0, 1.0}, {500.0, 0.5}, {700.0, 0.0}};
+    EXPECT_EQ(proc.trace, points);
+
+    // The writer references the trace by path; read back from the
+    // same directory it is the same model.
+    std::ostringstream out;
+    res::writeFaultModel(model, out);
+    EXPECT_NE(out.str().find("process link 0 1 trace link.trace\n"),
+              std::string::npos)
+        << out.str();
+    std::istringstream in(out.str());
+    auto back = res::readFaultModel(in, "written", dir);
+    back.sourcePath = model.sourcePath;
+    EXPECT_TRUE(back == model);
+}
+
+TEST(FaultModelTest, AvailabilityTraceExpansionMatchesItsPin)
+{
+    // Each 1,000 us period degrades to half at +100, recovers and
+    // stalls at +300 and recovers at +600. The 2,500 us horizon
+    // cuts the third period's outage, which recovers at the next
+    // period boundary.
+    std::istringstream text("PERIODICITY 1000\n100 0.5\n300 0\n600 1\n");
+    res::FaultProcess proc;
+    proc.target = ScenTarget::node;
+    proc.nodeA = 2;
+    proc.trace =
+        res::readAvailabilityTrace(text, "pin.trace", proc.periodicityUs);
+    res::FaultModel model;
+    model.processes.push_back(proc);
+    const auto config =
+        res::generateScenario(model, 9, SimTime::fromUs(2500.0));
+
+    const auto degrade = ScenEventKind::degrade;
+    const auto recover = ScenEventKind::recover;
+    const auto fail = ScenEventKind::fail;
+    const std::vector<std::pair<double, ScenEventKind>> pin{
+        {100, degrade},  {300, recover},  {300, fail},
+        {600, recover},  {1100, degrade}, {1300, recover},
+        {1300, fail},    {1600, recover}, {2100, degrade},
+        {2300, recover}, {2300, fail},    {3000, recover}};
+    ASSERT_EQ(config.events.size(), pin.size());
+    for (std::size_t i = 0; i < pin.size(); ++i) {
+        const scen::ScenarioEvent &ev = config.events[i];
+        EXPECT_EQ(ev.time, SimTime::fromUs(pin[i].first)) << i;
+        EXPECT_EQ(ev.kind, pin[i].second) << i;
+        EXPECT_EQ(ev.target, ScenTarget::node) << i;
+        EXPECT_EQ(ev.nodeA, 2) << i;
+        if (ev.kind == degrade) {
+            EXPECT_EQ(ev.bandwidthFactor, 0.5) << i;
+        }
+        if (ev.kind == fail) {
+            EXPECT_EQ(ev.semantics, FailSemantics::stall) << i;
+        }
+    }
 }
 
 TEST(FaultModelTest, DalyIntervalMatchesTheClosedForm)
