@@ -105,9 +105,6 @@ class CounterRng
                 static_cast<std::uint64_t>(hi - lo) + 1));
     }
 
-    /** Bernoulli draw with probability p of true. */
-    bool nextBool(double p = 0.5) { return nextDouble() < p; }
-
     std::uint64_t key() const { return key_; }
     std::uint64_t stream() const { return stream_; }
 

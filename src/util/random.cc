@@ -1,7 +1,5 @@
 #include "random.hh"
 
-#include <cmath>
-
 #include "logging.hh"
 
 namespace ovlsim {
@@ -33,7 +31,7 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-Rng::result_type
+std::uint64_t
 Rng::operator()()
 {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
@@ -66,60 +64,6 @@ Rng::nextBelow(std::uint64_t bound)
         }
     }
     return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t
-Rng::nextInRange(std::int64_t lo, std::int64_t hi)
-{
-    ovlAssert(lo <= hi, "nextInRange requires lo <= hi");
-    const auto span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::nextDouble(double lo, double hi)
-{
-    return lo + (hi - lo) * nextDouble();
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
-double
-Rng::nextExponential(double mean)
-{
-    double u = nextDouble();
-    // Guard against log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return -mean * std::log(u);
-}
-
-double
-Rng::nextGaussian(double mean, double stddev)
-{
-    double u1 = nextDouble();
-    const double u2 = nextDouble();
-    if (u1 <= 0.0)
-        u1 = 0x1.0p-53;
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
-Rng
-Rng::split()
-{
-    return Rng((*this)() ^ 0xa5a5a5a55a5a5a5aULL);
 }
 
 } // namespace ovlsim

@@ -1,11 +1,12 @@
 /**
  * @file
- * Deterministic pseudo-random number generation.
+ * The seeded stateful generator behind apps/alya's irregular
+ * partition.
  *
- * The whole environment must be reproducible: identical inputs give
- * byte-identical traces and results. All stochastic choices therefore
- * flow through this seeded xoshiro256** generator instead of
- * std::random_device or rand().
+ * Every other stochastic choice draws through the counter-based
+ * generator (util/counter_rng.hh). Alya's recorded traces, and so
+ * the benchmark's reference digest, depend on this generator's exact
+ * stream, so it stays until that reference is recorded again.
  */
 
 #ifndef OVLSIM_UTIL_RANDOM_HH
@@ -13,70 +14,22 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace ovlsim {
 
-/**
- * xoshiro256** generator (Blackman & Vigna), seeded via SplitMix64.
- *
- * Satisfies UniformRandomBitGenerator so it can drive <random>
- * distributions where needed, though the member helpers below cover
- * the library's own needs.
- */
+/** xoshiro256** generator (Blackman & Vigna), seeded via
+ * SplitMix64. */
 class Rng
 {
   public:
-    using result_type = std::uint64_t;
-
     /** Construct from a 64-bit seed (expanded with SplitMix64). */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type
-    max()
-    {
-        return ~static_cast<result_type>(0);
-    }
-
     /** Next raw 64-bit output. */
-    result_type operator()();
+    std::uint64_t operator()();
 
     /** Uniform integer in [0, bound) using Lemire's method. */
     std::uint64_t nextBelow(std::uint64_t bound);
-
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextInRange(std::int64_t lo, std::int64_t hi);
-
-    /** Uniform double in [0, 1). */
-    double nextDouble();
-
-    /** Uniform double in [lo, hi). */
-    double nextDouble(double lo, double hi);
-
-    /** Bernoulli draw with probability p of true. */
-    bool nextBool(double p = 0.5);
-
-    /** Exponentially distributed double with the given mean. */
-    double nextExponential(double mean);
-
-    /** Normally distributed double (Box-Muller). */
-    double nextGaussian(double mean, double stddev);
-
-    /** Fisher-Yates shuffle of a vector, in place. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &values)
-    {
-        for (std::size_t i = values.size(); i > 1; --i) {
-            const std::size_t j =
-                static_cast<std::size_t>(nextBelow(i));
-            std::swap(values[i - 1], values[j]);
-        }
-    }
-
-    /** Fork a child generator with a decorrelated seed. */
-    Rng split();
 
   private:
     std::array<std::uint64_t, 4> state_;

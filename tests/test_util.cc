@@ -10,9 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <sstream>
 
+#include "util/counter_rng.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
 #include "util/options.hh"
@@ -137,65 +137,6 @@ TEST(RngTest, NextBelowRespectsBound)
     EXPECT_THROW(rng.nextBelow(0), PanicError);
 }
 
-TEST(RngTest, NextInRangeInclusive)
-{
-    Rng rng(9);
-    std::set<std::int64_t> seen;
-    for (int i = 0; i < 2000; ++i) {
-        const auto v = rng.nextInRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        seen.insert(v);
-    }
-    EXPECT_EQ(seen.size(), 7u);
-}
-
-TEST(RngTest, DoublesInUnitInterval)
-{
-    Rng rng(11);
-    for (int i = 0; i < 1000; ++i) {
-        const double d = rng.nextDouble();
-        EXPECT_GE(d, 0.0);
-        EXPECT_LT(d, 1.0);
-    }
-}
-
-TEST(RngTest, ExponentialMeanRoughlyCorrect)
-{
-    Rng rng(13);
-    OnlineStats stats;
-    for (int i = 0; i < 20000; ++i)
-        stats.add(rng.nextExponential(5.0));
-    EXPECT_NEAR(stats.mean(), 5.0, 0.25);
-}
-
-TEST(RngTest, GaussianMomentsRoughlyCorrect)
-{
-    Rng rng(17);
-    OnlineStats stats;
-    for (int i = 0; i < 20000; ++i)
-        stats.add(rng.nextGaussian(10.0, 2.0));
-    EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-    EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
-}
-
-TEST(RngTest, ShuffleIsPermutation)
-{
-    Rng rng(19);
-    std::vector<int> values{1, 2, 3, 4, 5, 6, 7, 8};
-    auto shuffled = values;
-    rng.shuffle(shuffled);
-    std::sort(shuffled.begin(), shuffled.end());
-    EXPECT_EQ(shuffled, values);
-}
-
-TEST(RngTest, SplitDecorrelates)
-{
-    Rng a(21);
-    Rng b = a.split();
-    EXPECT_NE(a(), b());
-}
-
 TEST(OnlineStatsTest, MatchesDirectComputation)
 {
     const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
@@ -219,7 +160,7 @@ TEST(OnlineStatsTest, MergeEqualsSequential)
     OnlineStats all;
     OnlineStats left;
     OnlineStats right;
-    Rng rng(23);
+    CounterRng rng(23);
     for (int i = 0; i < 500; ++i) {
         const double x = rng.nextDouble(0.0, 100.0);
         all.add(x);
