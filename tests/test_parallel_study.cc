@@ -354,8 +354,9 @@ TEST(PlatformSweepTest, MixedPlatformsMatchFreshReplays)
 {
     // One campaign over unlike platforms: a lane's session switches
     // fabric, scenario, collective model and checkpointing between
-    // tasks (TSAN builds race-check the switches). Every point must
-    // equal fresh replays of the same programs on its platform.
+    // tasks, and the flat bus comes back last (TSAN builds
+    // race-check the switches). Every point must equal fresh
+    // replays of the same programs on its platform.
     using scen::ScenEventKind;
     using scen::ScenTarget;
     const auto bundle = testing::traceOf(4, haloAndCollectives);
