@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Output pins of the eight paper benches and six examples.
+"""Output pins of the eight paper benches and seven examples.
 
     python3 tests/bench_pins.py BINARY...           # check against PINS
     python3 tests/bench_pins.py --print BINARY...   # print a new table
@@ -12,12 +12,15 @@ and compared against PINS. A bench runs at --threads 1 and at
 --threads 2 against the same pins, so the check also holds each
 bench's output to be independent of its lane count. So do
 resilience_study, the one tool that drives checkpoint/restart
-(resilienceSweep and protocolSweep on the tapered fat tree), and
-the three platform campaigns in STUDIES: topology_study (topology x
+(resilienceSweep and protocolSweep on the tapered fat tree), the
+three platform campaigns in STUDIES: topology_study (topology x
 bandwidth), collective_study (collective model x topology x
 bandwidth) and degradation_study (scenario x bandwidth on the
-tapered fat tree), each with its CSV. On a mismatch the moved
-case's stdout is printed and each moved file is named.
+tapered fat tree), and generator_study, the one tool that drives
+scalingSweep over the link network (a stencil and a fan-in over
+three rank counts on the tapered fat tree), each with its CSV. On
+a mismatch the moved case's stdout is printed and each moved file
+is named.
 
 ERRORS holds user errors: each must end in exit status 1 with its
 message on stderr exactly once, never in std::terminate. They run
@@ -30,7 +33,9 @@ drivers and sim::simulate. The resilience_study row was recorded
 from the engine whose checkpoint image mirrored the imaged members
 field by field. The STUDIES rows were recorded from the drivers that
 ran one bandwidth sweep per topology, scenario or collective model,
-lowering every program again for each.
+lowering every program again for each. The generator_study rows
+were recorded from the link network that re-derived every visited
+flow's bottleneck on each admission and removal.
 """
 
 import hashlib
@@ -67,6 +72,10 @@ STUDIES = [
     ("collective_study", ["--per-decade", "1", "--csv", "c.csv"]),
     ("degradation_study", ["--app", "nas-bt", "--per-decade", "1",
                            "--csv", "d.csv"]),
+    ("generator_study", ["--kind", "stencil", "--ranks", "16,32,64",
+                         "--csv", "g.csv"]),
+    ("generator_study", ["--kind", "fan-in", "--ranks", "8,16,32",
+                         "--csv", "f.csv"]),
 ]
 CASES += [(f"{b} {' '.join(a)} --threads {n}", b, a + ["--threads", str(n)])
           for b, a in STUDIES for n in (1, 2)]
@@ -221,6 +230,20 @@ PINS = {
         "files": {
             'd.csv':
                 'dd111a8e80b2c03bf494a2eb317152d1fa682a83fcdb7fd05d23d47f53b55582',
+        },
+    },
+    'generator_study --kind stencil --ranks 16,32,64 --csv g.csv': {
+        "stdout": 'ffe94126abaa76441ea8119275cc26ae3594b1363e7ecad7f51ac6d0d9480885',
+        "files": {
+            'g.csv':
+                '261516663b7600832a47a95610525912cb467698c55b3a5649b12634435fda84',
+        },
+    },
+    'generator_study --kind fan-in --ranks 8,16,32 --csv f.csv': {
+        "stdout": 'f35bfef170d4cc74dfa252ab1d81aeff1ee9d82ed2ea3d07907b383a0e337a70',
+        "files": {
+            'f.csv':
+                'f3b55cee3a7179368af3f91d830c9470f765081944b42dc23f909d6d0f76ef51',
         },
     },
 }
