@@ -150,13 +150,21 @@ LinkNetwork::vacate(std::uint32_t slot)
 }
 
 void
-LinkNetwork::collect(std::span<const std::uint32_t> links)
+LinkNetwork::collect(std::span<const std::uint32_t> links, bool freed)
 {
     for (const std::uint32_t link : links) {
+        // A freed link's share before the leave (the division
+        // refreshShare() cached while the removed flow held it). A
+        // flow below it is bottlenecked on a link the leave did not
+        // touch, so its rate cannot move; with no leave every rate
+        // (>= 0) passes.
+        const double before = freed
+            ? linkRate_[link] / static_cast<double>(linkLoad_[link] + 1)
+            : 0.0;
         for (std::uint32_t n = linkHead_[link]; n != npos;
              n = occ_[n].next) {
             Flow &flow = flows_[occ_[n].flow];
-            if (flow.collected) {
+            if (flow.collected || flow.rate < before) {
                 if (stats_)
                     ++stats_->recomputesSkipped;
                 continue;
@@ -274,6 +282,8 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     ovlAssert(src != dst,
               "LinkNetwork: intra-node traffic bypasses the "
               "network");
+    ovlAssert(scaleDirty_.empty(),
+              "LinkNetwork: admission with a link scale staged");
     // Settle everyone's progress under the pre-admission rates.
     advanceAll(now);
 
@@ -284,6 +294,8 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     flow.seq = nextSeq_++;
     flow.remaining = static_cast<double>(bytes);
     flow.lastUpdate = now;
+    // Infinite until the walk below lowers it to its bottleneck.
+    flow.rate = std::numeric_limits<double>::infinity();
     settleFloor_ = std::min(settleFloor_, now);
     const auto slot = static_cast<std::uint32_t>(flows_.size());
     std::uint32_t &entry = slotOf(id);
@@ -293,21 +305,35 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     hops_.resize(flows_.size() * stride_);
     occupy(slot);
 
-    // Occupancy only grew, so rates can only drop: no flow's armed
-    // event needs replacing — stale early events re-arm when they
-    // fire. (A flow admitted mid-rendezvous-overhead may have
-    // lastUpdate ahead of older flows; advanceAll clamps dt >= 0.)
-    // Only the flows sharing a link with the admitted one see a
-    // share change; the rest are not even visited.
-    collect(hopsOf(slot));
-    for (const std::uint32_t s : visit_) {
-        flows_[s].collected = false;
-        flows_[s].rate = bottleneckRate(s);
-        if (stats_)
-            ++stats_->rateRecomputes;
+    // Occupancy grew only on the admitted route, so only the shares
+    // there dropped. Every flow on it was at its bottleneck share
+    // before, so its new bottleneck is the smaller of its rate and
+    // the link's new share (the admitted flow's own walk starts from
+    // infinity); flows elsewhere are not visited. Rates only drop,
+    // so no armed event needs replacing: stale early events re-arm
+    // when they fire. (A flow admitted mid-rendezvous-overhead may
+    // have lastUpdate ahead of older flows; advanceAll clamps
+    // dt >= 0.)
+    std::uint64_t visits = 0;
+    for (const std::uint32_t link : hopsOf(slot)) {
+        const double share = linkShare_[link];
+        visits += linkLoad_[link];
+        for (std::uint32_t n = linkHead_[link]; n != npos;
+             n = occ_[n].next) {
+            Flow &other = flows_[occ_[n].flow];
+            if (share < other.rate)
+                other.rate = share;
+        }
     }
-    visit_.clear();
+    if (stats_) {
+        // One bottleneck walk, the admitted flow's; every other
+        // occupant visit took a min.
+        ++stats_->rateRecomputes;
+        stats_->recomputesSkipped += visits - 1;
+    }
     Flow &admitted = flows_[slot];
+    ovlAssert(std::isfinite(admitted.rate),
+              "LinkNetwork: flow over an empty route");
     admitted.armed = finishTime(admitted, now);
     return admitted.armed;
 }
@@ -346,8 +372,8 @@ LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
     }
 
     // Completed: free the links, settle the survivors under the old
-    // rates, then hand out the speedups to the flows that shared a
-    // freed link — the only ones whose share can have moved.
+    // rates, then hand out the speedups to the flows bottlenecked on
+    // a freed link — the only ones whose rate can have moved.
     remove(slot, now);
     FinishCheck check;
     check.done = true;
@@ -359,6 +385,8 @@ LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
 void
 LinkNetwork::remove(std::uint32_t slot, SimTime now)
 {
+    ovlAssert(scaleDirty_.empty(),
+              "LinkNetwork: removal with a link scale staged");
     advanceAll(now);
     // The hole is refilled below; the freed links are kept aside
     // for the rebalance (and the caller's arrival pricing).
@@ -380,7 +408,7 @@ LinkNetwork::remove(std::uint32_t slot, SimTime now)
     }
     flows_.pop_back();
     hops_.resize(flows_.size() * stride_);
-    collect(gone_);
+    collect(gone_, true);
     rebalance(now);
 }
 
@@ -464,7 +492,7 @@ LinkNetwork::applyScales(SimTime now)
     if (scaleDirty_.empty())
         return;
     advanceAll(now);
-    collect(scaleDirty_);
+    collect(scaleDirty_, false);
     scaleDirty_.clear();
     // Speedups (including unfreezes, whose armed is "never")
     // re-arm eagerly; slowdowns wait for their stale event.

@@ -29,7 +29,24 @@
  * only for pairs a dead link severed. Every link keeps a list of the
  * flows occupying it, so a join, leave, cancel or rescale visits only
  * the flows that share a link with the change; flows elsewhere keep
- * their (still exact) shares and armed events untouched. Only the
+ * their (still exact) shares and armed events untouched.
+ *
+ * Between calls every in-flight flow's rate equals its bottleneck
+ * share, the minimum over its links of capacity / occupancy. Two
+ * update rules keep it so without re-deriving most rates:
+ *
+ *  - an admission lowers shares on its own route only, so every
+ *    flow there takes min(rate, the link's new share), and only the
+ *    admitted flow walks its hops;
+ *  - a completion or cancel raises shares on the freed links only,
+ *    so only flows whose rate equals a freed link's share before
+ *    the leave can speed up; the rest are bottlenecked on an
+ *    unchanged link. Those few walk their hops again.
+ *
+ * Both are exact: a min is, and a share only falls as its link's
+ * occupancy grows. A rescale (applyScales) and a reroute recompute
+ * every flow they touch, and a staged rescale must be committed
+ * before the next admission or removal. Only the
  * progress settle (advanceAll) walks every flow, and only when some
  * flow's clock can be behind the settle instant: the network keeps a
  * floor under every flow's clock, so the settles of a round that
@@ -122,9 +139,10 @@ class LinkNetwork
     /**
      * A finish event for `id` fired at `now`. Completion frees the
      * flow's links, advances every surviving flow and recomputes
-     * the rates of those that shared a link with it; flows that
-     * sped up appear in pendingReschedules() for the engine to
-     * re-arm, in admission order.
+     * the rates of those it bottlenecked (a freed link was their
+     * bottleneck); flows that sped up appear in
+     * pendingReschedules() for the engine to re-arm, in admission
+     * order.
      */
     FinishCheck onFinishEvent(std::uint32_t id, SimTime now);
 
@@ -165,7 +183,11 @@ class LinkNetwork
      * Scenario seam: scale a link's capacity relative to its
      * configured rate. 1.0 restores the compiled capacity, values
      * in (0, 1) degrade it, 0 kills the link (flows crossing it
-     * freeze at rate 0). Takes effect at the next applyScales().
+     * freeze at rate 0). Takes effect at the next applyScales(),
+     * which must come before the next start(), completion or
+     * cancel: until then the link's share and the rates of its
+     * flows disagree, and those calls update rates from the share
+     * (they assert that nothing is staged).
      */
     void setLinkScale(std::uint32_t link, double scale);
 
@@ -214,8 +236,9 @@ class LinkNetwork
      * completing it (a fail-stop rollback cancels the transfer).
      * Frees the flow's links exactly like a completion — so
      * totalLoad() drops by the effective route length and the
-     * occupancy invariant is conserved — then recomputes the
-     * survivors' rates; speedups appear in pendingReschedules().
+     * occupancy invariant is conserved — then recomputes the rates
+     * of the survivors it bottlenecked; speedups appear in
+     * pendingReschedules().
      */
     void cancel(std::uint32_t id, SimTime now);
 
@@ -326,12 +349,14 @@ class LinkNetwork
     void vacate(std::uint32_t slot);
 
     /**
-     * Append to visit_ every flow occupying one of `links`, once
+     * Append to visit_ the flows occupying one of `links`, once
      * each: the only flows whose bottleneck share a load or rate
-     * change on those links can move. Repeat visits of an
-     * already-collected flow count as recomputesSkipped.
+     * change on those links can move. With `freed` (the links a
+     * removal just left) only flows whose rate equals a link's
+     * share before the leave are collected. Every other occupant
+     * visit counts as recomputesSkipped.
      */
-    void collect(std::span<const std::uint32_t> links);
+    void collect(std::span<const std::uint32_t> links, bool freed);
 
     /**
      * Recompute the rates of the collected flows in collection order
@@ -343,7 +368,7 @@ class LinkNetwork
     void rebalance(SimTime now);
 
     /** Settle, drop flow `slot` (completed or cancelled) and hand
-     * its freed capacity to the flows that shared its links. */
+     * its freed capacity to the flows it bottlenecked. */
     void remove(std::uint32_t slot, SimTime now);
 
     /** Slot-table entry of flow `id` (npos when not in flight). */

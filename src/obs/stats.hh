@@ -51,13 +51,19 @@ struct EngineStats
     std::uint64_t scenarioScanSteps = 0;
     /** Peak size of the transfer arena (exact-reserve check). */
     std::uint64_t arenaHighWater = 0;
-    /** LinkNetwork bottleneck-rate recomputations performed: one
-     * per distinct flow on a link that a join, leave, cancel or
-     * rescale changed (every flow on a reroute). */
+    /** LinkNetwork bottleneck walks (a flow's rate re-derived over
+     * its hops): one per admission, the admitted flow's own; one per
+     * flow whose rate equalled a freed link's share on a completion
+     * or cancel; one per distinct flow on a rescaled link; every
+     * flow on a reroute. */
     std::uint64_t rateRecomputes = 0;
-    /** LinkNetwork occupant-list visits that found the flow already
-     * collected (it shares several changed links); with
-     * rateRecomputes, the total occupant-list visits. */
+    /** LinkNetwork occupant-list visits that needed no walk: an
+     * admission's min on every other occupant of its route (its
+     * own other hops included), a removal's visits of flows
+     * bottlenecked elsewhere, and repeat visits of a flow already
+     * collected. With rateRecomputes, the total occupant-list
+     * visits (a reroute walks every flow without visiting a
+     * list). */
     std::uint64_t recomputesSkipped = 0;
     /** Finish re-arms actually scheduled after a rate change. */
     std::uint64_t rearmsTaken = 0;
@@ -159,8 +165,9 @@ struct CacheCounters
     }
 };
 
-/** net::compileTopology per-session cache: one compiled topology
- * (links and routing tables, O(links)) per live session. */
+/** net::compileTopology per-session cache: every topology a live
+ * session compiled (links and routing tables, O(links)), one per
+ * (description, node count), evicted when the session dies. */
 CacheCounters &topologyCache();
 
 /** coll::compileSchedule process-wide schedule cache. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "coll/coll.hh"
@@ -309,11 +310,11 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** Drops the cached topology from the cache counters. */
+    /** Drops the cached topologies from the cache counters. */
     ~Engine()
     {
-        if (topoNodes_ >= 0)
-            obs::topologyCache().recordEvict(topo_.memoryBytes());
+        for (const CompiledFabric &fabric : fabrics_)
+            obs::topologyCache().recordEvict(fabric.topo.memoryBytes());
     }
 
     SimResult run(const ReplayProgram &program,
@@ -522,14 +523,26 @@ class Engine
      * Topology-network seam. False keeps the classic Dimemas bus
      * path (bit-identical to the pre-topology engine); true routes
      * every remote transfer over the compiled topology with
-     * link-shared contention. The compiled topology is cached
-     * across replays of a session: sweeps vary bandwidth against
-     * one (topology, node count) compilation.
+     * link-shared contention.
      */
     bool netMode_ = false;
-    net::CompiledTopology topo_;
-    net::TopologyConfig topoKey_;
-    int topoNodes_ = -1;
+    /** One compiled topology and what it was compiled from. */
+    struct CompiledFabric
+    {
+        net::TopologyConfig config;
+        int nodes = 0;
+        net::CompiledTopology topo;
+    };
+    /**
+     * Every topology this engine compiled, one per (description,
+     * node count), kept for its life: sweeps vary bandwidth against
+     * one compilation, and a campaign lane that switches fabrics
+     * compiles each once. A deque, so a table never moves: the
+     * network and the checkpoint images hold its address.
+     */
+    std::deque<CompiledFabric> fabrics_;
+    /** The current replay's table (net mode). */
+    const net::CompiledTopology *topo_ = nullptr;
     SimTime hopLatency_;
 
     /**
@@ -789,30 +802,32 @@ Engine::run(const ReplayProgram &program,
     netMode_ = !platform_.topology.isFlat();
     if (netMode_) {
         // Compile-once seam: the compiled topology depends only on
-        // the topology description and the node count, so
-        // back-to-back replays (bandwidth sweeps, bisections) reuse
-        // it.
-        if (topoNodes_ != nodes ||
-            !(topoKey_ == platform_.topology)) {
-            obs::topologyCache().recordMiss();
-            // Compile before dropping the old table: a topology
-            // that cannot host the machine throws and keeps it.
-            net::CompiledTopology compiled =
-                net::compileTopology(platform_.topology, nodes);
-            if (topoNodes_ >= 0)
-                obs::topologyCache().recordEvict(topo_.memoryBytes());
-            topo_ = std::move(compiled);
-            obs::topologyCache().recordInsert(topo_.memoryBytes());
-            topoKey_ = platform_.topology;
-            topoNodes_ = nodes;
-        } else {
+        // the topology description and the node count, so every
+        // later replay of either reuses it.
+        const auto cached = std::find_if(
+            fabrics_.begin(), fabrics_.end(),
+            [&](const CompiledFabric &fabric) {
+                return fabric.nodes == nodes &&
+                    fabric.config == platform_.topology;
+            });
+        if (cached != fabrics_.end()) {
             obs::topologyCache().recordHit();
+            topo_ = &cached->topo;
+        } else {
+            obs::topologyCache().recordMiss();
+            // A topology that cannot host the machine throws here
+            // and adds nothing.
+            fabrics_.push_back(
+                {platform_.topology, nodes,
+                 net::compileTopology(platform_.topology, nodes)});
+            topo_ = &fabrics_.back().topo;
+            obs::topologyCache().recordInsert(topo_->memoryBytes());
         }
         const double base_mbps =
             platform_.topology.linkBandwidthMBps > 0.0
                 ? platform_.topology.linkBandwidthMBps
                 : platform_.bandwidthMBps;
-        m_.network.configure(&topo_, base_mbps);
+        m_.network.configure(topo_, base_mbps);
         m_.network.setStats(&stats_);
         hopLatency_ =
             SimTime::fromUs(platform_.topology.hopLatencyUs);
@@ -829,10 +844,10 @@ Engine::run(const ReplayProgram &program,
         // reads the stream, even at the hundreds of events that
         // generated fault scenarios reach.
         scenario_ = scen::compileScenario(
-            platform_.scenario, netMode_ ? &topo_ : nullptr,
+            platform_.scenario, netMode_ ? topo_ : nullptr,
             nodes);
         if (netMode_)
-            m_.linkLatScale.assign(topo_.linkCount(), 1.0);
+            m_.linkLatScale.assign(topo_->linkCount(), 1.0);
     }
     capture_ = platform_.captureTimeline;
     if (capture_)

@@ -1072,9 +1072,11 @@ class DiffFuzzer
         settle("cancelAll");
     }
 
-    /** Rescale one to three links (scale 0 stalls), and usually
-     * commit at once; otherwise the change stays pending across the
-     * next operations, as between two scenario handlers. */
+    /** Rescale one to three links (scale 0 stalls) and commit at
+     * once, as the engine's scenario handler does: an admission or
+     * removal asserts that no scale is staged. The last draw once
+     * chose whether to commit; it is kept so that every later
+     * operation of a seed draws what it always drew. */
     void
     rescale()
     {
@@ -1088,10 +1090,9 @@ class DiffFuzzer
             s_.net.setLinkScale(link, scale);
             s_.ref.setLinkScale(link, scale);
         }
-        if (rng_.nextBelow(4) != 0) {
-            s_.net.applyScales(s_.now);
-            s_.ref.applyScales(s_.now);
-        }
+        rng_.nextBelow(4);
+        s_.net.applyScales(s_.now);
+        s_.ref.applyScales(s_.now);
         settle("applyScales");
     }
 

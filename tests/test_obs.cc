@@ -249,7 +249,7 @@ TEST(EngineStatsTest, LinkNetworkVisitsOnlyFlowsSharingALink)
     // Radix-2 fat tree over 8 nodes: 0 -> 1 and 2 -> 3 each stay
     // under their own leaf (injection + ejection link), so the two
     // routes are disjoint. An admission walks its own two occupant
-    // lists: one recompute (itself) plus one repeat visit.
+    // lists: one bottleneck walk (its own) plus one repeat visit.
     const auto topo =
         net::compileTopology(net::topologies::fatTree(2), 8);
     obs::EngineStats stats;
@@ -272,18 +272,80 @@ TEST(EngineStatsTest, LinkNetworkVisitsOnlyFlowsSharingALink)
     EXPECT_TRUE(network.pendingReschedules().empty());
 
     // A flow joining flow 1's route finds both lists holding both
-    // flows: 4 visits, 2 recomputes. Cancelling it at once revisits
-    // flow 1 on both links (1 recompute + 1 repeat); its share
-    // returns to the full link, whose finish its armed event
+    // flows: 4 visits, of which one is the newcomer's walk and the
+    // other three take a min. Cancelling it at once frees two links
+    // whose share before the leave (1/2) is flow 1's rate, so flow
+    // 1 is walked on the first list and repeated on the second; its
+    // share returns to the full link, whose finish its armed event
     // already covers, so the re-arm is skipped.
     network.start(2, 2, 3, 4096, SimTime::fromNs(4096));
-    EXPECT_EQ(stats.rateRecomputes, 4u);
-    EXPECT_EQ(stats.recomputesSkipped, 4u);
-    network.cancel(2, SimTime::fromNs(4096));
-    EXPECT_EQ(stats.rateRecomputes, 5u);
+    EXPECT_EQ(stats.rateRecomputes, 3u);
     EXPECT_EQ(stats.recomputesSkipped, 5u);
+    network.cancel(2, SimTime::fromNs(4096));
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 6u);
     EXPECT_EQ(stats.rearmsTaken, 0u);
     EXPECT_EQ(stats.rearmsSkipped, 1u);
+}
+
+TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
+{
+    // Tapered radix-4 fat tree over 16 nodes at 3000 MB/s: NIC links
+    // carry 3 B/ns, leaf uplinks and downlinks 6 B/ns. R (0 -> 4),
+    // X (1 -> 5) and Y (2 -> 6) cross leaf 0's uplink and leaf 1's
+    // downlink; W (2 -> 3) shares Y's injection link and stays
+    // under leaf 0.
+    const auto topo = net::compileTopology(
+        net::topologies::taperedFatTree(4, 0.5), 16);
+    obs::EngineStats stats;
+    net::LinkNetwork network;
+    network.configure(&topo, 3000.0);
+    network.setStats(&stats);
+    const auto r = network.routeOf(0, 4);
+    const auto x = network.routeOf(1, 5);
+    const auto y = network.routeOf(2, 6);
+    const auto w = network.routeOf(2, 3);
+    ASSERT_EQ(r.size(), 4u);
+    ASSERT_EQ(w.size(), 2u);
+    ASSERT_TRUE(x[1] == r[1] && y[1] == r[1] && x[2] == r[2] &&
+                y[2] == r[2]);
+    ASSERT_EQ(y[0], w[0]);
+
+    // Each admission walks its own hops once (one recompute) and
+    // takes a min on every other occupant visit: R visits 4
+    // occupants, X 6, W 2, Y 2 + 3 + 3 + 1 = 9.
+    const SimTime t0 = SimTime::zero();
+    EXPECT_EQ(network.start(0, 0, 4, 12'000, t0).ns(), 4000);
+    EXPECT_EQ(network.start(1, 1, 5, 12'000, t0).ns(), 4000);
+    EXPECT_EQ(network.start(2, 2, 3, 12'000, t0).ns(), 4000);
+    // Y's bottleneck is its injection link, shared with W (1.5 B/ns).
+    EXPECT_EQ(network.start(3, 2, 6, 12'000, t0).ns(), 8000);
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 17u);
+
+    // Y's admission lowered X from 3 to the uplink's new share,
+    // 6 / 3 = 2 B/ns, with no walk of X's hops: X's finish event at
+    // 4000 ns fires early with 4000 bytes left, 2000 ns more.
+    const auto early = network.onFinishEvent(1, SimTime::fromNs(4000));
+    EXPECT_FALSE(early.done);
+    EXPECT_EQ(early.retry.ns(), 6000);
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+
+    // Cancelling R frees the uplink and downlink, whose share before
+    // the leave (2 B/ns) is X's rate but not Y's (1.5 B/ns, set by
+    // the NIC link it shares with W). Of the 4 occupant visits only
+    // X's first is a walk: it speeds up to 3 B/ns and re-arms at
+    // 4000 + ceil(4000 / 3). Y is not recomputed and takes no re-arm
+    // decision.
+    network.cancel(0, SimTime::fromNs(4000));
+    EXPECT_EQ(stats.rateRecomputes, 5u);
+    EXPECT_EQ(stats.recomputesSkipped, 20u);
+    EXPECT_EQ(stats.rearmsTaken, 1u);
+    EXPECT_EQ(stats.rearmsSkipped, 0u);
+    const auto rearms = network.pendingReschedules();
+    ASSERT_EQ(rearms.size(), 1u);
+    EXPECT_EQ(rearms[0].first, 1u);
+    EXPECT_EQ(rearms[0].second.ns(), 5334);
 }
 
 TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)
@@ -440,10 +502,11 @@ TEST(CacheStatsTest, ReportCoversBothCaches)
 
 TEST(CacheStatsTest, TopologyCacheCountsLiveTablesOnly)
 {
-    // A session holds at most one compiled topology: a miss that
-    // recompiles replaces the session's table, and destroying the
-    // session drops it. Three rounds of sessions, each replaying a
-    // 16-, a 32- and again a 16-rank stencil, leave nothing behind.
+    // A session keeps every topology it compiled, one table per
+    // (description, node count), and destroying the session drops
+    // them all. Three rounds of sessions, each replaying a 16-, a
+    // 32- and again a 16-rank stencil, compile two tables per round
+    // (the second 16-rank replay hits) and leave nothing behind.
     obs::resetCacheStats();
     const auto platform = sim::platforms::topologyCluster(
         net::topologies::taperedFatTree(4, 0.5));
@@ -456,25 +519,34 @@ TEST(CacheStatsTest, TopologyCacheCountsLiveTablesOnly)
     };
     gen::WorkloadConfig stencil;
     stencil.iterations = 1;
+    const std::uint64_t both = tableBytes(16) + tableBytes(32);
     for (std::uint64_t round = 1; round <= 3; ++round) {
         {
             sim::ReplaySession session;
-            for (const int ranks : {16, 32, 16}) {
+            const struct
+            {
+                int ranks;
+                std::uint64_t entries;
+                std::uint64_t bytes;
+            } steps[] = {{16, 1, tableBytes(16)}, {32, 2, both},
+                         {16, 2, both}};
+            for (const auto &step : steps) {
                 session.run(gen::generateTrace(
-                                gen::withRankCount(stencil, ranks), 1),
+                                gen::withRankCount(stencil, step.ranks),
+                                1),
                             platform);
                 const auto row = testing::cacheRow("topology");
-                EXPECT_EQ(row.entries, 1u) << ranks << " ranks";
-                EXPECT_EQ(row.bytes, tableBytes(ranks))
-                    << ranks << " ranks";
+                EXPECT_EQ(row.entries, step.entries)
+                    << step.ranks << " ranks";
+                EXPECT_EQ(row.bytes, step.bytes) << step.ranks << " ranks";
             }
         }
         const auto row = testing::cacheRow("topology");
         EXPECT_EQ(row.name, "topology");
         EXPECT_EQ(row.entries, 0u) << "round " << round;
         EXPECT_EQ(row.bytes, 0u) << "round " << round;
-        EXPECT_EQ(row.misses, 3 * round);
-        EXPECT_EQ(row.hits, 0u);
+        EXPECT_EQ(row.misses, 2 * round);
+        EXPECT_EQ(row.hits, round);
     }
 }
 
@@ -644,6 +716,27 @@ TEST(ObsCampaignTest, PlatformCampaignCompilesEachProgramOnce)
     EXPECT_EQ(cobs.spans.size(),
               once.size() + platforms.size() * once.size());
     expectWellFormedSpans(cobs, 2);
+}
+
+TEST(ObsCampaignTest, PlatformCampaignCompilesEachTopologyOnce)
+{
+    // One lane replays the three programs on the five standard
+    // topologies at three bandwidths, costliest first, so the
+    // fabrics interleave on it. Its session keeps every table it
+    // compiled: each of the four routed fabrics misses once, every
+    // later replay on it hits, and the tables leave with the lane's
+    // session when the campaign ends.
+    const HookCampaigns c;
+    const auto platforms = testing::atBandwidths(
+        testing::withTopologies(c.base, core::standardTopologies()),
+        c.grid);
+    obs::resetCacheStats();
+    core::platformSweep(c.bundle, platforms, c.variants, 1);
+    const auto row = testing::cacheRow("topology");
+    EXPECT_EQ(row.misses, 4u);
+    EXPECT_EQ(row.hits, 4 * c.grid.size() * 3 - 4);
+    EXPECT_EQ(row.entries, 0u);
+    EXPECT_EQ(row.bytes, 0u);
 }
 
 TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)

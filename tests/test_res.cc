@@ -989,13 +989,16 @@ expectPinned(const sim::SimResult &r, const CkptPin &pin)
  * The everything-on combination on the tapered fat tree and on the
  * flat bus, each replayed in a fresh session. Recorded from the
  * engine whose checkpoint image mirrored the imaged members field
- * by field. snapshotBytes pins how much state every image and
- * restore copies, so a member that leaves or joins the image, or a
- * network left over from an earlier replay, moves it.
+ * by field; the fat tree's rate recomputes and repeat visits were
+ * re-pinned (36/64 -> 27/73) when the link network stopped
+ * re-deriving bottlenecks a change could not move. snapshotBytes
+ * pins how much state every image and restore copies, so a member
+ * that leaves or joins the image, or a network left over from an
+ * earlier replay, moves it.
  */
 const CkptPin routedEverythingOnPin = {
     1387000, 62, 8, 1, 0xe70cd2e675cedbddULL,
-    {69, 62, 0, 0, 0, 16, 36, 64, 1, 9, 7, 32, 115000, 24504}};
+    {69, 62, 0, 0, 0, 16, 27, 73, 1, 9, 7, 32, 115000, 24504}};
 const CkptPin flatEverythingOnPin = {
     2504000, 68, 15, 1, 0x060a54533a9de82dULL,
     {74, 68, 0, 4, 37, 16, 0, 0, 0, 0, 7, 32, 115000, 27416}};

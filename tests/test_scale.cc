@@ -7,14 +7,16 @@
  *    (64 MiB gradient, 50M-instruction steps, seed 1) with
  *    algorithmic recursive-doubling allreduce at 4096 MB/s, on the
  *    gen-scale tapered fat tree and on the auto-sized dragonfly:
- *    total simulated time, events, rate recomputes and repeat
- *    occupant visits, recorded from the all-pairs route-table
- *    network;
+ *    total simulated time and events, recorded from the all-pairs
+ *    route-table network, and rate recomputes and repeat occupant
+ *    visits, re-pinned when an admission stopped re-deriving its
+ *    neighbours' bottlenecks and a removal began re-deriving only
+ *    the flows it bottlenecked;
  *  - the original of a generated stencil with family defaults on
  *    the tapered fat tree: the same four figures plus a hash of
- *    per-rank end times, recorded from the eager-settle network,
- *    and byte conservation (every byte and message the trace sends
- *    is received once);
+ *    per-rank end times, recorded from the eager-settle network
+ *    (the two counters re-pinned likewise), and byte conservation
+ *    (every byte and message the trace sends is received once);
  *  - memory: a compiled 4096-node topology is O(links), at most 64
  *    bytes per link (the route table it replaced held 828 MB for
  *    the tapered tree);
@@ -123,14 +125,14 @@ expectReplayPinned(const net::TopologyConfig &topology,
 TEST(ScalePinTest, MlTrainingOnTaperedFatTree)
 {
     expectReplayPinned(net::topologies::taperedFatTree(4, 0.5),
-                       {2'114'480'001, 144'728, 11'182'080,
-                        18'604'032});
+                       {2'114'480'001, 144'728, 5'604'312,
+                        24'181'800});
 }
 
 TEST(ScalePinTest, MlTrainingOnDragonfly)
 {
     expectReplayPinned(net::topologies::dragonfly(),
-                       {754'608'000, 139'264, 176'128, 176'128});
+                       {754'608'000, 139'264, 112'640, 239'616});
 }
 
 TEST(ScalePinTest, StencilOnTaperedFatTree)
@@ -139,7 +141,7 @@ TEST(ScalePinTest, StencilOnTaperedFatTree)
         gen::generateTrace(gen::withRankCount(stencil(), kRanks), 1);
     const auto result =
         replayPinned(traces, net::topologies::taperedFatTree(4, 0.5),
-                     {5'015'008, 687'329, 4'348'390, 5'160'764});
+                     {5'015'008, 687'329, 1'674'060, 7'835'094});
     EXPECT_EQ(testing::endTimeHash(result), 0x20c513ad0883193cULL);
 
     // Byte conservation: every payload byte and message the trace

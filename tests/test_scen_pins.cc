@@ -32,7 +32,12 @@
  * (every rank sends first), so its rendezvous cells are left out.
  *
  * A mismatch prints the cell's replayed row in table syntax, so a
- * deliberate re-pin is a reviewable copy of the printed rows.
+ * deliberate re-pin is a reviewable copy of the printed rows. The
+ * fat-tree cells' rateRecomputes, recomputesSkipped and
+ * rearmsSkipped were re-pinned, every other column unedited, when
+ * the link network stopped re-deriving bottlenecks that an
+ * admission or removal could not move; the two visit counters
+ * still sum to the same occupant visits.
  */
 
 #include <gtest/gtest.h>
@@ -359,10 +364,10 @@ TEST(ScenarioPinTest, RingExchange)
          54, 54, 24, 0, 12, 12, 24, 0, 0, 2, 0, 0},
         // fat-tree overlapping-node-degrades
         {2620432, 49, 12, 0, 0, 0xffb061bb8416d772ULL,
-         49, 49, 24, 0, 12, 18, 26, 2, 3, 4, 0, 0},
+         49, 49, 24, 0, 12, 17, 27, 2, 3, 4, 0, 0},
         // fat-tree overlapping-node-degrades ckpt
         {2750432, 63, 12, 13, 0, 0x18d0617a8e8407b8ULL,
-         63, 63, 24, 0, 12, 18, 26, 2, 3, 4, 0, 0},
+         63, 63, 24, 0, 12, 17, 27, 2, 3, 4, 0, 0},
         // fat-tree node-stall
         {2331324, 44, 12, 0, 0, 0x29d2fff35aeca75bULL,
          44, 44, 24, 0, 12, 16, 24, 2, 2, 2, 0, 0},
@@ -371,10 +376,10 @@ TEST(ScenarioPinTest, RingExchange)
          56, 56, 24, 0, 12, 16, 24, 2, 2, 2, 0, 0},
         // fat-tree background
         {2543324, 47, 12, 0, 0, 0x7fdca10e410dadc5ULL,
-         47, 47, 24, 0, 12, 26, 30, 1, 5, 2, 0, 0},
+         47, 47, 24, 0, 12, 20, 36, 1, 5, 2, 0, 0},
         // fat-tree background ckpt
         {2663324, 60, 12, 12, 0, 0x6007f213aa241ac5ULL,
-         60, 60, 24, 0, 12, 26, 30, 1, 5, 2, 0, 0},
+         60, 60, 24, 0, 12, 20, 36, 1, 5, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {2390923, 99, 12, 10, 1, 0x017311e2148a8231ULL,
          105, 99, 24, 0, 12, 14, 24, 2, 0, 38, 0, 157630},
@@ -496,10 +501,10 @@ TEST(ScenarioPinTest, ProducerConsumer)
          56, 56, 2, 0, 1, 2, 1, 1, 0, 2, 0, 0},
         // fat-tree background
         {5538250, 12, 1, 0, 0, 0x499844b95bdfbd34ULL,
-         11, 11, 2, 0, 1, 5, 5, 1, 0, 2, 0, 0},
+         11, 11, 2, 0, 1, 4, 6, 1, 0, 2, 0, 0},
         // fat-tree background ckpt
         {5813250, 68, 1, 55, 0, 0x7b95dd7d3d39348eULL,
-         68, 68, 2, 0, 1, 5, 5, 1, 0, 2, 0, 0},
+         68, 68, 2, 0, 1, 4, 6, 1, 0, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {6016851, 107, 1, 53, 7, 0xb3541a07b1108f1cULL,
          128, 107, 2, 0, 1, 31, 1, 0, 30, 46, 0, 353861},
@@ -596,43 +601,43 @@ TEST(ScenarioPinTest, Sweep3dOneIteration)
          1172, 1159, 825, 0, 384, 0, 0, 0, 0, 28, 0, 1459166},
         // fat-tree unfired-degrade
         {14441776, 1232, 384, 0, 0, 0x55aa6a4babc211c9ULL,
-         1230, 1230, 768, 0, 384, 960, 1600, 0, 288, 1, 0, 0},
+         1230, 1230, 768, 0, 384, 672, 1888, 0, 288, 1, 0, 0},
         // fat-tree unfired-degrade ckpt
         {15141776, 1243, 384, 10, 0, 0x1fd3540dbd34af38ULL,
-         1243, 1243, 768, 0, 384, 960, 1600, 0, 288, 1, 0, 0},
+         1243, 1243, 768, 0, 384, 672, 1888, 0, 288, 1, 0, 0},
         // fat-tree degrade-recover-all
         {15369969, 1299, 384, 0, 0, 0x005088a19beef0cfULL,
-         1298, 1298, 768, 0, 384, 1148, 1936, 55, 328, 2, 0, 0},
+         1298, 1298, 768, 0, 384, 731, 2353, 55, 292, 2, 0, 0},
         // fat-tree degrade-recover-all ckpt
         {16069969, 1310, 384, 10, 0, 0x645320947c47f7a8ULL,
-         1309, 1309, 768, 0, 384, 1148, 1936, 55, 328, 2, 0, 0},
+         1309, 1309, 768, 0, 384, 731, 2353, 55, 292, 2, 0, 0},
         // fat-tree overlapping-node-degrades
         {15119553, 1253, 384, 0, 0, 0x6edc9832ce4d68d6ULL,
-         1251, 1251, 768, 0, 384, 1024, 1728, 35, 286, 4, 0, 0},
+         1251, 1251, 768, 0, 384, 685, 2067, 35, 266, 4, 0, 0},
         // fat-tree overlapping-node-degrades ckpt
         {15819553, 1264, 384, 10, 0, 0x826d6ff05d4ff119ULL,
-         1262, 1262, 768, 0, 384, 1024, 1728, 35, 286, 4, 0, 0},
+         1262, 1262, 768, 0, 384, 685, 2067, 35, 266, 4, 0, 0},
         // fat-tree node-stall
         {16420544, 1227, 384, 0, 0, 0xd844bb8bfc839171ULL,
-         1224, 1224, 768, 0, 384, 964, 1606, 2, 289, 2, 0, 0},
+         1224, 1224, 768, 0, 384, 671, 1899, 2, 285, 2, 0, 0},
         // fat-tree node-stall ckpt
         {17190544, 1239, 384, 11, 0, 0x6d0bb00a01ac5bc6ULL,
-         1237, 1237, 768, 0, 384, 964, 1606, 2, 289, 2, 0, 0},
+         1237, 1237, 768, 0, 384, 671, 1899, 2, 285, 2, 0, 0},
         // fat-tree background
         {14528756, 1255, 384, 0, 0, 0x5f3acd189e14f4c4ULL,
-         1253, 1253, 768, 0, 384, 1018, 1692, 19, 297, 2, 0, 0},
+         1253, 1253, 768, 0, 384, 692, 2018, 19, 287, 2, 0, 0},
         // fat-tree background ckpt
         {15228756, 1266, 384, 10, 0, 0xfc78d9fe252d864fULL,
-         1265, 1265, 768, 0, 384, 1018, 1692, 19, 297, 2, 0, 0},
+         1265, 1265, 768, 0, 384, 692, 2018, 19, 287, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {16776656, 1432, 384, 10, 1, 0x99eda84d4e4b99b5ULL,
-         1446, 1430, 858, 0, 384, 1109, 1829, 24, 318, 38, 0, 1103414},
+         1446, 1430, 858, 0, 384, 759, 2179, 24, 309, 38, 0, 1103414},
         // fat-tree faults-seed-2 ckpt
         {17363279, 1510, 384, 10, 2, 0x55cd865e3ed1931dULL,
-         1550, 1508, 907, 0, 384, 1202, 2033, 24, 354, 44, 0, 1828309},
+         1550, 1508, 907, 0, 384, 811, 2424, 24, 332, 44, 0, 1828309},
         // fat-tree faults-seed-3 ckpt
         {16840360, 1476, 384, 10, 1, 0x8ef632a365bbc209ULL,
-         1493, 1475, 884, 0, 384, 1145, 1931, 31, 322, 28, 0, 1459166},
+         1493, 1475, 884, 0, 384, 781, 2295, 31, 308, 28, 0, 1459166},
     });
 }
 
