@@ -8,8 +8,9 @@
 #               _GLIBCXX_ASSERTIONS: checked operator[], std::clamp
 #               bounds and friends), full ctest suite (which runs
 #               the eight paper benches, quickstart,
-#               timeline_gallery, resilience_study and the three
-#               platform-campaign studies end to end
+#               timeline_gallery, resilience_study, the three
+#               platform-campaign studies and generator_study end
+#               to end
 #               through the bench_pins entry, label `bench`, and
 #               its error rows: four user
 #               errors that must exit 1 with the message once,
@@ -57,7 +58,7 @@
 #               costliest-first replays)
 #
 # After touching bench/ or an example, run `ctest -L bench` in a
-# build tree: bench_pins hashes the benches' and six examples'
+# build tree: bench_pins hashes the benches' and seven examples'
 # stdout and written files against pins recorded before the change.
 #
 # Usage:

@@ -16,10 +16,10 @@
  *  - start() admits a flow and returns the finish time to schedule,
  *  - onFinishEvent() is called when a scheduled finish event fires;
  *    it either completes the flow (freeing its links and recomputing
- *    the survivors' rates) or reports the corrected finish time to
- *    reschedule — flows slow down lazily (the stale early event
- *    re-arms itself) and speed up eagerly (completions emit
- *    reschedules via pendingReschedules()).
+ *    the rates of the flows it bottlenecked) or reports the
+ *    corrected finish time to reschedule — flows slow down lazily
+ *    (the stale early event re-arms itself) and speed up eagerly
+ *    (completions emit reschedules via pendingReschedules()).
  *
  * Each flow carries its own hops: its effective route (the
  * topology's computed route, or a scenario reroute detour) is
@@ -46,12 +46,13 @@
  * Both are exact: a min is, and a share only falls as its link's
  * occupancy grows. A rescale (applyScales) and a reroute recompute
  * every flow they touch, and a staged rescale must be committed
- * before the next admission or removal. Only the
- * progress settle (advanceAll) walks every flow, and only when some
- * flow's clock can be behind the settle instant: the network keeps a
- * floor under every flow's clock, so the settles of a round that
- * admits and retires many flows at one instant cost one comparison
- * each.
+ * before the next admission or removal.
+ *
+ * Only the progress settle (advanceAll) walks every flow, and only
+ * when some flow's clock can be behind the settle instant: the
+ * network keeps a floor under every flow's clock, so the settles of
+ * a round that admits and retires many flows at one instant cost
+ * one comparison each.
  *
  * Scheduling stays deterministic: each flow carries its admission
  * sequence number and rate changes are handed out in that order,
