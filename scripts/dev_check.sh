@@ -12,21 +12,24 @@
 #               platform-campaign studies and generator_study end
 #               to end
 #               through the bench_pins entry, label `bench`, and
-#               its error rows: four user
-#               errors that must exit 1 with the message once,
-#               never through std::terminate), then
+#               its error rows: six user
+#               errors, two of them malformed input files, that
+#               must exit 1 with the message once, never through
+#               std::terminate), then
 #               explicit serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
-#               `ctest -L bus` and `ctest -L scen` passes (the
-#               rollback arenas and snapshot splices are where
-#               lifetime bugs would live; generation builds large
+#               `ctest -L bus`, `ctest -L scen` and `ctest -L parse`
+#               passes (the rollback arenas and snapshot splices
+#               are where lifetime bugs would live; generation
+#               builds large
 #               traces from raw loops; the trace exporter serializes
 #               raw span buffers; the link network's occupant pool
 #               and per-flow hop slots, the bus/NIC wait lists, the
 #               message-slot table and the active scenario's live
-#               list and its rollback restore are index-linked, and
+#               list and its rollback restore are index-linked,
 #               only the 4096-node scale tests reach the large link
-#               and hop-slot indices)
+#               and hop-slot indices, and the seeded mutation fuzz
+#               feeds every text reader hostile input)
 #   3. UBSAN:   OVLSIM_UBSAN build, also with libstdc++
 #               assertions, full ctest suite (the bench pins and
 #               their error rows again; signed overflow and friends
@@ -38,12 +41,14 @@
 #               roundNs helper instead),
 #               then the same serial `ctest -L res`, `ctest -L gen`,
 #               `ctest -L obs`, `ctest -L net`, `ctest -L scale`,
-#               `ctest -L bus` and `ctest -L scen` passes (rollback
+#               `ctest -L bus`, `ctest -L scen` and `ctest -L parse`
+#               passes (rollback
 #               deltas, generator index/byte arithmetic, the counter
 #               accumulations, the occupant-list, hop-slot,
 #               wait-list, message-slot and live-list indices, the
-#               effective-time shifts and the computed-route index
-#               arithmetic are where integer bugs would live)
+#               effective-time shifts, the computed-route index
+#               arithmetic and the readers' field conversions are
+#               where integer bugs would live)
 #   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
 #               pool, the campaign lane runner's sweeps and their
 #               pin table, the paper benches' two-lane sweeps and
@@ -96,7 +101,7 @@ if [[ "$FAST" == 1 ]]; then
     exit 0
 fi
 
-echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/scale/bus/scen labels) =="
+echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs/net/scale/bus/scen/parse labels) =="
 stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-asan" && ctest --output-on-failure -L res)
@@ -106,8 +111,9 @@ stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L bus)
 (cd "$PREFIX-asan" && ctest --output-on-failure -L scen)
+(cd "$PREFIX-asan" && ctest --output-on-failure -L parse)
 
-echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/scale/bus/scen labels) =="
+echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs/net/scale/bus/scen/parse labels) =="
 stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -j "$JOBS")
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L res)
@@ -117,6 +123,7 @@ stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L scale)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L bus)
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -L scen)
+(cd "$PREFIX-ubsan" && ctest --output-on-failure -L parse)
 
 echo "== dev_check: stage 4/4 TSAN (parallel + coll + res + gen labels) =="
 stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_TSAN=ON

@@ -1,106 +1,83 @@
 #include "workload_file.hh"
 
 #include <fstream>
-#include <limits>
 
-#include "util/keyvalue.hh"
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace ovlsim::gen {
 
-namespace {
-
-/** Current value as an `int`, rejecting negatives and overflow. */
-int
-intOf(const KeyValueReader &reader)
-{
-    const std::int64_t v = reader.nonNegativeInt();
-    if (v > std::numeric_limits<int>::max()) {
-        reader.fail("key '", reader.key(),
-                    "' is out of range, got '", reader.value(),
-                    "'");
-    }
-    return static_cast<int>(v);
-}
-
-/** Current value as a Bytes/Instr count (non-negative 64-bit). */
-std::uint64_t
-u64Of(const KeyValueReader &reader)
-{
-    return static_cast<std::uint64_t>(reader.nonNegativeInt());
-}
-
-} // namespace
-
 WorkloadConfig
 readWorkloadConfig(std::istream &is, const std::string &source)
 {
     WorkloadConfig config;
-    KeyValueReader reader(is, source);
-    while (reader.next()) {
-        const std::string &key = reader.key();
-        const std::string &value = reader.value();
+    LineReader reader(is, source);
+    reader.forEachLine([&] {
+        const auto [key, value] = reader.keyValue();
+        const auto count = [&value] {
+            return parseNumber<int>(value, Sign::nonNegative);
+        };
+        const auto amount = [&value] {
+            return parseNumber<std::uint64_t>(value);
+        };
+        const auto fraction = [&value] {
+            return parseNumber<double>(value, Sign::nonNegative);
+        };
         if (key == "kind") {
-            try {
-                config.kind = workloadKindFromName(value);
-            } catch (const FatalError &err) {
-                reader.fail(err.what());
-            }
+            config.kind = workloadKindFromName(value);
         } else if (key == "name") {
             config.name = value;
         } else if (key == "ranks") {
-            config.ranks = intOf(reader);
+            config.ranks = count();
         } else if (key == "iterations") {
-            config.iterations = intOf(reader);
+            config.iterations = count();
         } else if (key == "mips") {
-            config.mips = reader.positiveDouble();
+            config.mips = parseNumber<double>(value, Sign::positive);
         } else if (key == "stencil_dims") {
-            config.stencilDims = intOf(reader);
+            config.stencilDims = count();
         } else if (key == "halo_bytes") {
-            config.haloBytes = u64Of(reader);
+            config.haloBytes = amount();
         } else if (key == "compute_per_iteration") {
-            config.computePerIteration = u64Of(reader);
+            config.computePerIteration = amount();
         } else if (key == "compute_jitter") {
-            config.computeJitter = reader.nonNegativeDouble();
+            config.computeJitter = fraction();
         } else if (key == "gradient_bytes") {
-            config.gradientBytes = u64Of(reader);
+            config.gradientBytes = amount();
         } else if (key == "gradient_buckets") {
-            config.gradientBuckets = intOf(reader);
+            config.gradientBuckets = count();
         } else if (key == "step_instr") {
-            config.stepInstr = u64Of(reader);
+            config.stepInstr = amount();
         } else if (key == "servers") {
-            config.servers = intOf(reader);
+            config.servers = count();
         } else if (key == "requests_per_client") {
-            config.requestsPerClient = intOf(reader);
+            config.requestsPerClient = count();
         } else if (key == "request_bytes") {
-            config.requestBytes = u64Of(reader);
+            config.requestBytes = amount();
         } else if (key == "reply_bytes") {
-            config.replyBytes = u64Of(reader);
+            config.replyBytes = amount();
         } else if (key == "client_instr") {
-            config.clientInstr = u64Of(reader);
+            config.clientInstr = amount();
         } else if (key == "server_instr") {
-            config.serverInstr = u64Of(reader);
+            config.serverInstr = amount();
         } else if (key == "churn_probability") {
-            config.churnProbability =
-                reader.nonNegativeDouble();
+            config.churnProbability = fraction();
         } else if (key == "ops_per_round") {
-            config.opsPerRound = intOf(reader);
+            config.opsPerRound = count();
         } else if (key == "store_fraction") {
-            config.storeFraction = reader.nonNegativeDouble();
+            config.storeFraction = fraction();
         } else if (key == "key_bytes") {
-            config.keyBytes = u64Of(reader);
+            config.keyBytes = amount();
         } else if (key == "value_bytes") {
-            config.valueBytes = u64Of(reader);
+            config.valueBytes = amount();
         } else if (key == "hop_instr") {
-            config.hopInstr = u64Of(reader);
+            config.hopInstr = amount();
         } else {
-            reader.fail("unknown key '", key, "'");
+            fatal("unknown key '", key, "'");
         }
-    }
-    // Cross-field domain checks; every error names the workload
-    // and the offending key.
-    config.validate();
+    });
+    // Cross-field domain checks, each naming the offending key.
+    reader.check([&] { config.validate(); });
     return config;
 }
 

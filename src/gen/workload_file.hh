@@ -4,11 +4,11 @@
  *
  * Synthetic workloads version and swap like platforms do: a
  * line-oriented `key = value` format covering every WorkloadConfig
- * field, parsed through the shared util/keyvalue.hh reader, so
- * workload files get the platform-file robustness guarantees
- * (file+line in every FatalError, duplicate-key rejection,
- * NaN/inf/out-of-domain numeric rejection naming the key) by
- * construction.
+ * field, read through util/line_reader.hh like platform files: its
+ * comment rule, `<file> line <n>: ` in every error on a line,
+ * duplicate keys fatal, and NaN, inf, a number that does not fit
+ * the field or an out-of-domain sign rejected on its line. The
+ * cross-field checks after the last line name the file.
  *
  *   # stencil-2d.wl
  *   kind = stencil
@@ -36,9 +36,9 @@ namespace ovlsim::gen {
 
 /**
  * Parse a workload config from a stream. Unknown and duplicate keys
- * are fatal; `source` names the stream in every parse error. The
- * parsed config is validated (WorkloadConfig::validate) before it
- * is returned.
+ * are fatal; `source` names the stream in every error. The parsed
+ * config is validated (WorkloadConfig::validate) before it is
+ * returned.
  */
 WorkloadConfig readWorkloadConfig(
     std::istream &is, const std::string &source = "workload config");

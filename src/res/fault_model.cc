@@ -1,14 +1,12 @@
 #include "fault_model.hh"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
-#include <map>
 #include <ostream>
-#include <sstream>
 
 #include "util/counter_rng.hh"
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -37,7 +35,8 @@ scopeString(const FaultProcess &proc)
       case scen::ScenTarget::node:
         return strformat("node %d", proc.nodeA);
       default:
-        return strformat("link %d %d", proc.nodeA, proc.nodeB);
+        return strformat("%s %d %d", scen::scenTargetName(proc.target),
+                         proc.nodeA, proc.nodeB);
     }
 }
 
@@ -63,74 +62,74 @@ FaultProcess::describe() const
 }
 
 void
+FaultProcess::validate() const
+{
+    if (target != scen::ScenTarget::node &&
+        target != scen::ScenTarget::link &&
+        target != scen::ScenTarget::all) {
+        fatal("fault model: processes target a node, a link or the "
+              "whole machine (", describe(), ")");
+    }
+    if (target == scen::ScenTarget::all &&
+        (effect != FaultEffect::failStop || usesTrace())) {
+        fatal("fault model: machine-wide processes are fail-stop "
+              "only (", describe(), ")");
+    }
+    if (target != scen::ScenTarget::all && nodeA < 0) {
+        fatal("fault model: process names no target node (",
+              describe(), ")");
+    }
+    if (target == scen::ScenTarget::link &&
+        (nodeB < 0 || nodeB == nodeA)) {
+        fatal("fault model: link processes need two distinct nodes (",
+              describe(), ")");
+    }
+    if (usesTrace()) {
+        if (!(periodicityUs > 0.0) || !std::isfinite(periodicityUs)) {
+            fatal("fault model: trace periodicity must be positive (",
+                  describe(), ")");
+        }
+        double prev = -1.0;
+        for (const AvailabilityPoint &pt : trace) {
+            if (!(pt.timeUs >= 0.0) || pt.timeUs >= periodicityUs ||
+                pt.timeUs <= prev) {
+                fatal("fault model: trace times must be strictly "
+                      "increasing within [0, periodicity) (",
+                      describe(), ")");
+            }
+            prev = pt.timeUs;
+            if (!(pt.value >= 0.0) || pt.value > 1.0 ||
+                !std::isfinite(pt.value)) {
+                fatal("fault model: trace values are capacity "
+                      "fractions in [0, 1] (", describe(), ")");
+            }
+        }
+        return;
+    }
+    if (!(mtbfUs > 0.0) || !std::isfinite(mtbfUs)) {
+        fatal("fault model: mtbf_us must be positive (", describe(),
+              ")");
+    }
+    if (effect != FaultEffect::failStop &&
+        (!(mttrUs > 0.0) || !std::isfinite(mttrUs))) {
+        fatal("fault model: recoverable processes need a positive "
+              "mttr_us (", describe(), ")");
+    }
+    if (effect == FaultEffect::degrade &&
+        (!(degradeFactor > 0.0) || degradeFactor >= 1.0)) {
+        fatal("fault model: degrade factors lie in (0, 1) (",
+              describe(), ")");
+    }
+}
+
+void
 FaultModel::validate() const
 {
     if (!(horizonUs >= 0.0) || !std::isfinite(horizonUs))
         fatal("fault model: horizon_us must be finite and "
               "non-negative");
-    for (const FaultProcess &proc : processes) {
-        if (proc.target != scen::ScenTarget::node &&
-            proc.target != scen::ScenTarget::link &&
-            proc.target != scen::ScenTarget::all) {
-            fatal("fault model: processes target a node, a link or "
-                  "the whole machine (", proc.describe(), ")");
-        }
-        if (proc.target == scen::ScenTarget::all &&
-            (proc.effect != FaultEffect::failStop ||
-             proc.usesTrace())) {
-            fatal("fault model: machine-wide processes are "
-                  "fail-stop only (", proc.describe(), ")");
-        }
-        if (proc.target != scen::ScenTarget::all && proc.nodeA < 0) {
-            fatal("fault model: process names no target node (",
-                  proc.describe(), ")");
-        }
-        if (proc.target == scen::ScenTarget::link &&
-            (proc.nodeB < 0 || proc.nodeB == proc.nodeA)) {
-            fatal("fault model: link processes need two distinct "
-                  "nodes (", proc.describe(), ")");
-        }
-        if (proc.usesTrace()) {
-            if (!(proc.periodicityUs > 0.0) ||
-                !std::isfinite(proc.periodicityUs)) {
-                fatal("fault model: trace periodicity must be "
-                      "positive (", proc.describe(), ")");
-            }
-            double prev = -1.0;
-            for (const AvailabilityPoint &pt : proc.trace) {
-                if (!(pt.timeUs >= 0.0) ||
-                    pt.timeUs >= proc.periodicityUs ||
-                    pt.timeUs <= prev) {
-                    fatal("fault model: trace times must be "
-                          "strictly increasing within [0, "
-                          "periodicity) (", proc.describe(), ")");
-                }
-                prev = pt.timeUs;
-                if (!(pt.value >= 0.0) || pt.value > 1.0 ||
-                    !std::isfinite(pt.value)) {
-                    fatal("fault model: trace values are capacity "
-                          "fractions in [0, 1] (", proc.describe(),
-                          ")");
-                }
-            }
-            continue;
-        }
-        if (!(proc.mtbfUs > 0.0) || !std::isfinite(proc.mtbfUs)) {
-            fatal("fault model: mtbf_us must be positive (",
-                  proc.describe(), ")");
-        }
-        if (proc.effect != FaultEffect::failStop &&
-            (!(proc.mttrUs > 0.0) || !std::isfinite(proc.mttrUs))) {
-            fatal("fault model: recoverable processes need a "
-                  "positive mttr_us (", proc.describe(), ")");
-        }
-        if (proc.effect == FaultEffect::degrade &&
-            (!(proc.degradeFactor > 0.0) ||
-             proc.degradeFactor >= 1.0)) {
-            fatal("fault model: degrade factors lie in (0, 1) (",
-                  proc.describe(), ")");
-        }
-    }
+    for (const FaultProcess &proc : processes)
+        proc.validate();
 }
 
 namespace {
@@ -331,17 +330,6 @@ dalyInterval(double mtbf_us, double checkpoint_cost_us)
 
 namespace {
 
-std::vector<std::string>
-tokensOf(const std::string &line)
-{
-    std::istringstream in(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (in >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
 std::string
 joinDir(const std::string &dir, const std::string &path)
 {
@@ -358,21 +346,6 @@ dirOf(const std::string &path)
                                       : path.substr(0, slash);
 }
 
-/** A seed as writeFaultModel writes it: any unsigned 64-bit
- * integer, with no sign. */
-std::uint64_t
-parseSeed(const std::string &text)
-{
-    std::uint64_t seed = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
-    if (ec != std::errc() || ptr != end) {
-        fatal("seed must be an unsigned 64-bit integer, got '",
-              text, "'");
-    }
-    return seed;
-}
-
 } // namespace
 
 std::vector<AvailabilityPoint>
@@ -381,46 +354,26 @@ readAvailabilityTrace(std::istream &in, const std::string &source,
 {
     std::vector<AvailabilityPoint> trace;
     periodicity_us = 0.0;
-    // A trace has one period: a second header is a typo, fatal at
-    // its line, naming the first.
-    std::size_t period_line = 0;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::size_t comment = line.find('#');
-        if (comment != std::string::npos)
-            line.resize(comment);
-        const auto tokens = tokensOf(line);
-        if (tokens.empty())
-            continue;
-        try {
-            if (tokens[0] == "PERIODICITY") {
-                if (period_line != 0) {
-                    fatal("duplicate PERIODICITY (first set on line ",
-                          period_line, ")");
-                }
-                if (tokens.size() != 2)
-                    fatal("expected `PERIODICITY <us>`");
-                periodicity_us = parseDouble(tokens[1]);
-                period_line = line_no;
-            } else {
-                if (period_line == 0)
-                    fatal("availability trace must start with "
-                          "`PERIODICITY <us>`");
-                if (tokens.size() != 2)
-                    fatal("expected `<time_us> <value>`");
-                AvailabilityPoint pt;
-                pt.timeUs = parseDouble(tokens[0]);
-                pt.value = parseDouble(tokens[1]);
-                trace.push_back(pt);
-            }
-        } catch (const FatalError &err) {
-            fatal(source, " line ", line_no, ": ", err.what());
+    LineReader line(in, source);
+    line.forEachLine([&] {
+        if (line[0] == "PERIODICITY") {
+            // A trace has one period: a second header is a typo.
+            line.once(line[0]);
+            line.expectTokens(2, "PERIODICITY <us>");
+            periodicity_us = parseNumber<double>(line[1]);
+            return;
         }
-    }
-    if (period_line == 0 || trace.empty())
-        fatal(source, ": availability trace has no points");
+        if (line.seenLine("PERIODICITY") == 0)
+            fatal("availability trace must start with "
+                  "`PERIODICITY <us>`");
+        line.expectTokens(2, "<time_us> <value>");
+        trace.push_back(
+            {parseNumber<double>(line[0]), parseNumber<double>(line[1])});
+    });
+    line.check([&] {
+        if (trace.empty())
+            fatal("availability trace has no points");
+    });
     return trace;
 }
 
@@ -439,111 +392,58 @@ readFaultModel(std::istream &in, const std::string &source,
                const std::string &dir)
 {
     FaultModel model;
-    // A model describes one machine, so a repeated key is a typo:
-    // fatal at its second occurrence, naming the first line.
-    std::map<std::string, std::size_t> key_lines;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::size_t comment = line.find('#');
-        if (comment != std::string::npos)
-            line.resize(comment);
-        const auto tokens = tokensOf(line);
-        if (tokens.empty())
-            continue;
-        try {
-            if (tokens.size() == 3 && tokens[1] == "=") {
-                const std::string &key = tokens[0];
-                if (key != "seed" && key != "horizon_us") {
-                    fatal("unknown fault model key '", key,
-                          "' (expected seed or horizon_us)");
-                }
-                const auto [first, fresh] =
-                    key_lines.emplace(key, line_no);
-                if (!fresh) {
-                    fatal("duplicate key '", key,
-                          "' (first set on line ", first->second,
-                          ")");
-                }
-                if (key == "seed")
-                    model.seed = parseSeed(tokens[2]);
-                else
-                    model.horizonUs = parseDouble(tokens[2]);
-                continue;
-            }
-            if (tokens[0] != "process") {
-                fatal("expected `<key> = <value>` or `process "
-                      "<node|link> ...`");
-            }
-            FaultProcess proc;
-            std::size_t pos = 1;
-            const auto need = [&](std::size_t extra,
-                                  const char *what) {
-                if (pos + extra > tokens.size())
-                    fatal("truncated process: missing ", what);
-            };
-            need(1, "target");
-            const std::string &t = tokens[pos++];
-            if (t == "all") {
-                proc.target = scen::ScenTarget::all;
-            } else if (t == "node") {
-                need(1, "node id");
-                proc.target = scen::ScenTarget::node;
-                proc.nodeA = checkedInt(parseInt(tokens[pos++]));
-            } else if (t == "link") {
-                need(2, "node pair");
-                proc.target = scen::ScenTarget::link;
-                proc.nodeA = checkedInt(parseInt(tokens[pos++]));
-                proc.nodeB = checkedInt(parseInt(tokens[pos++]));
+    LineReader line(in, source);
+    line.forEachLine([&] {
+        if (line[0] != "process") {
+            const auto [key, value] = line.keyValue();
+            if (key == "seed") {
+                model.seed = parseNumber<std::uint64_t>(value);
+            } else if (key == "horizon_us") {
+                model.horizonUs =
+                    parseNumber<double>(value, Sign::nonNegative);
             } else {
-                fatal("unknown process target '", t,
-                      "' (expected all, node or link)");
+                fatal("unknown fault model key '", key,
+                      "' (expected seed or horizon_us)");
             }
-            need(1, "effect");
-            const std::string &effect = tokens[pos++];
-            if (effect == "trace") {
-                need(1, "trace path");
-                proc.tracePath = tokens[pos++];
-                proc.trace = readAvailabilityTraceFile(
-                    joinDir(dir, proc.tracePath),
-                    proc.periodicityUs);
-            } else if (effect == "fail-stop") {
-                proc.effect = FaultEffect::failStop;
-            } else if (effect == "stall") {
-                proc.effect = FaultEffect::stall;
-            } else if (effect == "degrade") {
-                need(1, "degrade factor");
-                proc.effect = FaultEffect::degrade;
-                proc.degradeFactor = parseDouble(tokens[pos++]);
-            } else {
-                fatal("unknown process effect '", effect,
-                      "' (expected fail-stop, stall, degrade or "
-                      "trace)");
-            }
-            const std::size_t first_key = pos;
-            while (pos < tokens.size()) {
-                const std::string &key = tokens[pos++];
-                need(1, "value");
-                if (key != "mtbf_us" && key != "mttr_us") {
-                    fatal("unknown process key '", key,
-                          "' (expected mtbf_us or mttr_us)");
-                }
-                for (std::size_t k = first_key; k + 2 < pos; k += 2) {
-                    if (tokens[k] == key) {
-                        fatal("duplicate process key '", key,
-                              "' (first set on line ", line_no, ")");
-                    }
-                }
-                (key == "mtbf_us" ? proc.mtbfUs : proc.mttrUs) =
-                    parseDouble(tokens[pos++]);
-            }
-            model.processes.push_back(std::move(proc));
-        } catch (const FatalError &err) {
-            fatal(source, " line ", line_no, ": ", err.what());
+            return;
         }
-    }
-    model.validate();
+        FaultProcess proc;
+        std::size_t pos = 1;
+        scen::readScope(line, pos, proc.target, proc.nodeA, proc.nodeB);
+        const std::string &effect = line.token(pos++, "effect");
+        if (effect == "trace") {
+            proc.tracePath = line.token(pos++, "trace path");
+            proc.trace = readAvailabilityTraceFile(
+                joinDir(dir, proc.tracePath), proc.periodicityUs);
+        } else if (effect == "fail-stop") {
+            proc.effect = FaultEffect::failStop;
+        } else if (effect == "stall") {
+            proc.effect = FaultEffect::stall;
+        } else if (effect == "degrade") {
+            proc.effect = FaultEffect::degrade;
+            proc.degradeFactor =
+                parseNumber<double>(line.token(pos++, "degrade factor"));
+        } else {
+            fatal("unknown process effect '", effect,
+                  "' (expected fail-stop, stall, degrade or trace)");
+        }
+        const std::size_t first_key = pos;
+        while (pos < line.size()) {
+            const std::string &key = line[pos++];
+            if (key != "mtbf_us" && key != "mttr_us") {
+                fatal("unknown process key '", key,
+                      "' (expected mtbf_us or mttr_us)");
+            }
+            for (std::size_t k = first_key; k + 1 < pos; k += 2) {
+                if (line[k] == key)
+                    fatal("duplicate process key '", key, "'");
+            }
+            (key == "mtbf_us" ? proc.mtbfUs : proc.mttrUs) =
+                parseNumber<double>(line.token(pos++, "value"));
+        }
+        proc.validate();
+        model.processes.push_back(std::move(proc));
+    });
     return model;
 }
 

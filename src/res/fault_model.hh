@@ -38,9 +38,11 @@
  *     # restore level of two-level checkpointing)
  *     process all fail-stop mtbf_us 50000
  *
- * The seed is any unsigned 64-bit integer. A key repeated in the
- * file, or within one process line, is a FatalError naming the
- * line and the first one.
+ * The seed is any unsigned 64-bit integer. Both formats below read
+ * through util/line_reader.hh: its comment rule, and every error led
+ * by the file and line. A key repeated in the file is fatal naming
+ * its first line, as is a key repeated within one process line; each
+ * process is checked on its own line.
  */
 
 #ifndef OVLSIM_RES_FAULT_MODEL_HH
@@ -109,6 +111,9 @@ struct FaultProcess
     std::vector<AvailabilityPoint> trace;
 
     bool usesTrace() const { return !trace.empty(); }
+
+    /** Range checks; throws FatalError on nonsense values. */
+    void validate() const;
 
     /** One-line description for errors and reports. */
     std::string describe() const;
@@ -202,6 +207,8 @@ void writeFaultModel(const FaultModel &model, std::ostream &out);
  * below the periodicity; values are capacity fractions in [0, 1].
  * The pattern repeats every PERIODICITY microseconds. A second
  * PERIODICITY line is a FatalError naming its line and the first.
+ * The points are range-checked by FaultProcess::validate(), on the
+ * model line that references the trace.
  */
 std::vector<AvailabilityPoint>
 readAvailabilityTrace(std::istream &in, const std::string &source,

@@ -6,8 +6,8 @@
 #include <istream>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 
+#include "util/line_reader.hh"
 #include "util/strings.hh"
 
 namespace ovlsim::scen {
@@ -100,18 +100,6 @@ ScenarioEvent::describe() const
 
 namespace {
 
-/** Tokenize one event line on arbitrary whitespace. */
-std::vector<std::string>
-tokensOf(const std::string &line)
-{
-    std::istringstream in(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (in >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
 /** One event's checks; the reader runs them per line. */
 void
 validateEvent(const ScenarioEvent &ev)
@@ -167,121 +155,90 @@ ScenarioConfig::validate() const
         validateEvent(ev);
 }
 
+void
+readScope(const LineReader &line, std::size_t &pos, ScenTarget &target,
+          int &node_a, int &node_b)
+{
+    const std::string &t = line.token(pos++, "target");
+    if (t == "all") {
+        target = ScenTarget::all;
+    } else if (t == "node") {
+        target = ScenTarget::node;
+        node_a = parseNumber<int>(line.token(pos++, "node id"));
+    } else if (t == "route" || t == "link") {
+        target = t == "route" ? ScenTarget::route : ScenTarget::link;
+        node_a = parseNumber<int>(line.token(pos++, "node pair"));
+        node_b = parseNumber<int>(line.token(pos++, "node pair"));
+    } else {
+        fatal("unknown target '", t,
+              "' (expected all, node, route or link)");
+    }
+}
+
 ScenarioConfig
 readScenario(std::istream &in, const std::string &source)
 {
     ScenarioConfig config;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::size_t comment = line.find('#');
-        if (comment != std::string::npos)
-            line.resize(comment);
-        const auto tokens = tokensOf(line);
-        if (tokens.empty())
-            continue;
-        try {
-            if (tokens[0] != "at" || tokens.size() < 3) {
-                fatal("expected `at <time_us> "
-                      "<degrade|recover|fail|background> ...`");
-            }
-            ScenarioEvent ev;
-            // Times are microseconds; an explicit `ns` suffix
-            // bypasses the double conversion so any instant on the
-            // integer-ns clock round-trips exactly.
-            const std::string &when = tokens[1];
-            if (when.size() > 2 &&
-                when.compare(when.size() - 2, 2, "ns") == 0) {
-                ev.time = SimTime::fromNs(
-                    parseInt(when.substr(0, when.size() - 2)));
-            } else {
-                // fromUs truncates into int64 ns: anything that is
-                // not finite or does not fit the clock is undefined.
-                const double us = parseDouble(when);
-                if (!(std::fabs(us) * 1e3 < 0x1p63))
-                    fatal("event time '", when,
-                          "' does not fit the ns clock");
-                ev.time = SimTime::fromUs(us);
-            }
-            const std::string &verb = tokens[2];
-            std::size_t pos = 3;
-            const auto need = [&](std::size_t extra,
-                                  const char *what) {
-                if (pos + extra > tokens.size())
-                    fatal("truncated ", verb, " event: missing ",
-                          what);
-            };
-            const auto parseTarget = [&]() {
-                need(1, "target");
-                const std::string &t = tokens[pos++];
-                if (t == "all") {
-                    ev.target = ScenTarget::all;
-                } else if (t == "node") {
-                    need(1, "node id");
-                    ev.target = ScenTarget::node;
-                    ev.nodeA = checkedInt(parseInt(tokens[pos++]));
-                } else if (t == "route" || t == "link") {
-                    need(2, "node pair");
-                    ev.target = t == "route" ? ScenTarget::route
-                                             : ScenTarget::link;
-                    ev.nodeA = checkedInt(parseInt(tokens[pos++]));
-                    ev.nodeB = checkedInt(parseInt(tokens[pos++]));
-                } else {
-                    fatal("unknown target '", t,
-                          "' (expected all, node, route or link)");
-                }
-            };
-            if (verb == "degrade") {
-                ev.kind = ScenEventKind::degrade;
-                parseTarget();
-                while (pos < tokens.size()) {
-                    const std::string &key = tokens[pos++];
-                    need(1, "factor value");
-                    if (key == "bw") {
-                        ev.bandwidthFactor =
-                            parseDouble(tokens[pos++]);
-                    } else if (key == "lat") {
-                        ev.latencyFactor =
-                            parseDouble(tokens[pos++]);
-                    } else {
-                        fatal("unknown degrade key '", key,
-                              "' (expected bw or lat)");
-                    }
-                }
-            } else if (verb == "recover") {
-                ev.kind = ScenEventKind::recover;
-                parseTarget();
-            } else if (verb == "fail") {
-                ev.kind = ScenEventKind::fail;
-                parseTarget();
-                need(1, "failure semantics");
-                ev.semantics =
-                    failSemanticsFromName(tokens[pos++]);
-            } else if (verb == "background") {
-                ev.kind = ScenEventKind::background;
-                ev.target = ScenTarget::route;
-                need(3, "src dst bytes");
-                ev.nodeA = checkedInt(parseInt(tokens[pos++]));
-                ev.nodeB = checkedInt(parseInt(tokens[pos++]));
-                const std::int64_t bytes = parseInt(tokens[pos++]);
-                if (bytes < 0)
-                    fatal("background bytes must be non-negative, "
-                          "got ", bytes);
-                ev.bytes = static_cast<Bytes>(bytes);
-            } else {
-                fatal("unknown event '", verb,
-                      "' (expected degrade, recover, fail or "
-                      "background)");
-            }
-            if (pos != tokens.size())
-                fatal("trailing tokens after event");
-            validateEvent(ev);
-            config.events.push_back(ev);
-        } catch (const FatalError &err) {
-            fatal(source, " line ", line_no, ": ", err.what());
+    LineReader line(in, source);
+    line.forEachLine([&] {
+        if (line[0] != "at" || line.size() < 3) {
+            fatal("expected `at <time_us> "
+                  "<degrade|recover|fail|background> ...`");
         }
-    }
+        ScenarioEvent ev;
+        // Times are microseconds; an explicit `ns` suffix bypasses
+        // the double conversion so any instant on the integer-ns
+        // clock round-trips exactly.
+        const std::string &when = line[1];
+        if (when.size() > 2 && when.ends_with("ns")) {
+            ev.time = SimTime::fromNs(parseNumber<std::int64_t>(
+                std::string_view(when).substr(0, when.size() - 2)));
+        } else {
+            // fromUs truncates into int64 ns: anything that does not
+            // fit the clock is undefined.
+            const double us = parseNumber<double>(when);
+            if (!(std::fabs(us) * 1e3 < 0x1p63))
+                fatal("event time '", when,
+                      "' does not fit the ns clock");
+            ev.time = SimTime::fromUs(us);
+        }
+        const std::string &verb = line[2];
+        std::size_t pos = 3;
+        if (verb == "degrade") {
+            ev.kind = ScenEventKind::degrade;
+            readScope(line, pos, ev.target, ev.nodeA, ev.nodeB);
+            while (pos < line.size()) {
+                const std::string &key = line[pos++];
+                if (key != "bw" && key != "lat") {
+                    fatal("unknown degrade key '", key,
+                          "' (expected bw or lat)");
+                }
+                (key == "bw" ? ev.bandwidthFactor : ev.latencyFactor) =
+                    parseNumber<double>(line.token(pos++, "factor"));
+            }
+        } else if (verb == "recover") {
+            ev.kind = ScenEventKind::recover;
+            readScope(line, pos, ev.target, ev.nodeA, ev.nodeB);
+        } else if (verb == "fail") {
+            ev.kind = ScenEventKind::fail;
+            readScope(line, pos, ev.target, ev.nodeA, ev.nodeB);
+            ev.semantics = failSemanticsFromName(
+                line.token(pos++, "failure semantics"));
+        } else if (verb == "background") {
+            ev.kind = ScenEventKind::background;
+            ev.target = ScenTarget::route;
+            ev.nodeA = parseNumber<int>(line.token(pos++, "source"));
+            ev.nodeB = parseNumber<int>(line.token(pos++, "destination"));
+            ev.bytes = parseNumber<Bytes>(line.token(pos++, "bytes"));
+        } else {
+            fatal("unknown event '", verb,
+                  "' (expected degrade, recover, fail or background)");
+        }
+        if (pos != line.size())
+            fatal("trailing tokens after event");
+        validateEvent(ev);
+        config.events.push_back(ev);
+    });
     return config;
 }
 

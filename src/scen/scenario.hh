@@ -8,8 +8,9 @@
  * under external usage, NICs and switches die (the dynamic-platform
  * use case SimGrid names as central). A ScenarioConfig declares a
  * timestamped list of such events, parsed from a small text format
- * (referenced from platform files via `scenario_file = ...`) or
- * built programmatically:
+ * (referenced from platform files via `scenario_file = ...`; read
+ * through util/line_reader.hh, which fixes its comment rule and its
+ * `<file> line <n>: ` errors) or built programmatically:
  *
  *     # time is in microseconds of simulated time
  *     at 1500 degrade all bw 0.5 lat 2.0
@@ -56,6 +57,10 @@
 #include "net/topology.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
+
+namespace ovlsim {
+class LineReader;
+} // namespace ovlsim
 
 namespace ovlsim::scen {
 
@@ -169,11 +174,19 @@ struct ScenarioConfig
 };
 
 /**
- * Parse the event-list format. `source` names the stream in parse
- * errors (file name + line number).
+ * Parse the event-list format through util/line_reader.hh (its
+ * comment rule; `source` and the line number lead every error).
  */
 ScenarioConfig readScenario(std::istream &in,
                             const std::string &source = "scenario");
+
+/**
+ * Read a target, `all`, `node N`, `route A B` or `link A B`, from
+ * the current line's tokens at `pos`, advancing `pos` past it. The
+ * scenario and fault-model readers share this grammar.
+ */
+void readScope(const LineReader &line, std::size_t &pos,
+               ScenTarget &target, int &node_a, int &node_b);
 
 /** Parse a scenario file; remembers `path` as sourcePath. */
 ScenarioConfig readScenarioFile(const std::string &path);

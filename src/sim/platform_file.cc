@@ -7,7 +7,7 @@
 #include "net/topology.hh"
 #include "res/fault_model.hh"
 #include "scen/scenario.hh"
-#include "util/keyvalue.hh"
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -21,59 +21,29 @@ const std::string collAlgoPrefix = "collective_algorithm_";
 /**
  * Parse one `collective_algorithm_<op> = <algorithm>` pin. Unknown
  * op names, unknown algorithm names and algorithms that cannot
- * lower the op all fail here with the full list of valid values,
- * mirroring the topology-key error style.
+ * lower the op all fail here with the valid values.
  */
 void
-parseCollectiveAlgorithm(PlatformConfig &config,
-                         const KeyValueReader &reader)
+parseCollectiveAlgorithm(PlatformConfig &config, const std::string &key,
+                         const std::string &value)
 {
-    const std::string op_name =
-        reader.key().substr(collAlgoPrefix.size());
-    trace::CollOp op;
-    try {
-        op = trace::collOpFromName(op_name);
-    } catch (const FatalError &) {
-        reader.fail("unknown collective op '", op_name,
-                    "' in key '", reader.key(),
-                    "' (expected one of: barrier broadcast reduce "
-                    "allreduce gather allgather scatter alltoall)");
-    }
-    const coll::Algorithm algorithm =
-        coll::algorithmFromName(reader.value());
+    const trace::CollOp op =
+        trace::collOpFromName(key.substr(collAlgoPrefix.size()));
+    const coll::Algorithm algorithm = coll::algorithmFromName(value);
     if (!coll::algorithmSupports(op, algorithm)) {
-        reader.fail("algorithm '", reader.value(),
-                    "' cannot lower ", trace::collOpName(op),
-                    " collectives");
+        fatal("algorithm '", value, "' cannot lower ",
+              trace::collOpName(op), " collectives");
     }
     config.collectiveAlgorithms.set(op, algorithm);
 }
 
-/** An integer of the current key narrowed by checkedInt; an
- * out-of-range value fails with the file, line and key. */
-int
-intOf(const KeyValueReader &reader, std::int64_t value)
-{
-    try {
-        return checkedInt(value);
-    } catch (const FatalError &err) {
-        reader.fail("key '", reader.key(), "': ", err.what());
-    }
-}
-
 /** Parse torus dimensions of the form "4x4x2". */
 std::vector<int>
-parseTorusDims(const KeyValueReader &reader)
+parseTorusDims(const std::string &value)
 {
     std::vector<int> dims;
-    for (const auto &field : split(reader.value(), 'x')) {
-        const int dim = intOf(reader, parseInt(trim(field)));
-        if (dim < 1) {
-            reader.fail("torus dimensions must be positive, got '",
-                        reader.value(), "'");
-        }
-        dims.push_back(dim);
-    }
+    for (const auto &field : split(value, 'x'))
+        dims.push_back(parseNumber<int>(trim(field), Sign::positive));
     return dims;
 }
 
@@ -95,170 +65,116 @@ PlatformConfig
 readPlatformConfig(std::istream &is, const std::string &source)
 {
     PlatformConfig config;
-    // The shared reader owns the surface robustness: comment/blank
-    // skipping, malformed-line and duplicate-key rejection, and
-    // domain-checked numerics, all with file + line in the error.
-    KeyValueReader reader(is, source);
-
-    while (reader.next()) {
-        const std::string &key = reader.key();
-        const std::string &value = reader.value();
+    LineReader reader(is, source);
+    reader.forEachLine([&] {
+        const auto [key, value] = reader.keyValue();
+        const auto real = [&value](Sign sign) {
+            return parseNumber<double>(value, sign);
+        };
+        const auto count = [&value] {
+            return parseNumber<int>(value, Sign::nonNegative);
+        };
 
         if (key == "name") {
             config.name = value;
         } else if (key == "mips") {
             // Zero means "use the trace's recorded rate".
-            config.mipsOverride =
-                reader.nonNegativeDouble();
+            config.mipsOverride = real(Sign::nonNegative);
         } else if (key == "cpu_ratio") {
-            config.cpuRatio =
-                reader.positiveDouble();
+            config.cpuRatio = real(Sign::positive);
         } else if (key == "cpus_per_node") {
-            config.cpusPerNode =
-                intOf(reader, reader.nonNegativeInt());
+            config.cpusPerNode = count();
         } else if (key == "bandwidth_mbps") {
-            config.bandwidthMBps =
-                reader.positiveDouble();
+            config.bandwidthMBps = real(Sign::positive);
         } else if (key == "latency_us") {
-            config.latencyUs =
-                reader.nonNegativeDouble();
+            config.latencyUs = real(Sign::nonNegative);
         } else if (key == "local_bandwidth_mbps") {
-            config.localBandwidthMBps =
-                reader.positiveDouble();
+            config.localBandwidthMBps = real(Sign::positive);
         } else if (key == "local_latency_us") {
-            config.localLatencyUs =
-                reader.nonNegativeDouble();
+            config.localLatencyUs = real(Sign::nonNegative);
         } else if (key == "buses") {
-            config.buses =
-                intOf(reader, reader.nonNegativeInt());
+            config.buses = count();
         } else if (key == "out_links_per_node") {
-            config.outLinksPerNode =
-                intOf(reader, reader.nonNegativeInt());
+            config.outLinksPerNode = count();
         } else if (key == "in_links_per_node") {
-            config.inLinksPerNode =
-                intOf(reader, reader.nonNegativeInt());
+            config.inLinksPerNode = count();
         } else if (key == "eager_threshold") {
-            config.eagerThreshold = static_cast<Bytes>(
-                reader.nonNegativeInt());
+            config.eagerThreshold = parseNumber<Bytes>(value);
         } else if (key == "force_eager_isend") {
             config.forceEagerIsend = parseBool(value);
         } else if (key == "rendezvous_overhead_us") {
-            config.rendezvousOverheadUs =
-                reader.nonNegativeDouble();
+            config.rendezvousOverheadUs = real(Sign::nonNegative);
         } else if (key == "collective_latency_factor") {
-            config.collectives.latencyFactor =
-                reader.nonNegativeDouble();
+            config.collectives.latencyFactor = real(Sign::nonNegative);
         } else if (key == "collective_bandwidth_factor") {
             config.collectives.bandwidthFactor =
-                reader.nonNegativeDouble();
+                real(Sign::nonNegative);
         } else if (key == "collective_model") {
-            // Unknown names fail here with the valid models.
             config.collectiveModel =
                 coll::collectiveModelFromName(value);
-        } else if (key.rfind(collAlgoPrefix, 0) == 0) {
-            parseCollectiveAlgorithm(config, reader);
+        } else if (key.starts_with(collAlgoPrefix)) {
+            parseCollectiveAlgorithm(config, key, value);
         } else if (key == "topology") {
-            // Unknown names fail here with the full list of kinds.
-            config.topology.kind =
-                net::topologyKindFromName(value);
+            config.topology.kind = net::topologyKindFromName(value);
         } else if (key == "fat_tree_radix") {
-            config.topology.fatTreeRadix =
-                intOf(reader, reader.nonNegativeInt());
+            config.topology.fatTreeRadix = count();
         } else if (key == "fat_tree_taper") {
-            config.topology.fatTreeTaper =
-                reader.nonNegativeDouble();
+            config.topology.fatTreeTaper = real(Sign::nonNegative);
         } else if (key == "torus_dims") {
-            config.topology.torusDims =
-                parseTorusDims(reader);
+            config.topology.torusDims = parseTorusDims(value);
         } else if (key == "torus_wrap") {
             config.topology.torusWrap = parseBool(value);
         } else if (key == "dragonfly_groups") {
-            config.topology.dragonflyGroups =
-                intOf(reader, reader.integer());
+            config.topology.dragonflyGroups = parseNumber<int>(value);
         } else if (key == "dragonfly_routers_per_group") {
             config.topology.dragonflyRoutersPerGroup =
-                intOf(reader, reader.integer());
+                parseNumber<int>(value);
         } else if (key == "dragonfly_nodes_per_router") {
             config.topology.dragonflyNodesPerRouter =
-                intOf(reader, reader.integer());
+                parseNumber<int>(value);
         } else if (key == "link_bandwidth_mbps") {
             // Inheriting the platform bandwidth is spelled by
             // omitting the key, so an explicit zero is nonsense.
-            const double mbps = reader.finiteDouble();
-            if (mbps <= 0.0) {
-                reader.fail(
-                    "link_bandwidth_mbps must be positive "
-                    "(omit the key to inherit bandwidth_mbps)");
-            }
-            config.topology.linkBandwidthMBps = mbps;
+            config.topology.linkBandwidthMBps = real(Sign::positive);
         } else if (key == "hop_latency_us") {
-            config.topology.hopLatencyUs =
-                reader.nonNegativeDouble();
-        } else if (key == "scenario_file") {
-            if (reader.seenLine("fault_model_file") != 0) {
-                reader.fail(
-                    "scenario_file and fault_model_file are "
-                    "mutually exclusive (both define the "
-                    "scenario)");
+            config.topology.hopLatencyUs = real(Sign::nonNegative);
+        } else if (key == "scenario_file" ||
+                   key == "fault_model_file") {
+            if (reader.seenLine("scenario_file") != 0 &&
+                reader.seenLine("fault_model_file") != 0) {
+                fatal("scenario_file and fault_model_file are "
+                      "mutually exclusive (both define the scenario)");
             }
-            // The scenario parser names the referenced file in its
-            // own errors; point at the referencing line too so a
-            // bad path is traceable from the platform side.
-            try {
+            if (key == "scenario_file") {
                 config.scenario = scen::readScenarioFile(value);
-            } catch (const FatalError &err) {
-                reader.fail(err.what());
-            }
-        } else if (key == "fault_model_file") {
-            if (reader.seenLine("scenario_file") != 0) {
-                reader.fail(
-                    "scenario_file and fault_model_file are "
-                    "mutually exclusive (both define the "
-                    "scenario)");
-            }
-            // Expand the stochastic model into a concrete scenario
-            // right here, with the model's own seed and horizon:
-            // the engine only ever sees an ordinary event list.
-            try {
+            } else {
+                // Expand the stochastic model into a concrete
+                // scenario right here, with the model's own seed and
+                // horizon: the engine only ever sees an event list.
                 config.scenario = res::generateScenario(
                     res::readFaultModelFile(value));
-            } catch (const FatalError &err) {
-                reader.fail(err.what());
+                config.faultModelFile = value;
             }
-            config.faultModelFile = value;
         } else if (key == "checkpoint_interval_us") {
-            config.checkpointIntervalUs =
-                reader.nonNegativeDouble();
+            config.checkpointIntervalUs = real(Sign::nonNegative);
         } else if (key == "checkpoint_cost_us") {
-            config.checkpointCostUs =
-                reader.nonNegativeDouble();
+            config.checkpointCostUs = real(Sign::nonNegative);
         } else if (key == "restart_cost_us") {
-            config.restartCostUs =
-                reader.nonNegativeDouble();
+            config.restartCostUs = real(Sign::nonNegative);
         } else if (key == "checkpoint_global_interval_us") {
-            config.checkpointGlobalIntervalUs =
-                reader.nonNegativeDouble();
+            config.checkpointGlobalIntervalUs = real(Sign::nonNegative);
         } else if (key == "checkpoint_global_cost_us") {
-            config.checkpointGlobalCostUs =
-                reader.nonNegativeDouble();
+            config.checkpointGlobalCostUs = real(Sign::nonNegative);
         } else if (key == "restart_global_cost_us") {
-            config.restartGlobalCostUs =
-                reader.nonNegativeDouble();
+            config.restartGlobalCostUs = real(Sign::nonNegative);
         } else if (key == "restart_budget") {
-            const std::int64_t budget =
-                reader.nonNegativeInt();
-            if (budget < 1) {
-                reader.fail(
-                    "key 'restart_budget' must be >= 1, got '",
-                    value, "'");
-            }
             config.restartBudget =
-                static_cast<std::uint64_t>(budget);
+                parseNumber<std::uint64_t>(value, Sign::positive);
         } else {
-            reader.fail("unknown key '", key, "'");
+            fatal("unknown key '", key, "'");
         }
-    }
-    config.validate();
+    });
+    reader.check([&] { config.validate(); });
     return config;
 }
 

@@ -15,8 +15,11 @@
  *   cpus_per_node = 4
  *   eager_threshold = 32768
  *
- * Every numeric key is domain-checked at parse time (NaN, inf and
- * out-of-domain signs are fatal, naming file, line and key).
+ * Lines are read through util/line_reader.hh: its comment rule,
+ * duplicate keys fatal, and every error led by `<file> line <n>: `.
+ * Every numeric key is domain-checked on its line (NaN, inf, a
+ * number that does not fit the field and an out-of-domain sign are
+ * fatal); the cross-field checks after the last line name the file.
  *
  * Dynamic-platform keys:
  *
@@ -54,8 +57,8 @@ namespace ovlsim::sim {
 
 /**
  * Parse a platform config from a stream. Unknown and duplicate keys
- * are fatal; `source` names the stream in every parse error (file
- * name + line number when parsing a file).
+ * are fatal; `source` names the stream in every error, with the line
+ * number for an error on a line.
  */
 PlatformConfig readPlatformConfig(
     std::istream &is, const std::string &source = "platform config");

@@ -33,7 +33,9 @@ collOpFromName(const std::string &name)
     if (s == "allgather") return CollOp::allGather;
     if (s == "scatter") return CollOp::scatter;
     if (s == "alltoall") return CollOp::allToAll;
-    fatal("unknown collective op '", name, "'");
+    fatal("unknown collective op '", name,
+          "' (expected barrier, broadcast, reduce, allreduce, gather, "
+          "allgather, scatter or alltoall)");
 }
 
 bool

@@ -1,10 +1,8 @@
 #include "trace_io.hh"
 
-#include <charconv>
 #include <fstream>
-#include <sstream>
-#include <type_traits>
 
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -62,55 +60,49 @@ struct RecordWriter
     }
 };
 
-std::vector<std::string>
-tokenize(const std::string &line)
+/** One record line of a rank section. */
+Record
+parseRecord(const LineReader &line)
 {
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string tok;
-    while (is >> tok)
-        tokens.push_back(tok);
-    return tokens;
-}
-
-[[noreturn]] void
-parseError(std::size_t line_no, const std::string &why)
-{
-    fatal("trace parse error at line ", line_no, ": ", why);
-}
-
-void
-requireTokens(const std::vector<std::string> &tokens,
-              std::size_t expected, std::size_t line_no)
-{
-    if (tokens.size() != expected) {
-        parseError(line_no,
-                   strformat("expected %zu fields, got %zu", expected,
-                             tokens.size()));
+    const std::string &kind = line[0];
+    if (kind == "c") {
+        line.expectTokens(2, "c <instr>");
+        return CpuBurst{parseNumber<Instr>(line[1])};
     }
-}
-
-/**
- * Numeric field `i` of a line as a T. A field that is not a number,
- * does not fit T, or is negative where T is unsigned (byte and
- * instruction counts, ids) fails naming the line.
- */
-template <typename T>
-T
-field(const std::vector<std::string> &tokens, std::size_t i,
-      std::size_t line_no)
-{
-    const std::string &text = tokens[i];
-    if (std::is_unsigned_v<T> && text.starts_with('-'))
-        parseError(line_no, "negative value '" + text + "'");
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (ec == std::errc::result_out_of_range)
-        parseError(line_no, "value '" + text + "' out of range");
-    if (ec != std::errc() || stop != end)
-        parseError(line_no, "cannot parse '" + text + "' as a number");
-    return value;
+    if (kind == "s" || kind == "is" || kind == "r" || kind == "ir") {
+        const bool nonblocking = kind.size() == 2;
+        line.expectTokens(nonblocking ? 6 : 5,
+                          kind + " <peer> <tag> <bytes> <msgid>" +
+                              (nonblocking ? " <req>" : ""));
+        const auto peer = parseNumber<Rank>(line[1]);
+        const auto tag = parseNumber<Tag>(line[2]);
+        const auto bytes = parseNumber<Bytes>(line[3]);
+        const auto message = parseNumber<MessageId>(line[4]);
+        if (kind == "s")
+            return SendRec{peer, tag, bytes, message};
+        if (kind == "r")
+            return RecvRec{peer, tag, bytes, message};
+        const auto request = parseNumber<RequestId>(line[5]);
+        if (kind == "is")
+            return ISendRec{peer, tag, bytes, message, request};
+        return IRecvRec{peer, tag, bytes, message, request};
+    }
+    if (kind == "w") {
+        line.expectTokens(2, "w <req>");
+        return WaitRec{parseNumber<RequestId>(line[1])};
+    }
+    if (kind == "wa") {
+        line.expectTokens(1, "wa");
+        return WaitAllRec{};
+    }
+    if (kind == "g") {
+        line.expectTokens(5, "g <op> <sendbytes> <recvbytes> <root>");
+        return CollectiveRec{collOpFromName(line[1]),
+                             parseNumber<Bytes>(line[2]),
+                             parseNumber<Bytes>(line[3]),
+                             parseNumber<Rank>(line[4])};
+    }
+    fatal("unknown record kind '", kind, "'");
 }
 
 } // namespace
@@ -142,111 +134,63 @@ writeTraceFile(const TraceSet &traces, const std::string &path)
 }
 
 TraceSet
-readTraceText(std::istream &is)
+readTraceText(std::istream &is, const std::string &source)
 {
-    std::string line;
-    std::size_t line_no = 0;
+    LineReader line(is, source);
+    line.expectMagic(traceMagic);
 
-    if (!std::getline(is, line) || trim(line) != traceMagic)
-        fatal("trace stream does not start with '", traceMagic, "'");
-    ++line_no;
-
+    // The headers come once each, before the first section; then
+    // one `rank r` section per declared rank, in order, each
+    // allocated as it appears, so memory follows the input.
     TraceSet traces;
-    std::string name = "unnamed";
-    double mips = 1000.0;
-    int ranks = -1;
-    RankTrace *current = nullptr;
-
-    while (std::getline(is, line)) {
-        ++line_no;
-        const std::string text = trim(line);
-        if (text.empty() || text[0] == '#')
-            continue;
-        const auto tokens = tokenize(text);
-        const std::string &kind = tokens[0];
-
-        if (kind == "name") {
-            // The name may contain spaces: take the raw remainder.
-            name = trim(text.substr(4));
-            continue;
-        }
-        if (kind == "mips") {
-            requireTokens(tokens, 2, line_no);
-            mips = field<double>(tokens, 1, line_no);
-            if (!(mips > 0.0))
-                parseError(line_no, "MIPS rate must be positive");
-            continue;
-        }
-        if (kind == "ranks") {
-            requireTokens(tokens, 2, line_no);
-            ranks = field<int>(tokens, 1, line_no);
-            if (ranks <= 0)
-                parseError(line_no, "rank count must be positive");
-            traces = TraceSet(name, ranks, mips);
-            continue;
+    int ranks = 0;
+    std::size_t ranks_line = 0;
+    line.forEachLine([&] {
+        const std::string &kind = line[0];
+        if (kind == "name" || kind == "mips" || kind == "ranks") {
+            if (traces.ranks() > 0)
+                fatal("'", kind, "' after the first 'rank' section");
+            line.once(kind);
+            if (kind == "name") {
+                // The name may contain spaces: take the remainder.
+                traces.setName(line.rest());
+            } else if (kind == "mips") {
+                line.expectTokens(2, "mips <instr/us>");
+                traces.setMips(
+                    parseNumber<double>(line[1], Sign::positive));
+            } else {
+                line.expectTokens(2, "ranks <n>");
+                ranks = parseNumber<int>(line[1], Sign::positive);
+                ranks_line = line.line();
+            }
+            return;
         }
         if (kind == "rank") {
-            requireTokens(tokens, 2, line_no);
-            if (ranks < 0)
-                parseError(line_no, "'rank' before 'ranks'");
-            const auto r = field<Rank>(tokens, 1, line_no);
+            line.expectTokens(2, "rank <r>");
+            if (ranks_line == 0)
+                fatal("'rank' before 'ranks'");
+            const auto r = parseNumber<Rank>(line[1]);
             if (r < 0 || r >= ranks)
-                parseError(line_no, "rank out of range");
-            current = &traces.rankTrace(r);
-            continue;
+                fatal("rank ", r, " out of range (ranks ", ranks, ")");
+            if (r != traces.ranks())
+                fatal("expected 'rank ", traces.ranks(), "'");
+            traces.all().emplace_back(r);
+            return;
         }
-
-        if (current == nullptr)
-            parseError(line_no, "record before any 'rank' header");
-
-        if (kind == "c") {
-            requireTokens(tokens, 2, line_no);
-            current->append(
-                CpuBurst{field<Instr>(tokens, 1, line_no)});
-        } else if (kind == "s" || kind == "is" || kind == "r" ||
-                   kind == "ir") {
-            const bool nonblocking = kind.size() == 2;
-            requireTokens(tokens, nonblocking ? 6 : 5, line_no);
-            const auto peer = field<Rank>(tokens, 1, line_no);
-            const auto tag = field<Tag>(tokens, 2, line_no);
-            const auto bytes = field<Bytes>(tokens, 3, line_no);
-            const auto message = field<MessageId>(tokens, 4, line_no);
-            if (kind == "s") {
-                current->append(SendRec{peer, tag, bytes, message});
-            } else if (kind == "r") {
-                current->append(RecvRec{peer, tag, bytes, message});
-            } else {
-                const auto request =
-                    field<RequestId>(tokens, 5, line_no);
-                if (kind == "is") {
-                    current->append(
-                        ISendRec{peer, tag, bytes, message, request});
-                } else {
-                    current->append(
-                        IRecvRec{peer, tag, bytes, message, request});
-                }
+        if (traces.ranks() == 0)
+            fatal("record before any 'rank' header");
+        traces.all().back().append(parseRecord(line));
+    });
+    line.check(
+        [&] {
+            if (ranks_line == 0)
+                fatal("trace has no 'ranks' header");
+            if (traces.ranks() < ranks) {
+                fatal("'ranks ", ranks, "' but ", traces.ranks(),
+                      " 'rank' sections follow");
             }
-        } else if (kind == "w") {
-            requireTokens(tokens, 2, line_no);
-            current->append(
-                WaitRec{field<RequestId>(tokens, 1, line_no)});
-        } else if (kind == "wa") {
-            requireTokens(tokens, 1, line_no);
-            current->append(WaitAllRec{});
-        } else if (kind == "g") {
-            requireTokens(tokens, 5, line_no);
-            current->append(CollectiveRec{
-                collOpFromName(tokens[1]),
-                field<Bytes>(tokens, 2, line_no),
-                field<Bytes>(tokens, 3, line_no),
-                field<Rank>(tokens, 4, line_no)});
-        } else {
-            parseError(line_no, "unknown record kind '" + kind + "'");
-        }
-    }
-
-    if (ranks < 0)
-        fatal("trace stream contains no 'ranks' header");
+        },
+        ranks_line);
     return traces;
 }
 
@@ -256,11 +200,7 @@ readTraceFile(const std::string &path)
     std::ifstream is(path);
     if (!is)
         fatal("cannot open trace file '", path, "'");
-    try {
-        return readTraceText(is);
-    } catch (const FatalError &err) {
-        fatal(path, ": ", err.what());
-    }
+    return readTraceText(is, path);
 }
 
 void
@@ -296,92 +236,71 @@ writeOverlapFile(const OverlapSet &overlap, const std::string &path)
 }
 
 OverlapSet
-readOverlapText(std::istream &is)
+readOverlapText(std::istream &is, const std::string &source)
 {
-    std::string line;
-    std::size_t line_no = 0;
+    LineReader line(is, source);
+    line.expectMagic(overlapMagic);
 
-    if (!std::getline(is, line) || trim(line) != overlapMagic)
-        fatal("overlap stream does not start with '", overlapMagic,
-              "'");
-    ++line_no;
-
+    // Each message is its `msg` line, then its `prod` and `cons`
+    // profile lines, as writeOverlapText writes them.
+    static constexpr const char *order[] = {"msg", "prod", "cons"};
     OverlapSet overlap;
-    MessageOverlapInfo pending;
-    bool have_pending = false;
-    bool have_prod = false;
-    bool have_cons = false;
-
-    auto flush = [&]() {
-        if (!have_pending)
-            return;
-        if (!have_prod || !have_cons) {
-            fatal("overlap metadata for message ", pending.id,
-                  " is missing prod/cons profiles");
-        }
-        overlap.add(std::move(pending));
-        pending = MessageOverlapInfo{};
-        have_pending = have_prod = have_cons = false;
-    };
-
-    while (std::getline(is, line)) {
-        ++line_no;
-        const std::string text = trim(line);
-        if (text.empty() || text[0] == '#')
-            continue;
-        const auto tokens = tokenize(text);
-        const std::string &kind = tokens[0];
-
-        if (kind == "msg") {
-            flush();
-            requireTokens(tokens, 11, line_no);
-            pending.id =
-                static_cast<MessageId>(parseInt(tokens[1]));
-            pending.src = static_cast<Rank>(parseInt(tokens[2]));
-            pending.dst = static_cast<Rank>(parseInt(tokens[3]));
-            pending.tag = static_cast<Tag>(parseInt(tokens[4]));
-            pending.bytes = static_cast<Bytes>(parseInt(tokens[5]));
-            pending.sendInstr =
-                static_cast<Instr>(parseInt(tokens[6]));
-            pending.recvInstr =
-                static_cast<Instr>(parseInt(tokens[7]));
-            pending.prodWindowBegin =
-                static_cast<Instr>(parseInt(tokens[8]));
-            pending.consWindowEnd =
-                static_cast<Instr>(parseInt(tokens[9]));
-            pending.blockBytes =
-                static_cast<Bytes>(parseInt(tokens[10]));
-            have_pending = true;
-        } else if (kind == "prod" || kind == "cons") {
-            if (!have_pending)
-                parseError(line_no, "profile before 'msg' header");
-            if (tokens.size() < 3)
-                parseError(line_no, "truncated profile line");
-            const auto id =
-                static_cast<MessageId>(parseInt(tokens[1]));
-            if (id != pending.id)
-                parseError(line_no, "profile id mismatch");
-            const auto n =
-                static_cast<std::size_t>(parseInt(tokens[2]));
-            requireTokens(tokens, 3 + n, line_no);
+    MessageOverlapInfo info;
+    std::size_t next = 0;
+    std::size_t msg_line = 0;
+    line.forEachLine([&] {
+        if (line[0] != order[next])
+            fatal("expected a '", order[next], "' line");
+        if (next == 0) {
+            line.expectTokens(11, "msg <id> <src> <dst> <tag> <bytes> "
+                                  "<sendI> <recvI> <pBegin> <cEnd> "
+                                  "<blockBytes>");
+            info = MessageOverlapInfo{};
+            info.id = parseNumber<MessageId>(line[1], Sign::positive);
+            if (overlap.contains(info.id))
+                fatal("duplicate message ", info.id);
+            info.src = parseNumber<Rank>(line[2]);
+            info.dst = parseNumber<Rank>(line[3]);
+            info.tag = parseNumber<Tag>(line[4]);
+            info.bytes = parseNumber<Bytes>(line[5]);
+            info.sendInstr = parseNumber<Instr>(line[6]);
+            info.recvInstr = parseNumber<Instr>(line[7]);
+            info.prodWindowBegin = parseNumber<Instr>(line[8]);
+            info.consWindowEnd = parseNumber<Instr>(line[9]);
+            info.blockBytes = parseNumber<Bytes>(line[10]);
+            msg_line = line.line();
+        } else {
+            if (line.size() < 3 ||
+                parseNumber<MessageId>(line[1]) != info.id) {
+                fatal("expected `", order[next], " ", info.id,
+                      " <n> <points>...`");
+            }
+            const auto n = parseNumber<std::uint64_t>(line[2]);
+            if (n != line.size() - 3) {
+                fatal("profile of ", n, " points holds ",
+                      line.size() - 3);
+            }
             std::vector<Instr> points;
             points.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                points.push_back(
-                    static_cast<Instr>(parseInt(tokens[3 + i])));
-            }
-            if (kind == "prod") {
-                pending.blockLastStore = std::move(points);
-                have_prod = true;
+            for (std::size_t i = 0; i < n; ++i)
+                points.push_back(parseNumber<Instr>(line[3 + i]));
+            if (next == 1) {
+                info.blockLastStore = std::move(points);
             } else {
-                pending.blockFirstLoad = std::move(points);
-                have_cons = true;
+                info.blockFirstLoad = std::move(points);
+                overlap.add(std::move(info));
             }
-        } else {
-            parseError(line_no, "unknown line kind '" + kind + "'");
         }
-    }
-    flush();
+        next = (next + 1) % 3;
+    });
+    line.check(
+        [&] {
+            if (next != 0) {
+                fatal("message ", info.id, " has no '", order[next],
+                      "' profile");
+            }
+        },
+        msg_line);
     return overlap;
 }
 
@@ -391,7 +310,7 @@ readOverlapFile(const std::string &path)
     std::ifstream is(path);
     if (!is)
         fatal("cannot open overlap file '", path, "'");
-    return readOverlapText(is);
+    return readOverlapText(is, path);
 }
 
 } // namespace ovlsim::trace

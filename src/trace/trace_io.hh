@@ -28,6 +28,12 @@
  *        <cEnd> <blockBytes>
  *   prod <id> <n> <p0> ... <pn-1>
  *   cons <id> <n> <c0> ... <cn-1>
+ *
+ * The readers accept what the writers write: a trace's headers once
+ * each before its first `rank` section and one section per declared
+ * rank, in order; each message's `msg`, `prod` and `cons` lines in
+ * that order. Lines are read through util/line_reader.hh, which
+ * fixes the comment rule and the `<source> line <n>: ` error format.
  */
 
 #ifndef OVLSIM_TRACE_TRACE_IO_HH
@@ -47,8 +53,10 @@ void writeTraceText(const TraceSet &traces, std::ostream &os);
 /** Serialize a trace set to a file; throws FatalError on IO error. */
 void writeTraceFile(const TraceSet &traces, const std::string &path);
 
-/** Parse a trace set from a stream; throws FatalError on bad input. */
-TraceSet readTraceText(std::istream &is);
+/** Parse a trace set from a stream; throws FatalError on bad input.
+ * `source` names the stream in every error. */
+TraceSet readTraceText(std::istream &is,
+                       const std::string &source = "trace");
 
 /** Parse a trace set from a file; throws FatalError on IO error. */
 TraceSet readTraceFile(const std::string &path);
@@ -60,8 +68,10 @@ void writeOverlapText(const OverlapSet &overlap, std::ostream &os);
 void writeOverlapFile(const OverlapSet &overlap,
                       const std::string &path);
 
-/** Parse overlap metadata from a stream. */
-OverlapSet readOverlapText(std::istream &is);
+/** Parse overlap metadata from a stream; `source` names the stream
+ * in every error. */
+OverlapSet readOverlapText(std::istream &is,
+                           const std::string &source = "overlap");
 
 /** Parse overlap metadata from a file. */
 OverlapSet readOverlapFile(const std::string &path);

@@ -61,8 +61,7 @@ runMain(int (*body)(int, char **), int argc, char **argv)
     try {
         return body(argc, argv);
     } catch (const FatalError &err) {
-        if (!err.reported())
-            detail::emitLog(LogLevel::quiet, "fatal: ", err.what());
+        detail::emitLog(LogLevel::quiet, "fatal: ", err.what());
         return 1;
     }
 }

@@ -7,8 +7,12 @@
  * continuing impossible (bad configuration, malformed traces), and
  * warn()/inform() for non-fatal status messages. panic() and fatal()
  * throw typed exceptions so that library users (and the test suite)
- * can intercept them; at the process boundary runMain() turns a
- * FatalError into exit status 1, and a PanicError still aborts.
+ * can intercept them. fatal() prints nothing: a caller may catch the
+ * error and raise it again with more context (the line reader adds
+ * the file and line, util/line_reader.hh), so only the process
+ * boundary knows the final message. There runMain() prints every
+ * FatalError once and turns it into exit status 1; a PanicError
+ * still aborts.
  */
 
 #ifndef OVLSIM_UTIL_LOGGING_HH
@@ -31,24 +35,14 @@ class PanicError : public std::logic_error
 class FatalError : public std::runtime_error
 {
   public:
-    explicit FatalError(const std::string &msg, bool reported = false)
-        : std::runtime_error(msg), reported_(reported)
-    {}
-
-    /** Whether the message already reached stderr (fatal() prints
-     * it before throwing). */
-    bool reported() const { return reported_; }
-
-  private:
-    bool reported_;
+    using std::runtime_error::runtime_error;
 };
 
 /**
  * The body of every command-line tool's main(): returns
  * body(argc, argv), or 1 when it throws a FatalError, whose message
- * then appears on stderr exactly once (fatal() printed its own; an
- * error thrown directly, such as a scen::FailureError, is printed
- * here). Any other exception still ends the process abnormally.
+ * it prints to stderr, once, as `fatal: <message>`. Any other
+ * exception still ends the process abnormally.
  */
 int runMain(int (*body)(int, char **), int argc, char **argv);
 
@@ -104,15 +98,13 @@ panic(Args &&...args)
     throw PanicError(msg);
 }
 
-/** Report an unrecoverable user error and throw FatalError. */
+/** Throw FatalError for an unrecoverable user error; printing it is
+ * runMain()'s job. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    const std::string msg =
-        detail::foldMessage(std::forward<Args>(args)...);
-    detail::emitLog(LogLevel::quiet, "fatal: ", msg);
-    throw FatalError(msg, true);
+    throw FatalError(detail::foldMessage(std::forward<Args>(args)...));
 }
 
 /** Warn about suspicious but survivable conditions. */

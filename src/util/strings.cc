@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "logging.hh"
 
@@ -140,18 +139,6 @@ parseInt(std::string_view text)
     if (errno != 0 || end == s.c_str() || *end != '\0')
         fatal("parseInt: cannot parse '", s, "' as integer");
     return value;
-}
-
-int
-checkedInt(std::int64_t value)
-{
-    if (value < std::numeric_limits<int>::min() ||
-        value > std::numeric_limits<int>::max()) {
-        fatal("integer ", value, " is out of range (",
-              std::numeric_limits<int>::min(), " to ",
-              std::numeric_limits<int>::max(), ")");
-    }
-    return static_cast<int>(value);
 }
 
 double

@@ -46,13 +46,6 @@ std::string humanRate(double bytes_per_second);
 /** Parse a signed integer; throws FatalError on garbage. */
 std::int64_t parseInt(std::string_view text);
 
-/**
- * Narrow a parsed integer to int; throws FatalError when it does not
- * fit, so a 64-bit value can never wrap into a small valid-looking
- * one.
- */
-int checkedInt(std::int64_t value);
-
 /** Parse a double; throws FatalError on garbage. */
 double parseDouble(std::string_view text);
 

@@ -23,8 +23,10 @@ a mismatch the moved case's stdout is printed and each moved file
 is named.
 
 ERRORS holds user errors: each must end in exit status 1 with its
-message on stderr exactly once, never in std::terminate. They run
-in check mode only; --print leaves them out of the table.
+message on stderr exactly once and no other `fatal:` line, never in
+std::terminate. A row may carry input files, written into its
+temporary directory before the run. They run in check mode only;
+--print leaves them out of the table.
 
 PINS was recorded from a Release build of the code in which the
 benches still replayed through sim::simulateBatch and the examples
@@ -80,22 +82,32 @@ STUDIES = [
 CASES += [(f"{b} {' '.join(a)} --threads {n}", b, a + ["--threads", str(n)])
           for b, a in STUDIES for n in (1, 2)]
 
-# (case name, binary, arguments, message on stderr).
+# (case name, binary, arguments, message on stderr, {input file:
+# contents}).
 ERRORS = [
     ("quickstart --bandwidth 1e-300", "quickstart",
      ["--bandwidth", "1e-300"],
      "fatal: a duration of inf ns overflows the 64-bit nanosecond "
-     "clock"),
+     "clock", {}),
     ("quickstart --chunks 0", "quickstart", ["--chunks", "0"],
      "fatal: option --chunks must be in [1, 9223372036854775807], "
-     "got 0"),
+     "got 0", {}),
     ("bench_scaling --threads 4294967298", "bench_scaling",
      ["--threads", "4294967298"],
      "fatal: option --threads must be in [0, 2147483647], "
-     "got 4294967298"),
+     "got 4294967298", {}),
     ("timeline_gallery --prefix no-such-dir/x", "timeline_gallery",
      ["--prefix", "no-such-dir/x"],
-     "fatal: cannot open 'no-such-dir/x_original.prv' for writing"),
+     "fatal: cannot open 'no-such-dir/x_original.prv' for writing", {}),
+    ("generator_study --workload bad.workload", "generator_study",
+     ["--workload", "bad.workload"],
+     "fatal: bad.workload line 2: unknown workload kind 'bogus' "
+     "(expected stencil, ml-training, fan-in or dht)",
+     {"bad.workload": "# a typo in the kind\nkind = bogus\n"}),
+    ("overlap_study --platform bad.platform", "overlap_study",
+     ["--platform", "bad.platform"],
+     "fatal: bad.platform line 2: cannot parse '12q' as a number",
+     {"bad.platform": "name = typo\nbandwidth_mbps = 12q\n"}),
 ]
 
 THREADS = re.compile(rb"\b\d+ threads\b")
@@ -274,7 +286,8 @@ def run_case(binary, args):
 def paths_by_name(binaries):
     """{binary name: absolute path} for every binary CASES names."""
     paths = {os.path.basename(b): os.path.abspath(b) for b in binaries}
-    missing = sorted({b for _, b, _ in CASES} - paths.keys())
+    wanted = {b for _, b, _ in CASES} | {row[1] for row in ERRORS}
+    missing = sorted(wanted - paths.keys())
     if missing:
         sys.exit(f"bench_pins: no path given for {', '.join(missing)}")
     return paths
@@ -344,8 +357,11 @@ def check(measured):
 def check_errors(by_name):
     """Run every ERRORS case; return how many ended wrongly."""
     wrong = 0
-    for case, binary, args, message in ERRORS:
+    for case, binary, args, message, inputs in ERRORS:
         with tempfile.TemporaryDirectory(prefix="bench_pins.") as cwd:
+            for name, text in inputs.items():
+                with open(os.path.join(cwd, name), "w") as f:
+                    f.write(text)
             proc = subprocess.run([by_name[binary]] + args, cwd=cwd,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, timeout=600)
@@ -356,6 +372,9 @@ def check_errors(by_name):
         if stderr.count(message) != 1:
             problems.append(f"message printed {stderr.count(message)} "
                             "times, not once")
+        fatal_lines = stderr.count("fatal: ")
+        if fatal_lines != 1:
+            problems.append(f"{fatal_lines} `fatal:` lines, not one")
         if "terminate called" in stderr:
             problems.append("std::terminate")
         if problems:

@@ -287,9 +287,7 @@ TEST(FaultModelTest, ReaderRejectsMalformedLinesNamingSourceAndLine)
                 "mttr_us 6\n",
                 "test.faults line 1: duplicate process key 'mttr_us'");
     // Seeds are unsigned: no sign, nothing past 2^64 - 1.
-    expectError("seed = -1\n",
-                "test.faults line 1: seed must be an unsigned 64-bit "
-                "integer, got '-1'");
+    expectError("seed = -1\n", "test.faults line 1: negative value '-1'");
     expectError("seed = 18446744073709551616\n", "test.faults line 1");
     expectError("seed = +7\n", "test.faults line 1");
 }
@@ -385,8 +383,8 @@ TEST(FaultModelTest, AvailabilityTraceRejectsARepeatedPeriodicity)
     // every point before it.
     EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 1.0\n"
                                      "PERIODICITY 600\n500 0.5\n"),
-              "t.trace line 3: duplicate PERIODICITY (first set on "
-              "line 1)");
+              "t.trace line 3: duplicate key 'PERIODICITY' (first set "
+              "on line 1)");
 }
 
 TEST(FaultModelTest, TraceProcessResolvesNextToTheModelAndRoundTrips)

@@ -182,20 +182,19 @@ readError(const std::string &records)
 TEST(TraceIoTest, RejectsNegativeByteCounts)
 {
     EXPECT_EQ(readError("s 1 0 -8 0\n"),
-              "trace parse error at line 4: negative value '-8'");
+              "trace line 4: negative value '-8'");
 }
 
 TEST(TraceIoTest, RejectsNegativeInstructionCounts)
 {
     EXPECT_EQ(readError("c -1\n"),
-              "trace parse error at line 4: negative value '-1'");
+              "trace line 4: negative value '-1'");
 }
 
 TEST(TraceIoTest, NonNumericFieldsNameTheLine)
 {
     EXPECT_EQ(readError("c 10\ns 1 x 8 0\n"),
-              "trace parse error at line 5: cannot parse 'x' as a "
-              "number");
+              "trace line 5: cannot parse 'x' as a number");
 }
 
 TEST(TraceIoTest, FileReadErrorsNameThePath)
@@ -211,8 +210,145 @@ TEST(TraceIoTest, FileReadErrorsNameThePath)
         FAIL() << path << " parsed";
     } catch (const FatalError &err) {
         EXPECT_EQ(std::string(err.what()),
-                  path + ": trace parse error at line 4: cannot "
-                         "parse '1x' as a number");
+                  path + " line 4: cannot parse '1x' as a number");
+    }
+}
+
+/** The FatalError message reading `text` as trace `bad.trace`
+ * raises; "parsed" if it parses. */
+std::string
+traceError(const std::string &text)
+{
+    std::stringstream stream(text);
+    try {
+        readTraceText(stream, "bad.trace");
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "parsed";
+}
+
+TEST(TraceIoTest, MemoryFollowsTheSectionsNotTheRanksHeader)
+{
+    // Sections are allocated as they appear: this header alone would
+    // take 13.7 GB of empty rank traces.
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 429496729\nrank 0\n"
+                         "c 5\n"),
+              "bad.trace line 2: 'ranks 429496729' but 1 'rank' "
+              "sections follow");
+    // Sections come once each, in order.
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 2\nrank 1\n"),
+              "bad.trace line 3: expected 'rank 0'");
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 2\nrank 0\nrank 0\n"),
+              "bad.trace line 4: expected 'rank 1'");
+}
+
+TEST(TraceIoTest, ASecondRanksHeaderIsFatal)
+{
+    // Not a reset: it would discard every record before it.
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 1\nrank 0\nc 5\n"
+                         "ranks 1\nrank 0\n"),
+              "bad.trace line 5: 'ranks' after the first 'rank' "
+              "section");
+}
+
+TEST(TraceIoTest, HeadersComeOnceBeforeTheFirstSection)
+{
+    // Any header order applies up to the first section.
+    std::stringstream stream(
+        "#OVLSIM-TRACE 1\nranks 1\nname late  name\nmips 5\nrank 0\n");
+    const TraceSet traces = readTraceText(stream, "late.trace");
+    EXPECT_EQ(traces.mips(), 5.0);
+    EXPECT_EQ(traces.name(), "late  name");
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nmips 5\nranks 1\nmips 6\n"),
+              "bad.trace line 4: duplicate key 'mips' (first set on "
+              "line 2)");
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 1\nrank 0\n"
+                         "name after\n"),
+              "bad.trace line 4: 'name' after the first 'rank' "
+              "section");
+}
+
+TEST(TraceIoTest, MipsMustBeFinite)
+{
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nmips inf\nranks 1\n"
+                         "rank 0\n"),
+              "bad.trace line 2: value 'inf' is not finite");
+}
+
+TEST(TraceIoTest, UnknownCollectivesNameTheLine)
+{
+    EXPECT_EQ(traceError("#OVLSIM-TRACE 1\nranks 1\nrank 0\n"
+                         "g nosuchop 1 1 0\n"),
+              "bad.trace line 4: unknown collective op 'nosuchop' "
+              "(expected barrier, broadcast, reduce, allreduce, "
+              "gather, allgather, scatter or alltoall)");
+}
+
+/** The FatalError message reading `lines` after the magic line as
+ * overlap metadata `bad.meta` raises; "parsed" if it parses. */
+std::string
+overlapError(const std::string &lines)
+{
+    std::stringstream stream("#OVLSIM-OVERLAP 1\n" + lines);
+    try {
+        readOverlapText(stream, "bad.meta");
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "parsed";
+}
+
+TEST(OverlapIoTest, RanksDoNotNarrow)
+{
+    // 2^32 must not narrow into rank 0.
+    EXPECT_EQ(overlapError("msg 1 4294967296 1 0 64 0 0 0 0 64\n"),
+              "bad.meta line 2: value '4294967296' out of range");
+}
+
+TEST(OverlapIoTest, NegativeBytesAndPointsAreFatal)
+{
+    // Unsigned fields take no sign instead of wrapping.
+    EXPECT_EQ(overlapError("msg 1 0 1 0 -64 0 0 0 0 64\n"),
+              "bad.meta line 2: negative value '-64'");
+    EXPECT_EQ(overlapError("msg 1 0 1 0 64 0 0 0 0 64\nprod 1 1 -5\n"
+                           "cons 1 1 0\n"),
+              "bad.meta line 3: negative value '-5'");
+}
+
+TEST(OverlapIoTest, ProfileCountsAreCheckedBeforeUse)
+{
+    // The count is checked before it sizes anything.
+    EXPECT_EQ(overlapError("msg 1 0 1 0 64 0 0 0 0 64\nprod 1 -1 7\n"),
+              "bad.meta line 3: negative value '-1'");
+    EXPECT_EQ(overlapError("msg 1 0 1 0 64 0 0 0 0 64\n"
+                           "prod 1 18446744073709551615 7\n"),
+              "bad.meta line 3: profile of 18446744073709551615 points "
+              "holds 1");
+}
+
+TEST(OverlapIoTest, MissingProfilesNameTheMessageLine)
+{
+    EXPECT_EQ(overlapError("msg 1 0 1 0 64 0 0 0 0 64\nprod 1 1 7\n"
+                           "cons 1 1 7\n\nmsg 2 0 1 0 64 0 0 0 0 64\n"
+                           "prod 2 1 7\n"),
+              "bad.meta line 6: message 2 has no 'cons' profile");
+    EXPECT_EQ(overlapError("msg 1 0 1 0 64 0 0 0 0 64\n"
+                           "msg 2 0 1 0 64 0 0 0 0 64\n"),
+              "bad.meta line 3: expected a 'prod' line");
+}
+
+TEST(OverlapIoTest, FileReadErrorsNameThePathAndLine)
+{
+    const std::string path = ::testing::TempDir() + "ovl_bad_meta.txt";
+    std::ofstream(path) << "#OVLSIM-OVERLAP 1\n"
+                           "msg 1 0 1 0 6x4 0 0 0 0 64\n";
+    try {
+        readOverlapFile(path);
+        FAIL() << path << " parsed";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  path + " line 2: cannot parse '6x4' as a number");
     }
 }
 

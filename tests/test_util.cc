@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 
+#include "gen/workload_file.hh"
 #include "util/counter_rng.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
@@ -81,14 +82,14 @@ TEST(LoggingTest, RunMainEndsAFatalErrorInStatusOne)
                       argv),
               7);
 
-    // fatal() prints its own message; runMain adds nothing.
+    // runMain prints the message of a fatal() once.
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(runMain([](int, char **) -> int { fatal("bad ", 1); }, 1,
                       argv),
               1);
     EXPECT_EQ(::testing::internal::GetCapturedStderr(), "fatal: bad 1\n");
 
-    // An error thrown without fatal() is printed once, here.
+    // So it does for an error thrown without fatal().
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(runMain([](int, char **) -> int {
                   throw FatalError("direct");
@@ -97,6 +98,20 @@ TEST(LoggingTest, RunMainEndsAFatalErrorInStatusOne)
               1);
     EXPECT_EQ(::testing::internal::GetCapturedStderr(),
               "fatal: direct\n");
+
+    // A malformed stream's error, raised again with its source and
+    // line, is printed once, in its final form.
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(runMain([](int, char **) -> int {
+                  std::istringstream in("kind = bogus\n");
+                  gen::readWorkloadConfig(in, "w");
+                  return 0;
+              },
+                      1, argv),
+              1);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "fatal: w line 1: unknown workload kind 'bogus' (expected "
+              "stencil, ml-training, fan-in or dht)\n");
 
     EXPECT_THROW(runMain([](int, char **) -> int { panic("bug"); }, 1,
                          argv),
