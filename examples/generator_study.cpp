@@ -34,6 +34,8 @@
 #include "gen/workload_file.hh"
 #include "net/topology.hh"
 #include "obs/progress.hh"
+#include "util/line_reader.hh"
+#include "util/logging.hh"
 #include "util/options.hh"
 #include "util/strings.hh"
 
@@ -45,9 +47,15 @@ std::vector<int>
 parseRankGrid(const std::string &text)
 {
     std::vector<int> grid;
-    for (const auto &part : split(text, ','))
-        grid.push_back(
-            static_cast<int>(parseInt(trim(part))));
+    for (const auto &part : split(text, ',')) {
+        // Exactly an int: a wider value must not wrap into a small
+        // rank count.
+        try {
+            grid.push_back(parseNumber<int>(trim(part)));
+        } catch (const FatalError &err) {
+            fatal("--ranks: ", err.what());
+        }
+    }
     if (grid.empty())
         fatal("--ranks: empty rank grid");
     return grid;

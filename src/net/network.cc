@@ -51,6 +51,8 @@ LinkNetwork::configure(const CompiledTopology *topo,
     linkLoad_.assign(links, 0);
     linkShare_.assign(links, 0.0);
     linkHead_.assign(links, npos);
+    linkListed_.assign(links, 0);
+    lowered_.clear();
     occ_.clear();
     occFree_ = npos;
     flows_.clear();
@@ -150,7 +152,8 @@ LinkNetwork::vacate(std::uint32_t slot)
 }
 
 void
-LinkNetwork::collect(std::span<const std::uint32_t> links, bool freed)
+LinkNetwork::collect(std::span<const std::uint32_t> links, bool freed,
+                     SimTime now)
 {
     for (const std::uint32_t link : links) {
         // A freed link's share before the leave (the division
@@ -164,7 +167,12 @@ LinkNetwork::collect(std::span<const std::uint32_t> links, bool freed)
         for (std::uint32_t n = linkHead_[link]; n != npos;
              n = occ_[n].next) {
             Flow &flow = flows_[occ_[n].flow];
-            if (flow.collected || flow.rate < before) {
+            // A flow whose bytes are done and whose finish event is
+            // due by now completes at that event whatever its rate
+            // (its bytes can only fall further), and finish >= now
+            // >= armed could never re-arm it.
+            if (flow.collected || flow.rate < before ||
+                (flow.armed <= now && flow.remaining <= remainingEps)) {
                 if (stats_)
                     ++stats_->recomputesSkipped;
                 continue;
@@ -173,6 +181,28 @@ LinkNetwork::collect(std::span<const std::uint32_t> links, bool freed)
             visit_.push_back(occ_[n].flow);
         }
     }
+}
+
+void
+LinkNetwork::applyLowered()
+{
+    // Within a burst shares only fell, so one min over each listed
+    // link's final share equals the per-admission mins it replaces.
+    std::uint64_t visits = 0;
+    for (const std::uint32_t link : lowered_) {
+        linkListed_[link] = 0;
+        const double share = linkShare_[link];
+        visits += linkLoad_[link];
+        for (std::uint32_t n = linkHead_[link]; n != npos;
+             n = occ_[n].next) {
+            Flow &flow = flows_[occ_[n].flow];
+            if (share < flow.rate)
+                flow.rate = share;
+        }
+    }
+    lowered_.clear();
+    if (stats_)
+        stats_->recomputesSkipped += visits;
 }
 
 double
@@ -284,7 +314,12 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
               "network");
     ovlAssert(scaleDirty_.empty(),
               "LinkNetwork: admission with a link scale staged");
-    // Settle everyone's progress under the pre-admission rates.
+    // An admission at another instant ends the burst; its mins come
+    // first. Then settle everyone's progress under the pre-admission
+    // rates.
+    if (now != loweredAt_)
+        applyLowered();
+    loweredAt_ = now;
     advanceAll(now);
 
     Flow flow;
@@ -294,8 +329,6 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     flow.seq = nextSeq_++;
     flow.remaining = static_cast<double>(bytes);
     flow.lastUpdate = now;
-    // Infinite until the walk below lowers it to its bottleneck.
-    flow.rate = std::numeric_limits<double>::infinity();
     settleFloor_ = std::min(settleFloor_, now);
     const auto slot = static_cast<std::uint32_t>(flows_.size());
     std::uint32_t &entry = slotOf(id);
@@ -306,32 +339,27 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     occupy(slot);
 
     // Occupancy grew only on the admitted route, so only the shares
-    // there dropped. Every flow on it was at its bottleneck share
-    // before, so its new bottleneck is the smaller of its rate and
-    // the link's new share (the admitted flow's own walk starts from
-    // infinity); flows elsewhere are not visited. Rates only drop,
-    // so no armed event needs replacing: stale early events re-arm
-    // when they fire. (A flow admitted mid-rendezvous-overhead may
-    // have lastUpdate ahead of older flows; advanceAll clamps
-    // dt >= 0.)
-    std::uint64_t visits = 0;
+    // there dropped. The admitted flow walks its own hops for its
+    // bottleneck; every other flow on the route was at its
+    // bottleneck share before, so its new bottleneck is the smaller
+    // of its rate and the link's new share. That min is deferred:
+    // each route link holding another occupant is listed once, and
+    // applyLowered() visits its occupants at the first call that is
+    // not another admission at this instant. Rates only drop, so no
+    // armed event needs replacing: stale early events re-arm when
+    // they fire. (A flow admitted mid-rendezvous-overhead may have
+    // lastUpdate ahead of older flows; advanceAll clamps dt >= 0.)
+    Flow &admitted = flows_[slot];
+    admitted.rate = std::numeric_limits<double>::infinity();
     for (const std::uint32_t link : hopsOf(slot)) {
-        const double share = linkShare_[link];
-        visits += linkLoad_[link];
-        for (std::uint32_t n = linkHead_[link]; n != npos;
-             n = occ_[n].next) {
-            Flow &other = flows_[occ_[n].flow];
-            if (share < other.rate)
-                other.rate = share;
+        admitted.rate = std::min(admitted.rate, linkShare_[link]);
+        if (linkLoad_[link] > 1 && !linkListed_[link]) {
+            linkListed_[link] = 1;
+            lowered_.push_back(link);
         }
     }
-    if (stats_) {
-        // One bottleneck walk, the admitted flow's; every other
-        // occupant visit took a min.
+    if (stats_)
         ++stats_->rateRecomputes;
-        stats_->recomputesSkipped += visits - 1;
-    }
-    Flow &admitted = flows_[slot];
     ovlAssert(std::isfinite(admitted.rate),
               "LinkNetwork: flow over an empty route");
     admitted.armed = finishTime(admitted, now);
@@ -341,6 +369,7 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
 LinkNetwork::FinishCheck
 LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
 {
+    applyLowered();
     const std::uint32_t slot = slotOf(id);
     ovlAssert(slot != npos, "LinkNetwork: finish event for unknown flow");
     {
@@ -408,13 +437,14 @@ LinkNetwork::remove(std::uint32_t slot, SimTime now)
     }
     flows_.pop_back();
     hops_.resize(flows_.size() * stride_);
-    collect(gone_, true);
+    collect(gone_, true, now);
     rebalance(now);
 }
 
 void
 LinkNetwork::shiftFlowClocks(SimTime delta)
 {
+    applyLowered();
     for (Flow &flow : flows_) {
         flow.lastUpdate = flow.lastUpdate + delta;
         if (flow.armed != SimTime::max())
@@ -431,7 +461,8 @@ LinkNetwork::stateBytes() const
         return v.size() * sizeof(v[0]);
     };
     return bytes(linkRate_) + bytes(linkLoad_) + bytes(linkShare_) +
-        bytes(linkHead_) + bytes(occ_) + bytes(linkBase_) +
+        bytes(linkHead_) + bytes(linkListed_) + bytes(lowered_) +
+        bytes(occ_) + bytes(linkBase_) +
         bytes(linkScale_) + bytes(scaleDirty_) +
         bytes(overrideKeys_) + bytes(overrideBegin_) +
         bytes(overrideLinks_) + bytes(flows_) + bytes(hops_) +
@@ -445,6 +476,7 @@ LinkNetwork::cancel(std::uint32_t id, SimTime now)
     // Identical bookkeeping to a completion, minus the "bytes hit
     // zero" part: settle everyone under the old rates, free the
     // aborted flow's links, redistribute the shares.
+    applyLowered();
     const std::uint32_t slot = slotOf(id);
     ovlAssert(slot != npos, "LinkNetwork: cancel for unknown flow");
     remove(slot, now);
@@ -454,6 +486,9 @@ void
 LinkNetwork::cancelAll()
 {
     // No settle or rate recompute is needed: no survivors remain.
+    for (const std::uint32_t link : lowered_)
+        linkListed_[link] = 0;
+    lowered_.clear();
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
         vacate(slot);
         slotOf(flows_[slot].id) = npos;
@@ -478,6 +513,9 @@ LinkNetwork::setLinkScale(std::uint32_t link, double scale)
 {
     ovlAssert(scale >= 0.0,
               "LinkNetwork: link scale must be non-negative");
+    // The burst's mins must read the shares it lowered, not a
+    // rescaled one.
+    applyLowered();
     if (linkScale_[link] == scale)
         return;
     linkScale_[link] = scale;
@@ -489,10 +527,12 @@ LinkNetwork::setLinkScale(std::uint32_t link, double scale)
 void
 LinkNetwork::applyScales(SimTime now)
 {
+    // No burst mins can be pending: the setLinkScale() that staged a
+    // change took them, and no admission comes between the two.
     if (scaleDirty_.empty())
         return;
     advanceAll(now);
-    collect(scaleDirty_, false);
+    collect(scaleDirty_, false, now);
     scaleDirty_.clear();
     // Speedups (including unfreezes, whose armed is "never")
     // re-arm eagerly; slowdowns wait for their stale event.
@@ -586,6 +626,7 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
     // slots of the new stride), then recompute every rate —
     // occupancies may have moved anywhere. Total load is conserved:
     // each flow holds exactly one route's worth at a time.
+    applyLowered();
     advanceAll(now);
     for (std::uint32_t slot = 0; slot < flows_.size(); ++slot)
         vacate(slot);

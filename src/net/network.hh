@@ -32,21 +32,42 @@
  * their (still exact) shares and armed events untouched.
  *
  * Between calls every in-flight flow's rate equals its bottleneck
- * share, the minimum over its links of capacity / occupancy. Two
- * update rules keep it so without re-deriving most rates:
+ * share, the minimum over its links of capacity / occupancy, with
+ * two exceptions the rules below allow: the occupants of links a
+ * burst lowered, and flows finishing at the current instant. Two
+ * update rules keep it so without re-deriving most rates, and a
+ * third skips walks whose result nothing would read:
  *
  *  - an admission lowers shares on its own route only, so every
  *    flow there takes min(rate, the link's new share), and only the
- *    admitted flow walks its hops;
+ *    admitted flow walks its hops. The mins are deferred: each route
+ *    link that holds another occupant joins a lowered-link list
+ *    (once), and the occupants of every listed link take the min
+ *    once, at the first call that is not another admission at the
+ *    same instant — onFinishEvent, cancel, setLinkScale (so
+ *    applyScales finds none pending), shiftFlowClocks, a committing
+ *    rerouteDeadLinks or start() at another instant — before that
+ *    call settles progress or changes a share. cancelAll and
+ *    configure drop the list. Until then only the listed links'
+ *    occupants may hold a rate above their bottleneck share;
  *  - a completion or cancel raises shares on the freed links only,
  *    so only flows whose rate equals a freed link's share before
  *    the leave can speed up; the rest are bottlenecked on an
- *    unchanged link. Those few walk their hops again.
+ *    unchanged link. Those few walk their hops again;
+ *  - a flow whose finish event is due by that instant (armed <= now)
+ *    and whose bytes are done (remaining <= remainingEps) is not
+ *    walked by a removal or rescale: its bytes can only fall
+ *    further, so it completes at its own pending event whatever
+ *    rate it holds, and it may keep a rate below its share until
+ *    then.
  *
- * Both are exact: a min is, and a share only falls as its link's
- * occupancy grows. A rescale (applyScales) and a reroute recompute
- * every flow they touch, and a staged rescale must be committed
- * before the next admission or removal.
+ * All three are exact: a min is; within an admission-only burst
+ * shares only fall, so one min over the final shares equals the
+ * sequence of mins; a share only falls as its link's occupancy
+ * grows; and a finishing flow's re-arm could never be taken
+ * (finish >= now >= armed). A rescale (applyScales) and a reroute
+ * recompute every other flow they touch, and a staged rescale must
+ * be committed before the next admission or removal.
  *
  * Only the progress settle (advanceAll) walks every flow, and only
  * when some flow's clock can be behind the settle instant: the
@@ -354,10 +375,20 @@ class LinkNetwork
      * each: the only flows whose bottleneck share a load or rate
      * change on those links can move. With `freed` (the links a
      * removal just left) only flows whose rate equals a link's
-     * share before the leave are collected. Every other occupant
-     * visit counts as recomputesSkipped.
+     * share before the leave are collected. A flow that finishes
+     * at `now` (armed <= now, bytes done) is never collected. Every
+     * other occupant visit counts as recomputesSkipped.
      */
-    void collect(std::span<const std::uint32_t> links, bool freed);
+    void collect(std::span<const std::uint32_t> links, bool freed,
+                 SimTime now);
+
+    /**
+     * Give every occupant of a listed link min(rate, the link's
+     * share) and empty the list: the deferred admission mins of the
+     * last burst (see the file comment). Each visit counts as
+     * recomputesSkipped.
+     */
+    void applyLowered();
 
     /**
      * Recompute the rates of the collected flows in collection order
@@ -407,6 +438,13 @@ class LinkNetwork
     std::vector<double> linkShare_;
     /** Head of each link's occupant list (npos when empty). */
     std::vector<std::uint32_t> linkHead_;
+    /** Per link: 1 while it is in lowered_. */
+    std::vector<std::uint8_t> linkListed_;
+    /** Links an admission of the current burst shared with another
+     * occupant, once each: their occupants' mins are pending. */
+    std::vector<std::uint32_t> lowered_;
+    /** Instant of the burst lowered_ belongs to. */
+    SimTime loweredAt_;
     std::vector<Occupant> occ_;
     std::uint32_t occFree_ = 0;
     /** Configured (scale-1.0) capacity per link. */

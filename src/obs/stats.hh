@@ -53,21 +53,24 @@ struct EngineStats
     std::uint64_t arenaHighWater = 0;
     /** LinkNetwork bottleneck walks (a flow's rate re-derived over
      * its hops): one per admission, the admitted flow's own; one per
-     * flow whose rate equalled a freed link's share on a completion
-     * or cancel; one per distinct flow on a rescaled link; every
-     * flow on a reroute. */
+     * flow a completion or cancel collects (its rate equalled a
+     * freed link's share before the leave, and it does not finish at
+     * that instant); one per distinct flow on a rescaled link that
+     * does not finish at that instant; every flow on a reroute. */
     std::uint64_t rateRecomputes = 0;
-    /** LinkNetwork occupant-list visits that needed no walk: an
-     * admission's min on every other occupant of its route (its
-     * own other hops included), a removal's visits of flows
-     * bottlenecked elsewhere, and repeat visits of a flow already
-     * collected. With rateRecomputes, the total occupant-list
-     * visits (a reroute walks every flow without visiting a
-     * list). */
+    /** LinkNetwork occupant-list visits that needed no walk: each
+     * occupant of a link an admission burst lowered, once per burst,
+     * when the burst's deferred mins are taken; a removal's or
+     * rescale's visits of flows bottlenecked elsewhere or finishing
+     * at that instant (bytes done, finish event due); and repeat
+     * visits of a flow already collected. An admission's own hops
+     * and a reroute's walks visit no list, so with rateRecomputes
+     * this is the network's walks plus list visits, not its list
+     * visits alone. */
     std::uint64_t recomputesSkipped = 0;
     /** Finish re-arms actually scheduled after a rate change. */
     std::uint64_t rearmsTaken = 0;
-    /** Recomputed flows on a completion/cancel/rescale/reroute that
+    /** Walked flows on a completion/cancel/rescale/reroute that
      * needed no earlier finish event (unchanged or later finish). */
     std::uint64_t rearmsSkipped = 0;
     /** Scenario events applied (degrades, stalls, failures, ...). */

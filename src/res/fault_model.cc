@@ -360,15 +360,33 @@ readAvailabilityTrace(std::istream &in, const std::string &source,
             // A trace has one period: a second header is a typo.
             line.once(line[0]);
             line.expectTokens(2, "PERIODICITY <us>");
-            periodicity_us = parseNumber<double>(line[1]);
+            periodicity_us =
+                parseNumber<double>(line[1], Sign::positive);
             return;
         }
         if (line.seenLine("PERIODICITY") == 0)
             fatal("availability trace must start with "
                   "`PERIODICITY <us>`");
         line.expectTokens(2, "<time_us> <value>");
-        trace.push_back(
-            {parseNumber<double>(line[0]), parseNumber<double>(line[1])});
+        // FaultProcess::validate()'s checks, made here so that the
+        // error names this line.
+        const double time =
+            parseNumber<double>(line[0], Sign::nonNegative);
+        const double value =
+            parseNumber<double>(line[1], Sign::nonNegative);
+        if (time >= periodicity_us) {
+            fatal("time ", line[0], " is not inside the period [0, ",
+                  periodicity_us, ")");
+        }
+        if (!trace.empty() && time <= trace.back().timeUs) {
+            fatal("time ", line[0], " is not after the previous "
+                  "point's");
+        }
+        if (value > 1.0) {
+            fatal("value ", line[1], " is not a capacity fraction in "
+                  "[0, 1]");
+        }
+        trace.push_back({time, value});
     });
     line.check([&] {
         if (trace.empty())

@@ -104,6 +104,12 @@ ERRORS = [
      "fatal: bad.workload line 2: unknown workload kind 'bogus' "
      "(expected stencil, ml-training, fan-in or dht)",
      {"bad.workload": "# a typo in the kind\nkind = bogus\n"}),
+    ("generator_study --ranks 4294967312", "generator_study",
+     ["--kind", "stencil", "--ranks", "4294967312", "--threads", "1"],
+     "fatal: --ranks: value '4294967312' out of range", {}),
+    ("generator_study --ranks 16x", "generator_study",
+     ["--kind", "stencil", "--ranks", "16x", "--threads", "1"],
+     "fatal: --ranks: cannot parse '16x' as a number", {}),
     ("overlap_study --platform bad.platform", "overlap_study",
      ["--platform", "bad.platform"],
      "fatal: bad.platform line 2: cannot parse '12q' as a number",

@@ -27,7 +27,9 @@
  * scalingSweep rows' rateRecomputes, recomputesSkipped and
  * rearmsSkipped were re-pinned, every other column unedited, when
  * the link network stopped re-deriving bottlenecks that an
- * admission or removal could not move.
+ * admission or removal could not move, and again when an admission
+ * burst's mins became one pass per lowered link and a removal
+ * stopped walking flows that finish at its instant.
  */
 
 #include <gtest/gtest.h>
@@ -163,11 +165,11 @@ TEST(CampaignPinTest, ScalingSweepOfMlTraining)
     ml.stepInstr = 50'000'000;
     expectScalingTable(ml, {
         {16, 296864000, 0x1.5387cbadfcbe6p-1, 296864000, 296864000, 0, 0,
-         {4080, 4080, 0, 0, 0, 512, 2688, 6528, 0, 1152, 0, 3072, 0, 0}},
+         {4080, 4080, 0, 0, 0, 512, 1536, 3840, 0, 0, 0, 3072, 0, 0}},
         {32, 428000000, 0x1.885fb37072d78p-1, 428000000, 428000000, 0, 0,
-         {10416, 10416, 0, 0, 0, 1280, 11760, 38928, 0, 7920, 0, 7680, 0, 0}},
+         {10416, 10416, 0, 0, 0, 1280, 3840, 24576, 0, 0, 0, 7680, 0, 0}},
         {64, 559136000, 0x1.a46e1e44f2cc4p-1, 559136000, 559136000, 0, 0,
-         {25344, 25344, 0, 0, 0, 3072, 36288, 129600, 0, 27072, 0, 18432, 0, 0}},
+         {25344, 25344, 0, 0, 0, 3072, 9216, 82944, 0, 0, 0, 18432, 0, 0}},
     });
 }
 
@@ -178,11 +180,11 @@ TEST(CampaignPinTest, ScalingSweepOfStencil)
     stencil.name = "gen-stencil";
     expectScalingTable(stencil, {
         {16, 4458503, 0x1.754eb9b8a2745p-4, 4160001, 4160001, 6291456, 192,
-         {26314, 26314, 12672, 0, 0, 3072, 136040, 743796, 5967, 123737, 0, 0, 0, 0}},
+         {26314, 26314, 12672, 0, 0, 3072, 38121, 417979, 5967, 25818, 0, 0, 0, 0}},
         {32, 4458501, 0x1.7490e8436e849p-4, 4160001, 4160001, 13631488, 416,
-         {49738, 49738, 27456, 0, 0, 6656, 347711, 1979847, 6212, 327771, 0, 0, 0, 0}},
+         {49738, 49738, 27456, 0, 0, 6656, 80717, 1118300, 6212, 60777, 0, 0, 0, 0}},
         {64, 4464503, 0x1.7c395400acbp-4, 4171547, 4171547, 29360128, 896,
-         {380050, 380050, 59136, 0, 0, 14336, 888757, 7221539, 288494, 570695, 0, 0, 0, 0}},
+         {380050, 380050, 59136, 0, 0, 14336, 448091, 3733639, 288494, 130029, 0, 0, 0, 0}},
     });
 }
 

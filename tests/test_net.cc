@@ -775,8 +775,10 @@ struct DiffState
  * dozen equal flows admitted at one instant, then every event of the
  * earliest instant fired together, mixed with single and
  * future-instant admissions, cancels, rescales, clock shifts and
- * snapshot/restore. After every operation both networks must report
- * the same reschedules, in the same order, and the same link loads.
+ * snapshot/restore; a round may be cut at its own instant by any
+ * other call (see cut()). After every operation both networks must
+ * report the same reschedules, in the same order, and the same link
+ * loads.
  */
 class DiffFuzzer
 {
@@ -903,10 +905,13 @@ class DiffFuzzer
                        std::to_string(l));
     }
 
-    /** Move the clock forward without overtaking a pending event. */
+    /** Move the clock forward without overtaking a pending event
+     * (unless a cut() holds it at a burst's instant). */
     void
     tick()
     {
+        if (holdClock_)
+            return;
         const auto step =
             static_cast<std::int64_t>(rng_.nextBelow(2000));
         SimTime target = s_.now + SimTime::fromNs(step);
@@ -929,6 +934,13 @@ class DiffFuzzer
     admit()
     {
         tick();
+        admitAt(std::nullopt);
+    }
+
+    /** One random flow at `at`, or else at admissionInstant(). */
+    void
+    admitAt(std::optional<SimTime> at)
+    {
         if (s_.live.size() >= 40)
             return;
         // A small id pool forces reuse (stale events of a finished
@@ -945,7 +957,7 @@ class DiffFuzzer
         if (dst >= src)
             ++dst;
         const Bytes bytes = 1 + rng_.nextBelow(64 * 1024);
-        start(id, src, dst, bytes, admissionInstant());
+        start(id, src, dst, bytes, at ? *at : admissionInstant());
     }
 
     /** Now, or for a quarter of draws a rendezvous-style admission
@@ -974,13 +986,15 @@ class DiffFuzzer
      * One collective round without moving the clock: 2-12 flows of
      * one size admitted at one instant, node i sending to node
      * i + offset, so equal flows on mirrored routes finish together.
+     * A quarter of the admissions are followed by a cut(), so the
+     * rest of the round is a second burst at the same instant.
      */
     void
     burst()
     {
         const auto nodes = static_cast<std::uint64_t>(topo_.nodes());
         const Bytes bytes = 1 + rng_.nextBelow(64 * 1024);
-        const SimTime at = admissionInstant();
+        SimTime at = admissionInstant();
         const std::uint64_t first = rng_.nextBelow(nodes);
         const std::uint64_t offset = 1 + rng_.nextBelow(nodes - 1);
         const std::uint64_t count = 2 + rng_.nextBelow(11);
@@ -992,7 +1006,52 @@ class DiffFuzzer
             const std::uint64_t src = (first + k) % nodes;
             start(id, static_cast<int>(src),
                   static_cast<int>((src + offset) % nodes), bytes, at);
+            if (rng_.nextBelow(4) == 0)
+                at = cut(at);
         }
+    }
+
+    /**
+     * End a burst admitted at `at` with one call that is not another
+     * admission at that instant, the clock held where it is: a
+     * finish event, a cancel, a rescale, a clock shift, a reroute,
+     * an admission at another instant or cancelAll. Returns the
+     * instant the round resumes at (`at`, moved by a shift).
+     */
+    SimTime
+    cut(SimTime at)
+    {
+        holdClock_ = true;
+        switch (rng_.nextBelow(7)) {
+          case 0:
+            pokeEarly();
+            break;
+          case 1:
+            cancelOne();
+            break;
+          case 2:
+            rescale();
+            break;
+          case 3: {
+            const SimTime delta = SimTime::fromNs(
+                static_cast<std::int64_t>(rng_.nextBelow(5000)));
+            shift(delta);
+            at = at + delta;
+            break;
+          }
+          case 4:
+            reroute();
+            break;
+          case 5:
+            admitAt(at + SimTime::fromNs(static_cast<std::int64_t>(
+                             1 + rng_.nextBelow(800))));
+            break;
+          default:
+            cancelAll();
+            break;
+        }
+        holdClock_ = false;
+        return at;
     }
 
     void
@@ -1160,6 +1219,8 @@ class DiffFuzzer
     std::optional<DiffState> saved_;
     std::uint64_t pushes_ = 0;
     bool ok_ = true;
+    /** Set while cut() runs: tick() leaves the clock alone. */
+    bool holdClock_ = false;
 };
 
 void

@@ -248,8 +248,9 @@ TEST(EngineStatsTest, LinkNetworkVisitsOnlyFlowsSharingALink)
 {
     // Radix-2 fat tree over 8 nodes: 0 -> 1 and 2 -> 3 each stay
     // under their own leaf (injection + ejection link), so the two
-    // routes are disjoint. An admission walks its own two occupant
-    // lists: one bottleneck walk (its own) plus one repeat visit.
+    // routes are disjoint. An admission walks its own hops (one
+    // bottleneck walk) and lists no link: neither holds another
+    // occupant.
     const auto topo =
         net::compileTopology(net::topologies::fatTree(2), 8);
     obs::EngineStats stats;
@@ -259,48 +260,59 @@ TEST(EngineStatsTest, LinkNetworkVisitsOnlyFlowsSharingALink)
     network.start(0, 0, 1, 4096, SimTime::zero());
     network.start(1, 2, 3, 8192, SimTime::zero());
     EXPECT_EQ(stats.rateRecomputes, 2u);
-    EXPECT_EQ(stats.recomputesSkipped, 2u);
+    EXPECT_EQ(stats.recomputesSkipped, 0u);
 
     // Flow 0 completes; flow 1 shares none of its links and is not
     // visited at all: no recompute, no repeat visit, no re-arm
     // decision.
     EXPECT_TRUE(network.onFinishEvent(0, SimTime::fromNs(4096)).done);
     EXPECT_EQ(stats.rateRecomputes, 2u);
-    EXPECT_EQ(stats.recomputesSkipped, 2u);
+    EXPECT_EQ(stats.recomputesSkipped, 0u);
     EXPECT_EQ(stats.rearmsTaken, 0u);
     EXPECT_EQ(stats.rearmsSkipped, 0u);
     EXPECT_TRUE(network.pendingReschedules().empty());
 
-    // A flow joining flow 1's route finds both lists holding both
-    // flows: 4 visits, of which one is the newcomer's walk and the
-    // other three take a min. Cancelling it at once frees two links
-    // whose share before the leave (1/2) is flow 1's rate, so flow
-    // 1 is walked on the first list and repeated on the second; its
-    // share returns to the full link, whose finish its armed event
-    // already covers, so the re-arm is skipped.
+    // A flow joining flow 1's route walks its own hops and lists
+    // both links, which now hold both flows. Cancelling it at once
+    // first takes the burst's mins (2 + 2 visits), then frees the
+    // two links, whose share before the leave (1/2) is flow 1's
+    // rate, so flow 1 is walked on the first list and repeated on
+    // the second; its share returns to the full link, whose finish
+    // its armed event already covers, so the re-arm is skipped.
     network.start(2, 2, 3, 4096, SimTime::fromNs(4096));
     EXPECT_EQ(stats.rateRecomputes, 3u);
-    EXPECT_EQ(stats.recomputesSkipped, 5u);
+    EXPECT_EQ(stats.recomputesSkipped, 0u);
     network.cancel(2, SimTime::fromNs(4096));
     EXPECT_EQ(stats.rateRecomputes, 4u);
-    EXPECT_EQ(stats.recomputesSkipped, 6u);
+    EXPECT_EQ(stats.recomputesSkipped, 5u);
     EXPECT_EQ(stats.rearmsTaken, 0u);
     EXPECT_EQ(stats.rearmsSkipped, 1u);
 }
 
-TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
+/** The tapered radix-4 fat tree over 16 nodes at 3000 MB/s: NIC
+ * links carry 3 B/ns, leaf uplinks and downlinks 6 B/ns. */
+struct TaperedNet
 {
-    // Tapered radix-4 fat tree over 16 nodes at 3000 MB/s: NIC links
-    // carry 3 B/ns, leaf uplinks and downlinks 6 B/ns. R (0 -> 4),
-    // X (1 -> 5) and Y (2 -> 6) cross leaf 0's uplink and leaf 1's
-    // downlink; W (2 -> 3) shares Y's injection link and stays
-    // under leaf 0.
-    const auto topo = net::compileTopology(
+    net::CompiledTopology topo = net::compileTopology(
         net::topologies::taperedFatTree(4, 0.5), 16);
     obs::EngineStats stats;
     net::LinkNetwork network;
-    network.configure(&topo, 3000.0);
-    network.setStats(&stats);
+
+    TaperedNet()
+    {
+        network.configure(&topo, 3000.0);
+        network.setStats(&stats);
+    }
+};
+
+TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
+{
+    // R (0 -> 4), X (1 -> 5) and Y (2 -> 6) cross leaf 0's uplink
+    // and leaf 1's downlink; W (2 -> 3) shares Y's injection link
+    // and stays under leaf 0.
+    TaperedNet t;
+    net::LinkNetwork &network = t.network;
+    const obs::EngineStats &stats = t.stats;
     const auto r = network.routeOf(0, 4);
     const auto x = network.routeOf(1, 5);
     const auto y = network.routeOf(2, 6);
@@ -311,9 +323,9 @@ TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
                 y[2] == r[2]);
     ASSERT_EQ(y[0], w[0]);
 
-    // Each admission walks its own hops once (one recompute) and
-    // takes a min on every other occupant visit: R visits 4
-    // occupants, X 6, W 2, Y 2 + 3 + 3 + 1 = 9.
+    // Each admission walks its own hops once (one recompute). X
+    // lists the uplink and downlink, Y the injection link it shares
+    // with W; the mins wait for the first call at another instant.
     const SimTime t0 = SimTime::zero();
     EXPECT_EQ(network.start(0, 0, 4, 12'000, t0).ns(), 4000);
     EXPECT_EQ(network.start(1, 1, 5, 12'000, t0).ns(), 4000);
@@ -321,15 +333,18 @@ TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
     // Y's bottleneck is its injection link, shared with W (1.5 B/ns).
     EXPECT_EQ(network.start(3, 2, 6, 12'000, t0).ns(), 8000);
     EXPECT_EQ(stats.rateRecomputes, 4u);
-    EXPECT_EQ(stats.recomputesSkipped, 17u);
+    EXPECT_EQ(stats.recomputesSkipped, 0u);
 
-    // Y's admission lowered X from 3 to the uplink's new share,
-    // 6 / 3 = 2 B/ns, with no walk of X's hops: X's finish event at
-    // 4000 ns fires early with 4000 bytes left, 2000 ns more.
+    // X's finish event first takes the burst's mins: 3 occupants on
+    // each of the uplink and downlink, 2 on Y's injection link. X
+    // falls from 3 to the uplink's share, 6 / 3 = 2 B/ns, with no
+    // walk of its hops: its event at 4000 ns fires early with 4000
+    // bytes left, 2000 ns more.
     const auto early = network.onFinishEvent(1, SimTime::fromNs(4000));
     EXPECT_FALSE(early.done);
     EXPECT_EQ(early.retry.ns(), 6000);
     EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 8u);
 
     // Cancelling R frees the uplink and downlink, whose share before
     // the leave (2 B/ns) is X's rate but not Y's (1.5 B/ns, set by
@@ -339,13 +354,106 @@ TEST(EngineStatsTest, LinkNetworkWalksOnlyTheFlowsAChangeBottlenecks)
     // decision.
     network.cancel(0, SimTime::fromNs(4000));
     EXPECT_EQ(stats.rateRecomputes, 5u);
-    EXPECT_EQ(stats.recomputesSkipped, 20u);
+    EXPECT_EQ(stats.recomputesSkipped, 11u);
     EXPECT_EQ(stats.rearmsTaken, 1u);
     EXPECT_EQ(stats.rearmsSkipped, 0u);
     const auto rearms = network.pendingReschedules();
     ASSERT_EQ(rearms.size(), 1u);
     EXPECT_EQ(rearms[0].first, 1u);
     EXPECT_EQ(rearms[0].second.ns(), 5334);
+}
+
+TEST(EngineStatsTest, LinkNetworkTakesOneMinPassPerAdmissionBurst)
+{
+    // Four equal flows k -> 4 + k (k = 0..3) admitted at one instant
+    // all cross leaf 0's uplink and leaf 1's downlink. Each walks its
+    // own hops; the two shared links are listed once, at the second
+    // admission. Their mins wait for the first finish event, which
+    // visits each listed link's 4 occupants once: 8 visits, where
+    // one min per occupant per admission would visit the triangular
+    // 1 + 2 + 3 + 4 = 10 on each (28 with the walked hops).
+    TaperedNet t;
+    net::LinkNetwork &network = t.network;
+    const obs::EngineStats &stats = t.stats;
+    const auto first = network.routeOf(0, 4);
+    std::vector<std::int64_t> armed;
+    for (int k = 0; k < 4; ++k) {
+        const auto route = network.routeOf(k, 4 + k);
+        ASSERT_TRUE(route[1] == first[1] && route[2] == first[2]);
+        armed.push_back(network.start(static_cast<std::uint32_t>(k), k,
+                                      4 + k, 12'000, SimTime::zero())
+                            .ns());
+    }
+    // Admitted at shares 3, 3, 2 and 1.5 B/ns.
+    EXPECT_EQ(armed, (std::vector<std::int64_t>{4000, 4000, 6000, 8000}));
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 0u);
+
+    // Flow 0's event fires early: the pass lowered it to 1.5 B/ns,
+    // so 6000 bytes are left, 4000 ns more.
+    const auto early = network.onFinishEvent(0, SimTime::fromNs(4000));
+    EXPECT_FALSE(early.done);
+    EXPECT_EQ(early.retry.ns(), 8000);
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 8u);
+    // A second call at the same instant finds nothing listed.
+    EXPECT_FALSE(network.onFinishEvent(1, SimTime::fromNs(4000)).done);
+    EXPECT_EQ(stats.recomputesSkipped, 8u);
+    EXPECT_EQ(stats.rearmsTaken + stats.rearmsSkipped, 0u);
+}
+
+TEST(EngineStatsTest, LinkNetworkWalksOnlyTheSurvivorsOfARound)
+{
+    // Three equal 12 KB flows A0-A2 (k -> 4 + k) and a 24 KB flow Z
+    // (3 -> 7) admitted at one instant share the uplink and
+    // downlink at 1.5 B/ns each. A0-A2 all finish at 8000 ns, when
+    // Z has 12 KB left.
+    TaperedNet t;
+    net::LinkNetwork &network = t.network;
+    const obs::EngineStats &stats = t.stats;
+    for (std::uint32_t k = 0; k < 3; ++k)
+        network.start(k, static_cast<int>(k), static_cast<int>(4 + k),
+                      12'000, SimTime::zero());
+    EXPECT_EQ(network.start(3, 3, 7, 24'000, SimTime::zero()).ns(),
+              16'000);
+    // The A flows' early events at 4000 and 6000 ns take the burst's
+    // mins (8 visits) and re-arm them all at 8000.
+    for (const std::uint32_t k : {0u, 1u, 2u}) {
+        const SimTime at = SimTime::fromNs(k == 2 ? 6000 : 4000);
+        const auto early = network.onFinishEvent(k, at);
+        ASSERT_FALSE(early.done);
+        EXPECT_EQ(early.retry.ns(), 8000);
+    }
+    EXPECT_EQ(stats.rateRecomputes, 4u);
+    EXPECT_EQ(stats.recomputesSkipped, 8u);
+
+    // The round at 8000 ns: each completion frees the two shared
+    // links. The other A flows there are done and due at this
+    // instant, so they are skipped with no walk and no re-arm
+    // decision; only Z, bottlenecked on the freed uplink, is walked
+    // (once per completion, repeated on the downlink). Z speeds up
+    // to 2 then 3 B/ns and re-arms at 8000 + 12000 / 2 = 14000,
+    // then at 8000 + 12000 / 3 = 12000; the third completion leaves
+    // its rate at the 3 B/ns of its NIC links.
+    const SimTime round = SimTime::fromNs(8000);
+    std::vector<std::int64_t> rearms;
+    for (const std::uint32_t k : {0u, 1u, 2u}) {
+        ASSERT_TRUE(network.onFinishEvent(k, round).done);
+        for (const auto &[id, finish] : network.pendingReschedules()) {
+            EXPECT_EQ(id, 3u);
+            rearms.push_back(finish.ns());
+        }
+        network.clearPendingReschedules();
+    }
+    EXPECT_EQ(rearms, (std::vector<std::int64_t>{14'000, 12'000}));
+    // Walks: Z three times; visits skipped: A1, A2 and Z's repeat,
+    // then A2 and Z's repeat, then Z's repeat (5 + 3 + 1).
+    EXPECT_EQ(stats.rateRecomputes, 4u + 3u);
+    EXPECT_EQ(stats.recomputesSkipped, 8u + 9u);
+    EXPECT_EQ(stats.rearmsTaken, 2u);
+    EXPECT_EQ(stats.rearmsSkipped, 1u);
+    EXPECT_TRUE(network.onFinishEvent(3, SimTime::fromNs(12'000)).done);
+    EXPECT_EQ(network.totalLoad(), 0u);
 }
 
 TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)

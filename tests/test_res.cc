@@ -387,6 +387,58 @@ TEST(FaultModelTest, AvailabilityTraceRejectsARepeatedPeriodicity)
               "on line 1)");
 }
 
+TEST(FaultModelTest, AvailabilityTracePointsAreCheckedOnTheirLine)
+{
+    // The period and every point are checked where they are read, so
+    // the error names the trace's line rather than the model's.
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 1.0\n500 2\n"),
+              "t.trace line 3: value 2 is not a capacity fraction in "
+              "[0, 1]");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 -0.5\n"),
+              "t.trace line 2: negative value '-0.5'");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 1\n1000 0\n"),
+              "t.trace line 3: time 1000 is not inside the period "
+              "[0, 1000)");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n-1 1\n"),
+              "t.trace line 2: negative value '-1'");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n500 1\n500 0\n"),
+              "t.trace line 3: time 500 is not after the previous "
+              "point's");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n# dip\n400 1\n"
+                                     "300 0.5\n"),
+              "t.trace line 4: time 300 is not after the previous "
+              "point's");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 0\n0 1\n"),
+              "t.trace line 1: value '0' must be positive");
+    EXPECT_EQ(availabilityTraceError("PERIODICITY 1000\n0 1\n999.5 0\n"),
+              "");
+
+    // Through a model file the error leads with the model's line.
+    const std::string dir = ::testing::TempDir() + "res_bad_point";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/a.trace") << "PERIODICITY 1000\n0 1\n500 2\n";
+    std::ofstream(dir + "/m.faults")
+        << "seed = 1\nprocess node 0 trace a.trace\n";
+    try {
+        res::readFaultModelFile(dir + "/m.faults");
+        ADD_FAILURE() << "expected the out-of-range value to be fatal";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  dir + "/m.faults line 2: " + dir +
+                      "/a.trace line 3: value 2 is not a capacity "
+                      "fraction in [0, 1]");
+    }
+
+    // validate() keeps the same checks for models built in code.
+    res::FaultProcess proc;
+    proc.target = ScenTarget::node;
+    proc.nodeA = 0;
+    proc.tracePath = "a.trace";
+    proc.periodicityUs = 1000.0;
+    proc.trace = {{0.0, 1.0}, {500.0, 2.0}};
+    EXPECT_THROW(proc.validate(), FatalError);
+}
+
 TEST(FaultModelTest, TraceProcessResolvesNextToTheModelAndRoundTrips)
 {
     const std::string dir = ::testing::TempDir() + "res_trace_model";
@@ -989,14 +1041,19 @@ expectPinned(const sim::SimResult &r, const CkptPin &pin)
  * engine whose checkpoint image mirrored the imaged members field
  * by field; the fat tree's rate recomputes and repeat visits were
  * re-pinned (36/64 -> 27/73) when the link network stopped
- * re-deriving bottlenecks a change could not move. snapshotBytes
+ * re-deriving bottlenecks a change could not move, and again (to
+ * 23/46, rearms skipped 9 -> 5) when an admission burst's mins
+ * became one pass per lowered link and a removal stopped walking
+ * flows that finish at its instant; snapshotBytes grew by the
+ * network's per-link listed flags, 12 bytes on each of the 10
+ * images and restores (24504 -> 24624). snapshotBytes
  * pins how much state every image and restore copies, so a member
  * that leaves or joins the image, or a network left over from an
  * earlier replay, moves it.
  */
 const CkptPin routedEverythingOnPin = {
     1387000, 62, 8, 1, 0xe70cd2e675cedbddULL,
-    {69, 62, 0, 0, 0, 16, 27, 73, 1, 9, 7, 32, 115000, 24504}};
+    {69, 62, 0, 0, 0, 16, 23, 46, 1, 5, 7, 32, 115000, 24624}};
 const CkptPin flatEverythingOnPin = {
     2504000, 68, 15, 1, 0x060a54533a9de82dULL,
     {74, 68, 0, 4, 37, 16, 0, 0, 0, 0, 7, 32, 115000, 27416}};
@@ -1165,76 +1222,79 @@ const FuzzPin fuzzPins[200] = {
  * countersHash of each CheckpointFuzzTest round's first replay, in
  * round order: all 14 counters, snapshotBytes and heapPushes
  * included. Recorded from the engine whose checkpoint image
- * mirrored the imaged members field by field.
+ * mirrored the imaged members field by field; the 100 routed
+ * rounds were re-pinned when an admission burst's mins became one
+ * pass per lowered link (their recomputesSkipped, and snapshotBytes
+ * by the network's per-link listed flags).
  */
 const std::uint64_t fuzzCounterPins[200] = {
-    0xe89f862d6388a704ULL, 0x8122866378f5d16dULL, 0x841d2f66205ae9acULL,
-    0xffc4089c66feccf7ULL, 0x56deed0dcd8d24a8ULL, 0x3c6dffd64b6f0ef7ULL,
-    0x8b5d16b0a5c8abb2ULL, 0xcee0890b089e95bdULL, 0x060cbab9dcfbd706ULL,
-    0x64882a618431af07ULL, 0xe89f862d6388a704ULL, 0x2a1a815e4c422719ULL,
-    0x11d9a6089d329fa5ULL, 0x0aae2a28b8a74835ULL, 0x7dbbb388add67926ULL,
-    0x5df0fa5e1f00e878ULL, 0x99981692b9acbf78ULL, 0x1a50b46eb5dadcecULL,
-    0x17f25aecb00b13e7ULL, 0x2a1a815e4c422719ULL, 0xe89f862d6388a704ULL,
-    0xcaa0018e1c7b50ecULL, 0x8631c1cd1a0f918bULL, 0x783ba0f3fb77c16fULL,
-    0x5151ecead643d233ULL, 0x2a1a815e4c422719ULL, 0x098ef14c6eb6b1d7ULL,
-    0x36bf35ed372f85abULL, 0xd64e7859f575b3ceULL, 0x9d74d8df360b3ee0ULL,
-    0xa7d607dc2a4f6f9dULL, 0x46446ae4960a6d56ULL, 0xb7b5cc85e89fc2d4ULL,
-    0x9e5fcdec3a462bfaULL, 0x3b028a03c1b6de56ULL, 0x6308c5c3089d0651ULL,
-    0x9677e9ca741cbe78ULL, 0x95298b3f988cdde2ULL, 0x1c6f7b8743cc841eULL,
-    0x6e6a506052a020f0ULL, 0xb72bed7610887a85ULL, 0x80b467c0ac35e4d0ULL,
-    0xf6c82d5b6417e68aULL, 0x0f9a321adc20b685ULL, 0xfe69a98948f889aaULL,
-    0x939bb1c2e2aaff09ULL, 0x126cd5c20dc8c036ULL, 0x605bc3321f2c52faULL,
-    0x63737e687cf463d6ULL, 0xac65de871cfb63f4ULL, 0x6356f112c0639007ULL,
-    0x0b0ffb2ddb53949fULL, 0x379ab05b5f7fa8d6ULL, 0x31513ab33bc1350aULL,
-    0x858c6121ea27aad1ULL, 0x866b7a913ab0dc53ULL, 0x6f3487ffb79a50ceULL,
-    0x2a1a815e4c422719ULL, 0x1c6f7b8743cc841eULL, 0xb0bf8c8fa446043dULL,
-    0x6b75242a1a375a74ULL, 0x0711f0adeb3fbd7eULL, 0x8aaa67f258761ffcULL,
-    0x2a1a815e4c422719ULL, 0xcb77159cfe158252ULL, 0xa59ea71b10075f47ULL,
-    0x5fb5e18ab3027eb2ULL, 0xd4f3af1149f0c094ULL, 0x1c6f7b8743cc841eULL,
-    0x31513ab33bc1350aULL, 0x166225ca92ab01c6ULL, 0x67ec4bbc8a847be4ULL,
-    0x22d0f764b650f4a4ULL, 0xd00502b1d1b74002ULL, 0x599647d80c26dd98ULL,
-    0x37637a61622798b6ULL, 0xd06df38e5822bd52ULL, 0xc2684450ef90bc69ULL,
-    0xf0c65f5d05a5182fULL, 0x37637a61622798b6ULL, 0x5fb5e18ab3027eb2ULL,
-    0x8fc0870a87dae5c7ULL, 0x35da74b29f5f2e61ULL, 0xae0fa2da9d2d6aa2ULL,
-    0x55dfb574a67e857dULL, 0x783ba0f3fb77c16fULL, 0x126cd5c20dc8c036ULL,
-    0x52182b9aaebb4cedULL, 0xe89f862d6388a704ULL, 0x19032fedbcbdea4aULL,
-    0x8aaa67f258761ffcULL, 0x7e8e4327d8a79319ULL, 0x3000ad458bc565e2ULL,
-    0x2a9ab690ea62be53ULL, 0x0a9fca161e7d07d5ULL, 0x857710daa538cfd7ULL,
-    0x98e016a22925178cULL, 0x7aa2281285cf8124ULL, 0xb72bed7610887a85ULL,
-    0xba4f06a72fd5da52ULL, 0x56deed0dcd8d24a8ULL, 0xf69282ae8e908fc4ULL,
-    0x22d0f764b650f4a4ULL, 0xcfb68861bcaa15f8ULL, 0x22d0f764b650f4a4ULL,
-    0xbee4d94ab55a2f34ULL, 0xe7612718a06a132dULL, 0x2a9ab690ea62be53ULL,
-    0x790662d5a48f8b29ULL, 0xa77d09b797b9c5c0ULL, 0x3b028a03c1b6de56ULL,
-    0x06761e3a8b3ee5daULL, 0xce344011839ad9a0ULL, 0x976875838d14789aULL,
-    0x437b97fdec7f630fULL, 0x31513ab33bc1350aULL, 0xd41075e65038adc0ULL,
-    0xf69282ae8e908fc4ULL, 0x1e38726217647867ULL, 0x37637a61622798b6ULL,
-    0xb0b41e81173058e4ULL, 0xc6b3d22b328ebe59ULL, 0x3b028a03c1b6de56ULL,
-    0x95d2c6b8ae414973ULL, 0x5fb5e18ab3027eb2ULL, 0x3c6dffd64b6f0ef7ULL,
-    0xfc01c9e5cdf43ee5ULL, 0x3c6dffd64b6f0ef7ULL, 0xe9a4faeb30c64f75ULL,
-    0xc9a448b39643b24cULL, 0xf1d137dfe38d3bf5ULL, 0x6e6a506052a020f0ULL,
-    0x939d5d07a5b2e4d2ULL, 0x4e0995a68f857701ULL, 0x098ef14c6eb6b1d7ULL,
-    0xde47a38fdf18c482ULL, 0xfe69a98948f889aaULL, 0x1851ed6374b81b5cULL,
-    0xa739b2c72a58ba6fULL, 0x7e65b864797cb91cULL, 0xc588e1e0656acbffULL,
-    0xd00502b1d1b74002ULL, 0xb82b250f379719b0ULL, 0x9d74d8df360b3ee0ULL,
-    0x22d0f764b650f4a4ULL, 0x19f6a3bc6db10cf9ULL, 0x60c4b40ea597d04aULL,
-    0xcee0890b089e95bdULL, 0x01c06396798c531fULL, 0x2a1a815e4c422719ULL,
-    0x1c6f7b8743cc841eULL, 0x3d1b9476515e13c7ULL, 0xe772adf50722fb2eULL,
-    0xafd602da97b00343ULL, 0x098ef14c6eb6b1d7ULL, 0x9ad85528accc672eULL,
-    0x92a02aa81a7149f3ULL, 0x37637a61622798b6ULL, 0x56deed0dcd8d24a8ULL,
-    0x685810b22c39bd44ULL, 0xc27cde2e00366f5aULL, 0x89050be34bc0168aULL,
-    0x15e966336d607a43ULL, 0x37637a61622798b6ULL, 0x841d2f66205ae9acULL,
-    0xc9a448b39643b24cULL, 0x2a7fc929193af1dbULL, 0xa9c3c32c71499f97ULL,
-    0x22d0f764b650f4a4ULL, 0x203ded67889b5547ULL, 0x56deed0dcd8d24a8ULL,
-    0x5df0fa5e1f00e878ULL, 0xb0b41e81173058e4ULL, 0x9e5fcdec3a462bfaULL,
-    0xed65b8845b2dc40cULL, 0xa77d09b797b9c5c0ULL, 0x31ba2b8fc22cb25aULL,
-    0xabeb8ff49efc6d66ULL, 0xfae44e9423b6b480ULL, 0x36bf35ed372f85abULL,
-    0xe8c9b7fe5ab05d15ULL, 0x1788ee03219af59cULL, 0x5209ced2a242b43eULL,
-    0xd00502b1d1b74002ULL, 0x57bc04af370f0910ULL, 0x37637a61622798b6ULL,
-    0xb0cdd301899db149ULL, 0x6e6a506052a020f0ULL, 0x3000ad458bc565e2ULL,
-    0xa77d09b797b9c5c0ULL, 0xd06df38e5822bd52ULL, 0xa9c3c32c71499f97ULL,
-    0xcb6966ac02bdc27bULL, 0x9d82846298831b65ULL, 0x3b028a03c1b6de56ULL,
-    0x224f41c2632f6152ULL, 0x89fdb431bdade028ULL, 0xb21302a499f60c49ULL,
-    0x4f8524c755aa0803ULL, 0xe93569c60f0b78f8ULL
+    0xe89f862d6388a704ULL, 0xf5c3438634099915ULL, 0x841d2f66205ae9acULL,
+    0x1ea964f1d806a7bfULL, 0x56deed0dcd8d24a8ULL, 0x088665bae4543707ULL,
+    0x8b5d16b0a5c8abb2ULL, 0x351a3116211457cdULL, 0x060cbab9dcfbd706ULL,
+    0x67abdd27e3a4122fULL, 0xe89f862d6388a704ULL, 0x9054296964b7e929ULL,
+    0x11d9a6089d329fa5ULL, 0xf76daeebf3a32c25ULL, 0x7dbbb388add67926ULL,
+    0xc42aa2693776aa88ULL, 0x99981692b9acbf78ULL, 0xfc1f687e0ff39c88ULL,
+    0x17f25aecb00b13e7ULL, 0x9054296964b7e929ULL, 0xe89f862d6388a704ULL,
+    0x18aec4575d59f0c8ULL, 0x8631c1cd1a0f918bULL, 0xde7548ff13ed837fULL,
+    0x5151ecead643d233ULL, 0x9054296964b7e929ULL, 0x098ef14c6eb6b1d7ULL,
+    0x9cf8ddf84fa547bbULL, 0xd64e7859f575b3ceULL, 0x28898e6182dd3334ULL,
+    0xa7d607dc2a4f6f9dULL, 0xca8a807734596982ULL, 0xb7b5cc85e89fc2d4ULL,
+    0x9f435af2466c09deULL, 0x3b028a03c1b6de56ULL, 0x5eb417a30f58dc96ULL,
+    0x9677e9ca741cbe78ULL, 0xfb63334ab1029ff2ULL, 0x1c6f7b8743cc841eULL,
+    0xf97f05e29f721544ULL, 0xb72bed7610887a85ULL, 0x0bc91d42f907d924ULL,
+    0xf6c82d5b6417e68aULL, 0x8370118b49cbbe4aULL, 0xfe69a98948f889aaULL,
+    0x77d476d0e9044819ULL, 0x126cd5c20dc8c036ULL, 0x28403a7e25cc04a6ULL,
+    0x63737e687cf463d6ULL, 0x3ce311cf64d6b320ULL, 0x6356f112c0639007ULL,
+    0xd2f47279e1f3464bULL, 0x379ab05b5f7fa8d6ULL, 0xf935b1ff4260e6b6ULL,
+    0x858c6121ea27aad1ULL, 0xba5314aca1cbb443ULL, 0x6f3487ffb79a50ceULL,
+    0x9054296964b7e929ULL, 0x1c6f7b8743cc841eULL, 0xfcd9f0770cd7a511ULL,
+    0x6b75242a1a375a74ULL, 0x9226a6303811b1d2ULL, 0x8aaa67f258761ffcULL,
+    0x9054296964b7e929ULL, 0xcb77159cfe158252ULL, 0x8600758e10381ddbULL,
+    0x5fb5e18ab3027eb2ULL, 0xb5557d844a217f28ULL, 0x1c6f7b8743cc841eULL,
+    0xf935b1ff4260e6b6ULL, 0x166225ca92ab01c6ULL, 0xb029a5933c4549c8ULL,
+    0x22d0f764b650f4a4ULL, 0xfdc837d758c657aeULL, 0x599647d80c26dd98ULL,
+    0x5c99720a2e8a270aULL, 0xd06df38e5822bd52ULL, 0x4e027fc048533cd5ULL,
+    0xf0c65f5d05a5182fULL, 0x5c99720a2e8a270aULL, 0x5fb5e18ab3027eb2ULL,
+    0xbd83bc300ee9fd73ULL, 0x35da74b29f5f2e61ULL, 0x14494ae5b5a32cb2ULL,
+    0x55dfb574a67e857dULL, 0xde7548ff13ed837fULL, 0x126cd5c20dc8c036ULL,
+    0x929ded0b9dd7e74dULL, 0xe89f862d6388a704ULL, 0x3dee9a3b9106349aULL,
+    0x8aaa67f258761ffcULL, 0xe4c7eb32f11d5529ULL, 0x3000ad458bc565e2ULL,
+    0xf6b31c758347e663ULL, 0x0a9fca161e7d07d5ULL, 0xc66ce900e4a3e11fULL,
+    0x98e016a22925178cULL, 0xa8655d380cde98d0ULL, 0xb72bed7610887a85ULL,
+    0x9ab0d51a300698e6ULL, 0x56deed0dcd8d24a8ULL, 0xc2aae8932775b7d4ULL,
+    0x22d0f764b650f4a4ULL, 0xf4ec800a890ca44cULL, 0x22d0f764b650f4a4ULL,
+    0xe5cfa7a5441c2b54ULL, 0xe7612718a06a132dULL, 0xf6b31c758347e663ULL,
+    0x790662d5a48f8b29ULL, 0x73956f9c309eedd0ULL, 0x3b028a03c1b6de56ULL,
+    0x85db208ca786d336ULL, 0xce344011839ad9a0ULL, 0x8427fa46c8105c8aULL,
+    0x437b97fdec7f630fULL, 0xf935b1ff4260e6b6ULL, 0xd41075e65038adc0ULL,
+    0xc2aae8932775b7d4ULL, 0x1e38726217647867ULL, 0x5c99720a2e8a270aULL,
+    0xb0b41e81173058e4ULL, 0x726fa68c21776e8dULL, 0x3b028a03c1b6de56ULL,
+    0x20e77c3afb133dc7ULL, 0x5fb5e18ab3027eb2ULL, 0x088665bae4543707ULL,
+    0xfc01c9e5cdf43ee5ULL, 0x088665bae4543707ULL, 0xe9a4faeb30c64f75ULL,
+    0x9188bfff9ce363f8ULL, 0xf1d137dfe38d3bf5ULL, 0xf97f05e29f721544ULL,
+    0x939d5d07a5b2e4d2ULL, 0xd0f4837133d1bc5dULL, 0x098ef14c6eb6b1d7ULL,
+    0x47134d36d380e8a2ULL, 0xfe69a98948f889aaULL, 0xe46a53480d9d436cULL,
+    0xa739b2c72a58ba6fULL, 0xb3a4b2219ed0615cULL, 0xc588e1e0656acbffULL,
+    0xfdc837d758c657aeULL, 0xb82b250f379719b0ULL, 0x28898e6182dd3334ULL,
+    0x22d0f764b650f4a4ULL, 0xe409a6df3e1c4655ULL, 0x60c4b40ea597d04aULL,
+    0x351a3116211457cdULL, 0x01c06396798c531fULL, 0x9054296964b7e929ULL,
+    0x1c6f7b8743cc841eULL, 0xefbe12b8ee56cc87ULL, 0xe772adf50722fb2eULL,
+    0x3aeab85ce481f797ULL, 0x098ef14c6eb6b1d7ULL, 0x66f0bb0d45b18f3eULL,
+    0x92a02aa81a7149f3ULL, 0x5c99720a2e8a270aULL, 0x56deed0dcd8d24a8ULL,
+    0x961b45d7b348d4f0ULL, 0xc27cde2e00366f5aULL, 0x551d71c7e4a53e9aULL,
+    0x15e966336d607a43ULL, 0x5c99720a2e8a270aULL, 0x841d2f66205ae9acULL,
+    0x9188bfff9ce363f8ULL, 0x2a7fc929193af1dbULL, 0xd786f851f858b743ULL,
+    0x22d0f764b650f4a4ULL, 0x4e01228d0faa6cf3ULL, 0x56deed0dcd8d24a8ULL,
+    0xc42aa2693776aa88ULL, 0xb0b41e81173058e4ULL, 0x9f435af2466c09deULL,
+    0xed65b8845b2dc40cULL, 0x73956f9c309eedd0ULL, 0x31ba2b8fc22cb25aULL,
+    0xc724241ab83aa461ULL, 0xfae44e9423b6b480ULL, 0x9cf8ddf84fa547bbULL,
+    0xe8c9b7fe5ab05d15ULL, 0xc3cd9874b8cc1cc0ULL, 0x5209ced2a242b43eULL,
+    0xfdc837d758c657aeULL, 0x57bc04af370f0910ULL, 0x5c99720a2e8a270aULL,
+    0xb0cdd301899db149ULL, 0xf97f05e29f721544ULL, 0x3000ad458bc565e2ULL,
+    0x73956f9c309eedd0ULL, 0xd06df38e5822bd52ULL, 0xd786f851f858b743ULL,
+    0xcb6966ac02bdc27bULL, 0x6d90c36647a87c09ULL, 0x3b028a03c1b6de56ULL,
+    0xc900012fdb666701ULL, 0x89fdb431bdade028ULL, 0xcf1f3295bdd2eba5ULL,
+    0x4f8524c755aa0803ULL, 0x4f6f11d127813b08ULL
 };
 
 TEST(CheckpointFuzzTest, RandomFaultStreamsReplayDeterministically)

@@ -11,7 +11,9 @@
  *    route-table network, and rate recomputes and repeat occupant
  *    visits, re-pinned when an admission stopped re-deriving its
  *    neighbours' bottlenecks and a removal began re-deriving only
- *    the flows it bottlenecked;
+ *    the flows it bottlenecked, and again when an admission burst's
+ *    mins became one pass per lowered link and a removal stopped
+ *    walking flows that finish at its instant;
  *  - the original of a generated stencil with family defaults on
  *    the tapered fat tree: the same four figures plus a hash of
  *    per-rank end times, recorded from the eager-settle network
@@ -125,14 +127,14 @@ expectReplayPinned(const net::TopologyConfig &topology,
 TEST(ScalePinTest, MlTrainingOnTaperedFatTree)
 {
     expectReplayPinned(net::topologies::taperedFatTree(4, 0.5),
-                       {2'114'480'001, 144'728, 5'604'312,
-                        24'181'800});
+                       {2'114'480'001, 144'728, 88'640,
+                        14'975'872});
 }
 
 TEST(ScalePinTest, MlTrainingOnDragonfly)
 {
     expectReplayPinned(net::topologies::dragonfly(),
-                       {754'608'000, 139'264, 112'640, 239'616});
+                       {754'608'000, 139'264, 49'152, 169'984});
 }
 
 TEST(ScalePinTest, StencilOnTaperedFatTree)
@@ -141,7 +143,7 @@ TEST(ScalePinTest, StencilOnTaperedFatTree)
         gen::generateTrace(gen::withRankCount(stencil(), kRanks), 1);
     const auto result =
         replayPinned(traces, net::topologies::taperedFatTree(4, 0.5),
-                     {5'015'008, 687'329, 1'674'060, 7'835'094});
+                     {5'015'008, 687'329, 1'006'519, 4'632'523});
     EXPECT_EQ(testing::endTimeHash(result), 0x20c513ad0883193cULL);
 
     // Byte conservation: every payload byte and message the trace

@@ -36,8 +36,10 @@
  * fat-tree cells' rateRecomputes, recomputesSkipped and
  * rearmsSkipped were re-pinned, every other column unedited, when
  * the link network stopped re-deriving bottlenecks that an
- * admission or removal could not move; the two visit counters
- * still sum to the same occupant visits.
+ * admission or removal could not move (the two visit counters
+ * still summed to the same occupant visits), and again (39 cells)
+ * when an admission burst's mins became one pass per lowered link
+ * and a removal stopped walking flows that finish at its instant.
  */
 
 #include <gtest/gtest.h>
@@ -352,43 +354,43 @@ TEST(ScenarioPinTest, RingExchange)
          94, 84, 32, 0, 12, 0, 0, 0, 0, 28, 0, 208452},
         // fat-tree unfired-degrade
         {2031324, 41, 12, 0, 0, 0x5471a650c5fe0b25ULL,
-         41, 41, 24, 0, 12, 12, 24, 0, 0, 1, 0, 0},
+         41, 41, 24, 0, 12, 12, 0, 0, 0, 1, 0, 0},
         // fat-tree unfired-degrade ckpt
         {2131324, 52, 12, 10, 0, 0xd271e2bbc83944d5ULL,
-         52, 52, 24, 0, 12, 12, 24, 0, 0, 1, 0, 0},
+         52, 52, 24, 0, 12, 12, 0, 0, 0, 1, 0, 0},
         // fat-tree degrade-recover-all
         {2295324, 42, 12, 0, 0, 0x62f5df2af9290b1dULL,
-         42, 42, 24, 0, 12, 12, 24, 0, 0, 2, 0, 0},
+         42, 42, 24, 0, 12, 12, 0, 0, 0, 2, 0, 0},
         // fat-tree degrade-recover-all ckpt
         {2405324, 54, 12, 11, 0, 0x9221ec6aea2bada5ULL,
-         54, 54, 24, 0, 12, 12, 24, 0, 0, 2, 0, 0},
+         54, 54, 24, 0, 12, 12, 0, 0, 0, 2, 0, 0},
         // fat-tree overlapping-node-degrades
         {2620432, 49, 12, 0, 0, 0xffb061bb8416d772ULL,
-         49, 49, 24, 0, 12, 17, 27, 2, 3, 4, 0, 0},
+         49, 49, 24, 0, 12, 17, 5, 2, 3, 4, 0, 0},
         // fat-tree overlapping-node-degrades ckpt
         {2750432, 63, 12, 13, 0, 0x18d0617a8e8407b8ULL,
-         63, 63, 24, 0, 12, 17, 27, 2, 3, 4, 0, 0},
+         63, 63, 24, 0, 12, 17, 5, 2, 3, 4, 0, 0},
         // fat-tree node-stall
         {2331324, 44, 12, 0, 0, 0x29d2fff35aeca75bULL,
-         44, 44, 24, 0, 12, 16, 24, 2, 2, 2, 0, 0},
+         44, 44, 24, 0, 12, 16, 0, 2, 2, 2, 0, 0},
         // fat-tree node-stall ckpt
         {2441324, 56, 12, 11, 0, 0xe8fba283e2cdfb01ULL,
-         56, 56, 24, 0, 12, 16, 24, 2, 2, 2, 0, 0},
+         56, 56, 24, 0, 12, 16, 0, 2, 2, 2, 0, 0},
         // fat-tree background
         {2543324, 47, 12, 0, 0, 0x7fdca10e410dadc5ULL,
-         47, 47, 24, 0, 12, 20, 36, 1, 5, 2, 0, 0},
+         47, 47, 24, 0, 12, 20, 18, 1, 5, 2, 0, 0},
         // fat-tree background ckpt
         {2663324, 60, 12, 12, 0, 0x6007f213aa241ac5ULL,
-         60, 60, 24, 0, 12, 20, 36, 1, 5, 2, 0, 0},
+         60, 60, 24, 0, 12, 20, 18, 1, 5, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {2390923, 99, 12, 10, 1, 0x017311e2148a8231ULL,
-         105, 99, 24, 0, 12, 14, 24, 2, 0, 38, 0, 157630},
+         105, 99, 24, 0, 12, 14, 0, 2, 0, 38, 0, 157630},
         // fat-tree faults-seed-2 ckpt
         {2835819, 107, 12, 12, 2, 0x771877f5c854000cULL,
-         123, 107, 32, 0, 12, 37, 32, 7, 14, 44, 0, 261186},
+         123, 107, 32, 0, 12, 37, 0, 7, 14, 44, 0, 261186},
         // fat-tree faults-seed-3 ckpt
         {2367864, 87, 12, 10, 1, 0xa59b4d937f6d45ddULL,
-         93, 87, 32, 0, 12, 22, 32, 2, 4, 28, 0, 208452},
+         93, 87, 32, 0, 12, 22, 0, 2, 4, 28, 0, 208452},
     });
 }
 
@@ -477,43 +479,43 @@ TEST(ScenarioPinTest, ProducerConsumer)
          89, 85, 2, 0, 1, 0, 0, 0, 0, 28, 0, 104226},
         // fat-tree unfired-degrade
         {4714250, 7, 1, 0, 0, 0x3005258eb5ec6d45ULL,
-         6, 6, 2, 0, 1, 1, 1, 0, 0, 1, 0, 0},
+         6, 6, 2, 0, 1, 1, 0, 0, 0, 1, 0, 0},
         // fat-tree unfired-degrade ckpt
         {4949250, 55, 1, 47, 0, 0x3ef747551d9a7312ULL,
-         55, 55, 2, 0, 1, 1, 1, 0, 0, 1, 0, 0},
+         55, 55, 2, 0, 1, 1, 0, 0, 0, 1, 0, 0},
         // fat-tree degrade-recover-all
         {4814250, 9, 1, 0, 0, 0xdec48445fbf4e5cdULL,
-         8, 8, 2, 0, 1, 2, 2, 1, 0, 2, 0, 0},
+         8, 8, 2, 0, 1, 2, 1, 1, 0, 2, 0, 0},
         // fat-tree degrade-recover-all ckpt
         {5054250, 58, 1, 48, 0, 0xd0b8ca25d338f39eULL,
-         58, 58, 2, 0, 1, 2, 2, 1, 0, 2, 0, 0},
+         58, 58, 2, 0, 1, 2, 1, 1, 0, 2, 0, 0},
         // fat-tree overlapping-node-degrades
         {5014250, 11, 1, 0, 0, 0x6e6fcda7d81164cdULL,
-         10, 10, 2, 0, 1, 3, 1, 1, 1, 4, 0, 0},
+         10, 10, 2, 0, 1, 3, 0, 1, 1, 4, 0, 0},
         // fat-tree overlapping-node-degrades ckpt
         {5264250, 62, 1, 50, 0, 0x9140dfb5d0e24befULL,
-         62, 62, 2, 0, 1, 3, 1, 1, 1, 4, 0, 0},
+         62, 62, 2, 0, 1, 3, 0, 1, 1, 4, 0, 0},
         // fat-tree node-stall
         {4764250, 8, 1, 0, 0, 0x5bfb8e6030d723a9ULL,
-         7, 7, 2, 0, 1, 2, 1, 1, 0, 2, 0, 0},
+         7, 7, 2, 0, 1, 2, 0, 1, 0, 2, 0, 0},
         // fat-tree node-stall ckpt
         {4999250, 56, 1, 47, 0, 0x14de4b73fc562116ULL,
-         56, 56, 2, 0, 1, 2, 1, 1, 0, 2, 0, 0},
+         56, 56, 2, 0, 1, 2, 0, 1, 0, 2, 0, 0},
         // fat-tree background
         {5538250, 12, 1, 0, 0, 0x499844b95bdfbd34ULL,
-         11, 11, 2, 0, 1, 4, 6, 1, 0, 2, 0, 0},
+         11, 11, 2, 0, 1, 4, 5, 1, 0, 2, 0, 0},
         // fat-tree background ckpt
         {5813250, 68, 1, 55, 0, 0x7b95dd7d3d39348eULL,
-         68, 68, 2, 0, 1, 4, 6, 1, 0, 2, 0, 0},
+         68, 68, 2, 0, 1, 4, 5, 1, 0, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {6016851, 107, 1, 53, 7, 0xb3541a07b1108f1cULL,
-         128, 107, 2, 0, 1, 31, 1, 0, 30, 46, 0, 353861},
+         128, 107, 2, 0, 1, 31, 0, 0, 30, 46, 0, 353861},
         // fat-tree faults-seed-2 ckpt
         {5945584, 108, 1, 53, 4, 0xaed80390675508f6ULL,
-         120, 108, 2, 0, 1, 26, 1, 0, 25, 47, 0, 307293},
+         120, 108, 2, 0, 1, 26, 0, 0, 25, 47, 0, 307293},
         // fat-tree faults-seed-3 ckpt
         {5684681, 89, 1, 53, 1, 0x143d89a2cb5c4fa4ULL,
-         92, 89, 2, 0, 1, 21, 1, 0, 20, 28, 0, 104226},
+         92, 89, 2, 0, 1, 21, 0, 0, 20, 28, 0, 104226},
     });
 }
 
@@ -601,43 +603,43 @@ TEST(ScenarioPinTest, Sweep3dOneIteration)
          1172, 1159, 825, 0, 384, 0, 0, 0, 0, 28, 0, 1459166},
         // fat-tree unfired-degrade
         {14441776, 1232, 384, 0, 0, 0x55aa6a4babc211c9ULL,
-         1230, 1230, 768, 0, 384, 672, 1888, 0, 288, 1, 0, 0},
+         1230, 1230, 768, 0, 384, 448, 1088, 0, 64, 1, 0, 0},
         // fat-tree unfired-degrade ckpt
         {15141776, 1243, 384, 10, 0, 0x1fd3540dbd34af38ULL,
-         1243, 1243, 768, 0, 384, 672, 1888, 0, 288, 1, 0, 0},
+         1243, 1243, 768, 0, 384, 448, 1088, 0, 64, 1, 0, 0},
         // fat-tree degrade-recover-all
         {15369969, 1299, 384, 0, 0, 0x005088a19beef0cfULL,
-         1298, 1298, 768, 0, 384, 731, 2353, 55, 292, 2, 0, 0},
+         1298, 1298, 768, 0, 384, 572, 1644, 55, 133, 2, 0, 0},
         // fat-tree degrade-recover-all ckpt
         {16069969, 1310, 384, 10, 0, 0x645320947c47f7a8ULL,
-         1309, 1309, 768, 0, 384, 731, 2353, 55, 292, 2, 0, 0},
+         1309, 1309, 768, 0, 384, 572, 1644, 55, 133, 2, 0, 0},
         // fat-tree overlapping-node-degrades
         {15119553, 1253, 384, 0, 0, 0x6edc9832ce4d68d6ULL,
-         1251, 1251, 768, 0, 384, 685, 2067, 35, 266, 4, 0, 0},
+         1251, 1251, 768, 0, 384, 507, 1288, 35, 88, 4, 0, 0},
         // fat-tree overlapping-node-degrades ckpt
         {15819553, 1264, 384, 10, 0, 0x826d6ff05d4ff119ULL,
-         1262, 1262, 768, 0, 384, 685, 2067, 35, 266, 4, 0, 0},
+         1262, 1262, 768, 0, 384, 507, 1288, 35, 88, 4, 0, 0},
         // fat-tree node-stall
         {16420544, 1227, 384, 0, 0, 0xd844bb8bfc839171ULL,
-         1224, 1224, 768, 0, 384, 671, 1899, 2, 285, 2, 0, 0},
+         1224, 1224, 768, 0, 384, 449, 1101, 2, 63, 2, 0, 0},
         // fat-tree node-stall ckpt
         {17190544, 1239, 384, 11, 0, 0x6d0bb00a01ac5bc6ULL,
-         1237, 1237, 768, 0, 384, 671, 1899, 2, 285, 2, 0, 0},
+         1237, 1237, 768, 0, 384, 449, 1101, 2, 63, 2, 0, 0},
         // fat-tree background
         {14528756, 1255, 384, 0, 0, 0x5f3acd189e14f4c4ULL,
-         1253, 1253, 768, 0, 384, 692, 2018, 19, 287, 2, 0, 0},
+         1253, 1253, 768, 0, 384, 493, 1241, 19, 88, 2, 0, 0},
         // fat-tree background ckpt
         {15228756, 1266, 384, 10, 0, 0xfc78d9fe252d864fULL,
-         1265, 1265, 768, 0, 384, 692, 2018, 19, 287, 2, 0, 0},
+         1265, 1265, 768, 0, 384, 493, 1241, 19, 88, 2, 0, 0},
         // fat-tree faults-seed-1 ckpt
         {16776656, 1432, 384, 10, 1, 0x99eda84d4e4b99b5ULL,
-         1446, 1430, 858, 0, 384, 759, 2179, 24, 309, 38, 0, 1103414},
+         1446, 1430, 858, 0, 384, 537, 1298, 24, 87, 38, 0, 1103414},
         // fat-tree faults-seed-2 ckpt
         {17363279, 1510, 384, 10, 2, 0x55cd865e3ed1931dULL,
-         1550, 1508, 907, 0, 384, 811, 2424, 24, 332, 44, 0, 1828309},
+         1550, 1508, 907, 0, 384, 604, 1499, 24, 125, 44, 0, 1828309},
         // fat-tree faults-seed-3 ckpt
         {16840360, 1476, 384, 10, 1, 0x8ef632a365bbc209ULL,
-         1493, 1475, 884, 0, 384, 781, 2295, 31, 308, 28, 0, 1459166},
+         1493, 1475, 884, 0, 384, 576, 1373, 31, 103, 28, 0, 1459166},
     });
 }
 
