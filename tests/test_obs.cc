@@ -726,7 +726,7 @@ void
 expectWellFormedSpans(const core::CampaignObs &cobs, int threads)
 {
     EXPECT_FALSE(cobs.spans.empty());
-    for (const ThreadPool::LaneSpan &span : cobs.spans) {
+    for (const auto &span : cobs.spans) {
         EXPECT_GE(span.endNs, span.beginNs);
         EXPECT_GE(span.lane, 0);
         EXPECT_LT(span.lane, threads);
@@ -813,7 +813,7 @@ TEST(ObsCampaignTest, PlatformCampaignCompilesEachProgramOnce)
     core::platformSweep(c.bundle, platforms, c.variants, 2, &cobs);
 
     std::map<std::string, int> compiles;
-    for (const ThreadPool::LaneSpan &span : cobs.spans) {
+    for (const auto &span : cobs.spans) {
         if (span.name.rfind("compile ", 0) == 0)
             ++compiles[span.name];
     }
@@ -923,42 +923,45 @@ TEST(ProgressTest, TicksAccumulateAndFinishIsIdempotent)
 }
 
 // ---------------------------------------------------------------
-// ThreadPool span buffers under parallel load (TSAN target via the
+// Campaign lane spans under parallel load (TSAN target via the
 // parallel label).
 // ---------------------------------------------------------------
 
 TEST(ObsSpanTest, SpanBuffersStayConsistentUnderParallelLoad)
 {
-    ThreadPool pool(4);
-    pool.enableSpans();
-    std::atomic<int> ran{0};
-    pool.parallelFor(64, [&](std::size_t task, int lane) {
-        pool.spanBegin(lane, "task " + std::to_string(task));
-        ran.fetch_add(1, std::memory_order_relaxed);
-        pool.spanEnd(lane);
-    });
-    EXPECT_EQ(ran.load(), 64);
-
-    const auto spans = pool.takeSpans();
-    ASSERT_EQ(spans.size(), 64u);
-    std::uint64_t previous = 0;
-    for (const ThreadPool::LaneSpan &span : spans) {
-        EXPECT_GE(span.endNs, span.beginNs);
-        EXPECT_GE(span.lane, 0);
-        EXPECT_LT(span.lane, pool.size());
-        EXPECT_GE(span.beginNs, previous); // sorted by begin
-        previous = span.beginNs;
+    // A 4-lane campaign records one span per task, every lane
+    // recording at once: three compiles, then one replay per
+    // (bandwidth, program). Each comes back closed, named, on a
+    // lane of the pool and ordered by (begin, lane).
+    const HookCampaigns c;
+    const auto grid = core::logBandwidthGrid(1.0, 4096.0, 4);
+    const auto campaign = [&](core::CampaignObs &cobs) {
+        cobs.recordSpans = true;
+        core::bandwidthSweep(c.bundle, c.base, grid, c.variants, 4,
+                             &cobs);
+        std::map<std::string, int> names;
+        for (const auto &span : cobs.spans)
+            ++names[span.name];
+        return names;
+    };
+    core::CampaignObs cobs;
+    const auto names = campaign(cobs);
+    ASSERT_EQ(cobs.spans.size(), 3 + 3 * grid.size());
+    expectWellFormedSpans(cobs, 4);
+    std::pair<std::uint64_t, int> previous{0, 0};
+    for (const auto &span : cobs.spans) {
+        const std::pair<std::uint64_t, int> key{span.beginNs, span.lane};
+        EXPECT_LE(previous, key) << span.name;
+        previous = key;
     }
+    EXPECT_EQ(names.at("compile original"), 1);
+    EXPECT_EQ(names.at("compile overlap-real"), 1);
+    EXPECT_EQ(names.at("compile overlap-ideal"), 1);
 
-    // Buffers were drained; a second take is empty, and a fresh
-    // epoch restarts cleanly.
-    EXPECT_TRUE(pool.takeSpans().empty());
-    pool.enableSpans();
-    pool.parallelFor(4, [&](std::size_t, int lane) {
-        pool.spanBegin(lane, "again");
-        pool.spanEnd(lane);
-    });
-    EXPECT_EQ(pool.takeSpans().size(), 4u);
+    // A second campaign records its own spans, the same ones.
+    core::CampaignObs again;
+    EXPECT_EQ(campaign(again), names);
+    EXPECT_EQ(again.spans.size(), cobs.spans.size());
 }
 
 // ---------------------------------------------------------------

@@ -37,8 +37,9 @@
  *    same, 200 streams deep, each round's time, end-time hash
  *    and counters pinned,
  *  - the everything-on combination pins time, events, checkpoint
- *    counts, end-time hash and all 14 EngineStats counters on the
- *    tapered fat tree and the flat bus, and one session replaying
+ *    counts, end-time hash, all 14 EngineStats counters and a
+ *    digest of the captured timeline on the tapered fat tree and
+ *    the flat bus, and one session replaying
  *    routed, flat, routed meets the fresh-session pins each time,
  *  - a platform that fails faster than it recovers exhausts the
  *    (platform-keyed) restart_budget and surfaces as a
@@ -71,6 +72,7 @@
 #include "scen/scenario.hh"
 #include "sim/engine.hh"
 #include "sim/platform_file.hh"
+#include "sim/timeline.hh"
 #include "util/counter_rng.hh"
 #include "viz/ascii_gantt.hh"
 
@@ -991,6 +993,19 @@ TEST(CheckpointRestartTest, EverythingOnPlatformReplaysDeterministically)
 // Counter pins of the checkpoint path.
 // ---------------------------------------------------------------
 
+/** One FNV-1a step over the eight little-endian bytes of `v`. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        h ^= v & 0xffu;
+        h *= 0x100000001b3ULL;
+        v >>= 8;
+    }
+}
+
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
+
 /** FNV-1a over the little-endian bytes of the 14 EngineStats
  * counters, in declaration order. */
 std::uint64_t
@@ -1002,13 +1017,45 @@ countersHash(const obs::EngineStats &s)
         s.rateRecomputes,    s.recomputesSkipped, s.rearmsTaken,
         s.rearmsSkipped,     s.scenarioEvents,    s.collSteps,
         s.rollbackReworkNs,  s.snapshotBytes};
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t v : counters) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= v & 0xffu;
-            h *= 0x100000001b3ULL;
-            v >>= 8;
+    std::uint64_t h = fnvBasis;
+    for (const std::uint64_t v : counters)
+        fnvMix(h, v);
+    return h;
+}
+
+/**
+ * FNV-1a over a captured timeline: each rank's interval count and
+ * intervals (begin, end, state) in rank order, then every comm
+ * event's fields and every checkpoint mark, in recorded order.
+ */
+std::uint64_t
+timelineHash(const sim::Timeline &t)
+{
+    const auto ns = [](SimTime time) {
+        return static_cast<std::uint64_t>(time.ns());
+    };
+    std::uint64_t h = fnvBasis;
+    for (Rank r = 0; r < t.ranks(); ++r) {
+        fnvMix(h, t.intervals(r).size());
+        for (const sim::StateInterval &iv : t.intervals(r)) {
+            fnvMix(h, ns(iv.begin));
+            fnvMix(h, ns(iv.end));
+            fnvMix(h, static_cast<std::uint64_t>(iv.state));
         }
+    }
+    for (const sim::CommEvent &c : t.comms()) {
+        for (const std::uint64_t v :
+             {static_cast<std::uint64_t>(c.message),
+              static_cast<std::uint64_t>(c.src),
+              static_cast<std::uint64_t>(c.dst),
+              static_cast<std::uint64_t>(c.tag),
+              static_cast<std::uint64_t>(c.bytes), ns(c.sendPost),
+              ns(c.transferStart), ns(c.arrival), ns(c.recvComplete)})
+            fnvMix(h, v);
+    }
+    for (const sim::CheckpointMark &mark : t.checkpoints()) {
+        fnvMix(h, ns(mark.at));
+        fnvMix(h, mark.global ? 1u : 0u);
     }
     return h;
 }
@@ -1022,6 +1069,8 @@ struct CkptPin
     std::uint64_t restarts;
     std::uint64_t endHash;
     obs::EngineStats stats;
+    /** timelineHash of the captured timeline. */
+    std::uint64_t timelineHash;
 };
 
 void
@@ -1033,6 +1082,8 @@ expectPinned(const sim::SimResult &r, const CkptPin &pin)
     EXPECT_EQ(r.restarts, pin.restarts);
     EXPECT_EQ(testing::endTimeHash(r), pin.endHash);
     EXPECT_TRUE(r.stats == pin.stats) << r.stats.toString();
+    EXPECT_EQ(timelineHash(r.timeline), pin.timelineHash)
+        << std::hex << timelineHash(r.timeline);
 }
 
 /**
@@ -1049,14 +1100,19 @@ expectPinned(const sim::SimResult &r, const CkptPin &pin)
  * images and restores (24504 -> 24624). snapshotBytes
  * pins how much state every image and restore copies, so a member
  * that leaves or joins the image, or a network left over from an
- * earlier replay, moves it.
+ * earlier replay, moves it. The timeline digests were recorded
+ * from the timeline that kept its intervals in a chunked node
+ * arena; both replays capture through their rollback, so they hold
+ * the rollback cut (truncateAt) and the restart splice.
  */
 const CkptPin routedEverythingOnPin = {
     1387000, 62, 8, 1, 0xe70cd2e675cedbddULL,
-    {69, 62, 0, 0, 0, 16, 23, 46, 1, 5, 7, 32, 115000, 24624}};
+    {69, 62, 0, 0, 0, 16, 23, 46, 1, 5, 7, 32, 115000, 24624},
+    0xdc558c038fe59e50ULL};
 const CkptPin flatEverythingOnPin = {
     2504000, 68, 15, 1, 0x060a54533a9de82dULL,
-    {74, 68, 0, 4, 37, 16, 0, 0, 0, 0, 7, 32, 115000, 27416}};
+    {74, 68, 0, 4, 37, 16, 0, 0, 0, 0, 7, 32, 115000, 27416},
+    0x6dd8543e4d23dd8cULL};
 
 TEST(CheckpointPinTest, EverythingOnCombinationMatchesItsPins)
 {

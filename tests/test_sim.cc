@@ -7,10 +7,13 @@
 
 #include <limits>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "net/topology.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
+#include "sim/timeline.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
 
@@ -468,6 +471,126 @@ TEST(EngineTest, TimelineCaptureIsConsistent)
     EXPECT_EQ(comm.dst, 1);
     EXPECT_EQ(comm.bytes, 256'000u);
     EXPECT_EQ(comm.sendPost.ns(), 1'000'000);
+}
+
+// ---------------------------------------------------------------
+// Timeline recording rules, closed form: merging, clamping to the
+// tail, and the rollback cut.
+// ---------------------------------------------------------------
+
+/** (begin ns, end ns, state) of every interval on one rank. */
+using Intervals =
+    std::vector<std::tuple<std::int64_t, std::int64_t, RankState>>;
+
+Intervals
+intervalsOf(const Timeline &timeline, Rank r)
+{
+    Intervals out;
+    for (const StateInterval &iv : timeline.intervals(r))
+        out.emplace_back(iv.begin.ns(), iv.end.ns(), iv.state);
+    return out;
+}
+
+void
+add(Timeline &timeline, Rank r, std::int64_t begin, std::int64_t end,
+    RankState state)
+{
+    timeline.addInterval(r, SimTime::fromNs(begin), SimTime::fromNs(end),
+                         state);
+}
+
+TEST(TimelineTest, ContiguousEqualStatesMerge)
+{
+    Timeline timeline(1);
+    add(timeline, 0, 0, 10, RankState::compute);
+    add(timeline, 0, 10, 20, RankState::compute);
+    add(timeline, 0, 20, 30, RankState::sendBlocked);
+    add(timeline, 0, 30, 40, RankState::compute);
+    add(timeline, 0, 40, 50, RankState::compute);
+    // A gap keeps equal states apart.
+    add(timeline, 0, 60, 70, RankState::compute);
+    const Intervals want{{0, 20, RankState::compute},
+                         {20, 30, RankState::sendBlocked},
+                         {30, 50, RankState::compute},
+                         {60, 70, RankState::compute}};
+    EXPECT_EQ(intervalsOf(timeline, 0), want);
+    EXPECT_EQ(timeline.intervals(0).size(), 4u);
+    EXPECT_EQ(timeline.span().ns(), 70);
+    EXPECT_EQ(timeline.timeInState(0, RankState::compute).ns(), 50);
+}
+
+TEST(TimelineTest, BeginBeforeTheTailIsClampedToIt)
+{
+    Timeline timeline(1);
+    add(timeline, 0, 0, 100, RankState::compute);
+    // Only the unclaimed remainder [100, 150) is recorded.
+    add(timeline, 0, 50, 150, RankState::recvBlocked);
+    // Wholly claimed already: nothing left to record.
+    add(timeline, 0, 120, 130, RankState::waitBlocked);
+    // Clamped to the tail's end, then merged with the equal tail.
+    add(timeline, 0, 140, 200, RankState::recvBlocked);
+    const Intervals want{{0, 100, RankState::compute},
+                         {100, 200, RankState::recvBlocked}};
+    EXPECT_EQ(intervalsOf(timeline, 0), want);
+}
+
+TEST(TimelineTest, EmptyIntervalsDrop)
+{
+    Timeline timeline(2);
+    add(timeline, 0, 10, 10, RankState::compute);
+    add(timeline, 0, 20, 10, RankState::compute);
+    EXPECT_TRUE(timeline.intervals(0).empty());
+    add(timeline, 1, 0, 10, RankState::compute);
+    add(timeline, 1, 10, 10, RankState::idle);
+    add(timeline, 1, 5, 10, RankState::idle);
+    const Intervals want{{0, 10, RankState::compute}};
+    EXPECT_EQ(intervalsOf(timeline, 1), want);
+    EXPECT_EQ(timeline.span().ns(), 10);
+}
+
+TEST(TimelineTest, TruncateDropsFromTheCutAndClipsWhatStraddlesIt)
+{
+    Timeline timeline(5);
+    // Rank 0: an interval ends exactly at the cut and the next one
+    // begins exactly at it.
+    add(timeline, 0, 0, 10, RankState::compute);
+    add(timeline, 0, 10, 20, RankState::sendBlocked);
+    add(timeline, 0, 20, 30, RankState::compute);
+    // Rank 1: one interval straddles the cut.
+    add(timeline, 1, 0, 25, RankState::compute);
+    add(timeline, 1, 25, 40, RankState::recvBlocked);
+    // Rank 2 begins at the cut, rank 3 after it, rank 4 is empty.
+    add(timeline, 2, 20, 30, RankState::compute);
+    add(timeline, 3, 25, 30, RankState::compute);
+    timeline.truncateAt(SimTime::fromNs(20));
+
+    EXPECT_EQ(intervalsOf(timeline, 0),
+              (Intervals{{0, 10, RankState::compute},
+                         {10, 20, RankState::sendBlocked}}));
+    EXPECT_EQ(intervalsOf(timeline, 1),
+              (Intervals{{0, 20, RankState::compute}}));
+    EXPECT_TRUE(timeline.intervals(2).empty());
+    EXPECT_TRUE(timeline.intervals(3).empty());
+    EXPECT_TRUE(timeline.intervals(4).empty());
+    EXPECT_EQ(timeline.span().ns(), 20);
+
+    // Recording resumes after the cut: the restart splice, then the
+    // replayed tail, which merges with its own kind only.
+    for (Rank r = 0; r < 5; ++r)
+        add(timeline, r, 20, 35, RankState::restart);
+    add(timeline, 1, 35, 50, RankState::compute);
+    EXPECT_EQ(intervalsOf(timeline, 1),
+              (Intervals{{0, 20, RankState::compute},
+                         {20, 35, RankState::restart},
+                         {35, 50, RankState::compute}}));
+    EXPECT_EQ(intervalsOf(timeline, 3),
+              (Intervals{{20, 35, RankState::restart}}));
+    EXPECT_EQ(timeline.span().ns(), 50);
+
+    // A cut past every interval changes nothing.
+    timeline.truncateAt(SimTime::fromNs(100));
+    EXPECT_EQ(intervalsOf(timeline, 1).size(), 3u);
+    EXPECT_EQ(timeline.timeInState(1, RankState::compute).ns(), 35);
 }
 
 TEST(EngineTest, TimeIsMonotoneInBandwidth)
