@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <numeric>
+#include <tuple>
 
 #include "res/fault_model.hh"
 #include "util/counter_rng.hh"
@@ -20,10 +23,11 @@ using Program = std::shared_ptr<const sim::ReplayProgram>;
 
 /**
  * The lane runner under every campaign driver (see analysis.hh): it
- * owns the lane count, the pool, one ReplaySession per lane, a span
- * around every task and the progress tick. Replay stages run
- * costliest first (Graham's longest-processing-time rule), so the
- * largest replays start early instead of running alone at the end.
+ * owns the lane count, the pool, one ReplaySession per lane, the
+ * progress tick and, when the campaign records spans, one span list
+ * per lane. Replay stages run costliest first (Graham's
+ * longest-processing-time rule), so the largest replays start early
+ * instead of running alone at the end.
  */
 class LaneRunner
 {
@@ -41,13 +45,16 @@ class LaneRunner
           progress_(cobs != nullptr ? cobs->progress : nullptr)
     {
         if (cobs_ != nullptr && cobs_->recordSpans)
-            pool_.enableSpans();
+            laneSpans_.resize(sessions_.size());
     }
 
     /**
      * Run task(i, session) for every i in [0, count) on its lane's
      * session, costliest first (a null cost or a tie keeps index
-     * order), in a span named label(i) unless label is null. With
+     * order). When recording spans, each task with a label is timed
+     * into its lane's list as a span named label(i), and the stage's
+     * spans are appended to CampaignObs::spans ordered by (begin,
+     * lane). With
      * `per_point` > 0, tasks [p * per_point, (p + 1) * per_point)
      * make up point p, and the task retiring its last one ticks
      * progress.
@@ -68,28 +75,60 @@ class LaneRunner
 
         pool_.parallelFor(count, [&](std::size_t k, int lane) {
             const std::size_t i = order[k];
-            if (label && pool_.spansEnabled())
-                pool_.spanBegin(lane, label(i));
-            task(i, sessions_[static_cast<std::size_t>(lane)]);
-            pool_.spanEnd(lane);
+            const auto l = static_cast<std::size_t>(lane);
+            if (label && !laneSpans_.empty()) {
+                std::string name = label(i);
+                const std::uint64_t begin = sinceEpochNs();
+                task(i, sessions_[l]);
+                laneSpans_[l].push_back(
+                    {std::move(name), lane, begin, sinceEpochNs()});
+            } else {
+                task(i, sessions_[l]);
+            }
             if (per_point > 0 && progress_ != nullptr &&
                 retired[i / per_point].fetch_add(
                     1, std::memory_order_acq_rel) + 1 == per_point)
                 progress_->tick();
         });
 
-        if (!pool_.spansEnabled())
+        if (laneSpans_.empty())
             return;
-        for (ThreadPool::LaneSpan &span : pool_.takeSpans())
-            cobs_->spans.push_back(std::move(span));
+        // parallelFor's completion barrier published every lane's
+        // list to this thread.
+        std::vector<obs::LaneSpan> &all = cobs_->spans;
+        const auto first = static_cast<std::ptrdiff_t>(all.size());
+        for (std::vector<obs::LaneSpan> &spans : laneSpans_) {
+            std::move(spans.begin(), spans.end(),
+                      std::back_inserter(all));
+            spans.clear();
+        }
+        std::sort(all.begin() + first, all.end(),
+                  [](const obs::LaneSpan &a, const obs::LaneSpan &b) {
+                      return std::tie(a.beginNs, a.lane) <
+                          std::tie(b.beginNs, b.lane);
+                  });
     }
 
   private:
+    std::uint64_t
+    sinceEpochNs() const
+    {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - epoch_)
+                .count());
+    }
+
     // One per lane, before pool_ so its workers join first.
     std::vector<sim::ReplaySession> sessions_;
     ThreadPool pool_;
     CampaignObs *cobs_;
     obs::Progress *progress_;
+    /** Per lane, the current stage's spans; empty unless the
+     * campaign records spans. Each lane appends only to its own. */
+    std::vector<std::vector<obs::LaneSpan>> laneSpans_;
+    std::chrono::steady_clock::time_point epoch_ =
+        std::chrono::steady_clock::now();
 };
 
 /** Replay cost of programs[i]: its compiled op count. */

@@ -30,12 +30,12 @@
 #include "core/transform.hh"
 #include "gen/gen.hh"
 #include "net/topology.hh"
+#include "obs/chrome_trace.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "scen/scenario.hh"
 #include "sim/engine.hh"
 #include "tracer/tracer.hh"
-#include "util/thread_pool.hh"
 
 namespace ovlsim::core {
 
@@ -55,9 +55,11 @@ struct CampaignObs
      * replay, job) for Chrome-trace export via
      * obs::writeChromeTrace. */
     bool recordSpans = false;
-    /** Filled on return when recordSpans: the drained lane spans,
-     * in the campaign pool's clock. */
-    std::vector<ThreadPool::LaneSpan> spans;
+    /** Filled on return when recordSpans: one span per labelled
+     * lane task, timed by the lane runner into per-lane lists and
+     * appended stage by stage, each stage ordered by (begin, lane).
+     * Times count from the campaign's start. */
+    std::vector<obs::LaneSpan> spans;
 };
 
 /** A named overlapped variant to include in a comparison. */

@@ -80,7 +80,7 @@ escaped(const std::string &raw)
 
 std::string
 chromeTraceJson(const sim::Timeline &timeline,
-                std::span<const ThreadPool::LaneSpan> host_spans)
+                std::span<const LaneSpan> host_spans)
 {
     std::string out;
     out += "{\n\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
@@ -141,7 +141,7 @@ chromeTraceJson(const sim::Timeline &timeline,
     if (!host_spans.empty()) {
         appendMeta(out, hostPid, "process_name", "host time", 0);
         int maxLane = 0;
-        for (const ThreadPool::LaneSpan &span : host_spans) {
+        for (const LaneSpan &span : host_spans) {
             if (span.lane > maxLane)
                 maxLane = span.lane;
         }
@@ -149,7 +149,7 @@ chromeTraceJson(const sim::Timeline &timeline,
             appendMeta(out, hostPid, "thread_name",
                        strformat("lane %d", lane), lane);
         }
-        for (const ThreadPool::LaneSpan &span : host_spans) {
+        for (const LaneSpan &span : host_spans) {
             out += strformat(
                 "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,"
                 "\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f},\n",
@@ -171,7 +171,7 @@ chromeTraceJson(const sim::Timeline &timeline,
 void
 writeChromeTrace(const std::string &path,
                  const sim::Timeline &timeline,
-                 std::span<const ThreadPool::LaneSpan> host_spans)
+                 std::span<const LaneSpan> host_spans)
 {
     const std::string json = chromeTraceJson(timeline, host_spans);
     std::FILE *f = std::fopen(path.c_str(), "wb");

@@ -1,5 +1,7 @@
 #include "timeline.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace ovlsim::sim {
@@ -34,89 +36,50 @@ rankStateCode(RankState state)
     panic("rankStateCode: bad state");
 }
 
-std::uint32_t
-Timeline::newNode()
-{
-    if ((nodeCount_ & (chunkCapacity - 1)) == 0) {
-        chunks_.emplace_back().reserve(chunkCapacity);
-    }
-    chunks_.back().emplace_back();
-    return nodeCount_++;
-}
-
 void
 Timeline::addInterval(Rank r, SimTime begin, SimTime end,
                       RankState state)
 {
     ovlAssert(r >= 0 && r < ranks(), "timeline rank out of range");
     auto &list = perRank_[static_cast<std::size_t>(r)];
-    if (list.count > 0) {
-        Node &tail = node(list.tail);
+    if (!list.empty()) {
+        StateInterval &tail = list.back();
         // Never overlap the recorded past: a rollback splice leaves
         // the tail at the restored cut, and the first wake after it
         // reports a blocked window that started before the cut —
         // only the remainder past the tail is new information.
-        if (begin < tail.interval.end)
-            begin = tail.interval.end;
-        if (end <= begin)
-            return;
-        if (tail.interval.end == begin &&
-            tail.interval.state == state) {
-            tail.interval.end = end;
+        if (begin < tail.end)
+            begin = tail.end;
+        if (end > begin && tail.end == begin && tail.state == state) {
+            tail.end = end;
             return;
         }
     }
-    if (end <= begin)
-        return;
-    const std::uint32_t idx = newNode();
-    node(idx).interval = StateInterval{begin, end, state};
-    if (list.count == 0)
-        list.head = idx;
-    else
-        node(list.tail).next = idx;
-    list.tail = idx;
-    ++list.count;
+    if (end > begin)
+        list.push_back(StateInterval{begin, end, state});
 }
 
 void
 Timeline::truncateAt(SimTime cut)
 {
     for (auto &list : perRank_) {
-        if (list.count == 0)
-            continue;
-        if (node(list.head).interval.begin >= cut) {
-            // Nothing on this rank predates the cut. The orphaned
-            // nodes stay in the arena (append-only storage); only
-            // the list forgets them.
-            list.head = list.tail = nposNode;
-            list.count = 0;
-            continue;
-        }
-        // Walk to the last interval starting before the cut; begins
-        // are non-decreasing in append order, so everything after
-        // it is dropped and it alone may need clipping.
-        std::uint32_t idx = list.head;
-        std::uint32_t kept = 1;
-        while (node(idx).next != nposNode &&
-               node(node(idx).next).interval.begin < cut) {
-            idx = node(idx).next;
-            ++kept;
-        }
-        Node &last = node(idx);
-        if (last.interval.end > cut)
-            last.interval.end = cut;
-        last.next = nposNode;
-        list.tail = idx;
-        list.count = kept;
+        // Begins never decrease, so everything from the first
+        // interval beginning at or after the cut goes, and only the
+        // interval before it may straddle the cut.
+        const auto from = std::partition_point(
+            list.begin(), list.end(),
+            [cut](const StateInterval &iv) { return iv.begin < cut; });
+        list.erase(from, list.end());
+        if (!list.empty() && list.back().end > cut)
+            list.back().end = cut;
     }
 }
 
-Timeline::IntervalRange
+std::span<const StateInterval>
 Timeline::intervals(Rank r) const
 {
     ovlAssert(r >= 0 && r < ranks(), "timeline rank out of range");
-    const auto &list = perRank_[static_cast<std::size_t>(r)];
-    return IntervalRange(this, list.head, list.count);
+    return perRank_[static_cast<std::size_t>(r)];
 }
 
 SimTime
@@ -124,11 +87,8 @@ Timeline::span() const
 {
     SimTime latest = SimTime::zero();
     for (const auto &list : perRank_) {
-        if (list.count == 0)
-            continue;
-        const SimTime end = node(list.tail).interval.end;
-        if (end > latest)
-            latest = end;
+        if (!list.empty() && list.back().end > latest)
+            latest = list.back().end;
     }
     return latest;
 }

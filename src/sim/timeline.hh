@@ -8,20 +8,16 @@
  * communication lines and to compare the non-overlapped and
  * overlapped executions qualitatively.
  *
- * Intervals are stored in a chunked arena shared by all ranks: fixed
- * 512-interval chunks that are never reallocated once created, with
- * each rank's intervals threaded through the arena as an
- * index-linked list. Appending an interval is a bounds-checked store
- * plus, once every 512 appends, one chunk allocation — so
- * capture-enabled replays stay close to capture-off speed even when
- * sweeps run with timelines on.
+ * Each rank's intervals live in one vector in append order; a
+ * rollback cut erases that vector's tail. Capture is opt-in
+ * (PlatformConfig::captureTimeline) and no campaign turns it on.
  */
 
 #ifndef OVLSIM_SIM_TIMELINE_HH
 #define OVLSIM_SIM_TIMELINE_HH
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "trace/record.hh"
@@ -94,84 +90,7 @@ struct CommEvent
 /** Full reconstructed behaviour of one replay. */
 class Timeline
 {
-    struct Node
-    {
-        StateInterval interval;
-        std::uint32_t next = nposNode;
-    };
-
-    static constexpr std::uint32_t nposNode = 0xFFFFFFFFu;
-    static constexpr std::uint32_t chunkShift = 9;
-    static constexpr std::uint32_t chunkCapacity = 1u << chunkShift;
-
   public:
-    /**
-     * Forward range over one rank's intervals, iterating the
-     * index-linked list in append order. Valid as long as the
-     * timeline it came from is alive and unmodified.
-     */
-    class IntervalRange
-    {
-      public:
-        class iterator
-        {
-          public:
-            iterator(const Timeline *timeline, std::uint32_t idx)
-                : timeline_(timeline), idx_(idx)
-            {}
-
-            const StateInterval &
-            operator*() const
-            {
-                return timeline_->node(idx_).interval;
-            }
-
-            const StateInterval *
-            operator->() const
-            {
-                return &timeline_->node(idx_).interval;
-            }
-
-            iterator &
-            operator++()
-            {
-                idx_ = timeline_->node(idx_).next;
-                return *this;
-            }
-
-            bool
-            operator==(const iterator &other) const
-            {
-                return idx_ == other.idx_;
-            }
-
-            bool
-            operator!=(const iterator &other) const
-            {
-                return idx_ != other.idx_;
-            }
-
-          private:
-            const Timeline *timeline_;
-            std::uint32_t idx_;
-        };
-
-        IntervalRange(const Timeline *timeline, std::uint32_t head,
-                      std::uint32_t count)
-            : timeline_(timeline), head_(head), count_(count)
-        {}
-
-        iterator begin() const { return {timeline_, head_}; }
-        iterator end() const { return {timeline_, nposNode}; }
-        std::size_t size() const { return count_; }
-        bool empty() const { return count_ == 0; }
-
-      private:
-        const Timeline *timeline_;
-        std::uint32_t head_;
-        std::uint32_t count_;
-    };
-
     Timeline() = default;
     explicit Timeline(int ranks)
         : perRank_(static_cast<std::size_t>(ranks))
@@ -211,8 +130,9 @@ class Timeline
         checkpoints_.push_back(CheckpointMark{at, global});
     }
 
-    /** Rank r's intervals in append order. */
-    IntervalRange intervals(Rank r) const;
+    /** Rank r's intervals in append order (begins never decrease).
+     * Valid until the timeline is next modified. */
+    std::span<const StateInterval> intervals(Rank r) const;
 
     const std::vector<CommEvent> &comms() const { return comms_; }
 
@@ -229,40 +149,7 @@ class Timeline
     SimTime timeInState(Rank r, RankState state) const;
 
   private:
-    /** Per-rank list endpoints into the shared node arena. */
-    struct RankList
-    {
-        std::uint32_t head = nposNode;
-        std::uint32_t tail = nposNode;
-        std::uint32_t count = 0;
-    };
-
-    Node &
-    node(std::uint32_t idx)
-    {
-        return chunks_[idx >> chunkShift]
-                      [idx & (chunkCapacity - 1)];
-    }
-
-    const Node &
-    node(std::uint32_t idx) const
-    {
-        return chunks_[idx >> chunkShift]
-                      [idx & (chunkCapacity - 1)];
-    }
-
-    /** Arena slot for a new node (allocates a chunk when full). */
-    std::uint32_t newNode();
-
-    /**
-     * Chunked node arena. Every inner vector is reserved to exactly
-     * chunkCapacity up front and only ever push_back'd, so node
-     * storage is never moved once written (growth allocates a new
-     * chunk instead of reallocating).
-     */
-    std::vector<std::vector<Node>> chunks_;
-    std::uint32_t nodeCount_ = 0;
-    std::vector<RankList> perRank_;
+    std::vector<std::vector<StateInterval>> perRank_;
     std::vector<CommEvent> comms_;
     std::vector<CheckpointMark> checkpoints_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fixed-size thread pool for fanning independent replays across
- * cores.
+ * cores. It has one job: parallelFor.
  *
  * The campaign drivers' lane runner (core/analysis.cc) runs
  * dozens-to-hundreds of mutually independent tasks (replays,
@@ -9,7 +9,10 @@
  * index-addressed task sets with one long-lived worker per lane, so
  * callers can keep one reusable ReplaySession per lane and results
  * stay bit-identical to the sequential path: task i always writes
- * slot i, and no task observes another's state.
+ * slot i, and no task observes another's state. Per-lane state (the
+ * lane runner's sessions and span lists) is written during a job
+ * and read after parallelFor returns: its completion barrier's
+ * mutex publishes the writes.
  *
  * The calling thread participates as lane 0, so a pool of size 1
  * spawns no threads at all and parallelFor degenerates to a plain
@@ -20,18 +23,14 @@
 #ifndef OVLSIM_UTIL_THREAD_POOL_HH
 #define OVLSIM_UTIL_THREAD_POOL_HH
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace ovlsim {
@@ -39,19 +38,6 @@ namespace ovlsim {
 class ThreadPool
 {
   public:
-    /**
-     * One named host-time interval recorded on one lane (campaign
-     * telemetry for Chrome-trace export, src/obs/). Times are
-     * steady-clock nanoseconds relative to the enableSpans() call.
-     */
-    struct LaneSpan
-    {
-        std::string name;
-        int lane = 0;
-        std::uint64_t beginNs = 0;
-        std::uint64_t endNs = 0;
-    };
-
     /** Threads to use for `requested` (<= 0 means all hardware
      * cores). */
     static int
@@ -149,95 +135,7 @@ class ThreadPool
             std::rethrow_exception(error_);
     }
 
-    /**
-     * Opt into per-lane span recording and (re)start the span
-     * clock. Off by default: spanBegin/spanEnd are no-ops until
-     * this is called, so instrumented sweeps cost nothing unless a
-     * caller asks for telemetry. Call between jobs only.
-     */
-    void
-    enableSpans()
-    {
-        spansEnabled_ = true;
-        spanEpoch_ = std::chrono::steady_clock::now();
-        laneSpans_.assign(static_cast<std::size_t>(lanes_), {});
-        laneOpen_.assign(static_cast<std::size_t>(lanes_), {});
-    }
-
-    bool spansEnabled() const { return spansEnabled_; }
-
-    /**
-     * Open a named span on `lane`. Lock-free by construction: each
-     * lane appends only to its own buffer, and the buffers are
-     * handed to the caller only after parallelFor's completion
-     * barrier (whose mutex publishes the writes). Spans may nest
-     * per lane; spanEnd closes the innermost open one. Must be
-     * called from the lane's own task context.
-     */
-    void
-    spanBegin(int lane, std::string name)
-    {
-        if (!spansEnabled_)
-            return;
-        auto &spans = laneSpans_[static_cast<std::size_t>(lane)];
-        laneOpen_[static_cast<std::size_t>(lane)].push_back(
-            spans.size());
-        spans.push_back(
-            LaneSpan{std::move(name), lane, spanNowNs(), 0});
-    }
-
-    /** Close the innermost open span on `lane`. */
-    void
-    spanEnd(int lane)
-    {
-        if (!spansEnabled_)
-            return;
-        auto &open = laneOpen_[static_cast<std::size_t>(lane)];
-        if (open.empty())
-            return;
-        laneSpans_[static_cast<std::size_t>(lane)][open.back()]
-            .endNs = spanNowNs();
-        open.pop_back();
-    }
-
-    /**
-     * Drain every lane's closed spans into one list ordered by
-     * (beginNs, lane) and reset the buffers. Call between jobs
-     * only (after parallelFor returned); still-open spans are
-     * dropped.
-     */
-    std::vector<LaneSpan>
-    takeSpans()
-    {
-        std::vector<LaneSpan> all;
-        for (auto &spans : laneSpans_) {
-            for (auto &span : spans) {
-                if (span.endNs >= span.beginNs && span.endNs != 0)
-                    all.push_back(std::move(span));
-            }
-            spans.clear();
-        }
-        for (auto &open : laneOpen_)
-            open.clear();
-        std::sort(all.begin(), all.end(),
-                  [](const LaneSpan &a, const LaneSpan &b) {
-                      if (a.beginNs != b.beginNs)
-                          return a.beginNs < b.beginNs;
-                      return a.lane < b.lane;
-                  });
-        return all;
-    }
-
   private:
-    std::uint64_t
-    spanNowNs() const
-    {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - spanEpoch_)
-                .count());
-    }
-
     void
     runTasks(int lane)
     {
@@ -318,13 +216,6 @@ class ThreadPool
     std::atomic<bool> failed_{false};
     std::exception_ptr error_;
 
-    /** Per-lane span buffers (see enableSpans). Lane-private
-     * during a job; published to the caller by the completion
-     * barrier's mutex. */
-    bool spansEnabled_ = false;
-    std::chrono::steady_clock::time_point spanEpoch_;
-    std::vector<std::vector<LaneSpan>> laneSpans_;
-    std::vector<std::vector<std::size_t>> laneOpen_;
 };
 
 } // namespace ovlsim
