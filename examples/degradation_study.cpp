@@ -75,7 +75,8 @@ toolMain(int argc, char **argv)
     auto base = sim::platforms::topologyCluster(
         net::topologies::taperedFatTree(4, 0.5));
     const auto grid = core::logBandwidthGrid(
-        options.getDouble("lo"), options.getDouble("hi"),
+        options.getDouble("lo", Sign::positive),
+        options.getDouble("hi", Sign::positive),
         static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     const auto variants = core::standardVariants(
         static_cast<std::size_t>(options.getInt("chunks", 1)));
@@ -102,7 +103,7 @@ toolMain(int argc, char **argv)
         degrade.time = fractionOf(nominal, 0.25);
         degrade.kind = scen::ScenEventKind::degrade;
         degrade.target = scen::ScenTarget::all;
-        degrade.bandwidthFactor = options.getDouble("degrade");
+        degrade.bandwidthFactor = options.getDouble("degrade", Sign::positive);
         degrade.latencyFactor = 2.0;
         cfg.events.push_back(degrade);
         scen::ScenarioEvent recover;

@@ -96,7 +96,7 @@ toolMain(int argc, char **argv)
 
     auto platform = sim::platforms::topologyCluster(
         net::topologies::taperedFatTree(4, 0.5));
-    platform.bandwidthMBps = options.getDouble("bandwidth");
+    platform.bandwidthMBps = options.getDouble("bandwidth", Sign::positive);
 
     const auto grid =
         parseRankGrid(options.getString("ranks"));

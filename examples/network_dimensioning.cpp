@@ -48,8 +48,8 @@ toolMain(int argc, char **argv)
 
     const auto iso = core::isoPerformance(
         bundle, sim::platforms::defaultCluster(), ideal,
-        options.getDouble("reference"),
-        options.getDouble("tolerance"), 1e-2);
+        options.getDouble("reference", Sign::positive),
+        options.getDouble("tolerance", Sign::nonNegative), 1e-2);
 
     std::printf("application: %s\n", app.name().c_str());
     std::printf("target: performance of the original execution "

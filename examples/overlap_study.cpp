@@ -52,7 +52,8 @@ toolMain(int argc, char **argv)
 
     const auto bundle = bench::traceApp(app.name());
     const auto grid = core::logBandwidthGrid(
-        options.getDouble("lo"), options.getDouble("hi"),
+        options.getDouble("lo", Sign::positive),
+        options.getDouble("hi", Sign::positive),
         static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     const auto variants = core::standardVariants(
         static_cast<std::size_t>(options.getInt("chunks", 1)));

@@ -64,7 +64,7 @@ toolMain(int argc, char **argv)
     // 3. Configure the platform and replay the original and the
     //    overlapped execution.
     auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = options.getDouble("bandwidth");
+    platform.bandwidthMBps = options.getDouble("bandwidth", Sign::positive);
     platform.captureTimeline = true;
 
     core::TransformConfig overlap; // real measured pattern

@@ -126,18 +126,24 @@ toolMain(int argc, char **argv)
         options.getInt("seeds", 1, UINT32_MAX));
     const auto seed =
         static_cast<std::uint64_t>(options.getInt("seed", 0));
+    // Read before the campaign, so a bad value fails at once.
+    const double proto_mtbf =
+        options.getDouble("proto-mtbf", Sign::positive);
+    const double machine_mtbf =
+        options.getDouble("machine-mtbf", Sign::nonNegative);
 
     // Scale the cost model and the MTBF grid to this app's nominal
     // run on this fabric.
     const SimTime nominal =
         sim::simulate(bundle.traces, base).totalTime;
-    double interval_us = options.getDouble("interval");
+    double interval_us =
+        options.getDouble("interval", Sign::nonNegative);
     if (interval_us <= 0.0)
         interval_us = nominal.toUs() / 6.0;
-    double ckpt_cost_us = options.getDouble("ckpt-cost");
+    double ckpt_cost_us = options.getDouble("ckpt-cost", Sign::nonNegative);
     if (ckpt_cost_us <= 0.0)
         ckpt_cost_us = interval_us / 50.0;
-    double restart_cost_us = options.getDouble("restart-cost");
+    double restart_cost_us = options.getDouble("restart-cost", Sign::nonNegative);
     if (restart_cost_us <= 0.0)
         restart_cost_us = interval_us / 10.0;
     base.checkpointIntervalUs = interval_us;
@@ -152,8 +158,8 @@ toolMain(int argc, char **argv)
     // bandwidth-specific), descending so the table reads from
     // reliable to brutal.
     auto grid = core::logBandwidthGrid(
-        options.getDouble("mtbf-lo") * nominal.toUs(),
-        options.getDouble("mtbf-hi") * nominal.toUs(),
+        options.getDouble("mtbf-lo", Sign::positive) * nominal.toUs(),
+        options.getDouble("mtbf-hi", Sign::positive) * nominal.toUs(),
         static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     std::reverse(grid.begin(), grid.end());
 
@@ -241,10 +247,8 @@ toolMain(int argc, char **argv)
     // two-level protocol takes a cheap local snapshot every swept
     // interval and an expensive global one every fourth, and only
     // the global one survives a machine-wide crash.
-    const double proto_mtbf_us =
-        options.getDouble("proto-mtbf") * nominal.toUs();
-    const double machine_mtbf_us =
-        options.getDouble("machine-mtbf") * nominal.toUs();
+    const double proto_mtbf_us = proto_mtbf * nominal.toUs();
+    const double machine_mtbf_us = machine_mtbf * nominal.toUs();
     auto intervalGrid = core::logBandwidthGrid(
         interval_us / 8.0, interval_us * 8.0, 4);
     const std::vector<core::CheckpointProtocol> protocols{

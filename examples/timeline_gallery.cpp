@@ -42,7 +42,7 @@ toolMain(int argc, char **argv)
 
     auto platform = sim::platforms::defaultCluster();
     platform.captureTimeline = true;
-    double bandwidth = options.getDouble("bandwidth");
+    double bandwidth = options.getDouble("bandwidth", Sign::nonNegative);
     if (bandwidth <= 0.0)
         bandwidth =
             core::findIntermediateBandwidth(bundle.traces, platform);

@@ -12,7 +12,7 @@
 #               platform-campaign studies and generator_study end
 #               to end
 #               through the bench_pins entry, label `bench`, and
-#               its error rows: eight user
+#               its error rows: twelve user
 #               errors, two of them malformed input files, that
 #               must exit 1 with the message once, never through
 #               std::terminate), then

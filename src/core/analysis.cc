@@ -290,8 +290,10 @@ std::vector<double>
 logBandwidthGrid(double lo_mbps, double hi_mbps,
                  int points_per_decade)
 {
-    ovlAssert(lo_mbps > 0.0 && hi_mbps > lo_mbps,
-              "logBandwidthGrid: bad range");
+    ovlAssert(lo_mbps > 0.0, "logBandwidthGrid: low end not positive");
+    if (!(hi_mbps > lo_mbps))
+        fatal("log grid from ", lo_mbps, " to ", hi_mbps,
+              ": the low end must be below the high end");
     ovlAssert(points_per_decade > 0,
               "logBandwidthGrid: need at least one point/decade");
     std::vector<double> grid;

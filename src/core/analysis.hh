@@ -73,7 +73,8 @@ struct VariantSpec
  * mechanism. */
 std::vector<VariantSpec> standardVariants(std::size_t chunks = 16);
 
-/** Log-spaced bandwidth grid in MB/s. */
+/** Log-spaced bandwidth grid in MB/s from lo > 0 to hi; a
+ * FatalError unless lo < hi. */
 std::vector<double> logBandwidthGrid(double lo_mbps, double hi_mbps,
                                      int points_per_decade = 2);
 

@@ -126,15 +126,4 @@ writeWorkloadConfig(const WorkloadConfig &config, std::ostream &os)
     os << "hop_instr = " << config.hopInstr << "\n";
 }
 
-void
-writeWorkloadConfigFile(const WorkloadConfig &config,
-                        const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open workload config file for writing: ",
-              path);
-    writeWorkloadConfig(config, os);
-}
-
 } // namespace ovlsim::gen

@@ -50,10 +50,6 @@ WorkloadConfig readWorkloadConfigFile(const std::string &path);
 void writeWorkloadConfig(const WorkloadConfig &config,
                          std::ostream &os);
 
-/** Serialize a workload config to a file. */
-void writeWorkloadConfigFile(const WorkloadConfig &config,
-                             const std::string &path);
-
 } // namespace ovlsim::gen
 
 #endif // OVLSIM_GEN_WORKLOAD_FILE_HH

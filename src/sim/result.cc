@@ -32,24 +32,6 @@ SimResult::commFraction() const
     return sum / static_cast<double>(perRank.size());
 }
 
-SimTime
-SimResult::totalComputeTime() const
-{
-    SimTime total = SimTime::zero();
-    for (const auto &rr : perRank)
-        total += rr.computeTime;
-    return total;
-}
-
-SimTime
-SimResult::totalBlockedTime() const
-{
-    SimTime total = SimTime::zero();
-    for (const auto &rr : perRank)
-        total += rr.blockedTime();
-    return total;
-}
-
 std::string
 SimResult::toString() const
 {

@@ -66,12 +66,6 @@ struct SimResult
     /** Mean fraction of rank time spent blocked on communication. */
     double commFraction() const;
 
-    /** Aggregate compute time over ranks. */
-    SimTime totalComputeTime() const;
-
-    /** Aggregate blocked time over ranks. */
-    SimTime totalBlockedTime() const;
-
     /** Multi-line summary for reports. */
     std::string toString() const;
 };

@@ -396,14 +396,9 @@ traceApplication(int ranks, const vm::RankProgram &program,
     trace::linkTraceSet(bundle.traces, &tracer.senderInfos(),
                         &tracer.receiverInfos(), &bundle.overlap);
 
-    if (config.validate) {
-        const auto report =
-            trace::validateTraceSet(bundle.traces);
-        if (!report.valid()) {
-            fatal("tracer produced an invalid trace:\n",
-                  report.toString());
-        }
-    }
+    const auto report = trace::validateTraceSet(bundle.traces);
+    if (!report.valid())
+        fatal("tracer produced an invalid trace:\n", report.toString());
     return bundle;
 }
 

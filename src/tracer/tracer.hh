@@ -50,9 +50,6 @@ struct TracerConfig
 
     /** Upper bound on profile blocks recorded per message. */
     std::size_t maxProfileBlocks = 64;
-
-    /** Run the structural validator on the generated trace. */
-    bool validate = true;
 };
 
 /** Everything the tracing tool extracts from one run. */
@@ -73,7 +70,8 @@ Bytes profileBlockSize(Bytes bytes, const TracerConfig &config);
 
 /**
  * Run `program` on every rank under the tracing tool and return the
- * trace bundle.
+ * trace bundle. The trace is checked by trace::validateTraceSet; an
+ * invalid one is a FatalError.
  *
  * @param ranks number of simulated MPI processes
  * @param program the application (one entry point, SPMD style)

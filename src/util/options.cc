@@ -27,10 +27,9 @@ Options::parse(int argc, const char *const *argv)
     initLogLevelFromEnv();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (!startsWith(arg, "--")) {
-            positional_.push_back(arg);
-            continue;
-        }
+        if (!startsWith(arg, "--"))
+            fatal("unexpected argument '", arg,
+                  "' (options start with --)");
         arg = arg.substr(2);
         std::string name;
         std::string value;
@@ -85,17 +84,22 @@ Options::getString(const std::string &name) const
     return lookup(name);
 }
 
-std::int64_t
-Options::getInt(const std::string &name) const
+template <typename T>
+T
+Options::number(const std::string &name, Sign sign) const
 {
-    return parseInt(lookup(name));
+    try {
+        return parseNumber<T>(lookup(name), sign);
+    } catch (const FatalError &err) {
+        fatal("option --", name, ": ", err.what());
+    }
 }
 
 std::int64_t
 Options::getInt(const std::string &name, std::int64_t lo,
                 std::int64_t hi) const
 {
-    const std::int64_t value = getInt(name);
+    const auto value = number<std::int64_t>(name, Sign::any);
     if (value < lo || value > hi)
         fatal("option --", name, " must be in [", lo, ", ", hi,
               "], got ", value);
@@ -103,9 +107,9 @@ Options::getInt(const std::string &name, std::int64_t lo,
 }
 
 double
-Options::getDouble(const std::string &name) const
+Options::getDouble(const std::string &name, Sign sign) const
 {
-    return parseDouble(lookup(name));
+    return number<double>(name, sign);
 }
 
 bool

@@ -3,7 +3,10 @@
  * Minimal command-line option parser for the examples and benches.
  *
  * Supports "--key=value", "--key value" and boolean "--flag" forms.
- * Unknown options raise FatalError so typos surface immediately.
+ * Unknown options and arguments that are not options raise
+ * FatalError so typos surface immediately, and every number is read
+ * by parseNumber (util/line_reader.hh), the parser every text format
+ * uses, with any error naming the option.
  */
 
 #ifndef OVLSIM_UTIL_OPTIONS_HH
@@ -13,7 +16,8 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <vector>
+
+#include "line_reader.hh"
 
 namespace ovlsim {
 
@@ -32,33 +36,31 @@ class Options
                  const std::string &default_value,
                  const std::string &help);
 
-    /** Parse argv; throws FatalError on undeclared options. */
+    /** Parse argv; throws FatalError on undeclared options and on
+     * arguments that do not start with `--`. */
     void parse(int argc, const char *const *argv);
 
     /** True if the user supplied the option explicitly. */
     bool supplied(const std::string &name) const;
 
     std::string getString(const std::string &name) const;
-    std::int64_t getInt(const std::string &name) const;
 
     /**
-     * getInt() checked against [lo, hi]: a value outside raises
+     * The option as an integer in [lo, hi]: a value outside raises
      * FatalError naming the option, the range and the value. Every
-     * read that narrows the result or changes its sign goes through
-     * here, so no typo wraps silently.
+     * read that narrows the result or changes its sign passes the
+     * bounds it needs, so no typo wraps silently.
      */
     std::int64_t
-    getInt(const std::string &name, std::int64_t lo,
+    getInt(const std::string &name,
+           std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
            std::int64_t hi = std::numeric_limits<std::int64_t>::max())
         const;
-    double getDouble(const std::string &name) const;
-    bool getBool(const std::string &name) const;
 
-    /** Positional (non-option) arguments in order of appearance. */
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
+    /** The option as a finite double that meets `sign`. */
+    double getDouble(const std::string &name,
+                     Sign sign = Sign::any) const;
+    bool getBool(const std::string &name) const;
 
     /** Render a usage block listing all declared options. */
     std::string usage(const std::string &program) const;
@@ -72,9 +74,12 @@ class Options
 
     const std::string &lookup(const std::string &name) const;
 
+    /** The option read by parseNumber<T>; an error names it. */
+    template <typename T>
+    T number(const std::string &name, Sign sign) const;
+
     std::map<std::string, Decl> decls_;
     std::map<std::string, std::string> values_;
-    std::vector<std::string> positional_;
 };
 
 } // namespace ovlsim

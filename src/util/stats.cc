@@ -68,12 +68,6 @@ OnlineStats::variance() const
     return m2_ / static_cast<double>(count_);
 }
 
-double
-OnlineStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0)
 {
@@ -145,18 +139,6 @@ percentile(std::vector<double> values, double p)
     const std::size_t hi = std::min(lo + 1, values.size() - 1);
     const double frac = pos - static_cast<double>(lo);
     return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    ovlAssert(!values.empty(), "geometricMean of empty sample");
-    double log_sum = 0.0;
-    for (const double v : values) {
-        ovlAssert(v > 0.0, "geometricMean requires positive values");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 } // namespace ovlsim

@@ -37,9 +37,6 @@ class OnlineStats
     /** Population variance. */
     double variance() const;
 
-    /** Population standard deviation. */
-    double stddev() const;
-
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
@@ -82,9 +79,6 @@ class Histogram
 
 /** Percentile of a sample set (linear interpolation, p in [0,100]). */
 double percentile(std::vector<double> values, double p);
-
-/** Geometric mean; all values must be positive. */
-double geometricMean(const std::vector<double> &values);
 
 } // namespace ovlsim
 

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "logging.hh"
 
@@ -46,13 +45,6 @@ bool
 startsWith(std::string_view text, std::string_view prefix)
 {
     return text.substr(0, prefix.size()) == prefix;
-}
-
-bool
-endsWith(std::string_view text, std::string_view suffix)
-{
-    return text.size() >= suffix.size() &&
-        text.substr(text.size() - suffix.size()) == suffix;
 }
 
 std::string
@@ -112,47 +104,6 @@ humanTime(SimTime t)
     if (abs_ns < 1e9)
         return strformat("%.2f ms", ns / 1e6);
     return strformat("%.3f s", ns / 1e9);
-}
-
-std::string
-humanRate(double bytes_per_second)
-{
-    static const char *units[] = {"B/s", "KB/s", "MB/s", "GB/s", "TB/s"};
-    double value = bytes_per_second;
-    std::size_t unit = 0;
-    while (value >= 1000.0 && unit + 1 < std::size(units)) {
-        value /= 1000.0;
-        ++unit;
-    }
-    return strformat("%.1f %s", value, units[unit]);
-}
-
-std::int64_t
-parseInt(std::string_view text)
-{
-    const std::string s = trim(text);
-    if (s.empty())
-        fatal("parseInt: empty string");
-    char *end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal("parseInt: cannot parse '", s, "' as integer");
-    return value;
-}
-
-double
-parseDouble(std::string_view text)
-{
-    const std::string s = trim(text);
-    if (s.empty())
-        fatal("parseDouble: empty string");
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal("parseDouble: cannot parse '", s, "' as double");
-    return value;
 }
 
 bool

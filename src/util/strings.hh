@@ -6,7 +6,6 @@
 #ifndef OVLSIM_UTIL_STRINGS_HH
 #define OVLSIM_UTIL_STRINGS_HH
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,9 +23,6 @@ std::string trim(std::string_view text);
 /** True if text begins with the given prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);
 
-/** True if text ends with the given suffix. */
-bool endsWith(std::string_view text, std::string_view suffix);
-
 /** Lower-case copy (ASCII). */
 std::string toLower(std::string_view text);
 
@@ -39,15 +35,6 @@ std::string humanBytes(Bytes bytes);
 
 /** Human-readable duration, e.g. "1.24 ms". */
 std::string humanTime(SimTime t);
-
-/** Human-readable rate, e.g. "512.0 MB/s" from bytes per second. */
-std::string humanRate(double bytes_per_second);
-
-/** Parse a signed integer; throws FatalError on garbage. */
-std::int64_t parseInt(std::string_view text);
-
-/** Parse a double; throws FatalError on garbage. */
-double parseDouble(std::string_view text);
 
 /** Parse a boolean ("true/false/1/0/yes/no"); throws on garbage. */
 bool parseBool(std::string_view text);

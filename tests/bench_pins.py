@@ -114,6 +114,15 @@ ERRORS = [
      ["--platform", "bad.platform"],
      "fatal: bad.platform line 2: cannot parse '12q' as a number",
      {"bad.platform": "name = typo\nbandwidth_mbps = 12q\n"}),
+    ("overlap_study --lo 0", "overlap_study", ["--lo", "0"],
+     "fatal: option --lo: value '0' must be positive", {}),
+    ("degradation_study --lo nan", "degradation_study", ["--lo", "nan"],
+     "fatal: option --lo: value 'nan' is not finite", {}),
+    ("network_dimensioning --tolerance -1", "network_dimensioning",
+     ["--tolerance", "-1"],
+     "fatal: option --tolerance: negative value '-1'", {}),
+    ("overlap_study nas-cg", "overlap_study", ["nas-cg"],
+     "fatal: unexpected argument 'nas-cg' (options start with --)", {}),
 ]
 
 THREADS = re.compile(rb"\b\d+ threads\b")

@@ -33,7 +33,10 @@ TEST(BandwidthGridTest, LogSpacedAndInclusive)
     for (std::size_t i = 1; i < grid.size(); ++i)
         EXPECT_GT(grid[i], grid[i - 1]);
     EXPECT_THROW(logBandwidthGrid(0.0, 10.0, 1), PanicError);
-    EXPECT_THROW(logBandwidthGrid(10.0, 1.0, 1), PanicError);
+    // An inverted or empty range is a user's typo (`--hi 0.5`), not
+    // a broken invariant.
+    EXPECT_THROW(logBandwidthGrid(10.0, 1.0, 1), FatalError);
+    EXPECT_THROW(logBandwidthGrid(10.0, 10.0, 1), FatalError);
 }
 
 TEST(StandardVariantsTest, RealAndIdeal)

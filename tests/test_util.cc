@@ -233,13 +233,6 @@ TEST(PercentileTest, InterpolatesLinearly)
     EXPECT_THROW(percentile(xs, 101.0), PanicError);
 }
 
-TEST(GeometricMeanTest, Basics)
-{
-    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_THROW(geometricMean({}), PanicError);
-    EXPECT_THROW(geometricMean({1.0, -1.0}), PanicError);
-}
-
 TEST(StringsTest, SplitPreservesEmptyFields)
 {
     const auto fields = split("a,,b,", ',');
@@ -257,8 +250,6 @@ TEST(StringsTest, TrimAndCase)
     EXPECT_EQ(toLower("MiXeD"), "mixed");
     EXPECT_TRUE(startsWith("ovlsim", "ovl"));
     EXPECT_FALSE(startsWith("ovl", "ovlsim"));
-    EXPECT_TRUE(endsWith("trace.prv", ".prv"));
-    EXPECT_FALSE(endsWith("prv", "trace.prv"));
 }
 
 TEST(StringsTest, Strformat)
@@ -276,17 +267,12 @@ TEST(StringsTest, HumanReadable)
     EXPECT_EQ(humanTime(SimTime::fromUs(1.5)), "1.50 us");
     EXPECT_EQ(humanTime(SimTime::fromUs(2500)), "2.50 ms");
     EXPECT_EQ(humanTime(SimTime::fromSeconds(3.25)), "3.250 s");
-    EXPECT_EQ(humanRate(1.5e6), "1.5 MB/s");
 }
 
 TEST(StringsTest, ParseHelpers)
 {
-    EXPECT_EQ(parseInt(" -17 "), -17);
-    EXPECT_DOUBLE_EQ(parseDouble("2.5e3"), 2500.0);
     EXPECT_TRUE(parseBool("Yes"));
     EXPECT_FALSE(parseBool("off"));
-    EXPECT_THROW(parseInt("12x"), FatalError);
-    EXPECT_THROW(parseDouble(""), FatalError);
     EXPECT_THROW(parseBool("maybe"), FatalError);
 }
 
@@ -331,14 +317,69 @@ TEST(OptionsTest, DefaultsAndOverrides)
     options.declare("verbose", "false", "chatty output");
     options.declare("name", "app", "application");
     const char *argv[] = {"prog", "--bandwidth=512", "--verbose",
-                          "positional", "--name", "bt"};
-    options.parse(6, argv);
+                          "--name", "bt"};
+    options.parse(5, argv);
     EXPECT_EQ(options.getInt("bandwidth"), 512);
+    EXPECT_DOUBLE_EQ(options.getDouble("bandwidth", Sign::positive),
+                     512.0);
     EXPECT_TRUE(options.getBool("verbose"));
     EXPECT_EQ(options.getString("name"), "bt");
-    ASSERT_EQ(options.positional().size(), 1u);
-    EXPECT_EQ(options.positional()[0], "positional");
     EXPECT_TRUE(options.supplied("bandwidth"));
+}
+
+/** The FatalError message of `body`, or "" when it returns. */
+template <typename Body>
+std::string
+fatalMessage(const Body &body)
+{
+    try {
+        body();
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(OptionsTest, StrayArgumentFailsNamingIt)
+{
+    // `overlap_study nas-cg` used to sweep the default app.
+    Options options;
+    options.declare("app", "nas-bt", "application");
+    const char *argv[] = {"prog", "nas-cg"};
+    EXPECT_EQ(fatalMessage([&] { options.parse(2, argv); }),
+              "unexpected argument 'nas-cg' (options start with --)");
+    const char *dash[] = {"prog", "--app", "pop", "-x"};
+    EXPECT_EQ(fatalMessage([&] { options.parse(4, dash); }),
+              "unexpected argument '-x' (options start with --)");
+}
+
+TEST(OptionsTest, NumbersAreCheckedAndNameTheOption)
+{
+    // Each used to reach an internal assertion (exit 134) or, for
+    // an integer, a message that named no option.
+    const auto read = [](const char *value, Sign sign) {
+        Options options;
+        options.declare("lo", "1", "lowest bandwidth");
+        const std::string arg = std::string("--lo=") + value;
+        const char *argv[] = {"prog", arg.c_str()};
+        options.parse(2, argv);
+        return fatalMessage([&] { options.getDouble("lo", sign); });
+    };
+    EXPECT_EQ(read("0", Sign::positive),
+              "option --lo: value '0' must be positive");
+    EXPECT_EQ(read("nan", Sign::any),
+              "option --lo: value 'nan' is not finite");
+    EXPECT_EQ(read("-1", Sign::nonNegative),
+              "option --lo: negative value '-1'");
+    EXPECT_EQ(read("2.5e3x", Sign::any),
+              "option --lo: cannot parse '2.5e3x' as a number");
+    EXPECT_EQ(read("0", Sign::nonNegative), "");
+    EXPECT_EQ(read("-1", Sign::any), "");
+
+    Options options;
+    options.declare("chunks", "16x", "chunks per message");
+    EXPECT_EQ(fatalMessage([&] { options.getInt("chunks", 1); }),
+              "option --chunks: cannot parse '16x' as a number");
 }
 
 TEST(OptionsTest, UnknownOptionFails)
