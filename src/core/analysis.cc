@@ -802,8 +802,11 @@ isoPerformance(const tracer::TraceBundle &bundle,
                double reference_mbps, double tolerance,
                double search_lo_mbps, int threads)
 {
-    ovlAssert(reference_mbps > 0.0,
-              "isoPerformance: bad reference bandwidth");
+    ovlAssert(search_lo_mbps > 0.0, "isoPerformance: bad search floor");
+    if (!(reference_mbps > search_lo_mbps))
+        fatal("reference bandwidth ", reference_mbps,
+              " MB/s must be above the search floor ", search_lo_mbps,
+              " MB/s");
     ovlAssert(tolerance >= 0.0, "isoPerformance: bad tolerance");
 
     IsoPerformanceResult result;

@@ -435,7 +435,9 @@ struct IsoPerformanceResult
  * performance at a high reference bandwidth, then find the minimal
  * bandwidth at which (a) the original and (b) the overlapped variant
  * still deliver that performance within `tolerance`. The two
- * bisections are independent searches and run as two tasks.
+ * bisections are independent searches and run as two tasks, each
+ * between `search_lo_mbps` and the reference; a reference at or
+ * below that floor is a FatalError.
  */
 IsoPerformanceResult
 isoPerformance(const tracer::TraceBundle &bundle,

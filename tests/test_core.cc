@@ -140,6 +140,13 @@ TEST(IsoPerformanceTest, OverlappedNeedsLessBandwidth)
     EXPECT_LE(iso.overlappedRequiredBandwidth,
               iso.originalRequiredBandwidth);
     EXPECT_GE(iso.reductionFactor(), 1.0);
+
+    // A reference at or below the search floor is a user's value
+    // (`network_dimensioning --reference 0.005`), not a broken
+    // invariant.
+    EXPECT_THROW(isoPerformance(bundle, sim::platforms::defaultCluster(),
+                                ideal, 0.25, 0.05, 0.25),
+                 FatalError);
 }
 
 TEST(StudyTest, SpeedupAboveOneAtIntermediateBandwidth)
