@@ -215,7 +215,6 @@ class ThreadPool
     std::atomic<std::size_t> pending_{0};
     std::atomic<bool> failed_{false};
     std::exception_ptr error_;
-
 };
 
 } // namespace ovlsim
