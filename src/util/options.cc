@@ -84,22 +84,30 @@ Options::getString(const std::string &name) const
     return lookup(name);
 }
 
+namespace {
+
+/** `text`, the value of option `name`, read by parseNumber<T>; an
+ * error names the option. */
 template <typename T>
 T
-Options::number(const std::string &name, Sign sign) const
+optionNumber(const std::string &name, const std::string &text,
+             Sign sign)
 {
     try {
-        return parseNumber<T>(lookup(name), sign);
+        return parseNumber<T>(text, sign);
     } catch (const FatalError &err) {
         fatal("option --", name, ": ", err.what());
     }
 }
 
+} // namespace
+
 std::int64_t
 Options::getInt(const std::string &name, std::int64_t lo,
                 std::int64_t hi) const
 {
-    const auto value = number<std::int64_t>(name, Sign::any);
+    const auto value =
+        optionNumber<std::int64_t>(name, lookup(name), Sign::any);
     if (value < lo || value > hi)
         fatal("option --", name, " must be in [", lo, ", ", hi,
               "], got ", value);
@@ -109,7 +117,7 @@ Options::getInt(const std::string &name, std::int64_t lo,
 double
 Options::getDouble(const std::string &name, Sign sign) const
 {
-    return number<double>(name, sign);
+    return optionNumber<double>(name, lookup(name), sign);
 }
 
 bool

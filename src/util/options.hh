@@ -74,10 +74,6 @@ class Options
 
     const std::string &lookup(const std::string &name) const;
 
-    /** The option read by parseNumber<T>; an error names it. */
-    template <typename T>
-    T number(const std::string &name, Sign sign) const;
-
     std::map<std::string, Decl> decls_;
     std::map<std::string, std::string> values_;
 };
