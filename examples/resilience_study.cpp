@@ -143,7 +143,8 @@ toolMain(int argc, char **argv)
     double ckpt_cost_us = options.getDouble("ckpt-cost", Sign::nonNegative);
     if (ckpt_cost_us <= 0.0)
         ckpt_cost_us = interval_us / 50.0;
-    double restart_cost_us = options.getDouble("restart-cost", Sign::nonNegative);
+    double restart_cost_us =
+        options.getDouble("restart-cost", Sign::nonNegative);
     if (restart_cost_us <= 0.0)
         restart_cost_us = interval_us / 10.0;
     base.checkpointIntervalUs = interval_us;
