@@ -177,6 +177,40 @@ TEST(ThreadPoolTest, FailedJobsLeakNoLanes)
     }
 }
 
+TEST(ThreadPoolTest, EachLaneRunsOnOneThread)
+{
+    // The lane runner keeps one session and one span list per lane
+    // and reads them after parallelFor returns, so a lane's tasks
+    // must all run on one thread, lane 0's on the caller's, and the
+    // return must publish what each lane wrote. The vectors are
+    // plain: each lane writes only its own, so TSAN checks the
+    // publication.
+    for (const int threads : threadCounts) {
+        ThreadPool pool(threads);
+        std::vector<std::vector<std::thread::id>> seen(
+            static_cast<std::size_t>(pool.size()));
+        pool.parallelFor(257, [&](std::size_t, int lane) {
+            seen[static_cast<std::size_t>(lane)].push_back(
+                std::this_thread::get_id());
+        });
+        const auto caller = std::this_thread::get_id();
+        std::vector<std::thread::id> owners;
+        for (std::size_t lane = 0; lane < seen.size(); ++lane) {
+            if (seen[lane].empty())
+                continue;
+            const std::thread::id owner = seen[lane].front();
+            for (const std::thread::id id : seen[lane])
+                EXPECT_EQ(id, owner) << threads << " threads, lane " << lane;
+            EXPECT_TRUE(lane != 0 || owner == caller)
+                << threads << " threads: lane 0 left the caller";
+            for (const std::thread::id other : owners)
+                EXPECT_NE(owner, other)
+                    << threads << " threads, lane " << lane;
+            owners.push_back(owner);
+        }
+    }
+}
+
 TEST(ThreadPoolTest, ResolveThreadsDefaultsToHardware)
 {
     EXPECT_EQ(ThreadPool::resolveThreads(3), 3);
