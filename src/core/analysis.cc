@@ -93,8 +93,8 @@ class LaneRunner
 
         if (laneSpans_.empty())
             return;
-        // parallelFor's completion barrier published every lane's
-        // list to this thread.
+        // parallelFor's join published every lane's list to this
+        // thread.
         std::vector<obs::LaneSpan> &all = cobs_->spans;
         const auto first = static_cast<std::ptrdiff_t>(all.size());
         for (std::vector<obs::LaneSpan> &spans : laneSpans_) {
@@ -119,7 +119,8 @@ class LaneRunner
                 .count());
     }
 
-    // One per lane, before pool_ so its workers join first.
+    // One per lane; a lane's session is used by one thread per
+    // parallelFor, whose join publishes its state.
     std::vector<sim::ReplaySession> sessions_;
     ThreadPool pool_;
     CampaignObs *cobs_;

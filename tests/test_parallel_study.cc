@@ -119,7 +119,7 @@ TEST(ThreadPoolTest, WorkerLaneExceptionRethrowsOnTheCaller)
     // An exception on a lane other than the caller's must cross the
     // thread boundary: caught where it ran, rethrown from
     // parallelFor after every lane drains — never a deadlock on the
-    // done_ wait, never a worker left inside a dead job.
+    // join, never a thread left running after the call.
     ThreadPool pool(4);
     ASSERT_GE(pool.size(), 2);
     for (int round = 0; round < 3; ++round) {
