@@ -13,18 +13,6 @@
 namespace ovlsim::scen {
 
 const char *
-scenEventKindName(ScenEventKind kind)
-{
-    switch (kind) {
-      case ScenEventKind::degrade: return "degrade";
-      case ScenEventKind::recover: return "recover";
-      case ScenEventKind::fail: return "fail";
-      case ScenEventKind::background: return "background";
-    }
-    return "unknown";
-}
-
-const char *
 scenTargetName(ScenTarget target)
 {
     switch (target) {

@@ -99,7 +99,6 @@ enum class FailSemantics : std::uint8_t {
 };
 
 /** Stable names (scenario files, reports). */
-const char *scenEventKindName(ScenEventKind kind);
 const char *scenTargetName(ScenTarget target);
 const char *failSemanticsName(FailSemantics semantics);
 FailSemantics failSemanticsFromName(const std::string &name);

@@ -23,13 +23,4 @@ OverlapSet::get(MessageId id) const
     return it->second;
 }
 
-MessageOverlapInfo &
-OverlapSet::getMutable(MessageId id)
-{
-    const auto it = infos_.find(id);
-    if (it == infos_.end())
-        panic("no overlap info for message ", id);
-    return it->second;
-}
-
 } // namespace ovlsim::trace

@@ -92,9 +92,6 @@ class OverlapSet
     /** Profile for a message; throws PanicError if missing. */
     const MessageOverlapInfo &get(MessageId id) const;
 
-    /** Mutable profile access (used by the trace linker). */
-    MessageOverlapInfo &getMutable(MessageId id);
-
     std::size_t size() const { return infos_.size(); }
 
     const std::map<MessageId, MessageOverlapInfo> &

@@ -39,12 +39,6 @@ collOpFromName(const std::string &name)
 }
 
 bool
-isCommRecord(const Record &rec)
-{
-    return !std::holds_alternative<CpuBurst>(rec);
-}
-
-bool
 isBlockingRecord(const Record &rec)
 {
     return std::holds_alternative<SendRec>(rec) ||

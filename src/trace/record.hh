@@ -202,9 +202,6 @@ recordKind(const Record &rec)
     return static_cast<RecordKind>(rec.index());
 }
 
-/** True if the record is an MPI (non-computation) record. */
-bool isCommRecord(const Record &rec);
-
 /**
  * True if the record can block the issuing rank (used to delimit the
  * production/consumption windows of the overlap transformation).

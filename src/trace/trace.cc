@@ -15,15 +15,6 @@ RankTrace::totalInstructions() const
     return total;
 }
 
-std::size_t
-RankTrace::commRecordCount() const
-{
-    std::size_t count = 0;
-    for (const auto &rec : records_)
-        count += isCommRecord(rec) ? 1 : 0;
-    return count;
-}
-
 TraceSet::TraceSet(std::string name, int ranks, double mips)
     : name_(std::move(name)), mips_(mips)
 {

@@ -25,7 +25,6 @@ class RankTrace
     explicit RankTrace(Rank rank) : rank_(rank) {}
 
     Rank rank() const { return rank_; }
-    void setRank(Rank rank) { rank_ = rank; }
 
     /** Append a record at the end of the stream. */
     void
@@ -42,9 +41,6 @@ class RankTrace
 
     /** Sum of all computation-burst instruction counts. */
     Instr totalInstructions() const;
-
-    /** Number of communication (non-burst) records. */
-    std::size_t commRecordCount() const;
 
   private:
     Rank rank_ = 0;

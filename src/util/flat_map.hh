@@ -75,25 +75,7 @@ class FlatMap
         bool used = false;
     };
 
-    FlatMap() = default;
-
-    explicit FlatMap(std::size_t expected) { reserve(expected); }
-
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return slots_.size(); }
-
-    /** Ensure `expected` entries fit without rehashing. */
-    void
-    reserve(std::size_t expected)
-    {
-        std::size_t want = minCapacity;
-        // Grow until `expected` stays below the load limit.
-        while (loadLimit(want) < expected)
-            want <<= 1;
-        if (want > slots_.size())
-            rehash(want);
-    }
 
     /** Drop all entries; keeps the allocation. */
     void
@@ -119,32 +101,7 @@ class FlatMap
         }
     }
 
-    const T *
-    find(const Key &key) const
-    {
-        return const_cast<FlatMap *>(this)->find(key);
-    }
-
-    bool contains(const Key &key) const { return find(key) != nullptr; }
-
-    /**
-     * Reference to the value for `key`, default-constructing it if
-     * absent (std::map::operator[] semantics). May rehash on
-     * insertion of a new key; the reference is invalidated by any
-     * later mutation.
-     */
-    T &
-    operator[](const Key &key)
-    {
-        if (T *existing = find(key))
-            return *existing;
-        Slot &slot = slots_[insertionSlot(key)];
-        slot.used = true;
-        slot.key = key;
-        slot.value = T{};
-        ++size_;
-        return slot.value;
-    }
+    bool contains(const Key &key) { return find(key) != nullptr; }
 
     /** Insert or overwrite; returns true if the key was new. */
     bool
@@ -190,16 +147,6 @@ class FlatMap
     forEach(Fn &&fn)
     {
         for (auto &slot : slots_) {
-            if (slot.used)
-                fn(slot.key, slot.value);
-        }
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &slot : slots_) {
             if (slot.used)
                 fn(slot.key, slot.value);
         }

@@ -1,11 +1,10 @@
 /**
  * @file
- * Status-message and error-termination helpers.
+ * Error-termination helpers.
  *
  * Follows the gem5 convention: panic() for internal invariant
- * violations (simulator bugs), fatal() for user errors that make
- * continuing impossible (bad configuration, malformed traces), and
- * warn()/inform() for non-fatal status messages. panic() and fatal()
+ * violations (simulator bugs) and fatal() for user errors that make
+ * continuing impossible (bad configuration, malformed traces). Both
  * throw typed exceptions so that library users (and the test suite)
  * can intercept them. fatal() prints nothing: a caller may catch the
  * error and raise it again with more context (the line reader adds
@@ -46,34 +45,10 @@ class FatalError : public std::runtime_error
  */
 int runMain(int (*body)(int, char **), int argc, char **argv);
 
-/** Verbosity levels for non-fatal messages. */
-enum class LogLevel { quiet = 0, warn = 1, inform = 2, debug = 3 };
-
-/** Set the global verbosity threshold (default: inform). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity threshold. */
-LogLevel logLevel();
-
-/** Parse a level name ("quiet", "warn", "inform", "debug");
- * FatalError on anything else. */
-LogLevel parseLogLevel(const std::string &name);
-
-/** Canonical name of a level ("quiet", "warn", ...). */
-const char *logLevelName(LogLevel level);
-
-/**
- * Apply the OVLSIM_LOG environment variable (a level name) to the
- * global threshold; a missing/empty variable leaves it untouched.
- * Called by Options::parse so every CLI tool honors it without
- * per-tool wiring; library users may call it directly.
- */
-void initLogLevelFromEnv();
-
 namespace detail {
 
-/** Emit a formatted message line to stderr if level passes the filter. */
-void emitLog(LogLevel level, const char *prefix, const std::string &msg);
+/** Print `prefix` and `msg` as one line on stderr. */
+void emitLog(const char *prefix, const std::string &msg);
 
 /** Fold arbitrary streamable arguments into one string. */
 template <typename... Args>
@@ -94,7 +69,7 @@ panic(Args &&...args)
 {
     const std::string msg =
         detail::foldMessage(std::forward<Args>(args)...);
-    detail::emitLog(LogLevel::quiet, "panic: ", msg);
+    detail::emitLog("panic: ", msg);
     throw PanicError(msg);
 }
 
@@ -105,33 +80,6 @@ template <typename... Args>
 fatal(Args &&...args)
 {
     throw FatalError(detail::foldMessage(std::forward<Args>(args)...));
-}
-
-/** Warn about suspicious but survivable conditions. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::emitLog(LogLevel::warn, "warn: ",
-                    detail::foldMessage(std::forward<Args>(args)...));
-}
-
-/** Informative status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emitLog(LogLevel::inform, "info: ",
-                    detail::foldMessage(std::forward<Args>(args)...));
-}
-
-/** Debug-level message, off by default. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::emitLog(LogLevel::debug, "debug: ",
-                    detail::foldMessage(std::forward<Args>(args)...));
 }
 
 /**

@@ -21,10 +21,6 @@ Options::declare(const std::string &name,
 void
 Options::parse(int argc, const char *const *argv)
 {
-    // Every CLI tool passes through here exactly once, so the
-    // OVLSIM_LOG environment hook rides along without per-tool
-    // wiring.
-    initLogLevelFromEnv();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (!startsWith(arg, "--"))
@@ -58,12 +54,6 @@ Options::parse(int argc, const char *const *argv)
             fatal("unknown option --", name);
         values_[name] = value;
     }
-}
-
-bool
-Options::supplied(const std::string &name) const
-{
-    return values_.count(name) > 0;
 }
 
 const std::string &

@@ -40,9 +40,6 @@ class Options
      * arguments that do not start with `--`. */
     void parse(int argc, const char *const *argv);
 
-    /** True if the user supplied the option explicitly. */
-    bool supplied(const std::string &name) const;
-
     std::string getString(const std::string &name) const;
 
     /**

@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "logging.hh"
@@ -20,30 +19,7 @@ OnlineStats::add(double x)
     }
     ++count_;
     sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-OnlineStats::merge(const OnlineStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto n1 = static_cast<double>(count_);
-    const auto n2 = static_cast<double>(other.count_);
-    const double n = n1 + n2;
-    mean_ += delta * n2 / n;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double
@@ -58,14 +34,6 @@ OnlineStats::max() const
 {
     ovlAssert(count_ > 0, "max() of empty stats");
     return max_;
-}
-
-double
-OnlineStats::variance() const
-{
-    if (count_ == 0)
-        return 0.0;
-    return m2_ / static_cast<double>(count_);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -123,22 +91,6 @@ Histogram::render(std::size_t width) const
            << std::string(bar_len, '#') << " " << counts_[i] << "\n";
     }
     return os.str();
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    ovlAssert(!values.empty(), "percentile of empty sample");
-    ovlAssert(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-    std::sort(values.begin(), values.end());
-    if (values.size() == 1)
-        return values.front();
-    const double pos =
-        p / 100.0 * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 } // namespace ovlsim

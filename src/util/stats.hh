@@ -14,10 +14,8 @@
 namespace ovlsim {
 
 /**
- * Numerically stable running summary (Welford's algorithm).
- *
- * Tracks count, min, max, mean and variance of a stream of doubles
- * without storing the samples.
+ * Running summary of a stream of doubles: count, sum, min, max and
+ * mean (Welford's update), without storing the samples.
  */
 class OnlineStats
 {
@@ -25,22 +23,15 @@ class OnlineStats
     /** Add one sample. */
     void add(double x);
 
-    /** Merge another summary into this one (parallel Welford). */
-    void merge(const OnlineStats &other);
-
     std::size_t count() const { return count_; }
     double sum() const { return sum_; }
     double mean() const { return count_ ? mean_ : 0.0; }
     double min() const;
     double max() const;
 
-    /** Population variance. */
-    double variance() const;
-
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
@@ -76,9 +67,6 @@ class Histogram
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
 };
-
-/** Percentile of a sample set (linear interpolation, p in [0,100]). */
-double percentile(std::vector<double> values, double p);
 
 } // namespace ovlsim
 

@@ -68,13 +68,6 @@ class SimTime
         return SimTime(static_cast<std::int64_t>(us * 1e3));
     }
 
-    /** Construct from seconds (truncates toward zero). */
-    static constexpr SimTime
-    fromSeconds(double s)
-    {
-        return SimTime(static_cast<std::int64_t>(s * 1e9));
-    }
-
     /** Largest representable instant; used as "never". */
     static constexpr SimTime
     max()
@@ -91,11 +84,6 @@ class SimTime
 
     constexpr std::int64_t ns() const { return ns_; }
     constexpr double toUs() const { return static_cast<double>(ns_) / 1e3; }
-    constexpr double
-    toSeconds() const
-    {
-        return static_cast<double>(ns_) / 1e9;
-    }
 
     constexpr auto operator<=>(const SimTime &) const = default;
 

@@ -38,7 +38,6 @@ struct Rng
 TEST(FlatMapTest, EmptyMapBasics)
 {
     FlatMap<std::uint64_t, int> map;
-    EXPECT_TRUE(map.empty());
     EXPECT_EQ(map.size(), 0u);
     EXPECT_EQ(map.find(42), nullptr);
     EXPECT_FALSE(map.contains(42));
@@ -62,15 +61,6 @@ TEST(FlatMapTest, InsertFindEraseRoundTrip)
     EXPECT_FALSE(map.erase(7));
 }
 
-TEST(FlatMapTest, SubscriptDefaultConstructs)
-{
-    FlatMap<std::uint64_t, int> map;
-    EXPECT_EQ(map[5], 0);
-    map[5] = 55;
-    EXPECT_EQ(map[5], 55);
-    EXPECT_EQ(map.size(), 1u);
-}
-
 TEST(FlatMapTest, GrowthPreservesAllEntries)
 {
     FlatMap<std::uint64_t, std::uint64_t> map;
@@ -85,25 +75,13 @@ TEST(FlatMapTest, GrowthPreservesAllEntries)
     }
 }
 
-TEST(FlatMapTest, ReserveAvoidsLaterInvalidation)
-{
-    FlatMap<std::uint64_t, int> map;
-    map.reserve(1000);
-    const std::size_t cap = map.capacity();
-    for (std::uint64_t key = 0; key < 1000; ++key)
-        map.insertOrAssign(key, 1);
-    EXPECT_EQ(map.capacity(), cap);
-}
-
-TEST(FlatMapTest, ClearKeepsAllocationDropsEntries)
+TEST(FlatMapTest, ClearDropsEntries)
 {
     FlatMap<std::uint64_t, int> map;
     for (std::uint64_t key = 0; key < 100; ++key)
         map.insertOrAssign(key, 1);
-    const std::size_t cap = map.capacity();
     map.clear();
-    EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.capacity(), cap);
+    EXPECT_EQ(map.size(), 0u);
     EXPECT_EQ(map.find(50), nullptr);
     map.insertOrAssign(50, 2);
     EXPECT_EQ(*map.find(50), 2);

@@ -76,8 +76,6 @@ TEST(RecordTest, CollOpNamesRoundTrip)
 
 TEST(RecordTest, Classification)
 {
-    EXPECT_FALSE(isCommRecord(CpuBurst{5}));
-    EXPECT_TRUE(isCommRecord(SendRec{}));
     EXPECT_TRUE(isBlockingRecord(RecvRec{}));
     EXPECT_TRUE(isBlockingRecord(WaitRec{}));
     EXPECT_FALSE(isBlockingRecord(IRecvRec{}));
@@ -97,7 +95,6 @@ TEST(TraceTest, RankTraceTotals)
 {
     const auto traces = makeSimpleTrace();
     EXPECT_EQ(traces.rankTrace(0).totalInstructions(), 1000u);
-    EXPECT_EQ(traces.rankTrace(0).commRecordCount(), 2u);
     EXPECT_EQ(traces.rankTrace(1).totalInstructions(), 2000u);
 }
 

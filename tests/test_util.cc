@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "gen/workload_file.hh"
-#include "util/counter_rng.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
 #include "util/options.hh"
@@ -31,10 +30,7 @@ TEST(SimTimeTest, ConstructionAndAccessors)
     EXPECT_EQ(SimTime::zero().ns(), 0);
     EXPECT_EQ(SimTime::fromNs(1234).ns(), 1234);
     EXPECT_EQ(SimTime::fromUs(2.5).ns(), 2500);
-    EXPECT_EQ(SimTime::fromSeconds(1e-6).ns(), 1000);
     EXPECT_DOUBLE_EQ(SimTime::fromNs(1500).toUs(), 1.5);
-    EXPECT_DOUBLE_EQ(SimTime::fromNs(2'000'000'000).toSeconds(),
-                     2.0);
 }
 
 TEST(SimTimeTest, Arithmetic)
@@ -55,7 +51,7 @@ TEST(SimTimeTest, Comparison)
 {
     EXPECT_LT(SimTime::fromNs(1), SimTime::fromNs(2));
     EXPECT_EQ(SimTime::fromNs(5), SimTime::fromNs(5));
-    EXPECT_GT(SimTime::max(), SimTime::fromSeconds(1e6));
+    EXPECT_GT(SimTime::max(), SimTime::fromUs(1e12));
 }
 
 TEST(LoggingTest, PanicThrowsPanicError)
@@ -118,14 +114,6 @@ TEST(LoggingTest, RunMainEndsAFatalErrorInStatusOne)
                  PanicError);
 }
 
-TEST(LoggingTest, LevelsRoundTrip)
-{
-    const auto old = logLevel();
-    setLogLevel(LogLevel::debug);
-    EXPECT_EQ(logLevel(), LogLevel::debug);
-    setLogLevel(old);
-}
-
 TEST(RngTest, DeterministicForSameSeed)
 {
     Rng a(123);
@@ -163,30 +151,6 @@ TEST(OnlineStatsTest, MatchesDirectComputation)
     EXPECT_DOUBLE_EQ(stats.mean(), 6.2);
     EXPECT_DOUBLE_EQ(stats.min(), 1.0);
     EXPECT_DOUBLE_EQ(stats.max(), 16.0);
-    double var = 0.0;
-    for (const double x : xs)
-        var += (x - 6.2) * (x - 6.2);
-    var /= static_cast<double>(xs.size());
-    EXPECT_NEAR(stats.variance(), var, 1e-12);
-}
-
-TEST(OnlineStatsTest, MergeEqualsSequential)
-{
-    OnlineStats all;
-    OnlineStats left;
-    OnlineStats right;
-    CounterRng rng(23);
-    for (int i = 0; i < 500; ++i) {
-        const double x = rng.nextDouble(0.0, 100.0);
-        all.add(x);
-        (i % 2 == 0 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
 
 TEST(OnlineStatsTest, EmptyGuards)
@@ -223,16 +187,6 @@ TEST(HistogramTest, RejectsBadRanges)
     EXPECT_THROW(Histogram(0.0, 1.0, 0), PanicError);
 }
 
-TEST(PercentileTest, InterpolatesLinearly)
-{
-    const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 40.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 25.0);
-    EXPECT_THROW(percentile({}, 50.0), PanicError);
-    EXPECT_THROW(percentile(xs, 101.0), PanicError);
-}
-
 TEST(StringsTest, SplitPreservesEmptyFields)
 {
     const auto fields = split("a,,b,", ',');
@@ -266,7 +220,7 @@ TEST(StringsTest, HumanReadable)
     EXPECT_EQ(humanTime(SimTime::fromNs(500)), "500 ns");
     EXPECT_EQ(humanTime(SimTime::fromUs(1.5)), "1.50 us");
     EXPECT_EQ(humanTime(SimTime::fromUs(2500)), "2.50 ms");
-    EXPECT_EQ(humanTime(SimTime::fromSeconds(3.25)), "3.250 s");
+    EXPECT_EQ(humanTime(SimTime::fromNs(3'250'000'000)), "3.250 s");
 }
 
 TEST(StringsTest, ParseHelpers)
@@ -324,7 +278,6 @@ TEST(OptionsTest, DefaultsAndOverrides)
                      512.0);
     EXPECT_TRUE(options.getBool("verbose"));
     EXPECT_EQ(options.getString("name"), "bt");
-    EXPECT_TRUE(options.supplied("bandwidth"));
 }
 
 /** The FatalError message of `body`, or "" when it returns. */
