@@ -50,6 +50,7 @@
  */
 
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -126,7 +127,12 @@ toolMain(int argc, char **argv)
         options.getInt("seeds", 1, UINT32_MAX));
     const auto seed =
         static_cast<std::uint64_t>(options.getInt("seed", 0));
-    // Read before the campaign, so a bad value fails at once.
+    // Read before the nominal replay, so a bad value fails at once.
+    const double mtbf_lo = options.getDouble("mtbf-lo", Sign::positive);
+    const double mtbf_hi = options.getDouble("mtbf-hi", Sign::positive);
+    if (!(mtbf_lo < mtbf_hi))
+        fatal("option --mtbf-lo (", mtbf_lo, ") must be below --mtbf-hi (",
+              mtbf_hi, ")");
     const double proto_mtbf =
         options.getDouble("proto-mtbf", Sign::positive);
     const double machine_mtbf =
@@ -136,6 +142,19 @@ toolMain(int argc, char **argv)
     // run on this fabric.
     const SimTime nominal =
         sim::simulate(bundle.traces, base).totalTime;
+    // An option in multiples of the nominal run, in microseconds.
+    const auto timesNominal = [&](const char *name, double multiple) {
+        const double us = multiple * nominal.toUs();
+        if (!std::isfinite(us))
+            fatal("option --", name, ": ", multiple,
+                  " times the nominal run is not a finite time");
+        return us;
+    };
+    const double mtbf_lo_us = timesNominal("mtbf-lo", mtbf_lo);
+    const double mtbf_hi_us = timesNominal("mtbf-hi", mtbf_hi);
+    const double proto_mtbf_us = timesNominal("proto-mtbf", proto_mtbf);
+    const double machine_mtbf_us =
+        timesNominal("machine-mtbf", machine_mtbf);
     double interval_us =
         options.getDouble("interval", Sign::nonNegative);
     if (interval_us <= 0.0)
@@ -159,8 +178,7 @@ toolMain(int argc, char **argv)
     // bandwidth-specific), descending so the table reads from
     // reliable to brutal.
     auto grid = core::logBandwidthGrid(
-        options.getDouble("mtbf-lo", Sign::positive) * nominal.toUs(),
-        options.getDouble("mtbf-hi", Sign::positive) * nominal.toUs(),
+        mtbf_lo_us, mtbf_hi_us,
         static_cast<int>(options.getInt("per-decade", 1, INT_MAX)));
     std::reverse(grid.begin(), grid.end());
 
@@ -248,8 +266,6 @@ toolMain(int argc, char **argv)
     // two-level protocol takes a cheap local snapshot every swept
     // interval and an expensive global one every fourth, and only
     // the global one survives a machine-wide crash.
-    const double proto_mtbf_us = proto_mtbf * nominal.toUs();
-    const double machine_mtbf_us = machine_mtbf * nominal.toUs();
     auto intervalGrid = core::logBandwidthGrid(
         interval_us / 8.0, interval_us * 8.0, 4);
     const std::vector<core::CheckpointProtocol> protocols{
