@@ -84,6 +84,10 @@ TopologyConfig::validate() const
     // link_bandwidth_mbps 0 inherits the platform bandwidth.
     nonNegative("link_bandwidth_mbps", linkBandwidthMBps);
     nonNegative("hop_latency_us", hopLatencyUs);
+    if (!fitsClockUs(hopLatencyUs)) {
+        fatal("topology: hop_latency_us = ", hopLatencyUs,
+              " us does not fit the 64-bit nanosecond clock");
+    }
 }
 
 /**

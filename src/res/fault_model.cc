@@ -8,6 +8,7 @@
 #include "util/counter_rng.hh"
 #include "util/line_reader.hh"
 #include "util/logging.hh"
+#include "util/mathutil.hh"
 #include "util/strings.hh"
 
 namespace ovlsim::res {
@@ -107,13 +108,13 @@ FaultProcess::validate() const
         return;
     }
     if (!(mtbfUs > 0.0) || !std::isfinite(mtbfUs)) {
-        fatal("fault model: mtbf_us must be positive (", describe(),
-              ")");
+        fatal("fault model: mtbf_us must be positive and finite (",
+              describe(), ")");
     }
     if (effect != FaultEffect::failStop &&
         (!(mttrUs > 0.0) || !std::isfinite(mttrUs))) {
         fatal("fault model: recoverable processes need a positive "
-              "mttr_us (", describe(), ")");
+              "and finite mttr_us (", describe(), ")");
     }
     if (effect == FaultEffect::degrade &&
         (!(degradeFactor > 0.0) || degradeFactor >= 1.0)) {
@@ -125,9 +126,10 @@ FaultProcess::validate() const
 void
 FaultModel::validate() const
 {
-    if (!(horizonUs >= 0.0) || !std::isfinite(horizonUs))
-        fatal("fault model: horizon_us must be finite and "
-              "non-negative");
+    if (!(horizonUs >= 0.0) || !fitsClockUs(horizonUs)) {
+        fatal("fault model: horizon_us must be non-negative and fit "
+              "the 64-bit nanosecond clock, got ", horizonUs);
+    }
     for (const FaultProcess &proc : processes)
         proc.validate();
 }
@@ -305,6 +307,7 @@ generateScenario(const FaultModel &model, std::uint64_t seed,
 scen::ScenarioConfig
 generateScenario(const FaultModel &model)
 {
+    model.validate(); // before fromUs reads horizon_us
     return generateScenario(model, model.seed,
                             SimTime::fromUs(model.horizonUs));
 }

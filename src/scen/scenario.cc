@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "util/line_reader.hh"
+#include "util/mathutil.hh"
 #include "util/strings.hh"
 
 namespace ovlsim::scen {
@@ -182,10 +183,8 @@ readScenario(std::istream &in, const std::string &source)
             ev.time = SimTime::fromNs(parseNumber<std::int64_t>(
                 std::string_view(when).substr(0, when.size() - 2)));
         } else {
-            // fromUs truncates into int64 ns: anything that does not
-            // fit the clock is undefined.
             const double us = parseNumber<double>(when);
-            if (!(std::fabs(us) * 1e3 < 0x1p63))
+            if (!fitsClockUs(us))
                 fatal("event time '", when,
                       "' does not fit the ns clock");
             ev.time = SimTime::fromUs(us);

@@ -46,18 +46,25 @@ PlatformConfig::validate() const
                   " must be finite and non-negative, got ", v);
         }
     };
+    // A duration reaches SimTime::fromUs, so it must fit the clock.
+    const auto duration = [&](const char *key, double v) {
+        nonNegative(key, v);
+        if (!fitsClockUs(v))
+            fatal("platform: ", key, " = ", v,
+                  " us does not fit the 64-bit nanosecond clock");
+    };
     positive("cpu_ratio", cpuRatio);
     if (cpusPerNode <= 0)
         fatal("platform: cpus_per_node must be positive");
     positive("bandwidth_mbps", bandwidthMBps);
     positive("local_bandwidth_mbps", localBandwidthMBps);
-    nonNegative("latency_us", latencyUs);
-    nonNegative("local_latency_us", localLatencyUs);
+    duration("latency_us", latencyUs);
+    duration("local_latency_us", localLatencyUs);
     if (buses < 0 || outLinksPerNode < 0 || inLinksPerNode < 0) {
         fatal("platform: buses, out_links_per_node and "
               "in_links_per_node must be non-negative");
     }
-    nonNegative("rendezvous_overhead_us", rendezvousOverheadUs);
+    duration("rendezvous_overhead_us", rendezvousOverheadUs);
     nonNegative("collective_latency_factor", collectives.latencyFactor);
     nonNegative("collective_bandwidth_factor",
                 collectives.bandwidthFactor);
@@ -70,13 +77,12 @@ PlatformConfig::validate() const
               "collective_bandwidth_factor apply only to the "
               "analytic model (collective_model = analytic)");
     }
-    nonNegative("checkpoint_interval_us", checkpointIntervalUs);
-    nonNegative("checkpoint_cost_us", checkpointCostUs);
-    nonNegative("restart_cost_us", restartCostUs);
-    nonNegative("checkpoint_global_interval_us",
-                checkpointGlobalIntervalUs);
-    nonNegative("checkpoint_global_cost_us", checkpointGlobalCostUs);
-    nonNegative("restart_global_cost_us", restartGlobalCostUs);
+    duration("checkpoint_interval_us", checkpointIntervalUs);
+    duration("checkpoint_cost_us", checkpointCostUs);
+    duration("restart_cost_us", restartCostUs);
+    duration("checkpoint_global_interval_us", checkpointGlobalIntervalUs);
+    duration("checkpoint_global_cost_us", checkpointGlobalCostUs);
+    duration("restart_global_cost_us", restartGlobalCostUs);
     if (checkpointGlobalIntervalUs > 0.0 &&
         checkpointIntervalUs <= 0.0) {
         fatal("platform: checkpoint_global_interval_us requires a "

@@ -1,7 +1,8 @@
 /**
  * @file
- * Small integer-math helpers shared across modules, and the one
- * checked conversion of a double nanosecond count to the clock.
+ * Small integer-math helpers shared across modules, the one checked
+ * conversion of a double nanosecond count to the clock and the one
+ * range check of a microsecond value.
  */
 
 #ifndef OVLSIM_UTIL_MATHUTIL_HH
@@ -47,6 +48,19 @@ constexpr std::uint64_t
 roundUp(std::uint64_t x, std::uint64_t align)
 {
     return ceilDiv(x, align) * align;
+}
+
+/**
+ * True if `us` microseconds fit the 64-bit nanosecond clock
+ * (|us| * 1e3 < 2^63; NaN does not). SimTime::fromUs casts
+ * unchecked, and past the clock the cast is undefined, so the
+ * reader or validator that accepts a microsecond value checks it
+ * here first and names its key.
+ */
+inline bool
+fitsClockUs(double us)
+{
+    return std::fabs(us) * 1e3 < 0x1p63;
 }
 
 /**

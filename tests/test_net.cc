@@ -104,14 +104,18 @@ TEST(TopologyConfigTest, ValidateRejectsNonsense)
 
     // NaN and infinity fail too, each naming its key: a NaN hop
     // latency used to price every transfer at zero, and a NaN taper
-    // or link bandwidth was accepted silently.
+    // or link bandwidth was accepted silently. A hop latency past the
+    // nanosecond clock used to price the fat tree's transfers wrong.
     for (const auto &[key, field] :
          {std::pair{"fat_tree_taper", &TopologyConfig::fatTreeTaper},
           std::pair{"link_bandwidth_mbps",
                     &TopologyConfig::linkBandwidthMBps},
           std::pair{"hop_latency_us", &TopologyConfig::hopLatencyUs}}) {
-        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                                 std::numeric_limits<double>::infinity()}) {
+        std::vector<double> bads{std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()};
+        if (std::string_view(key).ends_with("_us"))
+            bads.push_back(1e300);
+        for (const double bad : bads) {
             TopologyConfig tree = net::topologies::fatTree(4);
             tree.*field = bad;
             try {

@@ -281,8 +281,8 @@ TEST(KeyValueFileTest, EachFaultProcessIsCheckedOnItsOwnLine)
     std::istringstream in("seed = 3\n\nprocess node 0 stall mtbf_us 5\n");
     EXPECT_EQ(errorOf([&] { res::readFaultModel(in, "f"); }),
               "f line 3: fault model: recoverable processes need a "
-              "positive mttr_us (process node 0 stall mtbf_us 5 "
-              "mttr_us 0)");
+              "positive and finite mttr_us (process node 0 stall "
+              "mtbf_us 5 mttr_us 0)");
     // The target grammar is the scenario's; a route is refused here.
     std::istringstream route("process route 0 1 fail-stop mtbf_us 5\n");
     EXPECT_EQ(errorOf([&] { res::readFaultModel(route, "f"); }),

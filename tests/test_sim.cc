@@ -80,10 +80,14 @@ TEST(PlatformTest, ValidateRejectsNonsense)
 
     // NaN compares false with every bound, and a NaN bandwidth or
     // latency used to price every transfer at zero. Each double is
-    // checked in a form NaN and infinity fail, naming its key.
+    // checked in a form NaN and infinity fail, naming its key, and
+    // each `_us` duration must also fit the nanosecond clock.
     const auto rejects = [](const char *key, auto field) {
-        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                                 std::numeric_limits<double>::infinity()}) {
+        std::vector<double> bads{std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()};
+        if (std::string_view(key).ends_with("_us"))
+            bads.push_back(1e300);
+        for (const double bad : bads) {
             PlatformConfig p;
             field(p) = bad;
             try {

@@ -431,6 +431,17 @@ TEST(MathUtilTest, PowerOfTwoAndRoundUp)
     EXPECT_EQ(roundUp(16, 8), 16u);
 }
 
+TEST(MathUtilTest, FitsClockUsBoundsTheNanosecondClock)
+{
+    EXPECT_TRUE(fitsClockUs(0.0));
+    EXPECT_TRUE(fitsClockUs(9.2e15));  // 9.2e18 ns < 2^63
+    EXPECT_TRUE(fitsClockUs(-9.2e15));
+    EXPECT_FALSE(fitsClockUs(9.3e15)); // 9.3e18 ns > 2^63
+    EXPECT_FALSE(fitsClockUs(1e300));
+    EXPECT_FALSE(fitsClockUs(std::numeric_limits<double>::infinity()));
+    EXPECT_FALSE(fitsClockUs(std::numeric_limits<double>::quiet_NaN()));
+}
+
 TEST(MathUtilTest, RoundNsChecksTheClockRange)
 {
     EXPECT_EQ(roundNs(2.5).ns(), 3); // halves round away from zero
