@@ -12,8 +12,8 @@
 #               platform-campaign studies and generator_study end
 #               to end
 #               through the bench_pins entry, label `bench`, and
-#               its error rows: twelve user
-#               errors, two of them malformed input files, that
+#               its error rows: seventeen user
+#               errors, four of them bad input files, that
 #               must exit 1 with the message once, never through
 #               std::terminate), then
 #               explicit serial `ctest -L res`, `ctest -L gen`,

@@ -123,6 +123,31 @@ ERRORS = [
      "fatal: option --tolerance: negative value '-1'", {}),
     ("overlap_study nas-cg", "overlap_study", ["nas-cg"],
      "fatal: unexpected argument 'nas-cg' (options start with --)", {}),
+    ("resilience_study --mtbf-lo 5 --mtbf-hi 2", "resilience_study",
+     ["--mtbf-lo", "5", "--mtbf-hi", "2", "--seeds", "1"],
+     "fatal: option --mtbf-lo (5) must be below --mtbf-hi (2)", {}),
+    ("resilience_study --mtbf-hi 1e308", "resilience_study",
+     ["--mtbf-hi", "1e308", "--seeds", "1", "--per-decade", "1"],
+     "fatal: option --mtbf-hi: 1e+308 times the nominal run is not a "
+     "finite time", {}),
+    ("resilience_study --proto-mtbf 1e308", "resilience_study",
+     ["--proto-mtbf", "1e308", "--seeds", "1", "--per-decade", "1",
+      "--mtbf-lo", "100", "--mtbf-hi", "200"],
+     "fatal: option --proto-mtbf: 1e+308 times the nominal run is not a "
+     "finite time", {}),
+    ("overlap_study --platform hop.platform", "overlap_study",
+     ["--app", "nas-cg", "--per-decade", "1", "--lo", "1", "--hi", "100",
+      "--platform", "hop.platform"],
+     "fatal: hop.platform: topology: hop_latency_us = 1e+300 us does not "
+     "fit the 64-bit nanosecond clock",
+     {"hop.platform": "name = far\ntopology = fat-tree\n"
+                      "hop_latency_us = 1e300\n"}),
+    ("overlap_study --platform ckpt.platform", "overlap_study",
+     ["--app", "nas-cg", "--per-decade", "1", "--lo", "1", "--hi", "100",
+      "--platform", "ckpt.platform"],
+     "fatal: ckpt.platform: platform: checkpoint_interval_us = 1e+300 us "
+     "does not fit the 64-bit nanosecond clock",
+     {"ckpt.platform": "name = rare\ncheckpoint_interval_us = 1e300\n"}),
 ]
 
 THREADS = re.compile(rb"\b\d+ threads\b")
