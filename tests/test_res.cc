@@ -322,6 +322,19 @@ TEST(FaultModelTest, MachineWideProcessesAreFailStopOnlyAndRoundTrip)
     bad.processes[0].effect = res::FaultEffect::stall;
     bad.processes[0].mttrUs = 10.0;
     EXPECT_THROW(bad.validate(), FatalError);
+
+    // A horizon past the nanosecond clock is refused by its key
+    // before it is converted.
+    auto far = model;
+    far.horizonUs = 1e300;
+    try {
+        res::generateScenario(far);
+        ADD_FAILURE() << "expected horizon_us = 1e300 to be fatal";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("horizon_us"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 /** The message of the FatalError reading `text` as availability
