@@ -62,10 +62,11 @@ SimResult simulate(const ReplayProgram &program,
 /**
  * A reusable replay context.
  *
- * Owns the engine's flat-hash channel map, transfer arena, request
- * registers and event heap, and replays any number of
- * (program, platform) pairs back-to-back without reallocating them:
- * each run() resets the containers but keeps their capacity.
+ * Owns the engine's message-slot table, transfer arena, request
+ * registers, event heap and compiled topologies, and replays any
+ * number of (program, platform) pairs back-to-back without
+ * reallocating them: each run() resets the containers but keeps
+ * their capacity.
  * Results are bit-identical to simulate() — a session carries no
  * state between runs other than memory reservations.
  *
