@@ -17,10 +17,12 @@ three platform campaigns in STUDIES: topology_study (topology x
 bandwidth), collective_study (collective model x topology x
 bandwidth) and degradation_study (scenario x bandwidth on the
 tapered fat tree), and generator_study, the one tool that drives
-scalingSweep over the link network (a stencil and a fan-in over
-three rank counts on the tapered fat tree), each with its CSV. On
-a mismatch the moved case's stdout is printed and each moved file
-is named.
+scalingSweep over the link network (a stencil, a fan-in and an
+ml-training loop over three rank counts on the tapered fat tree),
+each with its CSV. The ml-training loop is all collectives, so both
+of its variants lower to the original program and every point
+replays one program. On a mismatch the moved case's stdout is
+printed and each moved file is named.
 
 ERRORS holds user errors: each must end in exit status 1 with its
 message on stderr exactly once and no other `fatal:` line, never in
@@ -35,9 +37,11 @@ drivers and sim::simulate. The resilience_study row was recorded
 from the engine whose checkpoint image mirrored the imaged members
 field by field. The STUDIES rows were recorded from the drivers that
 ran one bandwidth sweep per topology, scenario or collective model,
-lowering every program again for each. The generator_study rows
-were recorded from the link network that re-derived every visited
-flow's bottleneck on each admission and removal.
+lowering every program again for each. The stencil and fan-in
+generator_study rows were recorded from the link network that
+re-derived every visited flow's bottleneck on each admission and
+removal, and the ml-training row from the drivers that replayed
+every variant of a point, equal programs included.
 """
 
 import hashlib
@@ -78,6 +82,8 @@ STUDIES = [
                          "--csv", "g.csv"]),
     ("generator_study", ["--kind", "fan-in", "--ranks", "8,16,32",
                          "--csv", "f.csv"]),
+    ("generator_study", ["--kind", "ml-training", "--ranks", "16,32,64",
+                         "--csv", "m.csv"]),
 ]
 CASES += [(f"{b} {' '.join(a)} --threads {n}", b, a + ["--threads", str(n)])
           for b, a in STUDIES for n in (1, 2)]
@@ -296,6 +302,13 @@ PINS = {
         "files": {
             'f.csv':
                 'f3b55cee3a7179368af3f91d830c9470f765081944b42dc23f909d6d0f76ef51',
+        },
+    },
+    'generator_study --kind ml-training --ranks 16,32,64 --csv m.csv': {
+        "stdout": '59dd218b87592e688438f6fafb625f3acb0e09b01ed35093858ae5c2d874ca70',
+        "files": {
+            'm.csv':
+                '1ecd976b06f025a40068db71adf83b6788e21e4fa04325b90f644a1c58aa6ebc',
         },
     },
 }

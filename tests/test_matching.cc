@@ -22,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -207,6 +209,33 @@ TEST(MessagePairingTest, CompilingTwiceYieldsIdenticalPrograms)
     EXPECT_TRUE(first == second);
     EXPECT_EQ(first.messageSlots(), 300u);
     EXPECT_GT(first.memoryBytes(), 0u);
+}
+
+TEST(MessagePairingTest, EqualityIgnoresTheNameAndNothingElse)
+{
+    // Campaigns replay one of two equal programs for both, so
+    // equality covers every member a replay reads; the name, read
+    // only by decode(), is left out.
+    const auto traces = seededExchange(4, 300, 11);
+    const auto program = sim::compileTrace(traces);
+
+    auto renamed = traces;
+    renamed.setName("renamed");
+    EXPECT_TRUE(program == sim::compileTrace(renamed));
+
+    auto faster = traces;
+    faster.setMips(2 * traces.mips());
+    EXPECT_FALSE(program == sim::compileTrace(faster));
+
+    auto longer = traces;
+    auto &records = longer.rankTrace(2).records();
+    const auto burst = std::find_if(
+        records.begin(), records.end(), [](const trace::Record &rec) {
+            return std::holds_alternative<CpuBurst>(rec);
+        });
+    ASSERT_NE(burst, records.end());
+    std::get<CpuBurst>(*burst).instructions += 1;
+    EXPECT_FALSE(program == sim::compileTrace(longer));
 }
 
 TEST(MessagePairingTest, DecodeRoundTripIsLossless)

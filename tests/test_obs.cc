@@ -908,6 +908,133 @@ TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)
     EXPECT_TRUE(seenRes.stats == plainRes.stats);
 }
 
+/** The replay spans of `cobs` by name, each with its count. */
+std::map<std::string, int>
+replaySpans(const core::CampaignObs &cobs, const std::string &prefix)
+{
+    std::map<std::string, int> names;
+    for (const auto &span : cobs.spans) {
+        if (span.name.rfind(prefix, 0) == 0)
+            ++names[span.name];
+    }
+    return names;
+}
+
+TEST(ObsCampaignTest, ScalingSweepReplaysEachDistinctProgramOnce)
+{
+    // Gen-scale's two families on its platform (test_campaign_pins'
+    // tapered fat tree with algorithmic recursive-doubling
+    // allreduce). ml-training is all collectives, which the
+    // transform leaves alone, so both variants lower to the
+    // original program. The stencil generator places its stores
+    // and loads linearly, so the real pattern lowers to the ideal
+    // one although messages are chunked. A point replays each
+    // distinct program once, and ticks when the last one retires.
+    auto platform = sim::platforms::topologyCluster(
+        net::topologies::taperedFatTree(4, 0.5));
+    platform.bandwidthMBps = 4096.0;
+    platform.collectiveModel = coll::CollectiveModel::algorithmic;
+    platform.collectiveAlgorithms.set(
+        trace::CollOp::allReduce, coll::Algorithm::recursiveDoubling);
+    gen::WorkloadConfig ml;
+    ml.kind = gen::WorkloadKind::mlTraining;
+    ml.name = "gen-ml";
+    ml.iterations = 2;
+    ml.gradientBuckets = 4;
+    ml.gradientBytes = Bytes(64) * 1024 * 1024;
+    ml.stepInstr = 50'000'000;
+    gen::WorkloadConfig stencil;
+    stencil.kind = gen::WorkloadKind::stencil;
+    stencil.name = "gen-stencil";
+    const std::vector<int> ranks{16, 32, 64};
+
+    const auto spans = [&](const gen::WorkloadConfig &workload) {
+        obs::Progress progress(workload.name, ranks.size());
+        core::CampaignObs cobs;
+        cobs.progress = &progress;
+        cobs.recordSpans = true;
+        core::scalingSweep(workload, 1, platform, ranks,
+                           core::standardVariants(16), 2, &cobs);
+        EXPECT_EQ(progress.done(), ranks.size()) << workload.name;
+        progress.finish();
+        expectWellFormedSpans(cobs, 2);
+        return std::pair{replaySpans(cobs, "prepare "),
+                         replaySpans(cobs, "replay ")};
+    };
+    std::map<std::string, int> prepares;
+    std::map<std::string, int> mlReplays;
+    std::map<std::string, int> stencilReplays;
+    for (const int n : ranks) {
+        const std::string point = "ranks=" + std::to_string(n);
+        prepares["prepare " + point] = 1;
+        mlReplays["replay " + point + " original"] = 1;
+        stencilReplays["replay " + point + " original"] = 1;
+        stencilReplays["replay " + point + " overlap-real"] = 1;
+    }
+    EXPECT_EQ(spans(ml), std::pair(prepares, mlReplays));
+    EXPECT_EQ(spans(stencil), std::pair(prepares, stencilReplays));
+}
+
+TEST(ObsCampaignTest, TracedDriversReplayAnAllCollectiveProgramOnce)
+{
+    // A traced bundle of compute then allreduce: the transform has
+    // no message to chunk, so every variant lowers to the original
+    // program, and each driver copies the original's outcome into
+    // the variants' slots instead of replaying them.
+    const auto bundle =
+        testing::traceOf(4, [](vm::VmContext &ctx) {
+            ctx.compute(2'000'000);
+            ctx.allReduce(256 * 1024);
+        });
+    const auto base = sim::platforms::defaultCluster();
+    const auto variants = core::standardVariants(8);
+
+    core::CampaignObs cobs;
+    cobs.recordSpans = true;
+    const auto grid = core::logBandwidthGrid(1.0, 4096.0, 1);
+    const auto sweep =
+        core::bandwidthSweep(bundle, base, grid, variants, 2, &cobs);
+    EXPECT_EQ(replaySpans(cobs, "replay ").size(), grid.size());
+    for (const auto &point : sweep.points) {
+        EXPECT_EQ(point.variantTimes,
+                  std::vector<SimTime>(variants.size(),
+                                       point.originalTime))
+            << point.bandwidthMBps << " MB/s";
+    }
+
+    // No checkpointing, and a per-node MTBF of a quarter of the
+    // run: the one (rate, seed) row dies in every program, and
+    // the variants carry the original's diagnosis. Their stats
+    // fold the nominal run's three times and no dead run's.
+    const auto nominal = sim::simulate(bundle.traces, base);
+    core::CampaignObs rcobs;
+    rcobs.recordSpans = true;
+    const auto res = core::resilienceSweep(
+        bundle, base, {nominal.totalTime.toUs() / 4.0}, variants, 1,
+        1, 2, &rcobs);
+    EXPECT_EQ(replaySpans(rcobs, "nominal "),
+              (std::map<std::string, int>{{"nominal original", 1}}));
+    const auto &cells = res.points.at(0).cells;
+    ASSERT_EQ(cells.size(), variants.size() + 1);
+    ASSERT_EQ(cells[0].failedFraction, 1.0);
+    for (std::size_t v = 1; v < cells.size(); ++v) {
+        EXPECT_EQ(cells[v].seedTimes, cells[0].seedTimes);
+        EXPECT_EQ(cells[v].seedDiagnoses.at(0).toString(),
+                  cells[0].seedDiagnoses.at(0).toString());
+    }
+    obs::EngineStats nominalThrice;
+    for (std::size_t v = 0; v < cells.size(); ++v)
+        nominalThrice.merge(nominal.stats);
+    EXPECT_TRUE(res.stats == nominalThrice) << res.stats.toString();
+
+    // One bisection serves both required bandwidths.
+    const auto iso = core::isoPerformance(bundle, base,
+                                          variants[0].config, 4096.0,
+                                          0.05, 1e-3, 2);
+    EXPECT_EQ(iso.overlappedRequiredBandwidth,
+              iso.originalRequiredBandwidth);
+}
+
 TEST(ProgressTest, TicksAccumulateAndFinishIsIdempotent)
 {
     obs::Progress progress("unit", 3);
