@@ -7,6 +7,7 @@
 #include <functional>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <tuple>
 
 #include "res/fault_model.hh"
@@ -54,14 +55,13 @@ class LaneRunner
      * order). When recording spans, each task with a label is timed
      * into its lane's list as a span named label(i), and the stage's
      * spans are appended to CampaignObs::spans ordered by (begin,
-     * lane). With
-     * `per_point` > 0, tasks [p * per_point, (p + 1) * per_point)
-     * make up point p, and the task retiring its last one ticks
+     * lane). With `points` non-empty, task i belongs to point
+     * points[i], and the task retiring a point's last task ticks
      * progress.
      */
     void
     run(std::size_t count, const Cost &cost, const Label &label,
-        const Task &task, std::size_t per_point = 0)
+        const Task &task, std::span<const std::size_t> points = {})
     {
         std::vector<std::size_t> order(count);
         std::iota(order.begin(), order.end(), std::size_t{0});
@@ -70,8 +70,10 @@ class LaneRunner
                              [&](std::size_t a, std::size_t b) {
                                  return cost(a) > cost(b);
                              });
-        std::vector<std::atomic<std::size_t>> retired(
-            per_point > 0 ? count / per_point : 0);
+        std::vector<std::atomic<std::size_t>> left(
+            points.empty() ? 0 : std::ranges::max(points) + 1);
+        for (const std::size_t p : points)
+            ++left[p];
 
         pool_.parallelFor(count, [&](std::size_t k, int lane) {
             const std::size_t i = order[k];
@@ -85,9 +87,9 @@ class LaneRunner
             } else {
                 task(i, sessions_[l]);
             }
-            if (per_point > 0 && progress_ != nullptr &&
-                retired[i / per_point].fetch_add(
-                    1, std::memory_order_acq_rel) + 1 == per_point)
+            if (!points.empty() && progress_ != nullptr &&
+                left[points[i]].fetch_sub(
+                    1, std::memory_order_acq_rel) == 1)
                 progress_->tick();
         });
 
@@ -132,12 +134,14 @@ class LaneRunner
         std::chrono::steady_clock::now();
 };
 
-/** Replay cost of programs[i]: its compiled op count. */
+/** Replay cost of the task replaying programs[slots[k]]: its
+ * compiled op count. */
 LaneRunner::Cost
-opCount(const std::vector<Program> &programs)
+opCount(const std::vector<Program> &programs,
+        const std::vector<std::size_t> &slots)
 {
-    return [&programs](std::size_t i) {
-        return programs[i]->totalOps();
+    return [&programs, &slots](std::size_t k) {
+        return programs[slots[k]]->totalOps();
     };
 }
 
@@ -162,8 +166,59 @@ compileProgram(const tracer::TraceBundle &bundle,
             .traces);
 }
 
+/**
+ * Give programs[t] the program of the first slot in [first, t)
+ * that compares equal, dropping its own copy. A campaign lays out
+ * each point's programs from `first` on; equal programs replay
+ * alike, so the point replays the shared one once (sourceSlots).
+ */
+void
+shareEqual(std::vector<Program> &programs, std::size_t first,
+           std::size_t t)
+{
+    for (std::size_t u = first; u < t; ++u) {
+        if (*programs[u] == *programs[t]) {
+            programs[t] = programs[u];
+            return;
+        }
+    }
+}
+
+/**
+ * For every slot of `programs`, `width` per point, the first slot
+ * of its point holding the same program: the slot itself unless
+ * shareEqual gave it an earlier slot's program. A point replays
+ * its sources once each, and every other slot copies its source's
+ * outcome.
+ */
+std::vector<std::size_t>
+sourceSlots(const std::vector<Program> &programs, std::size_t width)
+{
+    std::vector<std::size_t> source(programs.size());
+    for (std::size_t t = 0; t < programs.size(); ++t) {
+        const auto from = programs.begin() +
+            static_cast<std::ptrdiff_t>(t - t % width);
+        const auto at = programs.begin() + static_cast<std::ptrdiff_t>(t);
+        source[t] = static_cast<std::size_t>(
+            std::find(from, at, *at) - programs.begin());
+    }
+    return source;
+}
+
+/** The slots that are their own source, ascending. */
+std::vector<std::size_t>
+distinctSlots(const std::vector<std::size_t> &source)
+{
+    std::vector<std::size_t> slots;
+    for (std::size_t t = 0; t < source.size(); ++t) {
+        if (source[t] == t)
+            slots.push_back(t);
+    }
+    return slots;
+}
+
 /** The prepare stage of a traced bundle: compile the original and
- * every variant once, one task each. */
+ * every variant once, one task each, then share equal programs. */
 std::vector<Program>
 compileAll(LaneRunner &lanes, const tracer::TraceBundle &bundle,
            const std::vector<VariantSpec> &variants)
@@ -177,14 +232,18 @@ compileAll(LaneRunner &lanes, const tracer::TraceBundle &bundle,
         [&](std::size_t v, sim::ReplaySession &) {
             programs[v] = compileProgram(bundle, variants, v);
         });
+    for (std::size_t v = 1; v < programs.size(); ++v)
+        shareEqual(programs, 0, v);
     return programs;
 }
 
 /**
- * The replay stage of platformSweep and scalingSweep: one task per
- * (point, program), programs[i * width + v] replaying on
- * platforms[i]. A task drops its program reference when done, so a
- * program dies with its last replay. Stats fold in task order.
+ * The replay stage of platformSweep and scalingSweep: programs[i *
+ * width + v] is program v of point i, replaying on platforms[i].
+ * One task per distinct program of a point; after the stage, every
+ * other slot takes its source's time and stats, so each point folds
+ * the stats of all its slots in slot order. A task drops its program
+ * reference when done, so a program dies with its last replay.
  */
 template <typename Point>
 void
@@ -194,27 +253,45 @@ replayGrid(LaneRunner &lanes, std::vector<Program> programs,
            const LaneRunner::Label &label, std::vector<Point> &points,
            obs::EngineStats &folded)
 {
+    const std::vector<std::size_t> source = sourceSlots(programs, width);
+    const std::vector<std::size_t> slots = distinctSlots(source);
+    std::vector<std::size_t> pointOf(slots.size());
+    for (std::size_t k = 0; k < slots.size(); ++k)
+        pointOf[k] = slots[k] / width;
+    for (std::size_t t = 0; t < programs.size(); ++t) {
+        if (source[t] != t)
+            programs[t].reset();
+    }
+
+    std::vector<SimTime> times(programs.size());
     std::vector<obs::EngineStats> stats(programs.size());
-    for (Point &point : points)
-        point.variantTimes.resize(width - 1);
     lanes.run(
-        programs.size(), opCount(programs), label,
-        [&](std::size_t t, sim::ReplaySession &session) {
-            Point &point = points[t / width];
+        slots.size(), opCount(programs, slots),
+        [&](std::size_t k) { return label(slots[k]); },
+        [&](std::size_t k, sim::ReplaySession &session) {
+            const std::size_t t = slots[k];
             const auto run =
                 session.run(*programs[t], platforms[t / width]);
             programs[t].reset();
-            if (t % width == 0) {
-                point.originalTime = run.totalTime;
-                point.originalCommFraction = run.commFraction();
-            } else {
-                point.variantTimes[t % width - 1] = run.totalTime;
-            }
+            if (t % width == 0)
+                points[t / width].originalCommFraction =
+                    run.commFraction();
+            times[t] = run.totalTime;
             stats[t] = run.stats;
         },
-        width);
-    for (std::size_t t = 0; t < stats.size(); ++t)
-        points[t / width].stats.merge(stats[t]);
+        pointOf);
+
+    for (Point &point : points)
+        point.variantTimes.resize(width - 1);
+    for (std::size_t t = 0; t < programs.size(); ++t) {
+        Point &point = points[t / width];
+        const SimTime time = times[source[t]];
+        if (t % width == 0)
+            point.originalTime = time;
+        else
+            point.variantTimes[t % width - 1] = time;
+        point.stats.merge(stats[source[t]]);
+    }
     for (const Point &point : points)
         folded.merge(point.stats);
 }
@@ -388,7 +465,8 @@ scalingSweep(const gen::WorkloadConfig &workload,
     LaneRunner lanes(threads, rank_grid.size() * width, cobs);
 
     // Prepare: every point is its own trace, generated once and
-    // lowered per program; generation cost grows with the rank
+    // lowered per program, a program equal to an earlier one of the
+    // point dropped at once; generation cost grows with the rank
     // count, which therefore orders the stage.
     std::vector<Program> programs(rank_grid.size() * width);
     result.points.resize(rank_grid.size());
@@ -407,9 +485,11 @@ scalingSweep(const gen::WorkloadConfig &workload,
             point.ranks = rank_grid[i];
             point.sentBytes = bundle.traces.totalSentBytes();
             point.messages = bundle.traces.totalMessages();
-            for (std::size_t v = 0; v < width; ++v)
+            for (std::size_t v = 0; v < width; ++v) {
                 programs[i * width + v] =
                     compileProgram(bundle, variants, v);
+                shareEqual(programs, i * width, i * width + v);
+            }
         });
 
     replayGrid(
@@ -460,6 +540,11 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     LaneRunner lanes(threads, std::max(jobs, variants.size() + 1),
                      cobs);
     const auto programs = compileAll(lanes, bundle, variants);
+    // Both passes replay each distinct program once; a program equal
+    // to an earlier one copies that one's outcome.
+    const std::vector<std::size_t> source =
+        sourceSlots(programs, programs.size());
+    const std::vector<std::size_t> slots = distinctSlots(source);
 
     // Failure-free pre-pass: nominal completion under the base
     // platform (checkpoint overhead included, faults excluded) sets
@@ -472,15 +557,20 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     std::vector<SimTime> nominalTimes(programs.size());
     std::vector<obs::EngineStats> nominalStats(programs.size());
     lanes.run(
-        programs.size(), opCount(programs),
-        [&](std::size_t v) {
-            return "nominal " + programName(variants, v);
+        slots.size(), opCount(programs, slots),
+        [&](std::size_t k) {
+            return "nominal " + programName(variants, slots[k]);
         },
-        [&](std::size_t v, sim::ReplaySession &session) {
+        [&](std::size_t k, sim::ReplaySession &session) {
+            const std::size_t v = slots[k];
             const auto run = session.run(*programs[v], nominal);
             nominalTimes[v] = run.totalTime;
             nominalStats[v] = run.stats;
         });
+    for (std::size_t v = 0; v < programs.size(); ++v) {
+        nominalTimes[v] = nominalTimes[source[v]];
+        nominalStats[v] = nominalStats[source[v]];
+    }
     result.horizon =
         *std::max_element(nominalTimes.begin(), nominalTimes.end()) * 4;
 
@@ -518,23 +608,37 @@ resilienceSweep(const tracer::TraceBundle &bundle,
             res::generateScenario(model, row_seed, result.horizon);
 
         ResiliencePoint &point = result.points[i];
+        // A dead run's stats stay zero, which merge ignores.
+        std::vector<obs::EngineStats> runStats(programs.size());
         for (std::size_t v = 0; v < programs.size(); ++v) {
-            try {
-                const auto run =
-                    session.run(*programs[v], platform);
-                point.cells[v].seedTimes[s] = run.totalTime;
-                jobStats[job].merge(run.stats);
-            } catch (const scen::FailureError &err) {
-                // A dead run is campaign data, not an error: the
-                // platform fails faster than this configuration
-                // recovers. The slot keeps its max() sentinel and
-                // the structured diagnosis (which event killed the
-                // run, which ranks were left unfinished) rides
-                // along for the campaign report.
-                point.cells[v].seedDiagnoses[s] = err.diagnosis();
+            ResilienceCell &cell = point.cells[v];
+            if (source[v] != v) {
+                const ResilienceCell &from = point.cells[source[v]];
+                cell.seedTimes[s] = from.seedTimes[s];
+                cell.seedDiagnoses[s] = from.seedDiagnoses[s];
+                runStats[v] = runStats[source[v]];
+            } else {
+                try {
+                    const auto run =
+                        session.run(*programs[v], platform);
+                    cell.seedTimes[s] = run.totalTime;
+                    runStats[v] = run.stats;
+                } catch (const scen::FailureError &err) {
+                    // A dead run is campaign data, not an error:
+                    // the platform fails faster than this
+                    // configuration recovers. The slot keeps its
+                    // max() sentinel and the structured diagnosis
+                    // (which event killed the run, which ranks were
+                    // left unfinished) rides along for the
+                    // campaign report.
+                    cell.seedDiagnoses[s] = err.diagnosis();
+                }
             }
+            jobStats[job].merge(runStats[v]);
         }
     };
+    std::vector<std::size_t> jobPoints(jobs);
+    std::iota(jobPoints.begin(), jobPoints.end(), std::size_t{0});
     lanes.run(
         jobs, nullptr,
         [&](std::size_t job) {
@@ -542,7 +646,7 @@ resilienceSweep(const tracer::TraceBundle &bundle,
                              mtbf_grid_us[job / seed_count],
                              job % seed_count);
         },
-        replayRow, 1);
+        replayRow, jobPoints);
 
     for (ResiliencePoint &point : result.points) {
         for (ResilienceCell &cell : point.cells)
@@ -829,16 +933,22 @@ isoPerformance(const tracer::TraceBundle &bundle,
         (1.0 + tolerance)));
 
     // The two bisections are independent searches against the same
-    // target, each writing its own result field, so running them
-    // concurrently cannot change the outcome.
-    double *required[] = {&result.originalRequiredBandwidth,
-                          &result.overlappedRequiredBandwidth};
-    lanes.run(2, opCount(programs), nullptr,
-              [&](std::size_t v, sim::ReplaySession &) {
-                  *required[v] = minBandwidthForTime(
+    // target, each writing its own slot, so running them
+    // concurrently cannot change the outcome. An overlapped program
+    // equal to the original shares its bisection.
+    const std::vector<std::size_t> source =
+        sourceSlots(programs, programs.size());
+    const std::vector<std::size_t> slots = distinctSlots(source);
+    double required[2] = {};
+    lanes.run(slots.size(), opCount(programs, slots), nullptr,
+              [&](std::size_t k, sim::ReplaySession &) {
+                  const std::size_t v = slots[k];
+                  required[v] = minBandwidthForTime(
                       *programs[v], base, target, search_lo_mbps,
                       reference_mbps);
               });
+    result.originalRequiredBandwidth = required[0];
+    result.overlappedRequiredBandwidth = required[source[1]];
     return result;
 }
 

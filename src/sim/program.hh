@@ -57,6 +57,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "trace/record.hh"
@@ -243,8 +244,23 @@ class ReplayProgram
      */
     trace::TraceSet decode() const;
 
-    /** Two compiles of the same trace set are equal. */
-    bool operator==(const ReplayProgram &) const = default;
+    /**
+     * Equal in every member but the name, which only decode()
+     * reads: equal programs replay to the same result on any
+     * platform, so a campaign replays one for both. Two compiles of
+     * the same trace set are equal, whatever they are named.
+     */
+    bool
+    operator==(const ReplayProgram &other) const
+    {
+        const auto replayed = [](const ReplayProgram &p) {
+            return std::tie(p.mips_, p.kinds_, p.ops_, p.rankBegin_,
+                            p.rankRegs_, p.rankP2p_, p.collectives_,
+                            p.p2p_, p.waitReqs_, p.totalSends_,
+                            p.messageSlots_);
+        };
+        return replayed(*this) == replayed(other);
+    }
 
   private:
     friend ReplayProgram compileTrace(const trace::TraceSet &traces);
