@@ -60,6 +60,7 @@
 #include "bench/bench_common.hh"
 #include "core/analysis.hh"
 #include "obs/progress.hh"
+#include "util/mathutil.hh"
 #include "util/options.hh"
 
 using namespace ovlsim;
@@ -137,6 +138,18 @@ toolMain(int argc, char **argv)
         options.getDouble("proto-mtbf", Sign::positive);
     const double machine_mtbf =
         options.getDouble("machine-mtbf", Sign::nonNegative);
+    // A cost-model option in microseconds; 0 scales it to the
+    // nominal run below.
+    const auto clockUs = [&](const char *name) {
+        const double us = options.getDouble(name, Sign::nonNegative);
+        if (!fitsClockUs(us))
+            fatal("option --", name, ": ", us,
+                  " us does not fit the 64-bit nanosecond clock");
+        return us;
+    };
+    double interval_us = clockUs("interval");
+    double ckpt_cost_us = clockUs("ckpt-cost");
+    double restart_cost_us = clockUs("restart-cost");
 
     // Scale the cost model and the MTBF grid to this app's nominal
     // run on this fabric.
@@ -155,15 +168,10 @@ toolMain(int argc, char **argv)
     const double proto_mtbf_us = timesNominal("proto-mtbf", proto_mtbf);
     const double machine_mtbf_us =
         timesNominal("machine-mtbf", machine_mtbf);
-    double interval_us =
-        options.getDouble("interval", Sign::nonNegative);
     if (interval_us <= 0.0)
         interval_us = nominal.toUs() / 6.0;
-    double ckpt_cost_us = options.getDouble("ckpt-cost", Sign::nonNegative);
     if (ckpt_cost_us <= 0.0)
         ckpt_cost_us = interval_us / 50.0;
-    double restart_cost_us =
-        options.getDouble("restart-cost", Sign::nonNegative);
     if (restart_cost_us <= 0.0)
         restart_cost_us = interval_us / 10.0;
     base.checkpointIntervalUs = interval_us;

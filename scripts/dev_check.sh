@@ -12,7 +12,7 @@
 #               platform-campaign studies and generator_study end
 #               to end
 #               through the bench_pins entry, label `bench`, and
-#               its error rows: seventeen user
+#               its error rows: twenty user
 #               errors, four of them bad input files, that
 #               must exit 1 with the message once, never through
 #               std::terminate), then

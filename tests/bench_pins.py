@@ -141,6 +141,18 @@ ERRORS = [
       "--mtbf-lo", "100", "--mtbf-hi", "200"],
      "fatal: option --proto-mtbf: 1e+308 times the nominal run is not a "
      "finite time", {}),
+    ("resilience_study --interval 1e300", "resilience_study",
+     ["--interval", "1e300", "--seeds", "1", "--per-decade", "1"],
+     "fatal: option --interval: 1e+300 us does not fit the 64-bit "
+     "nanosecond clock", {}),
+    ("resilience_study --ckpt-cost 1e300", "resilience_study",
+     ["--ckpt-cost", "1e300", "--seeds", "1", "--per-decade", "1"],
+     "fatal: option --ckpt-cost: 1e+300 us does not fit the 64-bit "
+     "nanosecond clock", {}),
+    ("resilience_study --restart-cost 1e300", "resilience_study",
+     ["--restart-cost", "1e300", "--seeds", "1", "--per-decade", "1"],
+     "fatal: option --restart-cost: 1e+300 us does not fit the 64-bit "
+     "nanosecond clock", {}),
     ("overlap_study --platform hop.platform", "overlap_study",
      ["--app", "nas-cg", "--per-decade", "1", "--lo", "1", "--hi", "100",
       "--platform", "hop.platform"],
