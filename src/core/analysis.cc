@@ -166,12 +166,8 @@ compileProgram(const tracer::TraceBundle &bundle,
             .traces);
 }
 
-/**
- * Give programs[t] the program of the first slot in [first, t)
- * that compares equal, dropping its own copy. A campaign lays out
- * each point's programs from `first` on; equal programs replay
- * alike, so the point replays the shared one once (sourceSlots).
- */
+/** Give programs[t] the program of the first slot in [first, t)
+ * that compares equal, dropping its own copy. */
 void
 shareEqual(std::vector<Program> &programs, std::size_t first,
            std::size_t t)
@@ -185,37 +181,30 @@ shareEqual(std::vector<Program> &programs, std::size_t first,
 }
 
 /**
- * For every slot of `programs`, `width` per point, the first slot
- * of its point holding the same program: the slot itself unless
- * shareEqual gave it an earlier slot's program. A point replays
- * its sources once each, and every other slot copies its source's
- * outcome.
+ * Which slots of `programs`, `width` per point, replay. A slot's
+ * source is the first slot of its point holding the same program
+ * (itself unless shareEqual gave it an earlier one's); only sources
+ * replay, and every other slot copies its source's outcome.
  */
-std::vector<std::size_t>
-sourceSlots(const std::vector<Program> &programs, std::size_t width)
+struct Sources
 {
-    std::vector<std::size_t> source(programs.size());
-    for (std::size_t t = 0; t < programs.size(); ++t) {
-        const auto from = programs.begin() +
-            static_cast<std::ptrdiff_t>(t - t % width);
-        const auto at = programs.begin() + static_cast<std::ptrdiff_t>(t);
-        source[t] = static_cast<std::size_t>(
-            std::find(from, at, *at) - programs.begin());
+    Sources(const std::vector<Program> &programs, std::size_t width)
+        : of(programs.size())
+    {
+        for (std::size_t t = 0; t < programs.size(); ++t) {
+            of[t] = t - t % width;
+            while (programs[of[t]] != programs[t])
+                ++of[t];
+            if (of[t] == t)
+                tasks.push_back(t);
+        }
     }
-    return source;
-}
 
-/** The slots that are their own source, ascending. */
-std::vector<std::size_t>
-distinctSlots(const std::vector<std::size_t> &source)
-{
-    std::vector<std::size_t> slots;
-    for (std::size_t t = 0; t < source.size(); ++t) {
-        if (source[t] == t)
-            slots.push_back(t);
-    }
-    return slots;
-}
+    /** Each slot's source. */
+    std::vector<std::size_t> of;
+    /** The slots that are their own source, ascending. */
+    std::vector<std::size_t> tasks;
+};
 
 /** The prepare stage of a traced bundle: compile the original and
  * every variant once, one task each, then share equal programs. */
@@ -253,13 +242,13 @@ replayGrid(LaneRunner &lanes, std::vector<Program> programs,
            const LaneRunner::Label &label, std::vector<Point> &points,
            obs::EngineStats &folded)
 {
-    const std::vector<std::size_t> source = sourceSlots(programs, width);
-    const std::vector<std::size_t> slots = distinctSlots(source);
+    const Sources sources(programs, width);
+    const std::vector<std::size_t> &slots = sources.tasks;
     std::vector<std::size_t> pointOf(slots.size());
     for (std::size_t k = 0; k < slots.size(); ++k)
         pointOf[k] = slots[k] / width;
     for (std::size_t t = 0; t < programs.size(); ++t) {
-        if (source[t] != t)
+        if (sources.of[t] != t)
             programs[t].reset();
     }
 
@@ -285,12 +274,12 @@ replayGrid(LaneRunner &lanes, std::vector<Program> programs,
         point.variantTimes.resize(width - 1);
     for (std::size_t t = 0; t < programs.size(); ++t) {
         Point &point = points[t / width];
-        const SimTime time = times[source[t]];
+        const std::size_t from = sources.of[t];
         if (t % width == 0)
-            point.originalTime = time;
+            point.originalTime = times[from];
         else
-            point.variantTimes[t % width - 1] = time;
-        point.stats.merge(stats[source[t]]);
+            point.variantTimes[t % width - 1] = times[from];
+        point.stats.merge(stats[from]);
     }
     for (const Point &point : points)
         folded.merge(point.stats);
@@ -540,11 +529,9 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     LaneRunner lanes(threads, std::max(jobs, variants.size() + 1),
                      cobs);
     const auto programs = compileAll(lanes, bundle, variants);
-    // Both passes replay each distinct program once; a program equal
-    // to an earlier one copies that one's outcome.
-    const std::vector<std::size_t> source =
-        sourceSlots(programs, programs.size());
-    const std::vector<std::size_t> slots = distinctSlots(source);
+    // Both passes replay each distinct program once.
+    const Sources sources(programs, programs.size());
+    const std::vector<std::size_t> &slots = sources.tasks;
 
     // Failure-free pre-pass: nominal completion under the base
     // platform (checkpoint overhead included, faults excluded) sets
@@ -568,8 +555,8 @@ resilienceSweep(const tracer::TraceBundle &bundle,
             nominalStats[v] = run.stats;
         });
     for (std::size_t v = 0; v < programs.size(); ++v) {
-        nominalTimes[v] = nominalTimes[source[v]];
-        nominalStats[v] = nominalStats[source[v]];
+        nominalTimes[v] = nominalTimes[sources.of[v]];
+        nominalStats[v] = nominalStats[sources.of[v]];
     }
     result.horizon =
         *std::max_element(nominalTimes.begin(), nominalTimes.end()) * 4;
@@ -610,31 +597,27 @@ resilienceSweep(const tracer::TraceBundle &bundle,
         ResiliencePoint &point = result.points[i];
         // A dead run's stats stay zero, which merge ignores.
         std::vector<obs::EngineStats> runStats(programs.size());
-        for (std::size_t v = 0; v < programs.size(); ++v) {
-            ResilienceCell &cell = point.cells[v];
-            if (source[v] != v) {
-                const ResilienceCell &from = point.cells[source[v]];
-                cell.seedTimes[s] = from.seedTimes[s];
-                cell.seedDiagnoses[s] = from.seedDiagnoses[s];
-                runStats[v] = runStats[source[v]];
-            } else {
-                try {
-                    const auto run =
-                        session.run(*programs[v], platform);
-                    cell.seedTimes[s] = run.totalTime;
-                    runStats[v] = run.stats;
-                } catch (const scen::FailureError &err) {
-                    // A dead run is campaign data, not an error:
-                    // the platform fails faster than this
-                    // configuration recovers. The slot keeps its
-                    // max() sentinel and the structured diagnosis
-                    // (which event killed the run, which ranks were
-                    // left unfinished) rides along for the
-                    // campaign report.
-                    cell.seedDiagnoses[s] = err.diagnosis();
-                }
+        for (const std::size_t v : slots) {
+            try {
+                const auto run =
+                    session.run(*programs[v], platform);
+                point.cells[v].seedTimes[s] = run.totalTime;
+                runStats[v] = run.stats;
+            } catch (const scen::FailureError &err) {
+                // A dead run is campaign data, not an error: the
+                // platform fails faster than this configuration
+                // recovers. The slot keeps its max() sentinel and
+                // the structured diagnosis (which event killed the
+                // run, which ranks were left unfinished) rides
+                // along for the campaign report.
+                point.cells[v].seedDiagnoses[s] = err.diagnosis();
             }
-            jobStats[job].merge(runStats[v]);
+        }
+        for (std::size_t v = 0; v < programs.size(); ++v) {
+            const ResilienceCell &from = point.cells[sources.of[v]];
+            point.cells[v].seedTimes[s] = from.seedTimes[s];
+            point.cells[v].seedDiagnoses[s] = from.seedDiagnoses[s];
+            jobStats[job].merge(runStats[sources.of[v]]);
         }
     };
     std::vector<std::size_t> jobPoints(jobs);
@@ -936,9 +919,8 @@ isoPerformance(const tracer::TraceBundle &bundle,
     // target, each writing its own slot, so running them
     // concurrently cannot change the outcome. An overlapped program
     // equal to the original shares its bisection.
-    const std::vector<std::size_t> source =
-        sourceSlots(programs, programs.size());
-    const std::vector<std::size_t> slots = distinctSlots(source);
+    const Sources sources(programs, programs.size());
+    const std::vector<std::size_t> &slots = sources.tasks;
     double required[2] = {};
     lanes.run(slots.size(), opCount(programs, slots), nullptr,
               [&](std::size_t k, sim::ReplaySession &) {
@@ -948,7 +930,7 @@ isoPerformance(const tracer::TraceBundle &bundle,
                       reference_mbps);
               });
     result.originalRequiredBandwidth = required[0];
-    result.overlappedRequiredBandwidth = required[source[1]];
+    result.overlappedRequiredBandwidth = required[sources.of[1]];
     return result;
 }
 

@@ -17,8 +17,12 @@
  * all hardware cores; never more than its widest stage has tasks).
  * It prepares first (generates each point and lowers each program
  * once, sim/program.hh), then replays, costliest compiled program
- * first. Every task writes only its own result slots and stats fold
- * sequentially, so results are bit-identical at any thread count.
+ * first. A program equal to an earlier one of its point (an
+ * all-collective trace's variants, which the transform leaves
+ * alone) shares that program, and only the first replays: the
+ * others copy its outcome and stats. Every task writes only its
+ * own result slots and stats fold sequentially, so results are
+ * bit-identical at any thread count and to replaying every slot.
  */
 
 #ifndef OVLSIM_CORE_ANALYSIS_HH
@@ -49,7 +53,7 @@ struct CampaignObs
 {
     /** Ticked once per completed sweep point (or per (rate, seed)
      * job of a resilience campaign), by the task that retires the
-     * point's last replay; null = no progress output. */
+     * point's last distinct replay; null = no progress output. */
     obs::Progress *progress = nullptr;
     /** Record one host-time span per lane task (compile, prepare,
      * replay, job) for Chrome-trace export via
@@ -58,7 +62,9 @@ struct CampaignObs
     /** Filled on return when recordSpans: one span per labelled
      * lane task, timed by the lane runner into per-lane lists and
      * appended stage by stage, each stage ordered by (begin, lane).
-     * Times count from the campaign's start. */
+     * Times count from the campaign's start. Spans record only the
+     * replays that ran; a slot that copied an equal program's
+     * outcome has none, though the result's stats fold it. */
     std::vector<obs::LaneSpan> spans;
 };
 
@@ -112,11 +118,13 @@ struct SweepResult
  * them group-major and reads each group as a slice of `points`.
  *
  * The original and every variant compile once into shared programs
- * that every point replays, one task per (point, program), the
- * costliest program (usually a variant) first. A replay that throws
- * ends the campaign, and at one thread the first to fail in that
- * order is rethrown: a fail-stop on a platform without checkpointing
- * is an error here, where resilienceSweep reports it as data.
+ * that every point replays, one task per (point, distinct program),
+ * the costliest program (usually a variant) first; a variant equal
+ * to an earlier program copies its times and stats. A replay that
+ * throws ends the campaign, and at one thread the first to fail in
+ * that order is rethrown: a fail-stop on a platform without
+ * checkpointing is an error here, where resilienceSweep reports it
+ * as data.
  */
 SweepResult
 platformSweep(const tracer::TraceBundle &bundle,
@@ -169,11 +177,12 @@ struct ScalingResult
  * the machine grows — and the reason the generators exist.
  *
  * Prepare generates each point once (largest rank count first)
- * and lowers its original and every variant; the trace set dies
- * there. Replay then runs one task per (point, program), costliest
- * first, so the largest point's replays start first instead of
- * running alone at the end. Generation is a pure function of
- * (workload, seed) through the counter-based RNG.
+ * and lowers its original and every variant, dropping a program
+ * equal to an earlier one of the point; the trace set dies there.
+ * Replay then runs one task per distinct program of a point,
+ * costliest first, so the largest point's replays start first
+ * instead of running alone at the end. Generation is a pure
+ * function of (workload, seed) through the counter-based RNG.
  */
 ScalingResult scalingSweep(const gen::WorkloadConfig &workload,
                            std::uint64_t seed,
@@ -261,8 +270,10 @@ struct ResilienceResult
  * checkpointing, or restart budget exhausted) are reported as data
  * in failedFraction rather than thrown.
  *
- * A (rate, seed) job is one task replaying every program, and
- * jobs run in grid order. Scenario expansion is a pure function of
+ * A (rate, seed) job is one task replaying every distinct program
+ * (a variant equal to an earlier program copies its time or
+ * diagnosis and its stats, in the nominal pre-pass too), and jobs
+ * run in grid order. Scenario expansion is a pure function of
  * (seed, grid index, seed index) through the counter-based RNG and
  * the aggregates use integer arithmetic.
  */
@@ -435,9 +446,10 @@ struct IsoPerformanceResult
  * performance at a high reference bandwidth, then find the minimal
  * bandwidth at which (a) the original and (b) the overlapped variant
  * still deliver that performance within `tolerance`. The two
- * bisections are independent searches and run as two tasks, each
- * between `search_lo_mbps` and the reference; a reference at or
- * below that floor is a FatalError.
+ * bisections are independent searches and run as two tasks (one,
+ * when the variant lowers to the original program), each between
+ * `search_lo_mbps` and the reference; a reference at or below that
+ * floor is a FatalError.
  */
 IsoPerformanceResult
 isoPerformance(const tracer::TraceBundle &bundle,

@@ -47,7 +47,8 @@
  *
  * Programs are immutable after compilation and freely shared: study
  * campaigns hold one std::shared_ptr<const ReplayProgram> per trace
- * variant and replay it from many sweep lanes concurrently.
+ * variant (variants that compare equal share one) and replay it from
+ * many sweep lanes concurrently.
  */
 
 #ifndef OVLSIM_SIM_PROGRAM_HH
