@@ -249,7 +249,9 @@ class ReplayProgram
      * Equal in every member but the name, which only decode()
      * reads: equal programs replay to the same result on any
      * platform, so a campaign replays one for both. Two compiles of
-     * the same trace set are equal, whatever they are named.
+     * the same trace set are equal, whatever they are named. A
+     * member added to the class must join the tie below, or
+     * programs that replay differently would share one replay.
      */
     bool
     operator==(const ReplayProgram &other) const
